@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .euler import cons2prim
-from .fluxes import add_logmean, add_two_point, require_volume_kind
+from .fluxes import add_logmean, add_one_point, add_two_point, require_volume_kind
 from .geometry import axis_aligned_areas
 from .means import SERIES_EPSILON
 from .operators import hybridized_scatter, node_lines, pair_table, skew_pair_table
@@ -511,16 +511,63 @@ def mesh_fluxdiff_volume(u, setup, config):
     return out
 
 
-def mesh_surface(u, setup, surface_flux, out):
-    """Interface terms for the collocated (Lobatto) schemes, one lane per
-    face point, added into `out`."""
+def _face_traces(u, op, n, side):
+    """Every element's conserved state interpolated to its reference side
+    (0: -1 face, 1: +1 face) in direction n, (n_elem, face nodes, d+2)."""
+    n_elem, _, nvar = u.shape
+    d = nvar - 2
+    u_nd = u.reshape((n_elem,) + (op.n_nodes,) * d + (nvar,))
+    moved = np.moveaxis(u_nd, n + 1, -2)
+    row = op.boundary_interp[side]
+    return np.einsum("...kv,k->...v", moved, row).reshape(n_elem, -1, nvar)
+
+
+def _side_fluxes(f, ql, qr, normal, subtract_own, n_real):
+    """What the minus and plus sides lift, as (lanes, d+2) arrays: the
+    interface flux itself, or for the strong form f - f(own face state)."""
+    farr = np.stack(f, axis=-1)
+    if not subtract_own:
+        return farr, farr
+    add_one_point(2 * n_real)
+    fm = farr - np.stack(_phys_lanes(ql, normal), axis=-1)
+    fp = farr - np.stack(_phys_lanes(qr, normal), axis=-1)
+    return fm, fp
+
+
+def _lift_dense(out, setup, n, fm, fp):
+    """Lift per-face-point fluxes (n_elem, face nodes, d+2) in direction n
+    through the dense boundary-interpolation rows: added into the minus
+    element, subtracted from its plus neighbour, divided by the Jacobian."""
+    op = setup.op
+    jac = setup.metrics.jac
+    lift_m = op.boundary_interp[1] / op.weights
+    lift_p = op.boundary_interp[0] / op.weights
+    idx = setup.lines[n]
+    rows = setup.plus_neighbor[n][:, None]
+    for a in range(op.n_nodes):
+        nodes = idx[:, a]
+        out[:, nodes, :] += (lift_m[a] * fm) / jac[:, nodes, None]
+        cols = nodes[None, :]
+        out[rows, cols, :] -= (lift_p[a] * fp) / jac[rows, cols, None]
+
+
+def mesh_surface(u, setup, surface_flux, out, subtract_own=False):
+    """Interface terms of the strong, weak, overintegration and lgl
+    flux-differencing schemes, one lane per face point, added into `out`.
+
+    Face states are the elements' own traces of u: the boundary nodes on
+    Lobatto grids, interpolated values lifted through the dense R on Gauss
+    grids. subtract_own selects the strong-form coupling f_num - f(own face
+    state). Lane counterpart of discretization.surface_terms."""
     gas = setup.gas
     op = setup.op
     d = setup.d
     nvar = d + 2
     n_elem = u.shape[0]
-    prim = cons2prim(u, gas)
-    need_cons = surface_flux in ("central", "llf", "hll")
+    lgl = op.family == "lgl"
+    if lgl:
+        prim = cons2prim(u, gas)
+    need_cons = subtract_own or surface_flux in ("central", "llf", "hll")
     w1d = op.weights
     jac = setup.metrics.jac
     for n in range(d):
@@ -528,19 +575,27 @@ def mesh_surface(u, setup, surface_flux, out):
         minus_nodes = idx[:, -1]
         plus_nodes = idx[:, 0]
         nb = setup.plus_neighbor[n]
-        prim_nb = prim[nb]
-        u_nb = u[nb]
-        ql = _mesh_lanes(prim, u, minus_nodes, need_cons, None, None)
-        qr = _mesh_lanes(prim_nb, u_nb, plus_nodes, need_cons, None, None)
+        if lgl:
+            ql = _mesh_lanes(prim, u, minus_nodes, need_cons, None, None)
+            qr = _mesh_lanes(prim[nb], u[nb], plus_nodes, need_cons, None, None)
+        else:
+            ql = _face_lanes(_face_traces(u, op, n, 1), gas)
+            qr = _face_lanes(_face_traces(u, op, n, 0)[nb], gas)
         normals = setup.metrics.face_ja[n]
         fn = normals.shape[1]
+        n_lanes = n_elem * fn
         alpha = tuple(normals[..., j].reshape(-1) for j in range(d))
-        f = flux_lanes_directional(surface_flux, ql, qr, alpha, gas, n_elem * fn)
-        farr = np.stack(f, axis=-1).reshape(n_elem, fn, nvar)
-        out[:, minus_nodes, :] += farr / (w1d[-1] * jac[:, minus_nodes, None])
-        rows = nb[:, None]
-        cols = plus_nodes[None, :]
-        out[rows, cols, :] -= farr / (w1d[0] * jac[rows, cols, None])
+        f = flux_lanes_directional(surface_flux, ql, qr, alpha, gas, n_lanes)
+        fm, fp = _side_fluxes(f, ql, qr, alpha, subtract_own, n_lanes)
+        fm = fm.reshape(n_elem, fn, nvar)
+        fp = fp.reshape(n_elem, fn, nvar)
+        if lgl:
+            out[:, minus_nodes, :] += fm / (w1d[-1] * jac[:, minus_nodes, None])
+            rows = nb[:, None]
+            cols = plus_nodes[None, :]
+            out[rows, cols, :] -= fp / (w1d[0] * jac[rows, cols, None])
+        else:
+            _lift_dense(out, setup, n, fm, fp)
     return out
 
 
@@ -630,22 +685,16 @@ def mesh_gauss_volume(u, setup, config, proj):
 
 
 def mesh_gauss_surface(u, setup, config, proj, out):
-    """Interface terms for the gauss schemes: entropy-projected states,
-    shared normals, one evaluation per adjacent element (twice per face),
-    lifted through the dense boundary-interpolation rows."""
+    """Interface terms for the entropy-projected gauss schemes: projected
+    states, shared normals, one evaluation per adjacent element (twice per
+    face, as in the scalar discretization._gauss_surface), lifted through
+    the dense boundary-interpolation rows."""
     gas = setup.gas
-    op = setup.op
     d = setup.d
     nvar = d + 2
     n_elem = u.shape[0]
-    p1 = op.n_nodes
     kind = config.surface_flux
-    w1d = op.weights
-    jac = setup.metrics.jac
-    lift_m = op.boundary_interp[1] / w1d
-    lift_p = op.boundary_interp[0] / w1d
     for n in range(d):
-        idx = setup.lines[n]
         nb = setup.plus_neighbor[n]
         ql = _face_lanes(proj[n][1], gas)
         qr = _face_lanes(proj[n][0][nb], gas)
@@ -654,14 +703,12 @@ def mesh_gauss_surface(u, setup, config, proj, out):
         alpha = tuple(normals[..., j].reshape(-1) for j in range(d))
         n_lanes = n_elem * fn
         f_m = flux_lanes_directional(kind, ql, qr, alpha, gas, n_lanes)
-        fm_arr = np.stack(f_m, axis=-1).reshape(n_elem, fn, nvar)
-        for a in range(p1):
-            nodes = idx[:, a]
-            out[:, nodes, :] += (lift_m[a] * fm_arr) / jac[:, nodes, None]
         f_p = flux_lanes_directional(kind, ql, qr, alpha, gas, n_lanes)
-        fp_arr = np.stack(f_p, axis=-1).reshape(n_elem, fn, nvar)
-        rows = nb[:, None]
-        for a in range(p1):
-            cols = idx[:, a][None, :]
-            out[rows, cols, :] -= (lift_p[a] * fp_arr) / jac[rows, cols, None]
+        _lift_dense(
+            out,
+            setup,
+            n,
+            np.stack(f_m, axis=-1).reshape(n_elem, fn, nvar),
+            np.stack(f_p, axis=-1).reshape(n_elem, fn, nvar),
+        )
     return out

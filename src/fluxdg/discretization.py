@@ -13,11 +13,14 @@ Layout conventions used throughout:
   divided by the Jacobian, so a positive VOL approximates the flux
   divergence.
 
-The per-element functions (volume_strong, volume_fluxdiff, ...) are the
-reference implementations: plain float arithmetic through the scalar flux
-kernels, fixed accumulation order, bitwise reproducible. `rhs` assembles
-them over the mesh; with kernel="batched" it switches the two-point schemes
-to the lane-parallel implementations in `batched`, which are
+The two-point volume functions (volume_fluxdiff, volume_gauss_*) and
+surface_terms are the scalar reference implementations: plain float
+arithmetic through the scalar flux kernels, fixed accumulation order,
+bitwise reproducible. The one-point volume functions (volume_strong,
+volume_weak, volume_overintegration) are numpy expressions that take one
+element or the whole mesh at once. `rhs` assembles them over the mesh; with
+kernel="batched" every scheme's two-point work (volume pairs and interface
+fluxes) runs in the lane-parallel implementations in `batched`, which are
 equivalence-tested against the reference path.
 """
 
@@ -47,6 +50,7 @@ from .geometry import (
     axis_aligned_areas,
     compute_metrics,
     element_coords,
+    element_metrics,
     neighbor_table,
 )
 from .operators import (
@@ -145,9 +149,6 @@ class RhsConfig:
                     "overint_degree: setup was not built for degree %r "
                     "(pass overint_degree to build_setup)" % (q,)
                 )
-        if self.kernel == "batched" and self.volume_scheme in ("strong", "weak", "overintegration"):
-            # those schemes are vectorized with numpy either way
-            pass
 
 
 @dataclass(frozen=True)
@@ -187,21 +188,25 @@ def _own_face_ja(metrics_ja, op, d):
 
 
 # ---------------------------------------------------------------------------
-# per-element volume operators (scalar reference path)
+# volume operators (one-point numpy forms; scalar two-point reference path)
 
 def volume_strong(u_elem, op, metrics, gas):
-    """Strong-form volume term: (1/J) sum_n D_n (sum_j (Ja)^n_j f^j(u))."""
+    """Strong-form volume term: (1/J) sum_n D_n (sum_j (Ja)^n_j f^j(u)).
+
+    u_elem is one element (nodes, d+2) or a stack of them with leading
+    element axes; metrics.ja/jac carry the same leading axes (or none, for
+    metrics shared by every element)."""
     d = u_elem.shape[-1] - 2
-    nn = u_elem.shape[0]
+    lead = u_elem.ndim - 2
     p1 = op.n_nodes
     f = [physical_flux(u_elem, j, gas) for j in range(d)]
-    add_one_point(d * nn)
+    add_one_point(d * (u_elem.size // (d + 2)))
     acc = np.zeros_like(u_elem)
-    shape = (p1,) * d + (-1,)
+    shape = u_elem.shape[:lead] + (p1,) * d + (-1,)
     for n in range(d):
-        contra = sum(metrics.ja[:, n, j, None] * f[j] for j in range(d))
-        acc += apply_along(op.D, contra.reshape(shape), n).reshape(nn, -1)
-    return acc / metrics.jac[:, None]
+        contra = sum(metrics.ja[..., n, j, None] * f[j] for j in range(d))
+        acc += apply_along(op.D, contra.reshape(shape), n + lead).reshape(u_elem.shape)
+    return acc / metrics.jac[..., None]
 
 
 @lru_cache(maxsize=None)
@@ -213,24 +218,25 @@ def _weak_matrix(degree, family):
 
 
 def volume_weak(u_elem, op, metrics, gas):
-    """Weak-form volume term -(1/J) sum_n M^{-1} D_n^T M F^n.
+    """Weak-form volume term -(1/J) sum_n M^{-1} D_n^T M F^n, on one element
+    or a stack of them (leading axes as in volume_strong).
 
     For a constant state this is nonzero at boundary nodes (it carries the
     boundary part of the SBP identity); the assembled RHS cancels it against
     the surface flux.
     """
     d = u_elem.shape[-1] - 2
-    nn = u_elem.shape[0]
+    lead = u_elem.ndim - 2
     p1 = op.n_nodes
     wmat = _weak_matrix(op.degree, op.family)
     f = [physical_flux(u_elem, j, gas) for j in range(d)]
-    add_one_point(d * nn)
+    add_one_point(d * (u_elem.size // (d + 2)))
     acc = np.zeros_like(u_elem)
-    shape = (p1,) * d + (-1,)
+    shape = u_elem.shape[:lead] + (p1,) * d + (-1,)
     for n in range(d):
-        contra = sum(metrics.ja[:, n, j, None] * f[j] for j in range(d))
-        acc -= apply_along(wmat, contra.reshape(shape), n).reshape(nn, -1)
-    return acc / metrics.jac[:, None]
+        contra = sum(metrics.ja[..., n, j, None] * f[j] for j in range(d))
+        acc -= apply_along(wmat, contra.reshape(shape), n + lead).reshape(u_elem.shape)
+    return acc / metrics.jac[..., None]
 
 
 def precompute_element_data(u_elem, gas, mode):
@@ -325,20 +331,22 @@ def volume_fluxdiff(u_elem, dop, metrics, vol_flux, gas, pre=None):
 
 def volume_overintegration(u_elem, op, transfer, metrics_q, gas):
     """Interpolate to the degree-q grid, apply the weak-form volume term
-    there, L2-project back. Cartesian metric terms only."""
+    there, L2-project back. Cartesian metric terms only (metrics_q is shared
+    by every element); u_elem may carry leading element axes."""
     d = u_elem.shape[-1] - 2
+    lead = u_elem.ndim - 2
     p1 = op.n_nodes
     q1 = transfer.degree_high + 1
     op_q = make_operator(transfer.degree_high, op.family)
-    uq = u_elem.reshape((p1,) * d + (-1,))
+    uq = u_elem.reshape(u_elem.shape[:lead] + (p1,) * d + (-1,))
     for n in range(d):
-        uq = apply_along(transfer.interp, uq, n)
-    uq = uq.reshape(q1**d, -1)
+        uq = apply_along(transfer.interp, uq, n + lead)
+    uq = uq.reshape(u_elem.shape[:lead] + (q1**d, -1))
     vol_q = volume_weak(uq, op_q, metrics_q, gas)
-    back = vol_q.reshape((q1,) * d + (-1,))
+    back = vol_q.reshape(u_elem.shape[:lead] + (q1,) * d + (-1,))
     for n in range(d):
-        back = apply_along(transfer.project, back, n)
-    return back.reshape(p1**d, -1)
+        back = apply_along(transfer.project, back, n + lead)
+    return back.reshape(u_elem.shape)
 
 
 def entropy_projection(u_elem, op, gas):
@@ -672,23 +680,18 @@ def _admissibility_gate(u, gas):
     return p
 
 
-def _element_terms(setup, e):
-    from .geometry import MetricTerms
-
-    return MetricTerms(setup.metrics.ja[e], setup.metrics.jac[e])
-
-
-def surface_terms(u, setup, surface_flux, subtract_own=False, face_states=None, out=None):
-    """Interface coupling: numerical fluxes on interior faces, one evaluation
-    per face point, scattered with opposite signs into the two adjacent
-    elements (lifted through R^T B N M^{-1}, which for Lobatto nodes touches
-    only the boundary nodes).
+def surface_terms(u, setup, surface_flux, subtract_own=False, out=None):
+    """Interface coupling of the strong, weak, overintegration and lgl
+    flux-differencing schemes: numerical fluxes on interior faces, one
+    evaluation per face point, scattered with opposite signs into the two
+    adjacent elements (lifted through R^T B N M^{-1}, which for Lobatto
+    nodes touches only the boundary nodes). Face states are the element's
+    own traces of u; the entropy-projected gauss schemes use _gauss_surface.
 
     subtract_own switches to the strong-form coupling f_num - f(own face
-    state). face_states overrides the face values (the gauss path passes
-    entropy-projected states and gets its own routine instead; this one
-    serves the collocated schemes). Returns the SURF part of
-    du/dt = -(VOL + SURF), divided by J.
+    state). Returns the SURF part of du/dt = -(VOL + SURF), divided by J.
+    This scalar loop is the oracle for batched.mesh_surface; `rhs` reaches it
+    only with kernel="reference".
     """
     mesh = setup.mesh
     op = setup.op
@@ -706,9 +709,7 @@ def surface_terms(u, setup, surface_flux, subtract_own=False, face_states=None, 
         lines = setup.lines[n]
         minus_nodes = lines[:, -1]
         plus_nodes = lines[:, 0]
-        if face_states is not None:
-            vminus, vplus = face_states[n]
-        elif lgl:
+        if lgl:
             vminus = u[:, minus_nodes, :]
             vplus = u[:, plus_nodes, :]
         else:
@@ -897,9 +898,10 @@ def rhs(u, setup, config, counter=None):
     """Assembled right-hand side du/dt = -(VOL + SURF).
 
     Deterministic for fixed inputs: element loops and pair loops run in a
-    fixed order. With config.kernel == "batched" the two-point schemes run
-    the lane-parallel kernels; schemes built from one-point fluxes are numpy
-    vectorized either way.
+    fixed order. config.kernel == "batched" runs every scheme's two-point
+    work (volume pairs and interface fluxes) in the lane-parallel kernels;
+    "reference" runs it through the scalar oracle. The one-point volume
+    terms are one numpy pass over the whole mesh with either kernel.
     """
     if counter is not None:
         with count_guard(counter):
@@ -911,23 +913,23 @@ def rhs(u, setup, config, counter=None):
     n_elem = setup.n_elements
     gas = setup.gas
     if scheme in ("strong", "weak", "overintegration"):
-        out = np.empty_like(u)
-        for e in range(n_elem):
-            terms = _element_terms(setup, e)
-            if scheme == "strong":
-                out[e] = volume_strong(u[e], setup.op, terms, gas)
-            elif scheme == "weak":
-                out[e] = volume_weak(u[e], setup.op, terms, gas)
-            else:
-                op_q, transfer, metrics_q = setup.overint
-                out[e] = volume_overintegration(
-                    u[e], setup.op, transfer, metrics_q, gas
-                )
+        if scheme == "strong":
+            out = volume_strong(u, setup.op, setup.metrics, gas)
+        elif scheme == "weak":
+            out = volume_weak(u, setup.op, setup.metrics, gas)
+        else:
+            _op_q, transfer, metrics_q = setup.overint
+            out = volume_overintegration(u, setup.op, transfer, metrics_q, gas)
         # the weak-form volume term (which overintegration projects back
         # from the fine grid) already carries the boundary flux of the
         # element's own state, so only the strong form subtracts it here
         subtract = scheme == "strong"
-        surface_terms(u, setup, config.surface_flux, subtract_own=subtract, out=out)
+        if config.kernel == "batched":
+            _batched.mesh_surface(
+                u, setup, config.surface_flux, out, subtract_own=subtract
+            )
+        else:
+            surface_terms(u, setup, config.surface_flux, subtract_own=subtract, out=out)
         return -out
     if scheme == "fluxdiff":
         if config.kernel == "batched":
@@ -936,7 +938,7 @@ def rhs(u, setup, config, counter=None):
             return -out
         out = np.empty_like(u)
         for e in range(n_elem):
-            terms = _element_terms(setup, e)
+            terms = element_metrics(setup.metrics, e)
             pre = (
                 precompute_element_data(u[e], gas, config.precompute)
                 if config.precompute != "none"

@@ -6,7 +6,7 @@ few seconds; the test suite covers the same ground, and much more, with
 pinned tolerances.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,12 +162,20 @@ def check_gauss_forms():
 
 def check_batched_kernel():
     gas = GasParams(1.4)
-    mesh = build_mesh((3, 3), amplitude=0.1)
-    setup = build_setup(mesh, make_operator(3, "lgl"), gas)
-    u = _random_state(setup, gas, seed=6, amp=0.4)
-    a = rhs(u, setup, RhsConfig())
-    b = rhs(u, setup, RhsConfig(kernel="batched"))
-    return _result("batched kernel agreement", float(np.abs(a - b).max()), 1e-13)
+    cases = (
+        ("lgl", None, RhsConfig()),
+        ("lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
+        ("gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
+    )
+    worst = 0.0
+    for family, geo_degree, config in cases:
+        mesh = build_mesh((3, 3), amplitude=0.1, geo_degree=geo_degree)
+        setup = build_setup(mesh, make_operator(3, family), gas)
+        u = _random_state(setup, gas, seed=6, amp=0.4)
+        a = rhs(u, setup, config)
+        b = rhs(u, setup, replace(config, kernel="batched"))
+        worst = max(worst, float(np.abs(a - b).max()))
+    return _result("batched kernel agreement", worst, 1e-13)
 
 
 def check_transfer_round_trip(max_degree=6):

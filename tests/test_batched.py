@@ -20,12 +20,14 @@ from fluxdg.batched import (
     logmean_from_logs_batched,
     volume_fluxdiff_batched,
 )
-from fluxdg.discretization import volume_fluxdiff
+from fluxdg.discretization import KERNELS, volume_fluxdiff
 from fluxdg.errors import ConfigurationError
+from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
 from fluxdg.means import logmean_optimized, inv_logmean_optimized
 
 from .conftest import random_field
+from .test_acceptance import _relative_gap
 
 
 def make_setup(gas, d=2, p=3, amplitude=0.0, geo_degree=None, family="lgl", dims=None):
@@ -194,3 +196,39 @@ def test_batched_counts_match_scalar_counts(gas):
             rhs(u, setup, RhsConfig(kernel=kernel))
         counts[kernel] = (c.two_point_evals, c.one_point_evals, c.logmean_evals)
     assert counts["reference"] == counts["batched"]
+
+
+@pytest.mark.parametrize("elements", [1, 3])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("kind", SURFACE_KINDS)
+@pytest.mark.parametrize("scheme", ["strong", "weak", "overintegration"])
+@pytest.mark.parametrize("family", ["lgl", "gauss"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elements):
+    overint = None
+    amplitude = 0.1
+    geo = None if family == "lgl" else (2 if d == 2 else 1)
+    if scheme == "overintegration":  # Cartesian meshes only
+        overint = p + 1
+        amplitude = 0.0
+        geo = None
+    mesh = build_mesh((elements,) * d, amplitude=amplitude, geo_degree=geo)
+    setup = build_setup(mesh, make_operator(p, family), gas, overint_degree=overint)
+    u = random_field(setup, gas, seed=11, amp=0.3)
+    results = {}
+    for kernel in KERNELS:
+        config = RhsConfig(
+            volume_scheme=scheme,
+            surface_flux=kind,
+            overint_degree=overint,
+            kernel=kernel,
+        )
+        c = FluxCounter()
+        dudt = rhs(u, setup, config, counter=c)
+        results[kernel] = dudt, (c.two_point_evals, c.one_point_evals, c.logmean_evals)
+    (ref, ref_counts), (bat, bat_counts) = results["reference"], results["batched"]
+    assert _relative_gap(ref, bat) < 1e-13
+    assert ref_counts == bat_counts
+    # the interface flux is these schemes' only two-point work, one
+    # evaluation per face point on both families
+    assert bat_counts[0] == d * setup.n_elements * (p + 1) ** (d - 1)
