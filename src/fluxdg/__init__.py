@@ -3,8 +3,8 @@
 The package is a library of solver building blocks: SBP operators on
 Legendre-Gauss-Lobatto and Legendre-Gauss nodes, entropy-conservative and
 entropy-stable two-point fluxes, split-form volume kernels in both a scalar
-reference flavor and a batched SoA flavor, and a low-storage Runge-Kutta
-integrator. See the demos directory for narrative entry points.
+reference flavor and a mesh-level lane-batched flavor, and a low-storage
+Runge-Kutta integrator. See the demos directory for narrative entry points.
 """
 
 from .errors import (
@@ -22,7 +22,6 @@ from .means import logmean_optimized, logmean_reference
 from .geometry import StructuredMesh, build_mesh, compute_metrics
 from .operators import gauss_operator, lgl_operator, make_operator
 from .fluxes import FluxCounter, count_guard, flux_function
-from .batched import BatchWidth, ElementSoA, soa_to_aos, transpose_to_soa
 from .discretization import (
     RhsConfig,
     SpatialSetup,
@@ -38,12 +37,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError",
-    "BatchWidth",
     "BenchmarkError",
     "ConfigurationError",
     "DivergenceError",
     "DomainError",
-    "ElementSoA",
     "FluxCounter",
     "FluxdgError",
     "GasParams",
@@ -74,8 +71,6 @@ __all__ = [
     "prim2cons",
     "rhs",
     "rk_step",
-    "soa_to_aos",
     "stable_dt",
-    "transpose_to_soa",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Lane-parallel flux kernels on variable-major (structure-of-arrays) data.
+"""Mesh-level lane kernels: the production path of `rhs(kernel="batched")`.
 
 The reference kernels in `fluxes` take one state pair per call. Here the
 same arithmetic runs on numpy arrays whose last axis is a lane: for the
@@ -6,22 +6,20 @@ volume terms, a lane is one 1D node line (all lines of a direction across
 the whole mesh are folded together), for the surface terms one face point.
 The pair structure stays in the outer loop, so a (p+1)-node line still does
 its p(p+1)/2 two-point evaluations, each as one vectorized call over all
-lanes at once.
+lanes at once. Every entry point (`mesh_*`) takes the whole mesh and
+converts the states it reads to primitives in whole-array passes, once per
+call rather than once per pair evaluation.
 
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
 operation, so differences come only from the libm/numpy log and sqrt ulps
 and from fused scatter order.
 
-Evaluation counters are bumped by the number of active lanes per call, so
+Evaluation counters are bumped by the number of lanes per call, so
 counting lane work as logical per-pair evaluations matches the scalar
-kernels exactly. Padding lanes (in the per-element entry points) hold a
-neutral admissible state, never produce non-finite values, and are dropped
-on scatter without being counted.
+kernels exactly.
 """
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,111 +27,13 @@ import numpy as np
 from .errors import ConfigurationError
 from .euler import cons2prim
 from .fluxes import add_logmean, add_one_point, add_two_point, require_volume_kind
-from .geometry import axis_aligned_areas
 from .means import SERIES_EPSILON
-from .operators import hybridized_scatter, node_lines, pair_table, skew_pair_table
-
-DEFAULT_LANES = 4
+from .operators import hybridized_scatter, pair_table, skew_pair_table
 
 _AXIS = {
     2: ((1.0, 0.0), (0.0, 1.0)),
     3: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
 }
-
-
-@dataclass(frozen=True)
-class BatchWidth:
-    """Number of lanes a padded batch is rounded up to."""
-
-    lanes: int = DEFAULT_LANES
-
-    def __post_init__(self):
-        if self.lanes < 1 or (self.lanes & (self.lanes - 1)) != 0:
-            raise ConfigurationError(
-                "lanes: batch width must be a positive power of two, got %r"
-                % (self.lanes,)
-            )
-
-
-# ---------------------------------------------------------------------------
-# element transposition
-
-@dataclass(frozen=True)
-class ElementSoA:
-    """One element's data transposed to contiguous per-variable arrays.
-
-    The node axis is padded to a multiple of the batch width; padding slots
-    hold the neutral state (rho = p = 1, v = 0) so that any batch operation
-    over the full padded length stays finite. `cons` keeps the transposed
-    conserved variables, which makes the inverse transposition exact.
-    """
-
-    n_nodes: int
-    d: int
-    width: int
-    mode: str
-    rho: np.ndarray
-    v: tuple
-    p: np.ndarray
-    cons: tuple
-    log_rho: Optional[np.ndarray]
-    log_p: Optional[np.ndarray]
-
-    @property
-    def padded(self):
-        return self.rho.shape[0]
-
-
-def _padded(values, n_pad, fill):
-    out = np.full(n_pad, fill)
-    out[: values.shape[0]] = values
-    return out
-
-
-def transpose_to_soa(u_elem, gas, mode="primitives", width=None):
-    """Rearrange node-major element data into an ElementSoA.
-
-    mode 'primitives' fills density, velocity and pressure lanes;
-    'primitives_and_logs' adds log(rho) and log(p) tables (computed with
-    math.log, the same function the scalar kernels call). Inadmissible
-    states are rejected up front so no batch ever sees them.
-    """
-    if mode not in ("primitives", "primitives_and_logs"):
-        raise ConfigurationError(
-            "mode: expected 'primitives' or 'primitives_and_logs', got %r" % (mode,)
-        )
-    if width is None:
-        width = BatchWidth()
-    elif not isinstance(width, BatchWidth):
-        width = BatchWidth(width)
-    u_elem = np.asarray(u_elem, dtype=float)
-    nn, nvar = u_elem.shape
-    d = nvar - 2
-    q = cons2prim(u_elem, gas)
-    n_pad = -(-nn // width.lanes) * width.lanes
-    rho = _padded(q[:, 0], n_pad, 1.0)
-    v = tuple(_padded(q[:, 1 + i], n_pad, 0.0) for i in range(d))
-    p = _padded(q[:, d + 1], n_pad, 1.0)
-    cons = (
-        _padded(u_elem[:, 0], n_pad, 1.0),
-        *(_padded(u_elem[:, 1 + i], n_pad, 0.0) for i in range(d)),
-        _padded(u_elem[:, d + 1], n_pad, gas.inv_gamma_minus_one),
-    )
-    log_rho = None
-    log_p = None
-    if mode == "primitives_and_logs":
-        log_rho = _padded(
-            np.array([math.log(x) for x in q[:, 0].tolist()]), n_pad, 0.0
-        )
-        log_p = _padded(
-            np.array([math.log(x) for x in q[:, d + 1].tolist()]), n_pad, 0.0
-        )
-    return ElementSoA(nn, d, width.lanes, mode, rho, v, p, cons, log_rho, log_p)
-
-
-def soa_to_aos(soa):
-    """Inverse transposition; bitwise restores the conserved input."""
-    return np.stack([c[: soa.n_nodes] for c in soa.cons], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,34 +57,16 @@ def inv_logmean_batched(a, b):
     return np.where(u < SERIES_EPSILON, series, direct)
 
 
-def logmean_from_logs_batched(a, b, log_a, log_b):
-    u = (a * (a - 2.0 * b) + b * b) / (a * (a + 2.0 * b) + b * b)
-    series = (a + b) / (2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (b - a) / (log_b - log_a)
-    return np.where(u < SERIES_EPSILON, series, direct)
-
-
-def inv_logmean_from_logs_batched(a, b, log_a, log_b):
-    u = (a * (a - 2.0 * b) + b * b) / (a * (a + 2.0 * b) + b * b)
-    series = (2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0)))) / (a + b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (log_b - log_a) / (b - a)
-    return np.where(u < SERIES_EPSILON, series, direct)
-
-
 # ---------------------------------------------------------------------------
 # lane kernels
 
 class Lanes(NamedTuple):
-    """Primitive (and optionally conserved / log) arrays over one lane set."""
+    """Primitive (and optionally conserved) arrays over one lane set."""
 
     rho: np.ndarray
     v: tuple
     p: np.ndarray
     u: Optional[tuple] = None
-    log_rho: Optional[np.ndarray] = None
-    log_p: Optional[np.ndarray] = None
 
 
 def _vn(v, normal):
@@ -216,19 +98,8 @@ def _shima_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real):
 def _ranocha_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real):
     add_two_point(n_real)
     add_logmean(2 * n_real)
-    if ql.log_rho is not None:
-        rho_mean = logmean_from_logs_batched(ql.rho, qr.rho, ql.log_rho, qr.log_rho)
-        inv_rho_p_mean = ql.p * qr.p * inv_logmean_from_logs_batched(
-            ql.rho * qr.p,
-            qr.rho * ql.p,
-            ql.log_rho + qr.log_p,
-            qr.log_rho + ql.log_p,
-        )
-    else:
-        rho_mean = logmean_batched(ql.rho, qr.rho)
-        inv_rho_p_mean = ql.p * qr.p * inv_logmean_batched(
-            ql.rho * qr.p, qr.rho * ql.p
-        )
+    rho_mean = logmean_batched(ql.rho, qr.rho)
+    inv_rho_p_mean = ql.p * qr.p * inv_logmean_batched(ql.rho * qr.p, qr.rho * ql.p)
     p_avg = 0.5 * (ql.p + qr.p)
     vn_avg = 0.5 * (vn_l + vn_r)
     f_rho = rho_mean * vn_avg
@@ -347,94 +218,9 @@ def flux_lanes_cartesian(kind, ql, qr, j, gas, n_real):
 
 
 # ---------------------------------------------------------------------------
-# per-element batched volume kernel
-
-def _gather(arr, nodes, n_pad, fill):
-    out = np.full(n_pad, fill)
-    out[: nodes.shape[0]] = arr[nodes]
-    return out
-
-
-def _gather_lanes(soa, nodes, n_pad, need_cons):
-    rho = _gather(soa.rho, nodes, n_pad, 1.0)
-    v = tuple(_gather(c, nodes, n_pad, 0.0) for c in soa.v)
-    p = _gather(soa.p, nodes, n_pad, 1.0)
-    u = None
-    if need_cons:
-        u = tuple(_gather(c, nodes, n_pad, f) for c, f in zip(
-            soa.cons, (1.0,) + (0.0,) * soa.d + (1.0,)
-        ))
-    log_rho = None
-    log_p = None
-    if soa.log_rho is not None:
-        log_rho = _gather(soa.log_rho, nodes, n_pad, 0.0)
-        log_p = _gather(soa.log_p, nodes, n_pad, 0.0)
-    return Lanes(rho, v, p, u, log_rho, log_p)
-
-
-def volume_fluxdiff_batched(soa, dop, metrics_soa, vol_flux, gas):
-    """Flux-differencing volume term on transposed element data.
-
-    Matches volume_fluxdiff on the same element to relative 1e-13: the
-    triangular pair structure is the outer loop, each pair evaluates its
-    two-point flux once across all node lines of a direction as contiguous
-    lanes. Lane padding (to the batch width the SoA was built with) is
-    dropped on scatter.
-    """
-    require_volume_kind(vol_flux)
-    op = dop.op
-    p1 = op.n_nodes
-    d = soa.d
-    nvar = d + 2
-    lines = node_lines(p1, d)
-    pairs = pair_table(dop.matrix)
-    areas = axis_aligned_areas(metrics_soa.ja)
-    n_lines = p1 ** (d - 1)
-    n_pad = -(-n_lines // soa.width) * soa.width
-    need_cons = vol_flux == "central"
-    out = np.zeros((p1**d, nvar))
-    for n in range(d):
-        idx = lines[n]
-        lanes = [_gather_lanes(soa, idx[:, a], n_pad, need_cons) for a in range(p1)]
-        ja_lanes = None
-        if areas is None:
-            ja_lanes = [
-                tuple(
-                    _gather(metrics_soa.ja[:, n, j], idx[:, a], n_pad, 0.0)
-                    for j in range(d)
-                )
-                for a in range(p1)
-            ]
-        acc = np.zeros((p1, n_pad, nvar))
-        for a, b, cab, cba in pairs:
-            if areas is not None:
-                f = flux_lanes_cartesian(vol_flux, lanes[a], lanes[b], n, gas, n_lines)
-                wa = cab * areas[n]
-                wb = cba * areas[n]
-            else:
-                alpha = tuple(
-                    0.5 * (x + y) for x, y in zip(ja_lanes[a], ja_lanes[b])
-                )
-                f = flux_lanes_directional(
-                    vol_flux, lanes[a], lanes[b], alpha, gas, n_lines
-                )
-                wa = cab
-                wb = cba
-            ra = acc[a]
-            rb = acc[b]
-            for k in range(nvar):
-                ra[:, k] += wa * f[k]
-                rb[:, k] += wb * f[k]
-        scattered = np.swapaxes(acc[:, :n_lines, :], 0, 1).reshape(-1, nvar)
-        out[idx.reshape(-1)] += scattered
-    out /= metrics_soa.jac[:, None]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # mesh-level lane assembly (elements folded into the lane axis)
 
-def _mesh_lanes(prim, u, nodes, need_cons, log_rho, log_p):
+def _mesh_lanes(prim, u, nodes, need_cons):
     rho = prim[:, nodes, 0].reshape(-1)
     d = prim.shape[-1] - 2
     v = tuple(prim[:, nodes, 1 + i].reshape(-1) for i in range(d))
@@ -442,9 +228,7 @@ def _mesh_lanes(prim, u, nodes, need_cons, log_rho, log_p):
     uu = None
     if need_cons:
         uu = tuple(u[:, nodes, k].reshape(-1) for k in range(d + 2))
-    lr = log_rho[:, nodes].reshape(-1) if log_rho is not None else None
-    lp = log_p[:, nodes].reshape(-1) if log_p is not None else None
-    return Lanes(rho, v, p, uu, lr, lp)
+    return Lanes(rho, v, p, uu)
 
 
 def mesh_fluxdiff_volume(u, setup, config):
@@ -459,11 +243,6 @@ def mesh_fluxdiff_volume(u, setup, config):
     vol_flux = config.volume_flux
     pairs = pair_table(setup.dsplit.matrix)
     prim = cons2prim(u, gas)
-    log_rho = None
-    log_p = None
-    if config.precompute == "primitives_and_logs" and vol_flux == "ranocha":
-        log_rho = np.log(prim[..., 0])
-        log_p = np.log(prim[..., d + 1])
     need_cons = vol_flux == "central"
     areas = (
         np.diag(setup.metrics.ja[0, 0]).tolist() if setup.metrics.cartesian else None
@@ -473,10 +252,7 @@ def mesh_fluxdiff_volume(u, setup, config):
         idx = setup.lines[n]
         n_lines = idx.shape[0]
         n_lanes = n_elem * n_lines
-        lanes = [
-            _mesh_lanes(prim, u, idx[:, a], need_cons, log_rho, log_p)
-            for a in range(p1)
-        ]
+        lanes = [_mesh_lanes(prim, u, idx[:, a], need_cons) for a in range(p1)]
         ja_lanes = None
         if areas is None:
             ja_lanes = [
@@ -576,8 +352,8 @@ def mesh_surface(u, setup, surface_flux, out, subtract_own=False):
         plus_nodes = idx[:, 0]
         nb = setup.plus_neighbor[n]
         if lgl:
-            ql = _mesh_lanes(prim, u, minus_nodes, need_cons, None, None)
-            qr = _mesh_lanes(prim[nb], u[nb], plus_nodes, need_cons, None, None)
+            ql = _mesh_lanes(prim, u, minus_nodes, need_cons)
+            qr = _mesh_lanes(prim[nb], u[nb], plus_nodes, need_cons)
         else:
             ql = _face_lanes(_face_traces(u, op, n, 1), gas)
             qr = _face_lanes(_face_traces(u, op, n, 0)[nb], gas)
@@ -631,10 +407,7 @@ def mesh_gauss_volume(u, setup, config, proj):
         idx = setup.lines[n]
         n_lines = idx.shape[0]
         n_lanes = n_elem * n_lines
-        lanes = [
-            _mesh_lanes(prim, u, idx[:, a], need_cons, None, None)
-            for a in range(p1)
-        ]
+        lanes = [_mesh_lanes(prim, u, idx[:, a], need_cons) for a in range(p1)]
         ja_lanes = [
             tuple(setup.metrics.ja[:, idx[:, a], n, j].reshape(-1) for j in range(d))
             for a in range(p1)

@@ -13,19 +13,21 @@ Layout conventions used throughout:
   divided by the Jacobian, so a positive VOL approximates the flux
   divergence.
 
-The two-point volume functions (volume_fluxdiff, volume_gauss_*) and
-surface_terms are the scalar reference implementations: plain float
+The two-point functions (volume_fluxdiff for one lgl element,
+_scalar_gauss_volume and _gauss_surface for the gauss schemes, and
+surface_terms) are the scalar reference implementations: plain float
 arithmetic through the scalar flux kernels, fixed accumulation order,
 bitwise reproducible. The one-point volume functions (volume_strong,
 volume_weak, volume_overintegration) are numpy expressions that take one
-element or the whole mesh at once. `rhs` assembles them over the mesh; with
-kernel="batched" every scheme's two-point work (volume pairs and interface
-fluxes) runs in the lane-parallel implementations in `batched`, which are
-equivalence-tested against the reference path.
+element or the whole mesh at once. entropy_projection gives the face states
+of the gauss schemes for both kernels. `rhs` assembles them over the mesh;
+with kernel="batched" every scheme's two-point work (volume pairs and
+interface fluxes) runs in the mesh-level lane kernels in `batched`, which
+are equivalence-tested against the reference path.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,15 +36,12 @@ from .errors import AdmissibilityError, ConfigurationError
 from .euler import entropy2cons, entropy_vars, physical_flux
 from .fluxes import (
     SURFACE_KINDS,
+    _phys_flux_n,
+    _prim2,
+    _prim3,
     add_one_point,
     count_guard,
     flux_function,
-    flux_central_cartesian_prim,
-    flux_central_directional_prim,
-    flux_ranocha_cartesian_prim,
-    flux_ranocha_directional_prim,
-    flux_shima_cartesian_prim,
-    flux_shima_directional_prim,
     require_volume_kind,
 )
 from .geometry import (
@@ -55,7 +54,6 @@ from .geometry import (
 )
 from .operators import (
     build_dsplit,
-    build_hybridized,
     hybridized_scatter,
     make_operator,
     node_line_lists,
@@ -73,19 +71,7 @@ VOLUME_SCHEMES = (
     "gauss_fluxdiff",
     "gauss_surface_correction",
 )
-PRECOMPUTE_MODES = ("none", "primitives", "primitives_and_logs")
 KERNELS = ("reference", "batched")
-
-_PRIM_CARTESIAN = {
-    "shima": flux_shima_cartesian_prim,
-    "ranocha": flux_ranocha_cartesian_prim,
-    "central": flux_central_cartesian_prim,
-}
-_PRIM_DIRECTIONAL = {
-    "shima": flux_shima_directional_prim,
-    "ranocha": flux_ranocha_directional_prim,
-    "central": flux_central_directional_prim,
-}
 
 
 @dataclass(frozen=True)
@@ -95,7 +81,6 @@ class RhsConfig:
     volume_scheme: str = "fluxdiff"
     volume_flux: str = "ranocha"
     surface_flux: str = "ranocha"
-    precompute: str = "none"
     overint_degree: int | None = None
     kernel: str = "reference"
 
@@ -104,11 +89,6 @@ class RhsConfig:
             raise ConfigurationError(
                 "volume_scheme: unknown scheme %r (choose from %s)"
                 % (self.volume_scheme, ", ".join(VOLUME_SCHEMES))
-            )
-        if self.precompute not in PRECOMPUTE_MODES:
-            raise ConfigurationError(
-                "precompute: unknown mode %r (choose from %s)"
-                % (self.precompute, ", ".join(PRECOMPUTE_MODES))
             )
         if self.kernel not in KERNELS:
             raise ConfigurationError(
@@ -149,42 +129,6 @@ class RhsConfig:
                     "overint_degree: setup was not built for degree %r "
                     "(pass overint_degree to build_setup)" % (q,)
                 )
-
-
-@dataclass(frozen=True)
-class PrecomputedElementData:
-    """Per-node primitive tables, optionally with log(rho) and log(p).
-
-    `q` rows are (rho, v_1..v_d, p[, log rho, log p]) as plain Python lists,
-    the form the precompute-variant scalar kernels consume.
-    """
-
-    mode: str
-    q: list
-    d: int
-
-
-def _face_count(p1, d):
-    return p1 ** (d - 1)
-
-
-def _own_face_ja(metrics_ja, op, d):
-    """Boundary traces of one element's metric vectors.
-
-    Returns, per direction n, an array (2, fn, d): the element's own
-    (Ja)^n at its reference -1 and +1 faces.
-    """
-    p1 = op.n_nodes
-    nd = metrics_ja.reshape((p1,) * d + (d, d))
-    out = []
-    for n in range(d):
-        field = np.moveaxis(nd[..., n, :], n, -2)  # (..., p1, d)
-        sides = [
-            np.einsum("...kj,k->...j", field, op.boundary_interp[s]).reshape(-1, d)
-            for s in (0, 1)
-        ]
-        out.append(np.stack(sides))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,38 +183,7 @@ def volume_weak(u_elem, op, metrics, gas):
     return acc / metrics.jac[..., None]
 
 
-def precompute_element_data(u_elem, gas, mode):
-    """Primitive (and optional log) tables consumed by the precompute-variant
-    kernels. Logs use math.log, the same function the scalar kernels call, so
-    the tables match the on-the-fly values exactly."""
-    import math
-
-    if mode not in PRECOMPUTE_MODES or mode == "none":
-        raise ConfigurationError("precompute: mode %r has no tables" % (mode,))
-    d = u_elem.shape[-1] - 2
-    from .euler import cons2prim
-
-    q = cons2prim(u_elem, gas).tolist()
-    if mode == "primitives_and_logs":
-        for row in q:
-            row.append(math.log(row[0]))
-            row.append(math.log(row[d + 1]))
-    return PrecomputedElementData(mode, q, d)
-
-
-def _volume_kernels(vol_flux, pre):
-    """(cartesian_kernel, directional_kernel, states) for the pair loops."""
-    if pre is None:
-        return flux_function(vol_flux, "cartesian"), flux_function(vol_flux, "directional")
-    cart = _PRIM_CARTESIAN[vol_flux]
-    dirn = _PRIM_DIRECTIONAL[vol_flux]
-    if vol_flux == "ranocha" and pre.mode == "primitives_and_logs":
-        cart = partial(cart, with_logs=True)
-        dirn = partial(dirn, with_logs=True)
-    return cart, dirn
-
-
-def volume_fluxdiff(u_elem, dop, metrics, vol_flux, gas, pre=None):
+def volume_fluxdiff(u_elem, dop, metrics, vol_flux, gas):
     """Flux-differencing volume term with the split derivative matrix.
 
     Pairs are visited once with i < k per line; the symmetric two-point flux
@@ -289,8 +202,9 @@ def volume_fluxdiff(u_elem, dop, metrics, vol_flux, gas, pre=None):
     lines = node_line_lists(p1, d)
     pairs = pair_table(dop.matrix)
     areas = axis_aligned_areas(metrics.ja)
-    cart, dirn = _volume_kernels(vol_flux, pre)
-    states = u_elem.tolist() if pre is None else pre.q
+    cart = flux_function(vol_flux, "cartesian")
+    dirn = flux_function(vol_flux, "directional")
+    states = u_elem.tolist()
     acc = [[0.0] * nvar for _ in range(nn)]
     for n in range(d):
         if areas is not None:
@@ -349,37 +263,6 @@ def volume_overintegration(u_elem, op, transfer, metrics_q, gas):
     return back.reshape(u_elem.shape)
 
 
-def entropy_projection(u_elem, op, gas):
-    """Stacked state [u; u(R w(u))]: volume nodes unchanged, face values are
-    conservative states recovered from boundary-interpolated entropy
-    variables. Face blocks follow volume nodes in coordinate order, the -1
-    face before the +1 face, face nodes in line order."""
-    d = u_elem.shape[-1] - 2
-    p1 = op.n_nodes
-    w = entropy_vars(u_elem, gas)
-    w_nd = w.reshape((p1,) * d + (-1,))
-    blocks = [u_elem]
-    for n in range(d):
-        moved = np.moveaxis(w_nd, n, -2)
-        for side in (0, 1):
-            row = op.boundary_interp[side]
-            wf = np.einsum("...kv,k->...v", moved, row).reshape(-1, w.shape[-1])
-            try:
-                blocks.append(entropy2cons(wf, gas))
-            except AdmissibilityError as err:
-                raise AdmissibilityError(
-                    "entropy projection produced an inadmissible face state "
-                    "(direction %d, side %d): %s" % (n, side, err)
-                ) from err
-    return np.concatenate(blocks, axis=0)
-
-
-def stacked_face_block(nn, fn, direction, side):
-    """Row slice of one face block inside an entropy_projection result."""
-    start = nn + (2 * direction + side) * fn
-    return slice(start, start + fn)
-
-
 def _gauss_line_terms(
     states,
     line,
@@ -389,19 +272,19 @@ def _gauss_line_terms(
     pairs,
     vf_coefs,
     lift,
-    corner_sign,
     dirn,
     gas,
     nvar,
     acc,
-    include_corner,
 ):
     """Accumulate one line's hybridized volume terms into acc (list rows).
 
     states/jan are element-wide lists indexed by node id; face_states and
     face_jan hold the two projected endpoint states and their metric traces
     for this line. Weights come pre-divided by mass where they target volume
-    rows; face-row sums are lifted through R at the end.
+    rows; face-row sums are lifted through R at the end. The face-face
+    (corner) term is left out: it cancels against the strong-form surface
+    subtraction (see rhs).
     """
     p1 = len(line)
     # volume-volume pairs
@@ -434,11 +317,6 @@ def _gauss_line_terms(
                 fv = f[v]
                 ai[v] += ca * fv
                 rface[v] += cf * fv
-        if include_corner:
-            f = dirn(fstate, fstate, tuple(fja), gas)
-            cs = corner_sign[s]
-            for v in range(nvar):
-                rface[v] += cs * f[v]
         lrow = lift[s]
         for a in range(p1):
             i = line[a]
@@ -448,134 +326,6 @@ def _gauss_line_terms(
             ai = acc[i]
             for v in range(nvar):
                 ai[v] += la * rface[v]
-
-
-def _gauss_volume(u_elem, op, metrics, vol_flux, gas, include_corner, proj=None):
-    require_volume_kind(vol_flux)
-    p1 = op.n_nodes
-    nvar = u_elem.shape[-1]
-    d = nvar - 2
-    nn = u_elem.shape[0]
-    fn = _face_count(p1, d)
-    lines = node_line_lists(p1, d)
-    pairs, vf_coefs, lift, corner = hybridized_scatter(op.degree, op.family)
-    dirn = flux_function(vol_flux, "directional")
-    if proj is None:
-        proj = entropy_projection(u_elem, op, gas)
-    face_ja = _own_face_ja(metrics.ja, op, d)
-    states = u_elem.tolist()
-    acc = [[0.0] * nvar for _ in range(nn)]
-    for n in range(d):
-        jan = metrics.ja[:, n, :].tolist()
-        fja = face_ja[n]
-        fstates = [
-            proj[stacked_face_block(nn, fn, n, s)].tolist() for s in (0, 1)
-        ]
-        fja_lists = [fja[s].tolist() for s in (0, 1)]
-        for m, line in enumerate(lines[n]):
-            _gauss_line_terms(
-                states,
-                line,
-                (fstates[0][m], fstates[1][m]),
-                jan,
-                (fja_lists[0][m], fja_lists[1][m]),
-                pairs,
-                vf_coefs,
-                lift,
-                corner,
-                dirn,
-                gas,
-                nvar,
-                acc,
-                include_corner,
-            )
-    out = np.asarray(acc)
-    out /= metrics.jac[:, None]
-    return out
-
-
-def volume_gauss_fluxdiff(u_elem, hyb, metrics, vol_flux, gas, proj=None):
-    """Hybridized flux-differencing volume term: two-point fluxes over the
-    stacked volume+face node set, lifted back through [I; R]^T. Zero for a
-    constant state (the face consistency flux is part of the operator)."""
-    return _gauss_volume(
-        u_elem, hyb.op, metrics, vol_flux, gas, include_corner=True, proj=proj
-    )
-
-
-def volume_gauss_surface_correction(u_elem, op, hyb, metrics, vol_flux, gas, proj=None):
-    """Gauss volume term in the surface-correction arrangement: the standard
-    split-derivative sum over volume nodes plus correction terms from the
-    face-coupling blocks, each volume/face crossing evaluated once. Agrees
-    with volume_gauss_fluxdiff up to summation order."""
-    require_volume_kind(vol_flux)
-    p1 = op.n_nodes
-    nvar = u_elem.shape[-1]
-    d = nvar - 2
-    nn = u_elem.shape[0]
-    fn = _face_count(p1, d)
-    lines = node_line_lists(p1, d)
-    pairs = skew_pair_table(op.degree, op.family)
-    _, vf_coefs, lift, corner = hybridized_scatter(op.degree, op.family)
-    dirn = flux_function(vol_flux, "directional")
-    if proj is None:
-        proj = entropy_projection(u_elem, op, gas)
-    face_ja = _own_face_ja(metrics.ja, op, d)
-    states = u_elem.tolist()
-    acc = [[0.0] * nvar for _ in range(nn)]
-    for n in range(d):
-        jan = metrics.ja[:, n, :].tolist()
-        fja = face_ja[n]
-        fstates = [proj[stacked_face_block(nn, fn, n, s)].tolist() for s in (0, 1)]
-        fja_lists = [fja[s].tolist() for s in (0, 1)]
-        for m, line in enumerate(lines[n]):
-            # split-derivative part over volume nodes
-            for a, b, cab, cba in pairs:
-                i = line[a]
-                k = line[b]
-                alpha = tuple(0.5 * (x + y) for x, y in zip(jan[i], jan[k]))
-                f = dirn(states[i], states[k], alpha, gas)
-                ai = acc[i]
-                ak = acc[k]
-                for v in range(nvar):
-                    fv = f[v]
-                    ai[v] += cab * fv
-                    ak[v] += cba * fv
-            # correction terms: face/volume crossings once each, then the
-            # face consistency flux, lifted through R
-            for s in (0, 1):
-                fstate = fstates[s][m]
-                fj = fja_lists[s][m]
-                cvol = vf_coefs[s][0]
-                cface = vf_coefs[s][1]
-                rface = [0.0] * nvar
-                for a in range(p1):
-                    i = line[a]
-                    alpha = tuple(0.5 * (x + y) for x, y in zip(jan[i], fj))
-                    f = dirn(states[i], fstate, alpha, gas)
-                    ai = acc[i]
-                    ca = cvol[a]
-                    cf = cface[a]
-                    for v in range(nvar):
-                        fv = f[v]
-                        ai[v] += ca * fv
-                        rface[v] += cf * fv
-                f = dirn(fstate, fstate, tuple(fj), gas)
-                cs = corner[s]
-                for v in range(nvar):
-                    rface[v] += cs * f[v]
-                lrow = lift[s]
-                for a in range(p1):
-                    la = lrow[a]
-                    if la == 0.0:
-                        continue
-                    i = line[a]
-                    ai = acc[i]
-                    for v in range(nvar):
-                        ai[v] += la * rface[v]
-    out = np.asarray(acc)
-    out /= metrics.jac[:, None]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +343,6 @@ class SpatialSetup:
     lines: tuple
     plus_neighbor: tuple
     dsplit: object
-    hyb: object
     wbar: np.ndarray
     overint: tuple
 
@@ -623,7 +372,6 @@ def build_setup(mesh, op, gas, overint_degree=None):
     lines = node_lines(p1, d)
     plus = neighbor_table(mesh)
     dsplit = build_dsplit(op) if op.family == "lgl" else None
-    hyb = build_hybridized(op)
     wbar = np.ones(1)
     for n in range(d):
         wbar = np.kron(wbar, op.weights)
@@ -659,7 +407,6 @@ def build_setup(mesh, op, gas, overint_degree=None):
         lines,
         plus,
         dsplit,
-        hyb,
         wbar,
         overint,
     )
@@ -700,6 +447,8 @@ def surface_terms(u, setup, surface_flux, subtract_own=False, out=None):
     nvar = u.shape[-1]
     kernel = flux_function(surface_flux, "directional")
     gas = setup.gas
+    gm1 = gas.gamma - 1.0
+    prim = _prim2 if d == 2 else _prim3
     if out is None:
         out = np.zeros_like(u)
     lgl = op.family == "lgl"
@@ -745,8 +494,10 @@ def surface_terms(u, setup, surface_flux, subtract_own=False, out=None):
                     ip = int(plus_nodes[m])
                     if subtract_own:
                         add_one_point(2)
-                        fl = _own_flux(ul, nrm, gas)
-                        fr = _own_flux(ur, nrm, gas)
+                        ql = prim(ul, gm1)
+                        qr = prim(ur, gm1)
+                        fl = _phys_flux_n(ul, ql[0], ql[1:-1], ql[-1], nrm)
+                        fr = _phys_flux_n(ur, qr[0], qr[1:-1], qr[-1], nrm)
                         dm = [a - b for a, b in zip(fhat, fl)]
                         dp = [a - b for a, b in zip(fhat, fr)]
                     else:
@@ -774,8 +525,12 @@ def surface_terms(u, setup, surface_flux, subtract_own=False, out=None):
                     fhat = np.asarray(kernel(ul, ur, nrm, gas))
                     if subtract_own:
                         add_one_point(2)
-                        dm = fhat - np.asarray(_own_flux(ul, nrm, gas))
-                        dp = fhat - np.asarray(_own_flux(ur, nrm, gas))
+                        ql = prim(ul, gm1)
+                        qr = prim(ur, gm1)
+                        fl = _phys_flux_n(ul, ql[0], ql[1:-1], ql[-1], nrm)
+                        fr = _phys_flux_n(ur, qr[0], qr[1:-1], qr[-1], nrm)
+                        dm = fhat - np.asarray(fl)
+                        dp = fhat - np.asarray(fr)
                     else:
                         dm = fhat
                         dp = fhat
@@ -789,29 +544,14 @@ def surface_terms(u, setup, surface_flux, subtract_own=False, out=None):
     return out
 
 
-def _own_flux(u, normal, gas):
-    """Physical flux of one state contracted with a scaled direction."""
-    nvar = len(u)
-    d = nvar - 2
-    rho = u[0]
-    v = [u[1 + i] / rho for i in range(d)]
-    ke = 0.0
-    for i in range(d):
-        ke += v[i] * u[1 + i]
-    p = (gas.gamma - 1.0) * (u[d + 1] - 0.5 * ke)
-    vn = 0.0
-    for i in range(d):
-        vn += v[i] * normal[i]
-    f = [rho * vn]
-    for i in range(d):
-        f.append(u[1 + i] * vn + p * normal[i])
-    f.append((u[d + 1] + p) * vn)
-    return f
-
-
-def _project_all(u, setup):
+def entropy_projection(u, setup):
     """Entropy-projected face states for every element: per direction n a
-    pair (side0, side1) of arrays (n_elem, fn, nvar)."""
+    pair (side0, side1) of arrays (n_elem, fn, nvar), the conservative
+    states recovered from boundary-interpolated entropy variables, face
+    nodes in line order. Side 0 is the reference -1 face.
+
+    Raises AdmissibilityError naming the element, face node, direction and
+    side of the first face state that leaves the admissible set."""
     mesh = setup.mesh
     op = setup.op
     d = mesh.d
@@ -830,9 +570,12 @@ def _project_all(u, setup):
             try:
                 sides.append(entropy2cons(wf, gas))
             except AdmissibilityError as err:
+                bad = ~(wf[..., -1] < 0.0)
+                e, m = np.unravel_index(np.argmax(bad), bad.shape)
                 raise AdmissibilityError(
-                    "entropy projection produced an inadmissible face state "
-                    "(direction %d, side %d): %s" % (n, side, err)
+                    "entropy projection produced an inadmissible face state at "
+                    "element %d, face node %d (direction %d, side %d): %s"
+                    % (int(e), int(m), n, side, err)
                 ) from err
         out.append(tuple(sides))
     return out
@@ -939,20 +682,14 @@ def rhs(u, setup, config, counter=None):
         out = np.empty_like(u)
         for e in range(n_elem):
             terms = element_metrics(setup.metrics, e)
-            pre = (
-                precompute_element_data(u[e], gas, config.precompute)
-                if config.precompute != "none"
-                else None
-            )
-            out[e] = volume_fluxdiff(
-                u[e], setup.dsplit, terms, config.volume_flux, gas, pre
-            )
+            out[e] = volume_fluxdiff(u[e], setup.dsplit, terms, config.volume_flux, gas)
         surface_terms(u, setup, config.surface_flux, out=out)
         return -out
     # gauss schemes: zero-corner volume arrangement plus bare interface
-    # fluxes; the face consistency flux of the public per-element ops cancels
-    # against the strong-form surface subtraction, so neither is computed
-    proj = _project_all(u, setup)
+    # fluxes; the face consistency (corner) flux of the full hybridized
+    # operator cancels against the strong-form surface subtraction, so
+    # neither is computed
+    proj = entropy_projection(u, setup)
     if config.kernel == "batched":
         out = _batched.mesh_gauss_volume(u, setup, config, proj)
         _batched.mesh_gauss_surface(u, setup, config, proj, out)
@@ -1001,12 +738,10 @@ def _scalar_gauss_volume(u, setup, scheme, vol_flux, proj, acc):
                     pairs,
                     vf_coefs,
                     lift,
-                    _corner,
                     dirn,
                     setup.gas,
                     nvar,
                     acc_e,
-                    include_corner=False,
                 )
 
 

@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 from . import debug
 from .errors import AdmissibilityError, ConfigurationError
-from .means import SERIES_EPSILON
+from .means import inv_logmean_optimized, logmean_optimized
 
 VOLUME_KINDS = ("shima", "ranocha", "central")
 SURFACE_KINDS = ("shima", "ranocha", "central", "llf", "hll")
@@ -129,34 +129,6 @@ def _check_pair(rho_l, p_l, rho_r, p_r):
         )
 
 
-def _logmean(a, b):
-    u = (a * (a - 2.0 * b) + b * b) / (a * (a + 2.0 * b) + b * b)
-    if u < SERIES_EPSILON:
-        return (a + b) / (2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0))))
-    return (b - a) / math.log(b / a)
-
-
-def _inv_logmean(a, b):
-    u = (a * (a - 2.0 * b) + b * b) / (a * (a + 2.0 * b) + b * b)
-    if u < SERIES_EPSILON:
-        return (2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0)))) / (a + b)
-    return math.log(b / a) / (b - a)
-
-
-def _logmean_from_logs(a, b, log_a, log_b):
-    u = (a * (a - 2.0 * b) + b * b) / (a * (a + 2.0 * b) + b * b)
-    if u < SERIES_EPSILON:
-        return (a + b) / (2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0))))
-    return (b - a) / (log_b - log_a)
-
-
-def _inv_logmean_from_logs(a, b, log_a, log_b):
-    u = (a * (a - 2.0 * b) + b * b) / (a * (a + 2.0 * b) + b * b)
-    if u < SERIES_EPSILON:
-        return (2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0)))) / (a + b)
-    return (log_b - log_a) / (b - a)
-
-
 # ---------------------------------------------------------------------------
 # kinetic-energy and pressure-equilibrium preserving flux
 
@@ -221,11 +193,13 @@ def flux_shima_directional(u_l, u_r, normal, gas):
 # ---------------------------------------------------------------------------
 # entropy-conservative flux
 
-def _ranocha_core(rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, igm1,
-                  rho_mean, inv_rho_p_mean):
+def _ranocha_core(rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, igm1):
     add_two_point()
     if debug.enabled:
         _check_pair(rho_l, p_l, rho_r, p_r)
+    add_logmean(2)
+    rho_mean = logmean_optimized(rho_l, rho_r)
+    inv_rho_p_mean = p_l * p_r * inv_logmean_optimized(rho_l * p_r, rho_r * p_l)
     p_avg = 0.5 * (p_l + p_r)
     vn_avg = 0.5 * (vn_l + vn_r)
     f_rho = rho_mean * vn_avg
@@ -253,12 +227,8 @@ def flux_ranocha_cartesian(u_l, u_r, j, gas):
         v_l = (vl1, vl2, vl3)
         v_r = (vr1, vr2, vr3)
         normal = _AXIS3[j]
-    add_logmean(2)
-    rho_mean = _logmean(rho_l, rho_r)
-    inv_rho_p_mean = p_l * p_r * _inv_logmean(rho_l * p_r, rho_r * p_l)
     return _ranocha_core(
-        rho_l, p_l, rho_r, p_r, v_l, v_r, v_l[j], v_r[j], normal,
-        gas.inv_gamma_minus_one, rho_mean, inv_rho_p_mean,
+        rho_l, p_l, rho_r, p_r, v_l, v_r, v_l[j], v_r[j], normal, gas.inv_gamma_minus_one
     )
 
 
@@ -278,12 +248,8 @@ def flux_ranocha_directional(u_l, u_r, normal, gas):
         v_r = (vr1, vr2, vr3)
         vn_l = vl1 * normal[0] + vl2 * normal[1] + vl3 * normal[2]
         vn_r = vr1 * normal[0] + vr2 * normal[1] + vr3 * normal[2]
-    add_logmean(2)
-    rho_mean = _logmean(rho_l, rho_r)
-    inv_rho_p_mean = p_l * p_r * _inv_logmean(rho_l * p_r, rho_r * p_l)
     return _ranocha_core(
-        rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal,
-        gas.inv_gamma_minus_one, rho_mean, inv_rho_p_mean,
+        rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, gas.inv_gamma_minus_one
     )
 
 
@@ -508,112 +474,6 @@ def rotated_flux(kind, u_l, u_r, normal, gas, frame=None):
         norm * (f[1] * unit[2] + f[2] * t1[2] + f[3] * t2[2]),
         norm * f[4],
     )
-
-
-# ---------------------------------------------------------------------------
-# precomputed-primitive variants (same arithmetic, inputs already converted)
-
-def flux_shima_directional_prim(q_l, q_r, normal, gas):
-    d = len(normal)
-    rho_l = q_l[0]
-    rho_r = q_r[0]
-    p_l = q_l[d + 1]
-    p_r = q_r[d + 1]
-    v_l = tuple(q_l[1 + i] for i in range(d))
-    v_r = tuple(q_r[1 + i] for i in range(d))
-    vn_l = 0.0
-    vn_r = 0.0
-    for a, b, n in zip(v_l, v_r, normal):
-        vn_l += a * n
-        vn_r += b * n
-    return _shima_core(
-        rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, gas.inv_gamma_minus_one
-    )
-
-
-def flux_shima_cartesian_prim(q_l, q_r, j, gas):
-    d = len(q_l) - 2
-    axes = _AXIS2 if d == 2 else _AXIS3
-    normal = axes[j]
-    rho_l = q_l[0]
-    rho_r = q_r[0]
-    p_l = q_l[d + 1]
-    p_r = q_r[d + 1]
-    v_l = tuple(q_l[1 + i] for i in range(d))
-    v_r = tuple(q_r[1 + i] for i in range(d))
-    return _shima_core(
-        rho_l, p_l, rho_r, p_r, v_l, v_r, v_l[j], v_r[j], normal,
-        gas.inv_gamma_minus_one,
-    )
-
-
-def _ranocha_prim(q_l, q_r, normal, vn_l, vn_r, d, gas, with_logs):
-    rho_l = q_l[0]
-    rho_r = q_r[0]
-    p_l = q_l[d + 1]
-    p_r = q_r[d + 1]
-    v_l = tuple(q_l[1 + i] for i in range(d))
-    v_r = tuple(q_r[1 + i] for i in range(d))
-    add_logmean(2)
-    if with_logs:
-        lrho_l = q_l[d + 2]
-        lrho_r = q_r[d + 2]
-        lp_l = q_l[d + 3]
-        lp_r = q_r[d + 3]
-        rho_mean = _logmean_from_logs(rho_l, rho_r, lrho_l, lrho_r)
-        inv_rho_p_mean = p_l * p_r * _inv_logmean_from_logs(
-            rho_l * p_r, rho_r * p_l, lrho_l + lp_r, lrho_r + lp_l
-        )
-    else:
-        rho_mean = _logmean(rho_l, rho_r)
-        inv_rho_p_mean = p_l * p_r * _inv_logmean(rho_l * p_r, rho_r * p_l)
-    return _ranocha_core(
-        rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal,
-        gas.inv_gamma_minus_one, rho_mean, inv_rho_p_mean,
-    )
-
-
-def flux_ranocha_directional_prim(q_l, q_r, normal, gas, with_logs=False):
-    d = len(normal)
-    vn_l = 0.0
-    vn_r = 0.0
-    for i in range(d):
-        vn_l += q_l[1 + i] * normal[i]
-        vn_r += q_r[1 + i] * normal[i]
-    return _ranocha_prim(q_l, q_r, normal, vn_l, vn_r, d, gas, with_logs)
-
-
-def flux_ranocha_cartesian_prim(q_l, q_r, j, gas, with_logs=False):
-    d = 2 if len(q_l) in (4, 6) else 3
-    axes = _AXIS2 if d == 2 else _AXIS3
-    return _ranocha_prim(q_l, q_r, axes[j], q_l[1 + j], q_r[1 + j], d, gas, with_logs)
-
-
-def flux_central_directional_prim(q_l, q_r, normal, gas):
-    add_two_point()
-    d = len(normal)
-    total = []
-    for q in (q_l, q_r):
-        rho = q[0]
-        p = q[d + 1]
-        vn = 0.0
-        for i in range(d):
-            vn += q[1 + i] * normal[i]
-        rhovn = rho * vn
-        e = p * gas.inv_gamma_minus_one + 0.5 * rho * sum(
-            q[1 + i] * q[1 + i] for i in range(d)
-        )
-        f = (rhovn,) + tuple(
-            rhovn * q[1 + i] + p * normal[i] for i in range(d)
-        ) + ((e + p) * vn,)
-        total.append(f)
-    return tuple(0.5 * (a + b) for a, b in zip(*total))
-
-
-def flux_central_cartesian_prim(q_l, q_r, j, gas):
-    d = 2 if len(q_l) in (4, 6) else 3
-    axes = _AXIS2 if d == 2 else _AXIS3
-    return flux_central_directional_prim(q_l, q_r, axes[j], gas)
 
 
 # ---------------------------------------------------------------------------

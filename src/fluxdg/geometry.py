@@ -349,14 +349,6 @@ def compute_metrics_3d(mesh, op, element):
     return element_metrics(compute_metrics(mesh, op), element)
 
 
-def averaged_direction(metrics, node_i, node_k, direction):
-    """Arithmetic average of the scaled contravariant vector of `direction`
-    between two nodes of one element; the direction handed to two-point
-    volume fluxes on curved meshes. Symmetric in (node_i, node_k)."""
-    ja = metrics.ja
-    return 0.5 * (ja[node_i, direction] + ja[node_k, direction])
-
-
 def metric_identity_residual(metrics, op, d):
     """max |sum_n D_n (Ja)^n_j| over nodes/components; roundoff-level for
     the discrete forms used here."""

@@ -58,7 +58,6 @@ class RunConfig:
     volume_scheme: str = "fluxdiff"
     volume_flux: str = "ranocha"
     surface_flux: str = "ranocha"
-    precompute: str = "none"
     kernel: str = "reference"
     overint_degree: int | None = None
     ic: str = "isentropic_vortex"
@@ -107,7 +106,6 @@ class RunConfig:
             volume_scheme=self.volume_scheme,
             volume_flux=self.volume_flux,
             surface_flux=self.surface_flux,
-            precompute=self.precompute,
             overint_degree=self.overint_degree,
             kernel=self.kernel,
         )

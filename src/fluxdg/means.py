@@ -1,10 +1,13 @@
 """Scalar mean values used by two-point volume fluxes.
 
-All functions take plain floats and return floats; the batched module has
-array versions. The logarithmic mean is the numerically delicate one: the
-naive quotient cancels catastrophically for nearly equal arguments, so the
-production versions switch to a truncated series once the squared normalized
-jump u = ((a+ - a-)/(a+ + a-))^2 falls below SERIES_EPSILON.
+All functions take plain floats and return floats. The logarithmic mean is
+the numerically delicate one: the naive quotient (logmean_reference, the
+oracle) cancels catastrophically for nearly equal arguments, so
+logmean_optimized and inv_logmean_optimized, which the scalar flux kernels
+call, switch to a truncated series once the squared normalized jump
+u = ((a+ - a-)/(a+ + a-))^2 falls below SERIES_EPSILON. The lane versions
+(batched.logmean_batched, inv_logmean_batched) evaluate the same
+expressions on arrays.
 """
 
 import math
@@ -48,23 +51,6 @@ def logmean_reference(a_minus, a_plus):
     return (a_plus - a_minus) / (math.log(a_plus) - math.log(a_minus))
 
 
-def logmean_ismail_roe(a_minus, a_plus):
-    """Log mean via the ratio xi = a-/a+ and F = log(xi)/2/f.
-
-    Series branch for u = f^2 < SERIES_EPSILON with
-    F = 1 + u/3 + u^2/5 + u^3/7.
-    """
-    _check_positive(a_minus, a_plus)
-    xi = a_minus / a_plus
-    f = (xi - 1.0) / (xi + 1.0)
-    u = f * f
-    if u < SERIES_EPSILON:
-        big_f = 1.0 + u * (1.0 / 3.0 + u * (1.0 / 5.0 + u * (1.0 / 7.0)))
-    else:
-        big_f = math.log(xi) / (2.0 * f)
-    return (a_minus + a_plus) / (2.0 * big_f)
-
-
 def logmean_optimized(a_minus, a_plus):
     """Division-minimal log mean.
 
@@ -78,24 +64,6 @@ def logmean_optimized(a_minus, a_plus):
     if u < SERIES_EPSILON:
         return (a_minus + a_plus) / (
             2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0)))
-        )
-    return (a_plus - a_minus) / math.log(a_plus / a_minus)
-
-
-def logmean_reciprocal_series(a_minus, a_plus):
-    """Variant of logmean_optimized with the series reciprocal expanded.
-
-    Trades the series-branch division for a polynomial:
-    (a- + a+) * (1/2 + u (-1/6 + u (-2/45 + u (-22/945)))).
-    Not the default; kept for instruction-mix experiments.
-    """
-    _check_positive(a_minus, a_plus)
-    u = (a_minus * (a_minus - 2.0 * a_plus) + a_plus * a_plus) / (
-        a_minus * (a_minus + 2.0 * a_plus) + a_plus * a_plus
-    )
-    if u < SERIES_EPSILON:
-        return (a_minus + a_plus) * (
-            0.5 + u * (-1.0 / 6.0 + u * (-2.0 / 45.0 + u * (-22.0 / 945.0)))
         )
     return (a_plus - a_minus) / math.log(a_plus / a_minus)
 

@@ -367,26 +367,6 @@ def test_rotated_fluxes_match_directional():
                 assert _relative_gap(want, pre) < 1e-13
 
 
-def test_precompute_variants_match_baseline():
-    """Caching primitives (and logs) per element does not change the result."""
-    for d in (2, 3):
-        mesh = build_mesh((2,) * d, amplitude=0.1)
-        setup = build_setup(mesh, make_operator(3, "lgl"), GAS)
-        u = random_field(setup, GAS, seed=71 + d, amp=0.4)
-        for kind in ("shima", "ranocha"):
-            base = rhs(
-                u, setup,
-                RhsConfig(volume_flux=kind, surface_flux=kind),
-            )
-            for mode in ("primitives", "primitives_and_logs"):
-                cached = rhs(
-                    u, setup,
-                    RhsConfig(volume_flux=kind, surface_flux=kind,
-                              precompute=mode),
-                )
-                assert _relative_gap(base, cached) < 1e-13
-
-
 def test_batched_kernel_matches_reference():
     """The lane-batched kernels reproduce the scalar kernels."""
     cases = [

@@ -1,8 +1,12 @@
+import inspect
+import sys
+from itertools import product
+
 import numpy as np
 import pytest
 
+from fluxdg import batched
 from fluxdg import (
-    BatchWidth,
     FluxCounter,
     RhsConfig,
     build_mesh,
@@ -10,17 +14,9 @@ from fluxdg import (
     count_guard,
     make_operator,
     rhs,
-    soa_to_aos,
-    transpose_to_soa,
 )
-from fluxdg.batched import (
-    inv_logmean_batched,
-    inv_logmean_from_logs_batched,
-    logmean_batched,
-    logmean_from_logs_batched,
-    volume_fluxdiff_batched,
-)
-from fluxdg.discretization import KERNELS, volume_fluxdiff
+from fluxdg.batched import inv_logmean_batched, logmean_batched, mesh_fluxdiff_volume
+from fluxdg.discretization import KERNELS, VOLUME_SCHEMES, volume_fluxdiff
 from fluxdg.errors import ConfigurationError
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
@@ -33,45 +29,6 @@ from .test_acceptance import _relative_gap
 def make_setup(gas, d=2, p=3, amplitude=0.0, geo_degree=None, family="lgl", dims=None):
     mesh = build_mesh(dims or (2,) * d, amplitude=amplitude, geo_degree=geo_degree)
     return build_setup(mesh, make_operator(p, family), gas)
-
-
-def test_batch_width_validation():
-    assert BatchWidth().lanes == 4
-    assert BatchWidth(1).lanes == 1
-    BatchWidth(16)
-    for bad in (0, 3, 12, -4):
-        with pytest.raises(ConfigurationError, match="lanes"):
-            BatchWidth(bad)
-
-
-def test_transposition_round_trip_is_bitwise(gas):
-    setup = make_setup(gas, d=3)
-    u = random_field(setup, gas, seed=0, amp=0.8)
-    for width in (1, 4, 16):
-        soa = transpose_to_soa(u[2], gas, width=width)
-        assert soa.padded % width == 0
-        assert np.array_equal(soa_to_aos(soa), u[2])
-
-
-def test_transposition_padding_is_neutral(gas):
-    setup = make_setup(gas)
-    u = random_field(setup, gas, seed=1, amp=0.5)
-    soa = transpose_to_soa(u[0], gas, width=BatchWidth(16))
-    tail = slice(soa.n_nodes, None)
-    assert np.all(soa.rho[tail] == 1.0)
-    assert np.all(soa.p[tail] == 1.0)
-    assert all(np.all(c[tail] == 0.0) for c in soa.v)
-
-
-def test_transposition_mode_validation(gas):
-    setup = make_setup(gas)
-    u = random_field(setup, gas, seed=2, amp=0.5)
-    with pytest.raises(ConfigurationError, match="mode"):
-        transpose_to_soa(u[0], gas, mode="conserved")
-    soa = transpose_to_soa(u[0], gas, mode="primitives_and_logs")
-    assert soa.log_rho is not None
-    n = soa.n_nodes
-    assert np.abs(soa.log_rho[:n] - np.log(soa.rho[:n])).max() < 1e-15
 
 
 def test_branchless_logmean_matches_scalar():
@@ -89,20 +46,28 @@ def test_branchless_logmean_matches_scalar():
         assert abs(inv[i] - inv_logmean_optimized(a[i], b[i])) < 5e-16 / want
 
 
-def test_logmean_from_logs_variant():
-    rng = np.random.default_rng(4)
-    a = 0.5 + rng.random(32)
-    b = 0.5 + rng.random(32)
-    la = np.log(a)
-    lb = np.log(b)
-    plain = logmean_batched(a, b)
-    from_logs = logmean_from_logs_batched(a, b, la, lb)
-    # log(b/a) and log(b) - log(a) round differently; the means stay within
-    # a few ulps of each other
-    assert np.abs(from_logs / plain - 1.0).max() < 1e-13
-    inv_plain = inv_logmean_batched(a, b)
-    inv_logs = inv_logmean_from_logs_batched(a, b, la, lb)
-    assert np.abs(inv_logs / inv_plain - 1.0).max() < 1e-13
+def _volume_against_oracle(setup, u, vol_flux):
+    """mesh_fluxdiff_volume against volume_fluxdiff stacked over the mesh,
+    with the (two-point, log-mean) counts of each."""
+    want_c = FluxCounter()
+    with count_guard(want_c):
+        want = np.stack(
+            [
+                volume_fluxdiff(
+                    u[e], setup.dsplit, element_metrics(setup.metrics, e), vol_flux,
+                    setup.gas,
+                )
+                for e in range(setup.n_elements)
+            ]
+        )
+    got_c = FluxCounter()
+    with count_guard(got_c):
+        got = mesh_fluxdiff_volume(u, setup, RhsConfig(volume_flux=vol_flux))
+    assert np.abs(got - want).max() < 1e-13
+    assert (got_c.two_point_evals, got_c.logmean_evals) == (
+        want_c.two_point_evals,
+        want_c.logmean_evals,
+    )
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -111,37 +76,14 @@ def test_logmean_from_logs_variant():
 def test_element_volume_matches_scalar(gas, d, vol_flux, amplitude):
     setup = make_setup(gas, d=d, amplitude=amplitude)
     u = random_field(setup, gas, seed=5, amp=0.5)
-    terms = element_metrics(setup.metrics, 1)
-    want = volume_fluxdiff(u[1], setup.dsplit, terms, vol_flux, gas)
-    soa = transpose_to_soa(u[1], gas)
-    got = volume_fluxdiff_batched(soa, setup.dsplit, terms, vol_flux, gas)
-    assert np.abs(got - want).max() < 1e-13
-
-
-def test_element_volume_independent_of_batch_width(gas):
-    setup = make_setup(gas, d=3, amplitude=0.1)
-    u = random_field(setup, gas, seed=6, amp=0.5)
-    terms = element_metrics(setup.metrics, 0)
-    results = [
-        volume_fluxdiff_batched(
-            transpose_to_soa(u[0], gas, width=w), setup.dsplit, terms, "ranocha", gas
-        )
-        for w in (1, 4, 16)
-    ]
-    # padding lanes never reach the scatter, so the width is invisible
-    assert np.array_equal(results[0], results[1])
-    assert np.array_equal(results[0], results[2])
+    _volume_against_oracle(setup, u, vol_flux)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_element_volume_matches_scalar_across_degrees(gas, p):
     setup = make_setup(gas, d=2, p=p, amplitude=0.12)
     u = random_field(setup, gas, seed=7, amp=0.4)
-    terms = element_metrics(setup.metrics, 3)
-    want = volume_fluxdiff(u[3], setup.dsplit, terms, "ranocha", gas)
-    soa = transpose_to_soa(u[3], gas)
-    got = volume_fluxdiff_batched(soa, setup.dsplit, terms, "ranocha", gas)
-    assert np.abs(got - want).max() < 1e-13
+    _volume_against_oracle(setup, u, "ranocha")
 
 
 @pytest.mark.parametrize(
@@ -232,3 +174,51 @@ def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elem
     # the interface flux is these schemes' only two-point work, one
     # evaluation per face point on both families
     assert bat_counts[0] == d * setup.n_elements * (p + 1) ** (d - 1)
+
+
+def test_rhs_reaches_every_lane_function(gas):
+    """Sweeping rhs(kernel="batched") over dimension, family, mesh, volume
+    scheme and surface flux calls every function defined in fluxdg.batched:
+    the lane module holds no code that rhs never reaches."""
+    defined = {
+        fn.__code__: name
+        for name, fn in vars(batched).items()
+        if inspect.isfunction(fn) and fn.__module__ == batched.__name__
+    }
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    ran = set()
+    p = 2
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for d, family, amplitude in product((2, 3), ("lgl", "gauss"), (0.0, 0.1)):
+            curved_gauss = family == "gauss" and amplitude > 0.0
+            geo = (2 if d == 2 else 1) if curved_gauss else None
+            mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
+            overint = p + 1 if amplitude == 0.0 else None
+            op = make_operator(p, family)
+            setup = build_setup(mesh, op, gas, overint_degree=overint)
+            u = random_field(setup, gas, seed=12, amp=0.3)
+            for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
+                config = RhsConfig(
+                    volume_scheme=scheme,
+                    surface_flux=kind,
+                    overint_degree=p + 1,
+                    kernel="batched",
+                )
+                try:
+                    config.validate(setup)
+                except ConfigurationError:
+                    continue  # scheme not defined for this family or mesh
+                assert np.isfinite(rhs(u, setup, config)).all()
+                ran.add(scheme)
+    finally:
+        sys.setprofile(previous)
+    assert ran == set(VOLUME_SCHEMES)
+    missing = sorted(name for code, name in defined.items() if code not in called)
+    assert not missing, missing

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,18 +19,16 @@ from fluxdg import (
     rhs,
 )
 from fluxdg.discretization import (
+    _scalar_gauss_volume,
     entropy_projection,
-    precompute_element_data,
-    stacked_face_block,
     surface_terms,
     volume_fluxdiff,
-    volume_gauss_fluxdiff,
-    volume_gauss_surface_correction,
     volume_overintegration,
     volume_strong,
     volume_weak,
 )
 from fluxdg.errors import AdmissibilityError, ConfigurationError
+from fluxdg.euler import entropy_vars
 from fluxdg.geometry import element_metrics
 from fluxdg.operators import node_lines, transfer_matrices
 
@@ -84,7 +84,6 @@ def test_config_rejects_unknown_names(gas):
     setup = lgl_setup(gas)
     cases = [
         (RhsConfig(volume_scheme="nope"), "volume_scheme"),
-        (RhsConfig(precompute="cached"), "precompute"),
         (RhsConfig(kernel="gpu"), "kernel"),
         (RhsConfig(surface_flux="roe"), "surface_flux"),
         (RhsConfig(volume_flux="llf"), "volume flux"),
@@ -179,33 +178,18 @@ def test_gauss_forms_agree(gas, d, amplitude, geo):
 
 
 def test_gauss_volume_forms_agree_per_element(gas):
+    # the volume terms alone, before the shared surface term is added
     setup = gauss_setup(gas, amplitude=0.15, geo_degree=2)
     u = random_field(setup, gas, seed=7, amp=0.3)
-    terms = element_metrics(setup.metrics, 1)
-    a = volume_gauss_fluxdiff(u[1], setup.hyb, terms, "ranocha", gas)
-    b = volume_gauss_surface_correction(u[1], setup.op, setup.hyb, terms, "ranocha", gas)
-    assert np.abs(a - b).max() < 1e-13
-
-
-@pytest.mark.parametrize("vol_flux", ["shima", "ranocha"])
-def test_precompute_variants_match_baseline(gas, vol_flux):
-    setup = lgl_setup(gas, dims=(3, 2), amplitude=0.1)
-    u = random_field(setup, gas, seed=8, amp=0.4)
-    base = rhs(u, setup, RhsConfig(volume_flux=vol_flux, surface_flux="llf"))
-    for mode in ("primitives", "primitives_and_logs"):
-        cfg = RhsConfig(volume_flux=vol_flux, surface_flux="llf", precompute=mode)
-        assert np.abs(rhs(u, setup, cfg) - base).max() < 1e-13
-
-
-def test_precompute_table_modes(gas):
-    setup = lgl_setup(gas)
-    u = random_field(setup, gas, seed=9, amp=0.4)
-    pre = precompute_element_data(u[0], gas, "primitives_and_logs")
-    assert len(pre.q[0]) == setup.d + 4
-    row = pre.q[3]
-    assert row[-2] == pytest.approx(np.log(row[0]), abs=0.0)
-    with pytest.raises(ConfigurationError, match="precompute"):
-        precompute_element_data(u[0], gas, "none")
+    proj = entropy_projection(u, setup)
+    forms = []
+    for scheme in ("gauss_fluxdiff", "gauss_surface_correction"):
+        acc = [[[0.0] * (setup.d + 2) for _ in range(setup.n_nodes)]
+               for _ in range(setup.n_elements)]
+        _scalar_gauss_volume(u, setup, scheme, "ranocha", proj, acc)
+        forms.append(np.asarray(acc))
+    assert np.abs(forms[0]).max() > 1e-3
+    assert np.abs(forms[0] - forms[1]).max() < 1e-13
 
 
 def test_overintegration_at_p_equals_weak(gas):
@@ -265,39 +249,47 @@ def test_surface_subtract_own_vanishes_for_constant(gas):
 
 
 def test_entropy_projection_identity_on_lobatto(gas):
-    op = make_operator(3, "lgl")
     setup = lgl_setup(gas)
-    u = random_field(setup, gas, seed=12, amp=0.3)[0]
-    stacked = entropy_projection(u, op, gas)
-    nn = u.shape[0]
-    p1 = op.n_nodes
+    u = random_field(setup, gas, seed=12, amp=0.3)
+    proj = entropy_projection(u, setup)
+    p1 = setup.op.n_nodes
     fn = p1 ** (setup.d - 1)
-    assert stacked.shape == (nn + 2 * setup.d * fn, setup.d + 2)
-    assert np.array_equal(stacked[:nn], u)
     # boundary interpolation picks off Lobatto face nodes, so projection
     # reduces to an entropy-variable round trip there
-    lines = node_lines(p1, setup.d)[0]
-    face = stacked[stacked_face_block(nn, fn, 0, 1)]
-    assert np.abs(face - u[lines[:, -1]]).max() < 1e-11
+    for n, lines in enumerate(node_lines(p1, setup.d)):
+        for side, col in ((0, 0), (1, -1)):
+            face = proj[n][side]
+            assert face.shape == (setup.n_elements, fn, setup.d + 2)
+            assert np.abs(face - u[:, lines[:, col]]).max() < 1e-11
 
 
 def test_entropy_projection_preserves_constants(gas):
-    op = make_operator(3, "gauss")
     setup = gauss_setup(gas)
-    u = constant_field(setup, gas)[0]
-    stacked = entropy_projection(u, op, gas)
-    assert np.abs(stacked - u[0]).max() < 1e-12
+    u = constant_field(setup, gas)
+    for sides in entropy_projection(u, setup):
+        for face in sides:
+            assert np.abs(face - u[0, 0]).max() < 1e-12
 
 
 def test_entropy_projection_reports_bad_face_state(gas):
     # every node admissible, but the oscillation is wild enough that the
     # interpolated entropy variables leave the admissible set at a face;
-    # the error names direction and side
+    # the error names element, face node, direction and side
     setup = gauss_setup(gas)
     u = random_field(setup, gas, seed=0, amp=1.0)
-    with pytest.raises(AdmissibilityError, match=r"face state \(direction"):
-        for e in range(setup.n_elements):
-            entropy_projection(u[e], setup.op, gas)
+    location = r"face state at element \d+, face node \d+ \(direction \d, side \d\)"
+    with pytest.raises(AdmissibilityError, match=location) as info:
+        entropy_projection(u, setup)
+    # the named face node really is the bad one
+    e, m, n, side = (int(x) for x in re.findall(r"\d+", str(info.value))[:4])
+    p1 = setup.op.n_nodes
+    w = entropy_vars(u[e], gas).reshape((p1,) * setup.d + (-1,))
+    row = setup.op.boundary_interp[side]
+    w_face = np.einsum("...kv,k->...v", np.moveaxis(w, n, -2), row)
+    assert not w_face.reshape(-1, setup.d + 2)[m, -1] < 0.0
+    for kernel in ("reference", "batched"):
+        with pytest.raises(AdmissibilityError, match=location):
+            rhs(u, setup, RhsConfig(volume_scheme="gauss_fluxdiff", kernel=kernel))
 
 
 def test_rhs_admissibility_gate_names_location(gas):

@@ -12,11 +12,8 @@ from fluxdg.fluxes import (
     flux_hll_directional,
     flux_llf_directional,
     flux_ranocha_cartesian,
-    flux_ranocha_cartesian_prim,
     flux_ranocha_directional,
-    flux_ranocha_directional_prim,
     flux_shima_cartesian,
-    flux_shima_cartesian_prim,
     flux_shima_directional,
     require_volume_kind,
     rotated_flux,
@@ -191,46 +188,6 @@ def test_rotated_matches_directional(d, kind, gas):
         scale = max(1.0, np.abs(ref).max())
         assert np.abs(ref - otf).max() <= 1e-13 * scale
         assert np.abs(ref - pre).max() <= 1e-13 * scale
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_prim_variants_match_conserved_kernels(d, gas):
-    import math
-
-    ul, ur, _ = _pairs(d, 200, 15, series_fraction=0.25)
-    rng = np.random.default_rng(16)
-    gm1 = gas.gamma - 1.0
-    for i in range(len(ul)):
-        normal = rng.standard_normal(d)
-
-        def prim_row(u, with_logs):
-            rho = u[0]
-            v = [u[1 + j] / rho for j in range(d)]
-            p = gm1 * (u[d + 1] - 0.5 * rho * sum(c * c for c in v))
-            row = [rho] + v + [p]
-            if with_logs:
-                row += [math.log(rho), math.log(p)]
-            return row
-
-        base_r = np.asarray(flux_ranocha_directional(ul[i], ur[i], normal, gas))
-        got = np.asarray(
-            flux_ranocha_directional_prim(
-                prim_row(ul[i], False), prim_row(ur[i], False), normal, gas
-            )
-        )
-        scale = max(1.0, np.abs(base_r).max())
-        assert np.abs(got - base_r).max() <= 1e-13 * scale
-        got_logs = np.asarray(
-            flux_ranocha_directional_prim(
-                prim_row(ul[i], True), prim_row(ur[i], True), normal, gas, with_logs=True
-            )
-        )
-        assert np.abs(got_logs - base_r).max() <= 1e-13 * scale
-        base_s = np.asarray(flux_shima_cartesian(ul[i], ur[i], 0, gas))
-        got_s = np.asarray(
-            flux_shima_cartesian_prim(prim_row(ul[i], False), prim_row(ur[i], False), 0, gas)
-        )
-        assert np.abs(got_s - base_s).max() <= 1e-13 * scale
 
 
 def test_counters(gas):

@@ -68,8 +68,10 @@ def test_parse_config_file_errors(tmp_path):
 
 
 def test_make_config_rejects_unknown_key():
-    with pytest.raises(ConfigurationError, match="unknown config key"):
-        make_config({"polynomial_degree": "3"})
+    # a removed key is rejected like any other unknown key
+    for mapping in ({"polynomial_degree": "3"}, {"precompute": "primitives"}):
+        with pytest.raises(ConfigurationError, match="unknown config key"):
+            make_config(mapping)
 
 
 def test_make_config_coercion_error_names_key():
