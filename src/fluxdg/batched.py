@@ -6,9 +6,10 @@ volume terms, a lane is one 1D node line (all lines of a direction across
 the whole mesh are folded together), for the surface terms one face point.
 The pair structure stays in the outer loop, so a (p+1)-node line still does
 its p(p+1)/2 two-point evaluations, each as one vectorized call over all
-lanes at once. Every entry point (`mesh_*`) takes the whole mesh and
-converts the states it reads to primitives in whole-array passes, once per
-call rather than once per pair evaluation.
+lanes at once. Every entry point (`mesh_*`) takes the whole mesh together
+with its nodal primitives, which `rhs` converts once per RHS rather than
+once per pair evaluation; only face states that are not nodal values (Gauss
+traces, entropy-projected states) are converted here.
 
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
@@ -231,9 +232,10 @@ def _mesh_lanes(prim, u, nodes, need_cons):
     return Lanes(rho, v, p, uu)
 
 
-def mesh_fluxdiff_volume(u, setup, config):
+def mesh_fluxdiff_volume(u, prim, setup, config):
     """Flux-differencing volume term for the whole mesh, elements folded
-    into the lane axis. Returns the Jacobian-scaled VOL array."""
+    into the lane axis; prim = cons2prim(u). Returns the Jacobian-scaled VOL
+    array."""
     gas = setup.gas
     op = setup.op
     d = setup.d
@@ -242,7 +244,6 @@ def mesh_fluxdiff_volume(u, setup, config):
     n_elem = u.shape[0]
     vol_flux = config.volume_flux
     pairs = pair_table(setup.dsplit.matrix)
-    prim = cons2prim(u, gas)
     need_cons = vol_flux == "central"
     areas = (
         np.diag(setup.metrics.ja[0, 0]).tolist() if setup.metrics.cartesian else None
@@ -327,22 +328,21 @@ def _lift_dense(out, setup, n, fm, fp):
         out[rows, cols, :] -= (lift_p[a] * fp) / jac[rows, cols, None]
 
 
-def mesh_surface(u, setup, surface_flux, out, subtract_own=False):
+def mesh_surface(u, prim, setup, surface_flux, out, subtract_own=False):
     """Interface terms of the strong, weak, overintegration and lgl
     flux-differencing schemes, one lane per face point, added into `out`.
 
     Face states are the elements' own traces of u: the boundary nodes on
-    Lobatto grids, interpolated values lifted through the dense R on Gauss
-    grids. subtract_own selects the strong-form coupling f_num - f(own face
-    state). Lane counterpart of discretization.surface_terms."""
+    Lobatto grids (read from prim = cons2prim(u)), interpolated values
+    lifted through the dense R on Gauss grids. subtract_own selects the
+    strong-form coupling f_num - f(own face state). Lane counterpart of
+    discretization.surface_terms."""
     gas = setup.gas
     op = setup.op
     d = setup.d
     nvar = d + 2
     n_elem = u.shape[0]
     lgl = op.family == "lgl"
-    if lgl:
-        prim = cons2prim(u, gas)
     need_cons = subtract_own or surface_flux in ("central", "llf", "hll")
     w1d = op.weights
     jac = setup.metrics.jac
@@ -386,9 +386,10 @@ def _face_lanes(states, gas):
     )
 
 
-def mesh_gauss_volume(u, setup, config, proj):
-    """Zero-corner hybridized volume term over the mesh; `proj` holds the
-    entropy-projected face states per direction and side."""
+def mesh_gauss_volume(u, prim, setup, config, proj):
+    """Zero-corner hybridized volume term over the mesh; prim = cons2prim(u)
+    and `proj` holds the entropy-projected face states per direction and
+    side."""
     require_volume_kind(config.volume_flux)
     gas = setup.gas
     op = setup.op
@@ -397,10 +398,9 @@ def mesh_gauss_volume(u, setup, config, proj):
     nvar = d + 2
     n_elem = u.shape[0]
     vol_flux = config.volume_flux
-    pairs, vol_face, lift, _corner = hybridized_scatter(op.degree, op.family)
+    pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
     if config.volume_scheme == "gauss_surface_correction":
         pairs = skew_pair_table(op.degree, op.family)
-    prim = cons2prim(u, gas)
     need_cons = vol_flux == "central"
     out = np.zeros_like(u)
     for n in range(d):

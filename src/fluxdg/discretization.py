@@ -19,7 +19,8 @@ surface_terms) are the scalar reference implementations: plain float
 arithmetic through the scalar flux kernels, fixed accumulation order,
 bitwise reproducible. The one-point volume functions (volume_strong,
 volume_weak, volume_overintegration) are numpy expressions that take one
-element or the whole mesh at once. entropy_projection gives the face states
+element or the whole mesh at once; the first two read primitives that the
+caller has already converted. entropy_projection gives the face states
 of the gauss schemes for both kernels. `rhs` assembles them over the mesh;
 with kernel="batched" every scheme's two-point work (volume pairs and
 interface fluxes) runs in the mesh-level lane kernels in `batched`, which
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import batched as _batched
 from .errors import AdmissibilityError, ConfigurationError
-from .euler import entropy2cons, entropy_vars, physical_flux
+from .euler import cons2prim, directional_flux, entropy2cons, entropy_vars
 from .fluxes import (
     SURFACE_KINDS,
     _phys_flux_n,
@@ -134,21 +135,20 @@ class RhsConfig:
 # ---------------------------------------------------------------------------
 # volume operators (one-point numpy forms; scalar two-point reference path)
 
-def volume_strong(u_elem, op, metrics, gas):
+def volume_strong(u_elem, q_elem, op, metrics):
     """Strong-form volume term: (1/J) sum_n D_n (sum_j (Ja)^n_j f^j(u)).
 
     u_elem is one element (nodes, d+2) or a stack of them with leading
-    element axes; metrics.ja/jac carry the same leading axes (or none, for
-    metrics shared by every element)."""
+    element axes, q_elem = cons2prim(u_elem); metrics.ja/jac carry the same
+    leading axes (or none, for metrics shared by every element)."""
     d = u_elem.shape[-1] - 2
     lead = u_elem.ndim - 2
     p1 = op.n_nodes
-    f = [physical_flux(u_elem, j, gas) for j in range(d)]
     add_one_point(d * (u_elem.size // (d + 2)))
     acc = np.zeros_like(u_elem)
     shape = u_elem.shape[:lead] + (p1,) * d + (-1,)
     for n in range(d):
-        contra = sum(metrics.ja[..., n, j, None] * f[j] for j in range(d))
+        contra = directional_flux(u_elem, q_elem, metrics.ja[..., n, :])
         acc += apply_along(op.D, contra.reshape(shape), n + lead).reshape(u_elem.shape)
     return acc / metrics.jac[..., None]
 
@@ -161,9 +161,9 @@ def _weak_matrix(degree, family):
     return mat
 
 
-def volume_weak(u_elem, op, metrics, gas):
+def volume_weak(u_elem, q_elem, op, metrics):
     """Weak-form volume term -(1/J) sum_n M^{-1} D_n^T M F^n, on one element
-    or a stack of them (leading axes as in volume_strong).
+    or a stack of them (arguments as in volume_strong).
 
     For a constant state this is nonzero at boundary nodes (it carries the
     boundary part of the SBP identity); the assembled RHS cancels it against
@@ -173,12 +173,11 @@ def volume_weak(u_elem, op, metrics, gas):
     lead = u_elem.ndim - 2
     p1 = op.n_nodes
     wmat = _weak_matrix(op.degree, op.family)
-    f = [physical_flux(u_elem, j, gas) for j in range(d)]
     add_one_point(d * (u_elem.size // (d + 2)))
     acc = np.zeros_like(u_elem)
     shape = u_elem.shape[:lead] + (p1,) * d + (-1,)
     for n in range(d):
-        contra = sum(metrics.ja[..., n, j, None] * f[j] for j in range(d))
+        contra = directional_flux(u_elem, q_elem, metrics.ja[..., n, :])
         acc -= apply_along(wmat, contra.reshape(shape), n + lead).reshape(u_elem.shape)
     return acc / metrics.jac[..., None]
 
@@ -256,7 +255,7 @@ def volume_overintegration(u_elem, op, transfer, metrics_q, gas):
     for n in range(d):
         uq = apply_along(transfer.interp, uq, n + lead)
     uq = uq.reshape(u_elem.shape[:lead] + (q1**d, -1))
-    vol_q = volume_weak(uq, op_q, metrics_q, gas)
+    vol_q = volume_weak(uq, cons2prim(uq, gas), op_q, metrics_q)
     back = vol_q.reshape(u_elem.shape[:lead] + (q1,) * d + (-1,))
     for n in range(d):
         back = apply_along(transfer.project, back, n + lead)
@@ -412,21 +411,6 @@ def build_setup(mesh, op, gas, overint_degree=None):
     )
 
 
-def _admissibility_gate(u, gas):
-    rho = u[..., 0]
-    d = u.shape[-1] - 2
-    mom = u[..., 1 : d + 1]
-    p = (gas.gamma - 1.0) * (u[..., d + 1] - 0.5 * np.sum(mom * mom, axis=-1) / rho)
-    bad = ~((rho > 0.0) & (p > 0.0) & np.isfinite(rho) & np.isfinite(p))
-    if np.any(bad):
-        e, i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise AdmissibilityError(
-            "inadmissible state at element %d, node %d: rho=%r, p=%r"
-            % (int(e), int(i), float(rho[e, i]), float(p[e, i]))
-        )
-    return p
-
-
 def surface_terms(u, setup, surface_flux, subtract_own=False, out=None):
     """Interface coupling of the strong, weak, overintegration and lgl
     flux-differencing schemes: numerical fluxes on interior faces, one
@@ -511,6 +495,11 @@ def surface_terms(u, setup, surface_flux, subtract_own=False, out=None):
                         om[v] += sm * dm[v]
                         opn[v] -= sp * dp[v]
         else:
+            # interpolated traces are not nodal states, so rhs has not
+            # checked them; converting them here rejects an inadmissible
+            # trace as batched.mesh_surface does
+            qminus = cons2prim(vminus, gas).tolist()
+            qplus = cons2prim(vplus, gas).tolist()
             lift_m = op.boundary_interp[1] / w1d
             lift_p = op.boundary_interp[0] / w1d
             for f in range(n_faces):
@@ -525,8 +514,8 @@ def surface_terms(u, setup, surface_flux, subtract_own=False, out=None):
                     fhat = np.asarray(kernel(ul, ur, nrm, gas))
                     if subtract_own:
                         add_one_point(2)
-                        ql = prim(ul, gm1)
-                        qr = prim(ur, gm1)
+                        ql = qminus[f][m]
+                        qr = qplus[ep][m]
                         fl = _phys_flux_n(ul, ql[0], ql[1:-1], ql[-1], nrm)
                         fr = _phys_flux_n(ur, qr[0], qr[1:-1], qr[-1], nrm)
                         dm = fhat - np.asarray(fl)
@@ -645,21 +634,25 @@ def rhs(u, setup, config, counter=None):
     work (volume pairs and interface fluxes) in the lane-parallel kernels;
     "reference" runs it through the scalar oracle. The one-point volume
     terms are one numpy pass over the whole mesh with either kernel.
+
+    u is converted to primitives once; that pass is the admissibility check
+    (AdmissibilityError names the first bad element and node), and every
+    volume and surface kernel reads its result instead of converting again.
     """
     if counter is not None:
         with count_guard(counter):
             return rhs(u, setup, config)
     config.validate(setup)
     u = np.asarray(u, dtype=float)
-    _admissibility_gate(u, setup.gas)
+    gas = setup.gas
+    prim = cons2prim(u, gas)
     scheme = config.volume_scheme
     n_elem = setup.n_elements
-    gas = setup.gas
     if scheme in ("strong", "weak", "overintegration"):
         if scheme == "strong":
-            out = volume_strong(u, setup.op, setup.metrics, gas)
+            out = volume_strong(u, prim, setup.op, setup.metrics)
         elif scheme == "weak":
-            out = volume_weak(u, setup.op, setup.metrics, gas)
+            out = volume_weak(u, prim, setup.op, setup.metrics)
         else:
             _op_q, transfer, metrics_q = setup.overint
             out = volume_overintegration(u, setup.op, transfer, metrics_q, gas)
@@ -669,15 +662,15 @@ def rhs(u, setup, config, counter=None):
         subtract = scheme == "strong"
         if config.kernel == "batched":
             _batched.mesh_surface(
-                u, setup, config.surface_flux, out, subtract_own=subtract
+                u, prim, setup, config.surface_flux, out, subtract_own=subtract
             )
         else:
             surface_terms(u, setup, config.surface_flux, subtract_own=subtract, out=out)
         return -out
     if scheme == "fluxdiff":
         if config.kernel == "batched":
-            out = _batched.mesh_fluxdiff_volume(u, setup, config)
-            _batched.mesh_surface(u, setup, config.surface_flux, out)
+            out = _batched.mesh_fluxdiff_volume(u, prim, setup, config)
+            _batched.mesh_surface(u, prim, setup, config.surface_flux, out)
             return -out
         out = np.empty_like(u)
         for e in range(n_elem):
@@ -691,7 +684,7 @@ def rhs(u, setup, config, counter=None):
     # neither is computed
     proj = entropy_projection(u, setup)
     if config.kernel == "batched":
-        out = _batched.mesh_gauss_volume(u, setup, config, proj)
+        out = _batched.mesh_gauss_volume(u, prim, setup, config, proj)
         _batched.mesh_gauss_surface(u, setup, config, proj, out)
         return -out
     acc = [[[0.0] * u.shape[-1] for _ in range(setup.n_nodes)] for _ in range(n_elem)]
@@ -715,7 +708,7 @@ def _scalar_gauss_volume(u, setup, scheme, vol_flux, proj, acc):
     p1 = op.n_nodes
     nvar = u.shape[-1]
     lines = node_line_lists(p1, d)
-    pairs, vf_coefs, lift, _corner = hybridized_scatter(op.degree, op.family)
+    pairs, vf_coefs, lift = hybridized_scatter(op.degree, op.family)
     if scheme == "gauss_surface_correction":
         pairs = skew_pair_table(op.degree, op.family)
     dirn = flux_function(vol_flux, "directional")

@@ -37,10 +37,16 @@ def _dim(u):
 
 
 def _require_admissible(rho, p, what):
-    if not (np.all(rho > 0.0) and np.all(p > 0.0)):
+    """Raise unless every rho and p is finite and positive. For a field of
+    shape (n_elements, n_nodes, d+2) the message names the first bad element
+    and node."""
+    bad = ~(np.isfinite(rho) & np.isfinite(p) & (rho > 0.0) & (p > 0.0))
+    if np.any(bad):
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        where = " at element %d, node %d" % k if bad.ndim == 2 else ""
         raise AdmissibilityError(
-            "%s: inadmissible state (min rho=%r, min p=%r)"
-            % (what, float(np.min(rho)), float(np.min(p)))
+            "%s: inadmissible state%s: rho=%r, p=%r"
+            % (what, where, float(rho[k]), float(p[k]))
         )
 
 
@@ -75,69 +81,53 @@ def prim2cons(q, gas):
     return u
 
 
-def physical_flux(u, direction, gas):
-    """Euler flux f^j(u) along coordinate axis `direction` (0-based)."""
-    u = np.asarray(u, dtype=float)
-    d = _dim(u)
-    rho = u[..., 0]
-    mom = u[..., 1 : d + 1]
-    v = mom / rho[..., None]
-    p = (gas.gamma - 1.0) * (u[..., d + 1] - 0.5 * np.sum(mom * v, axis=-1))
-    vj = v[..., direction]
+def directional_flux(u, q, normal):
+    """Euler flux contracted with a (scaled) direction, sum_j normal_j f^j(u),
+    from the conserved state u and its primitives q = cons2prim(u). normal
+    has a trailing axis of length d and broadcasts against u's leading axes."""
+    d = u.shape[-1] - 2
+    vn = q[..., 1] * normal[..., 0]
+    for i in range(1, d):
+        vn = vn + q[..., 1 + i] * normal[..., i]
+    p = q[..., d + 1]
     f = np.empty_like(u)
-    f[..., 0] = mom[..., direction]
-    f[..., 1 : d + 1] = mom * vj[..., None]
-    f[..., 1 + direction] += p
-    f[..., d + 1] = (u[..., d + 1] + p) * vj
+    f[..., 0] = q[..., 0] * vn
+    for i in range(d):
+        f[..., 1 + i] = u[..., 1 + i] * vn + p * normal[..., i]
+    f[..., d + 1] = (u[..., d + 1] + p) * vn
     return f
 
 
-def sound_speed(u, gas):
+def physical_flux(u, direction, gas):
+    """Euler flux f^j(u) along coordinate axis `direction` (0-based)."""
     u = np.asarray(u, dtype=float)
-    d = _dim(u)
-    rho = u[..., 0]
-    mom = u[..., 1 : d + 1]
-    p = (gas.gamma - 1.0) * (u[..., d + 1] - 0.5 * np.sum(mom * mom, axis=-1) / rho)
-    _require_admissible(rho, p, "sound_speed")
-    return np.sqrt(gas.gamma * p / rho)
+    return directional_flux(u, cons2prim(u, gas), np.eye(_dim(u))[direction])
+
+
+def sound_speed(u, gas):
+    q = cons2prim(u, gas)
+    return np.sqrt(gas.gamma * q[..., -1] / q[..., 0])
 
 
 def max_signal_speed(u, gas):
     """|v| + c per state; the CFL condition uses this."""
-    u = np.asarray(u, dtype=float)
-    d = _dim(u)
-    rho = u[..., 0]
-    v = u[..., 1 : d + 1] / rho[..., None]
-    vmag = np.sqrt(np.sum(v * v, axis=-1))
-    return vmag + sound_speed(u, gas)
-
-
-def max_wave_speed(u_left, u_right, normal, gas):
-    """max(|v.n| + c) over both states; `normal` must be a unit vector."""
-    u_left = np.asarray(u_left, dtype=float)
-    u_right = np.asarray(u_right, dtype=float)
-    normal = np.asarray(normal, dtype=float)
-    d = _dim(u_left)
-    lam = 0.0
-    for u in (u_left, u_right):
-        rho = u[..., 0]
-        vn = np.sum(u[..., 1 : d + 1] * normal, axis=-1) / rho
-        lam = np.maximum(lam, np.abs(vn) + sound_speed(u, gas))
-    return lam
+    q = cons2prim(u, gas)
+    v = q[..., 1:-1]
+    c = np.sqrt(gas.gamma * q[..., -1] / q[..., 0])
+    return np.sqrt(np.sum(v * v, axis=-1)) + c
 
 
 def entropy_vars(u, gas):
     """Entropy variables w(u) for the entropy U = -rho s / (gamma - 1),
     s = log p - gamma log rho."""
-    u = np.asarray(u, dtype=float)
-    d = _dim(u)
-    rho = u[..., 0]
-    v = u[..., 1 : d + 1] / rho[..., None]
-    p = (gas.gamma - 1.0) * (u[..., d + 1] - 0.5 * rho * np.sum(v * v, axis=-1))
-    _require_admissible(rho, p, "entropy_vars")
+    q = cons2prim(u, gas)
+    d = q.shape[-1] - 2
+    rho = q[..., 0]
+    v = q[..., 1 : d + 1]
+    p = q[..., d + 1]
     s = np.log(p) - gas.gamma * np.log(rho)
     rho_p = rho / p
-    w = np.empty_like(u)
+    w = np.empty_like(q)
     w[..., 0] = (gas.gamma - s) * gas.inv_gamma_minus_one - 0.5 * rho_p * np.sum(
         v * v, axis=-1
     )
@@ -158,7 +148,8 @@ def entropy2cons(w, gas):
             % float(np.min(b))
         )
     v = w[..., 1 : d + 1] / b[..., None]
-    s = gas.gamma - (gas.gamma - 1.0) * (w[..., 0] + 0.5 * b * np.sum(v * v, axis=-1))
+    gm1 = gas.gamma - 1.0
+    s = gas.gamma - gm1 * (w[..., 0] + 0.5 * b * np.sum(v * v, axis=-1))
     # s = log p - gamma log rho and rho = b p give log p = (s + gamma log b)/(1 - gamma)
     p = np.exp((s + gas.gamma * np.log(b)) / (1.0 - gas.gamma))
     rho = b * p
@@ -175,12 +166,11 @@ def entropy_and_potential(u, gas):
     Returns (U, psi) with psi having one trailing component per direction.
     The contraction w . f^j - psi^j recovers the entropy flux F^j = v_j U.
     """
-    u = np.asarray(u, dtype=float)
-    d = _dim(u)
-    rho = u[..., 0]
-    v = u[..., 1 : d + 1] / rho[..., None]
-    p = (gas.gamma - 1.0) * (u[..., d + 1] - 0.5 * rho * np.sum(v * v, axis=-1))
-    _require_admissible(rho, p, "entropy_and_potential")
+    q = cons2prim(u, gas)
+    d = q.shape[-1] - 2
+    rho = q[..., 0]
+    v = q[..., 1 : d + 1]
+    p = q[..., d + 1]
     s = np.log(p) - gas.gamma * np.log(rho)
     entropy = -rho * s * gas.inv_gamma_minus_one
     psi = rho[..., None] * v

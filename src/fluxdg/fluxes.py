@@ -23,8 +23,7 @@ import math
 import threading
 from contextlib import contextmanager
 
-from . import debug
-from .errors import AdmissibilityError, ConfigurationError
+from .errors import ConfigurationError
 from .means import inv_logmean_optimized, logmean_optimized
 
 VOLUME_KINDS = ("shima", "ranocha", "central")
@@ -121,21 +120,11 @@ def _prim3(u, gm1):
     return rho, v1, v2, v3, p
 
 
-def _check_pair(rho_l, p_l, rho_r, p_r):
-    if rho_l <= 0.0 or p_l <= 0.0 or rho_r <= 0.0 or p_r <= 0.0:
-        raise AdmissibilityError(
-            "inadmissible flux input: rho=(%r, %r), p=(%r, %r)"
-            % (rho_l, rho_r, p_l, p_r)
-        )
-
-
 # ---------------------------------------------------------------------------
 # kinetic-energy and pressure-equilibrium preserving flux
 
 def _shima_core(rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, igm1):
     add_two_point()
-    if debug.enabled:
-        _check_pair(rho_l, p_l, rho_r, p_r)
     rho_avg = 0.5 * (rho_l + rho_r)
     p_avg = 0.5 * (p_l + p_r)
     vn_avg = 0.5 * (vn_l + vn_r)
@@ -195,8 +184,6 @@ def flux_shima_directional(u_l, u_r, normal, gas):
 
 def _ranocha_core(rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, igm1):
     add_two_point()
-    if debug.enabled:
-        _check_pair(rho_l, p_l, rho_r, p_r)
     add_logmean(2)
     rho_mean = logmean_optimized(rho_l, rho_r)
     inv_rho_p_mean = p_l * p_r * inv_logmean_optimized(rho_l * p_r, rho_r * p_l)
@@ -279,8 +266,6 @@ def flux_central_directional(u_l, u_r, normal, gas):
         rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
         v_l = (vl1, vl2, vl3)
         v_r = (vr1, vr2, vr3)
-    if debug.enabled:
-        _check_pair(rho_l, p_l, rho_r, p_r)
     f_l = _phys_flux_n(u_l, rho_l, v_l, p_l, normal)
     f_r = _phys_flux_n(u_r, rho_r, v_r, p_r, normal)
     return tuple(0.5 * (a + b) for a, b in zip(f_l, f_r))
@@ -319,8 +304,6 @@ def flux_llf_directional(u_l, u_r, normal, gas):
         rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
         v_l = (vl1, vl2, vl3)
         v_r = (vr1, vr2, vr3)
-    if debug.enabled:
-        _check_pair(rho_l, p_l, rho_r, p_r)
     norm, unit = _split_normal(normal)
     vn_l = 0.0
     vn_r = 0.0
@@ -353,8 +336,6 @@ def flux_hll_directional(u_l, u_r, normal, gas):
         rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
         v_l = (vl1, vl2, vl3)
         v_r = (vr1, vr2, vr3)
-    if debug.enabled:
-        _check_pair(rho_l, p_l, rho_r, p_r)
     norm, unit = _split_normal(normal)
     vn_l = 0.0
     vn_r = 0.0

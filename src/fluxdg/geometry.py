@@ -334,21 +334,6 @@ def element_metrics(metrics, element):
     return MetricTerms(metrics.ja[element], metrics.jac[element])
 
 
-def compute_metrics_2d(mesh, op, element):
-    """Metric terms of one element of a 2D mesh, by direct differentiation
-    of the nodal mapping."""
-    if mesh.d != 2:
-        raise MeshError("2D metric routine called on a %dD mesh" % mesh.d)
-    return element_metrics(compute_metrics(mesh, op), element)
-
-
-def compute_metrics_3d(mesh, op, element):
-    """Metric terms of one element of a 3D mesh, curl form."""
-    if mesh.d != 3:
-        raise MeshError("3D metric routine called on a %dD mesh" % mesh.d)
-    return element_metrics(compute_metrics(mesh, op), element)
-
-
 def metric_identity_residual(metrics, op, d):
     """max |sum_n D_n (Ja)^n_j| over nodes/components; roundoff-level for
     the discrete forms used here."""

@@ -300,15 +300,14 @@ def skew_pair_table(degree, family):
 def hybridized_scatter(degree, family):
     """Per-line scatter coefficients of the hybridized operator.
 
-    Returns (vv_pairs, vol_face, lift, corner):
+    Returns (vv_pairs, vol_face, lift):
 
     * vv_pairs: (a, b, c_ab, c_ba) over volume node pairs, the M^{-1} factor
       folded into the weights;
     * vol_face: per side, (volume-row weights with M^{-1}, raw face-row
       weights) for the volume/face-node crossings;
     * lift: per side, the M^{-1} R^T row that carries a face-row sum back to
-      the volume nodes;
-    * corner: per side, the face-face weight (the signed boundary entry).
+      the volume nodes.
     """
     op = make_operator(degree, family)
     q = build_hybridized(op).q_matrix
@@ -322,7 +321,6 @@ def hybridized_scatter(degree, family):
     )
     vol_face = []
     lift = []
-    corner = []
     for s in (0, 1):
         col = n + s
         vol_face.append(
@@ -332,8 +330,7 @@ def hybridized_scatter(degree, family):
             )
         )
         lift.append(tuple(float(op.boundary_interp[s, a] / w[a]) for a in range(n)))
-        corner.append(float(2.0 * q[col, col]))
-    return vv, tuple(vol_face), tuple(lift), tuple(corner)
+    return vv, tuple(vol_face), tuple(lift)
 
 
 def transfer_matrices(p, q, family="lgl"):

@@ -17,7 +17,7 @@ from .discretization import (
     entropy_rate,
     rhs,
 )
-from .euler import GasParams, entropy_and_potential, entropy_vars, prim2cons
+from .euler import GasParams, cons2prim, entropy_and_potential, entropy_vars, prim2cons
 from .fluxes import FluxCounter, count_guard, flux_function
 from .geometry import build_mesh
 from .harness import build_run, RunConfig
@@ -199,7 +199,7 @@ def check_flux_counts():
     terms = element_metrics(setup.metrics, 0)
     c = FluxCounter()
     with count_guard(c):
-        volume_strong(u[0], setup.op, terms, gas)
+        volume_strong(u[0], cons2prim(u[0], gas), setup.op, terms)
         volume_fluxdiff(u[0], setup.dsplit, terms, "ranocha", gas)
     ok = c.one_point_evals == 2 * 16 and c.two_point_evals == 2 * 3 * 16 // 2
     detail = "one-point %d (want 32), two-point %d (want 48)" % (

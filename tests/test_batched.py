@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fluxdg import batched
+from fluxdg import batched, discretization
 from fluxdg import (
     FluxCounter,
     RhsConfig,
@@ -18,6 +18,7 @@ from fluxdg import (
 from fluxdg.batched import inv_logmean_batched, logmean_batched, mesh_fluxdiff_volume
 from fluxdg.discretization import KERNELS, VOLUME_SCHEMES, volume_fluxdiff
 from fluxdg.errors import ConfigurationError
+from fluxdg.euler import cons2prim
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
 from fluxdg.means import logmean_optimized, inv_logmean_optimized
@@ -62,7 +63,9 @@ def _volume_against_oracle(setup, u, vol_flux):
         )
     got_c = FluxCounter()
     with count_guard(got_c):
-        got = mesh_fluxdiff_volume(u, setup, RhsConfig(volume_flux=vol_flux))
+        got = mesh_fluxdiff_volume(
+            u, cons2prim(u, setup.gas), setup, RhsConfig(volume_flux=vol_flux)
+        )
     assert np.abs(got - want).max() < 1e-13
     assert (got_c.two_point_evals, got_c.logmean_evals) == (
         want_c.two_point_evals,
@@ -174,6 +177,38 @@ def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elem
     # the interface flux is these schemes' only two-point work, one
     # evaluation per face point on both families
     assert bat_counts[0] == d * setup.n_elements * (p + 1) ** (d - 1)
+
+
+@pytest.mark.parametrize(
+    "family, scheme",
+    [
+        ("lgl", "fluxdiff"),
+        ("lgl", "strong"),
+        ("lgl", "weak"),
+        ("gauss", "gauss_fluxdiff"),
+        ("gauss", "weak"),
+    ],
+)
+@pytest.mark.parametrize("d", [2, 3])
+def test_rhs_converts_nodal_states_once(gas, monkeypatch, d, family, scheme):
+    """A batched rhs converts the nodal states to primitives exactly once:
+    cons2prim calls on arrays shaped like u, counted in discretization and
+    batched (face traces and projected face states have other shapes)."""
+    geo = (2 if d == 2 else 1) if family == "gauss" else None
+    setup = make_setup(gas, d=d, p=2, amplitude=0.1, geo_degree=geo, family=family)
+    u = random_field(setup, gas, seed=13, amp=0.3)
+    nodal = []
+    for module in (discretization, batched):
+
+        def counted(states, gas_, original=module.cons2prim, name=module.__name__):
+            if np.shape(states) == u.shape:
+                nodal.append(name)
+            return original(states, gas_)
+
+        monkeypatch.setattr(module, "cons2prim", counted)
+    config = RhsConfig(volume_scheme=scheme, surface_flux="llf", kernel="batched")
+    assert np.isfinite(rhs(u, setup, config)).all()
+    assert nodal == ["fluxdg.discretization"]
 
 
 def test_rhs_reaches_every_lane_function(gas):

@@ -28,7 +28,7 @@ from fluxdg.discretization import (
     volume_weak,
 )
 from fluxdg.errors import AdmissibilityError, ConfigurationError
-from fluxdg.euler import entropy_vars
+from fluxdg.euler import cons2prim, entropy_vars
 from fluxdg.geometry import element_metrics
 from fluxdg.operators import node_lines, transfer_matrices
 
@@ -218,8 +218,9 @@ def test_weak_volume_constant_state_lives_on_boundary(gas):
     setup = lgl_setup(gas)
     u = constant_field(setup, gas)
     terms = element_metrics(setup.metrics, 0)
-    vol = volume_weak(u[0], setup.op, terms, gas)
-    strong = volume_strong(u[0], setup.op, terms, gas)
+    q = cons2prim(u[0], gas)
+    vol = volume_weak(u[0], q, setup.op, terms)
+    strong = volume_strong(u[0], q, setup.op, terms)
     # strong derivative of a constant flux is zero; the weak form keeps the
     # boundary part of the summation-by-parts identity
     assert np.abs(strong).max() < 1e-13
@@ -292,12 +293,23 @@ def test_entropy_projection_reports_bad_face_state(gas):
             rhs(u, setup, RhsConfig(volume_scheme="gauss_fluxdiff", kernel=kernel))
 
 
-def test_rhs_admissibility_gate_names_location(gas):
-    setup = lgl_setup(gas)
+@pytest.mark.parametrize("kernel", ["reference", "batched"])
+@pytest.mark.parametrize(
+    "family, scheme",
+    [
+        ("lgl", "fluxdiff"),
+        ("lgl", "strong"),
+        ("gauss", "weak"),
+        ("gauss", "gauss_fluxdiff"),
+    ],
+)
+def test_rhs_admissibility_gate_names_location(gas, kernel, family, scheme):
+    setup = (lgl_setup if family == "lgl" else gauss_setup)(gas)
     u = constant_field(setup, gas)
     u[1, 2, -1] = 0.01  # energy below kinetic: negative pressure
+    config = RhsConfig(volume_scheme=scheme, surface_flux="llf", kernel=kernel)
     with pytest.raises(AdmissibilityError, match="element 1, node 2"):
-        rhs(u, setup, RhsConfig())
+        rhs(u, setup, config)
 
 
 # --- evaluation counting -----------------------------------------------------
@@ -314,13 +326,13 @@ def test_volume_evaluation_counts(gas):
 
     c = FluxCounter()
     with count_guard(c):
-        volume_strong(u[0], setup.op, terms, gas)
+        volume_strong(u[0], cons2prim(u[0], gas), setup.op, terms)
     assert c.one_point_evals == d * nn
     assert c.two_point_evals == 0
 
     c = FluxCounter()
     with count_guard(c):
-        volume_weak(u[0], setup.op, terms, gas)
+        volume_weak(u[0], cons2prim(u[0], gas), setup.op, terms)
     assert c.one_point_evals == d * nn
 
     c = FluxCounter()

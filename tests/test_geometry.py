@@ -8,8 +8,6 @@ from fluxdg.geometry import (
     axis_aligned_areas,
     build_mesh,
     compute_metrics,
-    compute_metrics_2d,
-    compute_metrics_3d,
     element_coords,
     element_metrics,
     metric_identity_residual,
@@ -120,15 +118,8 @@ def test_per_element_helpers_match_assembled():
     op = lgl_operator(3)
     metrics = compute_metrics(mesh, op)
     for e in (0, 4, 8):
-        em = compute_metrics_2d(mesh, op, e)
-        assert np.abs(em.ja - metrics.ja[e]).max() < 1e-13
-        assert np.abs(em.jac - metrics.jac[e]).max() < 1e-13
         view = element_metrics(metrics, e)
         assert np.array_equal(view.ja, metrics.ja[e])
-    mesh3 = build_mesh((2, 2, 2), amplitude=0.1)
-    metrics3 = compute_metrics(mesh3, op)
-    em3 = compute_metrics_3d(mesh3, op, 5)
-    assert np.abs(em3.ja - metrics3.ja[5]).max() < 1e-13
 
 
 def test_lgl_face_metrics_collocated():

@@ -210,7 +210,7 @@ def test_hybridized_scatter_weights():
     op = gauss_operator(p)
     hyb = build_hybridized(op)
     n = op.n_nodes
-    vv, vol_face, lift, corner = hybridized_scatter(p, "gauss")
+    vv, vol_face, lift = hybridized_scatter(p, "gauss")
     for a, b, wab, wba in vv:
         assert abs(wab - 2.0 * hyb.q_matrix[a, b] / op.weights[a]) < 1e-15
         assert abs(wba - 2.0 * hyb.q_matrix[b, a] / op.weights[b]) < 1e-15
@@ -220,6 +220,5 @@ def test_hybridized_scatter_weights():
         for a in range(n):
             assert abs(cvol[a] - 2.0 * hyb.q_matrix[a, col] / op.weights[a]) < 1e-15
             assert abs(cface[a] - 2.0 * hyb.q_matrix[col, a]) < 1e-15
-        assert abs(corner[side] - 2.0 * hyb.q_matrix[col, col]) < 1e-15
         for a in range(n):
             assert abs(lift[side][a] - op.boundary_interp[side, a] / op.weights[a]) < 1e-15
