@@ -14,17 +14,19 @@ Layout conventions used throughout:
   divergence.
 
 The two-point functions (volume_fluxdiff for one lgl element,
-_scalar_gauss_volume and _gauss_surface for the gauss schemes, and
-surface_terms) are the scalar reference implementations: plain float
-arithmetic through the scalar flux kernels, fixed accumulation order,
-bitwise reproducible. The one-point volume functions (volume_strong,
-volume_weak, volume_overintegration) are numpy expressions that take one
-element or the whole mesh at once; the first two read primitives that the
-caller has already converted. entropy_projection gives the face states
-of the gauss schemes for both kernels. `rhs` assembles them over the mesh;
-with kernel="batched" every scheme's two-point work (volume pairs and
-interface fluxes) runs in the mesh-level lane kernels in `batched`, which
-are equivalence-tested against the reference path.
+_scalar_gauss_volume for the gauss schemes, and surface_terms, the one
+scalar surface loop of every scheme) are the scalar reference
+implementations: plain float arithmetic through the scalar flux kernels,
+fixed accumulation order, bitwise reproducible. The one-point volume
+functions (volume_strong, volume_weak, volume_overintegration) are numpy
+expressions that take one element or the whole mesh at once; the first two
+read primitives that the caller has already converted. face_states builds
+every interface state once per RHS, one direction at a time, for both
+kernels: Lobatto boundary nodes, Gauss traces, or entropy-projected states.
+`rhs` assembles them over the mesh; with kernel="batched" every scheme's
+two-point work (volume pairs and interface fluxes) runs in the mesh-level
+lane kernels in `batched`, which are equivalence-tested against the
+reference path.
 """
 
 from dataclasses import dataclass
@@ -34,12 +36,21 @@ import numpy as np
 
 from . import batched as _batched
 from .errors import AdmissibilityError, ConfigurationError
-from .euler import cons2prim, directional_flux, entropy2cons, entropy_vars
+from .euler import (
+    cons2prim,
+    directional_flux,
+    entropy2prim,
+    entropy_vars,
+    prim2cons,
+    prim2entropy,
+)
+
+# not called here: perfbench/tracing.py names it as a span boundary, and its
+# tests require every boundary to exist
+from .euler import entropy2cons  # noqa: F401
 from .fluxes import (
     SURFACE_KINDS,
     _phys_flux_n,
-    _prim2,
-    _prim3,
     add_one_point,
     count_guard,
     flux_function,
@@ -411,219 +422,114 @@ def build_setup(mesh, op, gas, overint_degree=None):
     )
 
 
-def surface_terms(u, setup, surface_flux, subtract_own=False, out=None):
-    """Interface coupling of the strong, weak, overintegration and lgl
-    flux-differencing schemes: numerical fluxes on interior faces, one
-    evaluation per face point, scattered with opposite signs into the two
-    adjacent elements (lifted through R^T B N M^{-1}, which for Lobatto
-    nodes touches only the boundary nodes). Face states are the element's
-    own traces of u; the entropy-projected gauss schemes use _gauss_surface.
+def face_states(u, prim, setup, projected):
+    """Every element's interface states, one direction at a time: yields, for
+    n = 0 .. d-1, ((u0, q0), (u1, q1)), the conserved states and their
+    primitives on the element's reference -1 face (side 0) and +1 face
+    (side 1), each (n_elem, face nodes, d+2) with face nodes in line order.
+    prim = cons2prim(u). The sources:
 
-    subtract_own switches to the strong-form coupling f_num - f(own face
-    state). Returns the SURF part of du/dt = -(VOL + SURF), divided by J.
-    This scalar loop is the oracle for batched.mesh_surface; `rhs` reaches it
-    only with kernel="reference".
+    * projected (the gauss schemes): the entropy projection, the entropy
+      variables of prim interpolated to the face and mapped back, with
+      primitives from the inverse entropy map and conserved states from
+      prim2cons;
+    * otherwise on Lobatto grids the boundary nodes of u and prim;
+    * otherwise on Gauss grids the interpolated traces of u, converted here
+      because they are not nodal values.
+
+    Each element's own states are checked before any neighbour permutation:
+    AdmissibilityError names the element, face node, direction and side of
+    the first inadmissible one. Only one direction's states are built at a
+    time, so a caller that consumes them per direction never holds all.
     """
-    mesh = setup.mesh
     op = setup.op
-    d = mesh.d
-    p1 = op.n_nodes
-    nvar = u.shape[-1]
-    kernel = flux_function(surface_flux, "directional")
     gas = setup.gas
-    gm1 = gas.gamma - 1.0
-    prim = _prim2 if d == 2 else _prim3
-    if out is None:
-        out = np.zeros_like(u)
-    lgl = op.family == "lgl"
-    jac = setup.metrics.jac
-    w1d = op.weights
+    d = setup.d
+    n_elem, _, nvar = u.shape
+    if projected:
+        source, made_by = prim2entropy(prim, gas), "entropy projection"
+    elif op.family == "gauss":
+        source, made_by = u, "interpolation"
+    else:
+        for n in range(d):
+            lines = setup.lines[n]
+            yield tuple((u[:, lines[:, c]], prim[:, lines[:, c]]) for c in (0, -1))
+        return
+    nodal = source.reshape((n_elem,) + (op.n_nodes,) * d + (nvar,))
     for n in range(d):
-        lines = setup.lines[n]
-        minus_nodes = lines[:, -1]
-        plus_nodes = lines[:, 0]
-        if lgl:
-            vminus = u[:, minus_nodes, :]
-            vplus = u[:, plus_nodes, :]
-        else:
-            u_nd = u.reshape((u.shape[0],) + (p1,) * d + (nvar,))
-            moved = np.moveaxis(u_nd, n + 1, -2)
-            vminus = np.einsum("...kv,k->...v", moved, op.boundary_interp[1]).reshape(
-                u.shape[0], -1, nvar
-            )
-            vplus = np.einsum("...kv,k->...v", moved, op.boundary_interp[0]).reshape(
-                u.shape[0], -1, nvar
-            )
-        normals = setup.metrics.face_ja[n]
-        nb = setup.plus_neighbor[n]
-        minus_list = vminus.tolist()
-        plus_list = vplus.tolist()
-        normal_list = normals.tolist()
-        n_faces = u.shape[0]
-        fn = normals.shape[1]
-        if lgl:
-            wm = w1d[-1]
-            wp = w1d[0]
-            for f in range(n_faces):
-                ep = int(nb[f])
-                row_m = minus_list[f]
-                row_p = plus_list[ep]
-                nrm_row = normal_list[f]
-                for m in range(fn):
-                    ul = row_m[m]
-                    ur = row_p[m]
-                    nrm = nrm_row[m]
-                    fhat = kernel(ul, ur, nrm, gas)
-                    im = int(minus_nodes[m])
-                    ip = int(plus_nodes[m])
-                    if subtract_own:
-                        add_one_point(2)
-                        ql = prim(ul, gm1)
-                        qr = prim(ur, gm1)
-                        fl = _phys_flux_n(ul, ql[0], ql[1:-1], ql[-1], nrm)
-                        fr = _phys_flux_n(ur, qr[0], qr[1:-1], qr[-1], nrm)
-                        dm = [a - b for a, b in zip(fhat, fl)]
-                        dp = [a - b for a, b in zip(fhat, fr)]
-                    else:
-                        dm = fhat
-                        dp = fhat
-                    sm = 1.0 / (wm * jac[f, im])
-                    sp = 1.0 / (wp * jac[ep, ip])
-                    om = out[f, im]
-                    opn = out[ep, ip]
-                    for v in range(nvar):
-                        om[v] += sm * dm[v]
-                        opn[v] -= sp * dp[v]
-        else:
-            # interpolated traces are not nodal states, so rhs has not
-            # checked them; converting them here rejects an inadmissible
-            # trace as batched.mesh_surface does
-            qminus = cons2prim(vminus, gas).tolist()
-            qplus = cons2prim(vplus, gas).tolist()
-            lift_m = op.boundary_interp[1] / w1d
-            lift_p = op.boundary_interp[0] / w1d
-            for f in range(n_faces):
-                ep = int(nb[f])
-                row_m = minus_list[f]
-                row_p = plus_list[ep]
-                nrm_row = normal_list[f]
-                for m in range(fn):
-                    ul = row_m[m]
-                    ur = row_p[m]
-                    nrm = nrm_row[m]
-                    fhat = np.asarray(kernel(ul, ur, nrm, gas))
-                    if subtract_own:
-                        add_one_point(2)
-                        ql = qminus[f][m]
-                        qr = qplus[ep][m]
-                        fl = _phys_flux_n(ul, ql[0], ql[1:-1], ql[-1], nrm)
-                        fr = _phys_flux_n(ur, qr[0], qr[1:-1], qr[-1], nrm)
-                        dm = fhat - np.asarray(fl)
-                        dp = fhat - np.asarray(fr)
-                    else:
-                        dm = fhat
-                        dp = fhat
-                    line_nodes = lines[m]
-                    out[f, line_nodes] += (
-                        lift_m[:, None] * dm[None, :] / jac[f, line_nodes, None]
-                    )
-                    out[ep, line_nodes] -= (
-                        lift_p[:, None] * dp[None, :] / jac[ep, line_nodes, None]
-                    )
-    return out
-
-
-def entropy_projection(u, setup):
-    """Entropy-projected face states for every element: per direction n a
-    pair (side0, side1) of arrays (n_elem, fn, nvar), the conservative
-    states recovered from boundary-interpolated entropy variables, face
-    nodes in line order. Side 0 is the reference -1 face.
-
-    Raises AdmissibilityError naming the element, face node, direction and
-    side of the first face state that leaves the admissible set."""
-    mesh = setup.mesh
-    op = setup.op
-    d = mesh.d
-    p1 = op.n_nodes
-    nvar = u.shape[-1]
-    gas = setup.gas
-    w = entropy_vars(u, gas)
-    w_nd = w.reshape((u.shape[0],) + (p1,) * d + (nvar,))
-    out = []
-    for n in range(d):
-        moved = np.moveaxis(w_nd, n + 1, -2)
+        moved = np.moveaxis(nodal, n + 1, -2)
         sides = []
         for side in (0, 1):
-            wf = np.einsum("...kv,k->...v", moved, op.boundary_interp[side])
-            wf = wf.reshape(u.shape[0], -1, nvar)
+            trace = np.einsum("...kv,k->...v", moved, op.boundary_interp[side])
+            trace = trace.reshape(n_elem, -1, nvar)
             try:
-                sides.append(entropy2cons(wf, gas))
+                if projected:
+                    q = entropy2prim(trace, gas)
+                    sides.append((prim2cons(q, gas), q))
+                else:
+                    sides.append((trace, cons2prim(trace, gas)))
             except AdmissibilityError as err:
-                bad = ~(wf[..., -1] < 0.0)
-                e, m = np.unravel_index(np.argmax(bad), bad.shape)
+                e, m = err.index
                 raise AdmissibilityError(
-                    "entropy projection produced an inadmissible face state at "
-                    "element %d, face node %d (direction %d, side %d): %s"
-                    % (int(e), int(m), n, side, err)
+                    "%s produced an inadmissible face state at element %d, face "
+                    "node %d (direction %d, side %d)" % (made_by, e, m, n, side)
                 ) from err
-        out.append(tuple(sides))
-    return out
+        yield tuple(sides)
 
 
-def _gauss_surface(u, setup, surface_flux, proj, out):
-    """Surface coupling for the gauss schemes: entropy-projected face states,
-    each face flux evaluated once per adjacent element (twice per face),
-    lifted through the dense R. Accumulates M^{-1}-weighted rows; the caller
-    divides by the Jacobian."""
-    mesh = setup.mesh
+def surface_terms(faces, setup, n, surface_flux, subtract_own, out):
+    """Interface coupling in direction n for every scheme, the scalar oracle
+    of batched.mesh_surface and batched.mesh_gauss_surface; `rhs` reaches it
+    only with kernel="reference".
+
+    faces are the direction's states from face_states. Each interior face
+    point gets one numerical flux between the minus element's side-1 state
+    and its plus neighbour's side-0 state, lifted into the two elements with
+    opposite signs through the rows boundary_interp / weights, skipping zero
+    entries (on Lobatto grids that leaves the one boundary node), and
+    divided by J. subtract_own switches to the strong-form coupling
+    f_num - f(own face state). Adds the SURF part of du/dt = -(VOL + SURF)
+    into out.
+    """
     op = setup.op
-    d = mesh.d
-    nvar = u.shape[-1]
     gas = setup.gas
+    nvar = out.shape[-1]
     kernel = flux_function(surface_flux, "directional")
-    w1d = op.weights
-    lift_m = (op.boundary_interp[1] / w1d).tolist()
-    lift_p = (op.boundary_interp[0] / w1d).tolist()
-    p1 = op.n_nodes
-    for n in range(d):
-        lines = setup.lines[n].tolist()
-        nb = setup.plus_neighbor[n]
-        vminus = proj[n][1]
-        vplus = proj[n][0]
-        minus_list = vminus.tolist()
-        plus_list = vplus.tolist()
-        normal_list = setup.metrics.face_ja[n].tolist()
-        n_faces = u.shape[0]
-        fn = len(normal_list[0])
-        for f in range(n_faces):
-            ep = int(nb[f])
-            row_m = minus_list[f]
-            row_p = plus_list[ep]
-            nrm_row = normal_list[f]
-            for m in range(fn):
-                ul = row_m[m]
-                ur = row_p[m]
-                nrm = nrm_row[m]
-                line = lines[m]
-                # once per side, same arguments, so the values agree
-                fhat_m = kernel(ul, ur, nrm, gas)
-                om = out[f]
-                for a in range(p1):
-                    la = lift_m[a]
-                    if la == 0.0:
-                        continue
-                    row = om[line[a]]
+    (u0, q0), (u1, q1) = faces
+    minus, plus = u1.tolist(), u0.tolist()
+    q_minus, q_plus = q1.tolist(), q0.tolist()
+    # nonzero entries of the lift rows, negated for the plus neighbour
+    lift_p, lift_m = (
+        [(a, sign * la) for a, la in enumerate(row) if la != 0.0]
+        for sign, row in zip((-1.0, 1.0), (op.boundary_interp / op.weights).tolist())
+    )
+    lines = setup.lines[n].tolist()
+    jac = setup.metrics.jac.tolist()
+    normals = setup.metrics.face_ja[n].tolist()
+    acc = out.tolist()
+    for f, ep in enumerate(setup.plus_neighbor[n].tolist()):
+        for m, nrm in enumerate(normals[f]):
+            ul = minus[f][m]
+            ur = plus[ep][m]
+            fm = fp = kernel(ul, ur, nrm, gas)
+            if subtract_own:
+                add_one_point(2)
+                ql = q_minus[f][m]
+                qr = q_plus[ep][m]
+                own_m = _phys_flux_n(ul, ql[0], ql[1:-1], ql[-1], nrm)
+                own_p = _phys_flux_n(ur, qr[0], qr[1:-1], qr[-1], nrm)
+                fm = [a - b for a, b in zip(fm, own_m)]
+                fp = [a - b for a, b in zip(fp, own_p)]
+            line = lines[m]
+            for e, lift, flux in ((f, lift_m, fm), (ep, lift_p, fp)):
+                for a, la in lift:
+                    i = line[a]
+                    s = la / jac[e][i]
+                    row = acc[e][i]
                     for v in range(nvar):
-                        row[v] += la * fhat_m[v]
-                fhat_p = kernel(ul, ur, nrm, gas)
-                opn = out[ep]
-                for a in range(p1):
-                    la = lift_p[a]
-                    if la == 0.0:
-                        continue
-                    row = opn[line[a]]
-                    for v in range(nvar):
-                        row[v] -= la * fhat_p[v]
+                        row[v] += s * flux[v]
+    out[...] = acc
+    return out
 
 
 def rhs(u, setup, config, counter=None):
@@ -638,6 +544,8 @@ def rhs(u, setup, config, counter=None):
     u is converted to primitives once; that pass is the admissibility check
     (AdmissibilityError names the first bad element and node), and every
     volume and surface kernel reads its result instead of converting again.
+    The interface states are built once, by face_states, one direction at a
+    time, and read by both the volume and the surface kernels.
     """
     if counter is not None:
         with count_guard(counter):
@@ -647,95 +555,88 @@ def rhs(u, setup, config, counter=None):
     gas = setup.gas
     prim = cons2prim(u, gas)
     scheme = config.volume_scheme
-    n_elem = setup.n_elements
-    if scheme in ("strong", "weak", "overintegration"):
-        if scheme == "strong":
-            out = volume_strong(u, prim, setup.op, setup.metrics)
-        elif scheme == "weak":
-            out = volume_weak(u, prim, setup.op, setup.metrics)
-        else:
-            _op_q, transfer, metrics_q = setup.overint
-            out = volume_overintegration(u, setup.op, transfer, metrics_q, gas)
-        # the weak-form volume term (which overintegration projects back
-        # from the fine grid) already carries the boundary flux of the
-        # element's own state, so only the strong form subtracts it here
-        subtract = scheme == "strong"
-        if config.kernel == "batched":
-            _batched.mesh_surface(
-                u, prim, setup, config.surface_flux, out, subtract_own=subtract
-            )
-        else:
-            surface_terms(u, setup, config.surface_flux, subtract_own=subtract, out=out)
-        return -out
-    if scheme == "fluxdiff":
-        if config.kernel == "batched":
-            out = _batched.mesh_fluxdiff_volume(u, prim, setup, config)
-            _batched.mesh_surface(u, prim, setup, config.surface_flux, out)
-            return -out
+    batched = config.kernel == "batched"
+    # gauss schemes: zero-corner volume arrangement on entropy-projected face
+    # states plus bare interface fluxes; the face consistency (corner) flux
+    # of the full hybridized operator cancels against the strong-form
+    # surface subtraction, so neither is computed
+    projected = scheme.startswith("gauss")
+    if scheme == "strong":
+        out = volume_strong(u, prim, setup.op, setup.metrics)
+    elif scheme == "weak":
+        out = volume_weak(u, prim, setup.op, setup.metrics)
+    elif scheme == "overintegration":
+        _op_q, transfer, metrics_q = setup.overint
+        out = volume_overintegration(u, setup.op, transfer, metrics_q, gas)
+    elif scheme == "fluxdiff" and batched:
+        out = _batched.mesh_fluxdiff_volume(u, prim, setup, config)
+    elif scheme == "fluxdiff":
         out = np.empty_like(u)
-        for e in range(n_elem):
+        for e in range(setup.n_elements):
             terms = element_metrics(setup.metrics, e)
             out[e] = volume_fluxdiff(u[e], setup.dsplit, terms, config.volume_flux, gas)
-        surface_terms(u, setup, config.surface_flux, out=out)
-        return -out
-    # gauss schemes: zero-corner volume arrangement plus bare interface
-    # fluxes; the face consistency (corner) flux of the full hybridized
-    # operator cancels against the strong-form surface subtraction, so
-    # neither is computed
-    proj = entropy_projection(u, setup)
-    if config.kernel == "batched":
-        out = _batched.mesh_gauss_volume(u, prim, setup, config, proj)
-        _batched.mesh_gauss_surface(u, setup, config, proj, out)
-        return -out
-    acc = [[[0.0] * u.shape[-1] for _ in range(setup.n_nodes)] for _ in range(n_elem)]
-    _scalar_gauss_volume(u, setup, scheme, config.volume_flux, proj, acc)
-    _gauss_surface(u, setup, config.surface_flux, proj, acc)
-    out = np.asarray(acc)
-    out /= setup.metrics.jac[:, :, None]
+    else:
+        out = np.zeros_like(u)
+    # the weak-form volume term (which overintegration projects back from
+    # the fine grid) already carries the boundary flux of the element's own
+    # state, so only the strong form subtracts it at the interfaces
+    subtract = scheme == "strong"
+    kind = config.surface_flux
+    for n, faces in enumerate(face_states(u, prim, setup, projected)):
+        if projected and batched:
+            _batched.mesh_gauss_volume(u, prim, faces, setup, n, config, out)
+            _batched.mesh_gauss_surface(faces, setup, n, kind, out)
+        elif projected:
+            _scalar_gauss_volume(u, faces, setup, n, config, out)
+            surface_terms(faces, setup, n, kind, False, out)
+        elif batched:
+            _batched.mesh_surface(faces, setup, n, kind, subtract, out)
+        else:
+            surface_terms(faces, setup, n, kind, subtract, out)
     return -out
 
 
-def _scalar_gauss_volume(u, setup, scheme, vol_flux, proj, acc):
-    """Zero-corner hybridized volume accumulation (not divided by J).
+def _scalar_gauss_volume(u, faces, setup, n, config, out):
+    """Zero-corner hybridized volume term in direction n, divided by J and
+    added into out; faces are the direction's projected states.
 
     The two gauss schemes run the same pair structure but draw the
     volume-volume weights from different constructions (hybridized operator
     entries vs the split derivative matrix); the results agree to roundoff.
     """
-    require_volume_kind(vol_flux)
+    require_volume_kind(config.volume_flux)
     op = setup.op
-    d = setup.d
-    p1 = op.n_nodes
     nvar = u.shape[-1]
-    lines = node_line_lists(p1, d)
+    lines = node_line_lists(op.n_nodes, setup.d)[n]
     pairs, vf_coefs, lift = hybridized_scatter(op.degree, op.family)
-    if scheme == "gauss_surface_correction":
+    if config.volume_scheme == "gauss_surface_correction":
         pairs = skew_pair_table(op.degree, op.family)
-    dirn = flux_function(vol_flux, "directional")
+    dirn = flux_function(config.volume_flux, "directional")
     metrics = setup.metrics
-    eja = metrics.elem_face_ja
+    eja = metrics.elem_face_ja[n]
+    (u0, _q0), (u1, _q1) = faces
+    acc = np.zeros_like(u).tolist()
     for e in range(setup.n_elements):
         states = u[e].tolist()
-        acc_e = acc[e]
-        for n in range(d):
-            jan = metrics.ja[e, :, n, :].tolist()
-            fstates = (proj[n][0][e].tolist(), proj[n][1][e].tolist())
-            fja = (eja[n][e, 0].tolist(), eja[n][e, 1].tolist())
-            for m, line in enumerate(lines[n]):
-                _gauss_line_terms(
-                    states,
-                    line,
-                    (fstates[0][m], fstates[1][m]),
-                    jan,
-                    (fja[0][m], fja[1][m]),
-                    pairs,
-                    vf_coefs,
-                    lift,
-                    dirn,
-                    setup.gas,
-                    nvar,
-                    acc_e,
-                )
+        jan = metrics.ja[e, :, n, :].tolist()
+        fstates = (u0[e].tolist(), u1[e].tolist())
+        fja = (eja[e, 0].tolist(), eja[e, 1].tolist())
+        for m, line in enumerate(lines):
+            _gauss_line_terms(
+                states,
+                line,
+                (fstates[0][m], fstates[1][m]),
+                jan,
+                (fja[0][m], fja[1][m]),
+                pairs,
+                vf_coefs,
+                lift,
+                dirn,
+                setup.gas,
+                nvar,
+                acc[e],
+            )
+    out += np.asarray(acc) / metrics.jac[:, :, None]
 
 
 def entropy_rate(u, dudt, setup):

@@ -6,7 +6,10 @@ class FluxdgError(Exception):
 
 
 class AdmissibilityError(FluxdgError):
-    """A state left the admissible set (rho > 0, p > 0)."""
+    """A state left the admissible set (rho > 0, p > 0). Raised for an array
+    of states, `index` is the position of the first bad one."""
+
+    index = None
 
 
 class DomainError(FluxdgError, ValueError):

@@ -37,17 +37,19 @@ def _dim(u):
 
 
 def _require_admissible(rho, p, what):
-    """Raise unless every rho and p is finite and positive. For a field of
-    shape (n_elements, n_nodes, d+2) the message names the first bad element
-    and node."""
+    """Raise unless every rho and p is finite and positive. The error's
+    `index` is the first bad state's; for a field of shape (n_elements,
+    n_nodes, d+2) the message names its element and node."""
     bad = ~(np.isfinite(rho) & np.isfinite(p) & (rho > 0.0) & (p > 0.0))
     if np.any(bad):
         k = np.unravel_index(np.argmax(bad), bad.shape)
         where = " at element %d, node %d" % k if bad.ndim == 2 else ""
-        raise AdmissibilityError(
+        err = AdmissibilityError(
             "%s: inadmissible state%s: rho=%r, p=%r"
             % (what, where, float(rho[k]), float(p[k]))
         )
+        err.index = k
+        raise err
 
 
 def cons2prim(u, gas):
@@ -104,11 +106,6 @@ def physical_flux(u, direction, gas):
     return directional_flux(u, cons2prim(u, gas), np.eye(_dim(u))[direction])
 
 
-def sound_speed(u, gas):
-    q = cons2prim(u, gas)
-    return np.sqrt(gas.gamma * q[..., -1] / q[..., 0])
-
-
 def max_signal_speed(u, gas):
     """|v| + c per state; the CFL condition uses this."""
     q = cons2prim(u, gas)
@@ -117,10 +114,9 @@ def max_signal_speed(u, gas):
     return np.sqrt(np.sum(v * v, axis=-1)) + c
 
 
-def entropy_vars(u, gas):
-    """Entropy variables w(u) for the entropy U = -rho s / (gamma - 1),
-    s = log p - gamma log rho."""
-    q = cons2prim(u, gas)
+def prim2entropy(q, gas):
+    """Entropy variables w for the entropy U = -rho s / (gamma - 1),
+    s = log p - gamma log rho, from primitives q = cons2prim(u)."""
     d = q.shape[-1] - 2
     rho = q[..., 0]
     v = q[..., 1 : d + 1]
@@ -136,28 +132,37 @@ def entropy_vars(u, gas):
     return w
 
 
-def entropy2cons(w, gas):
-    """Inverse of entropy_vars. Raises if w is not the image of an
-    admissible state (w_last must be negative)."""
+def entropy2prim(w, gas):
+    """Inverse of prim2entropy. Raises if w is not the image of an
+    admissible state (w_last must be negative, which leaves rho or p
+    non-finite otherwise)."""
     w = np.asarray(w, dtype=float)
     d = _dim(w)
     b = -w[..., d + 1]  # rho/p
-    if not np.all(b > 0.0):
-        raise AdmissibilityError(
-            "entropy2cons: last entropy variable must be negative (min -w=%r)"
-            % float(np.min(b))
-        )
-    v = w[..., 1 : d + 1] / b[..., None]
     gm1 = gas.gamma - 1.0
-    s = gas.gamma - gm1 * (w[..., 0] + 0.5 * b * np.sum(v * v, axis=-1))
-    # s = log p - gamma log rho and rho = b p give log p = (s + gamma log b)/(1 - gamma)
-    p = np.exp((s + gas.gamma * np.log(b)) / (1.0 - gas.gamma))
-    rho = b * p
-    u = np.empty_like(w)
-    u[..., 0] = rho
-    u[..., 1 : d + 1] = rho[..., None] * v
-    u[..., d + 1] = p * gas.inv_gamma_minus_one + 0.5 * rho * np.sum(v * v, axis=-1)
-    return u
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = w[..., 1 : d + 1] / b[..., None]
+        s = gas.gamma - gm1 * (w[..., 0] + 0.5 * b * np.sum(v * v, axis=-1))
+        # s = log p - gamma log rho and rho = b p give
+        # log p = (s + gamma log b) / (1 - gamma)
+        p = np.exp((s + gas.gamma * np.log(b)) / (1.0 - gas.gamma))
+        rho = b * p
+    _require_admissible(rho, p, "entropy2prim")
+    q = np.empty_like(w)
+    q[..., 0] = rho
+    q[..., 1 : d + 1] = v
+    q[..., d + 1] = p
+    return q
+
+
+def entropy_vars(u, gas):
+    """Entropy variables w(u) of conserved states."""
+    return prim2entropy(cons2prim(u, gas), gas)
+
+
+def entropy2cons(w, gas):
+    """Inverse of entropy_vars."""
+    return prim2cons(entropy2prim(w, gas), gas)
 
 
 def entropy_and_potential(u, gas):

@@ -166,6 +166,7 @@ def check_batched_kernel():
         ("lgl", None, RhsConfig()),
         ("lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
         ("gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
+        ("gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
     )
     worst = 0.0
     for family, geo_degree, config in cases:

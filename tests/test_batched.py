@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fluxdg import batched, discretization
+from fluxdg import batched, discretization, euler
 from fluxdg import (
     FluxCounter,
     RhsConfig,
@@ -22,6 +22,7 @@ from fluxdg.euler import cons2prim
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
 from fluxdg.means import logmean_optimized, inv_logmean_optimized
+from fluxdg.operators import hybridized_scatter, skew_pair_table
 
 from .conftest import random_field
 from .test_acceptance import _relative_gap
@@ -187,28 +188,67 @@ def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elem
         ("lgl", "weak"),
         ("gauss", "gauss_fluxdiff"),
         ("gauss", "weak"),
+        ("gauss", "strong"),
+        ("gauss", "gauss_surface_correction"),
     ],
 )
 @pytest.mark.parametrize("d", [2, 3])
 def test_rhs_converts_nodal_states_once(gas, monkeypatch, d, family, scheme):
-    """A batched rhs converts the nodal states to primitives exactly once:
-    cons2prim calls on arrays shaped like u, counted in discretization and
-    batched (face traces and projected face states have other shapes)."""
+    """A batched rhs makes exactly one cons2prim pass over the nodal states
+    and converts only the face states that are not nodal values and carry no
+    primitives of their own: the Gauss traces, once per direction and side.
+    Lobatto face states are gathered from the nodal primitives and the
+    projected ones come out of the inverse entropy map."""
     geo = (2 if d == 2 else 1) if family == "gauss" else None
     setup = make_setup(gas, d=d, p=2, amplitude=0.1, geo_degree=geo, family=family)
     u = random_field(setup, gas, seed=13, amp=0.3)
-    nodal = []
-    for module in (discretization, batched):
+    face_shape = (setup.n_elements, 3 ** (d - 1), d + 2)
+    calls = []
+    for module in (discretization, euler, batched):
 
-        def counted(states, gas_, original=module.cons2prim, name=module.__name__):
-            if np.shape(states) == u.shape:
-                nodal.append(name)
+        def counted(states, gas_, original=module.cons2prim):
+            calls.append(np.shape(states))
             return original(states, gas_)
 
         monkeypatch.setattr(module, "cons2prim", counted)
     config = RhsConfig(volume_scheme=scheme, surface_flux="llf", kernel="batched")
     assert np.isfinite(rhs(u, setup, config)).all()
-    assert nodal == ["fluxdg.discretization"]
+    for fn in vars(batched).values():
+        if inspect.isfunction(fn) and fn.__module__ == batched.__name__:
+            assert "cons2prim" not in fn.__code__.co_names, fn.__name__
+    traces = family == "gauss" and not scheme.startswith("gauss")
+    assert calls.count(u.shape) == 1
+    assert calls.count(face_shape) == (2 * d if traces else 0)
+    assert len(calls) == calls.count(u.shape) + calls.count(face_shape)
+
+
+@pytest.mark.parametrize("scheme", ["gauss_fluxdiff", "gauss_surface_correction"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_gauss_entropy_conservative_counts(gas, d, scheme):
+    """Two-point counts of the projected gauss schemes: the volume pairs
+    plus one surface evaluation per face point on the reference kernel; the
+    batched kernel adds one more per face point, because
+    mesh_gauss_surface evaluates each face flux once per adjacent element.
+    That second evaluation is the one the benchmark pins through
+    batched.mesh_gauss_surface.useful_eval_ratio == 0.5."""
+    p = 2
+    geo = 2 if d == 2 else 1
+    setup = make_setup(gas, d=d, p=p, amplitude=0.1, geo_degree=geo, family="gauss")
+    u = random_field(setup, gas, seed=14, amp=0.3)
+    pairs, _vol_face, _lift = hybridized_scatter(p, "gauss")
+    if scheme == "gauss_surface_correction":
+        pairs = skew_pair_table(p, "gauss")
+    # every node line ends in one face point per side, so the mesh has as
+    # many lines as interface points (it is periodic)
+    face_points = d * setup.n_elements * (p + 1) ** (d - 1)
+    volume = face_points * (len(pairs) + 2 * (p + 1))
+    counts = {}
+    for kernel in KERNELS:
+        c = FluxCounter()
+        rhs(u, setup, RhsConfig(volume_scheme=scheme, kernel=kernel), counter=c)
+        counts[kernel] = c.two_point_evals
+    assert counts["reference"] == volume + face_points
+    assert counts["batched"] == counts["reference"] + face_points
 
 
 def test_rhs_reaches_every_lane_function(gas):

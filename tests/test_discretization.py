@@ -20,7 +20,7 @@ from fluxdg import (
 )
 from fluxdg.discretization import (
     _scalar_gauss_volume,
-    entropy_projection,
+    face_states,
     surface_terms,
     volume_fluxdiff,
     volume_overintegration,
@@ -43,6 +43,11 @@ def lgl_setup(gas, d=2, dims=None, amplitude=0.0, p=3, **kw):
 def gauss_setup(gas, d=2, dims=None, amplitude=0.0, geo_degree=None, p=3):
     mesh = build_mesh(dims or (2,) * d, amplitude=amplitude, geo_degree=geo_degree)
     return build_setup(mesh, make_operator(p, "gauss"), gas)
+
+
+def projected_faces(u, setup):
+    """The entropy-projected face states of every direction."""
+    return list(face_states(u, cons2prim(u, setup.gas), setup, True))
 
 
 def constant_field(setup, gas, prim=(1.0, 0.1, -0.2, 0.3, 1.0)):
@@ -181,13 +186,14 @@ def test_gauss_volume_forms_agree_per_element(gas):
     # the volume terms alone, before the shared surface term is added
     setup = gauss_setup(gas, amplitude=0.15, geo_degree=2)
     u = random_field(setup, gas, seed=7, amp=0.3)
-    proj = entropy_projection(u, setup)
+    proj = projected_faces(u, setup)
     forms = []
     for scheme in ("gauss_fluxdiff", "gauss_surface_correction"):
-        acc = [[[0.0] * (setup.d + 2) for _ in range(setup.n_nodes)]
-               for _ in range(setup.n_elements)]
-        _scalar_gauss_volume(u, setup, scheme, "ranocha", proj, acc)
-        forms.append(np.asarray(acc))
+        config = RhsConfig(volume_scheme=scheme, volume_flux="ranocha")
+        vol = np.zeros_like(u)
+        for n, faces in enumerate(proj):
+            _scalar_gauss_volume(u, faces, setup, n, config, vol)
+        forms.append(vol)
     assert np.abs(forms[0]).max() > 1e-3
     assert np.abs(forms[0] - forms[1]).max() < 1e-13
 
@@ -240,8 +246,11 @@ def test_weak_volume_constant_state_lives_on_boundary(gas):
 def test_surface_subtract_own_vanishes_for_constant(gas):
     setup = lgl_setup(gas, dims=(3, 3), amplitude=0.12)
     u = constant_field(setup, gas)
-    bare = surface_terms(u, setup, "ranocha")
-    corrected = surface_terms(u, setup, "ranocha", subtract_own=True)
+    bare = np.zeros_like(u)
+    corrected = np.zeros_like(u)
+    for n, faces in enumerate(face_states(u, cons2prim(u, gas), setup, False)):
+        surface_terms(faces, setup, n, "ranocha", False, bare)
+        surface_terms(faces, setup, n, "ranocha", True, corrected)
     assert np.abs(bare).max() > 1e-3
     assert np.abs(corrected).max() < 1e-13
 
@@ -252,23 +261,24 @@ def test_surface_subtract_own_vanishes_for_constant(gas):
 def test_entropy_projection_identity_on_lobatto(gas):
     setup = lgl_setup(gas)
     u = random_field(setup, gas, seed=12, amp=0.3)
-    proj = entropy_projection(u, setup)
+    proj = projected_faces(u, setup)
     p1 = setup.op.n_nodes
     fn = p1 ** (setup.d - 1)
     # boundary interpolation picks off Lobatto face nodes, so projection
     # reduces to an entropy-variable round trip there
     for n, lines in enumerate(node_lines(p1, setup.d)):
         for side, col in ((0, 0), (1, -1)):
-            face = proj[n][side]
-            assert face.shape == (setup.n_elements, fn, setup.d + 2)
+            face, q = proj[n][side]
+            assert face.shape == q.shape == (setup.n_elements, fn, setup.d + 2)
             assert np.abs(face - u[:, lines[:, col]]).max() < 1e-11
+            assert np.abs(q - cons2prim(face, gas)).max() < 1e-11
 
 
 def test_entropy_projection_preserves_constants(gas):
     setup = gauss_setup(gas)
     u = constant_field(setup, gas)
-    for sides in entropy_projection(u, setup):
-        for face in sides:
+    for sides in projected_faces(u, setup):
+        for face, _q in sides:
             assert np.abs(face - u[0, 0]).max() < 1e-12
 
 
@@ -280,7 +290,7 @@ def test_entropy_projection_reports_bad_face_state(gas):
     u = random_field(setup, gas, seed=0, amp=1.0)
     location = r"face state at element \d+, face node \d+ \(direction \d, side \d\)"
     with pytest.raises(AdmissibilityError, match=location) as info:
-        entropy_projection(u, setup)
+        projected_faces(u, setup)
     # the named face node really is the bad one
     e, m, n, side = (int(x) for x in re.findall(r"\d+", str(info.value))[:4])
     p1 = setup.op.n_nodes
@@ -291,6 +301,34 @@ def test_entropy_projection_reports_bad_face_state(gas):
     for kernel in ("reference", "batched"):
         with pytest.raises(AdmissibilityError, match=location):
             rhs(u, setup, RhsConfig(volume_scheme="gauss_fluxdiff", kernel=kernel))
+
+
+@pytest.mark.parametrize(
+    "pressures, side", [((2.0, 1.0, 0.05), 1), ((0.05, 1.0, 2.0), 0)]
+)
+@pytest.mark.parametrize("scheme", ["strong", "weak"])
+def test_gauss_trace_admissibility_names_owner(gas, scheme, pressures, side):
+    # every node admissible, but one line's pressure extrapolates negative at
+    # one end; both kernels name the element that owns the trace, the face
+    # node and the side, also when the bad face is the plus side of an
+    # interface (side 0), which the lane kernel reads in neighbour order
+    setup = gauss_setup(gas, dims=(3, 3), p=2)
+    q = cons2prim(constant_field(setup, gas), gas)
+    line = setup.lines[0][1]
+    q[4, line, -1] = pressures
+    u = prim2cons(q, gas)
+    assert np.isfinite(cons2prim(u, gas)).all()
+    location = (
+        "interpolation produced an inadmissible face state at element 4, "
+        "face node 1 (direction 0, side %d)" % side
+    )
+    messages = set()
+    for kernel in ("reference", "batched"):
+        config = RhsConfig(volume_scheme=scheme, surface_flux="llf", kernel=kernel)
+        with pytest.raises(AdmissibilityError) as info:
+            rhs(u, setup, config)
+        messages.add(str(info.value))
+    assert messages == {location}
 
 
 @pytest.mark.parametrize("kernel", ["reference", "batched"])
