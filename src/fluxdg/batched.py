@@ -11,10 +11,20 @@ with primitives that `rhs` has already made: the nodal ones, converted once
 per RHS, and for the face kernels one direction's interface states from
 `discretization.face_states`. Nothing here converts states.
 
+Lanes come from the tensor layout, not from index lists: a nodal array
+(n_elem, (p+1)^d, m) is an (n_elem, p+1, ..., p+1, m) tensor, and per
+direction each kernel makes one contiguous transposed copy (m, p+1, lanes)
+of it, whose row [k, a] is component k at line position a of every lane.
+Results go back with one add through the transposed view of the output;
+the face lifts write into its first and last line positions. The lane order
+is the line order of `operators.node_lines`, which the scalar path uses.
+
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
 operation, so differences come only from the libm/numpy log and sqrt ulps
-and from fused scatter order.
+and from the grouping of sums: each direction's contributions are summed in
+a lane accumulator before they are added into the output, where the scalar
+kernels keep one running sum per node.
 
 Evaluation counters are bumped by the number of lanes per call, so
 counting lane work as logical per-pair evaluations matches the scalar
@@ -224,15 +234,59 @@ def flux_lanes_cartesian(kind, ql, qr, j, gas, n_real):
 # ---------------------------------------------------------------------------
 # mesh-level lane assembly (elements folded into the lane axis)
 
-def _mesh_lanes(prim, u, nodes, need_cons):
-    rho = prim[:, nodes, 0].reshape(-1)
-    d = prim.shape[-1] - 2
-    v = tuple(prim[:, nodes, 1 + i].reshape(-1) for i in range(d))
-    p = prim[:, nodes, d + 1].reshape(-1)
-    uu = None
-    if need_cons:
-        uu = tuple(u[:, nodes, k].reshape(-1) for k in range(d + 2))
-    return Lanes(rho, v, p, uu)
+def _line_major(arr, setup, n):
+    """View of a nodal array (n_elem, (p+1)^d, m) as (m, p+1, n_elem, ...):
+    entry [k, a] is component k at position a of every node line in
+    direction n, the lines of each element in setup.lines[n] order."""
+    p1 = setup.op.n_nodes
+    d = setup.d
+    tensor = arr.reshape(arr.shape[:1] + (p1,) * d + arr.shape[-1:])
+    rest = tuple(i for i in range(1, d + 1) if i != n + 1)
+    return tensor.transpose((d + 1, n + 1, 0) + rest)
+
+
+def _line_rows(arr, setup, n):
+    """Contiguous (m, p+1, lanes) copy of _line_major: row [k, a] is one
+    lane array, a lane being one node line (element, line). Every lane is
+    read by p pairs, so it is copied even in direction d-1, where a strided
+    view would do."""
+    rows = np.ascontiguousarray(_line_major(arr, setup, n))
+    return rows.reshape(rows.shape[:2] + (-1,))
+
+
+def _row_lanes(q, cons):
+    """Lanes from (d+2, lanes) primitive rows and, optionally, conserved
+    rows."""
+    return Lanes(q[0], tuple(q[1:-1]), q[-1], None if cons is None else tuple(cons))
+
+
+def _line_lanes(u, prim, setup, n, need_cons):
+    """One Lanes per line position over every node line in direction n."""
+    q = _line_rows(prim, setup, n)
+    cons = _line_rows(u, setup, n) if need_cons else None
+    return [
+        _row_lanes(q[:, a], None if cons is None else cons[:, a])
+        for a in range(q.shape[1])
+    ]
+
+
+def _face_rows(arr, order=None):
+    """(n_elem, face nodes, m) face arrays as (m, lanes) rows, one lane per
+    face point, elements taken in `order` (default: as stored, then the rows
+    are strided views: each face lane is read only once or twice, so a
+    contiguous copy costs more than it saves)."""
+    rows = arr.transpose(2, 0, 1)
+    if order is not None:
+        rows = np.take(rows, order, axis=1)
+    return rows.reshape(arr.shape[-1], -1)
+
+
+def _face_lanes(states, q, need_cons, order=None):
+    """Lanes over face points from (n_elem, face nodes, d+2) conserved states
+    and their primitives."""
+    return _row_lanes(
+        _face_rows(q, order), _face_rows(states, order) if need_cons else None
+    )
 
 
 def mesh_fluxdiff_volume(u, prim, setup, config):
@@ -240,11 +294,9 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     into the lane axis; prim = cons2prim(u). Returns the Jacobian-scaled VOL
     array."""
     gas = setup.gas
-    op = setup.op
     d = setup.d
-    p1 = op.n_nodes
+    p1 = setup.op.n_nodes
     nvar = d + 2
-    n_elem = u.shape[0]
     vol_flux = config.volume_flux
     pairs = pair_table(setup.dsplit.matrix)
     need_cons = vol_flux == "central"
@@ -253,57 +305,30 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     )
     out = np.zeros_like(u)
     for n in range(d):
-        idx = setup.lines[n]
-        n_lines = idx.shape[0]
-        n_lanes = n_elem * n_lines
-        lanes = [_mesh_lanes(prim, u, idx[:, a], need_cons) for a in range(p1)]
-        ja_lanes = None
+        lanes = _line_lanes(u, prim, setup, n, need_cons)
+        n_lanes = lanes[0].rho.size
         if areas is None:
-            ja_lanes = [
-                tuple(
-                    setup.metrics.ja[:, idx[:, a], n, j].reshape(-1) for j in range(d)
-                )
-                for a in range(p1)
-            ]
-        acc = np.zeros((p1, n_lanes, nvar))
+            ja = _line_rows(setup.metrics.ja[:, :, n, :], setup, n)
+        acc = np.zeros((nvar, p1, n_lanes))
         for a, b, cab, cba in pairs:
             if areas is not None:
                 f = flux_lanes_cartesian(vol_flux, lanes[a], lanes[b], n, gas, n_lanes)
                 wa = cab * areas[n]
                 wb = cba * areas[n]
             else:
-                alpha = tuple(0.5 * (x + y) for x, y in zip(ja_lanes[a], ja_lanes[b]))
+                alpha = tuple(0.5 * (x + y) for x, y in zip(ja[:, a], ja[:, b]))
                 f = flux_lanes_directional(
                     vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes
                 )
                 wa = cab
                 wb = cba
-            ra = acc[a]
-            rb = acc[b]
             for k in range(nvar):
-                ra[:, k] += wa * f[k]
-                rb[:, k] += wb * f[k]
-        real = acc.reshape(p1, n_elem, n_lines, nvar)
-        out[:, idx.reshape(-1), :] += np.moveaxis(real, 0, 2).reshape(
-            n_elem, -1, nvar
-        )
+                acc[k, a] += wa * f[k]
+                acc[k, b] += wb * f[k]
+        view = _line_major(out, setup, n)
+        view += acc.reshape(view.shape)
     out /= setup.metrics.jac[:, :, None]
     return out
-
-
-def _face_lanes(states, q, need_cons):
-    """Lanes over face points from (n_elem, face nodes, d+2) conserved states
-    and their primitives."""
-    d = q.shape[-1] - 2
-    uu = None
-    if need_cons:
-        uu = tuple(states[..., k].reshape(-1) for k in range(d + 2))
-    return Lanes(
-        q[..., 0].reshape(-1),
-        tuple(q[..., 1 + i].reshape(-1) for i in range(d)),
-        q[..., d + 1].reshape(-1),
-        uu,
-    )
 
 
 def _interface_lanes(faces, setup, n, need_cons):
@@ -311,48 +336,44 @@ def _interface_lanes(faces, setup, n, need_cons):
     side-1 states, its plus neighbour's side-0 states and the shared
     normals, one lane per face point."""
     (u0, q0), (u1, q1) = faces
-    nb = setup.plus_neighbor[n]
-    normals = setup.metrics.face_ja[n]
-    alpha = tuple(normals[..., j].reshape(-1) for j in range(setup.d))
     ql = _face_lanes(u1, q1, need_cons)
-    return ql, _face_lanes(u0[nb], q0[nb], need_cons), alpha
+    qr = _face_lanes(u0, q0, need_cons, setup.plus_neighbor[n])
+    return ql, qr, tuple(_face_rows(setup.metrics.face_ja[n]))
 
 
 def _side_fluxes(f, ql, qr, normal, subtract_own, n_real):
-    """What the minus and plus sides lift, as (lanes, d+2) arrays: the
+    """What the minus and plus sides lift, as (d+2, lanes) arrays: the
     interface flux itself, or for the strong form f - f(own face state)."""
-    farr = np.stack(f, axis=-1)
+    farr = np.stack(f)
     if not subtract_own:
         return farr, farr
     add_one_point(2 * n_real)
-    fm = farr - np.stack(_phys_lanes(ql, normal), axis=-1)
-    fp = farr - np.stack(_phys_lanes(qr, normal), axis=-1)
+    fm = farr - np.stack(_phys_lanes(ql, normal))
+    fp = farr - np.stack(_phys_lanes(qr, normal))
     return fm, fp
 
 
 def _lift(out, setup, n, fm, fp):
-    """Lift per-face-point fluxes (n_elem, face nodes, d+2) in direction n:
-    added into the minus element, subtracted from its plus neighbour,
-    divided by the Jacobian. Lobatto grids touch only the boundary nodes;
-    Gauss grids go through the dense boundary-interpolation rows."""
+    """Lift per-face-point fluxes (d+2, lanes) in direction n: added into
+    the minus element, subtracted from its plus neighbour, divided by the
+    Jacobian. Lobatto grids touch only the boundary nodes; Gauss grids go
+    through the dense boundary-interpolation rows."""
     op = setup.op
-    jac = setup.metrics.jac
     w1d = op.weights
-    idx = setup.lines[n]
-    rows = setup.plus_neighbor[n][:, None]
+    nb = setup.plus_neighbor[n]
+    view = _line_major(out, setup, n)
+    jac = _line_major(setup.metrics.jac[..., None], setup, n)[0]
+    fm = fm.reshape(view[:, 0].shape)
+    fp = fp.reshape(view[:, 0].shape)
     if op.family == "lgl":
-        minus_nodes = idx[:, -1]
-        out[:, minus_nodes, :] += fm / (w1d[-1] * jac[:, minus_nodes, None])
-        cols = idx[:, 0][None, :]
-        out[rows, cols, :] -= fp / (w1d[0] * jac[rows, cols, None])
+        view[:, -1] += fm / (w1d[-1] * jac[-1])
+        view[:, 0, nb] -= fp / (w1d[0] * jac[0, nb])
         return
     lift_m = op.boundary_interp[1] / w1d
     lift_p = op.boundary_interp[0] / w1d
     for a in range(op.n_nodes):
-        nodes = idx[:, a]
-        out[:, nodes, :] += (lift_m[a] * fm) / jac[:, nodes, None]
-        cols = nodes[None, :]
-        out[rows, cols, :] -= (lift_p[a] * fp) / jac[rows, cols, None]
+        view[:, a] += (lift_m[a] * fm) / jac[a]
+        view[:, a, nb] -= (lift_p[a] * fp) / jac[a, nb]
 
 
 def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
@@ -362,13 +383,12 @@ def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
     discretization.face_states: the elements' own traces of u. subtract_own
     selects the strong-form coupling f_num - f(own face state). Lane
     counterpart of discretization.surface_terms."""
-    n_elem, fn, nvar = faces[0][0].shape
-    n_lanes = n_elem * fn
     need_cons = subtract_own or surface_flux in ("central", "llf", "hll")
     ql, qr, alpha = _interface_lanes(faces, setup, n, need_cons)
+    n_lanes = ql.rho.size
     f = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
     fm, fp = _side_fluxes(f, ql, qr, alpha, subtract_own, n_lanes)
-    _lift(out, setup, n, fm.reshape(n_elem, fn, nvar), fp.reshape(n_elem, fn, nvar))
+    _lift(out, setup, n, fm, fp)
     return out
 
 
@@ -379,58 +399,47 @@ def mesh_gauss_volume(u, prim, faces, setup, n, config, out):
     require_volume_kind(config.volume_flux)
     gas = setup.gas
     op = setup.op
-    d = setup.d
     p1 = op.n_nodes
-    nvar = d + 2
-    n_elem = u.shape[0]
+    nvar = setup.d + 2
     vol_flux = config.volume_flux
     pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
     if config.volume_scheme == "gauss_surface_correction":
         pairs = skew_pair_table(op.degree, op.family)
     need_cons = vol_flux == "central"
-    idx = setup.lines[n]
-    n_lines = idx.shape[0]
-    n_lanes = n_elem * n_lines
-    lanes = [_mesh_lanes(prim, u, idx[:, a], need_cons) for a in range(p1)]
-    ja_lanes = [
-        tuple(setup.metrics.ja[:, idx[:, a], n, j].reshape(-1) for j in range(d))
-        for a in range(p1)
-    ]
+    lanes = _line_lanes(u, prim, setup, n, need_cons)
+    n_lanes = lanes[0].rho.size
+    ja = _line_rows(setup.metrics.ja[:, :, n, :], setup, n)
     face_lanes = [_face_lanes(uf, qf, need_cons) for uf, qf in faces]
     eja = setup.metrics.elem_face_ja[n]
-    face_ja = [tuple(eja[:, s, :, j].reshape(-1) for j in range(d)) for s in (0, 1)]
-    acc = np.zeros((p1, n_lanes, nvar))
+    face_ja = [tuple(_face_rows(eja[:, s])) for s in (0, 1)]
+    acc = np.zeros((nvar, p1, n_lanes))
     for a, b, cab, cba in pairs:
-        alpha = tuple(0.5 * (x + y) for x, y in zip(ja_lanes[a], ja_lanes[b]))
+        alpha = tuple(0.5 * (x + y) for x, y in zip(ja[:, a], ja[:, b]))
         f = flux_lanes_directional(vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes)
-        ra = acc[a]
-        rb = acc[b]
         for k in range(nvar):
-            ra[:, k] += cab * f[k]
-            rb[:, k] += cba * f[k]
+            acc[k, a] += cab * f[k]
+            acc[k, b] += cba * f[k]
     for s in (0, 1):
         cvol, cface = vol_face[s]
-        rface = np.zeros((n_lanes, nvar))
+        rface = np.zeros((nvar, n_lanes))
         for a in range(p1):
-            alpha = tuple(0.5 * (x + y) for x, y in zip(ja_lanes[a], face_ja[s]))
+            alpha = tuple(0.5 * (x + y) for x, y in zip(ja[:, a], face_ja[s]))
             f = flux_lanes_directional(
                 vol_flux, lanes[a], face_lanes[s], alpha, gas, n_lanes
             )
-            ra = acc[a]
             ca = cvol[a]
             cf = cface[a]
             for k in range(nvar):
-                ra[:, k] += ca * f[k]
-                rface[:, k] += cf * f[k]
+                acc[k, a] += ca * f[k]
+                rface[k] += cf * f[k]
         lrow = lift[s]
         for a in range(p1):
             if lrow[a] == 0.0:
                 continue
-            acc[a] += lrow[a] * rface
-    for a in range(p1):
-        acc[a] /= setup.metrics.jac[:, idx[:, a]].reshape(-1, 1)
-    real = acc.reshape(p1, n_elem, n_lines, nvar)
-    out[:, idx.reshape(-1), :] += np.moveaxis(real, 0, 2).reshape(n_elem, -1, nvar)
+            acc[:, a] += lrow[a] * rface
+    acc /= _line_rows(setup.metrics.jac[..., None], setup, n)[0]
+    view = _line_major(out, setup, n)
+    view += acc.reshape(view.shape)
     return out
 
 
@@ -442,17 +451,10 @@ def mesh_gauss_surface(faces, setup, n, surface_flux, out):
     identical arguments; the scalar discretization.surface_terms evaluates
     it once. The benchmark's count test pins the second evaluation
     (batched.mesh_gauss_surface.useful_eval_ratio == 0.5)."""
-    n_elem, fn, nvar = faces[0][0].shape
-    n_lanes = n_elem * fn
     need_cons = surface_flux in ("central", "llf", "hll")
     ql, qr, alpha = _interface_lanes(faces, setup, n, need_cons)
+    n_lanes = ql.rho.size
     f_m = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
     f_p = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
-    _lift(
-        out,
-        setup,
-        n,
-        np.stack(f_m, axis=-1).reshape(n_elem, fn, nvar),
-        np.stack(f_p, axis=-1).reshape(n_elem, fn, nvar),
-    )
+    _lift(out, setup, n, np.stack(f_m), np.stack(f_p))
     return out

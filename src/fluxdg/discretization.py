@@ -427,13 +427,16 @@ def face_states(u, prim, setup, projected):
     n = 0 .. d-1, ((u0, q0), (u1, q1)), the conserved states and their
     primitives on the element's reference -1 face (side 0) and +1 face
     (side 1), each (n_elem, face nodes, d+2) with face nodes in line order.
-    prim = cons2prim(u). The sources:
+    prim = cons2prim(u). Every source reads the nodal arrays as
+    (n_elem, p+1, ..., p+1, d+2) tensors, along the tensor axis of
+    direction n, with no node index lists:
 
     * projected (the gauss schemes): the entropy projection, the entropy
       variables of prim interpolated to the face and mapped back, with
       primitives from the inverse entropy map and conserved states from
       prim2cons;
-    * otherwise on Lobatto grids the boundary nodes of u and prim;
+    * otherwise on Lobatto grids the first and last slices of u and prim
+      along that axis (the boundary nodes);
     * otherwise on Gauss grids the interpolated traces of u, converted here
       because they are not nodal values.
 
@@ -446,16 +449,23 @@ def face_states(u, prim, setup, projected):
     gas = setup.gas
     d = setup.d
     n_elem, _, nvar = u.shape
+    shape = (n_elem,) + (op.n_nodes,) * d + (nvar,)
     if projected:
         source, made_by = prim2entropy(prim, gas), "entropy projection"
     elif op.family == "gauss":
         source, made_by = u, "interpolation"
     else:
+        u_nd, q_nd = u.reshape(shape), prim.reshape(shape)
         for n in range(d):
-            lines = setup.lines[n]
-            yield tuple((u[:, lines[:, c]], prim[:, lines[:, c]]) for c in (0, -1))
+            yield tuple(
+                tuple(
+                    np.take(arr, c, axis=n + 1).reshape(n_elem, -1, nvar)
+                    for arr in (u_nd, q_nd)
+                )
+                for c in (0, -1)
+            )
         return
-    nodal = source.reshape((n_elem,) + (op.n_nodes,) * d + (nvar,))
+    nodal = source.reshape(shape)
     for n in range(d):
         moved = np.moveaxis(nodal, n + 1, -2)
         sides = []

@@ -100,12 +100,6 @@ def directional_flux(u, q, normal):
     return f
 
 
-def physical_flux(u, direction, gas):
-    """Euler flux f^j(u) along coordinate axis `direction` (0-based)."""
-    u = np.asarray(u, dtype=float)
-    return directional_flux(u, cons2prim(u, gas), np.eye(_dim(u))[direction])
-
-
 def max_signal_speed(u, gas):
     """|v| + c per state; the CFL condition uses this."""
     q = cons2prim(u, gas)

@@ -333,17 +333,3 @@ def element_metrics(metrics, element):
     """Per-element view of assembled metric data."""
     return MetricTerms(metrics.ja[element], metrics.jac[element])
 
-
-def metric_identity_residual(metrics, op, d):
-    """max |sum_n D_n (Ja)^n_j| over nodes/components; roundoff-level for
-    the discrete forms used here."""
-    n_elem = metrics.ja.shape[0]
-    p1 = op.n_nodes
-    ja_nd = metrics.ja.reshape((n_elem,) + (p1,) * d + (d, d))
-    worst = 0.0
-    for j in range(d):
-        acc = np.zeros((n_elem,) + (p1,) * d)
-        for n in range(d):
-            acc += apply_along(op.D, ja_nd[..., n, j], n + 1)
-        worst = max(worst, float(np.max(np.abs(acc))))
-    return worst

@@ -19,19 +19,6 @@ from .errors import DomainError
 SERIES_EPSILON = 1.0e-4
 
 
-def arithmetic_mean(a_minus, a_plus):
-    return 0.5 * (a_minus + a_plus)
-
-
-def product_mean(a_minus, a_plus, b_minus, b_plus):
-    """Mean of a product, {{a b}} = (a+ b- + a- b+)/2.
-
-    Equals 2 {a}{b} - {ab}; keeping it in this form costs one multiplication
-    less and is the form used inside the energy fluxes.
-    """
-    return 0.5 * (a_plus * b_minus + a_minus * b_plus)
-
-
 def _check_positive(a_minus, a_plus):
     if a_minus <= 0.0 or a_plus <= 0.0:
         raise DomainError(

@@ -1,11 +1,17 @@
-"""Extended-precision reference values for the numerically delicate pieces.
+"""Reference values and helpers that only the tests use.
 
-Everything here goes through mpmath at 50 significant digits, far past
-anything double arithmetic can reach, so the production code is compared
-against an independent route rather than against itself.
+The extended-precision routes go through mpmath at 50 significant digits,
+far past anything double arithmetic can reach, so the production code is
+compared against an independent route rather than against itself. The
+plain helpers at the end (the axis flux, the algebraic means, the metric
+identity residual) have no caller in the library.
 """
 
 import mpmath
+import numpy as np
+
+from fluxdg.euler import cons2prim, directional_flux
+from fluxdg.geometry import apply_along
 
 mpmath.mp.dps = 50
 
@@ -30,8 +36,6 @@ def inv_logmean_mp(a, b):
 def jump_grid(center=1.0, tiny=1e-16, huge=1e2, per_decade=4):
     """Pairs (a, b) = (center, center*(1+delta)) with relative jumps delta
     covering tiny..huge on a log grid, both signs, plus the equal pair."""
-    import numpy as np
-
     n_decades = int(round(np.log10(huge / tiny)))
     deltas = np.logspace(np.log10(tiny), np.log10(huge), n_decades * per_decade + 1)
     pairs = [(center, center)]
@@ -63,3 +67,37 @@ def entropy_vars_mp(u, gamma):
     w.extend(rho_p * c for c in v)
     w.append(-rho_p)
     return w
+
+
+def physical_flux(u, direction, gas):
+    """Euler flux f^j(u) along coordinate axis `direction` (0-based)."""
+    u = np.asarray(u, dtype=float)
+    return directional_flux(u, cons2prim(u, gas), np.eye(u.shape[-1] - 2)[direction])
+
+
+def arithmetic_mean(a_minus, a_plus):
+    return 0.5 * (a_minus + a_plus)
+
+
+def product_mean(a_minus, a_plus, b_minus, b_plus):
+    """Mean of a product, {{a b}} = (a+ b- + a- b+)/2.
+
+    Equals 2 {a}{b} - {ab}; keeping it in this form costs one multiplication
+    less and is the form used inside the energy fluxes.
+    """
+    return 0.5 * (a_plus * b_minus + a_minus * b_plus)
+
+
+def metric_identity_residual(metrics, op, d):
+    """max |sum_n D_n (Ja)^n_j| over nodes/components; roundoff-level for
+    the discrete forms the library uses."""
+    n_elem = metrics.ja.shape[0]
+    p1 = op.n_nodes
+    ja_nd = metrics.ja.reshape((n_elem,) + (p1,) * d + (d, d))
+    worst = 0.0
+    for j in range(d):
+        acc = np.zeros((n_elem,) + (p1,) * d)
+        for n in range(d):
+            acc += apply_along(op.D, ja_nd[..., n, j], n + 1)
+        worst = max(worst, float(np.max(np.abs(acc))))
+    return worst

@@ -132,6 +132,70 @@ def test_mesh_rhs_cartesian_matches_reference_kernel(gas):
         assert np.abs(got - want).max() < 1e-13, surface
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3])
+def test_tensor_lanes_follow_node_lines(gas, d, p):
+    """The lane kernels take node lines as tensor axes, the scalar path as
+    index arrays (setup.lines): both must see the same lanes in the same
+    order. Row [k, a] of a direction's transposed copy is component k at
+    line position a of every (element, line) lane; the Lobatto face states
+    are the lines' first and last nodes in line order."""
+    dims = (2, 3) if d == 2 else (2, 1, 3)
+    setup = make_setup(gas, d=d, p=p, dims=dims)
+    rng = np.random.default_rng(p)
+    arr = rng.random((setup.n_elements, setup.n_nodes, d + 2))
+    faces = discretization.face_states(arr, 2.0 * arr, setup, False)
+    for n, ((u0, q0), (u1, q1)) in enumerate(faces):
+        lines = setup.lines[n]
+        rows = batched._line_rows(arr, setup, n)
+        assert rows.shape == (d + 2, p + 1, setup.n_elements * lines.shape[0])
+        assert rows.flags.c_contiguous
+        for a in range(p + 1):
+            want = np.moveaxis(arr[:, lines[:, a]], -1, 0).reshape(d + 2, -1)
+            assert np.array_equal(rows[:, a], want), (n, a)
+        assert np.array_equal(u0, arr[:, lines[:, 0]])
+        assert np.array_equal(u1, arr[:, lines[:, -1]])
+        assert np.array_equal(q1, 2.0 * arr[:, lines[:, -1]])
+
+
+@pytest.mark.parametrize("vol_flux", ["central", "ranocha"])
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("dims", [(1, 1), (1, 3), (1, 1, 1), (3, 1, 2)])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("family,scheme", [("lgl", "fluxdiff"), ("gauss", "gauss_fluxdiff")])
+def test_two_point_schemes_match_reference_on_edge_meshes(
+    gas, family, scheme, p, dims, curved, vol_flux
+):
+    """Batched against reference rhs for the two-point schemes where the
+    node and face bookkeeping is most fragile: p = 1, one element along a
+    direction (the element is its own plus neighbour, so the minus and plus
+    lifts land in the same element), non-cubic meshes, flat and curved
+    metrics, and the conserved-lane path of the central volume flux."""
+    d = len(dims)
+    geo = (2 if d == 2 else 1) if family == "gauss" and curved else None
+    mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
+    setup = build_setup(mesh, make_operator(p, family), gas)
+    for n in range(d):
+        if dims[n] == 1:
+            assert np.array_equal(setup.plus_neighbor[n], np.arange(setup.n_elements))
+    u = random_field(setup, gas, seed=15, amp=0.3)
+    results = {}
+    for kernel in KERNELS:
+        config = RhsConfig(
+            volume_scheme=scheme, volume_flux=vol_flux, surface_flux="llf", kernel=kernel
+        )
+        c = FluxCounter()
+        dudt = rhs(u, setup, config, counter=c)
+        results[kernel] = dudt, (c.two_point_evals, c.logmean_evals)
+    (ref, ref_counts), (bat, bat_counts) = results["reference"], results["batched"]
+    assert _relative_gap(ref, bat) < 1e-13
+    # mesh_gauss_surface evaluates each face flux twice (see
+    # test_gauss_entropy_conservative_counts)
+    face_points = d * setup.n_elements * (p + 1) ** (d - 1)
+    extra = face_points if family == "gauss" else 0
+    assert bat_counts == (ref_counts[0] + extra, ref_counts[1])
+
+
 def test_batched_counts_match_scalar_counts(gas):
     setup = make_setup(gas, d=3, amplitude=0.1)
     u = random_field(setup, gas, seed=10, amp=0.3)

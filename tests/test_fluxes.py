@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fluxdg.errors import ConfigurationError
-from fluxdg.euler import entropy_vars, physical_flux, prim2cons
+from fluxdg.euler import entropy_vars, prim2cons
 from fluxdg.fluxes import (
     FluxCounter,
     count_guard,
@@ -21,6 +21,7 @@ from fluxdg.fluxes import (
 )
 
 from .conftest import random_primitives
+from .oracles import physical_flux
 
 PAIR_KINDS = ("shima", "ranocha", "central", "llf", "hll")
 

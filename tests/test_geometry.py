@@ -10,10 +10,11 @@ from fluxdg.geometry import (
     compute_metrics,
     element_coords,
     element_metrics,
-    metric_identity_residual,
     neighbor_table,
 )
 from fluxdg.operators import gauss_operator, lgl_operator
+
+from .oracles import metric_identity_residual
 
 
 def test_mesh_validation():

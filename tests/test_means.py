@@ -7,14 +7,18 @@ from fluxdg.batched import logmean_batched
 from fluxdg.errors import DomainError
 from fluxdg.means import (
     SERIES_EPSILON,
-    arithmetic_mean,
     inv_logmean_optimized,
     logmean_optimized,
     logmean_reference,
-    product_mean,
 )
 
-from .oracles import inv_logmean_mp, jump_grid, logmean_mp
+from .oracles import (
+    arithmetic_mean,
+    inv_logmean_mp,
+    jump_grid,
+    logmean_mp,
+    product_mean,
+)
 
 
 def logmean_lanes(a, b):
