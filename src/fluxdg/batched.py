@@ -13,18 +13,25 @@ per RHS, and for the face kernels one direction's interface states from
 
 Lanes come from the tensor layout, not from index lists: a nodal array
 (n_elem, (p+1)^d, m) is an (n_elem, p+1, ..., p+1, m) tensor, and per
-direction each kernel makes one contiguous transposed copy (m, p+1, lanes)
-of it, whose row [k, a] is component k at line position a of every lane.
-Results go back with one add through the transposed view of the output;
-the face lifts write into its first and last line positions. The lane order
-is the line order of `operators.node_lines`, which the scalar path uses.
+direction each kernel copies it, transposed, into a contiguous line buffer
+(m, p+1, lanes), whose row [k, a] is component k at line position a of
+every lane. Every direction has the same number of lanes, so
+mesh_fluxdiff_volume allocates its line buffers (primitive rows, conserved
+rows for the central flux, halved metric rows on curved meshes, and the
+accumulator) once per call and refills them in every direction;
+mesh_gauss_volume runs one direction per call and fills its own. Results
+go back with one add through the transposed view of the output; the face
+lifts write into its first and last line positions. The lane order is the
+line order of `operators.node_lines`, which the scalar path uses.
 
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
-operation, so differences come only from the libm/numpy log and sqrt ulps
-and from the grouping of sums: each direction's contributions are summed in
-a lane accumulator before they are added into the output, where the scalar
-kernels keep one running sum per node.
+operation (a pair normal 0.5 x + 0.5 y from halved metric rows is the
+scalar 0.5 (x + y) for normal floats), so differences come only from the
+libm/numpy log and sqrt ulps and from the grouping of sums: each
+direction's contributions are summed in a lane accumulator before they are
+added into the output, where the scalar kernels keep one running sum per
+node.
 
 Evaluation counters are bumped by the number of lanes per call, so
 counting lane work as logical per-pair evaluations matches the scalar
@@ -55,20 +62,29 @@ _AXIS = {
 
 def logmean_batched(a, b):
     """Per-lane logarithmic mean, both branches evaluated and blended by the
-    series mask (no data-dependent scalar branching)."""
-    u = (a * (a - 2.0 * b) + b * b) / (a * (a + 2.0 * b) + b * b)
-    series = (a + b) / (2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0))))
+    series mask (no data-dependent scalar branching); the sum, the jump and
+    z = ((b-a)/(a+b))^2 are formed once, as in means.logmean_optimized."""
+    s = a + b
+    jump = b - a
+    ratio = jump / s
+    z = ratio * ratio
+    series = s / (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (b - a) / np.log(b / a)
-    return np.where(u < SERIES_EPSILON, series, direct)
+        direct = jump / np.log(b / a)
+    return np.where(z < SERIES_EPSILON, series, direct)
 
 
 def inv_logmean_batched(a, b):
-    u = (a * (a - 2.0 * b) + b * b) / (a * (a + 2.0 * b) + b * b)
-    series = (2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0)))) / (a + b)
+    """Per-lane reciprocal log mean, the lane twin of
+    means.inv_logmean_optimized."""
+    s = a + b
+    jump = b - a
+    ratio = jump / s
+    z = ratio * ratio
+    series = (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0)))) / s
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.log(b / a) / (b - a)
-    return np.where(u < SERIES_EPSILON, series, direct)
+        direct = np.log(b / a) / jump
+    return np.where(z < SERIES_EPSILON, series, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +261,36 @@ def _line_major(arr, setup, n):
     return tensor.transpose((d + 1, n + 1, 0) + rest)
 
 
-def _line_rows(arr, setup, n):
-    """Contiguous (m, p+1, lanes) copy of _line_major: row [k, a] is one
-    lane array, a lane being one node line (element, line). Every lane is
-    read by p pairs, so it is copied even in direction d-1, where a strided
-    view would do."""
-    rows = np.ascontiguousarray(_line_major(arr, setup, n))
-    return rows.reshape(rows.shape[:2] + (-1,))
+def _line_buffer(setup, m):
+    """Uninitialized (m, p+1, lanes) line rows for _line_rows. Every
+    direction has n_elem (p+1)^(d-1) node lines, so one buffer serves each
+    direction in turn."""
+    p1 = setup.op.n_nodes
+    return np.empty((m, p1, setup.n_elements * p1 ** (setup.d - 1)))
+
+
+def _as_line_major(rows, setup):
+    """(m, p+1, lanes) line rows viewed in the shape of _line_major."""
+    p1 = setup.op.n_nodes
+    return rows.reshape(rows.shape[:2] + (setup.n_elements,) + (p1,) * (setup.d - 1))
+
+
+def _line_rows(arr, setup, n, rows):
+    """Fill `rows`, a _line_buffer, with _line_major(arr) and return it: row
+    [k, a] is one lane array, a lane being one node line (element, line).
+    Every lane is read by p pairs, so it is copied even in direction d-1,
+    where a strided view would do."""
+    np.copyto(_as_line_major(rows, setup), _line_major(arr, setup, n))
+    return rows
+
+
+def _half_metric_rows(setup, n, rows):
+    """Fill `rows`, a (d, p+1, lanes) _line_buffer, with half the direction-n
+    metric terms Ja^n and return it: a pair's normal 0.5 (Ja_a + Ja_b) is
+    then rows[:, a] + rows[:, b], the same floats for normal numbers."""
+    view = _line_major(setup.metrics.ja[:, :, n, :], setup, n)
+    np.multiply(view, 0.5, out=_as_line_major(rows, setup))
+    return rows
 
 
 def _row_lanes(q, cons):
@@ -260,10 +299,10 @@ def _row_lanes(q, cons):
     return Lanes(q[0], tuple(q[1:-1]), q[-1], None if cons is None else tuple(cons))
 
 
-def _line_lanes(u, prim, setup, n, need_cons):
-    """One Lanes per line position over every node line in direction n."""
-    q = _line_rows(prim, setup, n)
-    cons = _line_rows(u, setup, n) if need_cons else None
+def _line_lanes(q, cons):
+    """One Lanes per line position from (d+2, p+1, lanes) primitive line
+    rows and, optionally, conserved line rows. The lanes are views, so they
+    follow every refill of the rows."""
     return [
         _row_lanes(q[:, a], None if cons is None else cons[:, a])
         for a in range(q.shape[1])
@@ -295,28 +334,33 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     array."""
     gas = setup.gas
     d = setup.d
-    p1 = setup.op.n_nodes
     nvar = d + 2
     vol_flux = config.volume_flux
     pairs = pair_table(setup.dsplit.matrix)
-    need_cons = vol_flux == "central"
     areas = (
         np.diag(setup.metrics.ja[0, 0]).tolist() if setup.metrics.cartesian else None
     )
+    q = _line_buffer(setup, nvar)
+    cons = _line_buffer(setup, nvar) if vol_flux == "central" else None
+    half_ja = _line_buffer(setup, d) if areas is None else None
+    acc = _line_buffer(setup, nvar)
+    lanes = _line_lanes(q, cons)
+    n_lanes = q.shape[-1]
     out = np.zeros_like(u)
     for n in range(d):
-        lanes = _line_lanes(u, prim, setup, n, need_cons)
-        n_lanes = lanes[0].rho.size
-        if areas is None:
-            ja = _line_rows(setup.metrics.ja[:, :, n, :], setup, n)
-        acc = np.zeros((nvar, p1, n_lanes))
+        _line_rows(prim, setup, n, q)
+        if cons is not None:
+            _line_rows(u, setup, n, cons)
+        if half_ja is not None:
+            _half_metric_rows(setup, n, half_ja)
+        acc.fill(0.0)
         for a, b, cab, cba in pairs:
             if areas is not None:
                 f = flux_lanes_cartesian(vol_flux, lanes[a], lanes[b], n, gas, n_lanes)
                 wa = cab * areas[n]
                 wb = cba * areas[n]
             else:
-                alpha = tuple(0.5 * (x + y) for x, y in zip(ja[:, a], ja[:, b]))
+                alpha = tuple(x + y for x, y in zip(half_ja[:, a], half_ja[:, b]))
                 f = flux_lanes_directional(
                     vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes
                 )
@@ -326,7 +370,7 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
                 acc[k, a] += wa * f[k]
                 acc[k, b] += wb * f[k]
         view = _line_major(out, setup, n)
-        view += acc.reshape(view.shape)
+        view += _as_line_major(acc, setup)
     out /= setup.metrics.jac[:, :, None]
     return out
 
@@ -406,15 +450,17 @@ def mesh_gauss_volume(u, prim, faces, setup, n, config, out):
     if config.volume_scheme == "gauss_surface_correction":
         pairs = skew_pair_table(op.degree, op.family)
     need_cons = vol_flux == "central"
-    lanes = _line_lanes(u, prim, setup, n, need_cons)
-    n_lanes = lanes[0].rho.size
-    ja = _line_rows(setup.metrics.ja[:, :, n, :], setup, n)
+    q = _line_rows(prim, setup, n, _line_buffer(setup, nvar))
+    cons = _line_rows(u, setup, n, _line_buffer(setup, nvar)) if need_cons else None
+    lanes = _line_lanes(q, cons)
+    n_lanes = q.shape[-1]
+    half_ja = _half_metric_rows(setup, n, _line_buffer(setup, setup.d))
     face_lanes = [_face_lanes(uf, qf, need_cons) for uf, qf in faces]
     eja = setup.metrics.elem_face_ja[n]
-    face_ja = [tuple(_face_rows(eja[:, s])) for s in (0, 1)]
+    half_face_ja = [0.5 * _face_rows(eja[:, s]) for s in (0, 1)]
     acc = np.zeros((nvar, p1, n_lanes))
     for a, b, cab, cba in pairs:
-        alpha = tuple(0.5 * (x + y) for x, y in zip(ja[:, a], ja[:, b]))
+        alpha = tuple(x + y for x, y in zip(half_ja[:, a], half_ja[:, b]))
         f = flux_lanes_directional(vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes)
         for k in range(nvar):
             acc[k, a] += cab * f[k]
@@ -423,7 +469,7 @@ def mesh_gauss_volume(u, prim, faces, setup, n, config, out):
         cvol, cface = vol_face[s]
         rface = np.zeros((nvar, n_lanes))
         for a in range(p1):
-            alpha = tuple(0.5 * (x + y) for x, y in zip(ja[:, a], face_ja[s]))
+            alpha = tuple(x + y for x, y in zip(half_ja[:, a], half_face_ja[s]))
             f = flux_lanes_directional(
                 vol_flux, lanes[a], face_lanes[s], alpha, gas, n_lanes
             )
@@ -437,9 +483,9 @@ def mesh_gauss_volume(u, prim, faces, setup, n, config, out):
             if lrow[a] == 0.0:
                 continue
             acc[:, a] += lrow[a] * rface
-    acc /= _line_rows(setup.metrics.jac[..., None], setup, n)[0]
+    acc /= _line_rows(setup.metrics.jac[..., None], setup, n, _line_buffer(setup, 1))[0]
     view = _line_major(out, setup, n)
-    view += acc.reshape(view.shape)
+    view += _as_line_major(acc, setup)
     return out
 
 

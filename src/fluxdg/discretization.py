@@ -603,7 +603,8 @@ def rhs(u, setup, config, counter=None):
             _batched.mesh_surface(faces, setup, n, kind, subtract, out)
         else:
             surface_terms(faces, setup, n, kind, subtract, out)
-    return -out
+    # every branch above made `out` afresh, so it can be negated in place
+    return np.negative(out, out=out)
 
 
 def _scalar_gauss_volume(u, faces, setup, n, config, out):

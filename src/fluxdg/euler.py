@@ -52,19 +52,29 @@ def _require_admissible(rho, p, what):
         raise err
 
 
+def _sum_squares(v):
+    """sum_i v_i^2 over the trailing axis, added one component at a time in
+    index order: the same floats as np.sum(v * v, axis=-1), without a
+    reduction over an axis of length d."""
+    acc = v[..., 0] * v[..., 0]
+    for i in range(1, v.shape[-1]):
+        acc += v[..., i] * v[..., i]
+    return acc
+
+
 def cons2prim(u, gas):
-    """Conserved -> primitive (rho, v_1..v_d, p)."""
+    """Conserved -> primitive (rho, v_1..v_d, p). v and p are written
+    straight into the result."""
     u = np.asarray(u, dtype=float)
     d = _dim(u)
-    rho = u[..., 0]
-    v = u[..., 1 : d + 1] / rho[..., None]
-    kinetic = 0.5 * rho * np.sum(v * v, axis=-1)
-    p = (gas.gamma - 1.0) * (u[..., d + 1] - kinetic)
-    _require_admissible(rho, p, "cons2prim")
     q = np.empty_like(u)
+    rho = u[..., 0]
     q[..., 0] = rho
-    q[..., 1 : d + 1] = v
-    q[..., d + 1] = p
+    v = np.divide(u[..., 1 : d + 1], rho[..., None], out=q[..., 1 : d + 1])
+    kinetic = 0.5 * rho * _sum_squares(v)
+    p = np.subtract(u[..., d + 1], kinetic, out=q[..., d + 1])
+    p *= gas.gamma - 1.0
+    _require_admissible(rho, p, "cons2prim")
     return q
 
 
@@ -79,7 +89,7 @@ def prim2cons(q, gas):
     u = np.empty_like(q)
     u[..., 0] = rho
     u[..., 1 : d + 1] = rho[..., None] * v
-    u[..., d + 1] = p * gas.inv_gamma_minus_one + 0.5 * rho * np.sum(v * v, axis=-1)
+    u[..., d + 1] = p * gas.inv_gamma_minus_one + 0.5 * rho * _sum_squares(v)
     return u
 
 
@@ -105,7 +115,7 @@ def max_signal_speed(u, gas):
     q = cons2prim(u, gas)
     v = q[..., 1:-1]
     c = np.sqrt(gas.gamma * q[..., -1] / q[..., 0])
-    return np.sqrt(np.sum(v * v, axis=-1)) + c
+    return np.sqrt(_sum_squares(v)) + c
 
 
 def prim2entropy(q, gas):
@@ -118,9 +128,8 @@ def prim2entropy(q, gas):
     s = np.log(p) - gas.gamma * np.log(rho)
     rho_p = rho / p
     w = np.empty_like(q)
-    w[..., 0] = (gas.gamma - s) * gas.inv_gamma_minus_one - 0.5 * rho_p * np.sum(
-        v * v, axis=-1
-    )
+    kinetic = 0.5 * rho_p * _sum_squares(v)
+    w[..., 0] = (gas.gamma - s) * gas.inv_gamma_minus_one - kinetic
     w[..., 1 : d + 1] = rho_p[..., None] * v
     w[..., d + 1] = -rho_p
     return w
@@ -136,7 +145,7 @@ def entropy2prim(w, gas):
     gm1 = gas.gamma - 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = w[..., 1 : d + 1] / b[..., None]
-        s = gas.gamma - gm1 * (w[..., 0] + 0.5 * b * np.sum(v * v, axis=-1))
+        s = gas.gamma - gm1 * (w[..., 0] + 0.5 * b * _sum_squares(v))
         # s = log p - gamma log rho and rho = b p give
         # log p = (s + gamma log b) / (1 - gamma)
         p = np.exp((s + gas.gamma * np.log(b)) / (1.0 - gas.gamma))

@@ -5,16 +5,17 @@ the numerically delicate one: the naive quotient (logmean_reference, the
 oracle) cancels catastrophically for nearly equal arguments, so
 logmean_optimized and inv_logmean_optimized, which the scalar flux kernels
 call, switch to a truncated series once the squared normalized jump
-u = ((a+ - a-)/(a+ + a-))^2 falls below SERIES_EPSILON. The lane versions
-(batched.logmean_batched, inv_logmean_batched) evaluate the same
-expressions on arrays.
+z = ((a+ - a-)/(a+ + a-))^2 falls below SERIES_EPSILON. The jump
+a+ - a- and the sum a+ + a- are formed once and shared by z and by both
+branches. The lane versions (batched.logmean_batched, inv_logmean_batched)
+evaluate the same expressions, operation for operation, on arrays.
 """
 
 import math
 
 from .errors import DomainError
 
-# Branch threshold for 64-bit floats: series truncation error ~ u^4 stays
+# Branch threshold for 64-bit floats: series truncation error ~ z^4 stays
 # below roundoff while the log quotient is still well conditioned above it.
 SERIES_EPSILON = 1.0e-4
 
@@ -41,33 +42,32 @@ def logmean_reference(a_minus, a_plus):
 def logmean_optimized(a_minus, a_plus):
     """Division-minimal log mean.
 
-    u is computed directly from the arguments (one division total in the
-    series branch), and the log branch needs a single log and division.
+    The sum s = a- + a+ and the jump j = a+ - a- are formed once:
+    z = (j/s)^2 selects the branch, the series branch is
+    s/(2 + z(2/3 + z(2/5 + z 2/7))) and the log branch j/log(a+/a-).
     """
     _check_positive(a_minus, a_plus)
-    u = (a_minus * (a_minus - 2.0 * a_plus) + a_plus * a_plus) / (
-        a_minus * (a_minus + 2.0 * a_plus) + a_plus * a_plus
-    )
-    if u < SERIES_EPSILON:
-        return (a_minus + a_plus) / (
-            2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0)))
-        )
-    return (a_plus - a_minus) / math.log(a_plus / a_minus)
+    total = a_minus + a_plus
+    jump = a_plus - a_minus
+    ratio = jump / total
+    z = ratio * ratio
+    if z < SERIES_EPSILON:
+        return total / (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0))))
+    return jump / math.log(a_plus / a_minus)
 
 
 def inv_logmean_optimized(a_minus, a_plus):
     """Reciprocal 1/logmean(a-, a+) without dividing by the mean.
 
     The energy flux needs the reciprocal of a log mean; computing it directly
-    turns the series branch into (2 + u(...))/(a- + a+) and the log branch
-    into log(a+/a-)/(a+ - a-).
+    turns the series branch into (2 + z(...))/s and the log branch into
+    log(a+/a-)/j, with s, j and z = (j/s)^2 as in logmean_optimized.
     """
     _check_positive(a_minus, a_plus)
-    u = (a_minus * (a_minus - 2.0 * a_plus) + a_plus * a_plus) / (
-        a_minus * (a_minus + 2.0 * a_plus) + a_plus * a_plus
-    )
-    if u < SERIES_EPSILON:
-        return (2.0 + u * (2.0 / 3.0 + u * (2.0 / 5.0 + u * (2.0 / 7.0)))) / (
-            a_minus + a_plus
-        )
-    return math.log(a_plus / a_minus) / (a_plus - a_minus)
+    total = a_minus + a_plus
+    jump = a_plus - a_minus
+    ratio = jump / total
+    z = ratio * ratio
+    if z < SERIES_EPSILON:
+        return (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0)))) / total
+    return math.log(a_plus / a_minus) / jump

@@ -147,15 +147,22 @@ def stable_dt(u, mesh, metrics, gas, p, controller):
 
 
 def rk_step(u, t, dt, rhs_fn, method=RK54):
-    """One low-storage step; exactly one RHS evaluation per stage."""
+    """One low-storage step; exactly one RHS evaluation per stage.
+
+    du and v are updated in place through one scratch array, with the same
+    products and sums as du <- a_i du + dt k and v <- v + b_i du. Neither u
+    nor the array rhs_fn returns is written to, so rhs_fn may return a
+    cached array."""
     if not dt > 0.0:
         raise ConfigurationError("dt: must be positive, got %r" % (dt,))
-    du = np.zeros_like(u)
-    v = np.array(u, copy=True)
+    v = np.array(u, dtype=float, copy=True)
+    du = np.zeros_like(v)
+    scratch = np.empty_like(v)
     for i in range(method.n_stages):
         k = rhs_fn(v, t + method.c[i] * dt)
-        du = method.a[i] * du + dt * k
-        v = v + method.b[i] * du
+        du *= method.a[i]
+        du += np.multiply(k, dt, out=scratch)
+        v += np.multiply(du, method.b[i], out=scratch)
         if not np.all(np.isfinite(v)):
             raise DivergenceError(
                 "non-finite state after stage %d (t=%.6g, dt=%.3e)" % (i, t, dt)

@@ -163,14 +163,15 @@ def check_gauss_forms():
 def check_batched_kernel():
     gas = GasParams(1.4)
     cases = (
-        ("lgl", None, RhsConfig()),
-        ("lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
-        ("gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
-        ("gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
+        ((3, 3), "lgl", None, RhsConfig()),
+        ((3, 3), "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
+        ((3, 3), "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
+        ((3, 3), "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
+        ((2, 2, 2), "lgl", None, RhsConfig(volume_flux="ranocha")),
     )
     worst = 0.0
-    for family, geo_degree, config in cases:
-        mesh = build_mesh((3, 3), amplitude=0.1, geo_degree=geo_degree)
+    for dims, family, geo_degree, config in cases:
+        mesh = build_mesh(dims, amplitude=0.1, geo_degree=geo_degree)
         setup = build_setup(mesh, make_operator(3, family), gas)
         u = _random_state(setup, gas, seed=6, amp=0.4)
         a = rhs(u, setup, config)

@@ -109,18 +109,22 @@ def test_mesh_rhs_matches_reference_kernel(gas, family, scheme, d):
     )
     u = random_field(setup, gas, seed=8, amp=0.3)
     base = RhsConfig(volume_scheme=scheme, volume_flux="ranocha", surface_flux="ranocha")
+    u_before = u.copy()
     want = rhs(u, setup, base)
-    got = rhs(
-        u,
-        setup,
-        RhsConfig(
-            volume_scheme=scheme,
-            volume_flux="ranocha",
-            surface_flux="ranocha",
-            kernel="batched",
-        ),
+    batched_config = RhsConfig(
+        volume_scheme=scheme,
+        volume_flux="ranocha",
+        surface_flux="ranocha",
+        kernel="batched",
     )
+    got = rhs(u, setup, batched_config)
     assert np.abs(got - want).max() < 1e-13
+    # rhs works in buffers of its own: a second call returns a new array
+    # with the same values and leaves u alone
+    again = rhs(u, setup, batched_config)
+    assert not np.shares_memory(again, got)
+    assert np.array_equal(again, got)
+    assert np.array_equal(u, u_before)
 
 
 def test_mesh_rhs_cartesian_matches_reference_kernel(gas):
@@ -145,9 +149,17 @@ def test_tensor_lanes_follow_node_lines(gas, d, p):
     rng = np.random.default_rng(p)
     arr = rng.random((setup.n_elements, setup.n_nodes, d + 2))
     faces = discretization.face_states(arr, 2.0 * arr, setup, False)
+    # one buffer refilled direction after direction, as mesh_fluxdiff_volume
+    # does: after each refill it must hold exactly what a fresh buffer gets,
+    # so no row of the previous direction goes stale
+    shared = batched._line_buffer(setup, d + 2)
+    shared.fill(np.nan)
     for n, ((u0, q0), (u1, q1)) in enumerate(faces):
         lines = setup.lines[n]
-        rows = batched._line_rows(arr, setup, n)
+        rows = batched._line_rows(arr, setup, n, shared)
+        fresh = batched._line_rows(arr, setup, n, batched._line_buffer(setup, d + 2))
+        assert rows is shared
+        assert np.array_equal(rows, fresh), n
         assert rows.shape == (d + 2, p + 1, setup.n_elements * lines.shape[0])
         assert rows.flags.c_contiguous
         for a in range(p + 1):

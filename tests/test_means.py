@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fluxdg.batched import logmean_batched
+from fluxdg.batched import inv_logmean_batched, logmean_batched
 from fluxdg.errors import DomainError
 from fluxdg.means import (
     SERIES_EPSILON,
@@ -26,9 +26,15 @@ def logmean_lanes(a, b):
     return float(logmean_batched(np.array([a]), np.array([b]))[0])
 
 
+def inv_logmean_lanes(a, b):
+    """The lane inverse log mean evaluated on a single lane."""
+    return float(inv_logmean_batched(np.array([a]), np.array([b]))[0])
+
+
 # the scalar version the flux kernels call and the lane version of the
 # batched kernels
 ALL_LOGMEANS = (logmean_optimized, logmean_lanes)
+ALL_INV_LOGMEANS = (inv_logmean_optimized, inv_logmean_lanes)
 
 
 def test_simple_means():
@@ -72,10 +78,11 @@ def test_logmean_accuracy_against_oracle(fn):
             assert abs(got - want) <= 1e-14 * want, (center, a, b, got, want)
 
 
-def test_inv_logmean_accuracy_against_oracle():
+@pytest.mark.parametrize("fn", ALL_INV_LOGMEANS)
+def test_inv_logmean_accuracy_against_oracle(fn):
     for center in (1e-6, 1.0, 3.7, 1e6):
         for a, b in jump_grid(center=center):
-            got = inv_logmean_optimized(a, b)
+            got = fn(a, b)
             want = inv_logmean_mp(a, b)
             assert abs(got - want) <= 1e-14 * want, (center, a, b, got, want)
 
@@ -125,7 +132,7 @@ def _branch_boundary_pairs(n=64):
     return out
 
 
-@pytest.mark.parametrize("fn", ALL_LOGMEANS + (inv_logmean_optimized,))
+@pytest.mark.parametrize("fn", ALL_LOGMEANS + ALL_INV_LOGMEANS)
 def test_branch_continuity(fn):
     pairs = _branch_boundary_pairs()
     vals = np.asarray([fn(a, b) for a, b in pairs])

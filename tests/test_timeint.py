@@ -48,6 +48,26 @@ def test_zero_rhs_is_identity():
     assert np.array_equal(out, u)
 
 
+def test_rk_step_leaves_inputs_and_cached_rhs_untouched():
+    # rk_step updates du and v in place: it must write neither into u nor
+    # into an array that rhs_fn hands back at every stage
+    rng = np.random.default_rng(3)
+    u = rng.random((3, 4))
+    cached = rng.random((3, 4))
+    u_before = u.copy()
+    cached_before = cached.copy()
+    dt = 0.3
+    got = rk_step(u, 0.0, dt, lambda v, t: cached)
+    assert np.array_equal(cached, cached_before)
+    assert np.array_equal(u, u_before)
+    du = np.zeros_like(u)
+    v = u.copy()
+    for i in range(RK54.n_stages):
+        du = RK54.a[i] * du + dt * cached
+        v = v + RK54.b[i] * du
+    assert np.array_equal(got, v)
+
+
 def test_rk_step_rejects_bad_dt():
     u = np.ones(2)
     f = lambda v, t: -v
