@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
 """Cost of the flux kernels, from two angles.
 
-First a microbenchmark of single two-point flux calls in their different
-evaluation forms: per-axis Cartesian, directional against a metric vector,
-and the rotated frame with the frame either precomputed or rebuilt per
-call. Then the integrated view: wall time per right-hand side per degree
-of freedom for the scalar reference kernels against the lane-batched ones.
+First the lane kernels that rhs(kernel="batched") runs: nanoseconds per
+two-point flux evaluation in one call over 20000 lanes, per-axis Cartesian
+against directional (contracted with a per-lane metric vector). Every lane
+is checked against the scalar kernel before it is timed. Then the
+integrated view: wall time per right-hand side per degree of freedom for
+the scalar reference kernels against the lane-batched ones.
 
 Absolute numbers are machine-specific; the orderings are the point.
 """
 
-from fluxdg.harness import make_config, measure_pid, microbench_flux
+from fluxdg.fluxes import SURFACE_KINDS
+from fluxdg.harness import MICROBENCH_FORMS, make_config, measure_pid, microbench_flux
 
-print("single flux call, d = 3 (nanoseconds)")
-print("  kind      cartesian  directional  rotated_pre  rotated_otf")
-for kind in ("shima", "ranocha"):
+print("lane flux evaluation, d = 3 (nanoseconds per lane)")
+print("  kind    " + "".join(f"{form:>13s}" for form in MICROBENCH_FORMS))
+for kind in SURFACE_KINDS:
     cells = []
-    for form in ("cartesian", "directional", "rotated_pre", "rotated_otf"):
-        ns, _, _ = microbench_flux(kind, form, 3, n_samples=8000, repeats=3)
-        cells.append(f"{ns:9.0f}")
-    print(f"  {kind:8s}  {cells[0]}  {cells[1]:>11s}  {cells[2]:>11s}  {cells[3]:>11s}")
+    for form in MICROBENCH_FORMS:
+        ns, _, _ = microbench_flux(kind, form, 3, n_samples=20000, repeats=5)
+        cells.append(f"{ns:13.1f}")
+    print(f"  {kind:8s}" + "".join(cells))
 
 print("\ntime per RHS per DOF, vortex, d = 3, p = 3 (seconds)")
 base = {"d": "3", "elements": "2", "n_steps": "1"}

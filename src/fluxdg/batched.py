@@ -49,7 +49,7 @@ from .errors import ConfigurationError
 from .euler import cons2prim  # noqa: F401
 from .fluxes import add_logmean, add_one_point, add_two_point, require_volume_kind
 from .means import SERIES_EPSILON
-from .operators import hybridized_scatter, pair_table, skew_pair_table
+from .operators import hybridized_scatter, pair_table
 
 _AXIS = {
     2: ((1.0, 0.0), (0.0, 1.0)),
@@ -447,8 +447,6 @@ def mesh_gauss_volume(u, prim, faces, setup, n, config, out):
     nvar = setup.d + 2
     vol_flux = config.volume_flux
     pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
-    if config.volume_scheme == "gauss_surface_correction":
-        pairs = skew_pair_table(op.degree, op.family)
     need_cons = vol_flux == "central"
     q = _line_rows(prim, setup, n, _line_buffer(setup, nvar))
     cons = _line_rows(u, setup, n, _line_buffer(setup, nvar)) if need_cons else None
@@ -490,12 +488,12 @@ def mesh_gauss_volume(u, prim, faces, setup, n, config, out):
 
 
 def mesh_gauss_surface(faces, setup, n, surface_flux, out):
-    """Interface terms in direction n for the entropy-projected gauss
-    schemes: projected states from discretization.face_states, shared
-    normals, lifted through the dense boundary-interpolation rows. Each
-    face flux is evaluated once per adjacent element, twice per face, with
-    identical arguments; the scalar discretization.surface_terms evaluates
-    it once. The benchmark's count test pins the second evaluation
+    """Interface terms in direction n of gauss_fluxdiff: entropy-projected
+    states from discretization.face_states, shared normals, lifted through
+    the dense boundary-interpolation rows. Each face flux is evaluated once
+    per adjacent element, twice per face, with identical arguments; the
+    scalar discretization.surface_terms evaluates it once. The benchmark's
+    count test pins the second evaluation
     (batched.mesh_gauss_surface.useful_eval_ratio == 0.5)."""
     need_cons = surface_flux in ("central", "llf", "hll")
     ql, qr, alpha = _interface_lanes(faces, setup, n, need_cons)

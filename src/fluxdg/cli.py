@@ -163,7 +163,7 @@ def build_parser():
     p_pid.add_argument("--repeats", type=int, default=5)
     p_pid.set_defaults(func=cmd_pid)
 
-    p_mb = sub.add_parser("microbench", help="two-point flux kernel timings")
+    p_mb = sub.add_parser("microbench", help="lane flux kernel timings (ns/lane)")
     p_mb.add_argument("--kinds", default="shima,ranocha")
     p_mb.add_argument("--forms", default="all")
     p_mb.add_argument("--d", type=int, default=3, choices=(2, 3))

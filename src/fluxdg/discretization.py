@@ -14,7 +14,7 @@ Layout conventions used throughout:
   divergence.
 
 The two-point functions (volume_fluxdiff for one lgl element,
-_scalar_gauss_volume for the gauss schemes, and surface_terms, the one
+_scalar_gauss_volume for gauss_fluxdiff, and surface_terms, the one
 scalar surface loop of every scheme) are the scalar reference
 implementations: plain float arithmetic through the scalar flux kernels,
 fixed accumulation order, bitwise reproducible. The one-point volume
@@ -71,7 +71,6 @@ from .operators import (
     node_line_lists,
     node_lines,
     pair_table,
-    skew_pair_table,
     transfer_matrices,
 )
 
@@ -81,7 +80,6 @@ VOLUME_SCHEMES = (
     "fluxdiff",
     "overintegration",
     "gauss_fluxdiff",
-    "gauss_surface_correction",
 )
 KERNELS = ("reference", "batched")
 
@@ -112,10 +110,10 @@ class RhsConfig:
                 "surface_flux: unknown kind %r (choose from %s)"
                 % (self.surface_flux, ", ".join(SURFACE_KINDS))
             )
-        if self.volume_scheme in ("fluxdiff", "gauss_fluxdiff", "gauss_surface_correction"):
+        if self.volume_scheme in ("fluxdiff", "gauss_fluxdiff"):
             require_volume_kind(self.volume_flux)
         family = setup.op.family
-        if self.volume_scheme.startswith("gauss") and family != "gauss":
+        if self.volume_scheme == "gauss_fluxdiff" and family != "gauss":
             raise ConfigurationError(
                 "volume_scheme: %r requires gauss operators, got family %r"
                 % (self.volume_scheme, family)
@@ -123,7 +121,7 @@ class RhsConfig:
         if self.volume_scheme == "fluxdiff" and family != "lgl":
             raise ConfigurationError(
                 "volume_scheme: 'fluxdiff' requires the lgl family (diagonal "
-                "boundary operator); use the gauss schemes on gauss nodes"
+                "boundary operator); use gauss_fluxdiff on gauss nodes"
             )
         if self.volume_scheme == "overintegration":
             if not setup.mesh.is_cartesian:
@@ -431,7 +429,7 @@ def face_states(u, prim, setup, projected):
     (n_elem, p+1, ..., p+1, d+2) tensors, along the tensor axis of
     direction n, with no node index lists:
 
-    * projected (the gauss schemes): the entropy projection, the entropy
+    * projected (gauss_fluxdiff): the entropy projection, the entropy
       variables of prim interpolated to the face and mapped back, with
       primitives from the inverse entropy map and conserved states from
       prim2cons;
@@ -566,11 +564,11 @@ def rhs(u, setup, config, counter=None):
     prim = cons2prim(u, gas)
     scheme = config.volume_scheme
     batched = config.kernel == "batched"
-    # gauss schemes: zero-corner volume arrangement on entropy-projected face
-    # states plus bare interface fluxes; the face consistency (corner) flux
-    # of the full hybridized operator cancels against the strong-form
+    # gauss_fluxdiff: zero-corner volume arrangement on entropy-projected
+    # face states plus bare interface fluxes; the face consistency (corner)
+    # flux of the full hybridized operator cancels against the strong-form
     # surface subtraction, so neither is computed
-    projected = scheme.startswith("gauss")
+    projected = scheme == "gauss_fluxdiff"
     if scheme == "strong":
         out = volume_strong(u, prim, setup.op, setup.metrics)
     elif scheme == "weak":
@@ -608,20 +606,17 @@ def rhs(u, setup, config, counter=None):
 
 
 def _scalar_gauss_volume(u, faces, setup, n, config, out):
-    """Zero-corner hybridized volume term in direction n, divided by J and
-    added into out; faces are the direction's projected states.
-
-    The two gauss schemes run the same pair structure but draw the
-    volume-volume weights from different constructions (hybridized operator
-    entries vs the split derivative matrix); the results agree to roundoff.
+    """Zero-corner hybridized volume term of gauss_fluxdiff in direction n,
+    divided by J and added into out; faces are the direction's projected
+    states. The pair weights come from operators.hybridized_scatter, the
+    entries of build_hybridized(op).q_matrix; the tests check the result
+    against the dense hybridized operator applied to every ordered pair.
     """
     require_volume_kind(config.volume_flux)
     op = setup.op
     nvar = u.shape[-1]
     lines = node_line_lists(op.n_nodes, setup.d)[n]
     pairs, vf_coefs, lift = hybridized_scatter(op.degree, op.family)
-    if config.volume_scheme == "gauss_surface_correction":
-        pairs = skew_pair_table(op.degree, op.family)
     dirn = flux_function(config.volume_flux, "directional")
     metrics = setup.metrics
     eja = metrics.elem_face_ja[n]

@@ -8,12 +8,12 @@ the lane-parallel array versions.
 
 Flux forms:
 
-* cartesian   - flux along a coordinate axis j (0-based)
+* cartesian   - flux along a coordinate axis j (0-based), for the volume
+                kinds only: the Cartesian branch of the volume kernel and
+                the oracle of batched.flux_lanes_cartesian
 * directional - flux contracted with an arbitrary (scaled) direction vector;
                 linear in the direction, antisymmetric under
                 (u_l, u_r, n) -> (u_r, u_l, -n)
-* rotated     - rotate states into a face-aligned frame, evaluate the
-                cartesian flux, rotate back, scale by |n|
 
 Volume fluxes (shima, ranocha, central) are symmetric in their arguments;
 llf and hll are surface-only.
@@ -362,101 +362,6 @@ def flux_hll_directional(u_l, u_r, normal, gas):
     return tuple(norm * c for c in f)
 
 
-def flux_llf_cartesian(u_l, u_r, j, gas):
-    axes = _AXIS2 if len(u_l) == 4 else _AXIS3
-    return flux_llf_directional(u_l, u_r, axes[j], gas)
-
-
-def flux_hll_cartesian(u_l, u_r, j, gas):
-    axes = _AXIS2 if len(u_l) == 4 else _AXIS3
-    return flux_hll_directional(u_l, u_r, axes[j], gas)
-
-
-# ---------------------------------------------------------------------------
-# rotated evaluation
-
-def rotation_frame(normal):
-    """(|n|, unit normal, tangent vectors) for a nonzero direction.
-
-    2D tangent is the counterclockwise rotation; in 3D the first tangent
-    crosses the unit vector of the smallest-magnitude normal component with
-    the normal, which keeps the frame well conditioned.
-    """
-    norm, unit = _split_normal(normal)
-    if len(normal) == 2:
-        return norm, unit, ((-unit[1], unit[0]),)
-    ax = min(range(3), key=lambda i: abs(unit[i]))
-    e = _AXIS3[ax]
-    t1 = (
-        e[1] * unit[2] - e[2] * unit[1],
-        e[2] * unit[0] - e[0] * unit[2],
-        e[0] * unit[1] - e[1] * unit[0],
-    )
-    tn = math.sqrt(t1[0] * t1[0] + t1[1] * t1[1] + t1[2] * t1[2])
-    t1 = (t1[0] / tn, t1[1] / tn, t1[2] / tn)
-    t2 = (
-        unit[1] * t1[2] - unit[2] * t1[1],
-        unit[2] * t1[0] - unit[0] * t1[2],
-        unit[0] * t1[1] - unit[1] * t1[0],
-    )
-    return norm, unit, (t1, t2)
-
-
-def rotated_flux(kind, u_l, u_r, normal, gas, frame=None):
-    """Directional flux via rotation to a face-aligned frame.
-
-    frame=None recomputes the orthonormal frame per call (on-the-fly mode);
-    passing a precomputed rotation_frame(normal) skips that work.
-    """
-    if frame is None:
-        frame = rotation_frame(normal)
-    norm, unit, tangents = frame
-    cart = _CARTESIAN[kind]
-    if len(u_l) == 4:
-        rot_l = (
-            u_l[0],
-            u_l[1] * unit[0] + u_l[2] * unit[1],
-            u_l[1] * tangents[0][0] + u_l[2] * tangents[0][1],
-            u_l[3],
-        )
-        rot_r = (
-            u_r[0],
-            u_r[1] * unit[0] + u_r[2] * unit[1],
-            u_r[1] * tangents[0][0] + u_r[2] * tangents[0][1],
-            u_r[3],
-        )
-        f = cart(rot_l, rot_r, 0, gas)
-        return (
-            norm * f[0],
-            norm * (f[1] * unit[0] + f[2] * tangents[0][0]),
-            norm * (f[1] * unit[1] + f[2] * tangents[0][1]),
-            norm * f[3],
-        )
-    t1, t2 = tangents
-    rot_l = (
-        u_l[0],
-        u_l[1] * unit[0] + u_l[2] * unit[1] + u_l[3] * unit[2],
-        u_l[1] * t1[0] + u_l[2] * t1[1] + u_l[3] * t1[2],
-        u_l[1] * t2[0] + u_l[2] * t2[1] + u_l[3] * t2[2],
-        u_l[4],
-    )
-    rot_r = (
-        u_r[0],
-        u_r[1] * unit[0] + u_r[2] * unit[1] + u_r[3] * unit[2],
-        u_r[1] * t1[0] + u_r[2] * t1[1] + u_r[3] * t1[2],
-        u_r[1] * t2[0] + u_r[2] * t2[1] + u_r[3] * t2[2],
-        u_r[4],
-    )
-    f = cart(rot_l, rot_r, 0, gas)
-    return (
-        norm * f[0],
-        norm * (f[1] * unit[0] + f[2] * t1[0] + f[3] * t2[0]),
-        norm * (f[1] * unit[1] + f[2] * t1[1] + f[3] * t2[1]),
-        norm * (f[1] * unit[2] + f[2] * t1[2] + f[3] * t2[2]),
-        norm * f[4],
-    )
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -464,8 +369,6 @@ _CARTESIAN = {
     "shima": flux_shima_cartesian,
     "ranocha": flux_ranocha_cartesian,
     "central": flux_central_cartesian,
-    "llf": flux_llf_cartesian,
-    "hll": flux_hll_cartesian,
 }
 
 _DIRECTIONAL = {

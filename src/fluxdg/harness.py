@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import batched
 from .discretization import (
     RhsConfig,
     build_setup,
@@ -22,8 +23,8 @@ from .discretization import (
     rhs,
 )
 from .errors import BenchmarkError, ConfigurationError
-from .euler import GasParams, prim2cons
-from .fluxes import flux_function, rotated_flux, rotation_frame
+from .euler import GasParams, cons2prim, prim2cons
+from .fluxes import flux_function
 from .geometry import build_mesh
 from .operators import make_operator
 from .timeint import StepController, integrate, rk_step, stable_dt
@@ -475,107 +476,58 @@ def measure_pid(config_or_run, n_rhs=500, repeats=5):
     return PidResult(float(samples.mean()), float(samples.std()), 5 * n_steps, dofs)
 
 
-MICROBENCH_FORMS = ("cartesian", "directional", "rotated_otf", "rotated_pre")
+MICROBENCH_FORMS = ("cartesian", "directional")
 
 
-def _microbench_inputs(d, n_samples, seed=2024):
-    rng = np.random.default_rng(seed)
-    nvar = d + 2
-    states = np.empty((2, n_samples, nvar))
-    states[..., 0] = 1.0 + rng.random((2, n_samples))
-    states[..., 1 : d + 1] = rng.random((2, n_samples, d)) - 0.5
-    states[..., d + 1] = 1.0 + rng.random((2, n_samples))
-    from .euler import prim2cons as _p2c
+def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
+    """Nanoseconds per two-point flux evaluation in the lane kernels.
 
-    cons = _p2c(states, GasParams(1.4))
-    normals = rng.random((n_samples, d)) + 0.25
-    return cons[0].tolist(), cons[1].tolist(), [tuple(row) for row in normals.tolist()]
-
-
-def _gate_form(kind, form, left, right, normals, gas, tol=1e-13):
-    """Every benchmarked variant must reproduce the directional reference
-    on its own inputs before any timing is reported."""
-    dirn = flux_function(kind, "directional")
-    d = len(normals[0])
-    axis = (1.0,) + (0.0,) * (d - 1)
-    n_check = min(len(left), 64)
-    for i in range(n_check):
-        ul, ur = left[i], right[i]
-        if form == "cartesian":
-            got = flux_function(kind, "cartesian")(ul, ur, 0, gas)
-            want = dirn(ul, ur, axis, gas)
-        elif form == "directional":
-            got = dirn(ul, ur, normals[i], gas)
-            want = got
-        elif form == "rotated_otf":
-            got = rotated_flux(kind, ul, ur, normals[i], gas)
-            want = dirn(ul, ur, normals[i], gas)
-        else:
-            frame = rotation_frame(normals[i])
-            got = rotated_flux(kind, ul, ur, normals[i], gas, frame)
-            want = dirn(ul, ur, normals[i], gas)
-        err = max(abs(a - b) for a, b in zip(got, want))
-        scale = max(max(abs(a) for a in want), 1.0)
-        if err > tol * scale:
-            raise BenchmarkError(
-                "correctness gate failed for %s/%s at sample %d: |diff| %.3e"
-                % (kind, form, i, err)
-            )
-
-
-def microbench_flux(kind, form, d, n_samples=20000, repeats=5, gas=None):
-    """Nanoseconds per two-point flux evaluation for one kernel form.
-
-    States and geometry are pre-generated outside the timed loop; the form
-    is correctness-gated against the directional reference first. Returns
-    (ns_mean, ns_std, n_samples).
+    Times one batched.flux_lanes_cartesian (axis 0) or
+    flux_lanes_directional call over n_samples lanes of random admissible
+    state pairs, the arithmetic that rhs(kernel="batched") runs. Before any
+    timing, every lane is checked against the scalar directional kernel
+    (with the axis as the normal for the cartesian form) to 1e-13 relative.
+    Returns (ns_mean, ns_std, n_samples).
     """
     if form not in MICROBENCH_FORMS:
         raise ConfigurationError(
             "form: expected one of %s, got %r" % (", ".join(MICROBENCH_FORMS), form)
         )
-    if gas is None:
-        gas = GasParams(1.4)
-    left, right, normals = _microbench_inputs(d, n_samples)
-    _gate_form(kind, form, left, right, normals, gas)
-    pairs = list(zip(left, right))
+    gas = GasParams(1.4)
+    rng = np.random.default_rng(2024)
+    q = np.empty((2, n_samples, d + 2))
+    q[..., 0] = 1.0 + rng.random((2, n_samples))
+    q[..., 1 : d + 1] = rng.random((2, n_samples, d)) - 0.5
+    q[..., d + 1] = 1.0 + rng.random((2, n_samples))
+    u = prim2cons(q, gas)
+    q_rows = np.ascontiguousarray(cons2prim(u, gas).transpose(0, 2, 1))
+    u_rows = np.ascontiguousarray(u.transpose(0, 2, 1))
+    ql, qr = (
+        batched.Lanes(prim[0], tuple(prim[1:-1]), prim[-1], tuple(cons))
+        for prim, cons in zip(q_rows, u_rows)
+    )
     if form == "cartesian":
-        fn = flux_function(kind, "cartesian")
-
-        def timed():
-            start = time.perf_counter()
-            for ul, ur in pairs:
-                fn(ul, ur, 0, gas)
-            return time.perf_counter() - start
-
-    elif form == "directional":
-        fn = flux_function(kind, "directional")
-        args = list(zip(left, right, normals))
-
-        def timed():
-            start = time.perf_counter()
-            for ul, ur, nrm in args:
-                fn(ul, ur, nrm, gas)
-            return time.perf_counter() - start
-
-    elif form == "rotated_otf":
-        args = list(zip(left, right, normals))
-
-        def timed():
-            start = time.perf_counter()
-            for ul, ur, nrm in args:
-                rotated_flux(kind, ul, ur, nrm, gas)
-            return time.perf_counter() - start
-
+        fn, geometry = batched.flux_lanes_cartesian, 0
+        normals = [(1.0,) + (0.0,) * (d - 1)] * n_samples
     else:
-        frames = [rotation_frame(nrm) for nrm in normals]
-        args = list(zip(left, right, normals, frames))
+        fn = batched.flux_lanes_directional
+        geometry = tuple(rng.random((d, n_samples)) + 0.25)
+        normals = np.transpose(geometry).tolist()
+    got = np.stack(fn(kind, ql, qr, geometry, gas, n_samples), axis=-1)
+    dirn = flux_function(kind, "directional")
+    for i, (ul, ur, nrm) in enumerate(zip(u[0].tolist(), u[1].tolist(), normals)):
+        want = dirn(ul, ur, nrm, gas)
+        err = max(abs(a - b) for a, b in zip(got[i], want))
+        if err > 1e-13 * max(max(abs(a) for a in want), 1.0):
+            raise BenchmarkError(
+                "correctness gate failed for %s/%s at lane %d: |diff| %.3e"
+                % (kind, form, i, err)
+            )
 
-        def timed():
-            start = time.perf_counter()
-            for ul, ur, nrm, frame in args:
-                rotated_flux(kind, ul, ur, nrm, gas, frame)
-            return time.perf_counter() - start
+    def timed():
+        start = time.perf_counter()
+        fn(kind, ql, qr, geometry, gas, n_samples)
+        return time.perf_counter() - start
 
     timed()  # warmup
     spans = []

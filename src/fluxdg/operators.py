@@ -291,12 +291,6 @@ def pair_table(mat):
 
 
 @lru_cache(maxsize=None)
-def skew_pair_table(degree, family):
-    """Pair table of the split derivative matrix 2D - M^{-1}R^T B N R."""
-    return _triangle_pairs(_skew_diff_matrix(make_operator(degree, family)))
-
-
-@lru_cache(maxsize=None)
 def hybridized_scatter(degree, family):
     """Per-line scatter coefficients of the hybridized operator.
 

@@ -4,14 +4,17 @@ The extended-precision routes go through mpmath at 50 significant digits,
 far past anything double arithmetic can reach, so the production code is
 compared against an independent route rather than against itself. The
 plain helpers at the end (the axis flux, the algebraic means, the metric
-identity residual) have no caller in the library.
+identity residual, the dense Gauss volume term) have no caller in the
+library.
 """
 
 import mpmath
 import numpy as np
 
 from fluxdg.euler import cons2prim, directional_flux
+from fluxdg.fluxes import flux_function
 from fluxdg.geometry import apply_along
+from fluxdg.operators import build_hybridized
 
 mpmath.mp.dps = 50
 
@@ -101,3 +104,37 @@ def metric_identity_residual(metrics, op, d):
             acc += apply_along(op.D, ja_nd[..., n, j], n + 1)
         worst = max(worst, float(np.max(np.abs(acc))))
     return worst
+
+
+def gauss_volume_dense(u, faces, setup, n, vol_flux):
+    """The gauss_fluxdiff volume term in direction n, read off the dense
+    hybridized operator: Q = build_hybridized(op).q_matrix on the stacked
+    line nodes [volume nodes; side-0 face; side-1 face], with the face-face
+    corner zeroed. Every ordered pair (a, b) with Q[a, b] != 0 adds
+    2 Q[a, b] F(u_a, u_b, mean metric); the volume rows are divided by the
+    weights, the two face rows are lifted through R^T / w, and the result
+    is divided by J. faces are the direction's entropy-projected states."""
+    op = setup.op
+    gas = setup.gas
+    p1 = op.n_nodes
+    q = build_hybridized(op).q_matrix.copy()
+    q[p1:, p1:] = 0.0
+    lift = (op.boundary_interp / op.weights).T
+    dirn = flux_function(vol_flux, "directional")
+    (u0, _q0), (u1, _q1) = faces
+    eja = setup.metrics.elem_face_ja[n]
+    out = np.zeros_like(u)
+    for e in range(setup.n_elements):
+        for m, line in enumerate(setup.lines[n]):
+            states = list(u[e, line]) + [u0[e, m], u1[e, m]]
+            ja = list(setup.metrics.ja[e, line, n]) + [eja[e, 0, m], eja[e, 1, m]]
+            rows = np.zeros((p1 + 2, u.shape[-1]))
+            for a in range(p1 + 2):
+                for b in range(p1 + 2):
+                    if q[a, b] != 0.0:
+                        alpha = tuple(0.5 * (ja[a] + ja[b]))
+                        f = dirn(states[a].tolist(), states[b].tolist(), alpha, gas)
+                        rows[a] += 2.0 * q[a, b] * np.asarray(f)
+            vol = rows[:p1] / op.weights[:, None] + lift @ rows[p1:]
+            out[e, line] += vol / setup.metrics.jac[e, line][:, None]
+    return out

@@ -29,14 +29,16 @@ from fluxdg import (
     rhs,
 )
 from fluxdg.discretization import (
+    face_states,
+    surface_terms,
     volume_fluxdiff,
     volume_overintegration,
     volume_strong,
     volume_weak,
 )
-from fluxdg.fluxes import rotated_flux, rotation_frame
 from fluxdg.geometry import element_metrics
 from fluxdg.harness import (
+    MICROBENCH_FORMS,
     build_run,
     convergence_study,
     make_config,
@@ -53,7 +55,13 @@ from fluxdg.operators import build_dsplit, transfer_matrices
 from fluxdg.timeint import StepController, rk_step, stable_dt
 
 from .conftest import random_field
-from .oracles import entropy_vars_mp, inv_logmean_mp, jump_grid, logmean_mp
+from .oracles import (
+    entropy_vars_mp,
+    gauss_volume_dense,
+    inv_logmean_mp,
+    jump_grid,
+    logmean_mp,
+)
 from .test_discretization import matrix_route_fluxdiff
 
 GAS = GasParams(1.4)
@@ -195,7 +203,7 @@ def test_free_stream_preservation_on_curved_meshes():
 VORTEX_CONFIGS = tuple(
     (d, scheme, mesh)
     for d in (2, 3)
-    for scheme in ("fluxdiff", "gauss_fluxdiff", "gauss_surface_correction")
+    for scheme in ("fluxdiff", "gauss_fluxdiff")
     for mesh in ("cartesian", "curved")
 )
 
@@ -313,18 +321,20 @@ def test_cartesian_and_directional_forms_agree():
 
 
 def test_gauss_volume_forms_agree():
-    """The hybridized-operator and surface-correction assemblies produce the
-    same right-hand side."""
+    """The gauss_fluxdiff right-hand side equals the dense hybridized
+    operator (face-face corner zeroed) applied pair by pair, plus the
+    interface terms."""
     cases = [(2, 0.0, None), (2, 0.1, 2), (3, 0.0, None), (3, 0.1, 1)]
     for d, amplitude, geo in cases:
         mesh = build_mesh((3,) * d, amplitude=amplitude, geo_degree=geo)
         setup = build_setup(mesh, make_operator(3, "gauss"), GAS)
         u = random_field(setup, GAS, seed=41 + d, amp=0.3)
-        forms = [
-            rhs(u, setup, RhsConfig(volume_scheme=scheme, kernel="reference"))
-            for scheme in ("gauss_fluxdiff", "gauss_surface_correction")
-        ]
-        assert _relative_gap(forms[0], forms[1]) < 1e-13
+        got = rhs(u, setup, RhsConfig(volume_scheme="gauss_fluxdiff"))
+        want = np.zeros_like(u)
+        for n, faces in enumerate(face_states(u, cons2prim(u, GAS), setup, True)):
+            want += gauss_volume_dense(u, faces, setup, n, "ranocha")
+            surface_terms(faces, setup, n, "ranocha", False, want)
+        assert _relative_gap(got, -want) < 1e-13
 
 
 def test_central_fluxdiff_matches_strong_form():
@@ -345,35 +355,12 @@ def test_central_fluxdiff_matches_strong_form():
         assert _relative_gap(split, strong) < 1e-13
 
 
-def test_rotated_fluxes_match_directional():
-    """Evaluating in a rotated frame, with or without a precomputed frame,
-    agrees with the directional kernel."""
-    for d in (2, 3):
-        rng = np.random.default_rng(61 + d)
-        u = _random_states(rng, d, 400)
-        normals = rng.uniform(-1.0, 1.0, (200, d)) + 0.1
-        for kind in ("shima", "ranocha", "central", "llf", "hll"):
-            dirn = flux_function(kind, "directional")
-            for i in range(200):
-                ul = u[2 * i].tolist()
-                ur = u[2 * i + 1].tolist()
-                nrm = tuple(normals[i])
-                want = np.asarray(dirn(ul, ur, nrm, GAS))
-                otf = np.asarray(rotated_flux(kind, ul, ur, nrm, GAS))
-                pre = np.asarray(
-                    rotated_flux(kind, ul, ur, nrm, GAS,
-                                 frame=rotation_frame(nrm))
-                )
-                assert _relative_gap(want, otf) < 1e-13
-                assert _relative_gap(want, pre) < 1e-13
-
-
 def test_batched_kernel_matches_reference():
     """The lane-batched kernels reproduce the scalar kernels."""
     cases = [
         (2, "lgl", "fluxdiff", 0.1, None),
         (2, "gauss", "gauss_fluxdiff", 0.1, 2),
-        (3, "gauss", "gauss_surface_correction", 0.1, 1),
+        (3, "gauss", "gauss_fluxdiff", 0.1, 1),
     ]
     for d, family, scheme, amplitude, geo in cases:
         mesh = build_mesh((3,) * d, amplitude=amplitude, geo_degree=geo)
@@ -491,18 +478,17 @@ def _warn_unless(condition, message):
 
 
 def test_timing_trends_soft():
-    """Flux-form cost ordering, flux-kind cost ordering and the growth of the
-    per-DOF cost with degree. Machine noise can invert small gaps, so every
-    violation is a warning, not a failure."""
+    """Lane flux-form cost ordering, flux-kind cost ordering and the growth
+    of the per-DOF cost with degree. Machine noise can invert small gaps, so
+    every violation is a warning, not a failure."""
     slack = 1.10
 
     for kind in ("shima", "ranocha"):
-        names = ("cartesian", "directional", "rotated_pre", "rotated_otf")
         means = {
             form: microbench_flux(kind, form, 3, n_samples=4000, repeats=3)[0]
-            for form in names
+            for form in MICROBENCH_FORMS
         }
-        for cheap, costly in zip(names, names[1:]):
+        for cheap, costly in zip(MICROBENCH_FORMS, MICROBENCH_FORMS[1:]):
             _warn_unless(
                 means[cheap] <= means[costly] * slack,
                 "%s: expected %s (%.0f ns) <= %s (%.0f ns)"

@@ -22,7 +22,7 @@ from fluxdg.euler import cons2prim
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
 from fluxdg.means import logmean_optimized, inv_logmean_optimized
-from fluxdg.operators import hybridized_scatter, skew_pair_table
+from fluxdg.operators import hybridized_scatter
 
 from .conftest import random_field
 from .test_acceptance import _relative_gap
@@ -95,7 +95,6 @@ def test_element_volume_matches_scalar_across_degrees(gas, p):
     [
         ("lgl", "fluxdiff"),
         ("gauss", "gauss_fluxdiff"),
-        ("gauss", "gauss_surface_correction"),
     ],
 )
 @pytest.mark.parametrize("d", [2, 3])
@@ -265,7 +264,6 @@ def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elem
         ("gauss", "gauss_fluxdiff"),
         ("gauss", "weak"),
         ("gauss", "strong"),
-        ("gauss", "gauss_surface_correction"),
     ],
 )
 @pytest.mark.parametrize("d", [2, 3])
@@ -298,10 +296,10 @@ def test_rhs_converts_nodal_states_once(gas, monkeypatch, d, family, scheme):
     assert len(calls) == calls.count(u.shape) + calls.count(face_shape)
 
 
-@pytest.mark.parametrize("scheme", ["gauss_fluxdiff", "gauss_surface_correction"])
+@pytest.mark.parametrize("scheme", ["gauss_fluxdiff"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_gauss_entropy_conservative_counts(gas, d, scheme):
-    """Two-point counts of the projected gauss schemes: the volume pairs
+    """Two-point counts of gauss_fluxdiff: the volume pairs
     plus one surface evaluation per face point on the reference kernel; the
     batched kernel adds one more per face point, because
     mesh_gauss_surface evaluates each face flux once per adjacent element.
@@ -312,8 +310,6 @@ def test_gauss_entropy_conservative_counts(gas, d, scheme):
     setup = make_setup(gas, d=d, p=p, amplitude=0.1, geo_degree=geo, family="gauss")
     u = random_field(setup, gas, seed=14, amp=0.3)
     pairs, _vol_face, _lift = hybridized_scatter(p, "gauss")
-    if scheme == "gauss_surface_correction":
-        pairs = skew_pair_table(p, "gauss")
     # every node line ends in one face point per side, so the mesh has as
     # many lines as interface points (it is periodic)
     face_points = d * setup.n_elements * (p + 1) ** (d - 1)

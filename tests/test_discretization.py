@@ -33,6 +33,7 @@ from fluxdg.geometry import element_metrics
 from fluxdg.operators import node_lines, transfer_matrices
 
 from .conftest import random_field
+from .oracles import gauss_volume_dense
 
 
 def lgl_setup(gas, d=2, dims=None, amplitude=0.0, p=3, **kw):
@@ -92,6 +93,8 @@ def test_config_rejects_unknown_names(gas):
         (RhsConfig(kernel="gpu"), "kernel"),
         (RhsConfig(surface_flux="roe"), "surface_flux"),
         (RhsConfig(volume_flux="llf"), "volume flux"),
+        # the surface-correction form was the same operator as gauss_fluxdiff
+        (RhsConfig(volume_scheme="gauss_surface_correction"), "volume_scheme"),
     ]
     for cfg, field in cases:
         with pytest.raises(ConfigurationError, match=field):
@@ -105,7 +108,7 @@ def test_config_family_constraints(gas):
         RhsConfig(volume_scheme="gauss_fluxdiff").validate(lgl)
     with pytest.raises(ConfigurationError, match="volume_scheme"):
         RhsConfig(volume_scheme="fluxdiff").validate(gss)
-    RhsConfig(volume_scheme="gauss_surface_correction").validate(gss)
+    RhsConfig(volume_scheme="gauss_fluxdiff").validate(gss)
 
 
 def test_config_overintegration_requirements(gas):
@@ -172,30 +175,42 @@ def test_fluxdiff_free_stream_curved(gas, d, vol_flux):
     assert np.abs(rhs(u, setup, cfg)).max() < 1e-12
 
 
+def _relative_gap(a, b):
+    return float(np.abs(a - b).max()) / max(1.0, float(np.abs(b).max()))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("d,amplitude,geo", [(2, 0.0, None), (2, 0.15, 2), (3, 0.08, 1)])
-def test_gauss_forms_agree(gas, d, amplitude, geo):
-    dims = (3,) * d
-    setup = gauss_setup(gas, dims=dims, amplitude=amplitude, geo_degree=geo)
+def test_gauss_forms_agree(gas, d, amplitude, geo, p):
+    # the whole gauss_fluxdiff volume term, all directions summed, against
+    # the dense hybridized operator
+    setup = gauss_setup(gas, d=d, amplitude=amplitude, geo_degree=geo, p=p)
     u = random_field(setup, gas, seed=6, amp=0.3)
-    r_hyb = rhs(u, setup, RhsConfig(volume_scheme="gauss_fluxdiff"))
-    r_cor = rhs(u, setup, RhsConfig(volume_scheme="gauss_surface_correction"))
-    assert np.abs(r_hyb - r_cor).max() < 1e-13
+    for vol_flux in ("shima", "ranocha", "central"):
+        config = RhsConfig(volume_scheme="gauss_fluxdiff", volume_flux=vol_flux)
+        got = np.zeros_like(u)
+        want = np.zeros_like(u)
+        for n, faces in enumerate(projected_faces(u, setup)):
+            _scalar_gauss_volume(u, faces, setup, n, config, got)
+            want += gauss_volume_dense(u, faces, setup, n, vol_flux)
+        assert _relative_gap(got, want) < 1e-13, vol_flux
 
 
-def test_gauss_volume_forms_agree_per_element(gas):
-    # the volume terms alone, before the shared surface term is added
-    setup = gauss_setup(gas, amplitude=0.15, geo_degree=2)
+@pytest.mark.parametrize("vol_flux", ["shima", "ranocha", "central"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_gauss_volume_forms_agree_per_element(gas, d, vol_flux):
+    # the volume term of each direction and element alone, before the
+    # surface term is added
+    setup = gauss_setup(gas, d=d, amplitude=0.15, geo_degree=2 if d == 2 else 1)
     u = random_field(setup, gas, seed=7, amp=0.3)
-    proj = projected_faces(u, setup)
-    forms = []
-    for scheme in ("gauss_fluxdiff", "gauss_surface_correction"):
-        config = RhsConfig(volume_scheme=scheme, volume_flux="ranocha")
-        vol = np.zeros_like(u)
-        for n, faces in enumerate(proj):
-            _scalar_gauss_volume(u, faces, setup, n, config, vol)
-        forms.append(vol)
-    assert np.abs(forms[0]).max() > 1e-3
-    assert np.abs(forms[0] - forms[1]).max() < 1e-13
+    config = RhsConfig(volume_scheme="gauss_fluxdiff", volume_flux=vol_flux)
+    for n, faces in enumerate(projected_faces(u, setup)):
+        got = np.zeros_like(u)
+        _scalar_gauss_volume(u, faces, setup, n, config, got)
+        want = gauss_volume_dense(u, faces, setup, n, vol_flux)
+        assert np.abs(want).max() > 1e-3
+        for e in range(setup.n_elements):
+            assert _relative_gap(got[e], want[e]) < 1e-13, (n, e)
 
 
 def test_overintegration_at_p_equals_weak(gas):

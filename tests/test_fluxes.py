@@ -4,6 +4,7 @@ import pytest
 from fluxdg.errors import ConfigurationError
 from fluxdg.euler import entropy_vars, prim2cons
 from fluxdg.fluxes import (
+    VOLUME_KINDS,
     FluxCounter,
     count_guard,
     flux_central_cartesian,
@@ -16,8 +17,6 @@ from fluxdg.fluxes import (
     flux_shima_cartesian,
     flux_shima_directional,
     require_volume_kind,
-    rotated_flux,
-    rotation_frame,
 )
 
 from .conftest import random_primitives
@@ -70,7 +69,7 @@ def test_flux_consistency(d, kind, gas):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("kind", PAIR_KINDS)
+@pytest.mark.parametrize("kind", VOLUME_KINDS)
 def test_cartesian_matches_axis_directional(d, kind, gas):
     cart = flux_function(kind, "cartesian")
     direc = flux_function(kind, "directional")
@@ -175,22 +174,6 @@ def test_llf_upwinds_supersonic(gas):
     assert np.abs(f - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("kind", PAIR_KINDS)
-def test_rotated_matches_directional(d, kind, gas):
-    ul, ur, _ = _pairs(d, 150, 13)
-    rng = np.random.default_rng(14)
-    for i in range(len(ul)):
-        normal = rng.standard_normal(d)
-        ref = np.asarray(flux_function(kind, "directional")(ul[i], ur[i], normal, gas))
-        otf = np.asarray(rotated_flux(kind, ul[i], ur[i], normal, gas))
-        frame = rotation_frame(normal)
-        pre = np.asarray(rotated_flux(kind, ul[i], ur[i], normal, gas, frame=frame))
-        scale = max(1.0, np.abs(ref).max())
-        assert np.abs(ref - otf).max() <= 1e-13 * scale
-        assert np.abs(ref - pre).max() <= 1e-13 * scale
-
-
 def test_counters(gas):
     ul = prim2cons(np.array([1.0, 0.2, 0.1, 1.0]), gas)
     ur = prim2cons(np.array([1.1, -0.1, 0.2, 1.2]), gas)
@@ -218,6 +201,8 @@ def test_kind_validation():
         flux_function("roe", "directional")
     with pytest.raises(ConfigurationError):
         flux_function("ranocha", "diagonal")
+    with pytest.raises(ConfigurationError, match="llf"):
+        flux_function("llf", "cartesian")  # axis kernels exist for volume kinds
     with pytest.raises(ConfigurationError):
         require_volume_kind("llf")  # dissipative kinds are surface-only
     require_volume_kind("ranocha")

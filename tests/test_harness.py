@@ -7,6 +7,7 @@ import pytest
 from fluxdg.cli import main
 from fluxdg.errors import BenchmarkError, ConfigurationError
 from fluxdg.harness import (
+    MICROBENCH_FORMS,
     RunConfig,
     build_run,
     convergence_study,
@@ -283,14 +284,37 @@ def test_measure_pid_timer_guard(monkeypatch):
 
 
 def test_microbench_forms_and_gate():
-    for form in ("cartesian", "directional", "rotated_otf", "rotated_pre"):
+    assert MICROBENCH_FORMS == ("cartesian", "directional")
+    for form in MICROBENCH_FORMS:
         ns_mean, ns_std, n = microbench_flux(
             "central", form, 2, n_samples=300, repeats=2
         )
         assert ns_mean > 0.0
         assert n == 300
-    with pytest.raises(ConfigurationError, match="form"):
-        microbench_flux("central", "vectorized", 2)
+    for form in ("vectorized", "rotated_otf", "rotated_pre"):
+        with pytest.raises(ConfigurationError, match="form"):
+            microbench_flux("central", form, 2)
+
+
+@pytest.mark.parametrize("form", ["cartesian", "directional"])
+def test_microbench_gate_rejects_wrong_lanes(monkeypatch, form):
+    # a lane kernel off by 1e-10 relative is caught before the clock starts
+    import fluxdg.batched as batched
+    import fluxdg.harness as harness
+
+    name = "flux_lanes_" + form
+    exact = getattr(batched, name)
+
+    def skewed(*args):
+        return [(1.0 + 1e-10) * f for f in exact(*args)]
+
+    def no_clock():
+        raise AssertionError("timed before the gate passed")
+
+    monkeypatch.setattr(batched, name, skewed)
+    monkeypatch.setattr(harness.time, "perf_counter", no_clock)
+    with pytest.raises(BenchmarkError, match="correctness gate failed"):
+        microbench_flux("ranocha", form, 3, n_samples=300, repeats=2)
 
 
 # --- reporting ---------------------------------------------------------------
@@ -337,6 +361,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
     assert main(["run", "-o", "elements=0"]) == 2
     assert "elements" in capsys.readouterr().err
+    assert main(["run", "-o", "volume_scheme=gauss_surface_correction"]) == 2
+    assert "volume_scheme" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert main(["run", "-o", "badpair"]) == 2
 

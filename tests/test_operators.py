@@ -14,7 +14,6 @@ from fluxdg.operators import (
     make_operator,
     node_lines,
     pair_table,
-    skew_pair_table,
     transfer_matrices,
 )
 
@@ -190,16 +189,24 @@ def test_pair_table_matches_matrix():
     assert seen == nz
 
 
-def test_skew_pair_table_is_gauss_dsplit():
-    # same 2D - M^{-1}RᵀBNR construction, dense boundary operator
-    op = gauss_operator(3)
+@pytest.mark.parametrize("p", range(1, 9))
+def test_hybridized_pairs_are_gauss_dsplit(p):
+    # the hybridized volume-volume weights 2 Q[a, b] / w[a] are the entries
+    # of the split derivative 2D - M^{-1}RᵀBNR with its dense boundary
+    # operator: the surface-correction form of gauss flux differencing is
+    # the same operator
+    op = gauss_operator(p)
     n_face = np.array([-1.0, 1.0])
     r = op.boundary_interp
     mat = 2.0 * op.D - (r.T @ (n_face[:, None] * r)) / op.weights[:, None]
-    pairs = skew_pair_table(3, "gauss")
-    for a, b, wab, wba in pairs:
-        assert abs(wab - mat[a, b]) < 1e-15
-        assert abs(wba - mat[b, a]) < 1e-15
+    vv, _vol_face, _lift = hybridized_scatter(p, "gauss")
+    weights = {(a, b): (wab, wba) for a, b, wab, wba in vv}
+    bound = 1e-15 * np.abs(mat).max()
+    for a in range(p + 1):
+        for b in range(a + 1, p + 1):
+            wab, wba = weights.get((a, b), (0.0, 0.0))
+            assert abs(wab - mat[a, b]) <= bound, (a, b)
+            assert abs(wba - mat[b, a]) <= bound, (b, a)
     mskew = op.weights[:, None] * mat
     assert np.abs(mskew + mskew.T).max() < 1e-14
     assert np.abs(np.diag(mat)).max() < 1e-14
