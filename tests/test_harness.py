@@ -6,6 +6,7 @@ import pytest
 
 from fluxdg.cli import main
 from fluxdg.errors import BenchmarkError, ConfigurationError
+from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.harness import (
     MICROBENCH_FORMS,
     RunConfig,
@@ -294,6 +295,17 @@ def test_microbench_forms_and_gate():
     for form in ("vectorized", "rotated_otf", "rotated_pre"):
         with pytest.raises(ConfigurationError, match="form"):
             microbench_flux("central", form, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", SURFACE_KINDS)
+def test_microbench_lanes_pass_gate_for_every_kind(kind, d):
+    # both lane forms of every pair kind, the dissipative ones included,
+    # agree with the scalar directional kernel on every lane
+    for form in MICROBENCH_FORMS:
+        ns_mean, _, n = microbench_flux(kind, form, d, n_samples=200, repeats=1)
+        assert ns_mean > 0.0
+        assert n == 200
 
 
 @pytest.mark.parametrize("form", ["cartesian", "directional"])
