@@ -24,6 +24,15 @@ go back with one add through the transposed view of the output; the face
 lifts write into its first and last line positions. The lane order is the
 line order of `operators.node_lines`, which the scalar path uses.
 
+Every two-point lane kernel writes its d+2 flux rows into one (d+2, lanes)
+block that the caller owns and returns that block, so the volume kernels
+allocate one flux block per call and add each pair into the accumulator
+with one product and one add per weight, acc[:, a] += w * f. The surface
+lanes are in minus-element order (face point m of element e pairs e with
+plus_neighbor[n][e]); the lift gathers the plus-side fluxes into element
+order once through the inverse permutation, so both sides are basic-slice
+updates of the output.
+
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
 operation (a pair normal 0.5 x + 0.5 y from halved metric rows is the
@@ -106,61 +115,66 @@ def _vn(v, normal):
     return acc
 
 
-def _shima_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real):
+def _shima_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real, out):
     add_two_point(n_real)
     rho_avg = 0.5 * (ql.rho + qr.rho)
     p_avg = 0.5 * (ql.p + qr.p)
     vn_avg = 0.5 * (vn_l + vn_r)
-    f_rho = rho_avg * vn_avg
+    f_rho = np.multiply(rho_avg, vn_avg, out=out[0])
     vv = ql.v[0] * qr.v[0]
     for i in range(1, len(ql.v)):
         vv = vv + ql.v[i] * qr.v[i]
-    f_e = 0.5 * f_rho * vv + p_avg * vn_avg * igm1 + 0.5 * (
-        ql.p * vn_r + qr.p * vn_l
-    )
-    out = [f_rho]
     for i in range(len(ql.v)):
-        out.append(f_rho * 0.5 * (ql.v[i] + qr.v[i]) + p_avg * normal[i])
-    out.append(f_e)
+        np.add(
+            f_rho * 0.5 * (ql.v[i] + qr.v[i]), p_avg * normal[i], out=out[1 + i]
+        )
+    np.add(
+        0.5 * f_rho * vv + p_avg * vn_avg * igm1,
+        0.5 * (ql.p * vn_r + qr.p * vn_l),
+        out=out[-1],
+    )
     return out
 
 
-def _ranocha_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real):
+def _ranocha_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real, out):
     add_two_point(n_real)
     add_logmean(2 * n_real)
     rho_mean = logmean_batched(ql.rho, qr.rho)
     inv_rho_p_mean = ql.p * qr.p * inv_logmean_batched(ql.rho * qr.p, qr.rho * ql.p)
     p_avg = 0.5 * (ql.p + qr.p)
     vn_avg = 0.5 * (vn_l + vn_r)
-    f_rho = rho_mean * vn_avg
+    f_rho = np.multiply(rho_mean, vn_avg, out=out[0])
     vv = ql.v[0] * qr.v[0]
     for i in range(1, len(ql.v)):
         vv = vv + ql.v[i] * qr.v[i]
-    f_e = f_rho * (0.5 * vv + igm1 * inv_rho_p_mean) + 0.5 * (
-        ql.p * vn_r + qr.p * vn_l
-    )
-    out = [f_rho]
     for i in range(len(ql.v)):
-        out.append(f_rho * 0.5 * (ql.v[i] + qr.v[i]) + p_avg * normal[i])
-    out.append(f_e)
+        np.add(
+            f_rho * 0.5 * (ql.v[i] + qr.v[i]), p_avg * normal[i], out=out[1 + i]
+        )
+    np.add(
+        f_rho * (0.5 * vv + igm1 * inv_rho_p_mean),
+        0.5 * (ql.p * vn_r + qr.p * vn_l),
+        out=out[-1],
+    )
     return out
 
 
-def _phys_lanes(q, normal):
+def _phys_lanes(q, normal, out):
     d = len(q.v)
     vn = _vn(q.v, normal)
-    out = [q.rho * vn]
+    np.multiply(q.rho, vn, out=out[0])
     for i in range(d):
-        out.append(q.u[1 + i] * vn + q.p * normal[i])
-    out.append((q.u[d + 1] + q.p) * vn)
+        np.add(q.u[1 + i] * vn, q.p * normal[i], out=out[1 + i])
+    np.multiply(q.u[d + 1] + q.p, vn, out=out[d + 1])
     return out
 
 
-def _central_lanes(ql, qr, normal, n_real):
+def _central_lanes(ql, qr, normal, n_real, out):
     add_two_point(n_real)
-    f_l = _phys_lanes(ql, normal)
-    f_r = _phys_lanes(qr, normal)
-    return [0.5 * (a + b) for a, b in zip(f_l, f_r)]
+    _phys_lanes(ql, normal, out)
+    out += _phys_lanes(qr, normal, np.empty_like(out))
+    out *= 0.5
+    return out
 
 
 def _unit_normal(normal):
@@ -171,7 +185,14 @@ def _unit_normal(normal):
     return norm, tuple(c / norm for c in normal)
 
 
-def _llf_lanes(ql, qr, normal, gas, n_real):
+def _jump(ql, qr, out):
+    """Conserved-state jumps ur - ul, row by row, into the block out."""
+    for k, (ul, ur) in enumerate(zip(ql.u, qr.u)):
+        np.subtract(ur, ul, out=out[k])
+    return out
+
+
+def _llf_lanes(ql, qr, normal, gas, n_real, out):
     add_two_point(n_real)
     norm, unit = _unit_normal(normal)
     vn_l = _vn(ql.v, unit)
@@ -180,16 +201,17 @@ def _llf_lanes(ql, qr, normal, gas, n_real):
         np.abs(vn_l) + np.sqrt(gas.gamma * ql.p / ql.rho),
         np.abs(vn_r) + np.sqrt(gas.gamma * qr.p / qr.rho),
     )
-    f_l = _phys_lanes(ql, normal)
-    f_r = _phys_lanes(qr, normal)
-    halfdiss = 0.5 * lam * norm
-    return [
-        0.5 * (a + b) - halfdiss * (ur - ul)
-        for a, b, ul, ur in zip(f_l, f_r, ql.u, qr.u)
-    ]
+    _phys_lanes(ql, normal, out)
+    scratch = _phys_lanes(qr, normal, np.empty_like(out))
+    out += scratch
+    out *= 0.5
+    diss = _jump(ql, qr, scratch)
+    diss *= 0.5 * lam * norm
+    out -= diss
+    return out
 
 
-def _hll_lanes(ql, qr, normal, gas, n_real):
+def _hll_lanes(ql, qr, normal, gas, n_real, out):
     add_two_point(n_real)
     norm, unit = _unit_normal(normal)
     vn_l = _vn(ql.v, unit)
@@ -198,53 +220,66 @@ def _hll_lanes(ql, qr, normal, gas, n_real):
     c_r = np.sqrt(gas.gamma * qr.p / qr.rho)
     s_l = np.minimum(vn_l - c_l, vn_r - c_r)
     s_r = np.maximum(vn_l + c_l, vn_r + c_r)
-    f_l = _phys_lanes(ql, unit)
-    f_r = _phys_lanes(qr, unit)
-    upwind_l = s_l >= 0.0
-    upwind_r = s_r <= 0.0
-    out = []
+    f_l = _phys_lanes(ql, unit, np.empty_like(out))
+    f_r = _phys_lanes(qr, unit, np.empty_like(out))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / (s_r - s_l)
-        for a, b, ul, ur in zip(f_l, f_r, ql.u, qr.u):
-            mid = (s_r * a - s_l * b + s_l * s_r * (ur - ul)) * inv
-            out.append(norm * np.where(upwind_l, a, np.where(upwind_r, b, mid)))
-    return out
+        mid = s_r * f_l
+        mid -= s_l * f_r
+        mid += (s_l * s_r) * _jump(ql, qr, out)
+        mid *= inv
+        # the upwind flux wins where the fan lies on one side of the face
+        np.copyto(mid, f_r, where=s_r <= 0.0)
+        np.copyto(mid, f_l, where=s_l >= 0.0)
+        return np.multiply(norm, mid, out=out)
 
 
-def flux_lanes_directional(kind, ql, qr, normal, gas, n_real):
+def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
     """Directional two-point flux over lanes; normal is a tuple of per-lane
-    component arrays (or plain floats for a fixed direction)."""
+    component arrays (or plain floats for a fixed direction).
+
+    The flux goes into `out`, a (d+2, lanes) block of any strides that the
+    caller owns, allocated here when omitted, and the block is returned:
+    row k is flux component k of every lane. Every entry is overwritten,
+    so one block can serve call after call; it must not share memory with
+    the states or the normal."""
+    if out is None:
+        out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
     if kind == "shima":
         return _shima_lanes(
             ql, qr, _vn(ql.v, normal), _vn(qr.v, normal), normal,
-            gas.inv_gamma_minus_one, n_real,
+            gas.inv_gamma_minus_one, n_real, out,
         )
     if kind == "ranocha":
         return _ranocha_lanes(
             ql, qr, _vn(ql.v, normal), _vn(qr.v, normal), normal,
-            gas.inv_gamma_minus_one, n_real,
+            gas.inv_gamma_minus_one, n_real, out,
         )
     if kind == "central":
-        return _central_lanes(ql, qr, normal, n_real)
+        return _central_lanes(ql, qr, normal, n_real, out)
     if kind == "llf":
-        return _llf_lanes(ql, qr, normal, gas, n_real)
+        return _llf_lanes(ql, qr, normal, gas, n_real, out)
     if kind == "hll":
-        return _hll_lanes(ql, qr, normal, gas, n_real)
+        return _hll_lanes(ql, qr, normal, gas, n_real, out)
     raise ConfigurationError("unknown flux kind %r" % (kind,))
 
 
-def flux_lanes_cartesian(kind, ql, qr, j, gas, n_real):
-    """Coordinate-axis two-point flux over lanes (axis j, unscaled)."""
+def flux_lanes_cartesian(kind, ql, qr, j, gas, n_real, out=None):
+    """Coordinate-axis two-point flux over lanes (axis j, unscaled),
+    written into and returned as the (d+2, lanes) block `out` under the
+    contract of flux_lanes_directional."""
     axis = _AXIS[len(ql.v)][j]
+    if out is None:
+        out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
     if kind == "shima":
         return _shima_lanes(
-            ql, qr, ql.v[j], qr.v[j], axis, gas.inv_gamma_minus_one, n_real
+            ql, qr, ql.v[j], qr.v[j], axis, gas.inv_gamma_minus_one, n_real, out
         )
     if kind == "ranocha":
         return _ranocha_lanes(
-            ql, qr, ql.v[j], qr.v[j], axis, gas.inv_gamma_minus_one, n_real
+            ql, qr, ql.v[j], qr.v[j], axis, gas.inv_gamma_minus_one, n_real, out
         )
-    return flux_lanes_directional(kind, ql, qr, axis, gas, n_real)
+    return flux_lanes_directional(kind, ql, qr, axis, gas, n_real, out)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +381,7 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     acc = _line_buffer(setup, nvar)
     lanes = _line_lanes(q, cons)
     n_lanes = q.shape[-1]
+    f = np.empty((nvar, n_lanes))
     out = np.zeros_like(u)
     for n in range(d):
         _line_rows(prim, setup, n, q)
@@ -356,19 +392,18 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
         acc.fill(0.0)
         for a, b, cab, cba in pairs:
             if areas is not None:
-                f = flux_lanes_cartesian(vol_flux, lanes[a], lanes[b], n, gas, n_lanes)
+                flux_lanes_cartesian(vol_flux, lanes[a], lanes[b], n, gas, n_lanes, f)
                 wa = cab * areas[n]
                 wb = cba * areas[n]
             else:
                 alpha = tuple(x + y for x, y in zip(half_ja[:, a], half_ja[:, b]))
-                f = flux_lanes_directional(
-                    vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes
+                flux_lanes_directional(
+                    vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes, f
                 )
                 wa = cab
                 wb = cba
-            for k in range(nvar):
-                acc[k, a] += wa * f[k]
-                acc[k, b] += wb * f[k]
+            acc[:, a] += wa * f
+            acc[:, b] += wb * f
         view = _line_major(out, setup, n)
         view += _as_line_major(acc, setup)
     out /= setup.metrics.jac[:, :, None]
@@ -386,38 +421,44 @@ def _interface_lanes(faces, setup, n, need_cons):
 
 
 def _side_fluxes(f, ql, qr, normal, subtract_own, n_real):
-    """What the minus and plus sides lift, as (d+2, lanes) arrays: the
-    interface flux itself, or for the strong form f - f(own face state)."""
-    farr = np.stack(f)
+    """What the minus and plus sides lift, as (d+2, lanes) blocks: the
+    interface flux block f itself, or for the strong form f - f(own face
+    state), the plus side written over f."""
     if not subtract_own:
-        return farr, farr
+        return f, f
     add_one_point(2 * n_real)
-    fm = farr - np.stack(_phys_lanes(ql, normal))
-    fp = farr - np.stack(_phys_lanes(qr, normal))
-    return fm, fp
+    own = np.empty_like(f)
+    fm = f - _phys_lanes(ql, normal, own)
+    return fm, np.subtract(f, _phys_lanes(qr, normal, own), out=f)
 
 
 def _lift(out, setup, n, fm, fp):
-    """Lift per-face-point fluxes (d+2, lanes) in direction n: added into
-    the minus element, subtracted from its plus neighbour, divided by the
-    Jacobian. Lobatto grids touch only the boundary nodes; Gauss grids go
-    through the dense boundary-interpolation rows."""
+    """Lift per-face-point fluxes (d+2, lanes), lanes in minus-element
+    order, in direction n: added into the minus element, subtracted from
+    its plus neighbour, divided by the Jacobian. The plus-side fluxes are
+    first gathered into element order through the inverse of
+    plus_neighbor[n] (a permutation: every element is the plus neighbour of
+    exactly one element), so both sides are basic-slice updates. Lobatto
+    grids touch only the boundary nodes; Gauss grids go through the dense
+    boundary-interpolation rows, all line positions at once."""
     op = setup.op
     w1d = op.weights
     nb = setup.plus_neighbor[n]
+    minus_of = np.empty_like(nb)
+    minus_of[nb] = np.arange(nb.size)
     view = _line_major(out, setup, n)
     jac = _line_major(setup.metrics.jac[..., None], setup, n)[0]
     fm = fm.reshape(view[:, 0].shape)
-    fp = fp.reshape(view[:, 0].shape)
+    fp = np.take(fp.reshape(view[:, 0].shape), minus_of, axis=1)
     if op.family == "lgl":
         view[:, -1] += fm / (w1d[-1] * jac[-1])
-        view[:, 0, nb] -= fp / (w1d[0] * jac[0, nb])
+        view[:, 0] -= fp / (w1d[0] * jac[0])
         return
-    lift_m = op.boundary_interp[1] / w1d
-    lift_p = op.boundary_interp[0] / w1d
-    for a in range(op.n_nodes):
-        view[:, a] += (lift_m[a] * fm) / jac[a]
-        view[:, a, nb] -= (lift_p[a] * fp) / jac[a, nb]
+    per_position = (slice(None),) + (None,) * (view.ndim - 2)
+    lift_m = (op.boundary_interp[1] / w1d)[per_position]
+    lift_p = (op.boundary_interp[0] / w1d)[per_position]
+    view += (lift_m * fm[:, None]) / jac
+    view -= (lift_p * fp[:, None]) / jac
 
 
 def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
@@ -457,25 +498,22 @@ def mesh_gauss_volume(u, prim, faces, setup, n, config, out):
     eja = setup.metrics.elem_face_ja[n]
     half_face_ja = [0.5 * _face_rows(eja[:, s]) for s in (0, 1)]
     acc = np.zeros((nvar, p1, n_lanes))
+    f = np.empty((nvar, n_lanes))
     for a, b, cab, cba in pairs:
         alpha = tuple(x + y for x, y in zip(half_ja[:, a], half_ja[:, b]))
-        f = flux_lanes_directional(vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes)
-        for k in range(nvar):
-            acc[k, a] += cab * f[k]
-            acc[k, b] += cba * f[k]
+        flux_lanes_directional(vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes, f)
+        acc[:, a] += cab * f
+        acc[:, b] += cba * f
     for s in (0, 1):
         cvol, cface = vol_face[s]
         rface = np.zeros((nvar, n_lanes))
         for a in range(p1):
             alpha = tuple(x + y for x, y in zip(half_ja[:, a], half_face_ja[s]))
-            f = flux_lanes_directional(
-                vol_flux, lanes[a], face_lanes[s], alpha, gas, n_lanes
+            flux_lanes_directional(
+                vol_flux, lanes[a], face_lanes[s], alpha, gas, n_lanes, f
             )
-            ca = cvol[a]
-            cf = cface[a]
-            for k in range(nvar):
-                acc[k, a] += ca * f[k]
-                rface[k] += cf * f[k]
+            acc[:, a] += cvol[a] * f
+            rface += cface[a] * f
         lrow = lift[s]
         for a in range(p1):
             if lrow[a] == 0.0:
@@ -500,5 +538,5 @@ def mesh_gauss_surface(faces, setup, n, surface_flux, out):
     n_lanes = ql.rho.size
     f_m = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
     f_p = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
-    _lift(out, setup, n, np.stack(f_m), np.stack(f_p))
+    _lift(out, setup, n, f_m, f_p)
     return out

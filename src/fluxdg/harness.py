@@ -484,10 +484,11 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
 
     Times one batched.flux_lanes_cartesian (axis 0) or
     flux_lanes_directional call over n_samples lanes of random admissible
-    state pairs, the arithmetic that rhs(kernel="batched") runs. Before any
-    timing, every lane is checked against the scalar directional kernel
-    (with the axis as the normal for the cartesian form) to 1e-13 relative.
-    Returns (ns_mean, ns_std, n_samples).
+    state pairs, the arithmetic that rhs(kernel="batched") runs, writing
+    into a (d+2, n_samples) flux block allocated before the clock starts,
+    as the rhs kernels do. Before any timing, every lane is checked against
+    the scalar directional kernel (with the axis as the normal for the
+    cartesian form) to 1e-13 relative. Returns (ns_mean, ns_std, n_samples).
     """
     if form not in MICROBENCH_FORMS:
         raise ConfigurationError(
@@ -513,7 +514,8 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
         fn = batched.flux_lanes_directional
         geometry = tuple(rng.random((d, n_samples)) + 0.25)
         normals = np.transpose(geometry).tolist()
-    got = np.stack(fn(kind, ql, qr, geometry, gas, n_samples), axis=-1)
+    block = np.empty((d + 2, n_samples))
+    got = np.transpose(fn(kind, ql, qr, geometry, gas, n_samples, block)).tolist()
     dirn = flux_function(kind, "directional")
     for i, (ul, ur, nrm) in enumerate(zip(u[0].tolist(), u[1].tolist(), normals)):
         want = dirn(ul, ur, nrm, gas)
@@ -526,7 +528,7 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
 
     def timed():
         start = time.perf_counter()
-        fn(kind, ql, qr, geometry, gas, n_samples)
+        fn(kind, ql, qr, geometry, gas, n_samples, block)
         return time.perf_counter() - start
 
     timed()  # warmup

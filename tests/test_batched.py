@@ -13,18 +13,19 @@ from fluxdg import (
     build_setup,
     count_guard,
     make_operator,
+    prim2cons,
     rhs,
 )
 from fluxdg.batched import inv_logmean_batched, logmean_batched, mesh_fluxdiff_volume
 from fluxdg.discretization import KERNELS, VOLUME_SCHEMES, volume_fluxdiff
 from fluxdg.errors import ConfigurationError
 from fluxdg.euler import cons2prim
-from fluxdg.fluxes import SURFACE_KINDS
+from fluxdg.fluxes import SURFACE_KINDS, flux_function
 from fluxdg.geometry import element_metrics
 from fluxdg.means import logmean_optimized, inv_logmean_optimized
 from fluxdg.operators import hybridized_scatter
 
-from .conftest import random_field
+from .conftest import random_field, random_primitives
 from .test_acceptance import _relative_gap
 
 
@@ -167,6 +168,91 @@ def test_tensor_lanes_follow_node_lines(gas, d, p):
         assert np.array_equal(u0, arr[:, lines[:, 0]])
         assert np.array_equal(u1, arr[:, lines[:, -1]])
         assert np.array_equal(q1, 2.0 * arr[:, lines[:, -1]])
+
+
+@pytest.mark.parametrize("form", ["cartesian", "directional"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", SURFACE_KINDS)
+def test_lane_kernels_fill_the_given_block(gas, kind, d, form):
+    """Every lane kernel writes its d+2 flux rows into the block it is
+    given, whatever its strides, returns that block, and computes there
+    exactly what it computes in a block of its own."""
+    n = 41
+    rng = np.random.default_rng(19)
+    prims = [random_primitives(rng, d, n, amp=0.5) for _ in range(2)]
+    for q in prims:  # a third of the lanes supersonic each way (hll upwinding)
+        q[: n // 3, 1:-1] += 3.0
+        q[n // 3 : 2 * n // 3, 1:-1] -= 3.0
+    cons = [prim2cons(q, gas) for q in prims]
+    ql, qr = (
+        batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], tuple(c.T))
+        for q, c in zip(prims, cons)
+    )
+    if form == "cartesian":
+        fn, geometry = batched.flux_lanes_cartesian, d - 1
+        normals = np.broadcast_to(np.eye(d)[d - 1], (n, d))
+    else:
+        fn, geometry = batched.flux_lanes_directional, tuple(rng.random((d, n)) + 0.25)
+        normals = np.transpose(geometry)
+    big = np.full((d + 4, 2 * n + 1), np.nan)
+    block = big[1:-1, 1::2]
+    assert block.shape == (d + 2, n) and not block.flags.c_contiguous
+    got = fn(kind, ql, qr, geometry, gas, n, block)
+    assert got is block
+    assert not np.isnan(block).any()
+    # nothing outside the block is written
+    assert np.isnan(big[[0, -1]]).all() and np.isnan(big[:, ::2]).all()
+    assert np.array_equal(got, fn(kind, ql, qr, geometry, gas, n))
+    scalar = flux_function(kind, "directional")
+    for i in range(n):
+        want = np.asarray(scalar(cons[0][i], cons[1][i], normals[i], gas))
+        assert np.abs(got[:, i] - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1, 2)])
+@pytest.mark.parametrize("family", ["lgl", "gauss"])
+def test_lift_matches_face_point_loop(gas, family, dims, curved):
+    """_lift against a loop over face points: face point m of element e
+    (line m of direction n, lanes in minus-element order) adds its minus
+    flux into e and subtracts its plus flux from plus_neighbor[n][e], on
+    the line's last node (Lobatto) or on every node through the boundary
+    interpolation rows (Gauss), divided by the Jacobian. All minus-side
+    updates come first, as in _lift."""
+    d = len(dims)
+    geo = (2 if d == 2 else 1) if family == "gauss" and curved else None
+    mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
+    op = make_operator(2, family)
+    setup = build_setup(mesh, op, gas)
+    jac = setup.metrics.jac
+    w1d = op.weights
+    rng = np.random.default_rng(23)
+    start = rng.standard_normal((setup.n_elements, setup.n_nodes, d + 2))
+    for n in range(d):
+        nb = setup.plus_neighbor[n]
+        if dims[n] == 1:
+            assert np.array_equal(nb, np.arange(setup.n_elements))
+        lines = setup.lines[n]
+        n_face = lines.shape[0]
+        fm, fp = rng.standard_normal((2, d + 2, setup.n_elements * n_face))
+        got = start.copy()
+        batched._lift(got, setup, n, fm.copy(), fp.copy())
+        want = start.copy()
+        for side, row, sign in ((fm, 1, 1.0), (fp, 0, -1.0)):
+            for e, m in product(range(setup.n_elements), range(n_face)):
+                target = e if row == 1 else nb[e]
+                flux = side[:, e * n_face + m]
+                for a in range(op.n_nodes):
+                    node = lines[m, a]
+                    if family == "lgl":
+                        if a != (op.n_nodes - 1 if row == 1 else 0):
+                            continue
+                        term = flux / (w1d[a] * jac[target, node])
+                    else:
+                        lift = op.boundary_interp[row][a] / w1d[a]
+                        term = (lift * flux) / jac[target, node]
+                    want[target, node] += sign * term
+        assert np.array_equal(got, want), n
 
 
 @pytest.mark.parametrize("vol_flux", ["central", "ranocha"])

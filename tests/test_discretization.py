@@ -5,7 +5,6 @@ import pytest
 
 from fluxdg import (
     FluxCounter,
-    GasParams,
     RhsConfig,
     build_mesh,
     build_setup,
@@ -30,7 +29,7 @@ from fluxdg.discretization import (
 from fluxdg.errors import AdmissibilityError, ConfigurationError
 from fluxdg.euler import cons2prim, entropy_vars
 from fluxdg.geometry import element_metrics
-from fluxdg.operators import node_lines, transfer_matrices
+from fluxdg.operators import node_lines
 
 from .conftest import random_field
 from .oracles import gauss_volume_dense

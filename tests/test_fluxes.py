@@ -11,11 +11,9 @@ from fluxdg.fluxes import (
     flux_central_directional,
     flux_function,
     flux_hll_directional,
-    flux_llf_directional,
     flux_ranocha_cartesian,
     flux_ranocha_directional,
     flux_shima_cartesian,
-    flux_shima_directional,
     require_volume_kind,
 )
 

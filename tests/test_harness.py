@@ -9,7 +9,6 @@ from fluxdg.errors import BenchmarkError, ConfigurationError
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.harness import (
     MICROBENCH_FORMS,
-    RunConfig,
     build_run,
     convergence_study,
     free_stream_primitives,

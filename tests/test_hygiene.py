@@ -1,0 +1,47 @@
+"""Source hygiene checks that need nothing beyond the standard library."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = ("src/fluxdg", "tests", "demos")
+
+
+def unused_imports(path):
+    """(line, name) of every name `path` imports but never reads. A name
+    counts as read when it occurs as an identifier anywhere in the module
+    (scopes are not told apart) or is listed in a module-level __all__;
+    an import whose line carries `# noqa: F401` is exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            exempt = any(
+                "noqa: F401" in lines[i - 1] for i in (node.lineno, alias.lineno)
+            )
+            if name != "*" and name not in used and not exempt:
+                found.append((alias.lineno, name))
+    return found
+
+
+def test_no_unused_imports():
+    unused = [
+        "%s:%d %s" % (path.relative_to(ROOT), line, name)
+        for top in SCANNED
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for line, name in unused_imports(path)
+    ]
+    assert not unused, unused
