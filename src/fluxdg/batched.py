@@ -19,19 +19,29 @@ every lane. Every direction has the same number of lanes, so
 mesh_fluxdiff_volume allocates its line buffers (primitive rows, conserved
 rows for the central flux, halved metric rows on curved meshes, and the
 accumulator) once per call and refills them in every direction;
-mesh_gauss_volume runs one direction per call and fills its own. Results
-go back with one add through the transposed view of the output; the face
-lifts write into its first and last line positions. The lane order is the
-line order of `operators.node_lines`, which the scalar path uses.
+mesh_gauss_volume runs one direction per call and fills its own.
+
+One line kernel, _line_terms, does the two-point volume work of both node
+families: it walks a pair table into the (d+2, p+1, lanes) accumulator
+(the split-derivative pairs on Lobatto grids, the hybridized ones on Gauss
+grids) and, on Gauss grids only, the hybridized volume-face coupling. The
+coupling's face-row sums start from the interface fluxes that
+mesh_gauss_surface returns, so the Gauss faces are lifted inside the
+accumulator, which then goes back with one add through the transposed
+view of the output. On Lobatto grids the coupling cancels on the boundary
+nodes and is left out; mesh_surface's lift (_lift) writes the face fluxes
+into the first and last line positions. Cartesian meshes take the axis
+fluxes scaled by the constant face area on both families. The lane order
+is the line order of `operators.node_lines`, which the scalar path uses.
 
 Every two-point lane kernel writes its d+2 flux rows into one (d+2, lanes)
 block that the caller owns and returns that block, so the volume kernels
 allocate one flux block per call and add each pair into the accumulator
 with one product and one add per weight, acc[:, a] += w * f. The surface
 lanes are in minus-element order (face point m of element e pairs e with
-plus_neighbor[n][e]); the lift gathers the plus-side fluxes into element
-order once through the inverse permutation, so both sides are basic-slice
-updates of the output.
+plus_neighbor[n][e]); the plus-side fluxes are gathered into element order
+once through the inverse permutation, so both sides are basic-slice
+updates.
 
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
@@ -363,47 +373,79 @@ def _face_lanes(states, q, need_cons, order=None):
     )
 
 
+def _line_geometry(setup, n, rows=None):
+    """(pair weight scale, halved metric rows) of direction n. On Cartesian
+    meshes the scale is the constant face area and the rows are None: the
+    pairs then take the unscaled axis-n flux. Elsewhere the scale is 1.0 and
+    the rows are `rows`, a (d, p+1, lanes) _line_buffer (allocated here when
+    omitted), filled by _half_metric_rows."""
+    if setup.metrics.cartesian:
+        return float(setup.metrics.ja[0, 0, n, n]), None
+    if rows is None:
+        rows = _line_buffer(setup, setup.d)
+    return 1.0, _half_metric_rows(setup, n, rows)
+
+
+def _pair_flux(kind, ql, qr, half_a, half_b, n, gas, f):
+    """The two-point flux between two lane sets into the block f: along
+    half_a + half_b (halved metric rows), or with half_a None along axis n."""
+    if half_a is None:
+        return flux_lanes_cartesian(kind, ql, qr, n, gas, f.shape[-1], f)
+    alpha = tuple(x + y for x, y in zip(half_a, half_b))
+    return flux_lanes_directional(kind, ql, qr, alpha, gas, f.shape[-1], f)
+
+
+def _line_terms(kind, lanes, half_ja, n, pairs, scale, gas, acc, f, coupling=()):
+    """Add direction n's two-point terms into acc, the (d+2, p+1, lanes)
+    accumulator of the node lines: each pair (a, b, c_ab, c_ba) of the table
+    adds scale c_ab F(a, b) at line position a and scale c_ba F(a, b) at b.
+    lanes holds one Lanes per line position, half_ja the direction's halved
+    metric rows (None on Cartesian meshes, see _line_geometry) and f is a
+    (d+2, lanes) flux block.
+
+    coupling, per side s = 0, 1, is (face lanes, halved face metric rows,
+    face-row sum, c_vol, c_face, lift row) of a hybridized operator
+    (operators.hybridized_scatter): each line position a adds
+    scale c_vol[a] F(a, face) at a and scale c_face[a] F(a, face) into the
+    face-row sum, a (d+2, lanes) block that arrives holding the side's
+    interface flux; the lift row then carries the whole sum back onto the
+    line."""
+    halves = [None if half_ja is None else half_ja[:, a] for a in range(acc.shape[1])]
+    for a, b, cab, cba in pairs:
+        _pair_flux(kind, lanes[a], lanes[b], halves[a], halves[b], n, gas, f)
+        acc[:, a] += (cab * scale) * f
+        acc[:, b] += (cba * scale) * f
+    for face, half_face, rface, cvol, cface, lrow in coupling:
+        for a, half in enumerate(halves):
+            _pair_flux(kind, lanes[a], face, half, half_face, n, gas, f)
+            acc[:, a] += (cvol[a] * scale) * f
+            rface += (cface[a] * scale) * f
+        for a, la in enumerate(lrow):
+            acc[:, a] += la * rface
+
+
 def mesh_fluxdiff_volume(u, prim, setup, config):
     """Flux-differencing volume term for the whole mesh, elements folded
     into the lane axis; prim = cons2prim(u). Returns the Jacobian-scaled VOL
     array."""
-    gas = setup.gas
     d = setup.d
     nvar = d + 2
     vol_flux = config.volume_flux
     pairs = pair_table(setup.dsplit.matrix)
-    areas = (
-        np.diag(setup.metrics.ja[0, 0]).tolist() if setup.metrics.cartesian else None
-    )
     q = _line_buffer(setup, nvar)
     cons = _line_buffer(setup, nvar) if vol_flux == "central" else None
-    half_ja = _line_buffer(setup, d) if areas is None else None
+    rows = None if setup.metrics.cartesian else _line_buffer(setup, d)
     acc = _line_buffer(setup, nvar)
     lanes = _line_lanes(q, cons)
-    n_lanes = q.shape[-1]
-    f = np.empty((nvar, n_lanes))
+    f = np.empty((nvar, q.shape[-1]))
     out = np.zeros_like(u)
     for n in range(d):
         _line_rows(prim, setup, n, q)
         if cons is not None:
             _line_rows(u, setup, n, cons)
-        if half_ja is not None:
-            _half_metric_rows(setup, n, half_ja)
+        scale, half_ja = _line_geometry(setup, n, rows)
         acc.fill(0.0)
-        for a, b, cab, cba in pairs:
-            if areas is not None:
-                flux_lanes_cartesian(vol_flux, lanes[a], lanes[b], n, gas, n_lanes, f)
-                wa = cab * areas[n]
-                wb = cba * areas[n]
-            else:
-                alpha = tuple(x + y for x, y in zip(half_ja[:, a], half_ja[:, b]))
-                flux_lanes_directional(
-                    vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes, f
-                )
-                wa = cab
-                wb = cba
-            acc[:, a] += wa * f
-            acc[:, b] += wb * f
+        _line_terms(vol_flux, lanes, half_ja, n, pairs, scale, setup.gas, acc, f)
         view = _line_major(out, setup, n)
         view += _as_line_major(acc, setup)
     out /= setup.metrics.jac[:, :, None]
@@ -432,24 +474,31 @@ def _side_fluxes(f, ql, qr, normal, subtract_own, n_real):
     return fm, np.subtract(f, _phys_lanes(qr, normal, own), out=f)
 
 
+def _plus_in_element_order(fp, setup, n):
+    """(m, lanes) face rows in minus-element order, gathered into the order
+    of the plus elements through the inverse of plus_neighbor[n] (a
+    permutation: every element is the plus neighbour of exactly one
+    element). Returns a fresh (m, n_elem, face nodes) array."""
+    nb = setup.plus_neighbor[n]
+    minus_of = np.empty_like(nb)
+    minus_of[nb] = np.arange(nb.size)
+    return np.take(fp.reshape(fp.shape[0], nb.size, -1), minus_of, axis=1)
+
+
 def _lift(out, setup, n, fm, fp):
     """Lift per-face-point fluxes (d+2, lanes), lanes in minus-element
     order, in direction n: added into the minus element, subtracted from
     its plus neighbour, divided by the Jacobian. The plus-side fluxes are
-    first gathered into element order through the inverse of
-    plus_neighbor[n] (a permutation: every element is the plus neighbour of
-    exactly one element), so both sides are basic-slice updates. Lobatto
-    grids touch only the boundary nodes; Gauss grids go through the dense
-    boundary-interpolation rows, all line positions at once."""
+    first gathered into element order (_plus_in_element_order), so both
+    sides are basic-slice updates. Lobatto grids touch only the boundary
+    nodes; Gauss grids go through the dense boundary-interpolation rows,
+    all line positions at once."""
     op = setup.op
     w1d = op.weights
-    nb = setup.plus_neighbor[n]
-    minus_of = np.empty_like(nb)
-    minus_of[nb] = np.arange(nb.size)
     view = _line_major(out, setup, n)
     jac = _line_major(setup.metrics.jac[..., None], setup, n)[0]
     fm = fm.reshape(view[:, 0].shape)
-    fp = np.take(fp.reshape(view[:, 0].shape), minus_of, axis=1)
+    fp = _plus_in_element_order(fp, setup, n).reshape(view[:, 0].shape)
     if op.family == "lgl":
         view[:, -1] += fm / (w1d[-1] * jac[-1])
         view[:, 0] -= fp / (w1d[0] * jac[0])
@@ -477,66 +526,62 @@ def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
     return out
 
 
-def mesh_gauss_volume(u, prim, faces, setup, n, config, out):
-    """Zero-corner hybridized volume term in direction n over the mesh,
-    divided by J and added into out; prim = cons2prim(u) and faces are the
-    direction's entropy-projected states from discretization.face_states."""
+def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
+    """Zero-corner hybridized term of gauss_fluxdiff in direction n over
+    the mesh, interface fluxes included, divided by J and added into out;
+    prim = cons2prim(u), faces are the direction's entropy-projected states
+    from discretization.face_states and sides the two interface-flux blocks
+    from mesh_gauss_surface, which become the face-row sums of the line
+    kernel (and are overwritten by them)."""
     require_volume_kind(config.volume_flux)
-    gas = setup.gas
     op = setup.op
-    p1 = op.n_nodes
     nvar = setup.d + 2
     vol_flux = config.volume_flux
     pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
     need_cons = vol_flux == "central"
     q = _line_rows(prim, setup, n, _line_buffer(setup, nvar))
     cons = _line_rows(u, setup, n, _line_buffer(setup, nvar)) if need_cons else None
-    lanes = _line_lanes(q, cons)
-    n_lanes = q.shape[-1]
-    half_ja = _half_metric_rows(setup, n, _line_buffer(setup, setup.d))
-    face_lanes = [_face_lanes(uf, qf, need_cons) for uf, qf in faces]
+    scale, half_ja = _line_geometry(setup, n)
     eja = setup.metrics.elem_face_ja[n]
-    half_face_ja = [0.5 * _face_rows(eja[:, s]) for s in (0, 1)]
-    acc = np.zeros((nvar, p1, n_lanes))
-    f = np.empty((nvar, n_lanes))
-    for a, b, cab, cba in pairs:
-        alpha = tuple(x + y for x, y in zip(half_ja[:, a], half_ja[:, b]))
-        flux_lanes_directional(vol_flux, lanes[a], lanes[b], alpha, gas, n_lanes, f)
-        acc[:, a] += cab * f
-        acc[:, b] += cba * f
-    for s in (0, 1):
-        cvol, cface = vol_face[s]
-        rface = np.zeros((nvar, n_lanes))
-        for a in range(p1):
-            alpha = tuple(x + y for x, y in zip(half_ja[:, a], half_face_ja[s]))
-            flux_lanes_directional(
-                vol_flux, lanes[a], face_lanes[s], alpha, gas, n_lanes, f
-            )
-            acc[:, a] += cvol[a] * f
-            rface += cface[a] * f
-        lrow = lift[s]
-        for a in range(p1):
-            if lrow[a] == 0.0:
-                continue
-            acc[:, a] += lrow[a] * rface
+    # made one side at a time as the kernel reaches it, so no face rows are
+    # held during the pair loop
+    coupling = (
+        (
+            _face_lanes(*faces[s], need_cons),
+            None if half_ja is None else 0.5 * _face_rows(eja[:, s]),
+            sides[s],
+            cvol,
+            cface,
+            lift[s],
+        )
+        for s, (cvol, cface) in enumerate(vol_face)
+    )
+    acc = np.zeros(q.shape)
+    f = np.empty((nvar, q.shape[-1]))
+    _line_terms(
+        vol_flux, _line_lanes(q, cons), half_ja, n, pairs, scale, setup.gas, acc, f,
+        coupling,
+    )
     acc /= _line_rows(setup.metrics.jac[..., None], setup, n, _line_buffer(setup, 1))[0]
     view = _line_major(out, setup, n)
     view += _as_line_major(acc, setup)
     return out
 
 
-def mesh_gauss_surface(faces, setup, n, surface_flux, out):
-    """Interface terms in direction n of gauss_fluxdiff: entropy-projected
-    states from discretization.face_states, shared normals, lifted through
-    the dense boundary-interpolation rows. Each face flux is evaluated once
-    per adjacent element, twice per face, with identical arguments; the
-    scalar discretization.surface_terms evaluates it once. The benchmark's
-    count test pins the second evaluation
+def mesh_gauss_surface(faces, setup, n, surface_flux):
+    """Interface fluxes in direction n of gauss_fluxdiff between
+    entropy-projected states from discretization.face_states, across the
+    shared normals, as the two (d+2, lanes) side blocks, lanes in element
+    order, that mesh_gauss_volume lifts: side 0 the negated flux of each
+    element's -1 face, side 1 the flux of its +1 face. Each face flux is
+    evaluated once per adjacent element, twice per face, with identical
+    arguments; the scalar discretization.surface_terms evaluates it once.
+    The benchmark's count test pins the second evaluation
     (batched.mesh_gauss_surface.useful_eval_ratio == 0.5)."""
     need_cons = surface_flux in ("central", "llf", "hll")
     ql, qr, alpha = _interface_lanes(faces, setup, n, need_cons)
     n_lanes = ql.rho.size
     f_m = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
     f_p = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
-    _lift(out, setup, n, f_m, f_p)
-    return out
+    side0 = _plus_in_element_order(f_p, setup, n)
+    return np.negative(side0, out=side0).reshape(f_m.shape), f_m

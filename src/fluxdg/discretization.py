@@ -14,19 +14,20 @@ Layout conventions used throughout:
   divergence.
 
 The two-point functions (volume_fluxdiff for one lgl element,
-_scalar_gauss_volume for gauss_fluxdiff, and surface_terms, the one
-scalar surface loop of every scheme) are the scalar reference
-implementations: plain float arithmetic through the scalar flux kernels,
-fixed accumulation order, bitwise reproducible. The one-point volume
-functions (volume_strong, volume_weak, volume_overintegration) are numpy
-expressions that take one element or the whole mesh at once; the first two
-read primitives that the caller has already converted. face_states builds
-every interface state once per RHS, one direction at a time, for both
-kernels: Lobatto boundary nodes, Gauss traces, or entropy-projected states.
-`rhs` assembles them over the mesh; with kernel="batched" every scheme's
-two-point work (volume pairs and interface fluxes) runs in the mesh-level
-lane kernels in `batched`, which are equivalence-tested against the
-reference path.
+_scalar_gauss_volume for gauss_fluxdiff, both through the one line kernel
+_line_terms, and surface_terms, the one scalar surface loop of every
+scheme) are the scalar reference implementations: plain float arithmetic
+through the scalar directional flux kernels (a Cartesian element passes
+its axis scaled by the face area), fixed accumulation order, bitwise
+reproducible. The one-point volume functions (volume_strong, volume_weak,
+volume_overintegration) are numpy expressions that take one element or the
+whole mesh at once; the first two read primitives that the caller has
+already converted. face_states builds every interface state once per RHS,
+one direction at a time, for both kernels: Lobatto boundary nodes, Gauss
+traces, or entropy-projected states. `rhs` assembles them over the mesh;
+with kernel="batched" every scheme's two-point work (volume pairs and
+interface fluxes) runs in the mesh-level lane kernels in `batched`, which
+are equivalence-tested against the reference path.
 """
 
 from dataclasses import dataclass
@@ -58,7 +59,6 @@ from .fluxes import (
 )
 from .geometry import (
     apply_along,
-    axis_aligned_areas,
     compute_metrics,
     element_coords,
     element_metrics,
@@ -195,57 +195,20 @@ def volume_fluxdiff(u_elem, dop, metrics, vol_flux, gas):
     """Flux-differencing volume term with the split derivative matrix.
 
     Pairs are visited once with i < k per line; the symmetric two-point flux
-    is scattered with the stored (i,k) and (k,i) matrix weights, preserving
-    the operator's M-antisymmetry exactly in floating point. Cartesian
-    elements use the axis fluxes scaled by the constant face area, curved
-    elements the directional fluxes with arithmetically averaged metric
-    vectors.
+    along the arithmetically averaged metric vectors is scattered with the
+    stored (i,k) and (k,i) matrix weights, preserving the operator's
+    M-antisymmetry exactly in floating point.
     """
     require_volume_kind(vol_flux)
-    op = dop.op
-    p1 = op.n_nodes
     nvar = u_elem.shape[-1]
-    d = nvar - 2
-    nn = u_elem.shape[0]
-    lines = node_line_lists(p1, d)
     pairs = pair_table(dop.matrix)
-    areas = axis_aligned_areas(metrics.ja)
-    cart = flux_function(vol_flux, "cartesian")
-    dirn = flux_function(vol_flux, "directional")
+    dirn = flux_function(vol_flux)
     states = u_elem.tolist()
-    acc = [[0.0] * nvar for _ in range(nn)]
-    for n in range(d):
-        if areas is not None:
-            area = areas[n]
-            for line in lines[n]:
-                for a, b, cab, cba in pairs:
-                    i = line[a]
-                    k = line[b]
-                    f = cart(states[i], states[k], n, gas)
-                    wi = cab * area
-                    wk = cba * area
-                    ai = acc[i]
-                    ak = acc[k]
-                    for v in range(nvar):
-                        fv = f[v]
-                        ai[v] += wi * fv
-                        ak[v] += wk * fv
-        else:
-            jan = metrics.ja[:, n, :].tolist()
-            for line in lines[n]:
-                for a, b, cab, cba in pairs:
-                    i = line[a]
-                    k = line[b]
-                    ji = jan[i]
-                    jk = jan[k]
-                    alpha = tuple(0.5 * (x + y) for x, y in zip(ji, jk))
-                    f = dirn(states[i], states[k], alpha, gas)
-                    ai = acc[i]
-                    ak = acc[k]
-                    for v in range(nvar):
-                        fv = f[v]
-                        ai[v] += cab * fv
-                        ak[v] += cba * fv
+    acc = [[0.0] * nvar for _ in range(u_elem.shape[0])]
+    for n, lines in enumerate(node_line_lists(dop.op.n_nodes, nvar - 2)):
+        jan = metrics.ja[:, n, :].tolist()
+        for line in lines:
+            _line_terms(states, line, jan, pairs, dirn, gas, nvar, acc)
     out = np.asarray(acc)
     out /= metrics.jac[:, None]
     return out
@@ -271,31 +234,19 @@ def volume_overintegration(u_elem, op, transfer, metrics_q, gas):
     return back.reshape(u_elem.shape)
 
 
-def _gauss_line_terms(
-    states,
-    line,
-    face_states,
-    jan,
-    face_jan,
-    pairs,
-    vf_coefs,
-    lift,
-    dirn,
-    gas,
-    nvar,
-    acc,
-):
-    """Accumulate one line's hybridized volume terms into acc (list rows).
+def _line_terms(states, line, jan, pairs, dirn, gas, nvar, acc, coupling=()):
+    """Accumulate one node line's two-point terms into acc (list rows).
 
-    states/jan are element-wide lists indexed by node id; face_states and
-    face_jan hold the two projected endpoint states and their metric traces
-    for this line. Weights come pre-divided by mass where they target volume
-    rows; face-row sums are lifted through R at the end. The face-face
-    (corner) term is left out: it cancels against the strong-form surface
-    subtraction (see rhs).
+    states/jan are element-wide lists indexed by node id and line the
+    line's node ids. Each pair (a, b, c_ab, c_ba) of the table adds
+    c_ab F(a, b) into node line[a] and c_ba F(a, b) into line[b], the flux
+    taken along the mean metric vector. coupling, on Gauss grids, holds per
+    side (face state, face metric, c_vol, c_face, lift row) of
+    operators.hybridized_scatter: each node line[a] adds c_vol[a] F(a, face)
+    and c_face[a] F(a, face) goes into the side's face-row sum, which the
+    lift row carries back onto the line. The face-face (corner) term is left
+    out: it cancels against the strong-form surface subtraction (see rhs).
     """
-    p1 = len(line)
-    # volume-volume pairs
     for a, b, cab, cba in pairs:
         i = line[a]
         k = line[b]
@@ -307,15 +258,9 @@ def _gauss_line_terms(
             fv = f[v]
             ai[v] += cab * fv
             ak[v] += cba * fv
-    # volume-face coupling plus lifted face rows
-    for s in (0, 1):
-        fstate = face_states[s]
-        fja = face_jan[s]
-        cvol = vf_coefs[s][0]
-        cface = vf_coefs[s][1]
+    for fstate, fja, cvol, cface, lrow in coupling:
         rface = [0.0] * nvar
-        for a in range(p1):
-            i = line[a]
+        for a, i in enumerate(line):
             alpha = tuple(0.5 * (x + y) for x, y in zip(jan[i], fja))
             f = dirn(states[i], fstate, alpha, gas)
             ai = acc[i]
@@ -325,12 +270,7 @@ def _gauss_line_terms(
                 fv = f[v]
                 ai[v] += ca * fv
                 rface[v] += cf * fv
-        lrow = lift[s]
-        for a in range(p1):
-            i = line[a]
-            la = lrow[a]
-            if la == 0.0:
-                continue
+        for i, la in zip(line, lrow):
             ai = acc[i]
             for v in range(nvar):
                 ai[v] += la * rface[v]
@@ -502,7 +442,7 @@ def surface_terms(faces, setup, n, surface_flux, subtract_own, out):
     op = setup.op
     gas = setup.gas
     nvar = out.shape[-1]
-    kernel = flux_function(surface_flux, "directional")
+    kernel = flux_function(surface_flux)
     (u0, q0), (u1, q1) = faces
     minus, plus = u1.tolist(), u0.tolist()
     q_minus, q_plus = q1.tolist(), q0.tolist()
@@ -592,8 +532,8 @@ def rhs(u, setup, config, counter=None):
     kind = config.surface_flux
     for n, faces in enumerate(face_states(u, prim, setup, projected)):
         if projected and batched:
-            _batched.mesh_gauss_volume(u, prim, faces, setup, n, config, out)
-            _batched.mesh_gauss_surface(faces, setup, n, kind, out)
+            sides = _batched.mesh_gauss_surface(faces, setup, n, kind)
+            _batched.mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out)
         elif projected:
             _scalar_gauss_volume(u, faces, setup, n, config, out)
             surface_terms(faces, setup, n, kind, False, out)
@@ -616,32 +556,21 @@ def _scalar_gauss_volume(u, faces, setup, n, config, out):
     op = setup.op
     nvar = u.shape[-1]
     lines = node_line_lists(op.n_nodes, setup.d)[n]
-    pairs, vf_coefs, lift = hybridized_scatter(op.degree, op.family)
-    dirn = flux_function(config.volume_flux, "directional")
+    pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
+    dirn = flux_function(config.volume_flux)
     metrics = setup.metrics
     eja = metrics.elem_face_ja[n]
-    (u0, _q0), (u1, _q1) = faces
+    sides = [(uf.tolist(), eja[:, s].tolist()) for s, (uf, _qf) in enumerate(faces)]
     acc = np.zeros_like(u).tolist()
     for e in range(setup.n_elements):
         states = u[e].tolist()
         jan = metrics.ja[e, :, n, :].tolist()
-        fstates = (u0[e].tolist(), u1[e].tolist())
-        fja = (eja[e, 0].tolist(), eja[e, 1].tolist())
         for m, line in enumerate(lines):
-            _gauss_line_terms(
-                states,
-                line,
-                (fstates[0][m], fstates[1][m]),
-                jan,
-                (fja[0][m], fja[1][m]),
-                pairs,
-                vf_coefs,
-                lift,
-                dirn,
-                setup.gas,
-                nvar,
-                acc[e],
-            )
+            coupling = [
+                (fs[e][m], fja[e][m], cvol, cface, lrow)
+                for (fs, fja), (cvol, cface), lrow in zip(sides, vol_face, lift)
+            ]
+            _line_terms(states, line, jan, pairs, dirn, setup.gas, nvar, acc[e], coupling)
     out += np.asarray(acc) / metrics.jac[:, :, None]
 
 

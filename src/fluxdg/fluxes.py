@@ -6,14 +6,10 @@ arithmetic, tuples in and out. States are indexable sequences
 lists so everything below runs on Python floats. The batched module carries
 the lane-parallel array versions.
 
-Flux forms:
-
-* cartesian   - flux along a coordinate axis j (0-based), for the volume
-                kinds only: the Cartesian branch of the volume kernel and
-                the oracle of batched.flux_lanes_cartesian
-* directional - flux contracted with an arbitrary (scaled) direction vector;
-                linear in the direction, antisymmetric under
-                (u_l, u_r, n) -> (u_r, u_l, -n)
+Every kernel is directional: the flux contracted with an arbitrary
+(scaled) direction vector, linear in the direction and antisymmetric under
+(u_l, u_r, n) -> (u_r, u_l, -n). A Cartesian element passes a coordinate
+axis scaled by its face area.
 
 Volume fluxes (shima, ranocha, central) are symmetric in their arguments;
 llf and hll are surface-only.
@@ -123,8 +119,24 @@ def _prim3(u, gm1):
 # ---------------------------------------------------------------------------
 # kinetic-energy and pressure-equilibrium preserving flux
 
-def _shima_core(rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, igm1):
+def flux_shima_directional(u_l, u_r, normal, gas):
     add_two_point()
+    gm1 = gas.gamma - 1.0
+    if len(u_l) == 4:
+        rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
+        rho_r, vr1, vr2, p_r = _prim2(u_r, gm1)
+        v_l = (vl1, vl2)
+        v_r = (vr1, vr2)
+        vn_l = vl1 * normal[0] + vl2 * normal[1]
+        vn_r = vr1 * normal[0] + vr2 * normal[1]
+    else:
+        rho_l, vl1, vl2, vl3, p_l = _prim3(u_l, gm1)
+        rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
+        v_l = (vl1, vl2, vl3)
+        v_r = (vr1, vr2, vr3)
+        vn_l = vl1 * normal[0] + vl2 * normal[1] + vl3 * normal[2]
+        vn_r = vr1 * normal[0] + vr2 * normal[1] + vr3 * normal[2]
+    igm1 = gas.inv_gamma_minus_one
     rho_avg = 0.5 * (rho_l + rho_r)
     p_avg = 0.5 * (p_l + p_r)
     vn_avg = 0.5 * (vn_l + vn_r)
@@ -139,26 +151,11 @@ def _shima_core(rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, igm1):
     return (f_rho,) + mom + (f_e,)
 
 
-def flux_shima_cartesian(u_l, u_r, j, gas):
-    gm1 = gas.gamma - 1.0
-    if len(u_l) == 4:
-        rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
-        rho_r, vr1, vr2, p_r = _prim2(u_r, gm1)
-        v_l = (vl1, vl2)
-        v_r = (vr1, vr2)
-        normal = _AXIS2[j]
-    else:
-        rho_l, vl1, vl2, vl3, p_l = _prim3(u_l, gm1)
-        rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
-        v_l = (vl1, vl2, vl3)
-        v_r = (vr1, vr2, vr3)
-        normal = _AXIS3[j]
-    return _shima_core(
-        rho_l, p_l, rho_r, p_r, v_l, v_r, v_l[j], v_r[j], normal, gas.inv_gamma_minus_one
-    )
+# ---------------------------------------------------------------------------
+# entropy-conservative flux
 
-
-def flux_shima_directional(u_l, u_r, normal, gas):
+def flux_ranocha_directional(u_l, u_r, normal, gas):
+    add_two_point()
     gm1 = gas.gamma - 1.0
     if len(u_l) == 4:
         rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
@@ -174,16 +171,7 @@ def flux_shima_directional(u_l, u_r, normal, gas):
         v_r = (vr1, vr2, vr3)
         vn_l = vl1 * normal[0] + vl2 * normal[1] + vl3 * normal[2]
         vn_r = vr1 * normal[0] + vr2 * normal[1] + vr3 * normal[2]
-    return _shima_core(
-        rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, gas.inv_gamma_minus_one
-    )
-
-
-# ---------------------------------------------------------------------------
-# entropy-conservative flux
-
-def _ranocha_core(rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, igm1):
-    add_two_point()
+    igm1 = gas.inv_gamma_minus_one
     add_logmean(2)
     rho_mean = logmean_optimized(rho_l, rho_r)
     inv_rho_p_mean = p_l * p_r * inv_logmean_optimized(rho_l * p_r, rho_r * p_l)
@@ -198,46 +186,6 @@ def _ranocha_core(rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, igm1):
         f_rho * 0.5 * (a + b) + p_avg * n for a, b, n in zip(v_l, v_r, normal)
     )
     return (f_rho,) + mom + (f_e,)
-
-
-def flux_ranocha_cartesian(u_l, u_r, j, gas):
-    gm1 = gas.gamma - 1.0
-    if len(u_l) == 4:
-        rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
-        rho_r, vr1, vr2, p_r = _prim2(u_r, gm1)
-        v_l = (vl1, vl2)
-        v_r = (vr1, vr2)
-        normal = _AXIS2[j]
-    else:
-        rho_l, vl1, vl2, vl3, p_l = _prim3(u_l, gm1)
-        rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
-        v_l = (vl1, vl2, vl3)
-        v_r = (vr1, vr2, vr3)
-        normal = _AXIS3[j]
-    return _ranocha_core(
-        rho_l, p_l, rho_r, p_r, v_l, v_r, v_l[j], v_r[j], normal, gas.inv_gamma_minus_one
-    )
-
-
-def flux_ranocha_directional(u_l, u_r, normal, gas):
-    gm1 = gas.gamma - 1.0
-    if len(u_l) == 4:
-        rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
-        rho_r, vr1, vr2, p_r = _prim2(u_r, gm1)
-        v_l = (vl1, vl2)
-        v_r = (vr1, vr2)
-        vn_l = vl1 * normal[0] + vl2 * normal[1]
-        vn_r = vr1 * normal[0] + vr2 * normal[1]
-    else:
-        rho_l, vl1, vl2, vl3, p_l = _prim3(u_l, gm1)
-        rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
-        v_l = (vl1, vl2, vl3)
-        v_r = (vr1, vr2, vr3)
-        vn_l = vl1 * normal[0] + vl2 * normal[1] + vl3 * normal[2]
-        vn_r = vr1 * normal[0] + vr2 * normal[1] + vr3 * normal[2]
-    return _ranocha_core(
-        rho_l, p_l, rho_r, p_r, v_l, v_r, vn_l, vn_r, normal, gas.inv_gamma_minus_one
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +217,6 @@ def flux_central_directional(u_l, u_r, normal, gas):
     f_l = _phys_flux_n(u_l, rho_l, v_l, p_l, normal)
     f_r = _phys_flux_n(u_r, rho_r, v_r, p_r, normal)
     return tuple(0.5 * (a + b) for a, b in zip(f_l, f_r))
-
-
-def flux_central_cartesian(u_l, u_r, j, gas):
-    axes = _AXIS2 if len(u_l) == 4 else _AXIS3
-    return flux_central_directional(u_l, u_r, axes[j], gas)
-
-
-_AXIS2 = ((1.0, 0.0), (0.0, 1.0))
-_AXIS3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +304,6 @@ def flux_hll_directional(u_l, u_r, normal, gas):
 # ---------------------------------------------------------------------------
 # dispatch
 
-_CARTESIAN = {
-    "shima": flux_shima_cartesian,
-    "ranocha": flux_ranocha_cartesian,
-    "central": flux_central_cartesian,
-}
-
 _DIRECTIONAL = {
     "shima": flux_shima_directional,
     "ranocha": flux_ranocha_directional,
@@ -380,15 +313,13 @@ _DIRECTIONAL = {
 }
 
 
-def flux_function(kind, form):
-    """Look up a scalar flux kernel. form is 'cartesian' or 'directional'."""
-    table = {"cartesian": _CARTESIAN, "directional": _DIRECTIONAL}.get(form)
-    if table is None:
-        raise ConfigurationError("unknown flux form %r" % (form,))
-    fn = table.get(kind)
+def flux_function(kind):
+    """Look up the scalar directional flux kernel of a flux kind."""
+    fn = _DIRECTIONAL.get(kind)
     if fn is None:
         raise ConfigurationError(
-            "unknown flux kind %r (choose from %s)" % (kind, ", ".join(sorted(table)))
+            "unknown flux kind %r (choose from %s)"
+            % (kind, ", ".join(sorted(_DIRECTIONAL)))
         )
     return fn
 

@@ -197,18 +197,6 @@ class MetricData:
     cartesian: bool
 
 
-def axis_aligned_areas(ja):
-    """Per-direction face areas if the element's metric is exactly constant
-    and diagonal (an axis-aligned box), else None. The volume kernels use
-    this to take the cheaper coordinate-axis flux path."""
-    if np.ptp(ja, axis=0).max() != 0.0:
-        return None
-    a0 = ja[0]
-    if np.count_nonzero(a0 - np.diag(np.diag(a0))):
-        return None
-    return np.diag(a0).tolist()
-
-
 def _metrics_2d(coords_nd, dmat):
     x1 = coords_nd[..., 0]
     x2 = coords_nd[..., 1]

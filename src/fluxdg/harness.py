@@ -516,7 +516,7 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
         normals = np.transpose(geometry).tolist()
     block = np.empty((d + 2, n_samples))
     got = np.transpose(fn(kind, ql, qr, geometry, gas, n_samples, block)).tolist()
-    dirn = flux_function(kind, "directional")
+    dirn = flux_function(kind)
     for i, (ul, ur, nrm) in enumerate(zip(u[0].tolist(), u[1].tolist(), normals)):
         want = dirn(ul, ur, nrm, gas)
         err = max(abs(a - b) for a, b in zip(got[i], want))

@@ -99,7 +99,7 @@ def check_entropy_conservative_flux(n_pairs=400):
     worst = 0.0
     for d in (2, 3):
         rng = np.random.default_rng(d)
-        kernel = flux_function("ranocha", "directional")
+        kernel = flux_function("ranocha")
         q = np.empty((2 * n_pairs, d + 2))
         q[:, 0] = 1.0 + rng.random(2 * n_pairs)
         q[:, 1 : d + 1] = rng.random((2 * n_pairs, d)) - 0.5

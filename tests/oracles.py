@@ -120,7 +120,7 @@ def gauss_volume_dense(u, faces, setup, n, vol_flux):
     q = build_hybridized(op).q_matrix.copy()
     q[p1:, p1:] = 0.0
     lift = (op.boundary_interp / op.weights).T
-    dirn = flux_function(vol_flux, "directional")
+    dirn = flux_function(vol_flux)
     (u0, _q0), (u1, _q1) = faces
     eja = setup.metrics.elem_face_ja[n]
     out = np.zeros_like(u)

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fluxdg import batched
 from fluxdg import (
     FluxCounter,
     GasParams,
@@ -122,7 +123,7 @@ def test_entropy_condition_of_volume_flux():
     worst = 0.0
     for d in (2, 3):
         rng = np.random.default_rng(100 + d)
-        kernel = flux_function("ranocha", "directional")
+        kernel = flux_function("ranocha")
         left = _random_states(rng, d, n_wide + n_close)
         right = np.empty_like(left)
         right[:n_wide] = _random_states(rng, d, n_wide)
@@ -300,24 +301,26 @@ def test_volume_term_matches_split_matrix_assembly():
 
 
 def test_cartesian_and_directional_forms_agree():
-    """Summing per-axis fluxes against a direction vector reproduces the
-    directional kernel."""
+    """Summing per-axis lane fluxes against a direction vector reproduces
+    the directional lane kernel, lane by lane."""
     for d in (2, 3):
         rng = np.random.default_rng(31 + d)
         u = _random_states(rng, d, 400)
         alphas = rng.uniform(-1.0, 1.0, (200, d))
+        ql, qr = (
+            batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], tuple(c.T))
+            for q, c in ((cons2prim(half, GAS), half) for half in (u[0::2], u[1::2]))
+        )
         for kind in ("shima", "ranocha", "central"):
-            cart = flux_function(kind, "cartesian")
-            dirn = flux_function(kind, "directional")
+            combo = sum(
+                alphas[:, j] * batched.flux_lanes_cartesian(kind, ql, qr, j, GAS, 200)
+                for j in range(d)
+            )
+            direct = batched.flux_lanes_directional(
+                kind, ql, qr, tuple(alphas.T), GAS, 200
+            )
             for i in range(200):
-                ul = u[2 * i].tolist()
-                ur = u[2 * i + 1].tolist()
-                combo = sum(
-                    alphas[i, j] * np.asarray(cart(ul, ur, j, GAS))
-                    for j in range(d)
-                )
-                direct = np.asarray(dirn(ul, ur, tuple(alphas[i]), GAS))
-                assert _relative_gap(direct, combo) < 1e-13
+                assert _relative_gap(direct[:, i], combo[:, i]) < 1e-13
 
 
 def test_gauss_volume_forms_agree():

@@ -203,7 +203,7 @@ def test_lane_kernels_fill_the_given_block(gas, kind, d, form):
     # nothing outside the block is written
     assert np.isnan(big[[0, -1]]).all() and np.isnan(big[:, ::2]).all()
     assert np.array_equal(got, fn(kind, ql, qr, geometry, gas, n))
-    scalar = flux_function(kind, "directional")
+    scalar = flux_function(kind)
     for i in range(n):
         want = np.asarray(scalar(cons[0][i], cons[1][i], normals[i], gas))
         assert np.abs(got[:, i] - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
@@ -253,6 +253,39 @@ def test_lift_matches_face_point_loop(gas, family, dims, curved):
                         term = (lift * flux) / jac[target, node]
                     want[target, node] += sign * term
         assert np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1, 2)])
+def test_gauss_side_blocks_are_what_lift_lifts(gas, dims, curved):
+    """mesh_gauss_surface hands mesh_gauss_volume the interface fluxes in
+    element order: side 1 the flux of each element's +1 face (the minus
+    side), side 0 the negated flux of its -1 face, gathered from the
+    neighbour whose plus side it is. Lifted through the rows
+    boundary_interp / weights and divided by J, they reproduce _lift."""
+    d = len(dims)
+    geo = (2 if d == 2 else 1) if curved else None
+    mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
+    setup = build_setup(mesh, make_operator(2, "gauss"), gas)
+    op = setup.op
+    u = random_field(setup, gas, seed=24, amp=0.3)
+    lift = op.boundary_interp / op.weights
+    faces_by_n = discretization.face_states(u, cons2prim(u, gas), setup, True)
+    for n, faces in enumerate(faces_by_n):
+        side0, side1 = batched.mesh_gauss_surface(faces, setup, n, "llf")
+        ql, qr, alpha = batched._interface_lanes(faces, setup, n, True)
+        f = batched.flux_lanes_directional("llf", ql, qr, alpha, gas, ql.rho.size)
+        assert np.array_equal(side1, f)
+        want = np.zeros_like(u)
+        batched._lift(want, setup, n, f, f.copy())
+        got = np.zeros_like(u)
+        view = batched._line_major(got, setup, n)
+        jac = batched._line_major(setup.metrics.jac[..., None], setup, n)[0]
+        for s, block in enumerate((side0, side1)):
+            block = block.reshape(view[:, 0].shape)
+            for a in range(op.n_nodes):
+                view[:, a] += lift[s, a] * block / jac[a]
+        assert _relative_gap(got, want) < 1e-13, n
 
 
 @pytest.mark.parametrize("vol_flux", ["central", "ranocha"])

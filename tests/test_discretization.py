@@ -1,8 +1,12 @@
+import inspect
 import re
+import sys
+from itertools import product
 
 import numpy as np
 import pytest
 
+from fluxdg import fluxes, geometry
 from fluxdg import (
     FluxCounter,
     RhsConfig,
@@ -18,6 +22,7 @@ from fluxdg import (
     rhs,
 )
 from fluxdg.discretization import (
+    VOLUME_SCHEMES,
     _scalar_gauss_volume,
     face_states,
     surface_terms,
@@ -28,6 +33,7 @@ from fluxdg.discretization import (
 )
 from fluxdg.errors import AdmissibilityError, ConfigurationError
 from fluxdg.euler import cons2prim, entropy_vars
+from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
 from fluxdg.operators import node_lines
 
@@ -65,7 +71,7 @@ def matrix_route_fluxdiff(u_elem, dop, metrics, vol_flux, gas):
     mat = dop.matrix
     p1 = op.n_nodes
     d = u_elem.shape[-1] - 2
-    dirn = flux_function(vol_flux, "directional")
+    dirn = flux_function(vol_flux)
     states = u_elem.tolist()
     acc = np.zeros_like(u_elem)
     for n in range(d):
@@ -296,6 +302,68 @@ def test_entropy_projection_preserves_constants(gas):
             assert np.abs(face - u[0, 0]).max() < 1e-12
 
 
+PEP_VELOCITY = (0.3, -0.2, 0.1)
+
+
+def pressure_equilibrium_field(setup, gas):
+    """A smooth density wave carried by constant velocity and pressure (1):
+    (conserved states, the velocity)."""
+    d = setup.d
+    q = np.empty((setup.n_elements, setup.n_nodes, d + 2))
+    q[..., 0] = 1.0 + 0.5 * np.prod(np.sin(0.6 * setup.coords + 0.3), axis=-1)
+    q[..., 1:-1] = PEP_VELOCITY[:d]
+    q[..., -1] = 1.0
+    return prim2cons(q, gas), np.asarray(PEP_VELOCITY[:d])
+
+
+@pytest.mark.parametrize("kernel", ["reference", "batched"])
+@pytest.mark.parametrize("surface", ["matching", "llf"])
+@pytest.mark.parametrize("vol_flux", ["shima", "ranocha", "central"])
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_lgl_fluxdiff_preserves_pressure_equilibrium(gas, d, curved, vol_flux, surface, kernel):
+    """With constant velocity v and pressure, lgl flux differencing moves
+    the density only: d(rho v)/dt = v drho/dt and dE/dt = |v|^2/2 drho/dt,
+    so v and p stay constant, with every volume flux, a matching or llf
+    surface flux, on flat and curved meshes."""
+    setup = lgl_setup(gas, d=d, dims=(3,) * d, amplitude=0.1 if curved else 0.0)
+    u, v = pressure_equilibrium_field(setup, gas)
+    config = RhsConfig(
+        volume_flux=vol_flux,
+        surface_flux=vol_flux if surface == "matching" else surface,
+        kernel=kernel,
+    )
+    dudt = rhs(u, setup, config)
+    drho = dudt[..., :1]
+    scale = np.abs(dudt).max()
+    assert scale > 1e-2  # the density does move
+    assert np.abs(dudt[..., 1:-1] - v * drho).max() < 1e-12 * scale
+    assert np.abs(dudt[..., -1:] - 0.5 * (v @ v) * drho).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_entropy_projection_moves_face_pressure(gas, d, curved):
+    """gauss_fluxdiff is not pressure-equilibrium preserving, and this is
+    where it loses it: on a pressure-equilibrium state the entropy projection
+    keeps the face velocity but moves the face pressure by several percent
+    (it interpolates the entropy variables, which hold log rho), while the
+    unprojected Gauss traces keep both to rounding."""
+    geo = (2 if d == 2 else 1) if curved else None
+    setup = gauss_setup(
+        gas, d=d, dims=(3,) * d, amplitude=0.1 if curved else 0.0, geo_degree=geo
+    )
+    u, v = pressure_equilibrium_field(setup, gas)
+    prim = cons2prim(u, gas)
+    for projected, least, most in ((True, 1e-2, 1.0), (False, 0.0, 1e-14)):
+        moved = 0.0
+        for sides in face_states(u, prim, setup, projected):
+            for _face, q in sides:
+                assert np.abs(q[..., 1:-1] - v).max() < 1e-14
+                moved = max(moved, np.abs(q[..., -1] - 1.0).max())
+        assert least <= moved < most, projected
+
+
 def test_entropy_projection_reports_bad_face_state(gas):
     # every node admissible, but the oscillation is wild enough that the
     # interpolated entropy variables leave the admissible set at a face;
@@ -449,3 +517,51 @@ def test_entropy_rate_sign_of_dissipative_flux(gas):
     total_diss, _ = entropy_rate(u, r_diss, setup)
     assert abs(total_ec) < 1e-13
     assert total_diss < -1e-10
+
+
+def test_reference_rhs_reaches_every_flux_and_geometry_function(gas):
+    """Building meshes and setups and sweeping rhs(kernel="reference") over
+    dimension, family, mesh, volume scheme and surface flux calls every
+    function defined in fluxdg.fluxes and fluxdg.geometry: the oracle's
+    modules hold no flux form or geometry helper that rhs never reaches."""
+    defined = {
+        fn.__code__: module.__name__ + "." + name
+        for module in (fluxes, geometry)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+    }
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    ran = set()
+    p = 1
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for d, family, amplitude in product((2, 3), ("lgl", "gauss"), (0.0, 0.1)):
+            curved_gauss = family == "gauss" and amplitude > 0.0
+            geo = (2 if d == 2 else 1) if curved_gauss else None
+            mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
+            overint = p + 1 if amplitude == 0.0 else None
+            op = make_operator(p, family)
+            setup = build_setup(mesh, op, gas, overint_degree=overint)
+            u = random_field(setup, gas, seed=12, amp=0.3)
+            for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
+                config = RhsConfig(
+                    volume_scheme=scheme, surface_flux=kind, overint_degree=p + 1
+                )
+                try:
+                    config.validate(setup)
+                except ConfigurationError:
+                    continue  # scheme not defined for this family or mesh
+                dudt = rhs(u, setup, config, counter=FluxCounter())
+                assert np.isfinite(dudt).all()
+                ran.add(scheme)
+    finally:
+        sys.setprofile(previous)
+    assert ran == set(VOLUME_SCHEMES)
+    missing = sorted(name for code, name in defined.items() if code not in called)
+    assert not missing, missing

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
+from fluxdg import batched
 from fluxdg.errors import ConfigurationError
-from fluxdg.euler import entropy_vars, prim2cons
+from fluxdg.euler import cons2prim, entropy_vars, prim2cons
 from fluxdg.fluxes import (
     VOLUME_KINDS,
     FluxCounter,
     count_guard,
-    flux_central_cartesian,
     flux_central_directional,
     flux_function,
     flux_hll_directional,
-    flux_ranocha_cartesian,
     flux_ranocha_directional,
-    flux_shima_cartesian,
+    flux_shima_directional,
     require_volume_kind,
 )
 
@@ -42,7 +41,7 @@ def _pairs(d, n, seed, series_fraction=0.0):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("kind", ("shima", "ranocha", "central"))
 def test_volume_flux_symmetry(d, kind, gas):
-    fn = flux_function(kind, "directional")
+    fn = flux_function(kind)
     ul, ur, _ = _pairs(d, 200, 1)
     rng = np.random.default_rng(2)
     for i in range(len(ul)):
@@ -56,7 +55,7 @@ def test_volume_flux_symmetry(d, kind, gas):
 @pytest.mark.parametrize("kind", PAIR_KINDS)
 def test_flux_consistency(d, kind, gas):
     # F(u, u, n) equals the physical flux contracted with n
-    fn = flux_function(kind, "directional")
+    fn = flux_function(kind)
     rng = np.random.default_rng(3)
     for q in random_primitives(rng, d, 100):
         u = prim2cons(q, gas)
@@ -69,14 +68,20 @@ def test_flux_consistency(d, kind, gas):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("kind", VOLUME_KINDS)
 def test_cartesian_matches_axis_directional(d, kind, gas):
-    cart = flux_function(kind, "cartesian")
-    direc = flux_function(kind, "directional")
+    # the lane axis kernel (the Cartesian volume pairs) equals the scalar
+    # directional kernel along the coordinate axis
+    direc = flux_function(kind)
     ul, ur, _ = _pairs(d, 100, 4)
-    for i in range(len(ul)):
-        for j in range(d):
-            normal = np.zeros(d)
-            normal[j] = 1.0
-            a = np.asarray(cart(ul[i], ur[i], j, gas))
+    ql, qr = (
+        batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], tuple(u.T))
+        for q, u in ((cons2prim(ul, gas), ul), (cons2prim(ur, gas), ur))
+    )
+    for j in range(d):
+        normal = np.zeros(d)
+        normal[j] = 1.0
+        lanes = batched.flux_lanes_cartesian(kind, ql, qr, j, gas, len(ul))
+        for i in range(len(ul)):
+            a = lanes[:, i]
             b = np.asarray(direc(ul[i], ur[i], normal, gas))
             assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
 
@@ -116,7 +121,7 @@ def test_shima_is_pressure_equilibrium_preserving(d, gas):
         qr = np.r_[rho_r, v, p]
         ul, ur = prim2cons(ql, gas), prim2cons(qr, gas)
         for j in range(d):
-            f = np.asarray(flux_shima_cartesian(ul, ur, j, gas))
+            f = np.asarray(flux_shima_directional(ul, ur, np.eye(d)[j], gas))
             assert abs(f[0] - 0.5 * (rho_l + rho_r) * v[j]) < 1e-14
             mom = 0.5 * (rho_l + rho_r) * v[j] * v + p * np.eye(d)[j]
             assert np.abs(f[1 : d + 1] - mom).max() < 1e-13
@@ -126,7 +131,7 @@ def test_central_is_flux_average(gas):
     ul, ur, _ = _pairs(2, 50, 8)
     for i in range(len(ul)):
         for j in range(2):
-            f = np.asarray(flux_central_cartesian(ul[i], ur[i], j, gas))
+            f = np.asarray(flux_central_directional(ul[i], ur[i], np.eye(2)[j], gas))
             want = 0.5 * (physical_flux(ul[i], j, gas) + physical_flux(ur[i], j, gas))
             assert np.abs(f - want).max() < 1e-13 * max(1.0, np.abs(want).max())
 
@@ -135,7 +140,7 @@ def test_central_is_flux_average(gas):
 @pytest.mark.parametrize("d", [2, 3])
 def test_dissipative_fluxes_are_entropy_stable(kind, d, gas):
     # (w_r - w_l) . F <= psi_r - psi_l on admissible pairs
-    fn = flux_function(kind, "directional")
+    fn = flux_function(kind)
     ul, ur, _ = _pairs(d, 1000, 9)
     rng = np.random.default_rng(10)
     for i in range(len(ul)):
@@ -151,7 +156,7 @@ def test_dissipative_fluxes_are_entropy_stable(kind, d, gas):
 @pytest.mark.parametrize("d", [2, 3])
 def test_surface_flux_conservation_property(kind, d, gas):
     # flipping sides and the normal negates the numerical flux
-    fn = flux_function(kind, "directional")
+    fn = flux_function(kind)
     ul, ur, _ = _pairs(d, 200, 11)
     rng = np.random.default_rng(12)
     for i in range(len(ul)):
@@ -177,30 +182,28 @@ def test_counters(gas):
     ur = prim2cons(np.array([1.1, -0.1, 0.2, 1.2]), gas)
     c = FluxCounter()
     with count_guard(c):
-        flux_ranocha_cartesian(ul, ur, 0, gas)
+        flux_ranocha_directional(ul, ur, (1.0, 0.0), gas)
     assert (c.two_point_evals, c.logmean_evals) == (1, 2)
     c.reset()
     with count_guard(c):
-        flux_shima_cartesian(ul, ur, 1, gas)
+        flux_shima_directional(ul, ur, (0.0, 1.0), gas)
         flux_central_directional(ul, ur, np.array([1.0, 0.0]), gas)
     assert (c.two_point_evals, c.logmean_evals) == (2, 0)
     # nested guards both see the work
     outer, inner = FluxCounter(), FluxCounter()
     with count_guard(outer):
-        flux_ranocha_cartesian(ul, ur, 0, gas)
+        flux_ranocha_directional(ul, ur, (1.0, 0.0), gas)
         with count_guard(inner):
-            flux_ranocha_cartesian(ul, ur, 0, gas)
+            flux_ranocha_directional(ul, ur, (1.0, 0.0), gas)
     assert outer.two_point_evals == 2
     assert inner.two_point_evals == 1
 
 
 def test_kind_validation():
-    with pytest.raises(ConfigurationError):
-        flux_function("roe", "directional")
-    with pytest.raises(ConfigurationError):
-        flux_function("ranocha", "diagonal")
     with pytest.raises(ConfigurationError, match="llf"):
-        flux_function("llf", "cartesian")  # axis kernels exist for volume kinds
+        flux_function("roe")  # the message lists the known kinds
+    for kind in ("shima", "ranocha", "central", "llf", "hll"):
+        assert callable(flux_function(kind))
     with pytest.raises(ConfigurationError):
         require_volume_kind("llf")  # dissipative kinds are surface-only
     require_volume_kind("ranocha")

@@ -212,6 +212,30 @@ def test_hybridized_pairs_are_gauss_dsplit(p):
     assert np.abs(np.diag(mat)).max() < 1e-14
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+def test_lobatto_hybridized_is_dsplit_plus_cancelling_coupling(p):
+    # on Lobatto nodes the hybridized scheme is flux differencing with the
+    # split derivative: its volume pairs are the dsplit pairs (equal to
+    # rounding, not bitwise: 2 ulps of the weight at p = 3, one at p = 7, 8),
+    # and each side couples only its boundary node, where the volume-row
+    # weight and the lifted face-row weight cancel exactly; that is why the
+    # Lobatto line kernel takes the dsplit table and no coupling
+    vv, vol_face, lift = hybridized_scatter(p, "lgl")
+    dsplit = pair_table(build_dsplit(lgl_operator(p)).matrix)
+    assert [(a, b) for a, b, _, _ in vv] == [(a, b) for a, b, _, _ in dsplit]
+    for (_, _, wab, wba), (_, _, dab, dba) in zip(vv, dsplit):
+        assert abs(wab - dab) <= 2.0 * np.spacing(abs(dab))
+        assert abs(wba - dba) <= 2.0 * np.spacing(abs(dba))
+    for side, boundary in ((0, 0), (1, p)):
+        cvol, cface = vol_face[side]
+        for a in range(p + 1):
+            rows = (cvol[a], cface[a], lift[side][a])
+            if a != boundary:
+                assert rows == (0.0, 0.0, 0.0), (side, a)
+        assert cvol[boundary] != 0.0
+        assert cvol[boundary] == -lift[side][boundary] * cface[boundary]
+
+
 def test_hybridized_scatter_weights():
     p = 3
     op = gauss_operator(p)
