@@ -68,7 +68,7 @@ from .errors import ConfigurationError
 from .euler import cons2prim  # noqa: F401
 from .fluxes import add_logmean, add_one_point, add_two_point, require_volume_kind
 from .means import SERIES_EPSILON
-from .operators import hybridized_scatter, pair_table
+from .operators import hybridized_scatter, split_pairs
 
 _AXIS = {
     2: ((1.0, 0.0), (0.0, 1.0)),
@@ -298,7 +298,7 @@ def flux_lanes_cartesian(kind, ql, qr, j, gas, n_real, out=None):
 def _line_major(arr, setup, n):
     """View of a nodal array (n_elem, (p+1)^d, m) as (m, p+1, n_elem, ...):
     entry [k, a] is component k at position a of every node line in
-    direction n, the lines of each element in setup.lines[n] order."""
+    direction n, the lines of each element in operators.node_lines order."""
     p1 = setup.op.n_nodes
     d = setup.d
     tensor = arr.reshape(arr.shape[:1] + (p1,) * d + arr.shape[-1:])
@@ -431,7 +431,7 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     d = setup.d
     nvar = d + 2
     vol_flux = config.volume_flux
-    pairs = pair_table(setup.dsplit.matrix)
+    pairs = split_pairs(setup.op.degree)
     q = _line_buffer(setup, nvar)
     cons = _line_buffer(setup, nvar) if vol_flux == "central" else None
     rows = None if setup.metrics.cartesian else _line_buffer(setup, d)

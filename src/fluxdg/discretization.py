@@ -28,6 +28,13 @@ traces, or entropy-projected states. `rhs` assembles them over the mesh;
 with kernel="batched" every scheme's two-point work (volume pairs and
 interface fluxes) runs in the mesh-level lane kernels in `batched`, which
 are equivalence-tested against the reference path.
+
+A SpatialSetup holds only what depends on the mesh: coordinates, metric
+terms, neighbours and the nodal weights. Tables that depend on the
+operator alone (node lines, split-derivative pairs, the hybridized
+scatter, the overintegration transfer matrices) come from the caches in
+`operators`, keyed by degree, and the overintegration degree comes only
+from RhsConfig.
 """
 
 from dataclasses import dataclass
@@ -51,13 +58,14 @@ from .euler import (
 from .euler import entropy2cons  # noqa: F401
 from .fluxes import (
     SURFACE_KINDS,
-    _phys_flux_n,
     add_one_point,
     count_guard,
     flux_function,
+    phys_flux_n,
     require_volume_kind,
 )
 from .geometry import (
+    MetricTerms,
     apply_along,
     compute_metrics,
     element_coords,
@@ -65,12 +73,11 @@ from .geometry import (
     neighbor_table,
 )
 from .operators import (
-    build_dsplit,
+    MAX_DEGREE,
     hybridized_scatter,
     make_operator,
     node_line_lists,
-    node_lines,
-    pair_table,
+    split_pairs,
     transfer_matrices,
 )
 
@@ -129,15 +136,10 @@ class RhsConfig:
                     "volume_scheme: overintegration supports Cartesian meshes only"
                 )
             q = self.overint_degree
-            if q is None or q < setup.op.degree:
+            if q is None or not setup.op.degree <= q <= MAX_DEGREE:
                 raise ConfigurationError(
-                    "overint_degree: need a degree >= p for overintegration, got %r"
-                    % (q,)
-                )
-            if setup.overint is None or setup.overint[0].degree != q:
-                raise ConfigurationError(
-                    "overint_degree: setup was not built for degree %r "
-                    "(pass overint_degree to build_setup)" % (q,)
+                    "overint_degree: need a degree from p = %d to %d for "
+                    "overintegration, got %r" % (setup.op.degree, MAX_DEGREE, q)
                 )
 
 
@@ -191,8 +193,9 @@ def volume_weak(u_elem, q_elem, op, metrics):
     return acc / metrics.jac[..., None]
 
 
-def volume_fluxdiff(u_elem, dop, metrics, vol_flux, gas):
-    """Flux-differencing volume term with the split derivative matrix.
+def volume_fluxdiff(u_elem, op, metrics, vol_flux, gas):
+    """Flux-differencing volume term of one element with the split
+    derivative matrix of the Lobatto operator op (operators.split_pairs).
 
     Pairs are visited once with i < k per line; the symmetric two-point flux
     along the arithmetically averaged metric vectors is scattered with the
@@ -201,11 +204,11 @@ def volume_fluxdiff(u_elem, dop, metrics, vol_flux, gas):
     """
     require_volume_kind(vol_flux)
     nvar = u_elem.shape[-1]
-    pairs = pair_table(dop.matrix)
+    pairs = split_pairs(op.degree)
     dirn = flux_function(vol_flux)
     states = u_elem.tolist()
     acc = [[0.0] * nvar for _ in range(u_elem.shape[0])]
-    for n, lines in enumerate(node_line_lists(dop.op.n_nodes, nvar - 2)):
+    for n, lines in enumerate(node_line_lists(op.n_nodes, nvar - 2)):
         jan = metrics.ja[:, n, :].tolist()
         for line in lines:
             _line_terms(states, line, jan, pairs, dirn, gas, nvar, acc)
@@ -214,15 +217,19 @@ def volume_fluxdiff(u_elem, dop, metrics, vol_flux, gas):
     return out
 
 
-def volume_overintegration(u_elem, op, transfer, metrics_q, gas):
-    """Interpolate to the degree-q grid, apply the weak-form volume term
-    there, L2-project back. Cartesian metric terms only (metrics_q is shared
-    by every element); u_elem may carry leading element axes."""
+def volume_overintegration(u_elem, op, degree, metrics, gas):
+    """Interpolate to the degree-q grid (q = degree), apply the weak-form
+    volume term there, L2-project back; u_elem may carry leading element
+    axes. Cartesian meshes only: their metric terms are one constant, so
+    the fine grid reads those of metrics (MetricData or MetricTerms) at
+    its first node."""
     d = u_elem.shape[-1] - 2
     lead = u_elem.ndim - 2
     p1 = op.n_nodes
-    q1 = transfer.degree_high + 1
-    op_q = make_operator(transfer.degree_high, op.family)
+    q1 = degree + 1
+    transfer = transfer_matrices(op.degree, degree, op.family)
+    op_q = make_operator(degree, op.family)
+    metrics_q = MetricTerms(metrics.ja.reshape(-1, d, d)[0], metrics.jac.reshape(-1)[0])
     uq = u_elem.reshape(u_elem.shape[:lead] + (p1,) * d + (-1,))
     for n in range(d):
         uq = apply_along(transfer.interp, uq, n + lead)
@@ -288,11 +295,8 @@ class SpatialSetup:
     gas: object
     metrics: object
     coords: np.ndarray
-    lines: tuple
     plus_neighbor: tuple
-    dsplit: object
     wbar: np.ndarray
-    overint: tuple
 
     @property
     def n_elements(self):
@@ -311,53 +315,15 @@ class SpatialSetup:
         return self.n_elements * self.n_nodes
 
 
-def build_setup(mesh, op, gas, overint_degree=None):
-    """Precompute geometry, connectivity and operator tables for `rhs`."""
-    d = mesh.d
-    p1 = op.n_nodes
+def build_setup(mesh, op, gas):
+    """Precompute the geometry and connectivity of one mesh for `rhs`; the
+    operator tables are cached per degree in `operators`."""
     coords = element_coords(mesh, op)
     metrics = compute_metrics(mesh, op, coords)
-    lines = node_lines(p1, d)
-    plus = neighbor_table(mesh)
-    dsplit = build_dsplit(op) if op.family == "lgl" else None
     wbar = np.ones(1)
-    for n in range(d):
+    for _ in range(mesh.d):
         wbar = np.kron(wbar, op.weights)
-    overint = None
-    if overint_degree is not None:
-        if overint_degree < op.degree:
-            raise ConfigurationError(
-                "overint_degree: need a degree >= p, got %r" % (overint_degree,)
-            )
-        transfer = transfer_matrices(op.degree, overint_degree, op.family)
-        op_q = make_operator(overint_degree, op.family)
-        from .geometry import MetricTerms
-
-        if not mesh.is_cartesian:
-            raise ConfigurationError(
-                "overint_degree: overintegration supports Cartesian meshes only"
-            )
-        nnq = op_q.n_nodes**d
-        jac_val = 1.0
-        for wdt in mesh.widths:
-            jac_val *= 0.5 * wdt
-        ja_q = np.zeros((nnq, d, d))
-        for n in range(d):
-            ja_q[:, n, n] = jac_val / (0.5 * mesh.widths[n])
-        metrics_q = MetricTerms(ja_q, np.full(nnq, jac_val))
-        overint = (op_q, transfer, metrics_q)
-    return SpatialSetup(
-        mesh,
-        op,
-        gas,
-        metrics,
-        coords,
-        lines,
-        plus,
-        dsplit,
-        wbar,
-        overint,
-    )
+    return SpatialSetup(mesh, op, gas, metrics, coords, neighbor_table(mesh), wbar)
 
 
 def face_states(u, prim, setup, projected):
@@ -451,7 +417,7 @@ def surface_terms(faces, setup, n, surface_flux, subtract_own, out):
         [(a, sign * la) for a, la in enumerate(row) if la != 0.0]
         for sign, row in zip((-1.0, 1.0), (op.boundary_interp / op.weights).tolist())
     )
-    lines = setup.lines[n].tolist()
+    lines = node_line_lists(op.n_nodes, setup.d)[n]
     jac = setup.metrics.jac.tolist()
     normals = setup.metrics.face_ja[n].tolist()
     acc = out.tolist()
@@ -464,8 +430,8 @@ def surface_terms(faces, setup, n, surface_flux, subtract_own, out):
                 add_one_point(2)
                 ql = q_minus[f][m]
                 qr = q_plus[ep][m]
-                own_m = _phys_flux_n(ul, ql[0], ql[1:-1], ql[-1], nrm)
-                own_p = _phys_flux_n(ur, qr[0], qr[1:-1], qr[-1], nrm)
+                own_m = phys_flux_n(ul, ql[0], ql[1:-1], ql[-1], nrm)
+                own_p = phys_flux_n(ur, qr[0], qr[1:-1], qr[-1], nrm)
                 fm = [a - b for a, b in zip(fm, own_m)]
                 fp = [a - b for a, b in zip(fp, own_p)]
             line = lines[m]
@@ -514,15 +480,16 @@ def rhs(u, setup, config, counter=None):
     elif scheme == "weak":
         out = volume_weak(u, prim, setup.op, setup.metrics)
     elif scheme == "overintegration":
-        _op_q, transfer, metrics_q = setup.overint
-        out = volume_overintegration(u, setup.op, transfer, metrics_q, gas)
+        out = volume_overintegration(
+            u, setup.op, config.overint_degree, setup.metrics, gas
+        )
     elif scheme == "fluxdiff" and batched:
         out = _batched.mesh_fluxdiff_volume(u, prim, setup, config)
     elif scheme == "fluxdiff":
         out = np.empty_like(u)
         for e in range(setup.n_elements):
             terms = element_metrics(setup.metrics, e)
-            out[e] = volume_fluxdiff(u[e], setup.dsplit, terms, config.volume_flux, gas)
+            out[e] = volume_fluxdiff(u[e], setup.op, terms, config.volume_flux, gas)
     else:
         out = np.zeros_like(u)
     # the weak-form volume term (which overintegration projects back from

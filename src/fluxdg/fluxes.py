@@ -191,7 +191,7 @@ def flux_ranocha_directional(u_l, u_r, normal, gas):
 # ---------------------------------------------------------------------------
 # central flux and one-point physical flux helpers
 
-def _phys_flux_n(u, rho, v, p, normal):
+def phys_flux_n(u, rho, v, p, normal):
     """Physical flux contracted with a (scaled) direction; tuple out."""
     vn = 0.0
     for a, n in zip(v, normal):
@@ -214,8 +214,8 @@ def flux_central_directional(u_l, u_r, normal, gas):
         rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
         v_l = (vl1, vl2, vl3)
         v_r = (vr1, vr2, vr3)
-    f_l = _phys_flux_n(u_l, rho_l, v_l, p_l, normal)
-    f_r = _phys_flux_n(u_r, rho_r, v_r, p_r, normal)
+    f_l = phys_flux_n(u_l, rho_l, v_l, p_l, normal)
+    f_r = phys_flux_n(u_r, rho_r, v_r, p_r, normal)
     return tuple(0.5 * (a + b) for a, b in zip(f_l, f_r))
 
 
@@ -253,8 +253,8 @@ def flux_llf_directional(u_l, u_r, normal, gas):
         abs(vn_l) + math.sqrt(gas.gamma * p_l / rho_l),
         abs(vn_r) + math.sqrt(gas.gamma * p_r / rho_r),
     )
-    f_l = _phys_flux_n(u_l, rho_l, v_l, p_l, normal)
-    f_r = _phys_flux_n(u_r, rho_r, v_r, p_r, normal)
+    f_l = phys_flux_n(u_l, rho_l, v_l, p_l, normal)
+    f_r = phys_flux_n(u_r, rho_r, v_r, p_r, normal)
     halfdiss = 0.5 * lam * norm
     return tuple(
         0.5 * (a + b) - halfdiss * (ur - ul)
@@ -286,8 +286,8 @@ def flux_hll_directional(u_l, u_r, normal, gas):
     # Davis estimates
     s_l = min(vn_l - c_l, vn_r - c_r)
     s_r = max(vn_l + c_l, vn_r + c_r)
-    f_l = _phys_flux_n(u_l, rho_l, v_l, p_l, unit)
-    f_r = _phys_flux_n(u_r, rho_r, v_r, p_r, unit)
+    f_l = phys_flux_n(u_l, rho_l, v_l, p_l, unit)
+    f_r = phys_flux_n(u_r, rho_r, v_r, p_r, unit)
     if s_l >= 0.0:
         f = f_l
     elif s_r <= 0.0:
@@ -327,6 +327,6 @@ def flux_function(kind):
 def require_volume_kind(kind):
     if kind not in VOLUME_KINDS:
         raise ConfigurationError(
-            "volume flux must be symmetric (%s), got %r"
+            "volume_flux: volume flux must be symmetric (%s), got %r"
             % (", ".join(VOLUME_KINDS), kind)
         )

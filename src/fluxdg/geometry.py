@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError
-from .operators import lgl_operator, transfer_matrices
+from .operators import interpolation_matrix, lgl_operator
 
 
 @dataclass(frozen=True)
@@ -147,16 +147,7 @@ def element_coords(mesh, op):
     g = mesh.geo_degree
     geo_op = lgl_operator(g)
     coarse = _map_coordinates(mesh, _reference_fractions(mesh, geo_op.nodes))
-    interp = transfer_matrices(g, op.degree, "lgl").interp if op.family == "lgl" else None
-    if interp is None:
-        # build an interpolation matrix from the coarse Lobatto grid to the
-        # target nodes directly
-        from .operators import _bary_weights, _lagrange_row
-
-        lam = _bary_weights(geo_op.nodes)
-        interp = np.vstack(
-            [_lagrange_row(geo_op.nodes, lam, y) for y in op.nodes]
-        )
+    interp = interpolation_matrix(geo_op.nodes, op.nodes)
     d = mesh.d
     n_elem = mesh.n_elements
     shape = (g + 1,) * d

@@ -26,7 +26,7 @@ from .errors import BenchmarkError, ConfigurationError
 from .euler import GasParams, cons2prim, prim2cons
 from .fluxes import flux_function
 from .geometry import build_mesh
-from .operators import make_operator
+from .operators import FAMILIES, MAX_DEGREE, make_operator
 from .timeint import StepController, integrate, rk_step, stable_dt
 
 DOMAIN_LO = -5.0
@@ -73,8 +73,18 @@ class RunConfig:
     def validate(self):
         if self.d not in (2, 3):
             raise ConfigurationError("d: expected 2 or 3, got %r" % (self.d,))
-        if not 1 <= self.p <= 15:
-            raise ConfigurationError("p: expected 1..15, got %r" % (self.p,))
+        if not 1 <= self.p <= MAX_DEGREE:
+            raise ConfigurationError("p: expected 1..%d, got %r" % (MAX_DEGREE, self.p))
+        if self.family not in FAMILIES:
+            raise ConfigurationError(
+                "family: expected one of %s, got %r"
+                % (", ".join(FAMILIES), self.family)
+            )
+        if self.geo_degree is not None and not 1 <= self.geo_degree <= MAX_DEGREE:
+            raise ConfigurationError(
+                "geo_degree: expected 1..%d or none, got %r"
+                % (MAX_DEGREE, self.geo_degree)
+            )
         if self.elements < 1:
             raise ConfigurationError(
                 "elements: expected a positive count, got %r" % (self.elements,)
@@ -279,7 +289,7 @@ def build_run(config):
         geo_degree=geo,
     )
     op = make_operator(config.p, config.family)
-    setup = build_setup(mesh, op, gas, overint_degree=config.overint_degree)
+    setup = build_setup(mesh, op, gas)
     scheme = config.rhs_config()
     scheme.validate(setup)
     x = setup.coords

@@ -10,7 +10,6 @@ B = I and N = diag(-1, +1); that identity is what all volume/surface
 splittings in the discretization lean on.
 """
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +18,7 @@ import numpy as np
 from .errors import UnsupportedOperatorError
 
 MAX_DEGREE = 15
+FAMILIES = ("lgl", "gauss")
 
 # face normal signs in 1D, left then right
 _N_FACE = np.array([-1.0, 1.0])
@@ -142,6 +142,13 @@ def _lagrange_row(nodes, lam, y):
         return row
     c = lam / diff
     return c / np.sum(c)
+
+
+def interpolation_matrix(nodes_from, nodes_to):
+    """Rows of Lagrange weights that evaluate the interpolant on
+    `nodes_from` at each point of `nodes_to`, (len(nodes_to), len(nodes_from))."""
+    lam = _bary_weights(nodes_from)
+    return np.vstack([_lagrange_row(nodes_from, lam, y) for y in nodes_to])
 
 
 def _freeze(*arrays):
@@ -274,20 +281,13 @@ def _triangle_pairs(mat):
     )
 
 
-_PAIR_TABLES = {}
-
-
-def pair_table(mat):
-    """Upper-triangle scatter list [(a, b, mat[a,b], mat[b,a]), ...], all-zero
-    pairs dropped, cached per matrix object. Both weights are stored so the
-    antisymmetric scatter in the pair loops never recomputes them."""
-    key = id(mat)
-    hit = _PAIR_TABLES.get(key)
-    if hit is not None and hit[0]() is mat:
-        return hit[1]
-    pairs = _triangle_pairs(mat)
-    _PAIR_TABLES[key] = (weakref.ref(mat), pairs)
-    return pairs
+@lru_cache(maxsize=None)
+def split_pairs(degree):
+    """Upper-triangle scatter list [(a, b, D[a,b], D[b,a]), ...] of the
+    Lobatto split derivative D = build_dsplit(lgl_operator(degree)).matrix,
+    all-zero pairs dropped. Both weights are stored so the antisymmetric
+    scatter in the pair loops never recomputes them."""
+    return _triangle_pairs(build_dsplit(lgl_operator(degree)).matrix)
 
 
 @lru_cache(maxsize=None)
@@ -307,12 +307,7 @@ def hybridized_scatter(degree, family):
     q = build_hybridized(op).q_matrix
     w = op.weights
     n = op.n_nodes
-    vv = tuple(
-        (a, b, float(2.0 * q[a, b] / w[a]), float(2.0 * q[b, a] / w[b]))
-        for a in range(n)
-        for b in range(a + 1, n)
-        if q[a, b] != 0.0 or q[b, a] != 0.0
-    )
+    vv = _triangle_pairs(2.0 * q[:n, :n] / w[:, None])
     vol_face = []
     lift = []
     for s in (0, 1):
@@ -327,6 +322,7 @@ def hybridized_scatter(degree, family):
     return vv, tuple(vol_face), tuple(lift)
 
 
+@lru_cache(maxsize=None)
 def transfer_matrices(p, q, family="lgl"):
     """Interpolation p -> q and L2 projection q -> p (exact round trip for
     polynomial data since the fine quadrature integrates degree 2p)."""
@@ -338,8 +334,7 @@ def transfer_matrices(p, q, family="lgl"):
         )
     op_low = make_operator(p, family)
     op_high = make_operator(q, family)
-    lam = _bary_weights(op_low.nodes)
-    interp = np.vstack([_lagrange_row(op_low.nodes, lam, y) for y in op_high.nodes])
+    interp = interpolation_matrix(op_low.nodes, op_high.nodes)
     # consistent-mass projection: the fine quadrature integrates degree 2p
     # exactly, so project @ interp is the identity for every q >= p
     weighted = interp.T * op_high.weights[None, :]

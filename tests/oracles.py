@@ -14,7 +14,7 @@ import numpy as np
 from fluxdg.euler import cons2prim, directional_flux
 from fluxdg.fluxes import flux_function
 from fluxdg.geometry import apply_along
-from fluxdg.operators import build_hybridized
+from fluxdg.operators import build_hybridized, node_lines
 
 mpmath.mp.dps = 50
 
@@ -125,7 +125,7 @@ def gauss_volume_dense(u, faces, setup, n, vol_flux):
     eja = setup.metrics.elem_face_ja[n]
     out = np.zeros_like(u)
     for e in range(setup.n_elements):
-        for m, line in enumerate(setup.lines[n]):
+        for m, line in enumerate(node_lines(p1, setup.d)[n]):
             states = list(u[e, line]) + [u0[e, m], u1[e, m]]
             ja = list(setup.metrics.ja[e, line, n]) + [eja[e, 0, m], eja[e, 1, m]]
             rows = np.zeros((p1 + 2, u.shape[-1]))

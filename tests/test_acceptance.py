@@ -295,8 +295,8 @@ def test_volume_term_matches_split_matrix_assembly():
         u = random_field(setup, GAS, seed=21 + d, amp=0.4)
         terms = element_metrics(setup.metrics, 0)
         for kind in ("shima", "ranocha", "central"):
-            fast = volume_fluxdiff(u[0], setup.dsplit, terms, kind, GAS)
-            slow = matrix_route_fluxdiff(u[0], setup.dsplit, terms, kind, GAS)
+            fast = volume_fluxdiff(u[0], setup.op, terms, kind, GAS)
+            slow = matrix_route_fluxdiff(u[0], build_dsplit(setup.op), terms, kind, GAS)
             assert _relative_gap(fast, slow) < 1e-13
 
 
@@ -384,9 +384,7 @@ def test_exact_flux_evaluation_counts():
         for p in range(3, 8):
             q = p + 1
             mesh = build_mesh((2,) * d)
-            setup = build_setup(
-                mesh, make_operator(p, "lgl"), GAS, overint_degree=q
-            )
+            setup = build_setup(mesh, make_operator(p, "lgl"), GAS)
             u = random_field(setup, GAS, seed=91 + p, amp=0.3)
             terms = element_metrics(setup.metrics, 0)
             nn = (p + 1) ** d
@@ -403,15 +401,14 @@ def test_exact_flux_evaluation_counts():
 
             c = FluxCounter()
             with count_guard(c):
-                volume_fluxdiff(u[0], setup.dsplit, terms, "ranocha", GAS)
+                volume_fluxdiff(u[0], setup.op, terms, "ranocha", GAS)
             assert c.two_point_evals == d * p * nn // 2
             if (d, p) == (3, 3):
                 assert c.two_point_evals == 288
 
-            op_q, transfer, metrics_q = setup.overint
             c = FluxCounter()
             with count_guard(c):
-                volume_overintegration(u[0], setup.op, transfer, metrics_q, GAS)
+                volume_overintegration(u[0], setup.op, q, terms, GAS)
             assert c.one_point_evals == d * (q + 1) ** d
 
 
@@ -458,7 +455,7 @@ def test_overintegration_round_trip():
 
     for d in (2, 3):
         mesh = build_mesh((2,) * d)
-        setup = build_setup(mesh, make_operator(3, "lgl"), GAS, overint_degree=3)
+        setup = build_setup(mesh, make_operator(3, "lgl"), GAS)
         u = random_field(setup, GAS, seed=17 + d, amp=0.4)
         over = rhs(
             u, setup,

@@ -23,7 +23,7 @@ from fluxdg.euler import cons2prim
 from fluxdg.fluxes import SURFACE_KINDS, flux_function
 from fluxdg.geometry import element_metrics
 from fluxdg.means import logmean_optimized, inv_logmean_optimized
-from fluxdg.operators import hybridized_scatter
+from fluxdg.operators import hybridized_scatter, node_lines
 
 from .conftest import random_field, random_primitives
 from .test_acceptance import _relative_gap
@@ -57,7 +57,7 @@ def _volume_against_oracle(setup, u, vol_flux):
         want = np.stack(
             [
                 volume_fluxdiff(
-                    u[e], setup.dsplit, element_metrics(setup.metrics, e), vol_flux,
+                    u[e], setup.op, element_metrics(setup.metrics, e), vol_flux,
                     setup.gas,
                 )
                 for e in range(setup.n_elements)
@@ -140,10 +140,11 @@ def test_mesh_rhs_cartesian_matches_reference_kernel(gas):
 @pytest.mark.parametrize("d", [2, 3])
 def test_tensor_lanes_follow_node_lines(gas, d, p):
     """The lane kernels take node lines as tensor axes, the scalar path as
-    index arrays (setup.lines): both must see the same lanes in the same
-    order. Row [k, a] of a direction's transposed copy is component k at
-    line position a of every (element, line) lane; the Lobatto face states
-    are the lines' first and last nodes in line order."""
+    index arrays (operators.node_lines): both must see the same lanes in
+    the same order. Row [k, a] of a direction's transposed copy is
+    component k at line position a of every (element, line) lane; the
+    Lobatto face states are the lines' first and last nodes in line
+    order."""
     dims = (2, 3) if d == 2 else (2, 1, 3)
     setup = make_setup(gas, d=d, p=p, dims=dims)
     rng = np.random.default_rng(p)
@@ -155,7 +156,7 @@ def test_tensor_lanes_follow_node_lines(gas, d, p):
     shared = batched._line_buffer(setup, d + 2)
     shared.fill(np.nan)
     for n, ((u0, q0), (u1, q1)) in enumerate(faces):
-        lines = setup.lines[n]
+        lines = node_lines(p + 1, d)[n]
         rows = batched._line_rows(arr, setup, n, shared)
         fresh = batched._line_rows(arr, setup, n, batched._line_buffer(setup, d + 2))
         assert rows is shared
@@ -232,7 +233,7 @@ def test_lift_matches_face_point_loop(gas, family, dims, curved):
         nb = setup.plus_neighbor[n]
         if dims[n] == 1:
             assert np.array_equal(nb, np.arange(setup.n_elements))
-        lines = setup.lines[n]
+        lines = node_lines(op.n_nodes, d)[n]
         n_face = lines.shape[0]
         fm, fp = rng.standard_normal((2, d + 2, setup.n_elements * n_face))
         got = start.copy()
@@ -353,7 +354,7 @@ def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elem
         amplitude = 0.0
         geo = None
     mesh = build_mesh((elements,) * d, amplitude=amplitude, geo_degree=geo)
-    setup = build_setup(mesh, make_operator(p, family), gas, overint_degree=overint)
+    setup = build_setup(mesh, make_operator(p, family), gas)
     u = random_field(setup, gas, seed=11, amp=0.3)
     results = {}
     for kernel in KERNELS:
@@ -466,9 +467,8 @@ def test_rhs_reaches_every_lane_function(gas):
             curved_gauss = family == "gauss" and amplitude > 0.0
             geo = (2 if d == 2 else 1) if curved_gauss else None
             mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
-            overint = p + 1 if amplitude == 0.0 else None
             op = make_operator(p, family)
-            setup = build_setup(mesh, op, gas, overint_degree=overint)
+            setup = build_setup(mesh, op, gas)
             u = random_field(setup, gas, seed=12, amp=0.3)
             for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
                 config = RhsConfig(

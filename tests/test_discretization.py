@@ -35,15 +35,15 @@ from fluxdg.errors import AdmissibilityError, ConfigurationError
 from fluxdg.euler import cons2prim, entropy_vars
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
-from fluxdg.operators import node_lines
+from fluxdg.operators import MAX_DEGREE, build_dsplit, node_lines
 
 from .conftest import random_field
 from .oracles import gauss_volume_dense
 
 
-def lgl_setup(gas, d=2, dims=None, amplitude=0.0, p=3, **kw):
+def lgl_setup(gas, d=2, dims=None, amplitude=0.0, p=3):
     mesh = build_mesh(dims or (2,) * d, amplitude=amplitude)
-    return build_setup(mesh, make_operator(p, "lgl"), gas, **kw)
+    return build_setup(mesh, make_operator(p, "lgl"), gas)
 
 
 def gauss_setup(gas, d=2, dims=None, amplitude=0.0, geo_degree=None, p=3):
@@ -120,20 +120,20 @@ def test_config_overintegration_requirements(gas):
     plain = lgl_setup(gas)
     with pytest.raises(ConfigurationError, match="overint_degree"):
         RhsConfig(volume_scheme="overintegration").validate(plain)
-    # setup must have been built for the requested fine degree
-    with pytest.raises(ConfigurationError, match="overint_degree"):
-        RhsConfig(volume_scheme="overintegration", overint_degree=5).validate(plain)
     curved = lgl_setup(gas, amplitude=0.2)
     with pytest.raises(ConfigurationError, match="volume_scheme"):
         RhsConfig(volume_scheme="overintegration", overint_degree=5).validate(curved)
-    ready = lgl_setup(gas, overint_degree=5)
-    RhsConfig(volume_scheme="overintegration", overint_degree=5).validate(ready)
+    RhsConfig(volume_scheme="overintegration", overint_degree=5).validate(plain)
 
 
-def test_build_setup_rejects_low_overint_degree(gas):
-    mesh = build_mesh((2, 2))
+@pytest.mark.parametrize("q", [2, MAX_DEGREE + 1])
+def test_config_rejects_overint_degree_out_of_range(gas, q):
+    # the fine degree lives in RhsConfig alone: below p there is nothing to
+    # dealias, above MAX_DEGREE there is no operator
+    setup = lgl_setup(gas, p=3)
+    config = RhsConfig(volume_scheme="overintegration", overint_degree=q)
     with pytest.raises(ConfigurationError, match="overint_degree"):
-        build_setup(mesh, make_operator(3, "lgl"), gas, overint_degree=2)
+        config.validate(setup)
 
 
 # --- scheme equivalences -----------------------------------------------------
@@ -166,8 +166,8 @@ def test_fluxdiff_matches_matrix_route(gas, d, vol_flux):
     u = random_field(setup, gas, seed=5, amp=0.4)
     for e in range(min(2, setup.n_elements)):
         terms = element_metrics(setup.metrics, e)
-        got = volume_fluxdiff(u[e], setup.dsplit, terms, vol_flux, gas)
-        want = matrix_route_fluxdiff(u[e], setup.dsplit, terms, vol_flux, gas)
+        got = volume_fluxdiff(u[e], setup.op, terms, vol_flux, gas)
+        want = matrix_route_fluxdiff(u[e], build_dsplit(setup.op), terms, vol_flux, gas)
         assert np.abs(got - want).max() < 1e-13
 
 
@@ -218,21 +218,40 @@ def test_gauss_volume_forms_agree_per_element(gas, d, vol_flux):
             assert _relative_gap(got[e], want[e]) < 1e-13, (n, e)
 
 
-def test_overintegration_at_p_equals_weak(gas):
-    setup = lgl_setup(gas, dims=(2, 2), overint_degree=3)
+@pytest.mark.parametrize("family", ["lgl", "gauss"])
+def test_one_setup_serves_every_overint_degree(gas, family):
+    # the fine degree comes from RhsConfig alone, so one Cartesian setup
+    # runs q = p, p + 1 and 2p; at q = p the transfer is the identity and
+    # overintegration is the weak form
+    p = 3
+    setup = build_setup(build_mesh((2, 2)), make_operator(p, family), gas)
     u = random_field(setup, gas, seed=10, amp=0.5)
     r_w = rhs(u, setup, RhsConfig(volume_scheme="weak", surface_flux="llf"))
-    cfg = RhsConfig(volume_scheme="overintegration", overint_degree=3, surface_flux="llf")
-    assert np.abs(rhs(u, setup, cfg) - r_w).max() < 1e-14
+    for q in (p, p + 1, 2 * p):
+        cfg = RhsConfig(volume_scheme="overintegration", overint_degree=q, surface_flux="llf")
+        got = rhs(u, setup, cfg)
+        assert np.isfinite(got).all(), q
+        gap = np.abs(got - r_w).max()
+        if q == p:
+            assert gap < 1e-14
+        else:
+            assert gap > 1e-10, q
+        # the whole-mesh pass reads the mesh's metrics exactly as a
+        # single-element call reads that element's
+        vol = volume_overintegration(u, setup.op, q, setup.metrics, gas)
+        for e in range(setup.n_elements):
+            one = volume_overintegration(
+                u[e], setup.op, q, element_metrics(setup.metrics, e), gas
+            )
+            assert np.array_equal(vol[e], one), (q, e)
 
 
 def test_overintegration_dealiases_exactly(gas):
     # q = 2p integrates every flux product the projection can see; the
     # round trip back to the p grid must not disturb a degree-p field
-    setup = lgl_setup(gas, overint_degree=6)
-    op_q, transfer, metrics_q = setup.overint
+    setup = lgl_setup(gas)
     u = random_field(setup, gas, seed=11, amp=0.3)
-    got = volume_overintegration(u[0], setup.op, transfer, metrics_q, gas)
+    got = volume_overintegration(u[0], setup.op, 6, element_metrics(setup.metrics, 0), gas)
     assert got.shape == u[0].shape
     assert np.isfinite(got).all()
 
@@ -396,7 +415,7 @@ def test_gauss_trace_admissibility_names_owner(gas, scheme, pressures, side):
     # interface (side 0), which the lane kernel reads in neighbour order
     setup = gauss_setup(gas, dims=(3, 3), p=2)
     q = cons2prim(constant_field(setup, gas), gas)
-    line = setup.lines[0][1]
+    line = node_lines(3, 2)[0][1]
     q[4, line, -1] = pressures
     u = prim2cons(q, gas)
     assert np.isfinite(cons2prim(u, gas)).all()
@@ -439,7 +458,7 @@ def test_volume_evaluation_counts(gas):
     p = 3
     q = 5
     d = 2
-    setup = lgl_setup(gas, d=d, p=p, overint_degree=q)
+    setup = lgl_setup(gas, d=d, p=p)
     u = random_field(setup, gas, seed=13, amp=0.4)
     terms = element_metrics(setup.metrics, 0)
     nn = (p + 1) ** d
@@ -457,14 +476,13 @@ def test_volume_evaluation_counts(gas):
 
     c = FluxCounter()
     with count_guard(c):
-        volume_fluxdiff(u[0], setup.dsplit, terms, "ranocha", gas)
+        volume_fluxdiff(u[0], setup.op, terms, "ranocha", gas)
     assert c.two_point_evals == d * p * nn // 2
     assert c.logmean_evals == 2 * c.two_point_evals
 
-    op_q, transfer, metrics_q = setup.overint
     c = FluxCounter()
     with count_guard(c):
-        volume_overintegration(u[0], setup.op, transfer, metrics_q, gas)
+        volume_overintegration(u[0], setup.op, q, terms, gas)
     assert c.one_point_evals == d * (q + 1) ** d
 
 
@@ -545,9 +563,8 @@ def test_reference_rhs_reaches_every_flux_and_geometry_function(gas):
             curved_gauss = family == "gauss" and amplitude > 0.0
             geo = (2 if d == 2 else 1) if curved_gauss else None
             mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
-            overint = p + 1 if amplitude == 0.0 else None
             op = make_operator(p, family)
-            setup = build_setup(mesh, op, gas, overint_degree=overint)
+            setup = build_setup(mesh, op, gas)
             u = random_field(setup, gas, seed=12, amp=0.3)
             for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
                 config = RhsConfig(

@@ -100,10 +100,16 @@ def test_config_validation_messages():
         ({"cfl": "0"}, "cfl"),
         ({"t_end": "1.0"}, "n_steps/t_end"),
         ({"n_steps": "none"}, "n_steps/t_end"),
+        ({"family": "lobatto"}, "family:"),
+        ({"mesh": "curved", "geo_degree": "0"}, "geo_degree:"),
+        ({"mesh": "curved", "geo_degree": "99"}, "geo_degree:"),
+        ({"volume_scheme": "overintegration", "overint_degree": "40"}, "overint_degree:"),
+        ({"volume_flux": "llf"}, "volume_flux:"),
     ]
     for overrides, needle in cases:
+        # the scheme keys are checked against the built setup
         with pytest.raises(ConfigurationError, match=needle):
-            make_config(None, overrides)
+            build_run(make_config(None, overrides))
 
 
 # --- initial conditions ------------------------------------------------------
@@ -374,6 +380,16 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "elements" in capsys.readouterr().err
     assert main(["run", "-o", "volume_scheme=gauss_surface_correction"]) == 2
     assert "volume_scheme" in capsys.readouterr().err
+    for overrides, key in (
+        (["family=lobatto"], "family:"),
+        (["mesh=curved", "geo_degree=0"], "geo_degree:"),
+        (["mesh=curved", "geo_degree=99"], "geo_degree:"),
+        (["volume_scheme=overintegration", "overint_degree=40"], "overint_degree:"),
+        (["volume_flux=llf"], "volume_flux:"),
+    ):
+        argv = ["run"] + [arg for pair in overrides for arg in ("-o", pair)]
+        assert main(argv) == 2, overrides
+        assert key in capsys.readouterr().err, overrides
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert main(["run", "-o", "badpair"]) == 2
 

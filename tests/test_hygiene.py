@@ -37,6 +37,29 @@ def unused_imports(path):
     return found
 
 
+def private_sibling_imports(path):
+    """(line, module, name) of every underscore name that `path` imports
+    from another module of its own package (a relative import)."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        (node.lineno, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_private_names_across_modules():
+    """A name that another module of the package needs is public."""
+    found = [
+        "%s:%d %s.%s" % (path.relative_to(ROOT), line, module, name)
+        for path in sorted((ROOT / "src/fluxdg").glob("*.py"))
+        for line, module, name in private_sibling_imports(path)
+    ]
+    assert not found, found
+
+
 def test_no_unused_imports():
     unused = [
         "%s:%d %s" % (path.relative_to(ROOT), line, name)

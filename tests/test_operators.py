@@ -5,6 +5,7 @@ import pytest
 
 from fluxdg.errors import UnsupportedOperatorError
 from fluxdg.operators import (
+    FAMILIES,
     MAX_DEGREE,
     build_dsplit,
     build_hybridized,
@@ -13,11 +14,9 @@ from fluxdg.operators import (
     lgl_operator,
     make_operator,
     node_lines,
-    pair_table,
+    split_pairs,
     transfer_matrices,
 )
-
-FAMILIES = ("lgl", "gauss")
 
 
 def test_known_lobatto_values():
@@ -174,18 +173,22 @@ def test_node_lines_are_permutations():
                 assert np.all(np.diff(lines[n], axis=1) == stride)
 
 
-def test_pair_table_matches_matrix():
-    op = lgl_operator(4)
-    dop = build_dsplit(op)
-    pairs = pair_table(dop.matrix)
+@pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))
+def test_split_pairs_match_matrix(p):
+    mat = build_dsplit(lgl_operator(p)).matrix
     seen = set()
-    for a, b, wab, wba in pairs:
+    for a, b, wab, wba in split_pairs(p):
         assert a < b
-        assert wab == dop.matrix[a, b]
-        assert wba == dop.matrix[b, a]
+        assert wab == mat[a, b]
+        assert wba == mat[b, a]
         seen.add((a, b))
     # every nonzero upper-triangle entry is present exactly once
-    nz = {(a, b) for a in range(5) for b in range(a + 1, 5) if dop.matrix[a, b] != 0.0}
+    nz = {
+        (a, b)
+        for a in range(p + 1)
+        for b in range(a + 1, p + 1)
+        if mat[a, b] != 0.0 or mat[b, a] != 0.0
+    }
     assert seen == nz
 
 
@@ -221,7 +224,7 @@ def test_lobatto_hybridized_is_dsplit_plus_cancelling_coupling(p):
     # weight and the lifted face-row weight cancel exactly; that is why the
     # Lobatto line kernel takes the dsplit table and no coupling
     vv, vol_face, lift = hybridized_scatter(p, "lgl")
-    dsplit = pair_table(build_dsplit(lgl_operator(p)).matrix)
+    dsplit = split_pairs(p)
     assert [(a, b) for a, b, _, _ in vv] == [(a, b) for a, b, _, _ in dsplit]
     for (_, _, wab, wba), (_, _, dab, dba) in zip(vv, dsplit):
         assert abs(wab - dab) <= 2.0 * np.spacing(abs(dab))
