@@ -43,6 +43,15 @@ plus_neighbor[n][e]); the plus-side fluxes are gathered into element order
 once through the inverse permutation, so both sides are basic-slice
 updates.
 
+The central, llf and hll kernels run in two steps: they form the own-side
+physical fluxes f(q_l).n and f(q_r).n, then combine them. The strong form
+(mesh_surface with subtract_own) subtracts those same two blocks in
+place, so each interface point gets one flux pass; shima and ranocha form
+no physical fluxes, so their strong form recomputes them. llf and hll
+bound the wave speeds against the scaled normal, lam|n| =
+max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), sharing v.n with the physical
+fluxes, on both paths.
+
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
 operation (a pair normal 0.5 x + 0.5 y from halved metric rows is the
@@ -54,7 +63,8 @@ node.
 
 Evaluation counters are bumped by the number of lanes per call, so
 counting lane work as logical per-pair evaluations matches the scalar
-kernels exactly.
+kernels exactly; the strong form counts two one-point evaluations per
+face point even where it reuses the surface kernel's own-side fluxes.
 """
 
 from typing import NamedTuple, Optional
@@ -69,6 +79,9 @@ from .euler import cons2prim  # noqa: F401
 from .fluxes import add_logmean, add_one_point, add_two_point, require_volume_kind
 from .means import SERIES_EPSILON
 from .operators import hybridized_scatter, split_pairs
+
+# the kinds whose flux combines the two own-side physical fluxes
+_OWN_FLUX_KINDS = ("central", "llf", "hll")
 
 _AXIS = {
     2: ((1.0, 0.0), (0.0, 1.0)),
@@ -169,9 +182,9 @@ def _ranocha_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real, out):
     return out
 
 
-def _phys_lanes(q, normal, out):
+def _phys_lanes(q, vn, normal, out):
+    """The physical flux f(q).n into the block out, from vn = v.n."""
     d = len(q.v)
-    vn = _vn(q.v, normal)
     np.multiply(q.rho, vn, out=out[0])
     for i in range(d):
         np.add(q.u[1 + i] * vn, q.p * normal[i], out=out[1 + i])
@@ -179,69 +192,65 @@ def _phys_lanes(q, normal, out):
     return out
 
 
-def _central_lanes(ql, qr, normal, n_real, out):
-    add_two_point(n_real)
-    _phys_lanes(ql, normal, out)
-    out += _phys_lanes(qr, normal, np.empty_like(out))
+def _scaled_sound_speeds(ql, qr, normal, gas):
+    """c_l |n| and c_r |n|: the sound speeds times the length of the scaled
+    normal, so the wave-speed bounds need no unit normal."""
+    norm = np.sqrt(_vn(normal, normal))
+    return tuple(np.sqrt(gas.gamma * q.p / q.rho) * norm for q in (ql, qr))
+
+
+def _llf_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out):
+    """Local Lax-Friedrichs, dissipation 0.5 lam|n| (u_r - u_l) with
+    lam|n| = max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), the jump formed one
+    row at a time so no further block is held."""
+    cn_l, cn_r = _scaled_sound_speeds(ql, qr, normal, gas)
+    half_diss = 0.5 * np.maximum(np.abs(vn_l) + cn_l, np.abs(vn_r) + cn_r)
+    np.add(f_l, f_r, out=out)
     out *= 0.5
+    for k, row in enumerate(out):
+        row -= half_diss * (qr.u[k] - ql.u[k])
     return out
 
 
-def _unit_normal(normal):
-    nn = normal[0] * normal[0]
-    for i in range(1, len(normal)):
-        nn = nn + normal[i] * normal[i]
-    norm = np.sqrt(nn)
-    return norm, tuple(c / norm for c in normal)
-
-
-def _jump(ql, qr, out):
-    """Conserved-state jumps ur - ul, row by row, into the block out."""
-    for k, (ul, ur) in enumerate(zip(ql.u, qr.u)):
-        np.subtract(ur, ul, out=out[k])
-    return out
-
-
-def _llf_lanes(ql, qr, normal, gas, n_real, out):
-    add_two_point(n_real)
-    norm, unit = _unit_normal(normal)
-    vn_l = _vn(ql.v, unit)
-    vn_r = _vn(qr.v, unit)
-    lam = np.maximum(
-        np.abs(vn_l) + np.sqrt(gas.gamma * ql.p / ql.rho),
-        np.abs(vn_r) + np.sqrt(gas.gamma * qr.p / qr.rho),
-    )
-    _phys_lanes(ql, normal, out)
-    scratch = _phys_lanes(qr, normal, np.empty_like(out))
-    out += scratch
-    out *= 0.5
-    diss = _jump(ql, qr, scratch)
-    diss *= 0.5 * lam * norm
-    out -= diss
-    return out
-
-
-def _hll_lanes(ql, qr, normal, gas, n_real, out):
-    add_two_point(n_real)
-    norm, unit = _unit_normal(normal)
-    vn_l = _vn(ql.v, unit)
-    vn_r = _vn(qr.v, unit)
-    c_l = np.sqrt(gas.gamma * ql.p / ql.rho)
-    c_r = np.sqrt(gas.gamma * qr.p / qr.rho)
-    s_l = np.minimum(vn_l - c_l, vn_r - c_r)
-    s_r = np.maximum(vn_l + c_l, vn_r + c_r)
-    f_l = _phys_lanes(ql, unit, np.empty_like(out))
-    f_r = _phys_lanes(qr, unit, np.empty_like(out))
+def _hll_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out):
+    """HLL with the Davis estimates on the scaled normal,
+    S_l = min(v_l.n - c_l|n|, v_r.n - c_r|n|) and S_r likewise, row by
+    row."""
+    cn_l, cn_r = _scaled_sound_speeds(ql, qr, normal, gas)
+    s_l = np.minimum(vn_l - cn_l, vn_r - cn_r)
+    s_r = np.maximum(vn_l + cn_l, vn_r + cn_r)
+    # the upwind flux wins where the fan lies on one side of the face
+    left = s_l >= 0.0
+    right = s_r <= 0.0
+    s_lr = s_l * s_r
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / (s_r - s_l)
-        mid = s_r * f_l
-        mid -= s_l * f_r
-        mid += (s_l * s_r) * _jump(ql, qr, out)
-        mid *= inv
-        # the upwind flux wins where the fan lies on one side of the face
-        np.copyto(mid, f_r, where=s_r <= 0.0)
-        np.copyto(mid, f_l, where=s_l >= 0.0)
-        return np.multiply(norm, mid, out=out)
+        for row, a, b, ul, ur in zip(out, f_l, f_r, ql.u, qr.u):
+            mid = s_r * a
+            mid -= s_l * b
+            mid += s_lr * (ur - ul)
+            mid *= inv
+            np.copyto(mid, b, where=right)
+            np.copyto(mid, a, where=left)
+            np.copyto(row, mid)
+    return out
+
+
+def _own_flux_lanes(kind, ql, qr, normal, gas, n_real, f_l, f_r, out):
+    """central, llf or hll in two steps: the own-side physical fluxes
+    f(q_l).n and f(q_r).n into the blocks f_l and f_r, then the flux made
+    from them into out, which may be f_l."""
+    add_two_point(n_real)
+    vn_l = _vn(ql.v, normal)
+    vn_r = _vn(qr.v, normal)
+    _phys_lanes(ql, vn_l, normal, f_l)
+    _phys_lanes(qr, vn_r, normal, f_r)
+    if kind == "central":
+        np.add(f_l, f_r, out=out)
+        out *= 0.5
+        return out
+    combine = _llf_lanes if kind == "llf" else _hll_lanes
+    return combine(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out)
 
 
 def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
@@ -252,9 +261,15 @@ def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
     caller owns, allocated here when omitted, and the block is returned:
     row k is flux component k of every lane. Every entry is overwritten,
     so one block can serve call after call; it must not share memory with
-    the states or the normal."""
+    the states or the normal. central, llf and hll form f(q_l).n in `out`
+    and f(q_r).n in one scratch block, then combine them; llf and hll
+    bound the wave speeds against the scaled normal, as the scalar
+    kernels do."""
     if out is None:
         out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
+    if kind in _OWN_FLUX_KINDS:
+        f_r = np.empty_like(out)
+        return _own_flux_lanes(kind, ql, qr, normal, gas, n_real, out, f_r, out)
     if kind == "shima":
         return _shima_lanes(
             ql, qr, _vn(ql.v, normal), _vn(qr.v, normal), normal,
@@ -265,12 +280,6 @@ def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
             ql, qr, _vn(ql.v, normal), _vn(qr.v, normal), normal,
             gas.inv_gamma_minus_one, n_real, out,
         )
-    if kind == "central":
-        return _central_lanes(ql, qr, normal, n_real, out)
-    if kind == "llf":
-        return _llf_lanes(ql, qr, normal, gas, n_real, out)
-    if kind == "hll":
-        return _hll_lanes(ql, qr, normal, gas, n_real, out)
     raise ConfigurationError("unknown flux kind %r" % (kind,))
 
 
@@ -462,16 +471,23 @@ def _interface_lanes(faces, setup, n, need_cons):
     return ql, qr, tuple(_face_rows(setup.metrics.face_ja[n]))
 
 
-def _side_fluxes(f, ql, qr, normal, subtract_own, n_real):
-    """What the minus and plus sides lift, as (d+2, lanes) blocks: the
-    interface flux block f itself, or for the strong form f - f(own face
-    state), the plus side written over f."""
-    if not subtract_own:
-        return f, f
+def _side_fluxes(kind, ql, qr, normal, gas, n_real):
+    """The strong form's f - f(q_l).n and f - f(q_r).n, what the minus and
+    plus sides lift, written over the own-side flux blocks: those that
+    central, llf and hll combine f from, or for shima and ranocha, which
+    form none, a fresh pair."""
     add_one_point(2 * n_real)
-    own = np.empty_like(f)
-    fm = f - _phys_lanes(ql, normal, own)
-    return fm, np.subtract(f, _phys_lanes(qr, normal, own), out=f)
+    f_l = np.empty((len(ql.v) + 2, n_real))
+    f_r = np.empty_like(f_l)
+    if kind in _OWN_FLUX_KINDS:
+        f = np.empty_like(f_l)
+        _own_flux_lanes(kind, ql, qr, normal, gas, n_real, f_l, f_r, f)
+    else:
+        f = flux_lanes_directional(kind, ql, qr, normal, gas, n_real)
+        _phys_lanes(ql, _vn(ql.v, normal), normal, f_l)
+        _phys_lanes(qr, _vn(qr.v, normal), normal, f_r)
+    np.subtract(f, f_l, out=f_l)
+    return f_l, np.subtract(f, f_r, out=f_r)
 
 
 def _plus_in_element_order(fp, setup, n):
@@ -515,13 +531,18 @@ def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
     and lgl flux-differencing schemes, one lane per face point, added into
     `out`. faces are the direction's states from
     discretization.face_states: the elements' own traces of u. subtract_own
-    selects the strong-form coupling f_num - f(own face state). Lane
-    counterpart of discretization.surface_terms."""
-    need_cons = subtract_own or surface_flux in ("central", "llf", "hll")
+    selects the strong-form coupling f_num - f(own face state): central,
+    llf and hll subtract the own-side fluxes their surface kernel formed,
+    shima and ranocha recompute them (_side_fluxes), and at most three
+    (d+2, lanes) blocks are live. Lane counterpart of
+    discretization.surface_terms."""
+    need_cons = subtract_own or surface_flux in _OWN_FLUX_KINDS
     ql, qr, alpha = _interface_lanes(faces, setup, n, need_cons)
     n_lanes = ql.rho.size
-    f = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
-    fm, fp = _side_fluxes(f, ql, qr, alpha, subtract_own, n_lanes)
+    if subtract_own:
+        fm, fp = _side_fluxes(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
+    else:
+        fm = fp = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
     _lift(out, setup, n, fm, fp)
     return out
 
@@ -578,7 +599,7 @@ def mesh_gauss_surface(faces, setup, n, surface_flux):
     arguments; the scalar discretization.surface_terms evaluates it once.
     The benchmark's count test pins the second evaluation
     (batched.mesh_gauss_surface.useful_eval_ratio == 0.5)."""
-    need_cons = surface_flux in ("central", "llf", "hll")
+    need_cons = surface_flux in _OWN_FLUX_KINDS
     ql, qr, alpha = _interface_lanes(faces, setup, n, need_cons)
     n_lanes = ql.rho.size
     f_m = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)

@@ -201,61 +201,54 @@ def phys_flux_n(u, rho, v, p, normal):
     return (rho * vn,) + mom + ((u[nv] + p) * vn,)
 
 
+def _prim(u, gm1):
+    """(rho, v, p) of one conserved state, v a tuple."""
+    if len(u) == 4:
+        rho, v1, v2, p = _prim2(u, gm1)
+        return rho, (v1, v2), p
+    rho, v1, v2, v3, p = _prim3(u, gm1)
+    return rho, (v1, v2, v3), p
+
+
 def flux_central_directional(u_l, u_r, normal, gas):
     add_two_point()
     gm1 = gas.gamma - 1.0
-    if len(u_l) == 4:
-        rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
-        rho_r, vr1, vr2, p_r = _prim2(u_r, gm1)
-        v_l = (vl1, vl2)
-        v_r = (vr1, vr2)
-    else:
-        rho_l, vl1, vl2, vl3, p_l = _prim3(u_l, gm1)
-        rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
-        v_l = (vl1, vl2, vl3)
-        v_r = (vr1, vr2, vr3)
-    f_l = phys_flux_n(u_l, rho_l, v_l, p_l, normal)
-    f_r = phys_flux_n(u_r, rho_r, v_r, p_r, normal)
+    f_l = phys_flux_n(u_l, *_prim(u_l, gm1), normal)
+    f_r = phys_flux_n(u_r, *_prim(u_r, gm1), normal)
     return tuple(0.5 * (a + b) for a, b in zip(f_l, f_r))
 
 
 # ---------------------------------------------------------------------------
-# dissipative surface fluxes
+# dissipative surface fluxes: wave speeds bounded against the scaled normal
 
-def _split_normal(normal):
+def _scaled_speeds(q_l, q_r, normal, gas):
+    """(v_l.n, v_r.n, c_l |n|, c_r |n|) from two (rho, v, p) states on the
+    scaled normal n: the wave speeds in units of |n|, so no unit normal is
+    formed."""
+    (rho_l, v_l, p_l), (rho_r, v_r, p_r) = q_l, q_r
     nn = 0.0
-    for c in normal:
+    vn_l = 0.0
+    vn_r = 0.0
+    for a, b, c in zip(v_l, v_r, normal):
         nn += c * c
-    nn = math.sqrt(nn)
-    return nn, tuple(c / nn for c in normal)
+        vn_l += a * c
+        vn_r += b * c
+    norm = math.sqrt(nn)
+    cn_l = math.sqrt(gas.gamma * p_l / rho_l) * norm
+    cn_r = math.sqrt(gas.gamma * p_r / rho_r) * norm
+    return vn_l, vn_r, cn_l, cn_r
 
 
 def flux_llf_directional(u_l, u_r, normal, gas):
     add_two_point()
     gm1 = gas.gamma - 1.0
-    if len(u_l) == 4:
-        rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
-        rho_r, vr1, vr2, p_r = _prim2(u_r, gm1)
-        v_l = (vl1, vl2)
-        v_r = (vr1, vr2)
-    else:
-        rho_l, vl1, vl2, vl3, p_l = _prim3(u_l, gm1)
-        rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
-        v_l = (vl1, vl2, vl3)
-        v_r = (vr1, vr2, vr3)
-    norm, unit = _split_normal(normal)
-    vn_l = 0.0
-    vn_r = 0.0
-    for a, b, n in zip(v_l, v_r, unit):
-        vn_l += a * n
-        vn_r += b * n
-    lam = max(
-        abs(vn_l) + math.sqrt(gas.gamma * p_l / rho_l),
-        abs(vn_r) + math.sqrt(gas.gamma * p_r / rho_r),
-    )
-    f_l = phys_flux_n(u_l, rho_l, v_l, p_l, normal)
-    f_r = phys_flux_n(u_r, rho_r, v_r, p_r, normal)
-    halfdiss = 0.5 * lam * norm
+    q_l = _prim(u_l, gm1)
+    q_r = _prim(u_r, gm1)
+    vn_l, vn_r, cn_l, cn_r = _scaled_speeds(q_l, q_r, normal, gas)
+    # lam |n| = max(|v_l.n| + c_l |n|, |v_r.n| + c_r |n|)
+    halfdiss = 0.5 * max(abs(vn_l) + cn_l, abs(vn_r) + cn_r)
+    f_l = phys_flux_n(u_l, *q_l, normal)
+    f_r = phys_flux_n(u_r, *q_r, normal)
     return tuple(
         0.5 * (a + b) - halfdiss * (ur - ul)
         for a, b, ul, ur in zip(f_l, f_r, u_l, u_r)
@@ -265,40 +258,23 @@ def flux_llf_directional(u_l, u_r, normal, gas):
 def flux_hll_directional(u_l, u_r, normal, gas):
     add_two_point()
     gm1 = gas.gamma - 1.0
-    if len(u_l) == 4:
-        rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
-        rho_r, vr1, vr2, p_r = _prim2(u_r, gm1)
-        v_l = (vl1, vl2)
-        v_r = (vr1, vr2)
-    else:
-        rho_l, vl1, vl2, vl3, p_l = _prim3(u_l, gm1)
-        rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
-        v_l = (vl1, vl2, vl3)
-        v_r = (vr1, vr2, vr3)
-    norm, unit = _split_normal(normal)
-    vn_l = 0.0
-    vn_r = 0.0
-    for a, b, n in zip(v_l, v_r, unit):
-        vn_l += a * n
-        vn_r += b * n
-    c_l = math.sqrt(gas.gamma * p_l / rho_l)
-    c_r = math.sqrt(gas.gamma * p_r / rho_r)
-    # Davis estimates
-    s_l = min(vn_l - c_l, vn_r - c_r)
-    s_r = max(vn_l + c_l, vn_r + c_r)
-    f_l = phys_flux_n(u_l, rho_l, v_l, p_l, unit)
-    f_r = phys_flux_n(u_r, rho_r, v_r, p_r, unit)
+    q_l = _prim(u_l, gm1)
+    q_r = _prim(u_r, gm1)
+    vn_l, vn_r, cn_l, cn_r = _scaled_speeds(q_l, q_r, normal, gas)
+    # Davis estimates, in units of |n|
+    s_l = min(vn_l - cn_l, vn_r - cn_r)
+    s_r = max(vn_l + cn_l, vn_r + cn_r)
+    f_l = phys_flux_n(u_l, *q_l, normal)
+    f_r = phys_flux_n(u_r, *q_r, normal)
     if s_l >= 0.0:
-        f = f_l
-    elif s_r <= 0.0:
-        f = f_r
-    else:
-        inv = 1.0 / (s_r - s_l)
-        f = tuple(
-            (s_r * a - s_l * b + s_l * s_r * (ur - ul)) * inv
-            for a, b, ul, ur in zip(f_l, f_r, u_l, u_r)
-        )
-    return tuple(norm * c for c in f)
+        return f_l
+    if s_r <= 0.0:
+        return f_r
+    inv = 1.0 / (s_r - s_l)
+    return tuple(
+        (s_r * a - s_l * b + s_l * s_r * (ur - ul)) * inv
+        for a, b, ul, ur in zip(f_l, f_r, u_l, u_r)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .euler import GasParams, cons2prim, prim2cons
 from .fluxes import flux_function
 from .geometry import build_mesh
 from .operators import FAMILIES, MAX_DEGREE, make_operator
-from .timeint import StepController, integrate, rk_step, stable_dt
+from .timeint import RK54, StepController, integrate, rk_step, stable_dt
 
 DOMAIN_LO = -5.0
 DOMAIN_HI = 5.0
@@ -455,15 +455,17 @@ def measure_pid(config_or_run, n_rhs=500, repeats=5):
     """Time complete fixed-step simulations and report per-DOF RHS cost.
 
     One untimed RHS evaluation warms caches before the first repeat. Each
-    repeat restarts from the initial state and advances ceil(n_rhs/5)
-    steps (5 evaluations per step), timed as a whole. Runs are
-    single-threaded; keep the machine quiet for small std.
+    repeat restarts from the initial state and advances
+    ceil(n_rhs / n_stages) RK54 steps (one evaluation per stage), timed as
+    a whole. Runs are single-threaded; keep the machine quiet for small
+    std.
     """
     run = config_or_run if isinstance(config_or_run, Run) else build_run(config_or_run)
     config = run.config
     setup = run.setup
     controller = StepController(cfl=config.cfl)
-    n_steps = -(-n_rhs // 5)
+    n_steps = -(-n_rhs // RK54.n_stages)
+    n_evals = RK54.n_stages * n_steps
     dt = stable_dt(run.u0, run.mesh, setup.metrics, run.gas, config.p, controller)
     dofs = setup.dofs
 
@@ -477,13 +479,13 @@ def measure_pid(config_or_run, n_rhs=500, repeats=5):
         t = 0.0
         start = time.perf_counter()
         for _step in range(n_steps):
-            u = rk_step(u, t, dt, rhs_fn)
+            u = rk_step(u, t, dt, rhs_fn, RK54)
             t += dt
         span = time.perf_counter() - start
         _guard_span(span, "pid repeat", "increase n_rhs")
-        samples.append(span / (5 * n_steps * dofs))
+        samples.append(span / (n_evals * dofs))
     samples = np.asarray(samples)
-    return PidResult(float(samples.mean()), float(samples.std()), 5 * n_steps, dofs)
+    return PidResult(float(samples.mean()), float(samples.std()), n_evals, dofs)
 
 
 MICROBENCH_FORMS = ("cartesian", "directional")

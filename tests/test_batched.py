@@ -375,6 +375,75 @@ def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elem
     assert bat_counts[0] == d * setup.n_elements * (p + 1) ** (d - 1)
 
 
+def _supersonic_field(setup, dims, gas, seed):
+    """A random field, discontinuous at every interface, whose velocity
+    component n is 2.5 plus jitter, signed by the parity of the element's
+    indices in the other directions: the two sides of a direction-n face
+    share the sign, the sign alternates between neighbouring rows of
+    elements, and the sound speed stays below 1.7, so the interfaces are
+    supersonic both ways. The sign is constant on each element, which keeps
+    the Gauss traces admissible."""
+    rng = np.random.default_rng(seed)
+    d = setup.d
+    index = np.array(np.unravel_index(np.arange(setup.n_elements), dims))
+    parity = (index.sum(axis=0) - index) % 2
+    sign = np.repeat(1.0 - 2.0 * parity.T, setup.n_nodes, axis=0)
+    n = len(sign)
+    q = np.empty((n, d + 2))
+    q[:, 0] = 1.0 + 0.2 * rng.random(n)
+    q[:, 1 : d + 1] = sign * (2.5 + 0.2 * (rng.random((n, d)) - 0.5))
+    q[:, d + 1] = 1.0 + rng.random(n)
+    return prim2cons(q, gas).reshape(setup.n_elements, setup.n_nodes, d + 2)
+
+
+def _upwind_face_points(u, setup, gas):
+    """(face points, points with S_l >= 0, points with S_r <= 0) for the
+    Davis bounds between each interface's two traces."""
+    counts = np.zeros(3, dtype=int)
+    faces = discretization.face_states(u, cons2prim(u, gas), setup, False)
+    for n, ((_, q0), (_, q1)) in enumerate(faces):
+        normal = setup.metrics.face_ja[n]
+        norm = np.linalg.norm(normal, axis=-1)
+        vn, cn = [], []
+        for q in (q1, q0[setup.plus_neighbor[n]]):
+            vn.append((q[..., 1:-1] * normal).sum(axis=-1))
+            cn.append(np.sqrt(gas.gamma * q[..., -1] / q[..., 0]) * norm)
+        s_l = np.minimum(vn[0] - cn[0], vn[1] - cn[1])
+        s_r = np.maximum(vn[0] + cn[0], vn[1] + cn[1])
+        counts += (norm.size, np.count_nonzero(s_l >= 0.0), np.count_nonzero(s_r <= 0.0))
+    return counts
+
+
+@pytest.mark.parametrize("kind", SURFACE_KINDS)
+@pytest.mark.parametrize("family", ["lgl", "gauss"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_strong_form_matches_reference_across_supersonic_jumps(gas, d, family, kind):
+    """The strong form's f_num - f(own face state) on interfaces with jumps
+    and supersonic flow both ways, so both hll upwind branches fire and a
+    mix-up of the two sides' own fluxes shows: batched equals the scalar
+    oracle with equal counts, and the strong form counts two one-point
+    evaluations per face point on top of the volume's d per node."""
+    geo = None if family == "lgl" else (2 if d == 2 else 1)
+    dims, p = ((4, 4), 3) if d == 2 else ((2, 2, 2), 2)
+    setup = make_setup(
+        gas, d=d, p=p, amplitude=0.1, geo_degree=geo, family=family, dims=dims
+    )
+    u = _supersonic_field(setup, dims, gas, seed=13)
+    n_face, left, right = _upwind_face_points(u, setup, gas)
+    assert min(left, right) >= n_face / 3
+    for scheme, surface_one_point in (("strong", 2 * n_face), ("weak", 0)):
+        results = {}
+        for kernel in KERNELS:
+            config = RhsConfig(volume_scheme=scheme, surface_flux=kind, kernel=kernel)
+            c = FluxCounter()
+            dudt = rhs(u, setup, config, counter=c)
+            results[kernel] = dudt, (c.two_point_evals, c.one_point_evals, c.logmean_evals)
+        (ref, ref_counts), (bat, bat_counts) = results["reference"], results["batched"]
+        assert _relative_gap(ref, bat) < 1e-13
+        assert ref_counts == bat_counts
+        assert bat_counts[1] == d * setup.dofs + surface_one_point
+
+
 @pytest.mark.parametrize(
     "family, scheme",
     [

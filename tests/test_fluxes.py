@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fluxdg import batched
 from fluxdg.errors import ConfigurationError
@@ -175,6 +177,62 @@ def test_llf_upwinds_supersonic(gas):
     f = np.asarray(flux_hll_directional(ul, ur, np.array([1.0, 0.0]), gas))
     want = physical_flux(ul, 0, gas)
     assert np.abs(f - want).max() < 1e-12
+
+
+def _state(d):
+    """An admissible primitive state (rho, v_1..d, p)."""
+    positive = st.floats(0.1, 10.0)
+    return st.tuples(positive, *([st.floats(-5.0, 5.0)] * d), positive)
+
+
+def _direction(d):
+    """An arbitrary direction, kept away from the zero vector."""
+    return st.tuples(*([st.floats(-1.0, 1.0)] * d)).filter(
+        lambda n: sum(c * c for c in n) > 1e-2
+    )
+
+
+def _lanes_flux(kind, ul, ur, normal, gas):
+    """The lane kernel's flux on one lane, the normal given per lane."""
+    ql, qr = (
+        batched.Lanes(q[:1], tuple(q[1:-1, None]), q[-1:], tuple(u[:, None]))
+        for q, u in ((cons2prim(ul, gas), ul), (cons2prim(ur, gas), ur))
+    )
+    lane_normal = tuple(np.array([c]) for c in normal)
+    return batched.flux_lanes_directional(kind, ql, qr, lane_normal, gas, 1)[:, 0]
+
+
+@pytest.mark.parametrize("kind", ("central", "llf", "hll"))
+@pytest.mark.parametrize("d", [2, 3])
+def test_fluxes_scale_with_the_normal(kind, d, gas):
+    """F(u_l, u_r, s n) == s F(u_l, u_r, n) on both paths, which pins the
+    llf and hll wave-speed bounds on the scaled normal (a sound speed not
+    multiplied by |n| breaks it). The lane flux also equals the scalar
+    one."""
+    fn = flux_function(kind)
+
+    @given(_state(d), _state(d), _direction(d), st.floats(1e-3, 1e3))
+    def check(q_l, q_r, normal, s):
+        ul, ur = prim2cons(np.array(q_l), gas), prim2cons(np.array(q_r), gas)
+        scaled = tuple(s * c for c in normal)
+        base = np.asarray(fn(ul, ur, normal, gas))
+        # rounding scales with the terms the fluxes sum: the own-side
+        # physical fluxes and the dissipation, about (|v| + c) |n| |u|
+        norm = np.linalg.norm(normal)
+        scale = 0.0
+        for q, u in ((q_l, ul), (q_r, ur)):
+            own = sum(c * physical_flux(u, j, gas) for j, c in enumerate(normal))
+            speed = np.linalg.norm(q[1:-1]) + np.sqrt(gas.gamma * q[-1] / q[0])
+            scale += np.abs(own).max() + speed * norm * np.abs(u).max()
+        for got in (
+            np.asarray(fn(ul, ur, scaled, gas)),
+            _lanes_flux(kind, ul, ur, scaled, gas),
+        ):
+            assert np.abs(got - s * base).max() <= 1e-14 * s * scale
+        lanes = _lanes_flux(kind, ul, ur, normal, gas)
+        assert np.abs(lanes - base).max() <= 1e-13 * scale
+
+    check()
 
 
 def test_counters(gas):
