@@ -152,16 +152,7 @@ def volume_strong(u_elem, q_elem, op, metrics):
     u_elem is one element (nodes, d+2) or a stack of them with leading
     element axes, q_elem = cons2prim(u_elem); metrics.ja/jac carry the same
     leading axes (or none, for metrics shared by every element)."""
-    d = u_elem.shape[-1] - 2
-    lead = u_elem.ndim - 2
-    p1 = op.n_nodes
-    add_one_point(d * (u_elem.size // (d + 2)))
-    acc = np.zeros_like(u_elem)
-    shape = u_elem.shape[:lead] + (p1,) * d + (-1,)
-    for n in range(d):
-        contra = directional_flux(u_elem, q_elem, metrics.ja[..., n, :])
-        acc += apply_along(op.D, contra.reshape(shape), n + lead).reshape(u_elem.shape)
-    return acc / metrics.jac[..., None]
+    return _one_point_volume(op.D, np.add, u_elem, q_elem, metrics)
 
 
 @lru_cache(maxsize=None)
@@ -180,17 +171,31 @@ def volume_weak(u_elem, q_elem, op, metrics):
     boundary part of the SBP identity); the assembled RHS cancels it against
     the surface flux.
     """
+    wmat = _weak_matrix(op.degree, op.family)
+    return _one_point_volume(wmat, np.subtract, u_elem, q_elem, metrics)
+
+
+def _one_point_volume(mat, combine, u_elem, q_elem, metrics):
+    """(1/J) (((0 o T_1) o T_2) ... o T_d) with o = combine (np.add or
+    np.subtract) and T_n the 1D operator mat applied along reference
+    direction n to the contravariant flux sum_j (Ja)^n_j f^j(u).
+
+    Each T_n is a fresh array from apply_along, so the first one holds the
+    accumulator (0.0 + T_1 or 0.0 - T_1 in place, which keeps the signed
+    zeros of a sum started from zero) and J divides it in place."""
     d = u_elem.shape[-1] - 2
     lead = u_elem.ndim - 2
-    p1 = op.n_nodes
-    wmat = _weak_matrix(op.degree, op.family)
     add_one_point(d * (u_elem.size // (d + 2)))
-    acc = np.zeros_like(u_elem)
-    shape = u_elem.shape[:lead] + (p1,) * d + (-1,)
+    shape = u_elem.shape[:lead] + (mat.shape[1],) * d + (-1,)
     for n in range(d):
         contra = directional_flux(u_elem, q_elem, metrics.ja[..., n, :])
-        acc -= apply_along(wmat, contra.reshape(shape), n + lead).reshape(u_elem.shape)
-    return acc / metrics.jac[..., None]
+        term = apply_along(mat, contra.reshape(shape), n + lead).reshape(u_elem.shape)
+        if n == 0:
+            acc = combine(0.0, term, out=term)
+        else:
+            combine(acc, term, out=acc)
+    acc /= metrics.jac[..., None]
+    return acc
 
 
 def volume_fluxdiff(u_elem, op, metrics, vol_flux, gas):

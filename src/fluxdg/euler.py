@@ -39,17 +39,24 @@ def _dim(u):
 def _require_admissible(rho, p, what):
     """Raise unless every rho and p is finite and positive. The error's
     `index` is the first bad state's; for a field of shape (n_elements,
-    n_nodes, d+2) the message names its element and node."""
+    n_nodes, d+2) the message names its element and node.
+
+    The test is four reductions: a NaN fails min > 0 (min propagates it),
+    -inf and non-positive values fail it too, and +inf fails max < inf.
+    The per-state mask is built only to locate a failure."""
+    if rho.size == 0 or (
+        rho.min() > 0.0 and p.min() > 0.0 and rho.max() < np.inf and p.max() < np.inf
+    ):
+        return
     bad = ~(np.isfinite(rho) & np.isfinite(p) & (rho > 0.0) & (p > 0.0))
-    if np.any(bad):
-        k = np.unravel_index(np.argmax(bad), bad.shape)
-        where = " at element %d, node %d" % k if bad.ndim == 2 else ""
-        err = AdmissibilityError(
-            "%s: inadmissible state%s: rho=%r, p=%r"
-            % (what, where, float(rho[k]), float(p[k]))
-        )
-        err.index = k
-        raise err
+    k = np.unravel_index(np.argmax(bad), bad.shape)
+    where = " at element %d, node %d" % k if bad.ndim == 2 else ""
+    err = AdmissibilityError(
+        "%s: inadmissible state%s: rho=%r, p=%r"
+        % (what, where, float(rho[k]), float(p[k]))
+    )
+    err.index = k
+    raise err
 
 
 def _sum_squares(v):

@@ -29,6 +29,7 @@ x_l * d(x_m), so 2 g <= p is required there. Degrees above the bound are
 accepted but reintroduce the truncation-order mismatch.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,9 +135,23 @@ def _map_coordinates(mesh, tfrac):
 
 
 def apply_along(mat, arr, axis):
-    """Apply a 1D operator matrix along one axis of an nd array."""
-    moved = np.moveaxis(arr, axis, -1)
-    return np.moveaxis(moved @ mat.T, -1, axis)
+    """Apply a 1D operator matrix along one axis of an nd array.
+
+    The array is viewed as (pre, k, post) blocks, with k the length of
+    `axis`, and the operator is one matmul, mat @ arr.reshape(pre, k, post),
+    whose result reshapes back without a copy; no axis is moved. Along the
+    last axis (post = 1) it stays the single GEMM arr @ mat.T: the stacked
+    (k, 1) columns would sum in another order and move curved-mesh metric
+    terms by roundoff.
+    """
+    shape = arr.shape
+    axis %= len(shape)
+    if axis == len(shape) - 1:
+        return arr @ mat.T
+    pre = math.prod(shape[:axis])
+    post = math.prod(shape[axis + 1 :])
+    out = mat @ arr.reshape(pre, shape[axis], post)
+    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1 :])
 
 
 def element_coords(mesh, op):

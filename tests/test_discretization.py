@@ -32,7 +32,7 @@ from fluxdg.discretization import (
     volume_weak,
 )
 from fluxdg.errors import AdmissibilityError, ConfigurationError
-from fluxdg.euler import cons2prim, entropy_vars
+from fluxdg.euler import cons2prim, directional_flux, entropy_vars
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
 from fluxdg.operators import MAX_DEGREE, build_dsplit, node_lines
@@ -257,6 +257,47 @@ def test_overintegration_dealiases_exactly(gas):
 
 
 # --- volume term structure ---------------------------------------------------
+
+
+def summed_from_zero(volume, u, q, setup):
+    """Oracle of the one-point volume sum: accumulate each direction's term
+    onto zeros (strong adds D_n F^n, weak subtracts its weak-form matrix
+    applied to F^n), then divide by J."""
+    d = setup.d
+    p1 = setup.op.n_nodes
+    if volume is volume_strong:
+        mat, sign = setup.op.D, 1.0
+    else:
+        w = setup.op.weights
+        mat, sign = (setup.op.D.T * w[None, :]) / w[:, None], -1.0
+    acc = np.zeros_like(u)
+    for n in range(d):
+        contra = directional_flux(u, q, setup.metrics.ja[..., n, :])
+        term = geometry.apply_along(mat, contra.reshape((-1,) + (p1,) * d + (d + 2,)), n + 1)
+        if sign > 0:
+            acc += term.reshape(u.shape)
+        else:
+            acc -= term.reshape(u.shape)
+    return acc / setup.metrics.jac[..., None]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("amplitude", [0.0, 0.15])
+@pytest.mark.parametrize("family", ["lgl", "gauss"])
+def test_one_point_volume_whole_mesh_matches_elements(gas, family, amplitude, d):
+    # one call batches every element into each matmul, a per-element call
+    # only that element's lines; the bytes agree with each other and with
+    # the sum started from zeros, signed zeros included (a constant state
+    # cancels to zero at many nodes)
+    setup = (lgl_setup if family == "lgl" else gauss_setup)(gas, d=d, amplitude=amplitude)
+    for u in (random_field(setup, gas, seed=12, amp=0.5), constant_field(setup, gas)):
+        q = cons2prim(u, gas)
+        for volume in (volume_strong, volume_weak):
+            whole = volume(u, q, setup.op, setup.metrics)
+            assert whole.tobytes() == summed_from_zero(volume, u, q, setup).tobytes()
+            for e in range(setup.n_elements):
+                one = volume(u[e], q[e], setup.op, element_metrics(setup.metrics, e))
+                assert whole[e].tobytes() == one.tobytes(), (volume.__name__, e)
 
 
 def test_weak_volume_constant_state_lives_on_boundary(gas):

@@ -7,10 +7,12 @@ from fluxdg.euler import (
     cons2prim,
     directional_flux,
     entropy2cons,
+    entropy2prim,
     entropy_and_potential,
     entropy_vars,
     max_signal_speed,
     prim2cons,
+    prim2entropy,
 )
 
 from .conftest import random_primitives
@@ -44,6 +46,30 @@ def test_cons2prim_rejects_vacuum(gas):
     for u in bad:
         with pytest.raises(AdmissibilityError):
             cons2prim(np.array(u), gas)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+@pytest.mark.parametrize("slot", [0, 4], ids=["rho", "p"])
+def test_field_admissibility_names_element_and_node(gas, slot, value):
+    # one bad rho or p in a 3D field: cons2prim, prim2cons and entropy2prim
+    # each reject it and name its element and node; the clean field passes
+    e, i = 2, 5
+    q = random_primitives(np.random.default_rng(9), 3, 4 * 27).reshape(4, 27, 5)
+    q[e, i, 1:4] = 0.0  # at rest, so the planted value reaches u as it is
+    u = prim2cons(q, gas)
+    cons2prim(u, gas)
+    entropy2prim(prim2entropy(q, gas), gas)
+    bad_q = q.copy()
+    bad_q[e, i, slot] = value
+    bad_u = u.copy()
+    bad_u[e, i, slot] = value * (gas.inv_gamma_minus_one if slot == 4 else 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad_w = prim2entropy(bad_q, gas)
+        cases = ((cons2prim, bad_u), (prim2cons, bad_q), (entropy2prim, bad_w))
+        for convert, arg in cases:
+            with pytest.raises(AdmissibilityError, match="at element 2, node 5:") as info:
+                convert(arg, gas)
+            assert info.value.index == (e, i)
 
 
 @pytest.mark.parametrize("d", [2, 3])

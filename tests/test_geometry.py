@@ -11,7 +11,7 @@ from fluxdg.geometry import (
     element_metrics,
     neighbor_table,
 )
-from fluxdg.operators import gauss_operator, lgl_operator
+from fluxdg.operators import gauss_operator, lgl_operator, transfer_matrices
 
 from .oracles import metric_identity_residual
 
@@ -173,3 +173,34 @@ def test_apply_along_matches_einsum():
             np.einsum("ab,...b->...a", mat, np.moveaxis(arr, axis, -1)), -1, axis
         )
         assert np.abs(got - want).max() < 1e-13
+
+
+def _apply_along_moveaxis(mat, arr, axis):
+    """Oracle: move `axis` last, one broadcast matmul against mat.T, move the
+    axis back."""
+    moved = np.moveaxis(arr, axis, -1)
+    return np.moveaxis(moved @ mat.T, -1, axis)
+
+
+@pytest.mark.parametrize("name", ["lgl_D", "gauss_D", "interp", "project"])
+def test_apply_along_bytes_match_moveaxis_form(name):
+    # the one reshaped matmul sums every entry in the order of the moved-axis
+    # form: the same bytes for square and non-square operators, at the first,
+    # a middle and the last axis, for contiguous and strided input
+    transfer = transfer_matrices(3, 5)
+    mat = {
+        "lgl_D": lgl_operator(3).D,
+        "gauss_D": gauss_operator(3).D,
+        "interp": transfer.interp,
+        "project": transfer.project,
+    }[name]
+    k = mat.shape[1]
+    base = np.random.default_rng(1).standard_normal((k, 3, k, 2 * k, k))
+    inputs = [base, base[:, :, :, ::2], base.transpose(4, 1, 2, 3, 0)]
+    assert not inputs[1].flags.c_contiguous and not inputs[2].flags.c_contiguous
+    for arr in inputs:
+        for axis in (0, 2, arr.ndim - 1):
+            got = apply_along(mat, arr, axis)
+            want = _apply_along_moveaxis(mat, arr, axis)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (arr.strides, axis)
