@@ -39,18 +39,28 @@ block that the caller owns and returns that block, so the volume kernels
 allocate one flux block per call and add each pair into the accumulator
 with one product and one add per weight, acc[:, a] += w * f. The surface
 lanes are in minus-element order (face point m of element e pairs e with
-plus_neighbor[n][e]); the plus-side fluxes are gathered into element order
-once through the inverse permutation, so both sides are basic-slice
-updates.
+plus_neighbor[n][e]): the plus side's face states are gathered with one
+element-major take per array before they are viewed as rows, and the
+plus-side fluxes go back into element order once through
+minus_neighbor[n], the inverse permutation that build_setup stores, so
+both sides of the lift are basic-slice updates.
 
+A Lanes holds the primitives as rows and the conserved states as one
+(d+2, lanes) block (on the face lanes a strided view of the face array).
 The central, llf and hll kernels run in two steps: they form the own-side
-physical fluxes f(q_l).n and f(q_r).n, then combine them. The strong form
-(mesh_surface with subtract_own) subtracts those same two blocks in
-place, so each interface point gets one flux pass; shima and ranocha form
-no physical fluxes, so their strong form recomputes them. llf and hll
-bound the wave speeds against the scaled normal, lam|n| =
+physical fluxes f(q_l).n and f(q_r).n, then combine them. The momentum
+rows of f(q).n are one block product (rho v) v.n; p n_i is added row by
+row, because a (d, lanes) p n block passes the allocator's mmap threshold
+on the 3D meshes and was slower. llf forms its jump u_r - u_l as one
+block: in the scratch block of f(q_r).n on the plain path, in one fresh
+block on the strong path. The strong form (mesh_surface with
+subtract_own) subtracts the two own-side blocks in place, so each
+interface point gets one flux pass; shima and ranocha form no physical
+fluxes, so their strong form recomputes them. llf and hll bound the wave
+speeds against the scaled normal, lam|n| =
 max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), sharing v.n with the physical
-fluxes, on both paths.
+fluxes, on both paths. The face lanes and every temporary of the flux
+pass are gone before the lift runs.
 
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
@@ -123,12 +133,16 @@ def inv_logmean_batched(a, b):
 # lane kernels
 
 class Lanes(NamedTuple):
-    """Primitive (and optionally conserved) arrays over one lane set."""
+    """Primitive rows and, optionally, the conserved block over one lane
+    set: rho and p are lane arrays, v a tuple of d lane arrays, and u the
+    (d+2, lanes) conserved block of any strides, read as u[k] for one
+    component and as a whole for the physical momentum flux and the llf
+    jump."""
 
     rho: np.ndarray
     v: tuple
     p: np.ndarray
-    u: Optional[tuple] = None
+    u: Optional[np.ndarray] = None
 
 
 def _vn(v, normal):
@@ -183,11 +197,15 @@ def _ranocha_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real, out):
 
 
 def _phys_lanes(q, vn, normal, out):
-    """The physical flux f(q).n into the block out, from vn = v.n."""
+    """The physical flux f(q).n into the block out, from vn = v.n: the
+    momentum rows (rho v_i) v.n as one block product, then p n_i added row
+    by row (a (d, lanes) p n block is slower once it passes the allocator's
+    mmap threshold)."""
     d = len(q.v)
     np.multiply(q.rho, vn, out=out[0])
+    momentum = np.multiply(q.u[1 : d + 1], vn, out=out[1 : d + 1])
     for i in range(d):
-        np.add(q.u[1 + i] * vn, q.p * normal[i], out=out[1 + i])
+        momentum[i] += q.p * normal[i]
     np.multiply(q.u[d + 1] + q.p, vn, out=out[d + 1])
     return out
 
@@ -199,16 +217,31 @@ def _scaled_sound_speeds(ql, qr, normal, gas):
     return tuple(np.sqrt(gas.gamma * q.p / q.rho) * norm for q in (ql, qr))
 
 
-def _llf_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out):
-    """Local Lax-Friedrichs, dissipation 0.5 lam|n| (u_r - u_l) with
-    lam|n| = max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), the jump formed one
-    row at a time so no further block is held."""
+def _llf_half_dissipation(ql, qr, vn_l, vn_r, normal, gas):
+    """0.5 lam|n| = 0.5 max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), formed in
+    place over vn_l (returned) and vn_r, which are consumed; the sound
+    speeds die with this call."""
     cn_l, cn_r = _scaled_sound_speeds(ql, qr, normal, gas)
-    half_diss = 0.5 * np.maximum(np.abs(vn_l) + cn_l, np.abs(vn_r) + cn_r)
+    wave_l = np.abs(vn_l, out=vn_l)
+    wave_l += cn_l
+    wave_r = np.abs(vn_r, out=vn_r)
+    wave_r += cn_r
+    half_diss = np.maximum(wave_l, wave_r, out=wave_l)
+    half_diss *= 0.5
+    return half_diss
+
+
+def _llf_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out, jump):
+    """Local Lax-Friedrichs, dissipation 0.5 lam|n| (u_r - u_l) with
+    lam|n| = max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), consuming vn_l and
+    vn_r; the jump is formed as one block in `jump`, which may be f_r but
+    not out (None: a fresh block)."""
+    half_diss = _llf_half_dissipation(ql, qr, vn_l, vn_r, normal, gas)
     np.add(f_l, f_r, out=out)
     out *= 0.5
-    for k, row in enumerate(out):
-        row -= half_diss * (qr.u[k] - ql.u[k])
+    jump = np.subtract(qr.u, ql.u, out=jump)
+    jump *= half_diss
+    out -= jump
     return out
 
 
@@ -236,10 +269,11 @@ def _hll_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out):
     return out
 
 
-def _own_flux_lanes(kind, ql, qr, normal, gas, n_real, f_l, f_r, out):
+def _own_flux_lanes(kind, ql, qr, normal, gas, n_real, f_l, f_r, out, jump=None):
     """central, llf or hll in two steps: the own-side physical fluxes
     f(q_l).n and f(q_r).n into the blocks f_l and f_r, then the flux made
-    from them into out, which may be f_l."""
+    from them into out, which may be f_l; llf forms its jump in `jump`
+    (see _llf_lanes)."""
     add_two_point(n_real)
     vn_l = _vn(ql.v, normal)
     vn_r = _vn(qr.v, normal)
@@ -249,8 +283,9 @@ def _own_flux_lanes(kind, ql, qr, normal, gas, n_real, f_l, f_r, out):
         np.add(f_l, f_r, out=out)
         out *= 0.5
         return out
-    combine = _llf_lanes if kind == "llf" else _hll_lanes
-    return combine(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out)
+    if kind == "llf":
+        return _llf_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out, jump)
+    return _hll_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out)
 
 
 def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
@@ -262,14 +297,14 @@ def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
     row k is flux component k of every lane. Every entry is overwritten,
     so one block can serve call after call; it must not share memory with
     the states or the normal. central, llf and hll form f(q_l).n in `out`
-    and f(q_r).n in one scratch block, then combine them; llf and hll
-    bound the wave speeds against the scaled normal, as the scalar
-    kernels do."""
+    and f(q_r).n in one scratch block, then combine them (llf's jump
+    u_r - u_l reuses the scratch block); llf and hll bound the wave speeds
+    against the scaled normal, as the scalar kernels do."""
     if out is None:
         out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
     if kind in _OWN_FLUX_KINDS:
         f_r = np.empty_like(out)
-        return _own_flux_lanes(kind, ql, qr, normal, gas, n_real, out, f_r, out)
+        return _own_flux_lanes(kind, ql, qr, normal, gas, n_real, out, f_r, out, f_r)
     if kind == "shima":
         return _shima_lanes(
             ql, qr, _vn(ql.v, normal), _vn(qr.v, normal), normal,
@@ -348,9 +383,9 @@ def _half_metric_rows(setup, n, rows):
 
 
 def _row_lanes(q, cons):
-    """Lanes from (d+2, lanes) primitive rows and, optionally, conserved
-    rows."""
-    return Lanes(q[0], tuple(q[1:-1]), q[-1], None if cons is None else tuple(cons))
+    """Lanes from (d+2, lanes) primitive rows and, optionally, the
+    conserved block."""
+    return Lanes(q[0], tuple(q[1:-1]), q[-1], cons)
 
 
 def _line_lanes(q, cons):
@@ -363,23 +398,22 @@ def _line_lanes(q, cons):
     ]
 
 
-def _face_rows(arr, order=None):
+def _face_rows(arr):
     """(n_elem, face nodes, m) face arrays as (m, lanes) rows, one lane per
-    face point, elements taken in `order` (default: as stored, then the rows
-    are strided views: each face lane is read only once or twice, so a
-    contiguous copy costs more than it saves)."""
-    rows = arr.transpose(2, 0, 1)
-    if order is not None:
-        rows = np.take(rows, order, axis=1)
-    return rows.reshape(arr.shape[-1], -1)
+    face point: strided views (each face lane is read only once or twice,
+    so a contiguous copy costs more than it saves)."""
+    return arr.transpose(2, 0, 1).reshape(arr.shape[-1], -1)
 
 
 def _face_lanes(states, q, need_cons, order=None):
     """Lanes over face points from (n_elem, face nodes, d+2) conserved states
-    and their primitives."""
-    return _row_lanes(
-        _face_rows(q, order), _face_rows(states, order) if need_cons else None
-    )
+    and their primitives, elements taken in `order` (default: as stored).
+    The gather runs element-major, before the transpose to rows."""
+    if order is not None:
+        q = q.take(order, axis=0)
+        if need_cons:
+            states = states.take(order, axis=0)
+    return _row_lanes(_face_rows(q), _face_rows(states) if need_cons else None)
 
 
 def _line_geometry(setup, n, rows=None):
@@ -471,19 +505,27 @@ def _interface_lanes(faces, setup, n, need_cons):
     return ql, qr, tuple(_face_rows(setup.metrics.face_ja[n]))
 
 
-def _side_fluxes(kind, ql, qr, normal, gas, n_real):
-    """The strong form's f - f(q_l).n and f - f(q_r).n, what the minus and
-    plus sides lift, written over the own-side flux blocks: those that
-    central, llf and hll combine f from, or for shima and ranocha, which
-    form none, a fresh pair."""
-    add_one_point(2 * n_real)
-    f_l = np.empty((len(ql.v) + 2, n_real))
+def _interface_fluxes(faces, setup, n, kind, subtract_own):
+    """The (minus, plus) flux blocks mesh_surface lifts, lanes in
+    minus-element order: the numerical flux f for both sides, or with
+    subtract_own the strong form's f - f(q_l).n and f - f(q_r).n, written
+    over the own-side flux blocks: those that central, llf and hll combine
+    f from, or for shima and ranocha, which form none, a fresh pair. The
+    face lanes die with this call, before the lift."""
+    need_cons = subtract_own or kind in _OWN_FLUX_KINDS
+    ql, qr, normal = _interface_lanes(faces, setup, n, need_cons)
+    n_lanes = ql.rho.size
+    if not subtract_own:
+        f = flux_lanes_directional(kind, ql, qr, normal, setup.gas, n_lanes)
+        return f, f
+    add_one_point(2 * n_lanes)
+    f_l = np.empty((len(ql.v) + 2, n_lanes))
     f_r = np.empty_like(f_l)
     if kind in _OWN_FLUX_KINDS:
         f = np.empty_like(f_l)
-        _own_flux_lanes(kind, ql, qr, normal, gas, n_real, f_l, f_r, f)
+        _own_flux_lanes(kind, ql, qr, normal, setup.gas, n_lanes, f_l, f_r, f)
     else:
-        f = flux_lanes_directional(kind, ql, qr, normal, gas, n_real)
+        f = flux_lanes_directional(kind, ql, qr, normal, setup.gas, n_lanes)
         _phys_lanes(ql, _vn(ql.v, normal), normal, f_l)
         _phys_lanes(qr, _vn(qr.v, normal), normal, f_r)
     np.subtract(f, f_l, out=f_l)
@@ -492,13 +534,10 @@ def _side_fluxes(kind, ql, qr, normal, gas, n_real):
 
 def _plus_in_element_order(fp, setup, n):
     """(m, lanes) face rows in minus-element order, gathered into the order
-    of the plus elements through the inverse of plus_neighbor[n] (a
-    permutation: every element is the plus neighbour of exactly one
-    element). Returns a fresh (m, n_elem, face nodes) array."""
-    nb = setup.plus_neighbor[n]
-    minus_of = np.empty_like(nb)
-    minus_of[nb] = np.arange(nb.size)
-    return np.take(fp.reshape(fp.shape[0], nb.size, -1), minus_of, axis=1)
+    of the plus elements through minus_neighbor[n], the inverse of
+    plus_neighbor[n]. Returns a fresh (m, n_elem, face nodes) array."""
+    minus = setup.minus_neighbor[n]
+    return fp.reshape(fp.shape[0], minus.size, -1).take(minus, axis=1)
 
 
 def _lift(out, setup, n, fm, fp):
@@ -533,16 +572,9 @@ def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
     discretization.face_states: the elements' own traces of u. subtract_own
     selects the strong-form coupling f_num - f(own face state): central,
     llf and hll subtract the own-side fluxes their surface kernel formed,
-    shima and ranocha recompute them (_side_fluxes), and at most three
-    (d+2, lanes) blocks are live. Lane counterpart of
-    discretization.surface_terms."""
-    need_cons = subtract_own or surface_flux in _OWN_FLUX_KINDS
-    ql, qr, alpha = _interface_lanes(faces, setup, n, need_cons)
-    n_lanes = ql.rho.size
-    if subtract_own:
-        fm, fp = _side_fluxes(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
-    else:
-        fm = fp = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
+    shima and ranocha recompute them (_interface_fluxes). Lane counterpart
+    of discretization.surface_terms."""
+    fm, fp = _interface_fluxes(faces, setup, n, surface_flux, subtract_own)
     _lift(out, setup, n, fm, fp)
     return out
 

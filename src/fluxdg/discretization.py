@@ -301,6 +301,7 @@ class SpatialSetup:
     metrics: object
     coords: np.ndarray
     plus_neighbor: tuple
+    minus_neighbor: tuple
     wbar: np.ndarray
 
     @property
@@ -328,7 +329,8 @@ def build_setup(mesh, op, gas):
     wbar = np.ones(1)
     for _ in range(mesh.d):
         wbar = np.kron(wbar, op.weights)
-    return SpatialSetup(mesh, op, gas, metrics, coords, neighbor_table(mesh), wbar)
+    plus, minus = neighbor_table(mesh)
+    return SpatialSetup(mesh, op, gas, metrics, coords, plus, minus, wbar)
 
 
 def face_states(u, prim, setup, projected):
@@ -368,7 +370,7 @@ def face_states(u, prim, setup, projected):
         for n in range(d):
             yield tuple(
                 tuple(
-                    np.take(arr, c, axis=n + 1).reshape(n_elem, -1, nvar)
+                    arr.take(c, axis=n + 1).reshape(n_elem, -1, nvar)
                     for arr in (u_nd, q_nd)
                 )
                 for c in (0, -1)

@@ -36,16 +36,21 @@ def _dim(u):
     return d
 
 
-def _require_admissible(rho, p, what):
-    """Raise unless every rho and p is finite and positive. The error's
-    `index` is the first bad state's; for a field of shape (n_elements,
-    n_nodes, d+2) the message names its element and node.
+def _require_admissible(q, what):
+    """Raise unless every rho and p of the primitive array q is finite and
+    positive. The error's `index` is the first bad state's; for a field of
+    shape (n_elements, n_nodes, d+2) the message names its element and
+    node.
 
-    The test is four reductions: a NaN fails min > 0 (min propagates it),
-    -inf and non-positive values fail it too, and +inf fails max < inf.
-    The per-state mask is built only to locate a failure."""
+    The test is two reductions, each over one contiguous array made by a
+    single elementwise pass over the strided rho and p columns: a NaN
+    fails min(rho, p) > 0 (both propagate it), -inf and non-positive values
+    fail it too, and +inf fails max(rho, p) < inf. The per-state mask is
+    built only to locate a failure."""
+    d = q.shape[-1] - 2
+    rho, p = q[..., 0], q[..., d + 1]
     if rho.size == 0 or (
-        rho.min() > 0.0 and p.min() > 0.0 and rho.max() < np.inf and p.max() < np.inf
+        np.minimum(rho, p).min() > 0.0 and np.maximum(rho, p).max() < np.inf
     ):
         return
     bad = ~(np.isfinite(rho) & np.isfinite(p) & (rho > 0.0) & (p > 0.0))
@@ -81,7 +86,7 @@ def cons2prim(u, gas):
     kinetic = 0.5 * rho * _sum_squares(v)
     p = np.subtract(u[..., d + 1], kinetic, out=q[..., d + 1])
     p *= gas.gamma - 1.0
-    _require_admissible(rho, p, "cons2prim")
+    _require_admissible(q, "cons2prim")
     return q
 
 
@@ -92,7 +97,7 @@ def prim2cons(q, gas):
     rho = q[..., 0]
     v = q[..., 1 : d + 1]
     p = q[..., d + 1]
-    _require_admissible(rho, p, "prim2cons")
+    _require_admissible(q, "prim2cons")
     u = np.empty_like(q)
     u[..., 0] = rho
     u[..., 1 : d + 1] = rho[..., None] * v
@@ -157,11 +162,11 @@ def entropy2prim(w, gas):
         # log p = (s + gamma log b) / (1 - gamma)
         p = np.exp((s + gas.gamma * np.log(b)) / (1.0 - gas.gamma))
         rho = b * p
-    _require_admissible(rho, p, "entropy2prim")
     q = np.empty_like(w)
     q[..., 0] = rho
     q[..., 1 : d + 1] = v
     q[..., d + 1] = p
+    _require_admissible(q, "entropy2prim")
     return q
 
 

@@ -257,12 +257,14 @@ def _extrapolate_face(field_nd, op, direction, side):
 
 
 def neighbor_table(mesh):
-    """plus_neighbor[n][e] = element across the +n face of e (periodic)."""
+    """(plus, minus): plus[n][e] is the element across the +n face of e and
+    minus[n][e] the element across its -n face (periodic). Each is a
+    permutation and the other's inverse, plus[n][minus[n]] = arange."""
     idx = np.arange(mesh.n_elements).reshape(mesh.dims)
-    plus = []
-    for n in range(mesh.d):
-        plus.append(np.roll(idx, -1, axis=n).ravel().copy())
-    return tuple(plus)
+    return tuple(
+        tuple(np.roll(idx, shift, axis=n).ravel() for n in range(mesh.d))
+        for shift in (-1, 1)
+    )
 
 
 def compute_metrics(mesh, op, coords=None):

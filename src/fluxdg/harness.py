@@ -516,7 +516,7 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
     q_rows = np.ascontiguousarray(cons2prim(u, gas).transpose(0, 2, 1))
     u_rows = np.ascontiguousarray(u.transpose(0, 2, 1))
     ql, qr = (
-        batched.Lanes(prim[0], tuple(prim[1:-1]), prim[-1], tuple(cons))
+        batched.Lanes(prim[0], tuple(prim[1:-1]), prim[-1], cons)
         for prim, cons in zip(q_rows, u_rows)
     )
     if form == "cartesian":

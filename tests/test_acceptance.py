@@ -308,7 +308,7 @@ def test_cartesian_and_directional_forms_agree():
         u = _random_states(rng, d, 400)
         alphas = rng.uniform(-1.0, 1.0, (200, d))
         ql, qr = (
-            batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], tuple(c.T))
+            batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], c.T)
             for q, c in ((cons2prim(half, GAS), half) for half in (u[0::2], u[1::2]))
         )
         for kind in ("shima", "ranocha", "central"):

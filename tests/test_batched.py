@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -177,7 +178,10 @@ def test_tensor_lanes_follow_node_lines(gas, d, p):
 def test_lane_kernels_fill_the_given_block(gas, kind, d, form):
     """Every lane kernel writes its d+2 flux rows into the block it is
     given, whatever its strides, returns that block, and computes there
-    exactly what it computes in a block of its own."""
+    exactly what it computes in a block of its own. The conserved blocks
+    are strided views, rows of a transposed (lanes, d+2) array as the
+    minus-side face lanes are, and no kernel writes into either side's
+    states."""
     n = 41
     rng = np.random.default_rng(19)
     prims = [random_primitives(rng, d, n, amp=0.5) for _ in range(2)]
@@ -186,9 +190,11 @@ def test_lane_kernels_fill_the_given_block(gas, kind, d, form):
         q[n // 3 : 2 * n // 3, 1:-1] -= 3.0
     cons = [prim2cons(q, gas) for q in prims]
     ql, qr = (
-        batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], tuple(c.T))
+        batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], c.T)
         for q, c in zip(prims, cons)
     )
+    assert ql.u.shape == (d + 2, n) and not ql.u.flags.c_contiguous
+    states_before = [(q.tobytes(), c.tobytes()) for q, c in zip(prims, cons)]
     if form == "cartesian":
         fn, geometry = batched.flux_lanes_cartesian, d - 1
         normals = np.broadcast_to(np.eye(d)[d - 1], (n, d))
@@ -204,6 +210,7 @@ def test_lane_kernels_fill_the_given_block(gas, kind, d, form):
     # nothing outside the block is written
     assert np.isnan(big[[0, -1]]).all() and np.isnan(big[:, ::2]).all()
     assert np.array_equal(got, fn(kind, ql, qr, geometry, gas, n))
+    assert [(q.tobytes(), c.tobytes()) for q, c in zip(prims, cons)] == states_before
     scalar = flux_function(kind)
     for i in range(n):
         want = np.asarray(scalar(cons[0][i], cons[1][i], normals[i], gas))
@@ -557,3 +564,25 @@ def test_rhs_reaches_every_lane_function(gas):
     assert ran == set(VOLUME_SCHEMES)
     missing = sorted(name for code, name in defined.items() if code not in called)
     assert not missing, missing
+
+
+def test_strong_llf_rhs_peak_memory(gas):
+    """The tracemalloc peak of one warm batched strong+llf rhs on the
+    strong2d_llf benchmark mesh (2D p3, 8x8 Cartesian LGL) stays within
+    5.25 u.nbytes. One more (d+2, lanes) face block held across the
+    surface pass adds 0.25 u.nbytes; interpreter objects move the reading
+    by about 0.005."""
+    mesh = build_mesh((8, 8), bounds=(-5.0, 5.0))
+    setup = build_setup(mesh, make_operator(3, "lgl"), gas)
+    u = random_field(setup, gas, seed=31, amp=0.3)
+    config = RhsConfig(volume_scheme="strong", surface_flux="llf", kernel="batched")
+    rhs(u, setup, config)  # warm the operator caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rhs(u, setup, config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.25 * u.nbytes, peak / u.nbytes

@@ -49,20 +49,24 @@ def test_cons2prim_rejects_vacuum(gas):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.5])
-@pytest.mark.parametrize("slot", [0, 4], ids=["rho", "p"])
-def test_field_admissibility_names_element_and_node(gas, slot, value):
-    # one bad rho or p in a 3D field: cons2prim, prim2cons and entropy2prim
-    # each reject it and name its element and node; the clean field passes
+@pytest.mark.parametrize("var", ["rho", "p"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_field_admissibility_names_element_and_node(gas, d, var, value):
+    # one bad rho or p in a d-dimensional field: cons2prim, prim2cons and
+    # entropy2prim each reject it and name its element and node; the clean
+    # field passes. The check reads the rho and p columns, 0 and d+1, so
+    # every d is covered.
     e, i = 2, 5
-    q = random_primitives(np.random.default_rng(9), 3, 4 * 27).reshape(4, 27, 5)
-    q[e, i, 1:4] = 0.0  # at rest, so the planted value reaches u as it is
+    slot = 0 if var == "rho" else d + 1
+    q = random_primitives(np.random.default_rng(9), d, 4 * 27).reshape(4, 27, d + 2)
+    q[e, i, 1 : d + 1] = 0.0  # at rest, so the planted value reaches u as it is
     u = prim2cons(q, gas)
     cons2prim(u, gas)
     entropy2prim(prim2entropy(q, gas), gas)
     bad_q = q.copy()
     bad_q[e, i, slot] = value
     bad_u = u.copy()
-    bad_u[e, i, slot] = value * (gas.inv_gamma_minus_one if slot == 4 else 1.0)
+    bad_u[e, i, slot] = value * (gas.inv_gamma_minus_one if var == "p" else 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad_w = prim2entropy(bad_q, gas)
         cases = ((cons2prim, bad_u), (prim2cons, bad_q), (entropy2prim, bad_w))

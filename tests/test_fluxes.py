@@ -75,7 +75,7 @@ def test_cartesian_matches_axis_directional(d, kind, gas):
     direc = flux_function(kind)
     ul, ur, _ = _pairs(d, 100, 4)
     ql, qr = (
-        batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], tuple(u.T))
+        batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], u.T)
         for q, u in ((cons2prim(ul, gas), ul), (cons2prim(ur, gas), ur))
     )
     for j in range(d):
@@ -195,7 +195,7 @@ def _direction(d):
 def _lanes_flux(kind, ul, ur, normal, gas):
     """The lane kernel's flux on one lane, the normal given per lane."""
     ql, qr = (
-        batched.Lanes(q[:1], tuple(q[1:-1, None]), q[-1:], tuple(u[:, None]))
+        batched.Lanes(q[:1], tuple(q[1:-1, None]), q[-1:], u[:, None])
         for q, u in ((cons2prim(ul, gas), ul), (cons2prim(ur, gas), ur))
     )
     lane_normal = tuple(np.array([c]) for c in normal)

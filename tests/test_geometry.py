@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluxdg.discretization import build_setup
 from fluxdg.errors import MeshError
 from fluxdg.geometry import (
     StructuredMesh,
@@ -73,14 +74,31 @@ def test_shared_face_nodes_bitwise_identical():
 
 def test_neighbor_table_periodic_wrap():
     mesh = build_mesh((3, 2))
-    plus = neighbor_table(mesh)
+    plus, minus = neighbor_table(mesh)
     idx = np.arange(6).reshape(3, 2)
     # +x neighbor of the last row wraps to the first
     assert plus[0][idx[2, 0]] == idx[0, 0]
+    # and the -x neighbor of the first row to the last
+    assert minus[0][idx[0, 0]] == idx[2, 0]
     assert plus[0][idx[0, 1]] == idx[1, 1]
     assert plus[1][idx[1, 1]] == idx[1, 0]
     for n in range(2):
         assert np.array_equal(np.sort(plus[n]), np.arange(6))
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1, 2), (2, 2, 2)])
+def test_minus_neighbor_inverts_plus_neighbor(dims, gas):
+    """minus_neighbor[n] is the inverse permutation of plus_neighbor[n], as
+    built once per mesh and stored on SpatialSetup; in a one-element
+    direction both maps are the identity."""
+    mesh = build_mesh(dims)
+    setup = build_setup(mesh, lgl_operator(1), gas)
+    ids = np.arange(mesh.n_elements)
+    for n, (plus, minus) in enumerate(zip(setup.plus_neighbor, setup.minus_neighbor)):
+        assert np.array_equal(minus[plus], ids)
+        assert np.array_equal(plus[minus], ids)
+        if dims[n] == 1:
+            assert np.array_equal(plus, ids) and np.array_equal(minus, ids)
 
 
 def test_cartesian_metrics_exact():
@@ -151,7 +169,7 @@ def test_gauss_face_metric_consistency_with_coarse_geometry(d):
         op = gauss_operator(p)
         mesh = build_mesh((3,) * d, amplitude=0.15 if d == 2 else 0.08, geo_degree=geo)
         metrics = compute_metrics(mesh, op)
-        plus = neighbor_table(mesh)
+        plus, _ = neighbor_table(mesh)
         own = metrics.elem_face_ja[0]
         mismatch = 0.0
         for e in range(mesh.n_elements):
