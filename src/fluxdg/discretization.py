@@ -59,7 +59,6 @@ from .euler import entropy2cons  # noqa: F401
 from .fluxes import (
     SURFACE_KINDS,
     add_one_point,
-    count_guard,
     flux_function,
     phys_flux_n,
     require_volume_kind,
@@ -453,7 +452,7 @@ def surface_terms(faces, setup, n, surface_flux, subtract_own, out):
     return out
 
 
-def rhs(u, setup, config, counter=None):
+def rhs(u, setup, config):
     """Assembled right-hand side du/dt = -(VOL + SURF).
 
     Deterministic for fixed inputs: element loops and pair loops run in a
@@ -468,9 +467,6 @@ def rhs(u, setup, config, counter=None):
     The interface states are built once, by face_states, one direction at a
     time, and read by both the volume and the surface kernels.
     """
-    if counter is not None:
-        with count_guard(counter):
-            return rhs(u, setup, config)
     config.validate(setup)
     u = np.asarray(u, dtype=float)
     gas = setup.gas

@@ -20,9 +20,7 @@ from fluxdg import (
     build_mesh,
     build_setup,
     cons2prim,
-    conserved_totals,
     count_guard,
-    entropy_rate,
     flux_function,
     integrate,
     make_operator,
@@ -33,9 +31,6 @@ from fluxdg.discretization import (
     face_states,
     surface_terms,
     volume_fluxdiff,
-    volume_overintegration,
-    volume_strong,
-    volume_weak,
 )
 from fluxdg.geometry import element_metrics
 from fluxdg.harness import (
@@ -52,10 +47,23 @@ from fluxdg.means import (
     inv_logmean_optimized,
     logmean_optimized,
 )
-from fluxdg.operators import build_dsplit, transfer_matrices
+from fluxdg.operators import FAMILIES, build_dsplit
 from fluxdg.timeint import StepController, rk_step, stable_dt
+from fluxdg.verify import (
+    check_batched_kernel,
+    check_entropy_conservative_flux,
+    check_flux_counts,
+    check_free_stream,
+    check_hybridized_rows,
+    check_logmean,
+    check_semidiscrete_invariants,
+    check_sbp_identity,
+    check_split_antisymmetry,
+    check_transfer_round_trip,
+    random_field,
+    relative_gap,
+)
 
-from .conftest import random_field
 from .oracles import (
     entropy_vars_mp,
     gauss_volume_dense,
@@ -66,37 +74,29 @@ from .oracles import (
 from .test_discretization import matrix_route_fluxdiff
 
 GAS = GasParams(1.4)
-_N_FACE = np.array([-1.0, 1.0])
 
 
 # --- operator algebra ---------------------------------------------------------
 
 
-def test_summation_by_parts_identity():
+@pytest.mark.parametrize("family", FAMILIES)
+def test_summation_by_parts_identity(family):
     """M D + Dt M equals the boundary operator Rt B N R, entrywise 1e-13."""
-    worst = 0.0
-    for family in ("lgl", "gauss"):
-        for p in range(1, 16):
-            op = make_operator(p, family)
-            m = np.diag(op.weights)
-            lhs = m @ op.D + op.D.T @ m
-            bnd = op.boundary_interp.T @ np.diag(_N_FACE) @ op.boundary_interp
-            worst = max(worst, float(np.abs(lhs - bnd).max()))
-    assert worst < 1e-13
+    assert check_sbp_identity(range(1, 16), (family,)) < 1e-13
 
 
 def test_split_operator_antisymmetry():
     """M Dsplit is antisymmetric with a zero diagonal on Lobatto nodes."""
-    worst = 0.0
-    diag = 0.0
-    for p in range(1, 16):
-        op = make_operator(p, "lgl")
-        mat = build_dsplit(op).matrix
-        md = op.weights[:, None] * mat
-        worst = max(worst, float(np.abs(md + md.T).max()))
-        diag = max(diag, float(np.abs(np.diag(mat)).max()))
-    assert worst < 1e-14
-    assert diag < 1e-14
+    assert check_split_antisymmetry(range(1, 16)) < 1e-14
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_hybridized_operator_algebra(family):
+    """The hybridized operator Qh of each family satisfies Qh + Qht = B
+    entrywise 1e-14 and annihilates constants, row by row 1e-13."""
+    skew, rows = check_hybridized_rows(range(1, 16), (family,))
+    assert skew < 1e-14
+    assert rows < 1e-13
 
 
 # --- flux kernels -------------------------------------------------------------
@@ -149,6 +149,13 @@ def test_entropy_condition_of_volume_flux():
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("d", (2, 3))
+def test_entropy_condition_in_double_precision(d):
+    """The same condition with float64 jumps, over 2000 pairs with signed
+    normals, 400 of the pairs inside the log-mean series branch."""
+    assert check_entropy_conservative_flux((d,), 2000, n_close=400) < 1e-12
+
+
 def test_log_mean_against_extended_precision():
     """Both log-mean kernels match a 50-digit oracle to 1e-14 across relative
     jumps from 1e-16 to 1e2, and the series/log branch handoff is seamless."""
@@ -172,30 +179,31 @@ def test_log_mean_against_extended_precision():
         assert abs(above - below) / base < 1e-12
 
 
+def test_log_mean_branches():
+    """The optimized log mean equals the direct formula on pairs 1.5x to 100x
+    apart and the midpoint on pairs up to a relative 1e-10 apart, at three
+    magnitudes."""
+    centers = (1e-3, 1.0, 1e3)
+    separated = [(c, c * r) for c in centers for r in (1.5, 2.5, 10.0, 100.0)]
+    close = [(c, c * (1.0 + j)) for c in centers for j in (0.0, 1e-16, 1e-13, 1e-10)]
+    assert check_logmean(separated, close) < 1e-13
+
+
 # --- curved meshes ------------------------------------------------------------
 
 
-def test_free_stream_preservation_on_curved_meshes():
-    """A constant state stays constant to roundoff on sine-perturbed meshes."""
-    worst = 0.0
-    for d in (2, 3):
-        for p in (3, 4):
-            for kind in ("shima", "ranocha"):
-                config = make_config(
-                    None,
-                    {
-                        "d": str(d),
-                        "p": str(p),
-                        "elements": "4",
-                        "mesh": "curved",
-                        "ic": "free_stream",
-                        "volume_flux": kind,
-                        "surface_flux": kind,
-                    },
-                )
-                run = build_run(config)
-                r = rhs(run.u0, run.setup, run.scheme)
-                worst = max(worst, float(np.abs(r).max()))
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("kind", ("shima", "ranocha"))
+def test_free_stream_preservation_on_curved_meshes(kind, d):
+    """A constant state stays constant to roundoff on sine-perturbed meshes,
+    under the two-point scheme of both families."""
+    worst = check_free_stream(
+        dims=(d,),
+        degrees=(3, 4),
+        families=FAMILIES,
+        kinds=(kind,),
+        meshes=((4, 0.1), (3, 0.12)),
+    )
     assert worst < 1e-12
 
 
@@ -247,22 +255,14 @@ def vortex_samples():
             return rhs(v, _setup, _scheme)
 
         u, t = run.u0, 0.0
-        worst_entropy = 0.0
-        worst_totals = 0.0
-        n_sampled = 0
+        samples = []
         for step in range(config.n_steps):
-            if step % 4 == 0 and n_sampled < 20:
-                dudt = rhs_fn(u, t)
-                _, normalized = entropy_rate(u, dudt, setup)
-                drift = conserved_totals(dudt, setup)
-                scale = float(np.abs(conserved_totals(u, setup)).max())
-                worst_entropy = max(worst_entropy, abs(normalized))
-                worst_totals = max(worst_totals, float(np.abs(drift).max()) / scale)
-                n_sampled += 1
+            if step % 4 == 0 and len(samples) < 20:
+                samples.append((u, setup, run.scheme))
             u = rk_step(u, t, dt, rhs_fn)
             t += dt
-        assert n_sampled == 20
-        records[d, scheme, mesh] = (worst_entropy, worst_totals)
+        assert len(samples) == 20
+        records[d, scheme, mesh] = check_semidiscrete_invariants(samples)
     return records
 
 
@@ -282,11 +282,6 @@ def test_semidiscrete_conservation(vortex_samples):
 # --- form equivalences --------------------------------------------------------
 
 
-def _relative_gap(a, b):
-    scale = max(1.0, float(np.abs(a).max()))
-    return float(np.abs(a - b).max()) / scale
-
-
 def test_volume_term_matches_split_matrix_assembly():
     """The pair-scattering volume kernel equals the dense split-matrix sum."""
     for d in (2, 3):
@@ -297,7 +292,7 @@ def test_volume_term_matches_split_matrix_assembly():
         for kind in ("shima", "ranocha", "central"):
             fast = volume_fluxdiff(u[0], setup.op, terms, kind, GAS)
             slow = matrix_route_fluxdiff(u[0], build_dsplit(setup.op), terms, kind, GAS)
-            assert _relative_gap(fast, slow) < 1e-13
+            assert relative_gap(slow, fast) < 1e-13
 
 
 def test_cartesian_and_directional_forms_agree():
@@ -320,7 +315,7 @@ def test_cartesian_and_directional_forms_agree():
                 kind, ql, qr, tuple(alphas.T), GAS, 200
             )
             for i in range(200):
-                assert _relative_gap(direct[:, i], combo[:, i]) < 1e-13
+                assert relative_gap(direct[:, i], combo[:, i]) < 1e-13
 
 
 def test_gauss_volume_forms_agree():
@@ -337,7 +332,7 @@ def test_gauss_volume_forms_agree():
         for n, faces in enumerate(face_states(u, cons2prim(u, GAS), setup, True)):
             want += gauss_volume_dense(u, faces, setup, n, "ranocha")
             surface_terms(faces, setup, n, "ranocha", False, want)
-        assert _relative_gap(got, -want) < 1e-13
+        assert relative_gap(-want, got) < 1e-13
 
 
 def test_central_fluxdiff_matches_strong_form():
@@ -355,61 +350,40 @@ def test_central_fluxdiff_matches_strong_form():
         strong = rhs(
             u, setup, RhsConfig(volume_scheme="strong", surface_flux="central")
         )
-        assert _relative_gap(split, strong) < 1e-13
+        assert relative_gap(strong, split) < 1e-13
 
 
 def test_batched_kernel_matches_reference():
     """The lane-batched kernels reproduce the scalar kernels."""
-    cases = [
-        (2, "lgl", "fluxdiff", 0.1, None),
-        (2, "gauss", "gauss_fluxdiff", 0.1, 2),
-        (3, "gauss", "gauss_fluxdiff", 0.1, 1),
-    ]
-    for d, family, scheme, amplitude, geo in cases:
-        mesh = build_mesh((3,) * d, amplitude=amplitude, geo_degree=geo)
-        setup = build_setup(mesh, make_operator(3, family), GAS)
-        u = random_field(setup, GAS, seed=81 + d, amp=0.3)
-        ref = rhs(u, setup, RhsConfig(volume_scheme=scheme, kernel="reference"))
-        bat = rhs(u, setup, RhsConfig(volume_scheme=scheme, kernel="batched"))
-        assert _relative_gap(ref, bat) < 1e-13
+    cases = (
+        ((3, 3), "lgl", None, RhsConfig()),
+        ((3, 3), "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
+        ((2, 2, 2), "lgl", None, RhsConfig()),
+        ((3, 3), "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
+        ((3, 3), "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
+        ((3, 3, 3), "gauss", 1, RhsConfig(volume_scheme="gauss_fluxdiff")),
+    )
+    assert check_batched_kernel(cases, seeds=(83, 84), amp=0.3) < 1e-13
 
 
 # --- work counts --------------------------------------------------------------
 
 
-def test_exact_flux_evaluation_counts():
-    """Per-element flux evaluations match the closed-form counts, including
-    288 two-point evaluations for d=3, p=3 flux differencing."""
-    for d in (2, 3):
-        for p in range(3, 8):
-            q = p + 1
-            mesh = build_mesh((2,) * d)
-            setup = build_setup(mesh, make_operator(p, "lgl"), GAS)
-            u = random_field(setup, GAS, seed=91 + p, amp=0.3)
-            terms = element_metrics(setup.metrics, 0)
-            nn = (p + 1) ** d
+@pytest.mark.parametrize("d", (2, 3))
+def test_exact_flux_evaluation_counts(d):
+    """Per-element flux evaluations match the closed-form counts."""
+    assert check_flux_counts(dims=(d,), degrees=range(3, 8)) == 0
 
-            c = FluxCounter()
-            with count_guard(c):
-                volume_strong(u[0], cons2prim(u[0], GAS), setup.op, terms)
-            assert c.one_point_evals == d * nn
 
-            c = FluxCounter()
-            with count_guard(c):
-                volume_weak(u[0], cons2prim(u[0], GAS), setup.op, terms)
-            assert c.one_point_evals == d * nn
-
-            c = FluxCounter()
-            with count_guard(c):
-                volume_fluxdiff(u[0], setup.op, terms, "ranocha", GAS)
-            assert c.two_point_evals == d * p * nn // 2
-            if (d, p) == (3, 3):
-                assert c.two_point_evals == 288
-
-            c = FluxCounter()
-            with count_guard(c):
-                volume_overintegration(u[0], setup.op, q, terms, GAS)
-            assert c.one_point_evals == d * (q + 1) ** d
+def test_two_point_count_of_a_cubic_hexahedron():
+    """Flux differencing on one d=3, p=3 element takes 288 two-point
+    evaluations."""
+    setup = build_setup(build_mesh((2, 2, 2)), make_operator(3, "lgl"), GAS)
+    u = random_field(setup, GAS, seed=94, amp=0.3)
+    c = FluxCounter()
+    with count_guard(c):
+        volume_fluxdiff(u[0], setup.op, element_metrics(setup.metrics, 0), "ranocha", GAS)
+    assert c.two_point_evals == 288
 
 
 # --- convergence --------------------------------------------------------------
@@ -445,13 +419,8 @@ def test_vortex_convergence_order():
 def test_overintegration_round_trip():
     """Projecting back after interpolating to a finer grid is the identity,
     and overintegration at q = p collapses to the weak form."""
-    worst = 0.0
-    for p in range(1, 8):
-        for q in range(p, 2 * p + 1):
-            tr = transfer_matrices(p, q, "lgl")
-            resid = tr.project @ tr.interp - np.eye(p + 1)
-            worst = max(worst, float(np.abs(resid).max()))
-    assert worst < 1e-13
+    pairs = [(p, q) for p in range(1, 8) for q in range(p, 2 * p + 1)]
+    assert check_transfer_round_trip(pairs) < 1e-13
 
     for d in (2, 3):
         mesh = build_mesh((2,) * d)
@@ -483,16 +452,19 @@ def test_timing_trends_soft():
     every violation is a warning, not a failure."""
     slack = 1.10
 
+    # the forms run interleaved, round by round, and each is judged by its
+    # fastest round: one slow spell of a shared host then skews neither
     for kind in ("shima", "ranocha"):
-        means = {
-            form: microbench_flux(kind, form, 3, n_samples=4000, repeats=3)[0]
-            for form in MICROBENCH_FORMS
-        }
+        best = dict.fromkeys(MICROBENCH_FORMS, math.inf)
+        for _ in range(5):
+            for form in MICROBENCH_FORMS:
+                ns = microbench_flux(kind, form, 3, n_samples=4000, repeats=1)[0]
+                best[form] = min(best[form], ns)
         for cheap, costly in zip(MICROBENCH_FORMS, MICROBENCH_FORMS[1:]):
             _warn_unless(
-                means[cheap] <= means[costly] * slack,
+                best[cheap] <= best[costly] * slack,
                 "%s: expected %s (%.0f ns) <= %s (%.0f ns)"
-                % (kind, cheap, means[cheap], costly, means[costly]),
+                % (kind, cheap, best[cheap], costly, best[costly]),
             )
 
     base = {"d": "3", "elements": "2", "n_steps": "1"}

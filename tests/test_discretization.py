@@ -36,8 +36,8 @@ from fluxdg.euler import cons2prim, directional_flux, entropy_vars
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
 from fluxdg.operators import MAX_DEGREE, build_dsplit, node_lines
+from fluxdg.verify import random_field, relative_gap
 
-from .conftest import random_field
 from .oracles import gauss_volume_dense
 
 
@@ -171,19 +171,6 @@ def test_fluxdiff_matches_matrix_route(gas, d, vol_flux):
         assert np.abs(got - want).max() < 1e-13
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("vol_flux", ["shima", "ranocha"])
-def test_fluxdiff_free_stream_curved(gas, d, vol_flux):
-    setup = lgl_setup(gas, d=d, dims=(3,) * d, amplitude=0.12)
-    u = constant_field(setup, gas)
-    cfg = RhsConfig(volume_flux=vol_flux, surface_flux=vol_flux)
-    assert np.abs(rhs(u, setup, cfg)).max() < 1e-12
-
-
-def _relative_gap(a, b):
-    return float(np.abs(a - b).max()) / max(1.0, float(np.abs(b).max()))
-
-
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("d,amplitude,geo", [(2, 0.0, None), (2, 0.15, 2), (3, 0.08, 1)])
 def test_gauss_forms_agree(gas, d, amplitude, geo, p):
@@ -198,7 +185,7 @@ def test_gauss_forms_agree(gas, d, amplitude, geo, p):
         for n, faces in enumerate(projected_faces(u, setup)):
             _scalar_gauss_volume(u, faces, setup, n, config, got)
             want += gauss_volume_dense(u, faces, setup, n, vol_flux)
-        assert _relative_gap(got, want) < 1e-13, vol_flux
+        assert relative_gap(want, got) < 1e-13, vol_flux
 
 
 @pytest.mark.parametrize("vol_flux", ["shima", "ranocha", "central"])
@@ -215,7 +202,7 @@ def test_gauss_volume_forms_agree_per_element(gas, d, vol_flux):
         want = gauss_volume_dense(u, faces, setup, n, vol_flux)
         assert np.abs(want).max() > 1e-3
         for e in range(setup.n_elements):
-            assert _relative_gap(got[e], want[e]) < 1e-13, (n, e)
+            assert relative_gap(want[e], got[e]) < 1e-13, (n, e)
 
 
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
@@ -495,43 +482,14 @@ def test_rhs_admissibility_gate_names_location(gas, kernel, family, scheme):
 # --- evaluation counting -----------------------------------------------------
 
 
-def test_volume_evaluation_counts(gas):
-    p = 3
-    q = 5
-    d = 2
-    setup = lgl_setup(gas, d=d, p=p)
-    u = random_field(setup, gas, seed=13, amp=0.4)
-    terms = element_metrics(setup.metrics, 0)
-    nn = (p + 1) ** d
-
-    c = FluxCounter()
-    with count_guard(c):
-        volume_strong(u[0], cons2prim(u[0], gas), setup.op, terms)
-    assert c.one_point_evals == d * nn
-    assert c.two_point_evals == 0
-
-    c = FluxCounter()
-    with count_guard(c):
-        volume_weak(u[0], cons2prim(u[0], gas), setup.op, terms)
-    assert c.one_point_evals == d * nn
-
-    c = FluxCounter()
-    with count_guard(c):
-        volume_fluxdiff(u[0], setup.op, terms, "ranocha", gas)
-    assert c.two_point_evals == d * p * nn // 2
-    assert c.logmean_evals == 2 * c.two_point_evals
-
-    c = FluxCounter()
-    with count_guard(c):
-        volume_overintegration(u[0], setup.op, q, terms, gas)
-    assert c.one_point_evals == d * (q + 1) ** d
-
-
-def test_rhs_counter_argument(gas):
+def test_rhs_two_point_count(gas):
+    # the per-element volume counts are verify.check_flux_counts, run by
+    # test_acceptance::test_exact_flux_evaluation_counts
     setup = lgl_setup(gas)
     u = random_field(setup, gas, seed=14, amp=0.4)
     c = FluxCounter()
-    rhs(u, setup, RhsConfig(), counter=c)
+    with count_guard(c):
+        rhs(u, setup, RhsConfig())
     p, d = 3, 2
     per_elem = d * p * (p + 1) ** d // 2
     n_faces = setup.n_elements * d * (p + 1) ** (d - 1)
@@ -615,7 +573,8 @@ def test_reference_rhs_reaches_every_flux_and_geometry_function(gas):
                     config.validate(setup)
                 except ConfigurationError:
                     continue  # scheme not defined for this family or mesh
-                dudt = rhs(u, setup, config, counter=FluxCounter())
+                with count_guard(FluxCounter()):
+                    dudt = rhs(u, setup, config)
                 assert np.isfinite(dudt).all()
                 ran.add(scheme)
     finally:

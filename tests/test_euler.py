@@ -14,8 +14,8 @@ from fluxdg.euler import (
     prim2cons,
     prim2entropy,
 )
+from fluxdg.verify import random_primitives
 
-from .conftest import random_primitives
 from .oracles import physical_flux
 
 

@@ -17,26 +17,21 @@ from fluxdg.fluxes import (
     flux_shima_directional,
     require_volume_kind,
 )
+from fluxdg.verify import random_primitives
 
-from .conftest import random_primitives
 from .oracles import physical_flux
 
 PAIR_KINDS = ("shima", "ranocha", "central", "llf", "hll")
 
 
-def _pairs(d, n, seed, series_fraction=0.0):
-    """Random admissible conserved pairs; a fraction of them nearly equal to
-    drive the log-mean series branch."""
+def _pairs(d, n, seed):
+    """Random admissible conserved pairs."""
     from fluxdg import GasParams
 
     gas = GasParams(1.4)
     rng = np.random.default_rng(seed)
     ql = random_primitives(rng, d, n)
     qr = random_primitives(rng, d, n)
-    n_series = int(series_fraction * n)
-    if n_series:
-        qr[:n_series] = ql[:n_series] * (1.0 + 1e-9 * rng.standard_normal(
-            (n_series, d + 2)))
     return prim2cons(ql, gas), prim2cons(qr, gas), gas
 
 
@@ -92,22 +87,6 @@ def _normal_potential(u, normal, gas):
     d = len(normal)
     rho_v = u[..., 1 : d + 1]
     return np.sum(rho_v * normal, axis=-1)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_ranocha_entropy_condition(d, gas):
-    # Tadmor condition (w_r - w_l) . F == psi_r - psi_l, checked against the
-    # magnitude of the contraction so nearly equal pairs do not divide
-    # roundoff by a vanishing jump
-    ul, ur, _ = _pairs(d, 2000, 5, series_fraction=0.2)
-    rng = np.random.default_rng(6)
-    for i in range(len(ul)):
-        normal = rng.standard_normal(d)
-        f = np.asarray(flux_ranocha_directional(ul[i], ur[i], normal, gas))
-        dw = entropy_vars(ur[i], gas) - entropy_vars(ul[i], gas)
-        dpsi = _normal_potential(ur[i], normal, gas) - _normal_potential(ul[i], normal, gas)
-        scale = float(np.abs(dw * f).sum() + abs(dpsi)) + 1.0
-        assert abs(float(dw @ f) - dpsi) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("d", [2, 3])

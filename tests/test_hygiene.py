@@ -68,3 +68,38 @@ def test_no_unused_imports():
         for line, name in unused_imports(path)
     ]
     assert not unused, unused
+
+
+def called_names(path):
+    """Names of every function `path` calls, as `f(...)` or `module.f(...)`."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def verify_table_checks():
+    """The check_* functions named in the table of verify.verify_all."""
+    path = ROOT / "src/fluxdg/verify.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (body,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_all"
+    ]
+    return {
+        node.id
+        for node in ast.walk(body)
+        if isinstance(node, ast.Name) and node.id.startswith("check_")
+    }
+
+
+def test_acceptance_calls_every_verify_check():
+    """Every check that `fluxdg verify` runs is also called from
+    tests/test_acceptance.py, which runs it over wider ranges."""
+    checks = verify_table_checks()
+    assert len(checks) == 10, sorted(checks)
+    missing = sorted(checks - called_names(ROOT / "tests/test_acceptance.py"))
+    assert not missing, missing
