@@ -2,7 +2,7 @@
 
 The solver modules know nothing about files, seeds or wall clocks. This
 module owns that layer: parsing flat key=value config files, seeding
-fields, driving time loops, measuring per-DOF runtimes and writing CSV.
+fields, running solves through `integrate`, timing them, writing CSV.
 """
 
 import csv
@@ -27,7 +27,7 @@ from .euler import GasParams, cons2prim, prim2cons
 from .fluxes import flux_function
 from .geometry import build_mesh
 from .operators import FAMILIES, MAX_DEGREE, make_operator
-from .timeint import RK54, StepController, integrate, rk_step, stable_dt
+from .timeint import RK54, StepController, integrate, stable_dt
 
 DOMAIN_LO = -5.0
 DOMAIN_HI = 5.0
@@ -273,8 +273,19 @@ class Run:
     mesh: object
     setup: object
     scheme: RhsConfig
+    controller: StepController
     u0: np.ndarray
     exact: object  # exact(t) -> field, or None
+
+    def rhs_fn(self, u, t):
+        """The configured right-hand side, as `integrate` calls it."""
+        return rhs(u, self.setup, self.scheme)
+
+    def dt_fn(self, u, t):
+        """The configured CFL step size at state u."""
+        return stable_dt(
+            u, self.mesh, self.setup.metrics, self.gas, self.config.p, self.controller
+        )
 
 
 def build_run(config):
@@ -308,7 +319,13 @@ def build_run(config):
             return prim2cons(free_stream_primitives(_x), gas)
 
         u0 = exact(0.0)
-    return Run(config, gas, mesh, setup, scheme, u0, exact)
+    return Run(
+        config, gas, mesh, setup, scheme, StepController(cfl=config.cfl), u0, exact
+    )
+
+
+def _as_run(config_or_run):
+    return config_or_run if isinstance(config_or_run, Run) else build_run(config_or_run)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +343,19 @@ class RunResult:
     error_l2: np.ndarray | None
 
 
-def run_simulation(config_or_run):
-    """Integrate the configured problem and gather standard diagnostics."""
-    run = config_or_run if isinstance(config_or_run, Run) else build_run(config_or_run)
-    config = run.config
+def run_simulation(config_or_run, callbacks=()):
+    """Integrate the configured problem at its CFL step size, passing
+    callbacks to `integrate`, and gather standard diagnostics."""
+    run = _as_run(config_or_run)
     setup = run.setup
-    controller = StepController(cfl=config.cfl)
-
-    def rhs_fn(u, t):
-        return rhs(u, setup, run.scheme)
-
-    def dt_fn(u, t):
-        return stable_dt(u, run.mesh, setup.metrics, run.gas, config.p, controller)
-
     totals0 = conserved_totals(run.u0, setup)
     u, info = integrate(
         run.u0,
-        rhs_fn,
-        n_steps=config.n_steps,
-        t_end=config.t_end,
-        dt_fn=dt_fn,
+        run.rhs_fn,
+        n_steps=run.config.n_steps,
+        t_end=run.config.t_end,
+        dt_fn=run.dt_fn,
+        callbacks=callbacks,
     )
     totals1 = conserved_totals(u, setup)
     scale = np.abs(totals0) + np.abs(totals1)
@@ -358,36 +368,40 @@ def run_simulation(config_or_run):
     )
 
 
-def monitor_entropy_conservation(config_or_run, n_samples=20):
-    """Fixed-step run sampling the normalized entropy production rate.
-
-    Returns (rows, worst): rows are (step, t, dt, dS/dt normalized) at
-    n_samples states spread along the run, worst is max |normalized|.
-    """
-    run = config_or_run if isinstance(config_or_run, Run) else build_run(config_or_run)
-    config = run.config
-    if config.n_steps is None:
+def entropy_sampler(run, rows, n_samples=20):
+    """An `integrate` callback that appends (step, t, dt, dS/dt normalized)
+    to rows at the states before steps 0, stride, 2 stride, ... of a
+    fixed-step run (stride = n_steps // n_samples, at least 1), at most
+    n_samples of them. dt is the step size taken from the sampled state;
+    each sample costs one RHS evaluation."""
+    if run.config.n_steps is None:
         raise ConfigurationError("n_steps: entropy monitoring uses fixed-step runs")
-    setup = run.setup
-    controller = StepController(cfl=config.cfl)
-    dt = stable_dt(run.u0, run.mesh, setup.metrics, run.gas, config.p, controller)
-    stride = max(1, config.n_steps // n_samples)
-    rows = []
-    u = run.u0
-    t = 0.0
+    stride = max(1, run.config.n_steps // n_samples)
 
-    def rhs_fn(v, tt):
-        return rhs(v, setup, run.scheme)
-
-    for step in range(config.n_steps):
+    def sample(step, t, dt, u):
         if step % stride == 0 and len(rows) < n_samples:
-            dudt = rhs_fn(u, t)
-            _, normalized = entropy_rate(u, dudt, setup)
+            _, normalized = entropy_rate(u, run.rhs_fn(u, t), run.setup)
             rows.append((step, t, dt, normalized))
-        u = rk_step(u, t, dt, rhs_fn)
-        t += dt
-    worst = max(abs(r[3]) for r in rows)
-    return rows, worst
+
+    return sample
+
+
+def monitor_entropy_conservation(config_or_run, n_samples=20):
+    """Run with the CFL step size of the initial state held fixed, sampling
+    the normalized entropy production rate through `entropy_sampler`.
+
+    Returns (rows, worst): the sampled rows and max |normalized|.
+    """
+    run = _as_run(config_or_run)
+    rows = []
+    integrate(
+        run.u0,
+        run.rhs_fn,
+        n_steps=run.config.n_steps,
+        dt=run.dt_fn(run.u0, 0.0),
+        callbacks=(entropy_sampler(run, rows, n_samples),),
+    )
+    return rows, max(abs(r[3]) for r in rows)
 
 
 def convergence_study(config, levels=(4, 8, 16)):
@@ -455,32 +469,21 @@ def measure_pid(config_or_run, n_rhs=500, repeats=5):
     """Time complete fixed-step simulations and report per-DOF RHS cost.
 
     One untimed RHS evaluation warms caches before the first repeat. Each
-    repeat restarts from the initial state and advances
-    ceil(n_rhs / n_stages) RK54 steps (one evaluation per stage), timed as
-    a whole. Runs are single-threaded; keep the machine quiet for small
-    std.
+    repeat integrates ceil(n_rhs / n_stages) RK54 steps of the initial CFL
+    step size from the initial state, timed as a whole. BLAS threads are
+    the caller's to set, as perfbench/run.py pins them to one; keep the
+    machine quiet for small std.
     """
-    run = config_or_run if isinstance(config_or_run, Run) else build_run(config_or_run)
-    config = run.config
-    setup = run.setup
-    controller = StepController(cfl=config.cfl)
+    run = _as_run(config_or_run)
     n_steps = -(-n_rhs // RK54.n_stages)
     n_evals = RK54.n_stages * n_steps
-    dt = stable_dt(run.u0, run.mesh, setup.metrics, run.gas, config.p, controller)
-    dofs = setup.dofs
-
-    def rhs_fn(v, tt):
-        return rhs(v, setup, run.scheme)
-
-    rhs_fn(run.u0, 0.0)  # warmup
+    dt = run.dt_fn(run.u0, 0.0)
+    dofs = run.setup.dofs
+    run.rhs_fn(run.u0, 0.0)  # warmup
     samples = []
     for _ in range(repeats):
-        u = run.u0
-        t = 0.0
         start = time.perf_counter()
-        for _step in range(n_steps):
-            u = rk_step(u, t, dt, rhs_fn, RK54)
-            t += dt
+        integrate(run.u0, run.rhs_fn, n_steps=n_steps, dt=dt)
         span = time.perf_counter() - start
         _guard_span(span, "pid repeat", "increase n_rhs")
         samples.append(span / (n_evals * dofs))

@@ -146,8 +146,8 @@ def stable_dt(u, mesh, metrics, gas, p, controller):
     return controller.cfl * float(np.min(scale / (lam * (2 * p + 1))))
 
 
-def rk_step(u, t, dt, rhs_fn, method=RK54):
-    """One low-storage step; exactly one RHS evaluation per stage.
+def rk_step(u, t, dt, rhs_fn):
+    """One RK54 step; exactly one RHS evaluation per stage.
 
     du and v are updated in place through one scratch array, with the same
     products and sums as du <- a_i du + dt k and v <- v + b_i du. Neither u
@@ -158,11 +158,11 @@ def rk_step(u, t, dt, rhs_fn, method=RK54):
     v = np.array(u, dtype=float, copy=True)
     du = np.zeros_like(v)
     scratch = np.empty_like(v)
-    for i in range(method.n_stages):
-        k = rhs_fn(v, t + method.c[i] * dt)
-        du *= method.a[i]
+    for i in range(RK54.n_stages):
+        k = rhs_fn(v, t + RK54.c[i] * dt)
+        du *= RK54.a[i]
         du += np.multiply(k, dt, out=scratch)
-        v += np.multiply(du, method.b[i], out=scratch)
+        v += np.multiply(du, RK54.b[i], out=scratch)
         if not np.all(np.isfinite(v)):
             raise DivergenceError(
                 "non-finite state after stage %d (t=%.6g, dt=%.3e)" % (i, t, dt)
@@ -171,23 +171,19 @@ def rk_step(u, t, dt, rhs_fn, method=RK54):
 
 
 def integrate(
-    u0,
-    rhs_fn,
-    *,
-    n_steps=None,
-    t_end=None,
-    dt=None,
-    dt_fn=None,
-    t0=0.0,
-    method=RK54,
-    callbacks=(),
+    u0, rhs_fn, *, n_steps=None, t_end=None, dt=None, dt_fn=None, callbacks=()
 ):
-    """March rhs_fn from u0, either a fixed number of steps or to t_end.
+    """March rhs_fn from u0 at t = 0, either a fixed number of steps or to
+    t_end. This is the one time loop: every solve of the library, its
+    harness, tests and demos advances through it.
 
     The step size comes from `dt` (fixed) or `dt_fn(u, t)` (recomputed each
-    step and clipped so the run lands exactly on t_end). Callbacks fire
-    after every accepted step as cb(step, t, dt, u). A DivergenceError from
-    a stage is re-raised with the last valid state attached as .last_fields.
+    step), and is clipped so the run lands exactly on t_end. Before every
+    step, each callback is called as cb(step, t, h, u): u is the state after
+    `step` accepted steps, at time t, and h the step size about to be taken
+    from it. Callbacks must not write to u; the final state, which no
+    callback sees, is the return value. A DivergenceError from a stage is
+    re-raised with the last valid state attached as .last_fields.
     Returns (fields, info) with the step and RHS-evaluation counts.
     """
     if (n_steps is None) == (t_end is None):
@@ -197,20 +193,17 @@ def integrate(
     if (dt is None) == (dt_fn is None):
         raise ConfigurationError("exactly one of dt and dt_fn must be given")
     u = np.array(u0, dtype=float, copy=True)
-    t = t0
+    t = 0.0
     step = 0
     eps = 1e-12 * max(1.0, abs(t_end)) if t_end is not None else 0.0
-    while True:
-        if n_steps is not None:
-            if step >= n_steps:
-                break
-        elif t >= t_end - eps:
-            break
+    while (step < n_steps) if n_steps is not None else (t < t_end - eps):
         h = dt if dt is not None else dt_fn(u, t)
         if t_end is not None and t + h > t_end:
             h = t_end - t
+        for cb in callbacks:
+            cb(step, t, h, u)
         try:
-            u_next = rk_step(u, t, h, rhs_fn, method)
+            u_next = rk_step(u, t, h, rhs_fn)
         except DivergenceError as err:
             wrapped = DivergenceError(
                 "diverged in step %d at t=%.6g: %s" % (step, t, err)
@@ -222,6 +215,4 @@ def integrate(
         u = u_next
         t += h
         step += 1
-        for cb in callbacks:
-            cb(step, t, h, u)
-    return u, {"steps": step, "t": t, "rhs_evals": method.n_stages * step}
+    return u, {"steps": step, "t": t, "rhs_evals": RK54.n_stages * step}

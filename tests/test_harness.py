@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -415,15 +416,38 @@ def test_cli_microbench_csv(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_entropy_csv(tmp_path, monkeypatch, capsys):
+    # the CSV samples the reported run: its 25 RHS evaluations plus one per
+    # sampled state, with each row's dt the step taken from that state
+    import fluxdg.harness as harness
+
+    calls = []
+    real_rhs = harness.rhs
+
+    def counting_rhs(*args):
+        calls.append(1)
+        return real_rhs(*args)
+
+    monkeypatch.setattr(harness, "rhs", counting_rhs)
     monkeypatch.setenv("FLUXDG_OUTPUT_DIR", str(tmp_path))
     code = main(
         ["run", "-o", "elements=2", "-o", "p=2", "-o", "n_steps=5",
          "--entropy-csv", "entropy.csv"]
     )
     assert code == 0
-    lines = (tmp_path / "entropy.csv").read_text().splitlines()
-    assert lines[0] == "step,t,dt,dSdt_normalized"
-    assert len(lines) == 6
+    assert "completed 5 steps" in capsys.readouterr().out
+    assert len(calls) == 25 + 5
+    with open(tmp_path / "entropy.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == ["step", "t", "dt", "dSdt_normalized"]
+    steps, t, dt, _ = (list(map(float, col)) for col in zip(*lines[1:]))
+    assert steps == [0, 1, 2, 3, 4]
+    assert all(b == a + h for a, h, b in zip(t, dt, t[1:]))
+    assert len(set(dt)) > 1  # CFL steps, not one fixed step
+
+    assert main(["run", "-o", "n_steps=none", "-o", "t_end=0.1",
+                 "--entropy-csv", "entropy.csv"]) == 2
+    assert "n_steps" in capsys.readouterr().err
+    assert len(calls) == 30
 
 
 def test_cli_verify(capsys):

@@ -70,14 +70,44 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
-def called_names(path):
-    """Names of every function `path` calls, as `f(...)` or `module.f(...)`."""
-    tree = ast.parse(path.read_text(), str(path))
-    return {
-        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+def calls(tree):
+    """(line, name) of every call in `tree`, as `f(...)` or `module.f(...)`."""
+    return [
+        (node.lineno, node.func.id if isinstance(node.func, ast.Name) else node.func.attr)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
-    }
+    ]
+
+
+def called_names(path):
+    """Names of every function `path` calls, as `f(...)` or `module.f(...)`."""
+    return {name for _, name in calls(ast.parse(path.read_text(), str(path)))}
+
+
+def test_integrate_is_the_only_time_loop():
+    """Solutions advance in time only through timeint.integrate: rk_step is
+    called nowhere else in the package, the tests or the demos, apart from
+    the integrator's own tests."""
+    found = []
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == ROOT / "tests/test_timeint.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            if path == ROOT / "src/fluxdg/timeint.py":
+                (integrate,) = [
+                    node
+                    for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "integrate"
+                ]
+                assert "rk_step" in {name for _, name in calls(integrate)}
+                tree.body.remove(integrate)
+            found += [
+                "%s:%d" % (path.relative_to(ROOT), line)
+                for line, name in calls(tree)
+                if name == "rk_step"
+            ]
+    assert not found, found
 
 
 def verify_table_checks():

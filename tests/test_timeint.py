@@ -136,17 +136,26 @@ def test_integrate_argument_validation():
 
 
 def test_callbacks_and_dt_fn():
+    # each callback sees the state before a step and that step's size,
+    # clipped on the last step to land on t_end
+    f = lambda v, t: -v
     seen = []
     u, info = integrate(
         np.ones(1),
-        lambda v, t: -v,
+        f,
         t_end=1.0,
-        dt_fn=lambda v, t: 0.25,
-        callbacks=(lambda step, t, h, v: seen.append((step, t, h)),),
+        dt_fn=lambda v, t: 0.3,
+        callbacks=(lambda step, t, h, v: seen.append((step, t, h, v.copy())),),
     )
-    assert [s for s, _, _ in seen] == [1, 2, 3, 4]
-    assert all(h == 0.25 for _, _, h in seen)
-    assert seen[-1][1] == 1.0
+    assert [s for s, _, _, _ in seen] == [0, 1, 2, 3]
+    assert seen[0][1:3] == (0.0, 0.3)
+    assert np.array_equal(seen[0][3], np.ones(1))
+    for (_, t, h, v), (_, t_next, _, v_next) in zip(seen, seen[1:]):
+        assert t_next == t + h
+        assert np.array_equal(v_next, rk_step(v, t, h, f))
+    assert seen[-1][2] < 0.3
+    assert seen[-1][1] + seen[-1][2] == info["t"] == 1.0
+    assert np.array_equal(u, rk_step(seen[-1][3], seen[-1][1], seen[-1][2], f))
 
 
 def test_divergence_carries_context():
