@@ -422,7 +422,7 @@ def _line_geometry(setup, n, rows=None):
     pairs then take the unscaled axis-n flux. Elsewhere the scale is 1.0 and
     the rows are `rows`, a (d, p+1, lanes) _line_buffer (allocated here when
     omitted), filled by _half_metric_rows."""
-    if setup.metrics.cartesian:
+    if setup.mesh.is_cartesian:
         return float(setup.metrics.ja[0, 0, n, n]), None
     if rows is None:
         rows = _line_buffer(setup, setup.d)
@@ -477,7 +477,7 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     pairs = split_pairs(setup.op.degree)
     q = _line_buffer(setup, nvar)
     cons = _line_buffer(setup, nvar) if vol_flux == "central" else None
-    rows = None if setup.metrics.cartesian else _line_buffer(setup, d)
+    rows = None if setup.mesh.is_cartesian else _line_buffer(setup, d)
     acc = _line_buffer(setup, nvar)
     lanes = _line_lanes(q, cons)
     f = np.empty((nvar, q.shape[-1]))
@@ -502,7 +502,7 @@ def _interface_lanes(faces, setup, n, need_cons):
     (u0, q0), (u1, q1) = faces
     ql = _face_lanes(u1, q1, need_cons)
     qr = _face_lanes(u0, q0, need_cons, setup.plus_neighbor[n])
-    return ql, qr, tuple(_face_rows(setup.metrics.face_ja[n]))
+    return ql, qr, tuple(_face_rows(setup.metrics.face_ja[n][1]))
 
 
 def _interface_fluxes(faces, setup, n, kind, subtract_own):
@@ -595,13 +595,13 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     q = _line_rows(prim, setup, n, _line_buffer(setup, nvar))
     cons = _line_rows(u, setup, n, _line_buffer(setup, nvar)) if need_cons else None
     scale, half_ja = _line_geometry(setup, n)
-    eja = setup.metrics.elem_face_ja[n]
+    face_ja = setup.metrics.face_ja[n]
     # made one side at a time as the kernel reaches it, so no face rows are
     # held during the pair loop
     coupling = (
         (
             _face_lanes(*faces[s], need_cons),
-            None if half_ja is None else 0.5 * _face_rows(eja[:, s]),
+            None if half_ja is None else 0.5 * _face_rows(face_ja[s]),
             sides[s],
             cvol,
             cface,

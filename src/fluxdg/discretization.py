@@ -425,7 +425,7 @@ def surface_terms(faces, setup, n, surface_flux, subtract_own, out):
     )
     lines = node_line_lists(op.n_nodes, setup.d)[n]
     jac = setup.metrics.jac.tolist()
-    normals = setup.metrics.face_ja[n].tolist()
+    normals = setup.metrics.face_ja[n][1].tolist()
     acc = out.tolist()
     for f, ep in enumerate(setup.plus_neighbor[n].tolist()):
         for m, nrm in enumerate(normals[f]):
@@ -519,7 +519,7 @@ def _scalar_gauss_volume(u, faces, setup, n, config, out):
     """Zero-corner hybridized volume term of gauss_fluxdiff in direction n,
     divided by J and added into out; faces are the direction's projected
     states. The pair weights come from operators.hybridized_scatter, the
-    entries of build_hybridized(op).q_matrix; the tests check the result
+    entries of build_hybridized(op); the tests check the result
     against the dense hybridized operator applied to every ordered pair.
     """
     require_volume_kind(config.volume_flux)
@@ -529,8 +529,8 @@ def _scalar_gauss_volume(u, faces, setup, n, config, out):
     pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
     dirn = flux_function(config.volume_flux)
     metrics = setup.metrics
-    eja = metrics.elem_face_ja[n]
-    sides = [(uf.tolist(), eja[:, s].tolist()) for s, (uf, _qf) in enumerate(faces)]
+    face_ja = metrics.face_ja[n]
+    sides = [(uf.tolist(), face_ja[s].tolist()) for s, (uf, _qf) in enumerate(faces)]
     acc = np.zeros_like(u).tolist()
     for e in range(setup.n_elements):
         states = u[e].tolist()

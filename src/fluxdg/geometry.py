@@ -187,20 +187,19 @@ class MetricData:
     """Discrete geometry of one mesh/operator pairing.
 
     ja[e, i, n, j] holds the scaled contravariant component (Ja)^n_j at node
-    i of element e; jac[e, i] the Jacobian. face_ja[n][f, m, :] is the scaled
-    normal of face f (owned by its minus element) in direction n, evaluated
-    at face node m, pointing from the minus to the plus element.
-    elem_face_ja[n][e, s, m, :] is the element's own boundary trace of its
-    direction-n metric vector on side s (0: reference -1 face, 1: +1 face);
-    for nodal bases with boundary nodes this is a restriction, for Gauss an
-    extrapolation.
+    i of element e; jac[e, i] the Jacobian. face_ja[n][s, e, m, :] is
+    element e's own boundary trace of its direction-n metric vector at face
+    node m of side s (0: reference -1 face, 1: +1 face), side-major so each
+    side is one contiguous block. For nodal bases with boundary nodes the
+    trace is a restriction, for Gauss an extrapolation. The interface
+    normal of direction n is face_ja[n][1], the minus element's +1 trace,
+    pointing from the minus to the plus element, so both sides of an
+    interface see one value.
     """
 
     ja: np.ndarray
     jac: np.ndarray
     face_ja: tuple
-    elem_face_ja: tuple
-    cartesian: bool
 
 
 def _metrics_2d(coords_nd, dmat):
@@ -268,7 +267,7 @@ def neighbor_table(mesh):
 
 
 def compute_metrics(mesh, op, coords=None):
-    """Volume metric terms plus per-face scaled normals.
+    """Volume metric terms plus each element's face traces of them.
 
     2D uses direct differentiation of the mapping, 3D the curl form; both
     satisfy the discrete metric identity to roundoff. Raises MeshError on a
@@ -304,10 +303,8 @@ def compute_metrics(mesh, op, coords=None):
             "non-positive Jacobian %r at element %d, node %d (amplitude too large?)"
             % (float(jac[e, i]), int(e), int(i))
         )
-    # boundary traces of each element's own metric vectors, plus shared
-    # per-face normals taken from the face's minus element so both sides of
-    # an interface see one value
-    elem_face_ja = []
+    # boundary traces of each element's own metric vectors, both sides of
+    # direction n in one (2, n_elem, face nodes, d) array
     face_ja = []
     ja_nd = ja.reshape((n_elem,) + (p1,) * d + (d, d))
     for n in range(d):
@@ -318,11 +315,8 @@ def compute_metrics(mesh, op, coords=None):
                 for j in range(d)
             ]
             sides.append(np.stack(comps, axis=-1))
-        elem_face_ja.append(np.stack(sides, axis=1))
-        face_ja.append(sides[1])
-    return MetricData(
-        ja, jac, tuple(face_ja), tuple(elem_face_ja), mesh.is_cartesian
-    )
+        face_ja.append(np.stack(sides))
+    return MetricData(ja, jac, tuple(face_ja))
 
 
 def element_metrics(metrics, element):

@@ -10,6 +10,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
+from typing import get_args
 
 import numpy as np
 
@@ -122,32 +123,35 @@ class RunConfig:
         )
 
 
-_CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)}
-_INT_KEYS = {"d", "p", "elements", "geo_degree", "overint_degree", "seed", "n_steps"}
-_FLOAT_KEYS = {"amplitude", "epsilon", "gamma", "cfl", "t_end"}
-_OPTIONAL_KEYS = {"geo_degree", "overint_degree", "n_steps", "t_end", "output"}
+def _field_type(field):
+    """(value type, optional) of a RunConfig field: `int | None` reads as
+    (int, True), `float` as (float, False)."""
+    args = get_args(field.type) or (field.type,)
+    return next(a for a in args if a is not type(None)), type(None) in args
+
+
+_CONFIG_TYPES = {f.name: _field_type(f) for f in fields(RunConfig)}
 
 
 def _coerce(key, raw):
-    if key not in _CONFIG_FIELDS:
+    if key not in _CONFIG_TYPES:
         raise ConfigurationError(
             "unknown config key %r (valid: %s)"
-            % (key, ", ".join(sorted(_CONFIG_FIELDS)))
+            % (key, ", ".join(sorted(_CONFIG_TYPES)))
         )
     if isinstance(raw, str):
         raw = raw.strip()
-        if key in _OPTIONAL_KEYS and raw.lower() in ("", "none", "auto"):
+        kind, optional = _CONFIG_TYPES[key]
+        if optional and raw.lower() in ("", "none", "auto"):
             return None
-        try:
-            if key in _INT_KEYS:
-                return int(raw)
-            if key in _FLOAT_KEYS:
-                return float(raw)
-        except ValueError:
-            kind = "an integer" if key in _INT_KEYS else "a number"
-            raise ConfigurationError(
-                "%s: cannot parse %r as %s" % (key, raw, kind)
-            ) from None
+        if kind in (int, float):
+            try:
+                return kind(raw)
+            except ValueError:
+                name = "an integer" if kind is int else "a number"
+                raise ConfigurationError(
+                    "%s: cannot parse %r as %s" % (key, raw, name)
+                ) from None
     return raw
 
 
@@ -266,11 +270,10 @@ def _auto_geo_degree(config):
 
 @dataclass(frozen=True)
 class Run:
-    """A resolved configuration: operators built, initial state sampled."""
+    """A resolved configuration: operators built, initial state sampled.
+    The mesh and gas are setup.mesh and setup.gas."""
 
     config: RunConfig
-    gas: GasParams
-    mesh: object
     setup: object
     scheme: RhsConfig
     controller: StepController
@@ -283,8 +286,9 @@ class Run:
 
     def dt_fn(self, u, t):
         """The configured CFL step size at state u."""
+        setup = self.setup
         return stable_dt(
-            u, self.mesh, self.setup.metrics, self.gas, self.config.p, self.controller
+            u, setup.mesh, setup.metrics, setup.gas, self.config.p, self.controller
         )
 
 
@@ -319,9 +323,7 @@ def build_run(config):
             return prim2cons(free_stream_primitives(_x), gas)
 
         u0 = exact(0.0)
-    return Run(
-        config, gas, mesh, setup, scheme, StepController(cfl=config.cfl), u0, exact
-    )
+    return Run(config, setup, scheme, StepController(cfl=config.cfl), u0, exact)
 
 
 def _as_run(config_or_run):

@@ -39,34 +39,11 @@ class Operator1D:
 
 
 @dataclass(frozen=True)
-class FluxDiffOperator:
-    """The combined matrix 2 D - M^{-1} R^T B N R for diagonal-boundary
-    operators. M @ matrix is antisymmetric and the diagonal vanishes, so
-    two-point flux loops only visit i < k."""
-
-    matrix: np.ndarray
-    op: Operator1D
-
-
-@dataclass(frozen=True)
-class HybridizedOperator1D:
-    """Skew-symmetric operator on the stacked node set (volume nodes first,
-    then the two face points). q_matrix is exactly antisymmetric; b_matrix
-    holds only the volume/face coupling blocks."""
-
-    q_matrix: np.ndarray  # (p+3, p+3)
-    b_matrix: np.ndarray  # (p+3, p+3)
-    op: Operator1D
-
-
-@dataclass(frozen=True)
 class TransferMatrices:
     """Interpolation to a finer degree and the L2 projection back."""
 
     interp: np.ndarray   # (q+1, p+1)
     project: np.ndarray  # (p+1, q+1)
-    degree_low: int
-    degree_high: int
 
 
 def _check_degree(p):
@@ -209,7 +186,9 @@ def _skew_diff_matrix(op):
 
 
 def build_dsplit(op):
-    """Split-derivative operator for two-point volume fluxes.
+    """Split-derivative matrix 2 D - M^{-1} R^T B N R for two-point volume
+    fluxes, frozen. M times it is antisymmetric and its diagonal vanishes,
+    so the pair loops only visit i < k.
 
     Restricted to the Lobatto family, whose boundary operator is diagonal;
     the matrix then differs from 2D only in the corner entries.
@@ -221,11 +200,12 @@ def build_dsplit(op):
         )
     mat = _skew_diff_matrix(op)
     _freeze(mat)
-    return FluxDiffOperator(mat, op)
+    return mat
 
 
 def build_hybridized(op):
-    """Hybridized skew operator on [volume nodes; left face; right face].
+    """Hybridized skew operator Q_h on [volume nodes; left face; right face],
+    a frozen (p+3, p+3) matrix.
 
     The face-face corner carries half the boundary operator, so
     Q_h + Q_hᵀ = blockdiag(0, BN): the face consistency flux is part of the
@@ -242,11 +222,8 @@ def build_hybridized(op):
     q[:n, n:] = 0.5 * rtbn
     q[n:, :n] = -0.5 * (_N_FACE[:, None] * r)
     q[n:, n:] = 0.5 * np.diag(_N_FACE)
-    b = np.zeros((n + 2, n + 2))
-    b[:n, n:] = rtbn
-    b[n:, :n] = -(_N_FACE[:, None] * r)
-    _freeze(q, b)
-    return HybridizedOperator1D(q, b, op)
+    _freeze(q)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +261,10 @@ def _triangle_pairs(mat):
 @lru_cache(maxsize=None)
 def split_pairs(degree):
     """Upper-triangle scatter list [(a, b, D[a,b], D[b,a]), ...] of the
-    Lobatto split derivative D = build_dsplit(lgl_operator(degree)).matrix,
+    Lobatto split derivative D = build_dsplit(lgl_operator(degree)),
     all-zero pairs dropped. Both weights are stored so the antisymmetric
     scatter in the pair loops never recomputes them."""
-    return _triangle_pairs(build_dsplit(lgl_operator(degree)).matrix)
+    return _triangle_pairs(build_dsplit(lgl_operator(degree)))
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +281,7 @@ def hybridized_scatter(degree, family):
       the volume nodes.
     """
     op = make_operator(degree, family)
-    q = build_hybridized(op).q_matrix
+    q = build_hybridized(op)
     w = op.weights
     n = op.n_nodes
     vv = _triangle_pairs(2.0 * q[:n, :n] / w[:, None])
@@ -340,4 +317,4 @@ def transfer_matrices(p, q, family="lgl"):
     weighted = interp.T * op_high.weights[None, :]
     project = np.linalg.solve(weighted @ interp, weighted)
     _freeze(interp, project)
-    return TransferMatrices(interp, project, p, q)
+    return TransferMatrices(interp, project)

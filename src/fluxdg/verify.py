@@ -93,7 +93,7 @@ def check_split_antisymmetry(degrees):
     worst = 0.0
     for p in degrees:
         op = make_operator(p, "lgl")
-        mat = build_dsplit(op).matrix
+        mat = build_dsplit(op)
         md = op.weights[:, None] * mat
         worst = max(worst, float(np.abs(md + md.T).max()))
         worst = max(worst, float(np.abs(np.diag(mat)).max()))
@@ -109,7 +109,7 @@ def check_hybridized_rows(degrees, families):
     skew = rows = 0.0
     for family, p in product(families, degrees):
         op = make_operator(p, family)
-        q = build_hybridized(op).q_matrix
+        q = build_hybridized(op)
         n = op.n_nodes
         sym = q + q.T
         sym[n:, n:] -= np.diag(_N_FACE)

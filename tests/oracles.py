@@ -108,7 +108,7 @@ def metric_identity_residual(metrics, op, d):
 
 def gauss_volume_dense(u, faces, setup, n, vol_flux):
     """The gauss_fluxdiff volume term in direction n, read off the dense
-    hybridized operator: Q = build_hybridized(op).q_matrix on the stacked
+    hybridized operator: Q = build_hybridized(op) on the stacked
     line nodes [volume nodes; side-0 face; side-1 face], with the face-face
     corner zeroed. Every ordered pair (a, b) with Q[a, b] != 0 adds
     2 Q[a, b] F(u_a, u_b, mean metric); the volume rows are divided by the
@@ -117,17 +117,17 @@ def gauss_volume_dense(u, faces, setup, n, vol_flux):
     op = setup.op
     gas = setup.gas
     p1 = op.n_nodes
-    q = build_hybridized(op).q_matrix.copy()
+    q = build_hybridized(op).copy()
     q[p1:, p1:] = 0.0
     lift = (op.boundary_interp / op.weights).T
     dirn = flux_function(vol_flux)
     (u0, _q0), (u1, _q1) = faces
-    eja = setup.metrics.elem_face_ja[n]
+    face_ja = setup.metrics.face_ja[n]
     out = np.zeros_like(u)
     for e in range(setup.n_elements):
         for m, line in enumerate(node_lines(p1, setup.d)[n]):
             states = list(u[e, line]) + [u0[e, m], u1[e, m]]
-            ja = list(setup.metrics.ja[e, line, n]) + [eja[e, 0, m], eja[e, 1, m]]
+            ja = list(setup.metrics.ja[e, line, n]) + list(face_ja[:, e, m])
             rows = np.zeros((p1 + 2, u.shape[-1]))
             for a in range(p1 + 2):
                 for b in range(p1 + 2):

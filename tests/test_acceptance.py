@@ -218,9 +218,9 @@ VORTEX_CONFIGS = tuple(
 
 @pytest.fixture(scope="module")
 def vortex_samples():
-    """March the vortex 90 steps per configuration and record, at 20 states
-    spread along each run, the normalized entropy production and the rate of
-    change of the conserved totals."""
+    """March the vortex 77 steps per configuration and record, at the 20
+    states before steps 0, 4, ..., 76, the normalized entropy production and
+    the rate of change of the conserved totals."""
     records = {}
     for d, scheme, mesh in VORTEX_CONFIGS:
         family = "lgl" if scheme == "fluxdiff" else "gauss"
@@ -240,7 +240,7 @@ def vortex_samples():
                 "family": family,
                 "volume_scheme": scheme,
                 "kernel": kernel,
-                "n_steps": "90",
+                "n_steps": "77",
             },
         )
         run = build_run(config)
@@ -285,9 +285,10 @@ def test_volume_term_matches_split_matrix_assembly():
         setup = build_setup(mesh, make_operator(3, "lgl"), GAS)
         u = random_field(setup, GAS, seed=21 + d, amp=0.4)
         terms = element_metrics(setup.metrics, 0)
+        mat = build_dsplit(setup.op)
         for kind in ("shima", "ranocha", "central"):
             fast = volume_fluxdiff(u[0], setup.op, terms, kind, GAS)
-            slow = matrix_route_fluxdiff(u[0], build_dsplit(setup.op), terms, kind, GAS)
+            slow = matrix_route_fluxdiff(u[0], setup.op, mat, terms, kind, GAS)
             assert relative_gap(slow, fast) < 1e-13
 
 

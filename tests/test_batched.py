@@ -410,7 +410,7 @@ def _upwind_face_points(u, setup, gas):
     counts = np.zeros(3, dtype=int)
     faces = discretization.face_states(u, cons2prim(u, gas), setup, False)
     for n, ((_, q0), (_, q1)) in enumerate(faces):
-        normal = setup.metrics.face_ja[n]
+        normal = setup.metrics.face_ja[n][1]
         norm = np.linalg.norm(normal, axis=-1)
         vn, cn = [], []
         for q in (q1, q0[setup.plus_neighbor[n]]):

@@ -1,6 +1,7 @@
 import inspect
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from itertools import product
 
 import numpy as np
@@ -62,13 +63,12 @@ def constant_field(setup, gas, prim=(1.0, 0.1, -0.2, 0.3, 1.0)):
     return prim2cons(q, gas)
 
 
-def matrix_route_fluxdiff(u_elem, dop, metrics, vol_flux, gas):
-    """Volume term assembled directly from the split matrix: every ordered
-    node pair (i, k) contributes D_split[i,k] F(u_i, u_k, mean metric). The
-    production kernel visits unordered pairs once and scatters both weights;
-    the two readings must agree up to summation order."""
-    op = dop.op
-    mat = dop.matrix
+def matrix_route_fluxdiff(u_elem, op, mat, metrics, vol_flux, gas):
+    """Volume term assembled directly from mat, the split matrix
+    build_dsplit(op): every ordered node pair (i, k) contributes
+    D_split[i,k] F(u_i, u_k, mean metric). The production kernel visits
+    unordered pairs once and scatters both weights; the two readings must
+    agree up to summation order."""
     p1 = op.n_nodes
     d = u_elem.shape[-1] - 2
     dirn = flux_function(vol_flux)
@@ -136,6 +136,40 @@ def test_config_rejects_overint_degree_out_of_range(gas, q):
         config.validate(setup)
 
 
+# --- set-up footprint --------------------------------------------------------
+
+
+def setup_bytes(setup):
+    """nbytes of the distinct buffers reachable from setup through dataclass
+    fields and tuples, every view counted once with its base."""
+    bases = {}
+    todo = [setup]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj
+        elif isinstance(obj, tuple):
+            todo.extend(obj)
+        elif is_dataclass(obj):
+            todo.extend(getattr(obj, f.name) for f in fields(obj))
+    return sum(a.nbytes for a in bases.values())
+
+
+@pytest.mark.parametrize("family,geo", [("lgl", None), ("gauss", 1)])
+def test_setup_footprint(gas, family, geo):
+    # coordinates, volume metrics, one face-trace array per direction,
+    # neighbours and weights, each stored once, come to 3.52 u.nbytes on
+    # 3D p3 curved meshes; a second copy of one side's face traces would
+    # add 0.45
+    mesh = build_mesh((4,) * 3, amplitude=0.1, geo_degree=geo)
+    setup = build_setup(mesh, make_operator(3, family), gas)
+    u = random_field(setup, gas, seed=3)
+    ratio = setup_bytes(setup) / u.nbytes
+    assert ratio <= 3.6, ratio
+
+
 # --- scheme equivalences -----------------------------------------------------
 
 
@@ -164,10 +198,11 @@ def test_central_fluxdiff_equals_strong_on_cartesian(gas):
 def test_fluxdiff_matches_matrix_route(gas, d, vol_flux):
     setup = lgl_setup(gas, d=d, amplitude=0.15)
     u = random_field(setup, gas, seed=5, amp=0.4)
+    mat = build_dsplit(setup.op)
     for e in range(min(2, setup.n_elements)):
         terms = element_metrics(setup.metrics, e)
         got = volume_fluxdiff(u[e], setup.op, terms, vol_flux, gas)
-        want = matrix_route_fluxdiff(u[e], build_dsplit(setup.op), terms, vol_flux, gas)
+        want = matrix_route_fluxdiff(u[e], setup.op, mat, terms, vol_flux, gas)
         assert np.abs(got - want).max() < 1e-13
 
 

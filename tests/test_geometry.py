@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from fluxdg.geometry import (
     element_metrics,
     neighbor_table,
 )
-from fluxdg.operators import gauss_operator, lgl_operator, transfer_matrices
+from fluxdg.operators import gauss_operator, lgl_operator, make_operator, transfer_matrices
 
 from .oracles import metric_identity_residual
 
@@ -106,12 +108,11 @@ def test_cartesian_metrics_exact():
     op = lgl_operator(3)
     metrics = compute_metrics(mesh, op)
     # widths (0.5, 4): jac = (0.25)*(2) = 0.5, areas (2, 0.25)
+    assert mesh.is_cartesian
     assert np.all(metrics.jac == 0.5)
-    assert metrics.cartesian
     # the constant diagonal metric: the face areas the Cartesian lane
     # kernels scale their axis fluxes by
     assert np.abs(metrics.ja - np.diag([2.0, 0.25])).max() < 1e-15
-    assert not compute_metrics(build_mesh((2, 2), amplitude=0.1), op).cartesian
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -141,17 +142,32 @@ def test_per_element_helpers_match_assembled():
 
 
 def test_lgl_face_metrics_collocated():
-    # with boundary nodes the element's own face trace is a restriction;
-    # the minus element's trace is the shared value
+    # with boundary nodes the element's own face trace is a restriction
     mesh = build_mesh((3, 3), amplitude=0.2)
     op = lgl_operator(4)
     metrics = compute_metrics(mesh, op)
     ja_nd = metrics.ja.reshape(9, 5, 5, 2, 2)
-    own = metrics.elem_face_ja[0]  # (e, side, m, j)
-    assert np.array_equal(own[:, 0], ja_nd[:, 0, :, 0, :])
-    assert np.array_equal(own[:, 1], ja_nd[:, -1, :, 0, :])
-    # shared face normal is the minus element's +1 trace
-    assert np.array_equal(metrics.face_ja[0], own[:, 1])
+    own = metrics.face_ja[0]  # (side, e, m, j)
+    assert np.array_equal(own[0], ja_nd[:, 0, :, 0, :])
+    assert np.array_equal(own[1], ja_nd[:, -1, :, 0, :])
+
+
+@pytest.mark.parametrize("family", ["lgl", "gauss"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_face_metrics_stored_once(family, d):
+    # the geometry is the volume metrics plus one side-major face-trace
+    # array per direction, whose sides are contiguous blocks; the interface
+    # normal the kernels read is a view of side 1, never a second copy
+    op = make_operator(3, family)
+    mesh = build_mesh((2,) * d, amplitude=0.1)
+    metrics = compute_metrics(mesh, op)
+    assert [f.name for f in fields(metrics)] == ["ja", "jac", "face_ja"]
+    assert len(metrics.face_ja) == d
+    for face_ja in metrics.face_ja:
+        assert face_ja.shape == (2, mesh.n_elements, 4 ** (d - 1), d)
+        assert face_ja.flags.c_contiguous
+        for side in face_ja:
+            assert side.flags.c_contiguous and side.base is face_ja
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -170,11 +186,11 @@ def test_gauss_face_metric_consistency_with_coarse_geometry(d):
         mesh = build_mesh((3,) * d, amplitude=0.15 if d == 2 else 0.08, geo_degree=geo)
         metrics = compute_metrics(mesh, op)
         plus, _ = neighbor_table(mesh)
-        own = metrics.elem_face_ja[0]
+        own = metrics.face_ja[0]
         mismatch = 0.0
         for e in range(mesh.n_elements):
             nb = plus[0][e]
-            mismatch = max(mismatch, float(np.abs(own[e, 1] - own[nb, 0]).max()))
+            mismatch = max(mismatch, float(np.abs(own[1, e] - own[0, nb]).max()))
         if should_match:
             assert mismatch < 5e-12, (d, p, geo, mismatch)
         else:

@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+from dataclasses import fields
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from fluxdg.errors import BenchmarkError, ConfigurationError
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.harness import (
     MICROBENCH_FORMS,
+    RunConfig,
+    _coerce,
     build_run,
     convergence_study,
     free_stream_primitives,
@@ -81,6 +85,28 @@ def test_make_config_coercion_error_names_key():
         make_config({"elements": "many"})
     with pytest.raises(ConfigurationError, match="cfl"):
         make_config({"cfl": "half"})
+
+
+def test_config_key_types_follow_annotations():
+    # every field parses by its RunConfig annotation: "none" is None exactly
+    # on the fields that admit None, int fields reject "1.5", float fields
+    # read it and str fields keep it
+    for field in fields(RunConfig):
+        types = get_args(field.type) or (field.type,)
+        if type(None) in types:
+            assert _coerce(field.name, " None ") is None, field.name
+        elif str in types:
+            assert _coerce(field.name, "none") == "none", field.name
+        else:
+            with pytest.raises(ConfigurationError, match=field.name):
+                _coerce(field.name, "none")
+        if int in types:
+            message = "%s: cannot parse '1.5' as an integer" % field.name
+            with pytest.raises(ConfigurationError, match=message):
+                _coerce(field.name, "1.5")
+        else:
+            want = 1.5 if float in types else "1.5"
+            assert _coerce(field.name, "1.5") == want, field.name
 
 
 def test_overrides_win():
@@ -193,18 +219,18 @@ def test_build_run_auto_geometry_degree():
         make_config(None, {"mesh": "curved", "family": "gauss",
                            "volume_scheme": "gauss_fluxdiff", "elements": "2"})
     )
-    assert curved_gauss_2d.mesh.geo_degree == 2
+    assert curved_gauss_2d.setup.mesh.geo_degree == 2
     curved_gauss_3d = build_run(
         make_config(None, {"mesh": "curved", "family": "gauss", "d": "3",
                            "volume_scheme": "gauss_fluxdiff", "elements": "2"})
     )
-    assert curved_gauss_3d.mesh.geo_degree == 1
+    assert curved_gauss_3d.setup.mesh.geo_degree == 1
     curved_lgl = build_run(
         make_config(None, {"mesh": "curved", "elements": "2"})
     )
-    assert curved_lgl.mesh.geo_degree is None
+    assert curved_lgl.setup.mesh.geo_degree is None
     cartesian = build_run(make_config(None, {"elements": "2"}))
-    assert cartesian.mesh.is_cartesian
+    assert cartesian.setup.mesh.is_cartesian
 
 
 def test_build_run_validates_scheme_against_family():
@@ -342,7 +368,8 @@ def test_write_csv_blank_for_none(tmp_path):
     path = write_csv(
         str(tmp_path / "t.csv"), ("a", "b"), [(1, None), (2.5, "x")]
     )
-    assert open(path).read().splitlines() == ["a,b", "1,", "2.5,x"]
+    with open(path) as fh:
+        assert fh.read().splitlines() == ["a,b", "1,", "2.5,x"]
 
 
 def test_output_path_env_override(tmp_path, monkeypatch):

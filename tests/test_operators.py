@@ -88,8 +88,7 @@ def test_dsplit_rejects_gauss():
 def test_dsplit_interior_rows_equal_2d():
     # the boundary correction only touches the four corner entries on LGL
     op = lgl_operator(5)
-    dop = build_dsplit(op)
-    diff = dop.matrix - 2.0 * op.D
+    diff = build_dsplit(op) - 2.0 * op.D
     mask = np.zeros_like(diff, dtype=bool)
     mask[0, 0] = mask[-1, -1] = True
     assert np.abs(diff[~mask]).max() == 0.0
@@ -103,9 +102,9 @@ def test_hybridized_volume_block_cancels_exactly(family):
     # test_acceptance::test_hybridized_operator_algebra
     for p in (1, 3, 7, 15):
         op = make_operator(p, family)
-        hyb = build_hybridized(op)
+        q = build_hybridized(op)
         n = op.n_nodes
-        sym = hyb.q_matrix + hyb.q_matrix.T
+        sym = q + q.T
         assert np.abs(sym[:n, :n]).max() == 0.0
 
 
@@ -147,7 +146,7 @@ def test_node_lines_are_permutations():
 
 @pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))
 def test_split_pairs_match_matrix(p):
-    mat = build_dsplit(lgl_operator(p)).matrix
+    mat = build_dsplit(lgl_operator(p))
     seen = set()
     for a, b, wab, wba in split_pairs(p):
         assert a < b
@@ -214,17 +213,17 @@ def test_lobatto_hybridized_is_dsplit_plus_cancelling_coupling(p):
 def test_hybridized_scatter_weights():
     p = 3
     op = gauss_operator(p)
-    hyb = build_hybridized(op)
+    q = build_hybridized(op)
     n = op.n_nodes
     vv, vol_face, lift = hybridized_scatter(p, "gauss")
     for a, b, wab, wba in vv:
-        assert abs(wab - 2.0 * hyb.q_matrix[a, b] / op.weights[a]) < 1e-15
-        assert abs(wba - 2.0 * hyb.q_matrix[b, a] / op.weights[b]) < 1e-15
+        assert abs(wab - 2.0 * q[a, b] / op.weights[a]) < 1e-15
+        assert abs(wba - 2.0 * q[b, a] / op.weights[b]) < 1e-15
     for side in (0, 1):
         col = n + side
         cvol, cface = vol_face[side]
         for a in range(n):
-            assert abs(cvol[a] - 2.0 * hyb.q_matrix[a, col] / op.weights[a]) < 1e-15
-            assert abs(cface[a] - 2.0 * hyb.q_matrix[col, a]) < 1e-15
+            assert abs(cvol[a] - 2.0 * q[a, col] / op.weights[a]) < 1e-15
+            assert abs(cface[a] - 2.0 * q[col, a]) < 1e-15
         for a in range(n):
             assert abs(lift[side][a] - op.boundary_interp[side, a] / op.weights[a]) < 1e-15
