@@ -30,9 +30,20 @@ mesh_gauss_surface returns, so the Gauss faces are lifted inside the
 accumulator, which then goes back with one add through the transposed
 view of the output. On Lobatto grids the coupling cancels on the boundary
 nodes and is left out; mesh_surface's lift (_lift) writes the face fluxes
-into the first and last line positions. Cartesian meshes take the axis
-fluxes scaled by the constant face area on both families. The lane order
-is the line order of `operators.node_lines`, which the scalar path uses.
+into the first and last line positions. The lane order is the line order
+of `operators.node_lines`, which the scalar path uses.
+
+Cartesian meshes take the axis fluxes scaled by the constant face area on
+both families, in the volume pairs and at the interfaces alike. One rule
+decides it: _line_geometry (node lines) and its face twin _face_geometry
+return the area and no normal rows there, the metric rows and the scale
+1.0 elsewhere. Without rows every kernel runs in axis form along the
+direction (flux_lanes_cartesian): v.n is the velocity row v_n itself, the
+pressure goes onto momentum row n only, and the llf and hll wave speeds
+carry no |n|. The area then multiplies in once: into the pair weights,
+onto the Gauss side blocks that the coupling reads, and in the lift, where
+the constant Jacobian joins it as one scalar area / (w J) per lift row in
+place of a per-lane division.
 
 Every two-point lane kernel writes its d+2 flux rows into one (d+2, lanes)
 block that the caller owns and returns that block, so the volume kernels
@@ -66,10 +77,10 @@ Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
 operation (a pair normal 0.5 x + 0.5 y from halved metric rows is the
 scalar 0.5 (x + y) for normal floats), so differences come only from the
-libm/numpy log and sqrt ulps and from the grouping of sums: each
-direction's contributions are summed in a lane accumulator before they are
-added into the output, where the scalar kernels keep one running sum per
-node.
+libm/numpy log and sqrt ulps, from the grouping of sums (each direction's
+contributions are summed in a lane accumulator before they are added into
+the output, where the scalar kernels keep one running sum per node) and,
+on Cartesian meshes, from the point where the face area multiplies in.
 
 Evaluation counters are bumped by the number of lanes per call, so
 counting lane work as logical per-pair evaluations matches the scalar
@@ -196,46 +207,60 @@ def _ranocha_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real, out):
     return out
 
 
+def _is_axis(normal):
+    """True for a coordinate axis given as a tuple of floats, which the
+    kernels read as the unit normal of that axis (|n| = 1, n_i = 0 off
+    the axis); False for a normal of per-lane component rows."""
+    return isinstance(normal[0], float)
+
+
 def _phys_lanes(q, vn, normal, out):
     """The physical flux f(q).n into the block out, from vn = v.n: the
     momentum rows (rho v_i) v.n as one block product, then p n_i added row
     by row (a (d, lanes) p n block is slower once it passes the allocator's
-    mmap threshold)."""
+    mmap threshold); along an axis the pressure goes onto that axis's
+    momentum row only."""
     d = len(q.v)
     np.multiply(q.rho, vn, out=out[0])
     momentum = np.multiply(q.u[1 : d + 1], vn, out=out[1 : d + 1])
-    for i in range(d):
-        momentum[i] += q.p * normal[i]
+    if _is_axis(normal):
+        momentum[normal.index(1.0)] += q.p
+    else:
+        for i in range(d):
+            momentum[i] += q.p * normal[i]
     np.multiply(q.u[d + 1] + q.p, vn, out=out[d + 1])
     return out
 
 
 def _scaled_sound_speeds(ql, qr, normal, gas):
     """c_l |n| and c_r |n|: the sound speeds times the length of the scaled
-    normal, so the wave-speed bounds need no unit normal."""
+    normal, so the wave-speed bounds need no unit normal (|n| = 1 along an
+    axis). Both are fresh rows."""
+    speeds = tuple(np.sqrt(gas.gamma * q.p / q.rho) for q in (ql, qr))
+    if _is_axis(normal):
+        return speeds
     norm = np.sqrt(_vn(normal, normal))
-    return tuple(np.sqrt(gas.gamma * q.p / q.rho) * norm for q in (ql, qr))
+    return tuple(c * norm for c in speeds)
 
 
 def _llf_half_dissipation(ql, qr, vn_l, vn_r, normal, gas):
     """0.5 lam|n| = 0.5 max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), formed in
-    place over vn_l (returned) and vn_r, which are consumed; the sound
-    speeds die with this call."""
+    place over the sound-speed rows, so the right-hand one dies with this
+    call and vn_l, vn_r (along an axis, rows of the states) are only
+    read."""
     cn_l, cn_r = _scaled_sound_speeds(ql, qr, normal, gas)
-    wave_l = np.abs(vn_l, out=vn_l)
-    wave_l += cn_l
-    wave_r = np.abs(vn_r, out=vn_r)
-    wave_r += cn_r
-    half_diss = np.maximum(wave_l, wave_r, out=wave_l)
+    cn_l += np.abs(vn_l)
+    cn_r += np.abs(vn_r)
+    half_diss = np.maximum(cn_l, cn_r, out=cn_l)
     half_diss *= 0.5
     return half_diss
 
 
 def _llf_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out, jump):
     """Local Lax-Friedrichs, dissipation 0.5 lam|n| (u_r - u_l) with
-    lam|n| = max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), consuming vn_l and
-    vn_r; the jump is formed as one block in `jump`, which may be f_r but
-    not out (None: a fresh block)."""
+    lam|n| = max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|); the jump is formed
+    as one block in `jump`, which may be f_r but not out (None: a fresh
+    block)."""
     half_diss = _llf_half_dissipation(ql, qr, vn_l, vn_r, normal, gas)
     np.add(f_l, f_r, out=out)
     out *= 0.5
@@ -269,14 +294,14 @@ def _hll_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out):
     return out
 
 
-def _own_flux_lanes(kind, ql, qr, normal, gas, n_real, f_l, f_r, out, jump=None):
+def _own_flux_lanes(
+    kind, ql, qr, vn_l, vn_r, normal, gas, n_real, f_l, f_r, out, jump=None
+):
     """central, llf or hll in two steps: the own-side physical fluxes
     f(q_l).n and f(q_r).n into the blocks f_l and f_r, then the flux made
     from them into out, which may be f_l; llf forms its jump in `jump`
     (see _llf_lanes)."""
     add_two_point(n_real)
-    vn_l = _vn(ql.v, normal)
-    vn_r = _vn(qr.v, normal)
     _phys_lanes(ql, vn_l, normal, f_l)
     _phys_lanes(qr, vn_r, normal, f_r)
     if kind == "central":
@@ -288,9 +313,32 @@ def _own_flux_lanes(kind, ql, qr, normal, gas, n_real, f_l, f_r, out, jump=None)
     return _hll_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out)
 
 
+def _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out):
+    """The two-point flux of `kind` into the block out (None: a fresh one),
+    given v.n on both sides and the normal, per-lane rows or an axis tuple
+    (_is_axis). No kernel writes into vn_l or vn_r, which along an axis are
+    rows of the states."""
+    if out is None:
+        out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
+    if kind in _OWN_FLUX_KINDS:
+        f_r = np.empty_like(out)
+        return _own_flux_lanes(
+            kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out, f_r, out, f_r
+        )
+    if kind == "shima":
+        return _shima_lanes(
+            ql, qr, vn_l, vn_r, normal, gas.inv_gamma_minus_one, n_real, out
+        )
+    if kind == "ranocha":
+        return _ranocha_lanes(
+            ql, qr, vn_l, vn_r, normal, gas.inv_gamma_minus_one, n_real, out
+        )
+    raise ConfigurationError("unknown flux kind %r" % (kind,))
+
+
 def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
     """Directional two-point flux over lanes; normal is a tuple of per-lane
-    component arrays (or plain floats for a fixed direction).
+    component arrays.
 
     The flux goes into `out`, a (d+2, lanes) block of any strides that the
     caller owns, allocated here when omitted, and the block is returned:
@@ -300,40 +348,21 @@ def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
     and f(q_r).n in one scratch block, then combine them (llf's jump
     u_r - u_l reuses the scratch block); llf and hll bound the wave speeds
     against the scaled normal, as the scalar kernels do."""
-    if out is None:
-        out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
-    if kind in _OWN_FLUX_KINDS:
-        f_r = np.empty_like(out)
-        return _own_flux_lanes(kind, ql, qr, normal, gas, n_real, out, f_r, out, f_r)
-    if kind == "shima":
-        return _shima_lanes(
-            ql, qr, _vn(ql.v, normal), _vn(qr.v, normal), normal,
-            gas.inv_gamma_minus_one, n_real, out,
-        )
-    if kind == "ranocha":
-        return _ranocha_lanes(
-            ql, qr, _vn(ql.v, normal), _vn(qr.v, normal), normal,
-            gas.inv_gamma_minus_one, n_real, out,
-        )
-    raise ConfigurationError("unknown flux kind %r" % (kind,))
+    return _flux_lanes(
+        kind, ql, qr, _vn(ql.v, normal), _vn(qr.v, normal), normal, gas, n_real, out
+    )
 
 
 def flux_lanes_cartesian(kind, ql, qr, j, gas, n_real, out=None):
     """Coordinate-axis two-point flux over lanes (axis j, unscaled),
     written into and returned as the (d+2, lanes) block `out` under the
-    contract of flux_lanes_directional."""
+    contract of flux_lanes_directional. Every kind runs its kernel in axis
+    form: v.n is the velocity row v_j itself, the pressure goes onto
+    momentum row j only, and the llf and hll wave speeds carry no |n|.
+    The Cartesian volume pairs and interface points take this flux and
+    multiply in the constant face area once."""
     axis = _AXIS[len(ql.v)][j]
-    if out is None:
-        out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
-    if kind == "shima":
-        return _shima_lanes(
-            ql, qr, ql.v[j], qr.v[j], axis, gas.inv_gamma_minus_one, n_real, out
-        )
-    if kind == "ranocha":
-        return _ranocha_lanes(
-            ql, qr, ql.v[j], qr.v[j], axis, gas.inv_gamma_minus_one, n_real, out
-        )
-    return flux_lanes_directional(kind, ql, qr, axis, gas, n_real, out)
+    return _flux_lanes(kind, ql, qr, ql.v[j], qr.v[j], axis, gas, n_real, out)
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +450,34 @@ def _line_geometry(setup, n, rows=None):
     meshes the scale is the constant face area and the rows are None: the
     pairs then take the unscaled axis-n flux. Elsewhere the scale is 1.0 and
     the rows are `rows`, a (d, p+1, lanes) _line_buffer (allocated here when
-    omitted), filled by _half_metric_rows."""
+    None, so the returned rows can be passed back for the next direction),
+    filled by _half_metric_rows."""
     if setup.mesh.is_cartesian:
         return float(setup.metrics.ja[0, 0, n, n]), None
     if rows is None:
         rows = _line_buffer(setup, setup.d)
     return 1.0, _half_metric_rows(setup, n, rows)
+
+
+def _face_geometry(setup, n):
+    """(scale, normal rows) of direction n's interfaces, the face twin of
+    _line_geometry: on Cartesian meshes the constant face area and None,
+    the interface fluxes then taking the unscaled axis-n form with the area
+    multiplied in once (by the lift, or on the Gauss side blocks);
+    elsewhere 1.0 and the shared normals face_ja[n][1] as (d, lanes)
+    rows."""
+    if setup.mesh.is_cartesian:
+        return float(setup.metrics.ja[0, 0, n, n]), None
+    return 1.0, tuple(_face_rows(setup.metrics.face_ja[n][1]))
+
+
+def _directed(ql, qr, normal, n):
+    """(v_l.n, v_r.n, normal) of two lane sets along the normal rows, or,
+    with normal None, along axis n as an axis tuple (_is_axis), whose v.n
+    are the velocity rows v_n themselves."""
+    if normal is None:
+        return ql.v[n], qr.v[n], _AXIS[len(ql.v)][n]
+    return _vn(ql.v, normal), _vn(qr.v, normal), normal
 
 
 def _pair_flux(kind, ql, qr, half_a, half_b, n, gas, f):
@@ -477,7 +528,7 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     pairs = split_pairs(setup.op.degree)
     q = _line_buffer(setup, nvar)
     cons = _line_buffer(setup, nvar) if vol_flux == "central" else None
-    rows = None if setup.mesh.is_cartesian else _line_buffer(setup, d)
+    rows = None
     acc = _line_buffer(setup, nvar)
     lanes = _line_lanes(q, cons)
     f = np.empty((nvar, q.shape[-1]))
@@ -486,9 +537,9 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
         _line_rows(prim, setup, n, q)
         if cons is not None:
             _line_rows(u, setup, n, cons)
-        scale, half_ja = _line_geometry(setup, n, rows)
+        scale, rows = _line_geometry(setup, n, rows)
         acc.fill(0.0)
-        _line_terms(vol_flux, lanes, half_ja, n, pairs, scale, setup.gas, acc, f)
+        _line_terms(vol_flux, lanes, rows, n, pairs, scale, setup.gas, acc, f)
         view = _line_major(out, setup, n)
         view += _as_line_major(acc, setup)
     out /= setup.metrics.jac[:, :, None]
@@ -497,37 +548,40 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
 
 def _interface_lanes(faces, setup, n, need_cons):
     """The two sides of every interface in direction n: the minus element's
-    side-1 states, its plus neighbour's side-0 states and the shared
-    normals, one lane per face point."""
+    side-1 states and its plus neighbour's side-0 states, one lane per face
+    point."""
     (u0, q0), (u1, q1) = faces
     ql = _face_lanes(u1, q1, need_cons)
     qr = _face_lanes(u0, q0, need_cons, setup.plus_neighbor[n])
-    return ql, qr, tuple(_face_rows(setup.metrics.face_ja[n][1]))
+    return ql, qr
 
 
-def _interface_fluxes(faces, setup, n, kind, subtract_own):
+def _interface_fluxes(faces, setup, n, kind, subtract_own, normal):
     """The (minus, plus) flux blocks mesh_surface lifts, lanes in
-    minus-element order: the numerical flux f for both sides, or with
-    subtract_own the strong form's f - f(q_l).n and f - f(q_r).n, written
-    over the own-side flux blocks: those that central, llf and hll combine
-    f from, or for shima and ranocha, which form none, a fresh pair. The
-    face lanes die with this call, before the lift."""
+    minus-element order, along the normal rows or, with normal None, along
+    axis n unscaled (_face_geometry): the numerical flux f for both sides,
+    or with subtract_own the strong form's f - f(q_l).n and f - f(q_r).n,
+    written over the own-side flux blocks: those that central, llf and hll
+    combine f from, or for shima and ranocha, which form none, a fresh
+    pair. The face lanes die with this call, before the lift."""
     need_cons = subtract_own or kind in _OWN_FLUX_KINDS
-    ql, qr, normal = _interface_lanes(faces, setup, n, need_cons)
+    ql, qr = _interface_lanes(faces, setup, n, need_cons)
+    vn_l, vn_r, normal = _directed(ql, qr, normal, n)
+    gas = setup.gas
     n_lanes = ql.rho.size
     if not subtract_own:
-        f = flux_lanes_directional(kind, ql, qr, normal, setup.gas, n_lanes)
+        f = _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_lanes, None)
         return f, f
     add_one_point(2 * n_lanes)
     f_l = np.empty((len(ql.v) + 2, n_lanes))
     f_r = np.empty_like(f_l)
     if kind in _OWN_FLUX_KINDS:
         f = np.empty_like(f_l)
-        _own_flux_lanes(kind, ql, qr, normal, setup.gas, n_lanes, f_l, f_r, f)
+        _own_flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_lanes, f_l, f_r, f)
     else:
-        f = flux_lanes_directional(kind, ql, qr, normal, setup.gas, n_lanes)
-        _phys_lanes(ql, _vn(ql.v, normal), normal, f_l)
-        _phys_lanes(qr, _vn(qr.v, normal), normal, f_r)
+        f = _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_lanes, None)
+        _phys_lanes(ql, vn_l, normal, f_l)
+        _phys_lanes(qr, vn_r, normal, f_r)
     np.subtract(f, f_l, out=f_l)
     return f_l, np.subtract(f, f_r, out=f_r)
 
@@ -547,22 +601,38 @@ def _lift(out, setup, n, fm, fp):
     first gathered into element order (_plus_in_element_order), so both
     sides are basic-slice updates. Lobatto grids touch only the boundary
     nodes; Gauss grids go through the dense boundary-interpolation rows,
-    all line positions at once."""
+    all line positions at once. The fluxes are in the form _face_geometry
+    gives: along the normal rows, which carry the face metric, each lane
+    is divided by its own Jacobian; on Cartesian meshes they are the
+    unscaled axis fluxes, and the constant face area and Jacobian enter as
+    one scalar per lift row, area / (w J)."""
     op = setup.op
     w1d = op.weights
     view = _line_major(out, setup, n)
-    jac = _line_major(setup.metrics.jac[..., None], setup, n)[0]
     fm = fm.reshape(view[:, 0].shape)
     fp = _plus_in_element_order(fp, setup, n).reshape(view[:, 0].shape)
+    area, normal = _face_geometry(setup, n)
+    if normal is not None:
+        jac = _line_major(setup.metrics.jac[..., None], setup, n)[0]
+    else:
+        jac = float(setup.metrics.jac[0, 0])  # constant on a Cartesian mesh
     if op.family == "lgl":
-        view[:, -1] += fm / (w1d[-1] * jac[-1])
-        view[:, 0] -= fp / (w1d[0] * jac[0])
+        if normal is not None:
+            view[:, -1] += fm / (w1d[-1] * jac[-1])
+            view[:, 0] -= fp / (w1d[0] * jac[0])
+        else:
+            view[:, -1] += fm * (area / (w1d[-1] * jac))
+            view[:, 0] -= fp * (area / (w1d[0] * jac))
         return
     per_position = (slice(None),) + (None,) * (view.ndim - 2)
     lift_m = (op.boundary_interp[1] / w1d)[per_position]
     lift_p = (op.boundary_interp[0] / w1d)[per_position]
-    view += (lift_m * fm[:, None]) / jac
-    view -= (lift_p * fp[:, None]) / jac
+    if normal is not None:
+        view += (lift_m * fm[:, None]) / jac
+        view -= (lift_p * fp[:, None]) / jac
+    else:
+        view += (lift_m * (area / jac)) * fm[:, None]
+        view -= (lift_p * (area / jac)) * fp[:, None]
 
 
 def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
@@ -572,9 +642,11 @@ def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
     discretization.face_states: the elements' own traces of u. subtract_own
     selects the strong-form coupling f_num - f(own face state): central,
     llf and hll subtract the own-side fluxes their surface kernel formed,
-    shima and ranocha recompute them (_interface_fluxes). Lane counterpart
-    of discretization.surface_terms."""
-    fm, fp = _interface_fluxes(faces, setup, n, surface_flux, subtract_own)
+    shima and ranocha recompute them (_interface_fluxes). On Cartesian
+    meshes the fluxes are the axis form and the lift multiplies in the face
+    area. Lane counterpart of discretization.surface_terms."""
+    _, normal = _face_geometry(setup, n)
+    fm, fp = _interface_fluxes(faces, setup, n, surface_flux, subtract_own, normal)
     _lift(out, setup, n, fm, fp)
     return out
 
@@ -626,15 +698,22 @@ def mesh_gauss_surface(faces, setup, n, surface_flux):
     entropy-projected states from discretization.face_states, across the
     shared normals, as the two (d+2, lanes) side blocks, lanes in element
     order, that mesh_gauss_volume lifts: side 0 the negated flux of each
-    element's -1 face, side 1 the flux of its +1 face. Each face flux is
-    evaluated once per adjacent element, twice per face, with identical
-    arguments; the scalar discretization.surface_terms evaluates it once.
-    The benchmark's count test pins the second evaluation
-    (batched.mesh_gauss_surface.useful_eval_ratio == 0.5)."""
+    element's -1 face, side 1 the flux of its +1 face. On Cartesian meshes
+    the fluxes are the axis form times the face area, which both blocks
+    carry before the coupling reads them (elsewhere the scale is 1.0).
+    Each face flux is evaluated once per adjacent element, twice per face,
+    with identical arguments; the scalar discretization.surface_terms
+    evaluates it once. The benchmark's count test pins the second
+    evaluation (batched.mesh_gauss_surface.useful_eval_ratio == 0.5)."""
     need_cons = surface_flux in _OWN_FLUX_KINDS
-    ql, qr, alpha = _interface_lanes(faces, setup, n, need_cons)
+    ql, qr = _interface_lanes(faces, setup, n, need_cons)
+    scale, normal = _face_geometry(setup, n)
+    vn_l, vn_r, normal = _directed(ql, qr, normal, n)
     n_lanes = ql.rho.size
-    f_m = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
-    f_p = flux_lanes_directional(surface_flux, ql, qr, alpha, setup.gas, n_lanes)
+    f_m, f_p = (
+        _flux_lanes(surface_flux, ql, qr, vn_l, vn_r, normal, setup.gas, n_lanes, None)
+        for _ in range(2)
+    )
+    f_m *= scale
     side0 = _plus_in_element_order(f_p, setup, n)
-    return np.negative(side0, out=side0).reshape(f_m.shape), f_m
+    return np.multiply(side0, -scale, out=side0).reshape(f_m.shape), f_m

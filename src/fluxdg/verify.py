@@ -181,11 +181,12 @@ def check_free_stream(dims, degrees, families, kinds, meshes):
 def check_batched_kernel(cases, seeds, amp):
     """Worst relative_gap between the reference and batched rhs of degree 3,
     over random fields of amplitude amp from each seed and over cases
-    (dims, family, geo_degree, config) on meshes curved with amplitude 0.1."""
+    (dims, amplitude, family, geo_degree, config), each on a mesh curved
+    with its amplitude (0.0: Cartesian)."""
     gas = GasParams(1.4)
     worst = 0.0
-    for dims, family, geo_degree, config in cases:
-        mesh = build_mesh(dims, amplitude=0.1, geo_degree=geo_degree)
+    for dims, amplitude, family, geo_degree, config in cases:
+        mesh = build_mesh(dims, amplitude=amplitude, geo_degree=geo_degree)
         setup = build_setup(mesh, make_operator(3, family), gas)
         for seed in seeds:
             u = random_field(setup, gas, seed, amp)
@@ -254,11 +255,19 @@ def verify_all():
     CheckResults. A check that returns several residuals passes when the
     largest is below the bound."""
     batched_cases = (
-        ((3, 3), "lgl", None, RhsConfig()),
-        ((3, 3), "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
-        ((3, 3), "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
-        ((3, 3), "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
-        ((2, 2, 2), "lgl", None, RhsConfig()),
+        ((3, 3), 0.1, "lgl", None, RhsConfig()),
+        ((3, 3), 0.1, "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
+        ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
+        ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
+        ((2, 2, 2), 0.1, "lgl", None, RhsConfig()),
+        # Cartesian and anisotropic, so every direction has its own face
+        # area: each scheme once, each surface kind once
+        ((2, 3), 0.0, "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
+        ((2, 3), 0.0, "gauss", None, RhsConfig(volume_scheme="weak", surface_flux="hll")),
+        ((3, 1, 2), 0.0, "lgl", None, RhsConfig(volume_flux="central", surface_flux="central")),
+        ((2, 3), 0.0, "lgl", None, RhsConfig(
+            volume_scheme="overintegration", overint_degree=4, surface_flux="shima")),
+        ((3, 1, 2), 0.0, "gauss", None, RhsConfig(volume_scheme="gauss_fluxdiff")),
     )
     balance_runs = [
         build_run(RunConfig(d=2, elements=4)),

@@ -8,6 +8,8 @@ report violations as warnings instead of failures.
 
 import math
 import warnings
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from fluxdg.discretization import (
     surface_terms,
     volume_fluxdiff,
 )
+from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import element_metrics
 from fluxdg.harness import (
     MICROBENCH_FORMS,
@@ -351,15 +354,32 @@ def test_central_fluxdiff_matches_strong_form():
 
 
 def test_batched_kernel_matches_reference():
-    """The lane-batched kernels reproduce the scalar kernels."""
-    cases = (
-        ((3, 3), "lgl", None, RhsConfig()),
-        ((3, 3), "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
-        ((2, 2, 2), "lgl", None, RhsConfig()),
-        ((3, 3), "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
-        ((3, 3), "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
-        ((3, 3, 3), "gauss", 1, RhsConfig(volume_scheme="gauss_fluxdiff")),
+    """The lane-batched kernels reproduce the scalar kernels. On Cartesian
+    meshes they take the axis fluxes times the face area, so every scheme
+    runs there with every surface kind, on anisotropic meshes whose
+    directions each have their own face area."""
+    schemes = (
+        ("lgl", RhsConfig(volume_scheme="strong")),
+        ("lgl", RhsConfig(volume_scheme="weak")),
+        ("lgl", RhsConfig(volume_scheme="fluxdiff", volume_flux="shima")),
+        ("lgl", RhsConfig(volume_scheme="overintegration", overint_degree=4)),
+        ("gauss", RhsConfig(volume_scheme="strong")),
+        ("gauss", RhsConfig(volume_scheme="gauss_fluxdiff")),
     )
+    cartesian = [
+        (dims, 0.0, family, None, replace(config, surface_flux=kind))
+        for dims, (family, config), kind in product(
+            ((2, 3), (3, 1, 2)), schemes, SURFACE_KINDS
+        )
+    ]
+    cases = [
+        ((3, 3), 0.1, "lgl", None, RhsConfig()),
+        ((3, 3), 0.1, "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
+        ((2, 2, 2), 0.1, "lgl", None, RhsConfig()),
+        ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
+        ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
+        ((3, 3, 3), 0.1, "gauss", 1, RhsConfig(volume_scheme="gauss_fluxdiff")),
+    ] + cartesian
     assert check_batched_kernel(cases, seeds=(83, 84), amp=0.3) < 1e-13
 
 

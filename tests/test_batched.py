@@ -180,7 +180,8 @@ def test_lane_kernels_fill_the_given_block(gas, kind, d, form):
     exactly what it computes in a block of its own. The conserved blocks
     are strided views, rows of a transposed (lanes, d+2) array as the
     minus-side face lanes are, and no kernel writes into either side's
-    states."""
+    states: the axis form takes v.n as the velocity row v_j of the states
+    themselves, which llf and hll only read."""
     n = 41
     rng = np.random.default_rng(19)
     prims = [random_primitives(rng, d, n, amp=0.5) for _ in range(2)]
@@ -225,7 +226,9 @@ def test_lift_matches_face_point_loop(gas, family, dims, curved):
     flux into e and subtracts its plus flux from plus_neighbor[n][e], on
     the line's last node (Lobatto) or on every node through the boundary
     interpolation rows (Gauss), divided by the Jacobian. All minus-side
-    updates come first, as in _lift."""
+    updates come first, as in _lift. On Cartesian meshes the fluxes are
+    the unscaled axis form and the lift multiplies in the face area of
+    _face_geometry, with the constant Jacobian, as area / (w J)."""
     d = len(dims)
     geo = (2 if d == 2 else 1) if family == "gauss" and curved else None
     mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
@@ -242,6 +245,8 @@ def test_lift_matches_face_point_loop(gas, family, dims, curved):
         lines = node_lines(op.n_nodes, d)[n]
         n_face = lines.shape[0]
         fm, fp = rng.standard_normal((2, d + 2, setup.n_elements * n_face))
+        area, normal = batched._face_geometry(setup, n)
+        assert (normal is None) == (not curved)
         got = start.copy()
         batched._lift(got, setup, n, fm.copy(), fp.copy())
         want = start.copy()
@@ -254,10 +259,16 @@ def test_lift_matches_face_point_loop(gas, family, dims, curved):
                     if family == "lgl":
                         if a != (op.n_nodes - 1 if row == 1 else 0):
                             continue
-                        term = flux / (w1d[a] * jac[target, node])
+                        if curved:
+                            term = flux / (w1d[a] * jac[target, node])
+                        else:
+                            term = flux * (area / (w1d[a] * jac[target, node]))
                     else:
                         lift = op.boundary_interp[row][a] / w1d[a]
-                        term = (lift * flux) / jac[target, node]
+                        if curved:
+                            term = (lift * flux) / jac[target, node]
+                        else:
+                            term = (lift * (area / jac[target, node])) * flux
                     want[target, node] += sign * term
         assert np.array_equal(got, want), n
 
@@ -268,7 +279,8 @@ def test_gauss_side_blocks_are_what_lift_lifts(gas, dims, curved):
     """mesh_gauss_surface hands mesh_gauss_volume the interface fluxes in
     element order: side 1 the flux of each element's +1 face (the minus
     side), side 0 the negated flux of its -1 face, gathered from the
-    neighbour whose plus side it is. Lifted through the rows
+    neighbour whose plus side it is. On Cartesian meshes both blocks carry
+    the face area times the axis flux. Lifted through the rows
     boundary_interp / weights and divided by J, they reproduce _lift."""
     d = len(dims)
     geo = (2 if d == 2 else 1) if curved else None
@@ -280,9 +292,14 @@ def test_gauss_side_blocks_are_what_lift_lifts(gas, dims, curved):
     faces_by_n = discretization.face_states(u, cons2prim(u, gas), setup, True)
     for n, faces in enumerate(faces_by_n):
         side0, side1 = batched.mesh_gauss_surface(faces, setup, n, "llf")
-        ql, qr, alpha = batched._interface_lanes(faces, setup, n, True)
-        f = batched.flux_lanes_directional("llf", ql, qr, alpha, gas, ql.rho.size)
-        assert np.array_equal(side1, f)
+        ql, qr = batched._interface_lanes(faces, setup, n, True)
+        scale, normal = batched._face_geometry(setup, n)
+        assert (normal is None) == (not curved)
+        if curved:
+            f = batched.flux_lanes_directional("llf", ql, qr, normal, gas, ql.rho.size)
+        else:
+            f = batched.flux_lanes_cartesian("llf", ql, qr, n, gas, ql.rho.size)
+        assert np.array_equal(side1, scale * f)
         want = np.zeros_like(u)
         batched._lift(want, setup, n, f, f.copy())
         got = np.zeros_like(u)
@@ -574,7 +591,9 @@ def test_strong_llf_rhs_peak_memory(gas):
     strong2d_llf benchmark mesh (2D p3, 8x8 Cartesian LGL) stays within
     5.25 u.nbytes. One more (d+2, lanes) face block held across the
     surface pass adds 0.25 u.nbytes; interpreter objects move the reading
-    by about 0.005."""
+    by about 0.005. It reads 5.06 with the axis-form interface fluxes,
+    whose v.n are rows of the face states (5.08 with the directional
+    form)."""
     mesh = build_mesh((8, 8), bounds=(-5.0, 5.0))
     setup = build_setup(mesh, make_operator(3, "lgl"), gas)
     u = random_field(setup, gas, seed=31, amp=0.3)

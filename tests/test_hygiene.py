@@ -133,3 +133,26 @@ def test_acceptance_calls_every_verify_check():
     assert len(checks) == 10, sorted(checks)
     missing = sorted(checks - called_names(ROOT / "tests/test_acceptance.py"))
     assert not missing, missing
+
+
+def attribute_owners(path, attr):
+    """(top-level function name, line) of every `.attr` in `path`; the name
+    is None for a read outside the module's functions."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        (node.name if isinstance(node, ast.FunctionDef) else None, sub.lineno)
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == attr
+    ]
+
+
+def test_batched_has_one_cartesian_dispatch_rule():
+    """fluxdg.batched reads mesh.is_cartesian only in its geometry helpers,
+    _line_geometry for the node lines and _face_geometry for the
+    interfaces. Every other function takes the axis form from them (no
+    normal rows), so Cartesian meshes have one dispatch rule and no second
+    code path."""
+    found = attribute_owners(ROOT / "src/fluxdg/batched.py", "is_cartesian")
+    owners = {name for name, _ in found}
+    assert owners == {"_line_geometry", "_face_geometry"}, found
