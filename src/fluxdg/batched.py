@@ -33,17 +33,19 @@ nodes and is left out; mesh_surface's lift (_lift) writes the face fluxes
 into the first and last line positions. The lane order is the line order
 of `operators.node_lines`, which the scalar path uses.
 
-Cartesian meshes take the axis fluxes scaled by the constant face area on
-both families, in the volume pairs and at the interfaces alike. One rule
-decides it: _line_geometry (node lines) and its face twin _face_geometry
-return the area and no normal rows there, the metric rows and the scale
-1.0 elsewhere. Without rows every kernel runs in axis form along the
-direction (flux_lanes_cartesian): v.n is the velocity row v_n itself, the
-pressure goes onto momentum row n only, and the llf and hll wave speeds
-carry no |n|. The area then multiplies in once: into the pair weights,
-onto the Gauss side blocks that the coupling reads, and in the lift, where
-the constant Jacobian joins it as one scalar area / (w J) per lift row in
-place of a per-lane division.
+One entry, flux_lanes, evaluates every two-point flux; its normal is
+either per-lane rows or an int, the index of a coordinate axis, as in
+Trixi.jl's orientation / normal_direction pair. Cartesian meshes take the
+axis fluxes scaled by the constant face area on both families, in the
+volume pairs and at the interfaces alike. One rule decides it:
+_line_geometry (node lines) and its face twin _face_geometry return the
+area and the axis index n there, the metric rows and the scale 1.0
+elsewhere. Along an axis every kernel runs in axis form: v.n is the
+velocity row v_n itself, the pressure goes onto momentum row n only, and
+the llf and hll wave speeds carry no |n|. The area then multiplies in
+once: into the pair weights, onto the Gauss side blocks that the coupling
+reads, and in the lift, where the constant Jacobian joins it as one scalar
+area / (w J) per lift row in place of a per-lane division.
 
 Every two-point lane kernel writes its d+2 flux rows into one (d+2, lanes)
 block that the caller owns and returns that block, so the volume kernels
@@ -66,12 +68,13 @@ on the 3D meshes and was slower. llf forms its jump u_r - u_l as one
 block: in the scratch block of f(q_r).n on the plain path, in one fresh
 block on the strong path. The strong form (mesh_surface with
 subtract_own) subtracts the two own-side blocks in place, so each
-interface point gets one flux pass; shima and ranocha form no physical
-fluxes, so their strong form recomputes them. llf and hll bound the wave
-speeds against the scaled normal, lam|n| =
-max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), sharing v.n with the physical
-fluxes, on both paths. The face lanes and every temporary of the flux
-pass are gone before the lift runs.
+interface point gets one flux pass. shima and ranocha share one
+split-form kernel, which branches on the kind only for the density mean
+and the internal-energy term; they form no physical fluxes, so their
+strong form recomputes them. llf and hll bound the wave speeds against
+the scaled normal, lam|n| = max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|),
+sharing v.n with the physical fluxes, on both paths. The face lanes and
+every temporary of the flux pass are gone before the lift runs.
 
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
@@ -103,11 +106,6 @@ from .operators import hybridized_scatter, split_pairs
 
 # the kinds whose flux combines the two own-side physical fluxes
 _OWN_FLUX_KINDS = ("central", "llf", "hll")
-
-_AXIS = {
-    2: ((1.0, 0.0), (0.0, 1.0)),
-    3: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -163,32 +161,44 @@ def _vn(v, normal):
     return acc
 
 
-def _shima_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real, out):
-    add_two_point(n_real)
-    rho_avg = 0.5 * (ql.rho + qr.rho)
-    p_avg = 0.5 * (ql.p + qr.p)
-    vn_avg = 0.5 * (vn_l + vn_r)
-    f_rho = np.multiply(rho_avg, vn_avg, out=out[0])
-    vv = ql.v[0] * qr.v[0]
-    for i in range(1, len(ql.v)):
-        vv = vv + ql.v[i] * qr.v[i]
-    for i in range(len(ql.v)):
-        np.add(
-            f_rho * 0.5 * (ql.v[i] + qr.v[i]), p_avg * normal[i], out=out[1 + i]
-        )
-    np.add(
-        0.5 * f_rho * vv + p_avg * vn_avg * igm1,
-        0.5 * (ql.p * vn_r + qr.p * vn_l),
-        out=out[-1],
-    )
-    return out
+def _is_axis(normal):
+    """True for a coordinate axis given as its index, which the kernels
+    read as the unit normal of that axis (|n| = 1, n_i = 0 off the axis);
+    False for a normal of per-lane component rows."""
+    return isinstance(normal, int)
 
 
-def _ranocha_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real, out):
+def _directed(ql, qr, normal):
+    """(v_l.n, v_r.n) of two lane sets: along the normal rows, or along an
+    axis the velocity rows v_n of the states themselves."""
+    if _is_axis(normal):
+        return ql.v[normal], qr.v[normal]
+    return _vn(ql.v, normal), _vn(qr.v, normal)
+
+
+def _add_pressure(momentum, p, normal):
+    """p n_i added onto momentum row i, row by row (a (d, lanes) p n block
+    is slower once it passes the allocator's mmap threshold); along an
+    axis onto that axis's row only."""
+    if _is_axis(normal):
+        momentum[normal] += p
+    else:
+        for i, n_i in enumerate(normal):
+            momentum[i] += p * n_i
+
+
+def _split_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out):
+    """The split-form volume fluxes, which differ only in two terms:
+    shima takes the arithmetic density mean and the internal energy flux
+    {{p}} {{v.n}} / (gamma - 1), ranocha the logarithmic density mean and
+    {{rho}}_log {{v.n}} / ((gamma - 1) {{rho/p}}_log)."""
     add_two_point(n_real)
-    add_logmean(2 * n_real)
-    rho_mean = logmean_batched(ql.rho, qr.rho)
-    inv_rho_p_mean = ql.p * qr.p * inv_logmean_batched(ql.rho * qr.p, qr.rho * ql.p)
+    if kind == "ranocha":
+        add_logmean(2 * n_real)
+        rho_mean = logmean_batched(ql.rho, qr.rho)
+        inv_rho_p_mean = ql.p * qr.p * inv_logmean_batched(ql.rho * qr.p, qr.rho * ql.p)
+    else:
+        rho_mean = 0.5 * (ql.rho + qr.rho)
     p_avg = 0.5 * (ql.p + qr.p)
     vn_avg = 0.5 * (vn_l + vn_r)
     f_rho = np.multiply(rho_mean, vn_avg, out=out[0])
@@ -196,38 +206,25 @@ def _ranocha_lanes(ql, qr, vn_l, vn_r, normal, igm1, n_real, out):
     for i in range(1, len(ql.v)):
         vv = vv + ql.v[i] * qr.v[i]
     for i in range(len(ql.v)):
-        np.add(
-            f_rho * 0.5 * (ql.v[i] + qr.v[i]), p_avg * normal[i], out=out[1 + i]
-        )
-    np.add(
-        f_rho * (0.5 * vv + igm1 * inv_rho_p_mean),
-        0.5 * (ql.p * vn_r + qr.p * vn_l),
-        out=out[-1],
-    )
+        np.multiply(f_rho * 0.5, ql.v[i] + qr.v[i], out=out[1 + i])
+    _add_pressure(out[1:-1], p_avg, normal)
+    igm1 = gas.inv_gamma_minus_one
+    if kind == "ranocha":
+        f_e = f_rho * (0.5 * vv + igm1 * inv_rho_p_mean)
+    else:
+        f_e = 0.5 * f_rho * vv + p_avg * vn_avg * igm1
+    np.add(f_e, 0.5 * (ql.p * vn_r + qr.p * vn_l), out=out[-1])
     return out
-
-
-def _is_axis(normal):
-    """True for a coordinate axis given as a tuple of floats, which the
-    kernels read as the unit normal of that axis (|n| = 1, n_i = 0 off
-    the axis); False for a normal of per-lane component rows."""
-    return isinstance(normal[0], float)
 
 
 def _phys_lanes(q, vn, normal, out):
     """The physical flux f(q).n into the block out, from vn = v.n: the
-    momentum rows (rho v_i) v.n as one block product, then p n_i added row
-    by row (a (d, lanes) p n block is slower once it passes the allocator's
-    mmap threshold); along an axis the pressure goes onto that axis's
-    momentum row only."""
+    momentum rows (rho v_i) v.n as one block product, then the pressure
+    (_add_pressure)."""
     d = len(q.v)
     np.multiply(q.rho, vn, out=out[0])
     momentum = np.multiply(q.u[1 : d + 1], vn, out=out[1 : d + 1])
-    if _is_axis(normal):
-        momentum[normal.index(1.0)] += q.p
-    else:
-        for i in range(d):
-            momentum[i] += q.p * normal[i]
+    _add_pressure(momentum, q.p, normal)
     np.multiply(q.u[d + 1] + q.p, vn, out=out[d + 1])
     return out
 
@@ -314,10 +311,8 @@ def _own_flux_lanes(
 
 
 def _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out):
-    """The two-point flux of `kind` into the block out (None: a fresh one),
-    given v.n on both sides and the normal, per-lane rows or an axis tuple
-    (_is_axis). No kernel writes into vn_l or vn_r, which along an axis are
-    rows of the states."""
+    """flux_lanes given v.n on both sides (_directed). No kernel writes
+    into vn_l or vn_r, which along an axis are rows of the states."""
     if out is None:
         out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
     if kind in _OWN_FLUX_KINDS:
@@ -325,20 +320,19 @@ def _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out):
         return _own_flux_lanes(
             kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out, f_r, out, f_r
         )
-    if kind == "shima":
-        return _shima_lanes(
-            ql, qr, vn_l, vn_r, normal, gas.inv_gamma_minus_one, n_real, out
-        )
-    if kind == "ranocha":
-        return _ranocha_lanes(
-            ql, qr, vn_l, vn_r, normal, gas.inv_gamma_minus_one, n_real, out
-        )
+    if kind in ("shima", "ranocha"):
+        return _split_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out)
     raise ConfigurationError("unknown flux kind %r" % (kind,))
 
 
-def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
-    """Directional two-point flux over lanes; normal is a tuple of per-lane
-    component arrays.
+def flux_lanes(kind, ql, qr, normal, gas, n_real, out=None):
+    """Two-point flux of `kind` over lanes along `normal`: either a tuple
+    of d per-lane component rows (the scaled normal) or an int, the index
+    j of a coordinate axis (unscaled). Along an axis every kind runs in
+    axis form: v.n is the velocity row v_j itself, the pressure goes onto
+    momentum row j only, and the llf and hll wave speeds carry no |n|;
+    the Cartesian volume pairs and interface points take this flux and
+    multiply in the constant face area once.
 
     The flux goes into `out`, a (d+2, lanes) block of any strides that the
     caller owns, allocated here when omitted, and the block is returned:
@@ -348,21 +342,8 @@ def flux_lanes_directional(kind, ql, qr, normal, gas, n_real, out=None):
     and f(q_r).n in one scratch block, then combine them (llf's jump
     u_r - u_l reuses the scratch block); llf and hll bound the wave speeds
     against the scaled normal, as the scalar kernels do."""
-    return _flux_lanes(
-        kind, ql, qr, _vn(ql.v, normal), _vn(qr.v, normal), normal, gas, n_real, out
-    )
-
-
-def flux_lanes_cartesian(kind, ql, qr, j, gas, n_real, out=None):
-    """Coordinate-axis two-point flux over lanes (axis j, unscaled),
-    written into and returned as the (d+2, lanes) block `out` under the
-    contract of flux_lanes_directional. Every kind runs its kernel in axis
-    form: v.n is the velocity row v_j itself, the pressure goes onto
-    momentum row j only, and the llf and hll wave speeds carry no |n|.
-    The Cartesian volume pairs and interface points take this flux and
-    multiply in the constant face area once."""
-    axis = _AXIS[len(ql.v)][j]
-    return _flux_lanes(kind, ql, qr, ql.v[j], qr.v[j], axis, gas, n_real, out)
+    vn_l, vn_r = _directed(ql, qr, normal)
+    return _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out)
 
 
 # ---------------------------------------------------------------------------
@@ -447,55 +428,46 @@ def _face_lanes(states, q, need_cons, order=None):
 
 def _line_geometry(setup, n, rows=None):
     """(pair weight scale, halved metric rows) of direction n. On Cartesian
-    meshes the scale is the constant face area and the rows are None: the
-    pairs then take the unscaled axis-n flux. Elsewhere the scale is 1.0 and
-    the rows are `rows`, a (d, p+1, lanes) _line_buffer (allocated here when
-    None, so the returned rows can be passed back for the next direction),
-    filled by _half_metric_rows."""
+    meshes the scale is the constant face area and the rows are the axis
+    index n: the pairs then take the unscaled axis-n flux. Elsewhere the
+    scale is 1.0 and the rows are `rows`, a (d, p+1, lanes) _line_buffer
+    (allocated here when None, so the returned rows can be passed back for
+    the next direction), filled by _half_metric_rows."""
     if setup.mesh.is_cartesian:
-        return float(setup.metrics.ja[0, 0, n, n]), None
+        return float(setup.metrics.ja[0, 0, n, n]), n
     if rows is None:
         rows = _line_buffer(setup, setup.d)
     return 1.0, _half_metric_rows(setup, n, rows)
 
 
 def _face_geometry(setup, n):
-    """(scale, normal rows) of direction n's interfaces, the face twin of
-    _line_geometry: on Cartesian meshes the constant face area and None,
-    the interface fluxes then taking the unscaled axis-n form with the area
-    multiplied in once (by the lift, or on the Gauss side blocks);
-    elsewhere 1.0 and the shared normals face_ja[n][1] as (d, lanes)
-    rows."""
+    """(scale, normal) of direction n's interfaces, the face twin of
+    _line_geometry: on Cartesian meshes the constant face area and the
+    axis index n, the interface fluxes then taking the unscaled axis-n form
+    with the area multiplied in once (by the lift, or on the Gauss side
+    blocks); elsewhere 1.0 and the shared normals face_ja[n][1] as
+    (d, lanes) rows."""
     if setup.mesh.is_cartesian:
-        return float(setup.metrics.ja[0, 0, n, n]), None
+        return float(setup.metrics.ja[0, 0, n, n]), n
     return 1.0, tuple(_face_rows(setup.metrics.face_ja[n][1]))
 
 
-def _directed(ql, qr, normal, n):
-    """(v_l.n, v_r.n, normal) of two lane sets along the normal rows, or,
-    with normal None, along axis n as an axis tuple (_is_axis), whose v.n
-    are the velocity rows v_n themselves."""
-    if normal is None:
-        return ql.v[n], qr.v[n], _AXIS[len(ql.v)][n]
-    return _vn(ql.v, normal), _vn(qr.v, normal), normal
-
-
-def _pair_flux(kind, ql, qr, half_a, half_b, n, gas, f):
+def _pair_flux(kind, ql, qr, half_a, half_b, gas, f):
     """The two-point flux between two lane sets into the block f: along
-    half_a + half_b (halved metric rows), or with half_a None along axis n."""
-    if half_a is None:
-        return flux_lanes_cartesian(kind, ql, qr, n, gas, f.shape[-1], f)
-    alpha = tuple(x + y for x, y in zip(half_a, half_b))
-    return flux_lanes_directional(kind, ql, qr, alpha, gas, f.shape[-1], f)
+    half_a + half_b (halved metric rows), or along the axis half_a."""
+    normal = half_a
+    if not _is_axis(half_a):
+        normal = tuple(x + y for x, y in zip(half_a, half_b))
+    return flux_lanes(kind, ql, qr, normal, gas, f.shape[-1], f)
 
 
-def _line_terms(kind, lanes, half_ja, n, pairs, scale, gas, acc, f, coupling=()):
-    """Add direction n's two-point terms into acc, the (d+2, p+1, lanes)
+def _line_terms(kind, lanes, half_ja, pairs, scale, gas, acc, f, coupling=()):
+    """Add one direction's two-point terms into acc, the (d+2, p+1, lanes)
     accumulator of the node lines: each pair (a, b, c_ab, c_ba) of the table
     adds scale c_ab F(a, b) at line position a and scale c_ba F(a, b) at b.
     lanes holds one Lanes per line position, half_ja the direction's halved
-    metric rows (None on Cartesian meshes, see _line_geometry) and f is a
-    (d+2, lanes) flux block.
+    metric rows (its axis index on Cartesian meshes, see _line_geometry)
+    and f is a (d+2, lanes) flux block.
 
     coupling, per side s = 0, 1, is (face lanes, halved face metric rows,
     face-row sum, c_vol, c_face, lift row) of a hybridized operator
@@ -504,14 +476,16 @@ def _line_terms(kind, lanes, half_ja, n, pairs, scale, gas, acc, f, coupling=())
     face-row sum, a (d+2, lanes) block that arrives holding the side's
     interface flux; the lift row then carries the whole sum back onto the
     line."""
-    halves = [None if half_ja is None else half_ja[:, a] for a in range(acc.shape[1])]
+    halves = [
+        half_ja if _is_axis(half_ja) else half_ja[:, a] for a in range(acc.shape[1])
+    ]
     for a, b, cab, cba in pairs:
-        _pair_flux(kind, lanes[a], lanes[b], halves[a], halves[b], n, gas, f)
+        _pair_flux(kind, lanes[a], lanes[b], halves[a], halves[b], gas, f)
         acc[:, a] += (cab * scale) * f
         acc[:, b] += (cba * scale) * f
     for face, half_face, rface, cvol, cface, lrow in coupling:
         for a, half in enumerate(halves):
-            _pair_flux(kind, lanes[a], face, half, half_face, n, gas, f)
+            _pair_flux(kind, lanes[a], face, half, half_face, gas, f)
             acc[:, a] += (cvol[a] * scale) * f
             rface += (cface[a] * scale) * f
         for a, la in enumerate(lrow):
@@ -539,7 +513,7 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
             _line_rows(u, setup, n, cons)
         scale, rows = _line_geometry(setup, n, rows)
         acc.fill(0.0)
-        _line_terms(vol_flux, lanes, rows, n, pairs, scale, setup.gas, acc, f)
+        _line_terms(vol_flux, lanes, rows, pairs, scale, setup.gas, acc, f)
         view = _line_major(out, setup, n)
         view += _as_line_major(acc, setup)
     out /= setup.metrics.jac[:, :, None]
@@ -558,15 +532,15 @@ def _interface_lanes(faces, setup, n, need_cons):
 
 def _interface_fluxes(faces, setup, n, kind, subtract_own, normal):
     """The (minus, plus) flux blocks mesh_surface lifts, lanes in
-    minus-element order, along the normal rows or, with normal None, along
-    axis n unscaled (_face_geometry): the numerical flux f for both sides,
+    minus-element order, along the normal of _face_geometry (the normal
+    rows, or the axis index, unscaled): the numerical flux f for both sides,
     or with subtract_own the strong form's f - f(q_l).n and f - f(q_r).n,
     written over the own-side flux blocks: those that central, llf and hll
     combine f from, or for shima and ranocha, which form none, a fresh
     pair. The face lanes die with this call, before the lift."""
     need_cons = subtract_own or kind in _OWN_FLUX_KINDS
     ql, qr = _interface_lanes(faces, setup, n, need_cons)
-    vn_l, vn_r, normal = _directed(ql, qr, normal, n)
+    vn_l, vn_r = _directed(ql, qr, normal)
     gas = setup.gas
     n_lanes = ql.rho.size
     if not subtract_own:
@@ -612,27 +586,28 @@ def _lift(out, setup, n, fm, fp):
     fm = fm.reshape(view[:, 0].shape)
     fp = _plus_in_element_order(fp, setup, n).reshape(view[:, 0].shape)
     area, normal = _face_geometry(setup, n)
-    if normal is not None:
-        jac = _line_major(setup.metrics.jac[..., None], setup, n)[0]
-    else:
+    axis = _is_axis(normal)
+    if axis:
         jac = float(setup.metrics.jac[0, 0])  # constant on a Cartesian mesh
+    else:
+        jac = _line_major(setup.metrics.jac[..., None], setup, n)[0]
     if op.family == "lgl":
-        if normal is not None:
-            view[:, -1] += fm / (w1d[-1] * jac[-1])
-            view[:, 0] -= fp / (w1d[0] * jac[0])
-        else:
+        if axis:
             view[:, -1] += fm * (area / (w1d[-1] * jac))
             view[:, 0] -= fp * (area / (w1d[0] * jac))
+        else:
+            view[:, -1] += fm / (w1d[-1] * jac[-1])
+            view[:, 0] -= fp / (w1d[0] * jac[0])
         return
     per_position = (slice(None),) + (None,) * (view.ndim - 2)
     lift_m = (op.boundary_interp[1] / w1d)[per_position]
     lift_p = (op.boundary_interp[0] / w1d)[per_position]
-    if normal is not None:
-        view += (lift_m * fm[:, None]) / jac
-        view -= (lift_p * fp[:, None]) / jac
-    else:
+    if axis:
         view += (lift_m * (area / jac)) * fm[:, None]
         view -= (lift_p * (area / jac)) * fp[:, None]
+    else:
+        view += (lift_m * fm[:, None]) / jac
+        view -= (lift_p * fp[:, None]) / jac
 
 
 def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
@@ -673,7 +648,7 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     coupling = (
         (
             _face_lanes(*faces[s], need_cons),
-            None if half_ja is None else 0.5 * _face_rows(face_ja[s]),
+            half_ja if _is_axis(half_ja) else 0.5 * _face_rows(face_ja[s]),
             sides[s],
             cvol,
             cface,
@@ -684,7 +659,7 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     acc = np.zeros(q.shape)
     f = np.empty((nvar, q.shape[-1]))
     _line_terms(
-        vol_flux, _line_lanes(q, cons), half_ja, n, pairs, scale, setup.gas, acc, f,
+        vol_flux, _line_lanes(q, cons), half_ja, pairs, scale, setup.gas, acc, f,
         coupling,
     )
     acc /= _line_rows(setup.metrics.jac[..., None], setup, n, _line_buffer(setup, 1))[0]
@@ -708,7 +683,7 @@ def mesh_gauss_surface(faces, setup, n, surface_flux):
     need_cons = surface_flux in _OWN_FLUX_KINDS
     ql, qr = _interface_lanes(faces, setup, n, need_cons)
     scale, normal = _face_geometry(setup, n)
-    vn_l, vn_r, normal = _directed(ql, qr, normal, n)
+    vn_l, vn_r = _directed(ql, qr, normal)
     n_lanes = ql.rho.size
     f_m, f_p = (
         _flux_lanes(surface_flux, ql, qr, vn_l, vn_r, normal, setup.gas, n_lanes, None)

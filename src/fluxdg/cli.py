@@ -83,7 +83,12 @@ def cmd_run(args):
 
 def cmd_convergence(args):
     config = _config_from_args(args)
-    levels = tuple(int(x) for x in args.levels.split(","))
+    try:
+        levels = tuple(int(x) for x in args.levels.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            "levels: expected comma-separated integers, got %r" % (args.levels,)
+        ) from None
     rows = convergence_study(config, levels)
     path = write_csv(
         output_path("convergence.csv", config.output), CONVERGENCE_HEADER, rows

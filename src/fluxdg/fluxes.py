@@ -117,11 +117,18 @@ def _prim3(u, gm1):
 
 
 # ---------------------------------------------------------------------------
-# kinetic-energy and pressure-equilibrium preserving flux
+# split-form volume fluxes: kinetic-energy and pressure-equilibrium
+# preserving (shima) and entropy-conservative (ranocha)
 
-def flux_shima_directional(u_l, u_r, normal, gas):
+def _split_form(kind, u_l, u_r, normal, gas):
+    """The split-form fluxes, which differ only in two terms: shima takes
+    the arithmetic density mean and the internal energy flux
+    {{p}} {{v.n}} / (gamma - 1), ranocha the logarithmic density mean and
+    {{rho}}_log {{v.n}} / ((gamma - 1) {{rho/p}}_log)."""
     add_two_point()
     gm1 = gas.gamma - 1.0
+    # unrolled per dimension: a generic loop is slower, and these kernels
+    # set the run time of the scalar oracle
     if len(u_l) == 4:
         rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
         rho_r, vr1, vr2, p_r = _prim2(u_r, gm1)
@@ -137,55 +144,35 @@ def flux_shima_directional(u_l, u_r, normal, gas):
         vn_l = vl1 * normal[0] + vl2 * normal[1] + vl3 * normal[2]
         vn_r = vr1 * normal[0] + vr2 * normal[1] + vr3 * normal[2]
     igm1 = gas.inv_gamma_minus_one
-    rho_avg = 0.5 * (rho_l + rho_r)
-    p_avg = 0.5 * (p_l + p_r)
-    vn_avg = 0.5 * (vn_l + vn_r)
-    f_rho = rho_avg * vn_avg
-    vv = 0.0
-    for a, b in zip(v_l, v_r):
-        vv += a * b
-    f_e = 0.5 * f_rho * vv + p_avg * vn_avg * igm1 + 0.5 * (p_l * vn_r + p_r * vn_l)
-    mom = tuple(
-        f_rho * 0.5 * (a + b) + p_avg * n for a, b, n in zip(v_l, v_r, normal)
-    )
-    return (f_rho,) + mom + (f_e,)
-
-
-# ---------------------------------------------------------------------------
-# entropy-conservative flux
-
-def flux_ranocha_directional(u_l, u_r, normal, gas):
-    add_two_point()
-    gm1 = gas.gamma - 1.0
-    if len(u_l) == 4:
-        rho_l, vl1, vl2, p_l = _prim2(u_l, gm1)
-        rho_r, vr1, vr2, p_r = _prim2(u_r, gm1)
-        v_l = (vl1, vl2)
-        v_r = (vr1, vr2)
-        vn_l = vl1 * normal[0] + vl2 * normal[1]
-        vn_r = vr1 * normal[0] + vr2 * normal[1]
+    if kind == "ranocha":
+        add_logmean(2)
+        rho_mean = logmean_optimized(rho_l, rho_r)
+        inv_rho_p_mean = p_l * p_r * inv_logmean_optimized(rho_l * p_r, rho_r * p_l)
     else:
-        rho_l, vl1, vl2, vl3, p_l = _prim3(u_l, gm1)
-        rho_r, vr1, vr2, vr3, p_r = _prim3(u_r, gm1)
-        v_l = (vl1, vl2, vl3)
-        v_r = (vr1, vr2, vr3)
-        vn_l = vl1 * normal[0] + vl2 * normal[1] + vl3 * normal[2]
-        vn_r = vr1 * normal[0] + vr2 * normal[1] + vr3 * normal[2]
-    igm1 = gas.inv_gamma_minus_one
-    add_logmean(2)
-    rho_mean = logmean_optimized(rho_l, rho_r)
-    inv_rho_p_mean = p_l * p_r * inv_logmean_optimized(rho_l * p_r, rho_r * p_l)
+        rho_mean = 0.5 * (rho_l + rho_r)
     p_avg = 0.5 * (p_l + p_r)
     vn_avg = 0.5 * (vn_l + vn_r)
     f_rho = rho_mean * vn_avg
     vv = 0.0
     for a, b in zip(v_l, v_r):
         vv += a * b
-    f_e = f_rho * (0.5 * vv + igm1 * inv_rho_p_mean) + 0.5 * (p_l * vn_r + p_r * vn_l)
+    if kind == "ranocha":
+        f_e = f_rho * (0.5 * vv + igm1 * inv_rho_p_mean)
+    else:
+        f_e = 0.5 * f_rho * vv + p_avg * vn_avg * igm1
+    f_e += 0.5 * (p_l * vn_r + p_r * vn_l)
     mom = tuple(
         f_rho * 0.5 * (a + b) + p_avg * n for a, b, n in zip(v_l, v_r, normal)
     )
     return (f_rho,) + mom + (f_e,)
+
+
+def flux_shima_directional(u_l, u_r, normal, gas):
+    return _split_form("shima", u_l, u_r, normal, gas)
+
+
+def flux_ranocha_directional(u_l, u_r, normal, gas):
+    return _split_form("ranocha", u_l, u_r, normal, gas)
 
 
 # ---------------------------------------------------------------------------

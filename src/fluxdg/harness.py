@@ -444,6 +444,15 @@ def convergence_study(config, levels=(4, 8, 16)):
 # ---------------------------------------------------------------------------
 # timing
 
+def _require_positive(**counts):
+    """Raise ConfigurationError naming the first count below one."""
+    for key, value in counts.items():
+        if value < 1:
+            raise ConfigurationError(
+                "%s: expected a positive integer, got %r" % (key, value)
+            )
+
+
 def _guard_span(span, what, advice):
     info = time.get_clock_info("perf_counter")
     if span < 1000.0 * info.resolution:
@@ -476,6 +485,7 @@ def measure_pid(config_or_run, n_rhs=500, repeats=5):
     the caller's to set, as perfbench/run.py pins them to one; keep the
     machine quiet for small std.
     """
+    _require_positive(n_rhs=n_rhs, repeats=repeats)
     run = _as_run(config_or_run)
     n_steps = -(-n_rhs // RK54.n_stages)
     n_evals = RK54.n_stages * n_steps
@@ -499,18 +509,20 @@ MICROBENCH_FORMS = ("cartesian", "directional")
 def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
     """Nanoseconds per two-point flux evaluation in the lane kernels.
 
-    Times one batched.flux_lanes_cartesian (axis 0) or
-    flux_lanes_directional call over n_samples lanes of random admissible
-    state pairs, the arithmetic that rhs(kernel="batched") runs, writing
-    into a (d+2, n_samples) flux block allocated before the clock starts,
-    as the rhs kernels do. Before any timing, every lane is checked against
-    the scalar directional kernel (with the axis as the normal for the
-    cartesian form) to 1e-13 relative. Returns (ns_mean, ns_std, n_samples).
+    Times one batched.flux_lanes call over n_samples lanes of random
+    admissible state pairs, along axis 0 (the cartesian form) or along
+    random per-lane normal rows (the directional form): the arithmetic that
+    rhs(kernel="batched") runs, writing into a (d+2, n_samples) flux block
+    allocated before the clock starts, as the rhs kernels do. Before any
+    timing, every lane is checked against the scalar directional kernel
+    (with the axis as the normal for the cartesian form) to 1e-13 relative.
+    Returns (ns_mean, ns_std, n_samples).
     """
     if form not in MICROBENCH_FORMS:
         raise ConfigurationError(
             "form: expected one of %s, got %r" % (", ".join(MICROBENCH_FORMS), form)
         )
+    _require_positive(n_samples=n_samples, repeats=repeats)
     gas = GasParams(1.4)
     rng = np.random.default_rng(2024)
     q = np.empty((2, n_samples, d + 2))
@@ -525,14 +537,14 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
         for prim, cons in zip(q_rows, u_rows)
     )
     if form == "cartesian":
-        fn, geometry = batched.flux_lanes_cartesian, 0
+        normal = 0
         normals = [(1.0,) + (0.0,) * (d - 1)] * n_samples
     else:
-        fn = batched.flux_lanes_directional
-        geometry = tuple(rng.random((d, n_samples)) + 0.25)
-        normals = np.transpose(geometry).tolist()
+        normal = tuple(rng.random((d, n_samples)) + 0.25)
+        normals = np.transpose(normal).tolist()
+    fn = batched.flux_lanes
     block = np.empty((d + 2, n_samples))
-    got = np.transpose(fn(kind, ql, qr, geometry, gas, n_samples, block)).tolist()
+    got = np.transpose(fn(kind, ql, qr, normal, gas, n_samples, block)).tolist()
     dirn = flux_function(kind)
     for i, (ul, ur, nrm) in enumerate(zip(u[0].tolist(), u[1].tolist(), normals)):
         want = dirn(ul, ur, nrm, gas)
@@ -545,7 +557,7 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
 
     def timed():
         start = time.perf_counter()
-        fn(kind, ql, qr, geometry, gas, n_samples, block)
+        fn(kind, ql, qr, normal, gas, n_samples, block)
         return time.perf_counter() - start
 
     timed()  # warmup

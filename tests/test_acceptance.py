@@ -308,12 +308,10 @@ def test_cartesian_and_directional_forms_agree():
         )
         for kind in ("shima", "ranocha", "central"):
             combo = sum(
-                alphas[:, j] * batched.flux_lanes_cartesian(kind, ql, qr, j, GAS, 200)
+                alphas[:, j] * batched.flux_lanes(kind, ql, qr, j, GAS, 200)
                 for j in range(d)
             )
-            direct = batched.flux_lanes_directional(
-                kind, ql, qr, tuple(alphas.T), GAS, 200
-            )
+            direct = batched.flux_lanes(kind, ql, qr, tuple(alphas.T), GAS, 200)
             for i in range(200):
                 assert relative_gap(direct[:, i], combo[:, i]) < 1e-13
 

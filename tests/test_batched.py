@@ -177,11 +177,13 @@ def test_tensor_lanes_follow_node_lines(gas, d, p):
 def test_lane_kernels_fill_the_given_block(gas, kind, d, form):
     """Every lane kernel writes its d+2 flux rows into the block it is
     given, whatever its strides, returns that block, and computes there
-    exactly what it computes in a block of its own. The conserved blocks
-    are strided views, rows of a transposed (lanes, d+2) array as the
-    minus-side face lanes are, and no kernel writes into either side's
-    states: the axis form takes v.n as the velocity row v_j of the states
-    themselves, which llf and hll only read."""
+    exactly what it computes in a block of its own, within 1e-13 of the
+    scalar directional kernel (along the axis unit vector for the axis
+    form, on every axis j). The conserved blocks are strided views, rows of
+    a transposed (lanes, d+2) array as the minus-side face lanes are, and
+    no kernel writes into either side's states: the axis form takes v.n as
+    the velocity row v_j of the states themselves, which llf and hll only
+    read."""
     n = 41
     rng = np.random.default_rng(19)
     prims = [random_primitives(rng, d, n, amp=0.5) for _ in range(2)]
@@ -196,25 +198,27 @@ def test_lane_kernels_fill_the_given_block(gas, kind, d, form):
     assert ql.u.shape == (d + 2, n) and not ql.u.flags.c_contiguous
     states_before = [(q.tobytes(), c.tobytes()) for q, c in zip(prims, cons)]
     if form == "cartesian":
-        fn, geometry = batched.flux_lanes_cartesian, d - 1
-        normals = np.broadcast_to(np.eye(d)[d - 1], (n, d))
+        cases = [(j, np.broadcast_to(np.eye(d)[j], (n, d))) for j in range(d)]
     else:
-        fn, geometry = batched.flux_lanes_directional, tuple(rng.random((d, n)) + 0.25)
-        normals = np.transpose(geometry)
-    big = np.full((d + 4, 2 * n + 1), np.nan)
-    block = big[1:-1, 1::2]
-    assert block.shape == (d + 2, n) and not block.flags.c_contiguous
-    got = fn(kind, ql, qr, geometry, gas, n, block)
-    assert got is block
-    assert not np.isnan(block).any()
-    # nothing outside the block is written
-    assert np.isnan(big[[0, -1]]).all() and np.isnan(big[:, ::2]).all()
-    assert np.array_equal(got, fn(kind, ql, qr, geometry, gas, n))
-    assert [(q.tobytes(), c.tobytes()) for q, c in zip(prims, cons)] == states_before
+        rows = tuple(rng.random((d, n)) + 0.25)
+        cases = [(rows, np.transpose(rows))]
     scalar = flux_function(kind)
-    for i in range(n):
-        want = np.asarray(scalar(cons[0][i], cons[1][i], normals[i], gas))
-        assert np.abs(got[:, i] - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+    for normal, normals in cases:
+        big = np.full((d + 4, 2 * n + 1), np.nan)
+        block = big[1:-1, 1::2]
+        assert block.shape == (d + 2, n) and not block.flags.c_contiguous
+        got = batched.flux_lanes(kind, ql, qr, normal, gas, n, block)
+        assert got is block
+        assert not np.isnan(block).any()
+        # nothing outside the block is written
+        assert np.isnan(big[[0, -1]]).all() and np.isnan(big[:, ::2]).all()
+        assert np.array_equal(got, batched.flux_lanes(kind, ql, qr, normal, gas, n))
+        states = [(q.tobytes(), c.tobytes()) for q, c in zip(prims, cons)]
+        assert states == states_before
+        for i in range(n):
+            want = np.asarray(scalar(cons[0][i], cons[1][i], normals[i], gas))
+            gap = np.abs(got[:, i] - want).max()
+            assert gap <= 1e-13 * max(np.abs(want).max(), 1.0), (normals[i], i)
 
 
 @pytest.mark.parametrize("curved", [False, True])
@@ -246,7 +250,7 @@ def test_lift_matches_face_point_loop(gas, family, dims, curved):
         n_face = lines.shape[0]
         fm, fp = rng.standard_normal((2, d + 2, setup.n_elements * n_face))
         area, normal = batched._face_geometry(setup, n)
-        assert (normal is None) == (not curved)
+        assert (normal == n) if not curved else len(normal) == d
         got = start.copy()
         batched._lift(got, setup, n, fm.copy(), fp.copy())
         want = start.copy()
@@ -294,11 +298,8 @@ def test_gauss_side_blocks_are_what_lift_lifts(gas, dims, curved):
         side0, side1 = batched.mesh_gauss_surface(faces, setup, n, "llf")
         ql, qr = batched._interface_lanes(faces, setup, n, True)
         scale, normal = batched._face_geometry(setup, n)
-        assert (normal is None) == (not curved)
-        if curved:
-            f = batched.flux_lanes_directional("llf", ql, qr, normal, gas, ql.rho.size)
-        else:
-            f = batched.flux_lanes_cartesian("llf", ql, qr, n, gas, ql.rho.size)
+        assert (normal == n) if not curved else len(normal) == d
+        f = batched.flux_lanes("llf", ql, qr, normal, gas, ql.rho.size)
         assert np.array_equal(side1, scale * f)
         want = np.zeros_like(u)
         batched._lift(want, setup, n, f, f.copy())

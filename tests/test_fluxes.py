@@ -7,7 +7,6 @@ from fluxdg import batched
 from fluxdg.errors import ConfigurationError
 from fluxdg.euler import cons2prim, entropy_vars, prim2cons
 from fluxdg.fluxes import (
-    VOLUME_KINDS,
     FluxCounter,
     count_guard,
     flux_central_directional,
@@ -60,27 +59,6 @@ def test_flux_consistency(d, kind, gas):
         want = sum(normal[j] * physical_flux(u, j, gas) for j in range(d))
         got = np.asarray(fn(u, u, normal, gas))
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
-
-
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("kind", VOLUME_KINDS)
-def test_cartesian_matches_axis_directional(d, kind, gas):
-    # the lane axis kernel (the Cartesian volume pairs) equals the scalar
-    # directional kernel along the coordinate axis
-    direc = flux_function(kind)
-    ul, ur, _ = _pairs(d, 100, 4)
-    ql, qr = (
-        batched.Lanes(q[:, 0], tuple(q[:, 1:-1].T), q[:, -1], u.T)
-        for q, u in ((cons2prim(ul, gas), ul), (cons2prim(ur, gas), ur))
-    )
-    for j in range(d):
-        normal = np.zeros(d)
-        normal[j] = 1.0
-        lanes = batched.flux_lanes_cartesian(kind, ql, qr, j, gas, len(ul))
-        for i in range(len(ul)):
-            a = lanes[:, i]
-            b = np.asarray(direc(ul[i], ur[i], normal, gas))
-            assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
 
 
 def _normal_potential(u, normal, gas):
@@ -178,7 +156,7 @@ def _lanes_flux(kind, ul, ur, normal, gas):
         for q, u in ((cons2prim(ul, gas), ul), (cons2prim(ur, gas), ur))
     )
     lane_normal = tuple(np.array([c]) for c in normal)
-    return batched.flux_lanes_directional(kind, ql, qr, lane_normal, gas, 1)[:, 0]
+    return batched.flux_lanes(kind, ql, qr, lane_normal, gas, 1)[:, 0]
 
 
 @pytest.mark.parametrize("kind", ("central", "llf", "hll"))

@@ -346,8 +346,7 @@ def test_microbench_gate_rejects_wrong_lanes(monkeypatch, form):
     import fluxdg.batched as batched
     import fluxdg.harness as harness
 
-    name = "flux_lanes_" + form
-    exact = getattr(batched, name)
+    exact = batched.flux_lanes
 
     def skewed(*args):
         return [(1.0 + 1e-10) * f for f in exact(*args)]
@@ -355,7 +354,7 @@ def test_microbench_gate_rejects_wrong_lanes(monkeypatch, form):
     def no_clock():
         raise AssertionError("timed before the gate passed")
 
-    monkeypatch.setattr(batched, name, skewed)
+    monkeypatch.setattr(batched, "flux_lanes", skewed)
     monkeypatch.setattr(harness.time, "perf_counter", no_clock)
     with pytest.raises(BenchmarkError, match="correctness gate failed"):
         microbench_flux("ranocha", form, 3, n_samples=300, repeats=2)
@@ -420,6 +419,31 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         assert key in capsys.readouterr().err, overrides
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert main(["run", "-o", "badpair"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        ("pid --n-rhs 0", "n_rhs"),
+        ("pid --repeats 0", "repeats"),
+        ("microbench --n-samples 0", "n_samples"),
+        ("microbench --repeats -1", "repeats"),
+    ],
+)
+def test_cli_rejects_non_positive_timing_counts(
+    tmp_path, monkeypatch, capsys, command, key
+):
+    # a count below one is a configuration error naming its key, raised
+    # before any timing, so no CSV is written
+    monkeypatch.setenv("FLUXDG_OUTPUT_DIR", str(tmp_path))
+    assert main(command.split()) == 2
+    assert key + ":" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_convergence_rejects_malformed_levels(capsys):
+    assert main(["convergence", "--levels", "4,x"]) == 2
+    assert "levels:" in capsys.readouterr().err
 
 
 def test_cli_config_file_with_overrides(tmp_path, capsys):

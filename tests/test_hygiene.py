@@ -150,9 +150,34 @@ def attribute_owners(path, attr):
 def test_batched_has_one_cartesian_dispatch_rule():
     """fluxdg.batched reads mesh.is_cartesian only in its geometry helpers,
     _line_geometry for the node lines and _face_geometry for the
-    interfaces. Every other function takes the axis form from them (no
-    normal rows), so Cartesian meshes have one dispatch rule and no second
-    code path."""
+    interfaces. Every other function takes the axis form from them (an
+    axis index in place of normal rows), so Cartesian meshes have one
+    dispatch rule and no second code path."""
     found = attribute_owners(ROOT / "src/fluxdg/batched.py", "is_cartesian")
     owners = {name for name, _ in found}
     assert owners == {"_line_geometry", "_face_geometry"}, found
+
+
+def test_batched_public_names():
+    """fluxdg.batched defines exactly these public names: the lane type,
+    the log means, the one two-point entry and the mesh entry points that
+    rhs calls. perfbench/tracing.py traces the mesh_* names, so renaming
+    one fails here instead of silently zeroing a per-layer metric."""
+    tree = ast.parse((ROOT / "src/fluxdg/batched.py").read_text())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in defined if not name.startswith("_")}
+    assert public == {
+        "Lanes",
+        "logmean_batched",
+        "inv_logmean_batched",
+        "flux_lanes",
+        "mesh_fluxdiff_volume",
+        "mesh_surface",
+        "mesh_gauss_volume",
+        "mesh_gauss_surface",
+    }, sorted(public)
