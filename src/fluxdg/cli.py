@@ -82,13 +82,17 @@ def cmd_run(args):
 
 
 def cmd_convergence(args):
-    config = _config_from_args(args)
     try:
         levels = tuple(int(x) for x in args.levels.split(","))
     except ValueError:
         raise ConfigurationError(
             "levels: expected comma-separated integers, got %r" % (args.levels,)
         ) from None
+    if min(levels) < 1:
+        raise ConfigurationError(
+            "levels: expected positive element counts, got %r" % (args.levels,)
+        )
+    config = _config_from_args(args)
     rows = convergence_study(config, levels)
     path = write_csv(
         output_path("convergence.csv", config.output), CONVERGENCE_HEADER, rows

@@ -22,12 +22,16 @@ its axis scaled by the face area), fixed accumulation order, bitwise
 reproducible. The one-point volume functions (volume_strong, volume_weak,
 volume_overintegration) are numpy expressions that take one element or the
 whole mesh at once; the first two read primitives that the caller has
-already converted. face_states builds every interface state once per RHS,
-one direction at a time, for both kernels: Lobatto boundary nodes, Gauss
-traces, or entropy-projected states. `rhs` assembles them over the mesh;
-with kernel="batched" every scheme's two-point work (volume pairs and
-interface fluxes) runs in the mesh-level lane kernels in `batched`, which
-are equivalence-tested against the reference path.
+already converted. They run the directional form on per-node metric terms
+(the oracle) and the axis form on one constant axis-aligned metric matrix
+(see _one_point_volume): `rhs` passes the constant terms on Cartesian
+meshes with kernel="batched", and overintegration always reads the
+constant terms of its fine grid. face_states builds every interface state
+once per RHS, one direction at a time, for both kernels: Lobatto boundary
+nodes, Gauss traces, or entropy-projected states. `rhs` assembles them over
+the mesh; with kernel="batched" every scheme's two-point work (volume pairs
+and interface fluxes) runs in the mesh-level lane kernels in `batched`,
+which are equivalence-tested against the reference path.
 
 A SpatialSetup holds only what depends on the mesh: coordinates, metric
 terms, neighbours and the nodal weights. Tables that depend on the
@@ -150,8 +154,11 @@ def volume_strong(u_elem, q_elem, op, metrics):
 
     u_elem is one element (nodes, d+2) or a stack of them with leading
     element axes, q_elem = cons2prim(u_elem); metrics.ja/jac carry the same
-    leading axes (or none, for metrics shared by every element)."""
-    return _one_point_volume(op.D, np.add, u_elem, q_elem, metrics)
+    leading axes (or none, for metrics shared by every element) and the
+    node axis, or are one constant (d, d) matrix and one scalar shared by
+    every node (_constant_terms), which on an axis-aligned matrix selects
+    the axis form of _one_point_volume."""
+    return _one_point_volume(op.D, 1.0, u_elem, q_elem, metrics)
 
 
 @lru_cache(maxsize=None)
@@ -171,23 +178,45 @@ def volume_weak(u_elem, q_elem, op, metrics):
     the surface flux.
     """
     wmat = _weak_matrix(op.degree, op.family)
-    return _one_point_volume(wmat, np.subtract, u_elem, q_elem, metrics)
+    return _one_point_volume(wmat, -1.0, u_elem, q_elem, metrics)
 
 
-def _one_point_volume(mat, combine, u_elem, q_elem, metrics):
-    """(1/J) (((0 o T_1) o T_2) ... o T_d) with o = combine (np.add or
-    np.subtract) and T_n the 1D operator mat applied along reference
-    direction n to the contravariant flux sum_j (Ja)^n_j f^j(u).
+def _constant_terms(metrics):
+    """The MetricTerms of a mesh whose metric terms are one constant, as on
+    Cartesian meshes: ja (d, d) and the scalar jac of the first node of
+    metrics (MetricData or MetricTerms)."""
+    d = metrics.ja.shape[-1]
+    return MetricTerms(metrics.ja.reshape(-1, d, d)[0], metrics.jac.reshape(-1)[0])
 
-    Each T_n is a fresh array from apply_along, so the first one holds the
-    accumulator (0.0 + T_1 or 0.0 - T_1 in place, which keeps the signed
-    zeros of a sum started from zero) and J divides it in place."""
+
+def _one_point_volume(mat, sign, u_elem, q_elem, metrics):
+    """(1/J) sum_n sign T_n, T_n the 1D operator mat applied along reference
+    direction n to the contravariant flux F^n = sum_j (Ja)^n_j f^j(u).
+
+    Axis form, when metrics is one constant diagonal (d, d) matrix and a
+    scalar J (_constant_terms of a Cartesian mesh): F^n is (Ja)^n_n times
+    the axis-n flux, written one component at a time into one buffer that
+    every direction reuses (v.n is the velocity column v_n, the pressure
+    goes onto momentum row n only), and the constant sign (Ja)^n_n / J is
+    folded into the (p+1, p+1) matrix, so no pass divides by J.
+
+    Directional form otherwise (per-node metrics): F^n from
+    euler.directional_flux, the sum ((0 o T_1) o T_2) ... o T_d with
+    o = np.add for sign 1.0 and np.subtract for -1.0. Each T_n is a fresh
+    array from apply_along, so the first one holds the accumulator (0.0 o T_1
+    in place, which keeps the signed zeros of a sum started from zero) and J
+    divides it in place."""
     d = u_elem.shape[-1] - 2
     lead = u_elem.ndim - 2
     add_one_point(d * (u_elem.size // (d + 2)))
     shape = u_elem.shape[:lead] + (mat.shape[1],) * d + (-1,)
+    ja = metrics.ja
+    if ja.ndim == 2 and np.count_nonzero(ja) == np.count_nonzero(ja.diagonal()):
+        scales = sign * ja.diagonal() / metrics.jac
+        return _axis_one_point(mat, scales, u_elem, q_elem, shape)
+    combine = np.add if sign > 0.0 else np.subtract
     for n in range(d):
-        contra = directional_flux(u_elem, q_elem, metrics.ja[..., n, :])
+        contra = directional_flux(u_elem, q_elem, ja[..., n, :])
         term = apply_along(mat, contra.reshape(shape), n + lead).reshape(u_elem.shape)
         if n == 0:
             acc = combine(0.0, term, out=term)
@@ -195,6 +224,30 @@ def _one_point_volume(mat, combine, u_elem, q_elem, metrics):
             combine(acc, term, out=acc)
     acc /= metrics.jac[..., None]
     return acc
+
+
+def _axis_one_point(mat, scales, u, q, shape):
+    """The axis form of _one_point_volume: sum_n (scales[n] mat) applied
+    along direction n to the axis-n flux, scales[n] = sign (Ja)^n_n / J."""
+    d = u.shape[-1] - 2
+    lead = u.ndim - 2
+    rho, p = q[..., 0], q[..., d + 1]
+    e_plus_p = u[..., d + 1] + p
+    f = np.empty(u.shape)
+    flux = f.reshape(shape)
+    for n in range(d):
+        vn = q[..., 1 + n]
+        np.multiply(rho, vn, out=f[..., 0])
+        for i in range(1, d + 1):
+            np.multiply(u[..., i], vn, out=f[..., i])
+        f[..., 1 + n] += p
+        np.multiply(e_plus_p, vn, out=f[..., d + 1])
+        term = apply_along(scales[n] * mat, flux, n + lead)
+        if n == 0:
+            acc = term
+        else:
+            acc += term
+    return acc.reshape(u.shape)
 
 
 def volume_fluxdiff(u_elem, op, metrics, vol_flux, gas):
@@ -226,14 +279,15 @@ def volume_overintegration(u_elem, op, degree, metrics, gas):
     volume term there, L2-project back; u_elem may carry leading element
     axes. Cartesian meshes only: their metric terms are one constant, so
     the fine grid reads those of metrics (MetricData or MetricTerms) at
-    its first node."""
+    its first node, and volume_weak takes the axis form there with either
+    kernel."""
     d = u_elem.shape[-1] - 2
     lead = u_elem.ndim - 2
     p1 = op.n_nodes
     q1 = degree + 1
     transfer = transfer_matrices(op.degree, degree, op.family)
     op_q = make_operator(degree, op.family)
-    metrics_q = MetricTerms(metrics.ja.reshape(-1, d, d)[0], metrics.jac.reshape(-1)[0])
+    metrics_q = _constant_terms(metrics)
     uq = u_elem.reshape(u_elem.shape[:lead] + (p1,) * d + (-1,))
     for n in range(d):
         uq = apply_along(transfer.interp, uq, n + lead)
@@ -459,7 +513,11 @@ def rhs(u, setup, config):
     fixed order. config.kernel == "batched" runs every scheme's two-point
     work (volume pairs and interface fluxes) in the lane-parallel kernels;
     "reference" runs it through the scalar oracle. The one-point volume
-    terms are one numpy pass over the whole mesh with either kernel.
+    terms are one numpy pass over the whole mesh with either kernel: on
+    Cartesian meshes "batched" passes strong and weak the constant metric
+    terms, which select the axis form, and "reference" the per-node ones,
+    which keep the directional form; overintegration takes the axis form
+    with both.
 
     u is converted to primitives once; that pass is the admissibility check
     (AdmissibilityError names the first bad element and node), and every
@@ -478,10 +536,13 @@ def rhs(u, setup, config):
     # flux of the full hybridized operator cancels against the strong-form
     # surface subtraction, so neither is computed
     projected = scheme == "gauss_fluxdiff"
+    one_point = setup.metrics
+    if batched and setup.mesh.is_cartesian:
+        one_point = _constant_terms(one_point)
     if scheme == "strong":
-        out = volume_strong(u, prim, setup.op, setup.metrics)
+        out = volume_strong(u, prim, setup.op, one_point)
     elif scheme == "weak":
-        out = volume_weak(u, prim, setup.op, setup.metrics)
+        out = volume_weak(u, prim, setup.op, one_point)
     elif scheme == "overintegration":
         out = volume_overintegration(
             u, setup.op, config.overint_degree, setup.metrics, gas

@@ -76,13 +76,17 @@ def _sum_squares(v):
 
 def cons2prim(u, gas):
     """Conserved -> primitive (rho, v_1..v_d, p). v and p are written
-    straight into the result."""
+    straight into the result, v one component at a time (see
+    _sum_squares): a per-state rho broadcast against the velocity block
+    costs more than d strided divisions."""
     u = np.asarray(u, dtype=float)
     d = _dim(u)
     q = np.empty_like(u)
     rho = u[..., 0]
     q[..., 0] = rho
-    v = np.divide(u[..., 1 : d + 1], rho[..., None], out=q[..., 1 : d + 1])
+    for i in range(1, d + 1):
+        np.divide(u[..., i], rho, out=q[..., i])
+    v = q[..., 1 : d + 1]
     kinetic = 0.5 * rho * _sum_squares(v)
     p = np.subtract(u[..., d + 1], kinetic, out=q[..., d + 1])
     p *= gas.gamma - 1.0
@@ -91,7 +95,8 @@ def cons2prim(u, gas):
 
 
 def prim2cons(q, gas):
-    """Primitive (rho, v, p) -> conserved."""
+    """Primitive (rho, v, p) -> conserved, the momenta one component at a
+    time."""
     q = np.asarray(q, dtype=float)
     d = _dim(q)
     rho = q[..., 0]
@@ -100,7 +105,8 @@ def prim2cons(q, gas):
     _require_admissible(q, "prim2cons")
     u = np.empty_like(q)
     u[..., 0] = rho
-    u[..., 1 : d + 1] = rho[..., None] * v
+    for i in range(1, d + 1):
+        np.multiply(rho, q[..., i], out=u[..., i])
     u[..., d + 1] = p * gas.inv_gamma_minus_one + 0.5 * rho * _sum_squares(v)
     return u
 
@@ -132,7 +138,8 @@ def max_signal_speed(u, gas):
 
 def prim2entropy(q, gas):
     """Entropy variables w for the entropy U = -rho s / (gamma - 1),
-    s = log p - gamma log rho, from primitives q = cons2prim(u)."""
+    s = log p - gamma log rho, from primitives q = cons2prim(u); the
+    velocity rows one component at a time."""
     d = q.shape[-1] - 2
     rho = q[..., 0]
     v = q[..., 1 : d + 1]
@@ -142,7 +149,8 @@ def prim2entropy(q, gas):
     w = np.empty_like(q)
     kinetic = 0.5 * rho_p * _sum_squares(v)
     w[..., 0] = (gas.gamma - s) * gas.inv_gamma_minus_one - kinetic
-    w[..., 1 : d + 1] = rho_p[..., None] * v
+    for i in range(1, d + 1):
+        np.multiply(rho_p, q[..., i], out=w[..., i])
     w[..., d + 1] = -rho_p
     return w
 
@@ -150,22 +158,22 @@ def prim2entropy(q, gas):
 def entropy2prim(w, gas):
     """Inverse of prim2entropy. Raises if w is not the image of an
     admissible state (w_last must be negative, which leaves rho or p
-    non-finite otherwise)."""
+    non-finite otherwise). v, p and rho are written straight into the
+    result, v one component at a time."""
     w = np.asarray(w, dtype=float)
     d = _dim(w)
     b = -w[..., d + 1]  # rho/p
     gm1 = gas.gamma - 1.0
+    q = np.empty_like(w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = w[..., 1 : d + 1] / b[..., None]
+        for i in range(1, d + 1):
+            np.divide(w[..., i], b, out=q[..., i])
+        v = q[..., 1 : d + 1]
         s = gas.gamma - gm1 * (w[..., 0] + 0.5 * b * _sum_squares(v))
         # s = log p - gamma log rho and rho = b p give
         # log p = (s + gamma log b) / (1 - gamma)
-        p = np.exp((s + gas.gamma * np.log(b)) / (1.0 - gas.gamma))
-        rho = b * p
-    q = np.empty_like(w)
-    q[..., 0] = rho
-    q[..., 1 : d + 1] = v
-    q[..., d + 1] = p
+        p = np.exp((s + gas.gamma * np.log(b)) / (1.0 - gas.gamma), out=q[..., d + 1])
+        np.multiply(b, p, out=q[..., 0])
     _require_admissible(q, "entropy2prim")
     return q
 

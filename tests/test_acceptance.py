@@ -353,15 +353,17 @@ def test_central_fluxdiff_matches_strong_form():
 
 def test_batched_kernel_matches_reference():
     """The lane-batched kernels reproduce the scalar kernels. On Cartesian
-    meshes they take the axis fluxes times the face area, so every scheme
-    runs there with every surface kind, on anisotropic meshes whose
-    directions each have their own face area."""
+    meshes they take the axis fluxes times the face area, and the one-point
+    volume terms the axis form with (Ja)^n_n / J folded into the 1D
+    matrices, so every scheme runs there with every surface kind, on
+    anisotropic meshes whose directions each have their own face area."""
     schemes = (
         ("lgl", RhsConfig(volume_scheme="strong")),
         ("lgl", RhsConfig(volume_scheme="weak")),
         ("lgl", RhsConfig(volume_scheme="fluxdiff", volume_flux="shima")),
         ("lgl", RhsConfig(volume_scheme="overintegration", overint_degree=4)),
         ("gauss", RhsConfig(volume_scheme="strong")),
+        ("gauss", RhsConfig(volume_scheme="weak")),
         ("gauss", RhsConfig(volume_scheme="gauss_fluxdiff")),
     )
     cartesian = [

@@ -371,34 +371,36 @@ def test_batched_counts_match_scalar_counts(gas):
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elements):
-    overint = None
-    amplitude = 0.1
-    geo = None if family == "lgl" else (2 if d == 2 else 1)
-    if scheme == "overintegration":  # Cartesian meshes only
-        overint = p + 1
-        amplitude = 0.0
-        geo = None
-    mesh = build_mesh((elements,) * d, amplitude=amplitude, geo_degree=geo)
-    setup = build_setup(mesh, make_operator(p, family), gas)
-    u = random_field(setup, gas, seed=11, amp=0.3)
-    results = {}
-    for kernel in KERNELS:
-        config = RhsConfig(
-            volume_scheme=scheme,
-            surface_flux=kind,
-            overint_degree=overint,
-            kernel=kernel,
-        )
-        c = FluxCounter()
-        with count_guard(c):
-            dudt = rhs(u, setup, config)
-        results[kernel] = dudt, (c.two_point_evals, c.one_point_evals, c.logmean_evals)
-    (ref, ref_counts), (bat, bat_counts) = results["reference"], results["batched"]
-    assert relative_gap(ref, bat) < 1e-13
-    assert ref_counts == bat_counts
-    # the interface flux is these schemes' only two-point work, one
-    # evaluation per face point on both families
-    assert bat_counts[0] == d * setup.n_elements * (p + 1) ** (d - 1)
+    # strong and weak run on a curved mesh, where both kernels take the
+    # per-node directional form, and on a Cartesian one, where the batched
+    # kernel takes the axis form; overintegration is Cartesian only and
+    # takes the axis form with both kernels
+    overint = p + 1 if scheme == "overintegration" else None
+    amplitudes = (0.0,) if scheme == "overintegration" else (0.1, 0.0)
+    for amplitude in amplitudes:
+        geo = None if family == "lgl" or amplitude == 0.0 else (2 if d == 2 else 1)
+        mesh = build_mesh((elements,) * d, amplitude=amplitude, geo_degree=geo)
+        setup = build_setup(mesh, make_operator(p, family), gas)
+        u = random_field(setup, gas, seed=11, amp=0.3)
+        results = {}
+        for kernel in KERNELS:
+            config = RhsConfig(
+                volume_scheme=scheme,
+                surface_flux=kind,
+                overint_degree=overint,
+                kernel=kernel,
+            )
+            c = FluxCounter()
+            with count_guard(c):
+                dudt = rhs(u, setup, config)
+            counts = (c.two_point_evals, c.one_point_evals, c.logmean_evals)
+            results[kernel] = dudt, counts
+        (ref, ref_counts), (bat, bat_counts) = results["reference"], results["batched"]
+        assert relative_gap(ref, bat) < 1e-13, amplitude
+        assert ref_counts == bat_counts, amplitude
+        # the interface flux is these schemes' only two-point work, one
+        # evaluation per face point on both families
+        assert bat_counts[0] == d * setup.n_elements * (p + 1) ** (d - 1), amplitude
 
 
 def _supersonic_field(setup, dims, gas, seed):
@@ -592,9 +594,9 @@ def test_strong_llf_rhs_peak_memory(gas):
     strong2d_llf benchmark mesh (2D p3, 8x8 Cartesian LGL) stays within
     5.25 u.nbytes. One more (d+2, lanes) face block held across the
     surface pass adds 0.25 u.nbytes; interpreter objects move the reading
-    by about 0.005. It reads 5.06 with the axis-form interface fluxes,
-    whose v.n are rows of the face states (5.08 with the directional
-    form)."""
+    by about 0.005. It reads 5.01 with the axis-form one-point volume,
+    whose v.n are columns of the primitives (5.06 with the directional
+    volume flux, 5.08 with directional interface fluxes as well)."""
     mesh = build_mesh((8, 8), bounds=(-5.0, 5.0))
     setup = build_setup(mesh, make_operator(3, "lgl"), gas)
     u = random_field(setup, gas, seed=31, amp=0.3)

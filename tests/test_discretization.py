@@ -1,13 +1,13 @@
 import inspect
 import re
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from itertools import product
 
 import numpy as np
 import pytest
 
-from fluxdg import fluxes, geometry
+from fluxdg import discretization, fluxes, geometry
 from fluxdg import (
     FluxCounter,
     RhsConfig,
@@ -23,7 +23,9 @@ from fluxdg import (
     rhs,
 )
 from fluxdg.discretization import (
+    KERNELS,
     VOLUME_SCHEMES,
+    _constant_terms,
     _scalar_gauss_volume,
     face_states,
     surface_terms,
@@ -35,8 +37,8 @@ from fluxdg.discretization import (
 from fluxdg.errors import AdmissibilityError, ConfigurationError
 from fluxdg.euler import cons2prim, directional_flux, entropy_vars
 from fluxdg.fluxes import SURFACE_KINDS
-from fluxdg.geometry import element_metrics
-from fluxdg.operators import MAX_DEGREE, build_dsplit, node_lines
+from fluxdg.geometry import MetricTerms, element_metrics
+from fluxdg.operators import MAX_DEGREE, build_dsplit, node_lines, transfer_matrices
 from fluxdg.verify import random_field, relative_gap
 
 from .oracles import gauss_volume_dense
@@ -320,6 +322,80 @@ def test_one_point_volume_whole_mesh_matches_elements(gas, family, amplitude, d)
             for e in range(setup.n_elements):
                 one = volume(u[e], q[e], setup.op, element_metrics(setup.metrics, e))
                 assert whole[e].tobytes() == one.tobytes(), (volume.__name__, e)
+
+
+def overintegration_per_node(u, op, degree, metrics, gas):
+    """volume_overintegration with the fine grid's metric terms repeated at
+    every fine node, which keeps volume_weak in the directional form."""
+    d = u.shape[-1] - 2
+    q1 = degree + 1
+    transfer = transfer_matrices(op.degree, degree, op.family)
+    uq = u.reshape((-1,) + (op.n_nodes,) * d + (d + 2,))
+    for n in range(d):
+        uq = geometry.apply_along(transfer.interp, uq, n + 1)
+    uq = uq.reshape(-1, q1**d, d + 2)
+    fine = MetricTerms(
+        np.broadcast_to(metrics.ja[0, 0], uq.shape[:2] + (d, d)),
+        np.broadcast_to(metrics.jac[0, 0], uq.shape[:2]),
+    )
+    back = volume_weak(uq, cons2prim(uq, gas), make_operator(degree, op.family), fine)
+    back = back.reshape((-1,) + (q1,) * d + (d + 2,))
+    for n in range(d):
+        back = geometry.apply_along(transfer.project, back, n + 1)
+    return back.reshape(u.shape)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["lgl", "gauss"])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 1, 2)])
+def test_axis_one_point_volume_matches_directional(gas, dims, family, p):
+    # on an anisotropic Cartesian mesh the constant metric terms take the
+    # axis form (each direction its own (Ja)^n_n folded into the matrix);
+    # the per-node metrics take the directional form, the oracle
+    bounds = [(-5.0, 5.0), (0.0, 3.0), (-1.0, 1.5)][: len(dims)]
+    mesh = build_mesh(dims, bounds=bounds)
+    setup = build_setup(mesh, make_operator(p, family), gas)
+    u = random_field(setup, gas, seed=13 + p, amp=0.4)
+    q = cons2prim(u, gas)
+    const = _constant_terms(setup.metrics)
+    assert const.ja.shape == (setup.d, setup.d)
+    for volume in (volume_strong, volume_weak):
+        got = volume(u, q, setup.op, const)
+        want = volume(u, q, setup.op, setup.metrics)
+        assert relative_gap(want, got) < 1e-13, volume.__name__
+    degree = p + 1
+    got = volume_overintegration(u, setup.op, degree, setup.metrics, gas)
+    want = overintegration_per_node(u, setup.op, degree, setup.metrics, gas)
+    assert relative_gap(want, got) < 1e-13
+
+
+@pytest.mark.parametrize("scheme", ["strong", "weak"])
+def test_batched_one_point_volume_route(gas, monkeypatch, scheme):
+    # with the surface coupling switched off rhs returns -VOL: on Cartesian
+    # meshes the batched kernel reaches the axis form, never the
+    # directional flux that the reference kernel runs; on curved meshes both
+    # kernels run the directional form on the per-node metrics, byte for byte
+    monkeypatch.setattr(discretization, "surface_terms", lambda *args: args[-1])
+    monkeypatch.setattr(discretization._batched, "mesh_surface", lambda *args: args[-1])
+    curved = lgl_setup(gas, dims=(2, 3), amplitude=0.1)
+    u = random_field(curved, gas, seed=17, amp=0.3)
+    ref, bat = (
+        rhs(u, curved, RhsConfig(volume_scheme=scheme, kernel=kernel))
+        for kernel in KERNELS
+    )
+    assert ref.tobytes() == bat.tobytes()
+
+    def directional(*args):
+        raise AssertionError("directional_flux called")
+
+    monkeypatch.setattr(discretization, "directional_flux", directional)
+    for family in ("lgl", "gauss"):
+        setup = (lgl_setup if family == "lgl" else gauss_setup)(gas, dims=(2, 3))
+        u = random_field(setup, gas, seed=18, amp=0.3)
+        config = RhsConfig(volume_scheme=scheme, kernel="batched")
+        assert np.isfinite(rhs(u, setup, config)).all()
+        with pytest.raises(AssertionError, match="directional_flux"):
+            rhs(u, setup, replace(config, kernel="reference"))
 
 
 def test_weak_volume_constant_state_lives_on_boundary(gas):

@@ -442,8 +442,13 @@ def test_cli_rejects_non_positive_timing_counts(
 
 
 def test_cli_convergence_rejects_malformed_levels(capsys):
-    assert main(["convergence", "--levels", "4,x"]) == 2
-    assert "levels:" in capsys.readouterr().err
+    # a non-positive level is named as the option the user gave, not as
+    # the elements key that convergence_study sets per level
+    for levels in ("4,x", "0,4", "-2"):
+        assert main(["convergence", "--levels", levels]) == 2, levels
+        err = capsys.readouterr().err
+        assert "levels:" in err, levels
+        assert "elements" not in err, levels
 
 
 def test_cli_config_file_with_overrides(tmp_path, capsys):
