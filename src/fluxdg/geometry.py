@@ -15,18 +15,17 @@ sum_n D_n (Ja)^n_j = 0 hold to roundoff: direct differentiation of the
 nodal mapping in 2D, the curl form in 3D. Both cancel through commutation
 of the tensor-product differentiation matrices, independent of the mapping.
 
-Node families without boundary nodes (Gauss) obtain face metric values by
-extrapolating each element's own polynomial. With the mapping sampled at
-the solution nodes the two neighbours extrapolate different interpolants
-of the smooth mapping and their face metrics disagree at truncation
-order. Passing geo_degree = g samples the mapping on a degree-g Lobatto
-grid instead (shared face samples) and interpolates; the face metrics of
-both neighbours then reduce to expressions in the shared face polynomial
-and agree to roundoff provided the metric fields stay inside the solution
-space: g <= p suffices in 2D (metrics are plain derivatives), while the
-3D curl form squares the mapping degree through the nodal products
-x_l * d(x_m), so 2 g <= p is required there. Degrees above the bound are
-accepted but reintroduce the truncation-order mismatch.
+Curved-mesh metrics are computed once, on each element's degree-p Lobatto
+grid, for both node families. The normal component (Ja)^n involves only
+derivatives tangential to the faces of direction n, so its Lobatto face
+trace depends on the shared face nodes alone, and both neighbours see one
+value. Gauss operators sample the fields at their nodes by interpolation,
+and the extrapolated face trace of that degree-p interpolant reproduces the
+Lobatto trace: face metrics agree to roundoff at any mapping degree. The
+interpolation commutes with differentiation of degree-p polynomials, so the
+metric identity carries over to the Gauss nodes. A mesh's geo_degree g only
+chooses a sub-parametric mapping, sampled on a degree-g Lobatto grid and
+interpolated.
 """
 
 import math
@@ -44,7 +43,7 @@ class StructuredMesh:
     lo: tuple
     hi: tuple
     amplitude: float = 0.0
-    geo_degree: int | None = None  # None: sample mapping at the solution nodes
+    geo_degree: int | None = None  # None: isoparametric; g: degree-g Lobatto mapping
 
     def __post_init__(self):
         if len(self.dims) not in (2, 3):
@@ -269,17 +268,15 @@ def neighbor_table(mesh):
 def compute_metrics(mesh, op, coords=None):
     """Volume metric terms plus each element's face traces of them.
 
-    2D uses direct differentiation of the mapping, 3D the curl form; both
-    satisfy the discrete metric identity to roundoff. Raises MeshError on a
-    non-positive Jacobian.
+    Curved meshes compute ja and jac on the degree-p Lobatto grid (see the
+    module docstring), reusing the solution-grid `coords` of a Lobatto
+    operator; Gauss operators interpolate both to their nodes along each
+    axis. Raises MeshError on a non-positive Jacobian at the solution nodes.
     """
-    if coords is None:
-        coords = element_coords(mesh, op)
     d = mesh.d
     p1 = op.n_nodes
     n_elem = mesh.n_elements
     nn = p1**d
-    coords_nd = coords.reshape((n_elem,) + (p1,) * d + (d,))
     if mesh.is_cartesian:
         h = mesh.widths
         jac_val = 1.0
@@ -291,10 +288,19 @@ def compute_metrics(mesh, op, coords=None):
             ja[:, :, n, n] = area
         jac = np.full((n_elem, nn), jac_val)
     else:
+        lobatto = lgl_operator(op.degree)
+        if coords is None or op.family != "lgl":
+            coords = element_coords(mesh, lobatto)
+        coords_nd = coords.reshape((n_elem,) + (p1,) * d + (d,))
         if d == 2:
-            ja_nd, jac_nd = _metrics_2d(coords_nd, op.D)
+            ja_nd, jac_nd = _metrics_2d(coords_nd, lobatto.D)
         else:
-            ja_nd, jac_nd = _metrics_3d_curl(coords_nd, op.D)
+            ja_nd, jac_nd = _metrics_3d_curl(coords_nd, lobatto.D)
+        if op.family != "lgl":
+            interp = interpolation_matrix(lobatto.nodes, op.nodes)
+            for axis in range(1, d + 1):
+                ja_nd = apply_along(interp, ja_nd, axis)
+                jac_nd = apply_along(interp, jac_nd, axis)
         ja = ja_nd.reshape(n_elem, nn, d, d)
         jac = jac_nd.reshape(n_elem, nn)
     if not np.all(jac > 0.0):

@@ -253,21 +253,6 @@ def random_primitives(x, seed):
     return prim
 
 
-def _auto_geo_degree(config):
-    """Shared-grid mapping degree for curved Gauss runs.
-
-    Gauss face metrics are extrapolated, so the mapping must keep the
-    metric fields inside the solution space: degree <= p in 2D, 2x degree
-    <= p in 3D (the curl form squares the mapping degree). Lobatto runs
-    stay isoparametric; their face values are collocated and shared.
-    """
-    if config.mesh != "curved" or config.family != "gauss":
-        return None
-    if config.d == 2:
-        return min(2, config.p)
-    return max(1, config.p // 2)
-
-
 @dataclass(frozen=True)
 class Run:
     """A resolved configuration: operators built, initial state sampled.
@@ -296,12 +281,11 @@ def build_run(config):
     config.validate()
     gas = GasParams(config.gamma)
     amplitude = config.amplitude if config.mesh == "curved" else 0.0
-    geo = config.geo_degree if config.geo_degree is not None else _auto_geo_degree(config)
     mesh = build_mesh(
         (config.elements,) * config.d,
         bounds=(DOMAIN_LO, DOMAIN_HI),
         amplitude=amplitude,
-        geo_degree=geo,
+        geo_degree=config.geo_degree,
     )
     op = make_operator(config.p, config.family)
     setup = build_setup(mesh, op, gas)
@@ -516,6 +500,8 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
     allocated before the clock starts, as the rhs kernels do. Before any
     timing, every lane is checked against the scalar directional kernel
     (with the axis as the normal for the cartesian form) to 1e-13 relative.
+    Readings above about 6k lanes include the minor page faults of glibc
+    returning and refaulting the flux temporaries, not only arithmetic.
     Returns (ns_mean, ns_std, n_samples).
     """
     if form not in MICROBENCH_FORMS:

@@ -164,15 +164,17 @@ def check_entropy_conservative_flux(dims, n_pairs, n_close=0):
 def check_free_stream(dims, degrees, families, kinds, meshes):
     """Largest |du/dt| of a constant state under each family's two-point
     scheme, with one flux kind as both volume and surface flux, on
-    sine-curved meshes given as (elements per direction, amplitude)."""
+    sine-curved meshes given as (elements per direction, amplitude) or
+    (elements per direction, amplitude, geo degree)."""
     worst = 0.0
     grid = product(dims, degrees, families, kinds, meshes)
-    for d, p, family, kind, (elements, amplitude) in grid:
+    for d, p, family, kind, (elements, amplitude, *geo) in grid:
         scheme = "fluxdiff" if family == "lgl" else "gauss_fluxdiff"
         run = build_run(RunConfig(
             d=d, p=p, elements=elements, mesh="curved", amplitude=amplitude,
-            family=family, volume_scheme=scheme, volume_flux=kind,
-            surface_flux=kind, ic="free_stream",
+            geo_degree=geo[0] if geo else None, family=family,
+            volume_scheme=scheme, volume_flux=kind, surface_flux=kind,
+            ic="free_stream",
         ))
         worst = max(worst, float(np.abs(rhs(run.u0, run.setup, run.scheme)).max()))
     return worst
@@ -259,6 +261,7 @@ def verify_all():
         ((3, 3), 0.1, "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
         ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
         ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
+        ((2, 2, 2), 0.1, "gauss", None, RhsConfig(volume_scheme="gauss_fluxdiff")),
         ((2, 2, 2), 0.1, "lgl", None, RhsConfig()),
         # Cartesian and anisotropic, so every direction has its own face
         # area: each scheme once, each surface kind once
@@ -287,7 +290,7 @@ def verify_all():
         ("entropy condition of the volume flux", check_entropy_conservative_flux,
          dict(dims=(2, 3), n_pairs=400), 1e-12),
         ("free-stream preservation (curved)", check_free_stream,
-         dict(dims=(2,), degrees=(3,), families=FAMILIES, kinds=("ranocha",),
+         dict(dims=(2, 3), degrees=(3,), families=FAMILIES, kinds=("ranocha",),
               meshes=((3, 0.15),)), 1e-12),
         ("batched kernel agreement", check_batched_kernel,
          dict(cases=batched_cases, seeds=(6,), amp=0.4), 1e-13),

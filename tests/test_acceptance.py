@@ -198,13 +198,14 @@ def test_log_mean_branches():
 @pytest.mark.parametrize("kind", ("shima", "ranocha"))
 def test_free_stream_preservation_on_curved_meshes(kind, d):
     """A constant state stays constant to roundoff on sine-perturbed meshes,
-    under the two-point scheme of both families."""
+    under the two-point scheme of both families, isoparametric and at
+    mapping degrees 2 and 3 (in 3D above p/2 at p = 3 and 4)."""
     worst = check_free_stream(
         dims=(d,),
         degrees=(3, 4),
         families=FAMILIES,
         kinds=(kind,),
-        meshes=((4, 0.1), (3, 0.12)),
+        meshes=((4, 0.1), (3, 0.12), (3, 0.12, 2), (3, 0.12, 3)),
     )
     assert worst < 1e-12
 
@@ -379,6 +380,9 @@ def test_batched_kernel_matches_reference():
         ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
         ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
         ((3, 3, 3), 0.1, "gauss", 1, RhsConfig(volume_scheme="gauss_fluxdiff")),
+        # isoparametric curved Gauss meshes, the default of curved runs
+        ((3, 3), 0.1, "gauss", None, RhsConfig(volume_scheme="gauss_fluxdiff")),
+        ((2, 2, 2), 0.1, "gauss", None, RhsConfig(volume_scheme="weak", surface_flux="llf")),
     ] + cartesian
     assert check_batched_kernel(cases, seeds=(83, 84), amp=0.3) < 1e-13
 

@@ -214,17 +214,21 @@ def test_free_stream_is_constant():
 # --- resolved runs -----------------------------------------------------------
 
 
-def test_build_run_auto_geometry_degree():
-    curved_gauss_2d = build_run(
-        make_config(None, {"mesh": "curved", "family": "gauss",
-                           "volume_scheme": "gauss_fluxdiff", "elements": "2"})
-    )
-    assert curved_gauss_2d.setup.mesh.geo_degree == 2
-    curved_gauss_3d = build_run(
-        make_config(None, {"mesh": "curved", "family": "gauss", "d": "3",
-                           "volume_scheme": "gauss_fluxdiff", "elements": "2"})
-    )
-    assert curved_gauss_3d.setup.mesh.geo_degree == 1
+def test_build_run_passes_geometry_degree_through():
+    # curved runs are isoparametric unless geo_degree asks for a
+    # sub-parametric mapping; the harness picks no degree of its own
+    for d in ("2", "3"):
+        curved_gauss = build_run(
+            make_config(None, {"mesh": "curved", "family": "gauss", "d": d,
+                               "volume_scheme": "gauss_fluxdiff", "elements": "2"})
+        )
+        assert curved_gauss.setup.mesh.geo_degree is None
+        explicit = build_run(
+            make_config(None, {"mesh": "curved", "family": "gauss", "d": d,
+                               "volume_scheme": "gauss_fluxdiff", "elements": "2",
+                               "geo_degree": "2"})
+        )
+        assert explicit.setup.mesh.geo_degree == 2
     curved_lgl = build_run(
         make_config(None, {"mesh": "curved", "elements": "2"})
     )
