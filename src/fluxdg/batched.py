@@ -48,9 +48,14 @@ reads, and in the lift, where the constant Jacobian joins it as one scalar
 area / (w J) per lift row in place of a per-lane division.
 
 Every two-point lane kernel writes its d+2 flux rows into one (d+2, lanes)
-block that the caller owns and returns that block, so the volume kernels
-allocate one flux block per call and add each pair into the accumulator
-with one product and one add per weight, acc[:, a] += w * f. The surface
+block that the caller owns and returns that block. The split-form kernel
+of shima and ranocha also works in a caller-owned scratch block of 6 + d
+lane rows: the pair normal, v.n, both log means and every term of the
+flux land there, so a pair allocates nothing but the index array of the
+log-mean lanes that take the log branch (the log is taken on those lanes
+only). The volume kernels allocate one flux block and one scratch block
+per call, and add each pair into the accumulator with one product into
+the scratch and one add per weight, acc[:, a] += w * f. The surface
 lanes are in minus-element order (face point m of element e pairs e with
 plus_neighbor[n][e]): the plus side's face states are gathered with one
 element-major take per array before they are viewed as rows, and the
@@ -71,9 +76,10 @@ subtract_own) subtracts the two own-side blocks in place, so each
 interface point gets one flux pass. shima and ranocha share one
 split-form kernel, which branches on the kind only for the density mean
 and the internal-energy term; they form no physical fluxes, so their
-strong form recomputes them. llf and hll bound the wave speeds against
-the scaled normal, lam|n| = max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|),
-sharing v.n with the physical fluxes, on both paths. The face lanes and
+strong form recomputes them; on the surfaces their scratch block is made
+per call. llf and hll bound the wave speeds against the scaled normal,
+lam|n| = max(|v_l.n| + c_l|n|, |v_r.n| + c_r|n|), sharing v.n with the
+physical fluxes, on both paths. The face lanes and
 every temporary of the flux pass are gone before the lift runs.
 
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
@@ -109,33 +115,65 @@ _OWN_FLUX_KINDS = ("central", "llf", "hll")
 
 
 # ---------------------------------------------------------------------------
-# branchless log-mean
+# log means over lanes
 
-def logmean_batched(a, b):
-    """Per-lane logarithmic mean, both branches evaluated and blended by the
-    series mask (no data-dependent scalar branching); the sum, the jump and
-    z = ((b-a)/(a+b))^2 are formed once, as in means.logmean_optimized."""
-    s = a + b
-    jump = b - a
-    ratio = jump / s
-    z = ratio * ratio
-    series = s / (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = jump / np.log(b / a)
-    return np.where(z < SERIES_EPSILON, series, direct)
+def _log_mean(a, b, inverse, work):
+    """The logarithmic mean of the lane rows a and b (1D, of one length),
+    or with `inverse` its reciprocal, in the four lane rows `work` (None:
+    fresh), returned as work[3]. The rows hold the sum s = a + b, the jump
+    b - a, z = ((b-a)/s)^2 and the series polynomial
+    2 + z(2/3 + z(2/5 + z 2/7)), which the series branch s / poly or
+    poly / s overwrites on every lane. The log branch, jump / log(b/a) or
+    log(b/a) / jump, then runs on the lanes with z >= SERIES_EPSILON only:
+    gathered into the rows of z and s, which are free by then, and
+    scattered over the series. Lane by lane these are the expressions of
+    means.logmean_optimized and inv_logmean_optimized, with the same
+    branch; a and b are only read."""
+    if work is None:
+        work = np.empty((4,) + a.shape)
+    s, jump, z, mean = work
+    np.add(a, b, out=s)
+    np.subtract(b, a, out=jump)
+    np.divide(jump, s, out=z)
+    z *= z
+    np.multiply(z, 2.0 / 7.0, out=mean)
+    mean += 2.0 / 5.0
+    mean *= z
+    mean += 2.0 / 3.0
+    mean *= z
+    mean += 2.0
+    if inverse:
+        mean /= s
+    else:
+        np.divide(s, mean, out=mean)
+    far = (z >= SERIES_EPSILON).nonzero()[0]
+    if far.size:
+        log_ratio, other = z[: far.size], s[: far.size]
+        b.take(far, out=log_ratio, mode="clip")
+        a.take(far, out=other, mode="clip")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ratio /= other
+            np.log(log_ratio, out=log_ratio)
+            jump.take(far, out=other, mode="clip")
+            if inverse:
+                log_ratio /= other
+            else:
+                np.divide(other, log_ratio, out=log_ratio)
+        mean[far] = log_ratio
+    return mean
 
 
-def inv_logmean_batched(a, b):
+def logmean_batched(a, b, work=None):
+    """Per-lane logarithmic mean, the lane twin of means.logmean_optimized:
+    the log is taken on the log-branch lanes only (_log_mean, whose four
+    work rows the caller may pass; the mean is the last of them)."""
+    return _log_mean(a, b, False, work)
+
+
+def inv_logmean_batched(a, b, work=None):
     """Per-lane reciprocal log mean, the lane twin of
-    means.inv_logmean_optimized."""
-    s = a + b
-    jump = b - a
-    ratio = jump / s
-    z = ratio * ratio
-    series = (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0)))) / s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.log(b / a) / jump
-    return np.where(z < SERIES_EPSILON, series, direct)
+    means.inv_logmean_optimized; work as in logmean_batched."""
+    return _log_mean(a, b, True, work)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +192,12 @@ class Lanes(NamedTuple):
     u: Optional[np.ndarray] = None
 
 
-def _vn(v, normal):
-    acc = v[0] * normal[0]
+def _vn(v, normal, out=None, tmp=None):
+    """v.n summed component by component into out, each product after the
+    first formed in tmp (None: fresh)."""
+    acc = np.multiply(v[0], normal[0], out=out)
     for i in range(1, len(v)):
-        acc = acc + v[i] * normal[i]
+        acc += np.multiply(v[i], normal[i], out=tmp)
     return acc
 
 
@@ -168,12 +208,14 @@ def _is_axis(normal):
     return isinstance(normal, int)
 
 
-def _directed(ql, qr, normal):
-    """(v_l.n, v_r.n) of two lane sets: along the normal rows, or along an
-    axis the velocity rows v_n of the states themselves."""
+def _directed(ql, qr, normal, rows=(None, None, None)):
+    """(v_l.n, v_r.n) of two lane sets: along the normal rows, summed into
+    rows[0] and rows[1] with rows[2] for the products (None: fresh), or
+    along an axis the velocity rows v_n of the states themselves."""
     if _is_axis(normal):
         return ql.v[normal], qr.v[normal]
-    return _vn(ql.v, normal), _vn(qr.v, normal)
+    out_l, out_r, tmp = rows
+    return _vn(ql.v, normal, out_l, tmp), _vn(qr.v, normal, out_r, tmp)
 
 
 def _add_pressure(momentum, p, normal):
@@ -187,33 +229,85 @@ def _add_pressure(momentum, p, normal):
             momentum[i] += p * n_i
 
 
-def _split_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out):
+# rows 0-5 of the split-form scratch serve the means and v.n (_split_lanes);
+# a pair normal goes into the d rows after them (_pair_flux)
+_NORMAL_ROW = 6
+
+
+def _split_scratch(d, lanes):
+    """Uninitialized scratch of the split-form kernel: 6 + d lane rows."""
+    return np.empty((_NORMAL_ROW + d, lanes))
+
+
+def _split_lanes(kind, ql, qr, normal, vn, gas, n_real, out, scratch):
     """The split-form volume fluxes, which differ only in two terms:
     shima takes the arithmetic density mean and the internal energy flux
     {{p}} {{v.n}} / (gamma - 1), ranocha the logarithmic density mean and
-    {{rho}}_log {{v.n}} / ((gamma - 1) {{rho/p}}_log)."""
+    {{rho}}_log {{v.n}} / ((gamma - 1) {{rho/p}}_log).
+
+    Every intermediate lands in `scratch`, 6 + d lane rows (_split_scratch).
+    ranocha first forms rho_l p_r and rho_r p_l in rows 0 and 1, their
+    reciprocal log mean through rows 2-5, and p_l p_r times it in row 0;
+    then its density mean through rows 2-5, which ends in row 5 (shima's
+    arithmetic one goes there directly). vn is (v_l.n, v_r.n) when the
+    caller has them; otherwise they are the velocity rows along an axis, or
+    are summed into rows 2 and 3 along normal rows, which may be the last d
+    scratch rows (_pair_flux). {{p}} goes into row 4, {{v.n}} into row 1,
+    and along normal rows the pressure rows {{p}} n_i into out before the
+    momentum products are added, which frees the last d rows for the
+    momentum and energy terms. The energy row comes last."""
     add_two_point(n_real)
+    work = scratch[2:_NORMAL_ROW]
     if kind == "ranocha":
         add_logmean(2 * n_real)
-        rho_mean = logmean_batched(ql.rho, qr.rho)
-        inv_rho_p_mean = ql.p * qr.p * inv_logmean_batched(ql.rho * qr.p, qr.rho * ql.p)
+        inv_mean = inv_logmean_batched(
+            np.multiply(ql.rho, qr.p, out=scratch[0]),
+            np.multiply(qr.rho, ql.p, out=scratch[1]),
+            work,
+        )
+        p_p = np.multiply(ql.p, qr.p, out=scratch[1])
+        inv_rho_p_mean = np.multiply(p_p, inv_mean, out=scratch[0])
+        rho_mean = logmean_batched(ql.rho, qr.rho, work)
     else:
-        rho_mean = 0.5 * (ql.rho + qr.rho)
-    p_avg = 0.5 * (ql.p + qr.p)
-    vn_avg = 0.5 * (vn_l + vn_r)
+        rho_mean = np.add(ql.rho, qr.rho, out=work[3])
+        rho_mean *= 0.5
+    axis = _is_axis(normal)
+    vn_l, vn_r = _directed(ql, qr, normal, scratch[2:5]) if vn is None else vn
+    p_avg = np.add(ql.p, qr.p, out=scratch[4])
+    p_avg *= 0.5
+    vn_avg = np.add(vn_l, vn_r, out=scratch[1])
+    vn_avg *= 0.5
     f_rho = np.multiply(rho_mean, vn_avg, out=out[0])
-    vv = ql.v[0] * qr.v[0]
+    if not axis:
+        for i, n_i in enumerate(normal):
+            np.multiply(p_avg, n_i, out=out[1 + i])
+    half_f_rho, tmp = scratch[_NORMAL_ROW], scratch[_NORMAL_ROW + 1]
+    vv = np.multiply(ql.v[0], qr.v[0], out=rho_mean)
     for i in range(1, len(ql.v)):
-        vv = vv + ql.v[i] * qr.v[i]
+        vv += np.multiply(ql.v[i], qr.v[i], out=tmp)
+    np.multiply(f_rho, 0.5, out=half_f_rho)
     for i in range(len(ql.v)):
-        np.multiply(f_rho * 0.5, ql.v[i] + qr.v[i], out=out[1 + i])
-    _add_pressure(out[1:-1], p_avg, normal)
+        momentum = np.add(ql.v[i], qr.v[i], out=out[1 + i] if axis else tmp)
+        momentum *= half_f_rho
+        if not axis:
+            out[1 + i] += momentum
+    if axis:
+        out[1 + normal] += p_avg
     igm1 = gas.inv_gamma_minus_one
     if kind == "ranocha":
-        f_e = f_rho * (0.5 * vv + igm1 * inv_rho_p_mean)
+        vv *= 0.5
+        inv_rho_p_mean *= igm1
+        vv += inv_rho_p_mean
+        vv *= f_rho
     else:
-        f_e = 0.5 * f_rho * vv + p_avg * vn_avg * igm1
-    np.add(f_e, 0.5 * (ql.p * vn_r + qr.p * vn_l), out=out[-1])
+        vv *= half_f_rho
+        p_avg *= vn_avg
+        p_avg *= igm1
+        vv += p_avg
+    pv = np.multiply(ql.p, vn_r, out=scratch[0])
+    pv += np.multiply(qr.p, vn_l, out=tmp)
+    pv *= 0.5
+    np.add(vv, pv, out=out[-1])
     return out
 
 
@@ -310,22 +404,26 @@ def _own_flux_lanes(
     return _hll_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out)
 
 
-def _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out):
-    """flux_lanes given v.n on both sides (_directed). No kernel writes
-    into vn_l or vn_r, which along an axis are rows of the states."""
+def _flux_lanes(kind, ql, qr, normal, gas, n_real, out, vn=None, scratch=None):
+    """flux_lanes, given vn = (v_l.n, v_r.n) when the caller has them
+    (_directed); None: formed here. No kernel writes into vn, which along
+    an axis are rows of the states."""
     if out is None:
         out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
     if kind in _OWN_FLUX_KINDS:
+        vn_l, vn_r = _directed(ql, qr, normal) if vn is None else vn
         f_r = np.empty_like(out)
         return _own_flux_lanes(
             kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out, f_r, out, f_r
         )
     if kind in ("shima", "ranocha"):
-        return _split_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out)
+        if scratch is None:
+            scratch = _split_scratch(len(ql.v), out.shape[-1])
+        return _split_lanes(kind, ql, qr, normal, vn, gas, n_real, out, scratch)
     raise ConfigurationError("unknown flux kind %r" % (kind,))
 
 
-def flux_lanes(kind, ql, qr, normal, gas, n_real, out=None):
+def flux_lanes(kind, ql, qr, normal, gas, n_real, out=None, scratch=None):
     """Two-point flux of `kind` over lanes along `normal`: either a tuple
     of d per-lane component rows (the scaled normal) or an int, the index
     j of a coordinate axis (unscaled). Along an axis every kind runs in
@@ -341,9 +439,14 @@ def flux_lanes(kind, ql, qr, normal, gas, n_real, out=None):
     the states or the normal. central, llf and hll form f(q_l).n in `out`
     and f(q_r).n in one scratch block, then combine them (llf's jump
     u_r - u_l reuses the scratch block); llf and hll bound the wave speeds
-    against the scaled normal, as the scalar kernels do."""
-    vn_l, vn_r = _directed(ql, qr, normal)
-    return _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out)
+    against the scaled normal, as the scalar kernels do. shima and ranocha
+    write every intermediate, v.n included, into `scratch`, (d+6, lanes)
+    lane rows that the caller owns (allocated here when omitted), so with
+    both blocks given they allocate nothing but the index array of the
+    log-branch lanes of the log means. scratch must not share memory with
+    out or the states; of the normal it may hold only its last d rows,
+    which the pair loops fill with the pair normal (_pair_flux)."""
+    return _flux_lanes(kind, ql, qr, normal, gas, n_real, out, scratch=scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +555,24 @@ def _face_geometry(setup, n):
     return 1.0, tuple(_face_rows(setup.metrics.face_ja[n][1]))
 
 
-def _pair_flux(kind, ql, qr, half_a, half_b, gas, f):
+def _pair_flux(kind, ql, qr, half_a, half_b, gas, f, scratch):
     """The two-point flux between two lane sets into the block f: along
-    half_a + half_b (halved metric rows), or along the axis half_a."""
+    half_a + half_b (halved (d, lanes) metric rows), formed in the last d
+    rows of scratch, a _split_scratch, or along the axis half_a."""
     normal = half_a
     if not _is_axis(half_a):
-        normal = tuple(x + y for x, y in zip(half_a, half_b))
-    return flux_lanes(kind, ql, qr, normal, gas, f.shape[-1], f)
+        normal = np.add(half_a, half_b, out=scratch[_NORMAL_ROW:])
+    return flux_lanes(kind, ql, qr, normal, gas, f.shape[-1], f, scratch)
 
 
-def _line_terms(kind, lanes, half_ja, pairs, scale, gas, acc, f, coupling=()):
+def _line_terms(kind, lanes, half_ja, pairs, scale, gas, acc, f, scratch, coupling=()):
     """Add one direction's two-point terms into acc, the (d+2, p+1, lanes)
     accumulator of the node lines: each pair (a, b, c_ab, c_ba) of the table
     adds scale c_ab F(a, b) at line position a and scale c_ba F(a, b) at b.
     lanes holds one Lanes per line position, half_ja the direction's halved
-    metric rows (its axis index on Cartesian meshes, see _line_geometry)
-    and f is a (d+2, lanes) flux block.
+    metric rows (its axis index on Cartesian meshes, see _line_geometry),
+    f is a (d+2, lanes) flux block and scratch a _split_scratch, whose
+    first d+2 rows also hold each weighted flux before it is added.
 
     coupling, per side s = 0, 1, is (face lanes, halved face metric rows,
     face-row sum, c_vol, c_face, lift row) of a hybridized operator
@@ -479,17 +584,18 @@ def _line_terms(kind, lanes, half_ja, pairs, scale, gas, acc, f, coupling=()):
     halves = [
         half_ja if _is_axis(half_ja) else half_ja[:, a] for a in range(acc.shape[1])
     ]
+    weighted = scratch[: f.shape[0]]
     for a, b, cab, cba in pairs:
-        _pair_flux(kind, lanes[a], lanes[b], halves[a], halves[b], gas, f)
-        acc[:, a] += (cab * scale) * f
-        acc[:, b] += (cba * scale) * f
+        _pair_flux(kind, lanes[a], lanes[b], halves[a], halves[b], gas, f, scratch)
+        acc[:, a] += np.multiply(f, cab * scale, out=weighted)
+        acc[:, b] += np.multiply(f, cba * scale, out=weighted)
     for face, half_face, rface, cvol, cface, lrow in coupling:
         for a, half in enumerate(halves):
-            _pair_flux(kind, lanes[a], face, half, half_face, gas, f)
-            acc[:, a] += (cvol[a] * scale) * f
-            rface += (cface[a] * scale) * f
+            _pair_flux(kind, lanes[a], face, half, half_face, gas, f, scratch)
+            acc[:, a] += np.multiply(f, cvol[a] * scale, out=weighted)
+            rface += np.multiply(f, cface[a] * scale, out=weighted)
         for a, la in enumerate(lrow):
-            acc[:, a] += la * rface
+            acc[:, a] += np.multiply(rface, la, out=weighted)
 
 
 def mesh_fluxdiff_volume(u, prim, setup, config):
@@ -506,6 +612,7 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     acc = _line_buffer(setup, nvar)
     lanes = _line_lanes(q, cons)
     f = np.empty((nvar, q.shape[-1]))
+    scratch = _split_scratch(d, q.shape[-1])
     out = np.zeros_like(u)
     for n in range(d):
         _line_rows(prim, setup, n, q)
@@ -513,7 +620,7 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
             _line_rows(u, setup, n, cons)
         scale, rows = _line_geometry(setup, n, rows)
         acc.fill(0.0)
-        _line_terms(vol_flux, lanes, rows, pairs, scale, setup.gas, acc, f)
+        _line_terms(vol_flux, lanes, rows, pairs, scale, setup.gas, acc, f, scratch)
         view = _line_major(out, setup, n)
         view += _as_line_major(acc, setup)
     out /= setup.metrics.jac[:, :, None]
@@ -540,20 +647,20 @@ def _interface_fluxes(faces, setup, n, kind, subtract_own, normal):
     pair. The face lanes die with this call, before the lift."""
     need_cons = subtract_own or kind in _OWN_FLUX_KINDS
     ql, qr = _interface_lanes(faces, setup, n, need_cons)
-    vn_l, vn_r = _directed(ql, qr, normal)
     gas = setup.gas
     n_lanes = ql.rho.size
     if not subtract_own:
-        f = _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_lanes, None)
+        f = _flux_lanes(kind, ql, qr, normal, gas, n_lanes, None)
         return f, f
     add_one_point(2 * n_lanes)
+    vn_l, vn_r = _directed(ql, qr, normal)
     f_l = np.empty((len(ql.v) + 2, n_lanes))
     f_r = np.empty_like(f_l)
     if kind in _OWN_FLUX_KINDS:
         f = np.empty_like(f_l)
         _own_flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_lanes, f_l, f_r, f)
     else:
-        f = _flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_lanes, None)
+        f = _flux_lanes(kind, ql, qr, normal, gas, n_lanes, None, (vn_l, vn_r))
         _phys_lanes(ql, vn_l, normal, f_l)
         _phys_lanes(qr, vn_r, normal, f_r)
     np.subtract(f, f_l, out=f_l)
@@ -657,10 +764,11 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
         for s, (cvol, cface) in enumerate(vol_face)
     )
     acc = np.zeros(q.shape)
-    f = np.empty((nvar, q.shape[-1]))
+    lanes = q.shape[-1]
+    # the flux block and the scratch die with the line kernel's call
     _line_terms(
-        vol_flux, _line_lanes(q, cons), half_ja, pairs, scale, setup.gas, acc, f,
-        coupling,
+        vol_flux, _line_lanes(q, cons), half_ja, pairs, scale, setup.gas, acc,
+        np.empty((nvar, lanes)), _split_scratch(setup.d, lanes), coupling,
     )
     acc /= _line_rows(setup.metrics.jac[..., None], setup, n, _line_buffer(setup, 1))[0]
     view = _line_major(out, setup, n)
@@ -683,10 +791,10 @@ def mesh_gauss_surface(faces, setup, n, surface_flux):
     need_cons = surface_flux in _OWN_FLUX_KINDS
     ql, qr = _interface_lanes(faces, setup, n, need_cons)
     scale, normal = _face_geometry(setup, n)
-    vn_l, vn_r = _directed(ql, qr, normal)
+    vn = _directed(ql, qr, normal)
     n_lanes = ql.rho.size
     f_m, f_p = (
-        _flux_lanes(surface_flux, ql, qr, vn_l, vn_r, normal, setup.gas, n_lanes, None)
+        _flux_lanes(surface_flux, ql, qr, normal, setup.gas, n_lanes, None, vn)
         for _ in range(2)
     )
     f_m *= scale

@@ -497,12 +497,11 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
     admissible state pairs, along axis 0 (the cartesian form) or along
     random per-lane normal rows (the directional form): the arithmetic that
     rhs(kernel="batched") runs, writing into a (d+2, n_samples) flux block
-    allocated before the clock starts, as the rhs kernels do. Before any
-    timing, every lane is checked against the scalar directional kernel
-    (with the axis as the normal for the cartesian form) to 1e-13 relative.
-    Readings above about 6k lanes include the minor page faults of glibc
-    returning and refaulting the flux temporaries, not only arithmetic.
-    Returns (ns_mean, ns_std, n_samples).
+    and working in a (d+6, n_samples) scratch block, both allocated before
+    the clock starts, as the rhs pair loops do (only shima and ranocha use
+    the scratch). Before any timing, every lane is checked against the
+    scalar directional kernel (with the axis as the normal for the
+    cartesian form) to 1e-13 relative. Returns (ns_mean, ns_std, n_samples).
     """
     if form not in MICROBENCH_FORMS:
         raise ConfigurationError(
@@ -530,7 +529,9 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
         normals = np.transpose(normal).tolist()
     fn = batched.flux_lanes
     block = np.empty((d + 2, n_samples))
-    got = np.transpose(fn(kind, ql, qr, normal, gas, n_samples, block)).tolist()
+    scratch = np.empty((d + 6, n_samples))
+    got = fn(kind, ql, qr, normal, gas, n_samples, block, scratch)
+    got = np.transpose(got).tolist()
     dirn = flux_function(kind)
     for i, (ul, ur, nrm) in enumerate(zip(u[0].tolist(), u[1].tolist(), normals)):
         want = dirn(ul, ur, nrm, gas)
@@ -543,7 +544,7 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
 
     def timed():
         start = time.perf_counter()
-        fn(kind, ql, qr, normal, gas, n_samples, block)
+        fn(kind, ql, qr, normal, gas, n_samples, block, scratch)
         return time.perf_counter() - start
 
     timed()  # warmup

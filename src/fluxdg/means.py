@@ -8,7 +8,9 @@ call, switch to a truncated series once the squared normalized jump
 z = ((a+ - a-)/(a+ + a-))^2 falls below SERIES_EPSILON. The jump
 a+ - a- and the sum a+ + a- are formed once and shared by z and by both
 branches. The lane versions (batched.logmean_batched, inv_logmean_batched)
-evaluate the same expressions, operation for operation, on arrays.
+evaluate the same expressions, operation for operation, on lane arrays:
+the series on every lane, then the log quotient on the lanes with
+z >= SERIES_EPSILON only, so each lane takes the branch the scalar takes.
 """
 
 import math

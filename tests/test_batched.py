@@ -23,7 +23,7 @@ from fluxdg.errors import ConfigurationError
 from fluxdg.euler import cons2prim
 from fluxdg.fluxes import SURFACE_KINDS, flux_function
 from fluxdg.geometry import element_metrics
-from fluxdg.means import logmean_optimized, inv_logmean_optimized
+from fluxdg.means import SERIES_EPSILON, logmean_optimized, inv_logmean_optimized
 from fluxdg.operators import hybridized_scatter, node_lines
 from fluxdg.verify import random_field, random_primitives, relative_gap
 
@@ -47,6 +47,51 @@ def test_branchless_logmean_matches_scalar():
         want = logmean_optimized(a[i], b[i])
         assert abs(got[i] - want) < 5e-16 * want
         assert abs(inv[i] - inv_logmean_optimized(a[i], b[i])) < 5e-16 / want
+
+
+def test_log_means_mix_branches_lane_by_lane(monkeypatch):
+    """The lane log means on one call whose lanes mix both branches:
+    log-branch lanes first, in the middle and last, equal arguments, and
+    z = ((b-a)/(a+b))^2 just below, at and just above SERIES_EPSILON (99
+    and 101 give z == SERIES_EPSILON exactly, which takes the log branch).
+    Every lane matches the scalar mean within the bounds above, and the log
+    is taken once per call, on exactly the lanes where the scalar takes its
+    log branch, in lane order."""
+    pairs = [
+        (1.0, 3.0),
+        (1.3, 1.3 * (1.0 + 1e-9)),
+        (99.0, np.nextafter(101.0, 0.0)),
+        (2.5, 2.5),
+        (4.0, 0.5),
+        (99.0, 101.0),
+        (99.0, np.nextafter(101.0, np.inf)),
+        (1.0, 1.001),
+        (5.0, 0.7),
+    ]
+    z = [((y - x) / (x + y)) ** 2 for x, y in pairs]
+    assert z[2] < SERIES_EPSILON == z[5] < z[6]
+    log_lanes = [i for i, zi in enumerate(z) if zi >= SERIES_EPSILON]
+    assert log_lanes == [0, 4, 5, 6, 8]
+    a, b = np.array(pairs).T
+    logs = []
+    log = np.log
+
+    def recording_log(x, *args, **kwargs):
+        logs.append(np.array(x))
+        return log(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log", recording_log)
+    for lanes, scalar, inverse in (
+        (logmean_batched, logmean_optimized, False),
+        (inv_logmean_batched, inv_logmean_optimized, True),
+    ):
+        logs.clear()
+        got = lanes(a, b)
+        assert len(logs) == 1 and np.array_equal(logs[0], b[log_lanes] / a[log_lanes])
+        for i, (x, y) in enumerate(pairs):
+            want = logmean_optimized(x, y)
+            bound = 5e-16 / want if inverse else 5e-16 * want
+            assert abs(got[i] - scalar(x, y)) < bound, i
 
 
 def _volume_against_oracle(setup, u, vol_flux):
@@ -101,9 +146,20 @@ def test_element_volume_matches_scalar_across_degrees(gas, p):
 @pytest.mark.parametrize("d", [2, 3])
 def test_mesh_rhs_matches_reference_kernel(gas, family, scheme, d):
     geo = None
-    amplitude = 0.12 if d == 2 else 0.08
     if family == "gauss":
         geo = 2 if d == 2 else 1
+    _mesh_rhs_against_reference(gas, family, scheme, d, geo)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mesh_rhs_matches_reference_kernel_isoparametric_gauss(gas, d):
+    """The cases above on the default curved Gauss mesh, whose mapping
+    degree is the solution degree (geo_degree=None)."""
+    _mesh_rhs_against_reference(gas, "gauss", "gauss_fluxdiff", d, None)
+
+
+def _mesh_rhs_against_reference(gas, family, scheme, d, geo):
+    amplitude = 0.12 if d == 2 else 0.08
     setup = make_setup(
         gas, d=d, dims=(3,) * d, amplitude=amplitude, geo_degree=geo, family=family
     )
@@ -611,3 +667,37 @@ def test_strong_llf_rhs_peak_memory(gas):
     finally:
         tracemalloc.stop()
     assert peak <= 5.25 * u.nbytes, peak / u.nbytes
+
+
+def test_pair_loop_peak_memory(gas):
+    """The tracemalloc peak of one warm mesh_fluxdiff_volume (ranocha) on
+    the lgl3d_curved benchmark mesh (3D p3, 8^3 curved LGL) stays within
+    the buffers it names: out, the primitive line rows and the accumulator
+    (u.nbytes each), the halved metric rows (d line rows), the flux block
+    (d+2 lane rows) and the split-form scratch (6+d lane rows), plus the
+    two iterator buffers of np.getbufsize() doubles that numpy takes to add
+    the accumulator through the transposed view of out. 1% covers
+    interpreter objects. The pair loop itself allocates only the index
+    array of the log-branch lanes, so the reading is the same on smooth
+    and random states: 1.001 of the bound, against 1.060 with fresh lane
+    temporaries per pair."""
+    d, p = 3, 3
+    mesh = build_mesh((8,) * d, bounds=(-5.0, 5.0), amplitude=0.1)
+    setup = build_setup(mesh, make_operator(p, "lgl"), gas)
+    u = random_field(setup, gas, seed=31, amp=0.3)
+    prim = cons2prim(u, gas)
+    config = RhsConfig(volume_flux="ranocha", kernel="batched")
+    mesh_fluxdiff_volume(u, prim, setup, config)  # warm the operator caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mesh_fluxdiff_volume(u, prim, setup, config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    lane_row = 8 * setup.n_elements * (p + 1) ** (d - 1)
+    line_row = (p + 1) * lane_row
+    named = 3 * u.nbytes + d * line_row + (d + 2) * lane_row + (6 + d) * lane_row
+    bound = named + 2 * np.getbufsize() * u.itemsize
+    assert peak <= 1.01 * bound, peak / bound
