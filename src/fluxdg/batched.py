@@ -17,9 +17,12 @@ direction each kernel copies it, transposed, into a contiguous line buffer
 (m, p+1, lanes), whose row [k, a] is component k at line position a of
 every lane. Every direction has the same number of lanes, so
 mesh_fluxdiff_volume allocates its line buffers (primitive rows, conserved
-rows for the central flux, halved metric rows on curved meshes, and the
-accumulator) once per call and refills them in every direction;
-mesh_gauss_volume runs one direction per call and fills its own.
+rows for the central flux, and the accumulator) once per call and refills
+them in every direction; mesh_gauss_volume runs one direction per call and
+fills its own. The metric terms get no line buffer: geometry stores each
+component (Ja)^n_j as one contiguous (n_elem, nodes) block, and a pair
+reads its two line positions straight from the direction's line-major view
+of that store (_line_geometry).
 
 One line kernel, _line_terms, does the two-point volume work of both node
 families: it walks a pair table into the (d+2, p+1, lanes) accumulator
@@ -27,10 +30,11 @@ families: it walks a pair table into the (d+2, p+1, lanes) accumulator
 grids) and, on Gauss grids only, the hybridized volume-face coupling. The
 coupling's face-row sums start from the interface fluxes that
 mesh_gauss_surface returns, so the Gauss faces are lifted inside the
-accumulator, which then goes back with one add through the transposed
-view of the output. On Lobatto grids the coupling cancels on the boundary
-nodes and is left out; mesh_surface's lift (_lift) writes the face fluxes
-into the first and last line positions. The lane order is the line order
+accumulator, which is divided by J through a view of the Jacobian and
+goes back with one add through the transposed view of the output. On
+Lobatto grids the coupling cancels on the boundary nodes and is left out;
+mesh_surface's lift (_lift) writes the face fluxes into the first and last
+line positions. The lane order is the line order
 of `operators.node_lines`, which the scalar path uses.
 
 One entry, flux_lanes, evaluates every two-point flux; its normal is
@@ -39,8 +43,8 @@ Trixi.jl's orientation / normal_direction pair. Cartesian meshes take the
 axis fluxes scaled by the constant face area on both families, in the
 volume pairs and at the interfaces alike. One rule decides it:
 _line_geometry (node lines) and its face twin _face_geometry return the
-area and the axis index n there, the metric rows and the scale 1.0
-elsewhere. Along an axis every kernel runs in axis form: v.n is the
+area and the axis index n there, views of the metric terms and the scale
+1.0 elsewhere. Along an axis every kernel runs in axis form: v.n is the
 velocity row v_n itself, the pressure goes onto momentum row n only, and
 the llf and hll wave speeds carry no |n|. The area then multiplies in
 once: into the pair weights, onto the Gauss side blocks that the coupling
@@ -84,8 +88,8 @@ every temporary of the flux pass are gone before the lift runs.
 
 Equivalence with the scalar path is a strict contract (relative 1e-13, see
 the tests); the expressions below mirror the scalar kernels operation by
-operation (a pair normal 0.5 x + 0.5 y from halved metric rows is the
-scalar 0.5 (x + y) for normal floats), so differences come only from the
+operation (a pair normal is the scalar's 0.5 (Ja_a + Ja_b), summed and
+halved in the scratch block), so differences come only from the
 libm/numpy log and sqrt ulps, from the grouping of sums (each direction's
 contributions are summed in a lane accumulator before they are added into
 the output, where the scalar kernels keep one running sum per node) and,
@@ -128,7 +132,9 @@ def _log_mean(a, b, inverse, work):
     gathered into the rows of z and s, which are free by then, and
     scattered over the series. Lane by lane these are the expressions of
     means.logmean_optimized and inv_logmean_optimized, with the same
-    branch; a and b are only read."""
+    branch; a and b are only read, and must be positive (rhs passes
+    admissibility-checked states), so no branch divides by zero or takes
+    the log of a non-positive ratio."""
     if work is None:
         work = np.empty((4,) + a.shape)
     s, jump, z, mean = work
@@ -151,14 +157,13 @@ def _log_mean(a, b, inverse, work):
         log_ratio, other = z[: far.size], s[: far.size]
         b.take(far, out=log_ratio, mode="clip")
         a.take(far, out=other, mode="clip")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio /= other
+        np.log(log_ratio, out=log_ratio)
+        jump.take(far, out=other, mode="clip")
+        if inverse:
             log_ratio /= other
-            np.log(log_ratio, out=log_ratio)
-            jump.take(far, out=other, mode="clip")
-            if inverse:
-                log_ratio /= other
-            else:
-                np.divide(other, log_ratio, out=log_ratio)
+        else:
+            np.divide(other, log_ratio, out=log_ratio)
         mean[far] = log_ratio
     return mean
 
@@ -486,15 +491,6 @@ def _line_rows(arr, setup, n, rows):
     return rows
 
 
-def _half_metric_rows(setup, n, rows):
-    """Fill `rows`, a (d, p+1, lanes) _line_buffer, with half the direction-n
-    metric terms Ja^n and return it: a pair's normal 0.5 (Ja_a + Ja_b) is
-    then rows[:, a] + rows[:, b], the same floats for normal numbers."""
-    view = _line_major(setup.metrics.ja[:, :, n, :], setup, n)
-    np.multiply(view, 0.5, out=_as_line_major(rows, setup))
-    return rows
-
-
 def _row_lanes(q, cons):
     """Lanes from (d+2, lanes) primitive rows and, optionally, the
     conserved block."""
@@ -529,18 +525,17 @@ def _face_lanes(states, q, need_cons, order=None):
     return _row_lanes(_face_rows(q), _face_rows(states) if need_cons else None)
 
 
-def _line_geometry(setup, n, rows=None):
-    """(pair weight scale, halved metric rows) of direction n. On Cartesian
-    meshes the scale is the constant face area and the rows are the axis
-    index n: the pairs then take the unscaled axis-n flux. Elsewhere the
-    scale is 1.0 and the rows are `rows`, a (d, p+1, lanes) _line_buffer
-    (allocated here when None, so the returned rows can be passed back for
-    the next direction), filled by _half_metric_rows."""
+def _line_geometry(setup, n):
+    """(pair weight scale, metric lines) of direction n. On Cartesian
+    meshes the scale is the constant face area and the metric lines are the
+    axis index n: the pairs then take the unscaled axis-n flux. Elsewhere
+    the scale is 1.0 and the metric lines are the (d, p+1, n_elem, ...)
+    _line_major view of the metric terms Ja^n, no copy: entry [j, a] is
+    (Ja)^n_j at line position a of every lane, read from that component's
+    contiguous block of the metric store (geometry.MetricData)."""
     if setup.mesh.is_cartesian:
         return float(setup.metrics.ja[0, 0, n, n]), n
-    if rows is None:
-        rows = _line_buffer(setup, setup.d)
-    return 1.0, _half_metric_rows(setup, n, rows)
+    return 1.0, _line_major(setup.metrics.ja[:, :, n, :], setup, n)
 
 
 def _face_geometry(setup, n):
@@ -555,43 +550,46 @@ def _face_geometry(setup, n):
     return 1.0, tuple(_face_rows(setup.metrics.face_ja[n][1]))
 
 
-def _pair_flux(kind, ql, qr, half_a, half_b, gas, f, scratch):
+def _pair_flux(kind, ql, qr, ja_a, ja_b, gas, f, scratch):
     """The two-point flux between two lane sets into the block f: along
-    half_a + half_b (halved (d, lanes) metric rows), formed in the last d
-    rows of scratch, a _split_scratch, or along the axis half_a."""
-    normal = half_a
-    if not _is_axis(half_a):
-        normal = np.add(half_a, half_b, out=scratch[_NORMAL_ROW:])
+    the pair normal 0.5 (ja_a + ja_b), formed in the last d rows of
+    scratch, a _split_scratch, from two (d, ...) metric views of one shape
+    whose entries run in lane order, or along the axis ja_a."""
+    normal = ja_a
+    if not _is_axis(ja_a):
+        normal = scratch[_NORMAL_ROW:]
+        np.add(ja_a, ja_b, out=normal.reshape(ja_a.shape))
+        normal *= 0.5
     return flux_lanes(kind, ql, qr, normal, gas, f.shape[-1], f, scratch)
 
 
-def _line_terms(kind, lanes, half_ja, pairs, scale, gas, acc, f, scratch, coupling=()):
+def _line_terms(kind, lanes, ja, pairs, scale, gas, acc, f, scratch, coupling=()):
     """Add one direction's two-point terms into acc, the (d+2, p+1, lanes)
     accumulator of the node lines: each pair (a, b, c_ab, c_ba) of the table
-    adds scale c_ab F(a, b) at line position a and scale c_ba F(a, b) at b.
-    lanes holds one Lanes per line position, half_ja the direction's halved
-    metric rows (its axis index on Cartesian meshes, see _line_geometry),
-    f is a (d+2, lanes) flux block and scratch a _split_scratch, whose
-    first d+2 rows also hold each weighted flux before it is added.
+    adds scale c_ab F(a, b) at line position a and scale c_ba F(a, b) at b,
+    along the pair normal 0.5 (Ja_a + Ja_b) (_pair_flux). lanes holds one
+    Lanes per line position, ja the direction's metric lines (its axis
+    index on Cartesian meshes, see _line_geometry), f is a (d+2, lanes)
+    flux block and scratch a _split_scratch, whose last d rows hold each
+    pair normal and whose first d+2 rows hold each weighted flux before it
+    is added.
 
-    coupling, per side s = 0, 1, is (face lanes, halved face metric rows,
-    face-row sum, c_vol, c_face, lift row) of a hybridized operator
-    (operators.hybridized_scatter): each line position a adds
-    scale c_vol[a] F(a, face) at a and scale c_face[a] F(a, face) into the
-    face-row sum, a (d+2, lanes) block that arrives holding the side's
-    interface flux; the lift row then carries the whole sum back onto the
-    line."""
-    halves = [
-        half_ja if _is_axis(half_ja) else half_ja[:, a] for a in range(acc.shape[1])
-    ]
+    coupling, per side s = 0, 1, is (face lanes, face metric terms viewed
+    in the shape of ja[:, a], face-row sum, c_vol, c_face, lift row) of a
+    hybridized operator (operators.hybridized_scatter): each line position
+    a adds scale c_vol[a] F(a, face) at a and scale c_face[a] F(a, face)
+    into the face-row sum, a (d+2, lanes) block that arrives holding the
+    side's interface flux; the lift row then carries the whole sum back
+    onto the line."""
+    positions = [ja if _is_axis(ja) else ja[:, a] for a in range(acc.shape[1])]
     weighted = scratch[: f.shape[0]]
     for a, b, cab, cba in pairs:
-        _pair_flux(kind, lanes[a], lanes[b], halves[a], halves[b], gas, f, scratch)
+        _pair_flux(kind, lanes[a], lanes[b], positions[a], positions[b], gas, f, scratch)
         acc[:, a] += np.multiply(f, cab * scale, out=weighted)
         acc[:, b] += np.multiply(f, cba * scale, out=weighted)
-    for face, half_face, rface, cvol, cface, lrow in coupling:
-        for a, half in enumerate(halves):
-            _pair_flux(kind, lanes[a], face, half, half_face, gas, f, scratch)
+    for face, face_ja, rface, cvol, cface, lrow in coupling:
+        for a, ja_a in enumerate(positions):
+            _pair_flux(kind, lanes[a], face, ja_a, face_ja, gas, f, scratch)
             acc[:, a] += np.multiply(f, cvol[a] * scale, out=weighted)
             rface += np.multiply(f, cface[a] * scale, out=weighted)
         for a, la in enumerate(lrow):
@@ -601,28 +599,35 @@ def _line_terms(kind, lanes, half_ja, pairs, scale, gas, acc, f, scratch, coupli
 def mesh_fluxdiff_volume(u, prim, setup, config):
     """Flux-differencing volume term for the whole mesh, elements folded
     into the lane axis; prim = cons2prim(u). Returns the Jacobian-scaled VOL
-    array."""
+    array.
+
+    out starts uninitialized: direction 0 copies its accumulator into the
+    line-major view of out; every later direction, once its pairs are done,
+    copies its accumulator into the primitive line buffer, which is free
+    until the next refill, viewed in node layout, and adds that into out
+    with one contiguous add."""
     d = setup.d
     nvar = d + 2
     vol_flux = config.volume_flux
     pairs = split_pairs(setup.op.degree)
     q = _line_buffer(setup, nvar)
     cons = _line_buffer(setup, nvar) if vol_flux == "central" else None
-    rows = None
     acc = _line_buffer(setup, nvar)
     lanes = _line_lanes(q, cons)
     f = np.empty((nvar, q.shape[-1]))
     scratch = _split_scratch(d, q.shape[-1])
-    out = np.zeros_like(u)
+    out = np.empty_like(u)
     for n in range(d):
         _line_rows(prim, setup, n, q)
         if cons is not None:
             _line_rows(u, setup, n, cons)
-        scale, rows = _line_geometry(setup, n, rows)
+        scale, ja = _line_geometry(setup, n)
         acc.fill(0.0)
-        _line_terms(vol_flux, lanes, rows, pairs, scale, setup.gas, acc, f, scratch)
-        view = _line_major(out, setup, n)
-        view += _as_line_major(acc, setup)
+        _line_terms(vol_flux, lanes, ja, pairs, scale, setup.gas, acc, f, scratch)
+        nodal = out if n == 0 else q.reshape(u.shape)
+        np.copyto(_line_major(nodal, setup, n), _as_line_major(acc, setup))
+        if n > 0:
+            out += nodal
     out /= setup.metrics.jac[:, :, None]
     return out
 
@@ -748,14 +753,14 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     need_cons = vol_flux == "central"
     q = _line_rows(prim, setup, n, _line_buffer(setup, nvar))
     cons = _line_rows(u, setup, n, _line_buffer(setup, nvar)) if need_cons else None
-    scale, half_ja = _line_geometry(setup, n)
+    scale, ja = _line_geometry(setup, n)
     face_ja = setup.metrics.face_ja[n]
-    # made one side at a time as the kernel reaches it, so no face rows are
-    # held during the pair loop
+    # made one side at a time as the kernel reaches it, so no face lanes are
+    # held during the pair loop; the face metric terms are views
     coupling = (
         (
             _face_lanes(*faces[s], need_cons),
-            half_ja if _is_axis(half_ja) else 0.5 * _face_rows(face_ja[s]),
+            ja if _is_axis(ja) else _face_rows(face_ja[s]).reshape(ja[:, 0].shape),
             sides[s],
             cvol,
             cface,
@@ -767,12 +772,13 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     lanes = q.shape[-1]
     # the flux block and the scratch die with the line kernel's call
     _line_terms(
-        vol_flux, _line_lanes(q, cons), half_ja, pairs, scale, setup.gas, acc,
+        vol_flux, _line_lanes(q, cons), ja, pairs, scale, setup.gas, acc,
         np.empty((nvar, lanes)), _split_scratch(setup.d, lanes), coupling,
     )
-    acc /= _line_rows(setup.metrics.jac[..., None], setup, n, _line_buffer(setup, 1))[0]
+    acc = _as_line_major(acc, setup)
+    acc /= _line_major(setup.metrics.jac[..., None], setup, n)[0]
     view = _line_major(out, setup, n)
-    view += _as_line_major(acc, setup)
+    view += acc
     return out
 
 

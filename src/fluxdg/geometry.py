@@ -186,7 +186,11 @@ class MetricData:
     """Discrete geometry of one mesh/operator pairing.
 
     ja[e, i, n, j] holds the scaled contravariant component (Ja)^n_j at node
-    i of element e; jac[e, i] the Jacobian. face_ja[n][s, e, m, :] is
+    i of element e; jac[e, i] the Jacobian. ja is stored component-major:
+    it is the transposed view of one contiguous (d, d, n_elem, nodes) block,
+    so each ja[:, :, n, j] is one contiguous (n_elem, nodes) array, and the
+    lane kernels read a pair's normal 0.5 (Ja_a + Ja_b) straight from its
+    line-major view (batched._line_geometry). face_ja[n][s, e, m, :] is
     element e's own boundary trace of its direction-n metric vector at face
     node m of side s (0: reference -1 face, 1: +1 face), side-major so each
     side is one contiguous block. For nodal bases with boundary nodes the
@@ -322,6 +326,9 @@ def compute_metrics(mesh, op, coords=None):
             ]
             sides.append(np.stack(comps, axis=-1))
         face_ja.append(np.stack(sides))
+    # component-major store: each ja[:, :, n, j] is one contiguous block, so
+    # the lane kernels read pair normals from line-major views of it
+    ja = np.ascontiguousarray(ja.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
     return MetricData(ja, jac, tuple(face_ja))
 
 

@@ -289,8 +289,19 @@ def test_lift_matches_face_point_loop(gas, family, dims, curved):
     updates come first, as in _lift. On Cartesian meshes the fluxes are
     the unscaled axis form and the lift multiplies in the face area of
     _face_geometry, with the constant Jacobian, as area / (w J)."""
+    geo = (2 if len(dims) == 2 else 1) if family == "gauss" and curved else None
+    _lift_against_face_point_loop(gas, family, dims, curved, geo)
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1, 2)])
+def test_lift_matches_face_point_loop_isoparametric_gauss(gas, dims):
+    """The curved Gauss cases above on the default curved Gauss mesh, whose
+    mapping degree is the solution degree (geo_degree=None)."""
+    _lift_against_face_point_loop(gas, "gauss", dims, True, None)
+
+
+def _lift_against_face_point_loop(gas, family, dims, curved, geo):
     d = len(dims)
-    geo = (2 if d == 2 else 1) if family == "gauss" and curved else None
     mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
     op = make_operator(2, family)
     setup = build_setup(mesh, op, gas)
@@ -333,7 +344,7 @@ def test_lift_matches_face_point_loop(gas, family, dims, curved):
         assert np.array_equal(got, want), n
 
 
-@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("curved", [False, True, "isoparametric"])
 @pytest.mark.parametrize("dims", [(1, 3), (3, 1, 2)])
 def test_gauss_side_blocks_are_what_lift_lifts(gas, dims, curved):
     """mesh_gauss_surface hands mesh_gauss_volume the interface fluxes in
@@ -341,9 +352,11 @@ def test_gauss_side_blocks_are_what_lift_lifts(gas, dims, curved):
     side), side 0 the negated flux of its -1 face, gathered from the
     neighbour whose plus side it is. On Cartesian meshes both blocks carry
     the face area times the axis flux. Lifted through the rows
-    boundary_interp / weights and divided by J, they reproduce _lift."""
+    boundary_interp / weights and divided by J, they reproduce _lift.
+    Curved meshes map with degree 2 (2D) or 1 (3D), or isoparametrically
+    (geo_degree=None)."""
     d = len(dims)
-    geo = (2 if d == 2 else 1) if curved else None
+    geo = (2 if d == 2 else 1) if curved is True else None
     mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
     setup = build_setup(mesh, make_operator(2, "gauss"), gas)
     op = setup.op
@@ -382,8 +395,26 @@ def test_two_point_schemes_match_reference_on_edge_meshes(
     direction (the element is its own plus neighbour, so the minus and plus
     lifts land in the same element), non-cubic meshes, flat and curved
     metrics, and the conserved-lane path of the central volume flux."""
+    geo = (2 if len(dims) == 2 else 1) if family == "gauss" and curved else None
+    _two_point_against_reference(gas, family, scheme, p, dims, curved, geo, vol_flux)
+
+
+@pytest.mark.parametrize("vol_flux", ["central", "ranocha"])
+@pytest.mark.parametrize("dims", [(1, 1), (1, 3), (1, 1, 1), (3, 1, 2)])
+@pytest.mark.parametrize("p", [1, 3])
+def test_two_point_schemes_match_reference_on_edge_meshes_isoparametric_gauss(
+    gas, p, dims, vol_flux
+):
+    """The curved Gauss cases above on the default curved Gauss mesh
+    (geo_degree=None), whose volume-face coupling reads the face metric
+    terms of the isoparametric mapping."""
+    _two_point_against_reference(
+        gas, "gauss", "gauss_fluxdiff", p, dims, True, None, vol_flux
+    )
+
+
+def _two_point_against_reference(gas, family, scheme, p, dims, curved, geo, vol_flux):
     d = len(dims)
-    geo = (2 if d == 2 else 1) if family == "gauss" and curved else None
     mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
     setup = build_setup(mesh, make_operator(p, family), gas)
     for n in range(d):
@@ -669,35 +700,83 @@ def test_strong_llf_rhs_peak_memory(gas):
     assert peak <= 5.25 * u.nbytes, peak / u.nbytes
 
 
+# interpreter objects in a peak: the Lanes of every line position and their
+# row views, about 6 KB on the benchmark meshes
+_OBJECT_SLACK = 16 * 1024
+
+
+def _warm_peak(call, make_args):
+    """The tracemalloc peak of call(*make_args()) above the memory held when
+    it starts, on a second call (the first warms the operator caches);
+    make_args runs before the window opens."""
+    call(*make_args())
+    args = make_args()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def test_pair_loop_peak_memory(gas):
     """The tracemalloc peak of one warm mesh_fluxdiff_volume (ranocha) on
     the lgl3d_curved benchmark mesh (3D p3, 8^3 curved LGL) stays within
     the buffers it names: out, the primitive line rows and the accumulator
-    (u.nbytes each), the halved metric rows (d line rows), the flux block
-    (d+2 lane rows) and the split-form scratch (6+d lane rows), plus the
-    two iterator buffers of np.getbufsize() doubles that numpy takes to add
-    the accumulator through the transposed view of out. 1% covers
-    interpreter objects. The pair loop itself allocates only the index
-    array of the log-branch lanes, so the reading is the same on smooth
-    and random states: 1.001 of the bound, against 1.060 with fresh lane
-    temporaries per pair."""
+    (u.nbytes each), the flux block (d+2 lane rows) and the split-form
+    scratch (6+d lane rows), plus two iterator buffers of np.getbufsize()
+    doubles. numpy takes them for the pair-normal add in directions 0 and
+    1, whose two metric views of the store run in strided chunks of
+    (p+1)^(d-1) and p+1 nodes, to run longer inner loops; direction d-1
+    reads one evenly strided run and takes none. The pair loop itself
+    allocates only the index array of the log-branch lanes, so the reading
+    is the same on smooth and random states: 1.001 of the bound, against
+    1.159 with a halved copy of the metric terms in line layout (d line
+    rows) and the strided accumulator adds into out."""
     d, p = 3, 3
     mesh = build_mesh((8,) * d, bounds=(-5.0, 5.0), amplitude=0.1)
     setup = build_setup(mesh, make_operator(p, "lgl"), gas)
     u = random_field(setup, gas, seed=31, amp=0.3)
     prim = cons2prim(u, gas)
     config = RhsConfig(volume_flux="ranocha", kernel="batched")
-    mesh_fluxdiff_volume(u, prim, setup, config)  # warm the operator caches
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        mesh_fluxdiff_volume(u, prim, setup, config)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    peak = _warm_peak(mesh_fluxdiff_volume, lambda: (u, prim, setup, config))
     lane_row = 8 * setup.n_elements * (p + 1) ** (d - 1)
-    line_row = (p + 1) * lane_row
-    named = 3 * u.nbytes + d * line_row + (d + 2) * lane_row + (6 + d) * lane_row
+    named = 3 * u.nbytes + (d + 2) * lane_row + (6 + d) * lane_row
     bound = named + 2 * np.getbufsize() * u.itemsize
-    assert peak <= 1.01 * bound, peak / bound
+    assert peak <= bound + _OBJECT_SLACK, peak / bound
+
+
+def test_gauss_pair_loop_peak_memory(gas):
+    """The Gauss twin of test_pair_loop_peak_memory: one warm
+    mesh_gauss_volume direction (ranocha) on the gauss3d_curved benchmark
+    mesh (3D p3, 4^3 curved Gauss, geo_degree 1) stays within the primitive
+    line rows and the accumulator (u.nbytes each), the flux block (d+2
+    lane rows) and the split-form scratch (6+d lane rows), plus two
+    iterator buffers of (d+2) lane rows: numpy takes them, read and write,
+    for each acc[:, a] += w f, whose d+2 rows of 1024 lanes are shorter
+    than np.getbufsize(). The face lanes and the face metric terms are
+    views, and the pair normals' own iterator buffers (2 d lane rows) are
+    smaller. It reads 1.013 of the bound, against 1.248 with a halved copy
+    of the face metric rows and a Jacobian line buffer."""
+    d, p = 3, 3
+    mesh = build_mesh((4,) * d, bounds=(-5.0, 5.0), amplitude=0.1, geo_degree=1)
+    setup = build_setup(mesh, make_operator(p, "gauss"), gas)
+    u = random_field(setup, gas, seed=31, amp=0.3)
+    prim = cons2prim(u, gas)
+    config = RhsConfig(
+        volume_scheme="gauss_fluxdiff", volume_flux="ranocha", kernel="batched"
+    )
+    faces = next(discretization.face_states(u, prim, setup, True))
+    sides = batched.mesh_gauss_surface(faces, setup, 0, config.surface_flux)
+    out = np.zeros_like(u)
+    peak = _warm_peak(
+        batched.mesh_gauss_volume,
+        # the kernel overwrites the side blocks, so each call gets copies
+        lambda: (u, prim, faces, [s.copy() for s in sides], setup, 0, config, out),
+    )
+    lane_row = 8 * setup.n_elements * (p + 1) ** (d - 1)
+    named = 2 * u.nbytes + (d + 2) * lane_row + (6 + d) * lane_row
+    bound = named + 2 * (d + 2) * lane_row
+    assert peak <= bound + _OBJECT_SLACK, peak / bound

@@ -345,6 +345,19 @@ def overintegration_per_node(u, op, degree, metrics, gas):
     return back.reshape(u.shape)
 
 
+@pytest.mark.parametrize("family", ["lgl", "gauss"])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 1, 2)])
+def test_constant_terms_view_the_metric_store(gas, dims, family):
+    # the constant metric of a Cartesian mesh is read from the stored
+    # terms, not copied: a copying reshape of the component-major store
+    # would add ja.nbytes to every Cartesian rhs
+    setup = build_setup(build_mesh(dims), make_operator(3, family), gas)
+    for metrics in (setup.metrics, element_metrics(setup.metrics, 1)):
+        const = _constant_terms(metrics)
+        assert np.shares_memory(const.ja, metrics.ja)
+        assert np.array_equal(const.ja, metrics.ja[(0,) * (metrics.ja.ndim - 2)])
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
 @pytest.mark.parametrize("dims", [(2, 3), (3, 1, 2)])

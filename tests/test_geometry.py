@@ -170,6 +170,22 @@ def test_face_metrics_stored_once(family, d):
             assert side.flags.c_contiguous and side.base is face_ja
 
 
+@pytest.mark.parametrize(
+    "family,amplitude,geo",
+    [("lgl", 0.0, None), ("lgl", 0.1, None), ("gauss", 0.1, None), ("gauss", 0.1, 1)],
+)
+@pytest.mark.parametrize("d", [2, 3])
+def test_volume_metrics_stored_component_major(d, family, amplitude, geo):
+    # ja keeps its ja[e, i, n, j] indices, but each component (Ja)^n_j is one
+    # contiguous (n_elem, nodes) block: the lane kernels read pair normals
+    # straight from line-major views of these blocks
+    mesh = build_mesh((2, 3, 2)[:d], amplitude=amplitude, geo_degree=geo)
+    metrics = compute_metrics(mesh, make_operator(3, family))
+    assert metrics.ja.shape == (mesh.n_elements, 4**d, d, d)
+    for n, j in np.ndindex(d, d):
+        assert metrics.ja[:, :, n, j].flags.c_contiguous, (n, j)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_gauss_face_metrics_agree_across_interfaces(d):
     # Gauss face metrics extrapolate the Lobatto-grid metrics sampled at the

@@ -158,6 +158,17 @@ def test_batched_has_one_cartesian_dispatch_rule():
     assert owners == {"_line_geometry", "_face_geometry"}, found
 
 
+def test_batched_reads_metric_terms_only_in_geometry_helpers():
+    """fluxdg.batched reads the volume metric terms (.ja) only in
+    _line_geometry, which hands the pair loops a line-major view of the
+    stored terms, and in _face_geometry, which reads the Cartesian face
+    area. Every pair normal is formed from that view in the scratch block,
+    so no second, re-laid-out copy of the metric terms comes back."""
+    found = attribute_owners(ROOT / "src/fluxdg/batched.py", "ja")
+    owners = {name for name, _ in found}
+    assert owners == {"_line_geometry", "_face_geometry"}, found
+
+
 def test_batched_public_names():
     """fluxdg.batched defines exactly these public names: the lane type,
     the log means, the one two-point entry and the mesh entry points that
