@@ -15,23 +15,30 @@ Lanes come from the tensor layout, not from index lists: a nodal array
 (n_elem, (p+1)^d, m) is an (n_elem, p+1, ..., p+1, m) tensor, and per
 direction each kernel copies it, transposed, into a contiguous line buffer
 (m, p+1, lanes), whose row [k, a] is component k at line position a of
-every lane. Every direction has the same number of lanes, so
-mesh_fluxdiff_volume allocates its line buffers (primitive rows, conserved
-rows for the central flux, and the accumulator) once per call and refills
-them in every direction; mesh_gauss_volume runs one direction per call and
-fills its own. The metric terms get no line buffer: geometry stores each
-component (Ja)^n_j as one contiguous (n_elem, nodes) block, and a pair
-reads its two line positions straight from the direction's line-major view
-of that store (_line_geometry).
+every lane. The accumulator is position-major instead, (p+1, d+2, lanes)
+(_line_accumulator): the d+2 rows of one line position are one contiguous
+block, so every term the pair loop adds at a position is one block add,
+and the kernels read it back into out through its swapped view. Every
+direction has the same number of lanes, so mesh_fluxdiff_volume allocates
+its line buffers (primitive rows, conserved rows for the central flux, and
+the accumulator) once per call and refills them in every direction;
+mesh_gauss_volume runs one direction per call and fills its own. The
+metric terms get no line buffer: geometry stores each component (Ja)^n_j
+as one contiguous (n_elem, nodes) block, and a pair reads its two line
+positions straight from the direction's line-major view of that store
+(_line_geometry). The face metric terms are stored component-major too,
+each face_ja[n][s, :, :, j] one contiguous (n_elem, face nodes) block, so
+the interface normals and the Gauss coupling normals are contiguous
+(d, lanes) rows of the store (_face_geometry).
 
 One line kernel, _line_terms, does the two-point volume work of both node
-families: it walks a pair table into the (d+2, p+1, lanes) accumulator
-(the split-derivative pairs on Lobatto grids, the hybridized ones on Gauss
-grids) and, on Gauss grids only, the hybridized volume-face coupling. The
-coupling's face-row sums start from the interface fluxes that
-mesh_gauss_surface returns, so the Gauss faces are lifted inside the
-accumulator, which is divided by J through a view of the Jacobian and
-goes back with one add through the transposed view of the output. On
+families: it walks a pair table into the accumulator (the split-derivative
+pairs on Lobatto grids, the hybridized ones on Gauss grids) and, on Gauss
+grids only, the hybridized volume-face coupling. The coupling's face-row
+sums start from the interface fluxes that mesh_gauss_surface returns, so
+the Gauss faces are lifted inside the accumulator, which is divided by J
+through a view of the Jacobian and goes back with one add through the
+swapped view into the line-major view of the output. On
 Lobatto grids the coupling cancels on the boundary nodes and is left out;
 mesh_surface's lift (_lift) writes the face fluxes into the first and last
 line positions. The lane order is the line order
@@ -59,18 +66,22 @@ flux land there, so a pair allocates nothing but the index array of the
 log-mean lanes that take the log branch (the log is taken on those lanes
 only). The volume kernels allocate one flux block and one scratch block
 per call, and add each pair into the accumulator with one product into
-the scratch and one add per weight, acc[:, a] += w * f. The surface
-lanes are in minus-element order (face point m of element e pairs e with
-plus_neighbor[n][e]): the plus side's face states are gathered with one
-element-major take per array before they are viewed as rows, and the
-plus-side fluxes go back into element order once through
-minus_neighbor[n], the inverse permutation that build_setup stores, so
-both sides of the lift are basic-slice updates.
+the scratch and one contiguous block add per weight, acc[a] += w * f.
+The surface lanes are in minus-element order (face point m of element e
+pairs e with plus_neighbor[n][e]): the plus side's face states are
+gathered with one element-major take per array before they are viewed
+as rows, and the plus-side fluxes go back into element order once
+through minus_neighbor[n], the inverse permutation that build_setup
+stores, so both sides of the lift are basic-slice updates.
 
-A Lanes holds the primitives as rows and the conserved states as one
-(d+2, lanes) block (on the face lanes a strided view of the face array).
-The central, llf and hll kernels run in two steps: they form the own-side
-physical fluxes f(q_l).n and f(q_r).n, then combine them. The momentum
+A Lanes holds the primitives as rows and, for the kinds that read them
+(fluxes.OWN_FLUX_KINDS: central, llf and hll) or the strong-form
+subtraction, the conserved states as one (d+2, lanes) block (on the face
+lanes a strided view of the face array). rhs asks face_states for
+conserved face arrays only where such a reader runs, so a shima or ranocha
+interface gets primitives alone. The central, llf and hll kernels run in
+two steps: they form the own-side physical fluxes f(q_l).n and f(q_r).n,
+then combine them. The momentum
 rows of f(q).n are one block product (rho v) v.n; p n_i is added row by
 row, because a (d, lanes) p n block passes the allocator's mmap threshold
 on the 3D meshes and was slower. llf forms its jump u_r - u_l as one
@@ -110,12 +121,15 @@ from .errors import ConfigurationError
 # not called here: perfbench/tracing.py names fluxdg.batched.cons2prim as a
 # span boundary, and its tests require every boundary to exist
 from .euler import cons2prim  # noqa: F401
-from .fluxes import add_logmean, add_one_point, add_two_point, require_volume_kind
+from .fluxes import (
+    OWN_FLUX_KINDS,
+    add_logmean,
+    add_one_point,
+    add_two_point,
+    require_volume_kind,
+)
 from .means import SERIES_EPSILON
 from .operators import hybridized_scatter, split_pairs
-
-# the kinds whose flux combines the two own-side physical fluxes
-_OWN_FLUX_KINDS = ("central", "llf", "hll")
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +429,7 @@ def _flux_lanes(kind, ql, qr, normal, gas, n_real, out, vn=None, scratch=None):
     an axis are rows of the states."""
     if out is None:
         out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
-    if kind in _OWN_FLUX_KINDS:
+    if kind in OWN_FLUX_KINDS:
         vn_l, vn_r = _directed(ql, qr, normal) if vn is None else vn
         f_r = np.empty_like(out)
         return _own_flux_lanes(
@@ -476,8 +490,19 @@ def _line_buffer(setup, m):
     return np.empty((m, p1, setup.n_elements * p1 ** (setup.d - 1)))
 
 
+def _line_accumulator(setup, m):
+    """Uninitialized position-major line rows (p+1, m, lanes): the m rows
+    of each line position are one contiguous block, so every term a pair
+    loop adds at one position is one block add (_line_terms)."""
+    p1 = setup.op.n_nodes
+    return np.empty((p1, m, setup.n_elements * p1 ** (setup.d - 1)))
+
+
 def _as_line_major(rows, setup):
-    """(m, p+1, lanes) line rows viewed in the shape of _line_major."""
+    """(m, p+1, lanes) line rows viewed in the shape of _line_major, the
+    lane axis split into (n_elem, p+1, ...); a position-major accumulator
+    (p+1, m, lanes) keeps its first two axes, and its swapped view is in
+    the shape of _line_major."""
     p1 = setup.op.n_nodes
     return rows.reshape(rows.shape[:2] + (setup.n_elements,) + (p1,) * (setup.d - 1))
 
@@ -517,7 +542,9 @@ def _face_rows(arr):
 def _face_lanes(states, q, need_cons, order=None):
     """Lanes over face points from (n_elem, face nodes, d+2) conserved states
     and their primitives, elements taken in `order` (default: as stored).
-    The gather runs element-major, before the transpose to rows."""
+    The gather runs element-major, before the transpose to rows. Without
+    need_cons the conserved states are neither gathered nor read, and may
+    be None (face_states builds none where no reader needs them)."""
     if order is not None:
         q = q.take(order, axis=0)
         if need_cons:
@@ -538,16 +565,18 @@ def _line_geometry(setup, n):
     return 1.0, _line_major(setup.metrics.ja[:, :, n, :], setup, n)
 
 
-def _face_geometry(setup, n):
-    """(scale, normal) of direction n's interfaces, the face twin of
+def _face_geometry(setup, n, side=1):
+    """(scale, normal) of one side of direction n's faces, the face twin of
     _line_geometry: on Cartesian meshes the constant face area and the
-    axis index n, the interface fluxes then taking the unscaled axis-n form
-    with the area multiplied in once (by the lift, or on the Gauss side
-    blocks); elsewhere 1.0 and the shared normals face_ja[n][1] as
-    (d, lanes) rows."""
+    axis index n, the face fluxes then taking the unscaled axis-n form with
+    the area multiplied in once (by the lift, or on the Gauss side blocks);
+    elsewhere 1.0 and the face metric terms face_ja[n][side] as (d, lanes)
+    rows, lanes in element order, no copy: each row is one contiguous block
+    of the component-major store (geometry.MetricData). Side 1 holds the
+    interface normals, which both elements of an interface share."""
     if setup.mesh.is_cartesian:
         return float(setup.metrics.ja[0, 0, n, n]), n
-    return 1.0, tuple(_face_rows(setup.metrics.face_ja[n][1]))
+    return 1.0, _face_rows(setup.metrics.face_ja[n][side])
 
 
 def _pair_flux(kind, ql, qr, ja_a, ja_b, gas, f, scratch):
@@ -564,15 +593,15 @@ def _pair_flux(kind, ql, qr, ja_a, ja_b, gas, f, scratch):
 
 
 def _line_terms(kind, lanes, ja, pairs, scale, gas, acc, f, scratch, coupling=()):
-    """Add one direction's two-point terms into acc, the (d+2, p+1, lanes)
-    accumulator of the node lines: each pair (a, b, c_ab, c_ba) of the table
-    adds scale c_ab F(a, b) at line position a and scale c_ba F(a, b) at b,
-    along the pair normal 0.5 (Ja_a + Ja_b) (_pair_flux). lanes holds one
-    Lanes per line position, ja the direction's metric lines (its axis
-    index on Cartesian meshes, see _line_geometry), f is a (d+2, lanes)
-    flux block and scratch a _split_scratch, whose last d rows hold each
-    pair normal and whose first d+2 rows hold each weighted flux before it
-    is added.
+    """Add one direction's two-point terms into acc, the position-major
+    (p+1, d+2, lanes) accumulator of the node lines (_line_accumulator):
+    each pair (a, b, c_ab, c_ba) of the table adds scale c_ab F(a, b) into
+    the contiguous block acc[a] and scale c_ba F(a, b) into acc[b], along
+    the pair normal 0.5 (Ja_a + Ja_b) (_pair_flux). lanes holds one Lanes
+    per line position, ja the direction's metric lines (its axis index on
+    Cartesian meshes, see _line_geometry), f is a (d+2, lanes) flux block
+    and scratch a _split_scratch, whose last d rows hold each pair normal
+    and whose first d+2 rows hold each weighted flux before it is added.
 
     coupling, per side s = 0, 1, is (face lanes, face metric terms viewed
     in the shape of ja[:, a], face-row sum, c_vol, c_face, lift row) of a
@@ -581,19 +610,19 @@ def _line_terms(kind, lanes, ja, pairs, scale, gas, acc, f, scratch, coupling=()
     into the face-row sum, a (d+2, lanes) block that arrives holding the
     side's interface flux; the lift row then carries the whole sum back
     onto the line."""
-    positions = [ja if _is_axis(ja) else ja[:, a] for a in range(acc.shape[1])]
+    positions = [ja if _is_axis(ja) else ja[:, a] for a in range(len(acc))]
     weighted = scratch[: f.shape[0]]
     for a, b, cab, cba in pairs:
         _pair_flux(kind, lanes[a], lanes[b], positions[a], positions[b], gas, f, scratch)
-        acc[:, a] += np.multiply(f, cab * scale, out=weighted)
-        acc[:, b] += np.multiply(f, cba * scale, out=weighted)
+        acc[a] += np.multiply(f, cab * scale, out=weighted)
+        acc[b] += np.multiply(f, cba * scale, out=weighted)
     for face, face_ja, rface, cvol, cface, lrow in coupling:
         for a, ja_a in enumerate(positions):
             _pair_flux(kind, lanes[a], face, ja_a, face_ja, gas, f, scratch)
-            acc[:, a] += np.multiply(f, cvol[a] * scale, out=weighted)
+            acc[a] += np.multiply(f, cvol[a] * scale, out=weighted)
             rface += np.multiply(f, cface[a] * scale, out=weighted)
         for a, la in enumerate(lrow):
-            acc[:, a] += np.multiply(rface, la, out=weighted)
+            acc[a] += np.multiply(rface, la, out=weighted)
 
 
 def mesh_fluxdiff_volume(u, prim, setup, config):
@@ -601,18 +630,22 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     into the lane axis; prim = cons2prim(u). Returns the Jacobian-scaled VOL
     array.
 
-    out starts uninitialized: direction 0 copies its accumulator into the
-    line-major view of out; every later direction, once its pairs are done,
-    copies its accumulator into the primitive line buffer, which is free
-    until the next refill, viewed in node layout, and adds that into out
-    with one contiguous add."""
+    The line buffers are made once per call and refilled per direction:
+    primitive rows, conserved rows for the central flux (the one volume
+    kind that reads them) and the position-major accumulator
+    (_line_accumulator). out starts uninitialized: direction 0 copies its
+    accumulator, through the swapped view, into the line-major view of
+    out; every later direction, once its pairs are done, copies its
+    accumulator into the primitive line buffer, which is free until the
+    next refill, viewed in node layout, and adds that into out with one
+    contiguous add."""
     d = setup.d
     nvar = d + 2
     vol_flux = config.volume_flux
     pairs = split_pairs(setup.op.degree)
     q = _line_buffer(setup, nvar)
-    cons = _line_buffer(setup, nvar) if vol_flux == "central" else None
-    acc = _line_buffer(setup, nvar)
+    cons = _line_buffer(setup, nvar) if vol_flux in OWN_FLUX_KINDS else None
+    acc = _line_accumulator(setup, nvar)
     lanes = _line_lanes(q, cons)
     f = np.empty((nvar, q.shape[-1]))
     scratch = _split_scratch(d, q.shape[-1])
@@ -625,7 +658,8 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
         acc.fill(0.0)
         _line_terms(vol_flux, lanes, ja, pairs, scale, setup.gas, acc, f, scratch)
         nodal = out if n == 0 else q.reshape(u.shape)
-        np.copyto(_line_major(nodal, setup, n), _as_line_major(acc, setup))
+        lines = _as_line_major(acc.swapaxes(0, 1), setup)
+        np.copyto(_line_major(nodal, setup, n), lines)
         if n > 0:
             out += nodal
     out /= setup.metrics.jac[:, :, None]
@@ -650,7 +684,7 @@ def _interface_fluxes(faces, setup, n, kind, subtract_own, normal):
     written over the own-side flux blocks: those that central, llf and hll
     combine f from, or for shima and ranocha, which form none, a fresh
     pair. The face lanes die with this call, before the lift."""
-    need_cons = subtract_own or kind in _OWN_FLUX_KINDS
+    need_cons = subtract_own or kind in OWN_FLUX_KINDS
     ql, qr = _interface_lanes(faces, setup, n, need_cons)
     gas = setup.gas
     n_lanes = ql.rho.size
@@ -661,7 +695,7 @@ def _interface_fluxes(faces, setup, n, kind, subtract_own, normal):
     vn_l, vn_r = _directed(ql, qr, normal)
     f_l = np.empty((len(ql.v) + 2, n_lanes))
     f_r = np.empty_like(f_l)
-    if kind in _OWN_FLUX_KINDS:
+    if kind in OWN_FLUX_KINDS:
         f = np.empty_like(f_l)
         _own_flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_lanes, f_l, f_r, f)
     else:
@@ -742,25 +776,30 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     """Zero-corner hybridized term of gauss_fluxdiff in direction n over
     the mesh, interface fluxes included, divided by J and added into out;
     prim = cons2prim(u), faces are the direction's entropy-projected states
-    from discretization.face_states and sides the two interface-flux blocks
-    from mesh_gauss_surface, which become the face-row sums of the line
-    kernel (and are overwritten by them)."""
+    from discretization.face_states (conserved ones are read only for the
+    central volume flux) and sides the two interface-flux blocks from
+    mesh_gauss_surface, which become the face-row sums of the line kernel
+    (and are overwritten by them). The coupling normals are the face
+    metric rows of _face_geometry, viewed in the shape of one line
+    position's metric terms. The position-major accumulator
+    (_line_accumulator) is divided by J in place and added into the
+    line-major view of out through its swapped view."""
     require_volume_kind(config.volume_flux)
     op = setup.op
     nvar = setup.d + 2
     vol_flux = config.volume_flux
     pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
-    need_cons = vol_flux == "central"
+    need_cons = vol_flux in OWN_FLUX_KINDS
     q = _line_rows(prim, setup, n, _line_buffer(setup, nvar))
     cons = _line_rows(u, setup, n, _line_buffer(setup, nvar)) if need_cons else None
     scale, ja = _line_geometry(setup, n)
-    face_ja = setup.metrics.face_ja[n]
     # made one side at a time as the kernel reaches it, so no face lanes are
     # held during the pair loop; the face metric terms are views
     coupling = (
         (
             _face_lanes(*faces[s], need_cons),
-            ja if _is_axis(ja) else _face_rows(face_ja[s]).reshape(ja[:, 0].shape),
+            ja if _is_axis(ja)
+            else _face_geometry(setup, n, s)[1].reshape(ja[:, 0].shape),
             sides[s],
             cvol,
             cface,
@@ -768,17 +807,18 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
         )
         for s, (cvol, cface) in enumerate(vol_face)
     )
-    acc = np.zeros(q.shape)
-    lanes = q.shape[-1]
+    acc = _line_accumulator(setup, nvar)
+    acc.fill(0.0)
+    lanes = acc.shape[-1]
     # the flux block and the scratch die with the line kernel's call
     _line_terms(
         vol_flux, _line_lanes(q, cons), ja, pairs, scale, setup.gas, acc,
         np.empty((nvar, lanes)), _split_scratch(setup.d, lanes), coupling,
     )
     acc = _as_line_major(acc, setup)
-    acc /= _line_major(setup.metrics.jac[..., None], setup, n)[0]
+    acc /= _line_major(setup.metrics.jac[..., None], setup, n)[0][:, None]
     view = _line_major(out, setup, n)
-    view += acc
+    view += acc.swapaxes(0, 1)
     return out
 
 
@@ -794,7 +834,7 @@ def mesh_gauss_surface(faces, setup, n, surface_flux):
     with identical arguments; the scalar discretization.surface_terms
     evaluates it once. The benchmark's count test pins the second
     evaluation (batched.mesh_gauss_surface.useful_eval_ratio == 0.5)."""
-    need_cons = surface_flux in _OWN_FLUX_KINDS
+    need_cons = surface_flux in OWN_FLUX_KINDS
     ql, qr = _interface_lanes(faces, setup, n, need_cons)
     scale, normal = _face_geometry(setup, n)
     vn = _directed(ql, qr, normal)

@@ -61,6 +61,7 @@ from .euler import (
 # tests require every boundary to exist
 from .euler import entropy2cons  # noqa: F401
 from .fluxes import (
+    OWN_FLUX_KINDS,
     SURFACE_KINDS,
     add_one_point,
     flux_function,
@@ -386,7 +387,7 @@ def build_setup(mesh, op, gas):
     return SpatialSetup(mesh, op, gas, metrics, coords, plus, minus, wbar)
 
 
-def face_states(u, prim, setup, projected):
+def face_states(u, prim, setup, projected, conserved=True):
     """Every element's interface states, one direction at a time: yields, for
     n = 0 .. d-1, ((u0, q0), (u1, q1)), the conserved states and their
     primitives on the element's reference -1 face (side 0) and +1 face
@@ -404,6 +405,10 @@ def face_states(u, prim, setup, projected):
     * otherwise on Gauss grids the interpolated traces of u, converted here
       because they are not nodal values.
 
+    With conserved=False, u0 and u1 are None: no conserved face array is
+    built or kept (no prim2cons, no slices of u), for callers whose every
+    face reader takes primitives alone (see rhs).
+
     Each element's own states are checked before any neighbour permutation:
     AdmissibilityError names the element, face node, direction and side of
     the first inadmissible one. Only one direction's states are built at a
@@ -419,11 +424,14 @@ def face_states(u, prim, setup, projected):
     elif op.family == "gauss":
         source, made_by = u, "interpolation"
     else:
-        u_nd, q_nd = u.reshape(shape), prim.reshape(shape)
+        u_nd = u.reshape(shape) if conserved else None
+        q_nd = prim.reshape(shape)
         for n in range(d):
             yield tuple(
                 tuple(
-                    arr.take(c, axis=n + 1).reshape(n_elem, -1, nvar)
+                    None
+                    if arr is None
+                    else arr.take(c, axis=n + 1).reshape(n_elem, -1, nvar)
                     for arr in (u_nd, q_nd)
                 )
                 for c in (0, -1)
@@ -439,9 +447,9 @@ def face_states(u, prim, setup, projected):
             try:
                 if projected:
                     q = entropy2prim(trace, gas)
-                    sides.append((prim2cons(q, gas), q))
+                    sides.append((prim2cons(q, gas) if conserved else None, q))
                 else:
-                    sides.append((trace, cons2prim(trace, gas)))
+                    sides.append((trace if conserved else None, cons2prim(trace, gas)))
             except AdmissibilityError as err:
                 e, m = err.index
                 raise AdmissibilityError(
@@ -561,7 +569,16 @@ def rhs(u, setup, config):
     # state, so only the strong form subtracts it at the interfaces
     subtract = scheme == "strong"
     kind = config.surface_flux
-    for n, faces in enumerate(face_states(u, prim, setup, projected)):
+    # the face readers that take conserved states: the scalar oracle, the
+    # strong-form subtraction and the kinds that combine own-side physical
+    # fluxes, at the interfaces or, on gauss_fluxdiff, in the volume pairs
+    conserved = (
+        not batched
+        or subtract
+        or kind in OWN_FLUX_KINDS
+        or (projected and config.volume_flux in OWN_FLUX_KINDS)
+    )
+    for n, faces in enumerate(face_states(u, prim, setup, projected, conserved)):
         if projected and batched:
             sides = _batched.mesh_gauss_surface(faces, setup, n, kind)
             _batched.mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out)

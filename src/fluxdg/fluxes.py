@@ -24,6 +24,11 @@ from .means import inv_logmean_optimized, logmean_optimized
 
 VOLUME_KINDS = ("shima", "ranocha", "central")
 SURFACE_KINDS = ("shima", "ranocha", "central", "llf", "hll")
+# the kinds whose flux combines the two own-side physical fluxes
+# f(u_l).n and f(u_r).n: the only ones whose lane kernels (fluxdg.batched)
+# read conserved states, where shima and ranocha read primitives alone.
+# The scalar kernels here take conserved states for every kind.
+OWN_FLUX_KINDS = ("central", "llf", "hll")
 
 
 # ---------------------------------------------------------------------------

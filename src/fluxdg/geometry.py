@@ -192,8 +192,12 @@ class MetricData:
     lane kernels read a pair's normal 0.5 (Ja_a + Ja_b) straight from its
     line-major view (batched._line_geometry). face_ja[n][s, e, m, :] is
     element e's own boundary trace of its direction-n metric vector at face
-    node m of side s (0: reference -1 face, 1: +1 face), side-major so each
-    side is one contiguous block. For nodal bases with boundary nodes the
+    node m of side s (0: reference -1 face, 1: +1 face), stored side-major
+    and then component-major: face_ja[n] is the transposed view of one
+    contiguous (2, d, n_elem, face nodes) block, so each face_ja[n][s, :, :, j]
+    is one contiguous (n_elem, face nodes) array, and the lane kernels read
+    interface and coupling normals as (d, lanes) rows of it with no copy
+    (batched._face_geometry). For nodal bases with boundary nodes the
     trace is a restriction, for Gauss an extrapolation. The interface
     normal of direction n is face_ja[n][1], the minus element's +1 trace,
     pointing from the minus to the plus element, so both sides of an
@@ -314,18 +318,15 @@ def compute_metrics(mesh, op, coords=None):
             % (float(jac[e, i]), int(e), int(i))
         )
     # boundary traces of each element's own metric vectors, both sides of
-    # direction n in one (2, n_elem, face nodes, d) array
+    # direction n written component by component into one (2, d, n_elem,
+    # face nodes) block and kept as its (2, n_elem, face nodes, d) view
     face_ja = []
     ja_nd = ja.reshape((n_elem,) + (p1,) * d + (d, d))
     for n in range(d):
-        sides = []
-        for side in (0, 1):
-            comps = [
-                _extrapolate_face(ja_nd[..., n, j], op, n, side)
-                for j in range(d)
-            ]
-            sides.append(np.stack(comps, axis=-1))
-        face_ja.append(np.stack(sides))
+        block = np.empty((2, d, n_elem, p1 ** (d - 1)))
+        for side, j in np.ndindex(2, d):
+            block[side, j] = _extrapolate_face(ja_nd[..., n, j], op, n, side)
+        face_ja.append(block.transpose(0, 2, 3, 1))
     # component-major store: each ja[:, :, n, j] is one contiguous block, so
     # the lane kernels read pair normals from line-major views of it
     ja = np.ascontiguousarray(ja.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)

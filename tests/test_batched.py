@@ -601,6 +601,87 @@ def test_rhs_converts_nodal_states_once(gas, monkeypatch, d, family, scheme):
     assert len(calls) == calls.count(u.shape) + calls.count(face_shape)
 
 
+@pytest.mark.parametrize(
+    "family, scheme, vol_flux, surface",
+    [
+        # only the central volume flux reads conserved face lanes
+        ("gauss", "gauss_fluxdiff", "central", "shima"),
+        ("gauss", "gauss_fluxdiff", "central", "ranocha"),
+        # only the strong-form subtraction reads them
+        ("lgl", "strong", "ranocha", "shima"),
+        ("lgl", "strong", "ranocha", "ranocha"),
+        # no face reader does
+        ("lgl", "fluxdiff", "central", "shima"),
+        ("lgl", "fluxdiff", "ranocha", "ranocha"),
+    ],
+)
+@pytest.mark.parametrize("d", [2, 3])
+def test_conserved_face_rule_matches_reference(gas, d, family, scheme, vol_flux, surface):
+    """rhs builds conserved face states only where a reader takes them
+    (fluxes.OWN_FLUX_KINDS, the strong-form subtraction, the scalar
+    oracle). Batched against reference on the pairings with a split-form
+    surface flux, where that rule alone decides whether the face lanes
+    carry conserved states."""
+    geo = (2 if d == 2 else 1) if family == "gauss" else None
+    setup = make_setup(
+        gas, d=d, p=2, dims=(3, 2, 2)[:d], amplitude=0.08, geo_degree=geo, family=family
+    )
+    u = random_field(setup, gas, seed=16, amp=0.3)
+    ref, bat = (
+        rhs(
+            u,
+            setup,
+            RhsConfig(
+                volume_scheme=scheme,
+                volume_flux=vol_flux,
+                surface_flux=surface,
+                kernel=kernel,
+            ),
+        )
+        for kernel in ("reference", "batched")
+    )
+    assert relative_gap(ref, bat) < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_split_gauss_rhs_builds_no_conserved_faces(gas, monkeypatch, d):
+    """A batched ranocha/ranocha gauss_fluxdiff rhs converts no projected
+    face state back to conserved variables: every lane kernel of that
+    pairing reads primitives. The reference rhs, whose scalar kernels take
+    conserved states, converts both sides of every direction."""
+    setup = make_setup(gas, d=d, p=2, amplitude=0.1, geo_degree=1, family="gauss")
+    u = random_field(setup, gas, seed=17, amp=0.3)
+    calls = []
+
+    def counted(q, gas_, original=discretization.prim2cons):
+        calls.append(np.shape(q))
+        return original(q, gas_)
+
+    monkeypatch.setattr(discretization, "prim2cons", counted)
+    for kernel, want in (("batched", 0), ("reference", 2 * d)):
+        calls.clear()
+        config = RhsConfig(volume_scheme="gauss_fluxdiff", kernel=kernel)
+        assert np.isfinite(rhs(u, setup, config)).all()
+        assert len(calls) == want, kernel
+
+
+@pytest.mark.parametrize(
+    "family, projected", [("lgl", False), ("gauss", False), ("gauss", True)]
+)
+def test_face_states_without_conserved(gas, family, projected):
+    """face_states(conserved=False) yields None for every conserved face
+    array and the same primitives as a full call."""
+    setup = make_setup(gas, d=3, p=2, amplitude=0.1, family=family)
+    u = random_field(setup, gas, seed=18, amp=0.3)
+    prim = cons2prim(u, gas)
+    full = discretization.face_states(u, prim, setup, projected)
+    bare = discretization.face_states(u, prim, setup, projected, conserved=False)
+    for sides, bare_sides in zip(full, bare):
+        for (_, q), (u_side, q_side) in zip(sides, bare_sides):
+            assert u_side is None
+            assert np.array_equal(q, q_side)
+
+
 @pytest.mark.parametrize("scheme", ["gauss_fluxdiff"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_gauss_entropy_conservative_counts(gas, d, scheme):
@@ -753,13 +834,15 @@ def test_gauss_pair_loop_peak_memory(gas):
     mesh_gauss_volume direction (ranocha) on the gauss3d_curved benchmark
     mesh (3D p3, 4^3 curved Gauss, geo_degree 1) stays within the primitive
     line rows and the accumulator (u.nbytes each), the flux block (d+2
-    lane rows) and the split-form scratch (6+d lane rows), plus two
-    iterator buffers of (d+2) lane rows: numpy takes them, read and write,
-    for each acc[:, a] += w f, whose d+2 rows of 1024 lanes are shorter
-    than np.getbufsize(). The face lanes and the face metric terms are
-    views, and the pair normals' own iterator buffers (2 d lane rows) are
-    smaller. It reads 1.013 of the bound, against 1.248 with a halved copy
-    of the face metric rows and a Jacobian line buffer."""
+    lane rows) and the split-form scratch (6+d lane rows), plus 2d lane
+    rows: the iterator buffers numpy takes for the pair-normal add of the
+    volume pairs, whose metric views run in strided chunks. The
+    accumulator is position-major, so every acc[a] += w f is one
+    contiguous block add that takes no iterator buffer; the face lanes
+    and the face metric terms are views, and the coupling normals are
+    contiguous rows of the face metric store. It reads 1.013 of the bound,
+    against 1.080 with the (d+2, p+1, lanes) accumulator, whose strided
+    adds took two (d+2)-lane-row buffers, read and write."""
     d, p = 3, 3
     mesh = build_mesh((4,) * d, bounds=(-5.0, 5.0), amplitude=0.1, geo_degree=1)
     setup = build_setup(mesh, make_operator(p, "gauss"), gas)
@@ -778,5 +861,35 @@ def test_gauss_pair_loop_peak_memory(gas):
     )
     lane_row = 8 * setup.n_elements * (p + 1) ** (d - 1)
     named = 2 * u.nbytes + (d + 2) * lane_row + (6 + d) * lane_row
-    bound = named + 2 * (d + 2) * lane_row
+    bound = named + 2 * d * lane_row
     assert peak <= bound + _OBJECT_SLACK, peak / bound
+
+
+@pytest.mark.parametrize("geo_degree", [1, None])
+def test_gauss_rhs_peak_memory(gas, geo_degree):
+    """The Gauss twin of test_strong_llf_rhs_peak_memory: the tracemalloc
+    peak of one warm batched ranocha/ranocha gauss_fluxdiff rhs on the
+    gauss3d_curved benchmark mesh (3D p3, 4^3 curved Gauss) stays within
+    7.5 u.nbytes. It reads 7.30 with either mapping, the peak falling in
+    a direction's coupling pass: out, prim, the nodal entropy variables,
+    the primitive line rows and the accumulator (1.0 each); the
+    direction's two primitive face arrays and the two side blocks (0.5
+    each); the split-form scratch (0.45), the flux block and the last
+    interpolated face trace, which face_states still holds (0.25 each);
+    the pair-normal iterator buffers (0.3). No conserved face array is
+    built, since every reader of this pairing takes primitives; with the
+    conserved faces and the (d+2, p+1, lanes) accumulator it read 8.01."""
+    d, p = 3, 3
+    mesh = build_mesh(
+        (4,) * d, bounds=(-5.0, 5.0), amplitude=0.1, geo_degree=geo_degree
+    )
+    setup = build_setup(mesh, make_operator(p, "gauss"), gas)
+    u = random_field(setup, gas, seed=31, amp=0.3)
+    config = RhsConfig(
+        volume_scheme="gauss_fluxdiff",
+        volume_flux="ranocha",
+        surface_flux="ranocha",
+        kernel="batched",
+    )
+    peak = _warm_peak(rhs, lambda: (u, setup, config))
+    assert peak <= 7.5 * u.nbytes, peak / u.nbytes

@@ -155,9 +155,11 @@ def test_lgl_face_metrics_collocated():
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_face_metrics_stored_once(family, d):
-    # the geometry is the volume metrics plus one side-major face-trace
-    # array per direction, whose sides are contiguous blocks; the interface
-    # normal the kernels read is a view of side 1, never a second copy
+    # the geometry is the volume metrics plus one face-trace array per
+    # direction, which keeps its face_ja[n][s, e, m, j] indices but stores
+    # each component of each side as one contiguous (n_elem, face nodes)
+    # block; the interface normal the kernels read is a view of the store,
+    # never a second copy
     op = make_operator(3, family)
     mesh = build_mesh((2,) * d, amplitude=0.1)
     metrics = compute_metrics(mesh, op)
@@ -165,9 +167,11 @@ def test_face_metrics_stored_once(family, d):
     assert len(metrics.face_ja) == d
     for face_ja in metrics.face_ja:
         assert face_ja.shape == (2, mesh.n_elements, 4 ** (d - 1), d)
-        assert face_ja.flags.c_contiguous
-        for side in face_ja:
-            assert side.flags.c_contiguous and side.base is face_ja
+        store = face_ja.base
+        assert store is not None and store.flags.c_contiguous and store.nbytes == face_ja.nbytes
+        for s, j in np.ndindex(2, d):
+            assert face_ja[s, :, :, j].flags.c_contiguous, (s, j)
+        assert np.shares_memory(face_ja[1], store)
 
 
 @pytest.mark.parametrize(

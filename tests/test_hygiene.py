@@ -162,11 +162,18 @@ def test_batched_reads_metric_terms_only_in_geometry_helpers():
     """fluxdg.batched reads the volume metric terms (.ja) only in
     _line_geometry, which hands the pair loops a line-major view of the
     stored terms, and in _face_geometry, which reads the Cartesian face
-    area. Every pair normal is formed from that view in the scratch block,
-    so no second, re-laid-out copy of the metric terms comes back."""
-    found = attribute_owners(ROOT / "src/fluxdg/batched.py", "ja")
-    owners = {name for name, _ in found}
-    assert owners == {"_line_geometry", "_face_geometry"}, found
+    area; it reads the face metric terms (.face_ja) only in
+    _face_geometry, which hands the interface fluxes and the Gauss
+    coupling their rows as views of the store. Every pair normal is formed
+    from those views in the scratch block, so no second, re-laid-out copy
+    of the metric terms comes back."""
+    path = ROOT / "src/fluxdg/batched.py"
+    for attr, want in (
+        ("ja", {"_line_geometry", "_face_geometry"}),
+        ("face_ja", {"_face_geometry"}),
+    ):
+        found = attribute_owners(path, attr)
+        assert {name for name, _ in found} == want, (attr, found)
 
 
 def test_batched_public_names():
