@@ -23,13 +23,16 @@ direction has the same number of lanes, so mesh_fluxdiff_volume allocates
 its line buffers (primitive rows, conserved rows for the central flux, and
 the accumulator) once per call and refills them in every direction;
 mesh_gauss_volume runs one direction per call and fills its own. The
-metric terms get no line buffer: geometry stores each component (Ja)^n_j
-as one contiguous (n_elem, nodes) block, and a pair reads its two line
-positions straight from the direction's line-major view of that store
-(_line_geometry). The face metric terms are stored component-major too,
-each face_ja[n][s, :, :, j] one contiguous (n_elem, face nodes) block, so
-the interface normals and the Gauss coupling normals are contiguous
-(d, lanes) rows of the store (_face_geometry).
+metric terms get no line buffer: geometry stores them in line order, one
+position-major (p+1, d, lanes) block per direction in the lane order used
+here, so a pair reads its two line positions as two contiguous (d, lanes)
+blocks of the store and forms its normal with one add that takes no
+iterator buffer (_line_geometry). The face metric terms are contiguous
+(d, lanes) rows of a store too (_face_geometry): on Lobatto grids line
+positions 0 and p of the volume block, on Gauss grids each
+face_ja[n][s, :, :, j] one contiguous (n_elem, face nodes) block of the
+extrapolated traces. They serve the interface normals and the Gauss
+coupling normals.
 
 One line kernel, _line_terms, does the two-point volume work of both node
 families: it walks a pair table into the accumulator (the split-derivative
@@ -128,6 +131,7 @@ from .fluxes import (
     add_two_point,
     require_volume_kind,
 )
+from .geometry import line_major
 from .means import SERIES_EPSILON
 from .operators import hybridized_scatter, split_pairs
 
@@ -472,14 +476,10 @@ def flux_lanes(kind, ql, qr, normal, gas, n_real, out=None, scratch=None):
 # mesh-level lane assembly (elements folded into the lane axis)
 
 def _line_major(arr, setup, n):
-    """View of a nodal array (n_elem, (p+1)^d, m) as (m, p+1, n_elem, ...):
-    entry [k, a] is component k at position a of every node line in
-    direction n, the lines of each element in operators.node_lines order."""
-    p1 = setup.op.n_nodes
-    d = setup.d
-    tensor = arr.reshape(arr.shape[:1] + (p1,) * d + arr.shape[-1:])
-    rest = tuple(i for i in range(1, d + 1) if i != n + 1)
-    return tensor.transpose((d + 1, n + 1, 0) + rest)
+    """geometry.line_major of a nodal array (n_elem, (p+1)^d, m) on the
+    setup's mesh: the (m, p+1, n_elem, ...) view whose entry [k, a] is
+    component k at position a of every node line in direction n."""
+    return line_major(arr, n, setup.op.n_nodes, setup.d)
 
 
 def _line_buffer(setup, m):
@@ -556,13 +556,13 @@ def _line_geometry(setup, n):
     """(pair weight scale, metric lines) of direction n. On Cartesian
     meshes the scale is the constant face area and the metric lines are the
     axis index n: the pairs then take the unscaled axis-n flux. Elsewhere
-    the scale is 1.0 and the metric lines are the (d, p+1, n_elem, ...)
-    _line_major view of the metric terms Ja^n, no copy: entry [j, a] is
-    (Ja)^n_j at line position a of every lane, read from that component's
-    contiguous block of the metric store (geometry.MetricData)."""
+    the scale is 1.0 and the metric lines are direction n's block of the
+    line-ordered metric store (geometry.MetricData), (p+1, d, lanes), no
+    copy: entry [a, j] is (Ja)^n_j at line position a of every lane, and
+    each [a] is one contiguous (d, lanes) block."""
     if setup.mesh.is_cartesian:
-        return float(setup.metrics.ja[0, 0, n, n]), n
-    return 1.0, _line_major(setup.metrics.ja[:, :, n, :], setup, n)
+        return float(setup.metrics.line_ja[n, 0, n, 0]), n
+    return 1.0, setup.metrics.line_ja[n]
 
 
 def _face_geometry(setup, n, side=1):
@@ -572,22 +572,24 @@ def _face_geometry(setup, n, side=1):
     the area multiplied in once (by the lift, or on the Gauss side blocks);
     elsewhere 1.0 and the face metric terms face_ja[n][side] as (d, lanes)
     rows, lanes in element order, no copy: each row is one contiguous block
-    of the component-major store (geometry.MetricData). Side 1 holds the
+    of a metric store (geometry.MetricData: the volume store on Lobatto
+    grids, the extrapolated face block on Gauss grids). Side 1 holds the
     interface normals, which both elements of an interface share."""
     if setup.mesh.is_cartesian:
-        return float(setup.metrics.ja[0, 0, n, n]), n
+        return float(setup.metrics.line_ja[n, 0, n, 0]), n
     return 1.0, _face_rows(setup.metrics.face_ja[n][side])
 
 
 def _pair_flux(kind, ql, qr, ja_a, ja_b, gas, f, scratch):
     """The two-point flux between two lane sets into the block f: along
     the pair normal 0.5 (ja_a + ja_b), formed in the last d rows of
-    scratch, a _split_scratch, from two (d, ...) metric views of one shape
-    whose entries run in lane order, or along the axis ja_a."""
+    scratch, a _split_scratch, from two (d, lanes) blocks of metric rows,
+    or along the axis ja_a. The volume blocks are contiguous and the face
+    rows are rows of a contiguous block, so the add runs on whole rows and
+    numpy takes no iterator buffer for it."""
     normal = ja_a
     if not _is_axis(ja_a):
-        normal = scratch[_NORMAL_ROW:]
-        np.add(ja_a, ja_b, out=normal.reshape(ja_a.shape))
+        normal = np.add(ja_a, ja_b, out=scratch[_NORMAL_ROW:])
         normal *= 0.5
     return flux_lanes(kind, ql, qr, normal, gas, f.shape[-1], f, scratch)
 
@@ -603,14 +605,14 @@ def _line_terms(kind, lanes, ja, pairs, scale, gas, acc, f, scratch, coupling=()
     and scratch a _split_scratch, whose last d rows hold each pair normal
     and whose first d+2 rows hold each weighted flux before it is added.
 
-    coupling, per side s = 0, 1, is (face lanes, face metric terms viewed
-    in the shape of ja[:, a], face-row sum, c_vol, c_face, lift row) of a
+    coupling, per side s = 0, 1, is (face lanes, face metric rows (d,
+    lanes) or the axis index, face-row sum, c_vol, c_face, lift row) of a
     hybridized operator (operators.hybridized_scatter): each line position
     a adds scale c_vol[a] F(a, face) at a and scale c_face[a] F(a, face)
     into the face-row sum, a (d+2, lanes) block that arrives holding the
     side's interface flux; the lift row then carries the whole sum back
     onto the line."""
-    positions = [ja if _is_axis(ja) else ja[:, a] for a in range(len(acc))]
+    positions = [ja if _is_axis(ja) else ja[a] for a in range(len(acc))]
     weighted = scratch[: f.shape[0]]
     for a, b, cab, cba in pairs:
         _pair_flux(kind, lanes[a], lanes[b], positions[a], positions[b], gas, f, scratch)
@@ -662,7 +664,10 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
         np.copyto(_line_major(nodal, setup, n), lines)
         if n > 0:
             out += nodal
-    out /= setup.metrics.jac[:, :, None]
+    # one evenly strided pass per component: dividing by the broadcast
+    # (n_elem, nodes, 1) Jacobian made numpy buffer np.getbufsize() doubles
+    for k in range(nvar):
+        out[..., k] /= setup.metrics.jac
     return out
 
 
@@ -780,8 +785,7 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     central volume flux) and sides the two interface-flux blocks from
     mesh_gauss_surface, which become the face-row sums of the line kernel
     (and are overwritten by them). The coupling normals are the face
-    metric rows of _face_geometry, viewed in the shape of one line
-    position's metric terms. The position-major accumulator
+    metric rows of _face_geometry. The position-major accumulator
     (_line_accumulator) is divided by J in place and added into the
     line-major view of out through its swapped view."""
     require_volume_kind(config.volume_flux)
@@ -798,8 +802,7 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     coupling = (
         (
             _face_lanes(*faces[s], need_cons),
-            ja if _is_axis(ja)
-            else _face_geometry(setup, n, s)[1].reshape(ja[:, 0].shape),
+            ja if _is_axis(ja) else _face_geometry(setup, n, s)[1],
             sides[s],
             cvol,
             cface,

@@ -22,16 +22,18 @@ its axis scaled by the face area), fixed accumulation order, bitwise
 reproducible. The one-point volume functions (volume_strong, volume_weak,
 volume_overintegration) are numpy expressions that take one element or the
 whole mesh at once; the first two read primitives that the caller has
-already converted. They run the directional form on per-node metric terms
-(the oracle) and the axis form on one constant axis-aligned metric matrix
-(see _one_point_volume): `rhs` passes the constant terms on Cartesian
-meshes with kernel="batched", and overintegration always reads the
-constant terms of its fine grid. face_states builds every interface state
-once per RHS, one direction at a time, for both kernels: Lobatto boundary
-nodes, Gauss traces, or entropy-projected states. `rhs` assembles them over
-the mesh; with kernel="batched" every scheme's two-point work (volume pairs
-and interface fluxes) runs in the mesh-level lane kernels in `batched`,
-which are equivalence-tested against the reference path.
+already converted. They run the directional form on node-layout metric
+terms (the oracle), the line form on a mesh's line-ordered metric store
+and the axis form on one constant axis-aligned metric matrix (see
+_one_point_volume): with kernel="batched" `rhs` passes the constant terms
+on Cartesian meshes and the store elsewhere, and overintegration always
+reads the constant terms of its fine grid. face_states builds every
+interface state once per RHS, one direction at a time, for both kernels:
+Lobatto boundary nodes, Gauss traces, or entropy-projected states. `rhs`
+assembles them over the mesh; with kernel="batched" every scheme's
+two-point work (volume pairs and interface fluxes) runs in the mesh-level
+lane kernels in `batched`, which are equivalence-tested against the
+reference path.
 
 A SpatialSetup holds only what depends on the mesh: coordinates, metric
 terms, neighbours and the nodal weights. Tables that depend on the
@@ -69,12 +71,15 @@ from .fluxes import (
     require_volume_kind,
 )
 from .geometry import (
+    MetricData,
     MetricTerms,
     apply_along,
     compute_metrics,
     element_coords,
     element_metrics,
+    line_major,
     neighbor_table,
+    node_ja,
 )
 from .operators import (
     MAX_DEGREE,
@@ -185,9 +190,13 @@ def volume_weak(u_elem, q_elem, op, metrics):
 def _constant_terms(metrics):
     """The MetricTerms of a mesh whose metric terms are one constant, as on
     Cartesian meshes: ja (d, d) and the scalar jac of the first node of
-    metrics (MetricData or MetricTerms)."""
-    d = metrics.ja.shape[-1]
-    return MetricTerms(metrics.ja.reshape(-1, d, d)[0], metrics.jac.reshape(-1)[0])
+    metrics (MetricData or MetricTerms), views of the stored terms."""
+    if isinstance(metrics, MetricData):
+        ja = metrics.line_ja[:, 0, :, 0]
+    else:
+        d = metrics.ja.shape[-1]
+        ja = metrics.ja.reshape(-1, d, d)[0]
+    return MetricTerms(ja, metrics.jac.reshape(-1)[0])
 
 
 def _one_point_volume(mat, sign, u_elem, q_elem, metrics):
@@ -201,8 +210,12 @@ def _one_point_volume(mat, sign, u_elem, q_elem, metrics):
     goes onto momentum row n only), and the constant sign (Ja)^n_n / J is
     folded into the (p+1, p+1) matrix, so no pass divides by J.
 
-    Directional form otherwise (per-node metrics): F^n from
-    euler.directional_flux, the sum ((0 o T_1) o T_2) ... o T_d with
+    Line form, when metrics is a mesh's MetricData (the batched kernel on
+    curved meshes): _line_one_point, which reads the line-ordered metric
+    store as it is and gives the directional form's bytes.
+
+    Directional form otherwise (MetricTerms in node layout, the oracle): F^n
+    from euler.directional_flux, the sum ((0 o T_1) o T_2) ... o T_d with
     o = np.add for sign 1.0 and np.subtract for -1.0. Each T_n is a fresh
     array from apply_along, so the first one holds the accumulator (0.0 o T_1
     in place, which keeps the signed zeros of a sum started from zero) and J
@@ -210,6 +223,8 @@ def _one_point_volume(mat, sign, u_elem, q_elem, metrics):
     d = u_elem.shape[-1] - 2
     lead = u_elem.ndim - 2
     add_one_point(d * (u_elem.size // (d + 2)))
+    if isinstance(metrics, MetricData):
+        return _line_one_point(mat, sign, u_elem, q_elem, metrics)
     shape = u_elem.shape[:lead] + (mat.shape[1],) * d + (-1,)
     ja = metrics.ja
     if ja.ndim == 2 and np.count_nonzero(ja) == np.count_nonzero(ja.diagonal()):
@@ -225,6 +240,57 @@ def _one_point_volume(mat, sign, u_elem, q_elem, metrics):
             combine(acc, term, out=acc)
     acc /= metrics.jac[..., None]
     return acc
+
+
+def _line_one_point(mat, sign, u, q, metrics):
+    """The line form of _one_point_volume on the whole mesh. Per direction
+    n, F^n is written into one contiguous (d+2, p+1, lanes) block from the
+    line-major views of u and q and the direction's metric rows
+    metrics.line_ja[n], one matmul applies mat along the line axis, and
+    the result is combined into a component-major (d+2, n_elem, nodes)
+    accumulator through its line-major view; one pass divides the sum by J
+    into out, an (n_elem, nodes, d+2) array over the flux block's memory,
+    which is free once the last matmul is done.
+
+    The fill reads each strided row of u and q once, except the pressure,
+    which it reads d+1 times and so copies into a contiguous row first;
+    the terms v_j (Ja)^n_j of v.n, the momentum rows and the pressure
+    terms p (Ja)^n_j are one block product each, and the work rows live in
+    the matmul's output block, which is free until the matmul. Each entry
+    of F^n is formed by the expressions of euler.directional_flux in their
+    order, mat meets every line as in apply_along, and the sum over
+    directions starts from 0.0 and ends with the division by J as in the
+    directional form, so the bytes are the directional form's."""
+    d = u.shape[-1] - 2
+    line_ja = metrics.line_ja
+    p1, lanes = line_ja.shape[1], line_ja.shape[-1]
+    lane_shape = (p1, u.shape[0]) + (p1,) * (d - 1)
+    flux, term = (np.empty((d + 2, p1, lanes)) for _ in range(2))
+    fill = flux.reshape((d + 2,) + lane_shape)
+    work = term.reshape(fill.shape)
+    # rows 0 to d-1 hold the terms of v.n, then the pressure terms
+    products, p, vn = work[:d], work[d], work[d + 1]
+    acc = np.empty((d + 2,) + u.shape[:2])
+    combine = np.add if sign > 0.0 else np.subtract
+    for n in range(d):
+        ul, ql = (line_major(arr, n, p1, d) for arr in (u, q))
+        ja = line_ja[n].swapaxes(0, 1).reshape((d,) + lane_shape)
+        np.copyto(p, ql[d + 1])
+        np.multiply(ql[1 : d + 1], ja, out=products)
+        np.add(products[0], products[1], out=vn)
+        for i in range(2, d):
+            vn += products[i]
+        np.multiply(ql[0], vn, out=fill[0])
+        np.multiply(ul[1 : d + 1], vn, out=fill[1 : d + 1])
+        fill[1 : d + 1] += np.multiply(p, ja, out=products)
+        np.add(ul[d + 1], p, out=fill[d + 1])
+        fill[d + 1] *= vn
+        np.matmul(mat, flux, out=term)
+        view = line_major(acc.transpose(1, 2, 0), n, p1, d)
+        combine(0.0 if n == 0 else view, work, out=view)
+    out = flux.reshape(u.shape)
+    np.divide(acc, metrics.jac, out=out.transpose(2, 0, 1))
+    return out
 
 
 def _axis_one_point(mat, scales, u, q, shape):
@@ -456,6 +522,10 @@ def face_states(u, prim, setup, projected, conserved=True):
                     "%s produced an inadmissible face state at element %d, face "
                     "node %d (direction %d, side %d)" % (made_by, e, m, n, side)
                 ) from err
+        # the last trace must not outlive the loop: a projected one is read
+        # by nothing once converted, and the caller holds the states while
+        # it runs this direction's kernels
+        del trace
         yield tuple(sides)
 
 
@@ -520,12 +590,13 @@ def rhs(u, setup, config):
     Deterministic for fixed inputs: element loops and pair loops run in a
     fixed order. config.kernel == "batched" runs every scheme's two-point
     work (volume pairs and interface fluxes) in the lane-parallel kernels;
-    "reference" runs it through the scalar oracle. The one-point volume
-    terms are one numpy pass over the whole mesh with either kernel: on
-    Cartesian meshes "batched" passes strong and weak the constant metric
-    terms, which select the axis form, and "reference" the per-node ones,
-    which keep the directional form; overintegration takes the axis form
-    with both.
+    "reference" runs it through the scalar oracle. "batched" runs strong
+    and weak as one numpy pass over the whole mesh: on Cartesian meshes it
+    passes the constant metric terms, which select the axis form, and
+    elsewhere the line-ordered metric store, which selects the line form.
+    "reference" runs them element by element on node-layout metric terms
+    (element_metrics), in the directional form, the oracle, as it runs
+    fluxdiff; overintegration takes the axis form with both.
 
     u is converted to primitives once; that pass is the admissibility check
     (AdmissibilityError names the first bad element and node), and every
@@ -544,26 +615,30 @@ def rhs(u, setup, config):
     # flux of the full hybridized operator cancels against the strong-form
     # surface subtraction, so neither is computed
     projected = scheme == "gauss_fluxdiff"
-    one_point = setup.metrics
-    if batched and setup.mesh.is_cartesian:
-        one_point = _constant_terms(one_point)
-    if scheme == "strong":
-        out = volume_strong(u, prim, setup.op, one_point)
-    elif scheme == "weak":
-        out = volume_weak(u, prim, setup.op, one_point)
+    if projected:
+        out = np.zeros_like(u)
     elif scheme == "overintegration":
         out = volume_overintegration(
             u, setup.op, config.overint_degree, setup.metrics, gas
         )
     elif scheme == "fluxdiff" and batched:
         out = _batched.mesh_fluxdiff_volume(u, prim, setup, config)
-    elif scheme == "fluxdiff":
+    elif batched:
+        terms = setup.metrics
+        if setup.mesh.is_cartesian:
+            terms = _constant_terms(terms)
+        volume = volume_strong if scheme == "strong" else volume_weak
+        out = volume(u, prim, setup.op, terms)
+    else:
         out = np.empty_like(u)
         for e in range(setup.n_elements):
             terms = element_metrics(setup.metrics, e)
-            out[e] = volume_fluxdiff(u[e], setup.op, terms, config.volume_flux, gas)
-    else:
-        out = np.zeros_like(u)
+            if scheme == "fluxdiff":
+                out[e] = volume_fluxdiff(u[e], setup.op, terms, config.volume_flux, gas)
+            elif scheme == "strong":
+                out[e] = volume_strong(u[e], prim[e], setup.op, terms)
+            else:
+                out[e] = volume_weak(u[e], prim[e], setup.op, terms)
     # the weak-form volume term (which overintegration projects back from
     # the fine grid) already carries the boundary flux of the element's own
     # state, so only the strong form subtracts it at the interfaces
@@ -608,11 +683,12 @@ def _scalar_gauss_volume(u, faces, setup, n, config, out):
     dirn = flux_function(config.volume_flux)
     metrics = setup.metrics
     face_ja = metrics.face_ja[n]
+    volume_ja = node_ja(metrics, n)
     sides = [(uf.tolist(), face_ja[s].tolist()) for s, (uf, _qf) in enumerate(faces)]
     acc = np.zeros_like(u).tolist()
     for e in range(setup.n_elements):
         states = u[e].tolist()
-        jan = metrics.ja[e, :, n, :].tolist()
+        jan = volume_ja[e].reshape(-1, setup.d).tolist()
         for m, line in enumerate(lines):
             coupling = [
                 (fs[e][m], fja[e][m], cvol, cface, lrow)

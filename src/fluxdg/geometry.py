@@ -174,8 +174,9 @@ def element_coords(mesh, op):
 
 @dataclass(frozen=True)
 class MetricTerms:
-    """Metric terms of a single element: ja[i, n, j] = (Ja)^n_j at node i,
-    jac[i] = J."""
+    """Metric terms in node layout: ja[i, n, j] = (Ja)^n_j at node i,
+    jac[i] = J, for one element (element_metrics) or with leading element
+    axes."""
 
     ja: np.ndarray
     jac: np.ndarray
@@ -185,28 +186,65 @@ class MetricTerms:
 class MetricData:
     """Discrete geometry of one mesh/operator pairing.
 
-    ja[e, i, n, j] holds the scaled contravariant component (Ja)^n_j at node
-    i of element e; jac[e, i] the Jacobian. ja is stored component-major:
-    it is the transposed view of one contiguous (d, d, n_elem, nodes) block,
-    so each ja[:, :, n, j] is one contiguous (n_elem, nodes) array, and the
-    lane kernels read a pair's normal 0.5 (Ja_a + Ja_b) straight from its
-    line-major view (batched._line_geometry). face_ja[n][s, e, m, :] is
-    element e's own boundary trace of its direction-n metric vector at face
-    node m of side s (0: reference -1 face, 1: +1 face), stored side-major
-    and then component-major: face_ja[n] is the transposed view of one
-    contiguous (2, d, n_elem, face nodes) block, so each face_ja[n][s, :, :, j]
-    is one contiguous (n_elem, face nodes) array, and the lane kernels read
-    interface and coupling normals as (d, lanes) rows of it with no copy
-    (batched._face_geometry). For nodal bases with boundary nodes the
-    trace is a restriction, for Gauss an extrapolation. The interface
-    normal of direction n is face_ja[n][1], the minus element's +1 trace,
-    pointing from the minus to the plus element, so both sides of an
-    interface see one value.
+    The volume metric terms are stored in line order, one contiguous
+    (d, p+1, d, lanes) block: line_ja[n, a, j, lane] is the scaled
+    contravariant component (Ja)^n_j at line position a of lane `lane` of
+    direction n, a lane being one node line of direction n, lanes in
+    line_major order (element-major, each element's lines in
+    operators.node_lines order). Each line_ja[n, a] is one contiguous
+    (d, lanes) block, so the lane kernels form a pair normal
+    0.5 (Ja_a + Ja_b) with one add of two of them, which takes no
+    iterator buffer at any lane count (batched._line_geometry), and the
+    one-point volume term reads the rows line_ja[n, :, j] in the layout of
+    its line-major flux (discretization._line_one_point). Node layout
+    comes from node_ja (per-direction views) and element_metrics
+    (per-element copies); no node-layout copy is kept. jac[e, i] is the
+    Jacobian at node i of element e.
+
+    face_ja[n][s, e, m, :] is element e's own boundary trace of its
+    direction-n metric vector at face node m of side s (0: reference -1
+    face, 1: +1 face), each face_ja[n][s, :, :, j] one contiguous
+    (n_elem, face nodes) array, so the lane kernels read interface and
+    coupling normals as (d, lanes) rows of it with no copy
+    (batched._face_geometry). On Lobatto grids the trace is a restriction:
+    face_ja[n] views line positions 0 and p of line_ja[n], no second
+    store. On Gauss grids it is an extrapolation, stored side-major and
+    then component-major as the transposed view of one contiguous
+    (2, d, n_elem, face nodes) block. The interface normal of direction n
+    is face_ja[n][1], the minus element's +1 trace, pointing from the
+    minus to the plus element, so both sides of an interface see one
+    value.
     """
 
-    ja: np.ndarray
+    line_ja: np.ndarray
     jac: np.ndarray
     face_ja: tuple
+
+
+def _line_axes(d, n):
+    """The axis order of line_major on an (n_elem, p+1, ..., p+1, m)
+    tensor: component, line position, element, then the other
+    reference directions in order."""
+    rest = tuple(i for i in range(1, d + 1) if i != n + 1)
+    return (d + 1, n + 1, 0) + rest
+
+
+def line_major(arr, n, p1, d):
+    """View of a nodal array (n_elem, p1^d, m) as (m, p1, n_elem, ...):
+    entry [k, a] is component k at position a of every node line in
+    direction n, the lines of each element in operators.node_lines order."""
+    tensor = arr.reshape(arr.shape[:1] + (p1,) * d + arr.shape[-1:])
+    return tensor.transpose(_line_axes(d, n))
+
+
+def node_ja(metrics, n):
+    """Direction n's metric vectors in node layout, a view of the line
+    store: (n_elem, p+1, ..., p+1, d), entry [e, i_1, ..., i_d, j] is
+    (Ja)^n_j at node (i_1, ..., i_d) of element e."""
+    block = metrics.line_ja[n].swapaxes(0, 1)
+    d, p1, lanes = block.shape
+    lines = block.reshape((d, p1, lanes // p1 ** (d - 1)) + (p1,) * (d - 1))
+    return lines.transpose(np.argsort(_line_axes(d, n)))
 
 
 def _metrics_2d(coords_nd, dmat):
@@ -273,14 +311,13 @@ def neighbor_table(mesh):
     )
 
 
-def compute_metrics(mesh, op, coords=None):
-    """Volume metric terms plus each element's face traces of them.
-
-    Curved meshes compute ja and jac on the degree-p Lobatto grid (see the
-    module docstring), reusing the solution-grid `coords` of a Lobatto
-    operator; Gauss operators interpolate both to their nodes along each
-    axis. Raises MeshError on a non-positive Jacobian at the solution nodes.
-    """
+def _node_metrics(mesh, op, coords):
+    """ja (n_elem, nodes, d, d) and jac (n_elem, nodes) in node layout,
+    ja[e, i, n, j] = (Ja)^n_j at node i of element e: the constant terms
+    of a Cartesian mesh, or on curved meshes the terms computed on the
+    degree-p Lobatto grid (see the module docstring), reusing the
+    solution-grid `coords` of a Lobatto operator; Gauss operators
+    interpolate both to their nodes along each axis."""
     d = mesh.d
     p1 = op.n_nodes
     n_elem = mesh.n_elements
@@ -294,32 +331,54 @@ def compute_metrics(mesh, op, coords=None):
         for n in range(d):
             area = jac_val / (0.5 * h[n])
             ja[:, :, n, n] = area
-        jac = np.full((n_elem, nn), jac_val)
+        return ja, np.full((n_elem, nn), jac_val)
+    lobatto = lgl_operator(op.degree)
+    if coords is None or op.family != "lgl":
+        coords = element_coords(mesh, lobatto)
+    coords_nd = coords.reshape((n_elem,) + (p1,) * d + (d,))
+    if d == 2:
+        ja_nd, jac_nd = _metrics_2d(coords_nd, lobatto.D)
     else:
-        lobatto = lgl_operator(op.degree)
-        if coords is None or op.family != "lgl":
-            coords = element_coords(mesh, lobatto)
-        coords_nd = coords.reshape((n_elem,) + (p1,) * d + (d,))
-        if d == 2:
-            ja_nd, jac_nd = _metrics_2d(coords_nd, lobatto.D)
-        else:
-            ja_nd, jac_nd = _metrics_3d_curl(coords_nd, lobatto.D)
-        if op.family != "lgl":
-            interp = interpolation_matrix(lobatto.nodes, op.nodes)
-            for axis in range(1, d + 1):
-                ja_nd = apply_along(interp, ja_nd, axis)
-                jac_nd = apply_along(interp, jac_nd, axis)
-        ja = ja_nd.reshape(n_elem, nn, d, d)
-        jac = jac_nd.reshape(n_elem, nn)
+        ja_nd, jac_nd = _metrics_3d_curl(coords_nd, lobatto.D)
+    if op.family != "lgl":
+        interp = interpolation_matrix(lobatto.nodes, op.nodes)
+        for axis in range(1, d + 1):
+            ja_nd = apply_along(interp, ja_nd, axis)
+            jac_nd = apply_along(interp, jac_nd, axis)
+    return ja_nd.reshape(n_elem, nn, d, d), jac_nd.reshape(n_elem, nn)
+
+
+def compute_metrics(mesh, op, coords=None):
+    """Volume metric terms in line order plus each element's face traces of
+    them (MetricData); `coords` as in _node_metrics. Raises MeshError on a
+    non-positive Jacobian at the solution nodes.
+    """
+    d = mesh.d
+    p1 = op.n_nodes
+    n_elem = mesh.n_elements
+    ja, jac = _node_metrics(mesh, op, coords)
     if not np.all(jac > 0.0):
         e, i = np.unravel_index(np.argmin(jac), jac.shape)
         raise MeshError(
             "non-positive Jacobian %r at element %d, node %d (amplitude too large?)"
             % (float(jac[e, i]), int(e), int(i))
         )
-    # boundary traces of each element's own metric vectors, both sides of
-    # direction n written component by component into one (2, d, n_elem,
-    # face nodes) block and kept as its (2, n_elem, face nodes, d) view
+    lanes = n_elem * p1 ** (d - 1)
+    line_ja = np.empty((d, p1, d, lanes))
+    for n in range(d):
+        lines = line_ja[n].swapaxes(0, 1).reshape((d, p1, n_elem) + (p1,) * (d - 1))
+        np.copyto(lines, line_major(ja[:, :, n, :], n, p1, d))
+    if op.family == "lgl":
+        # the boundary nodes are line positions 0 and p: (2, n_elem, face
+        # nodes, d) views of the store
+        face_ja = tuple(
+            line_ja[n][:: p1 - 1].transpose(0, 2, 1).reshape(2, n_elem, -1, d)
+            for n in range(d)
+        )
+        return MetricData(line_ja, jac, face_ja)
+    # Gauss: extrapolated traces, both sides of direction n written
+    # component by component into one (2, d, n_elem, face nodes) block and
+    # kept as its (2, n_elem, face nodes, d) view
     face_ja = []
     ja_nd = ja.reshape((n_elem,) + (p1,) * d + (d, d))
     for n in range(d):
@@ -327,13 +386,12 @@ def compute_metrics(mesh, op, coords=None):
         for side, j in np.ndindex(2, d):
             block[side, j] = _extrapolate_face(ja_nd[..., n, j], op, n, side)
         face_ja.append(block.transpose(0, 2, 3, 1))
-    # component-major store: each ja[:, :, n, j] is one contiguous block, so
-    # the lane kernels read pair normals from line-major views of it
-    ja = np.ascontiguousarray(ja.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
-    return MetricData(ja, jac, tuple(face_ja))
+    return MetricData(line_ja, jac, tuple(face_ja))
 
 
 def element_metrics(metrics, element):
-    """Per-element view of assembled metric data."""
-    return MetricTerms(metrics.ja[element], metrics.jac[element])
-
+    """One element's metric terms in node layout: a (nodes, d, d) copy
+    gathered from the line store (node_ja) and a view of its Jacobian."""
+    d = metrics.line_ja.shape[0]
+    rows = [node_ja(metrics, n)[element].reshape(-1, d) for n in range(d)]
+    return MetricTerms(np.stack(rows, axis=1), metrics.jac[element])

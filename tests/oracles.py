@@ -13,7 +13,7 @@ import numpy as np
 
 from fluxdg.euler import cons2prim, directional_flux
 from fluxdg.fluxes import flux_function
-from fluxdg.geometry import apply_along
+from fluxdg.geometry import apply_along, element_metrics, node_ja
 from fluxdg.operators import build_hybridized, node_lines
 
 mpmath.mp.dps = 50
@@ -94,14 +94,13 @@ def product_mean(a_minus, a_plus, b_minus, b_plus):
 def metric_identity_residual(metrics, op, d):
     """max |sum_n D_n (Ja)^n_j| over nodes/components; roundoff-level for
     the discrete forms the library uses."""
-    n_elem = metrics.ja.shape[0]
+    n_elem = metrics.jac.shape[0]
     p1 = op.n_nodes
-    ja_nd = metrics.ja.reshape((n_elem,) + (p1,) * d + (d, d))
     worst = 0.0
     for j in range(d):
         acc = np.zeros((n_elem,) + (p1,) * d)
         for n in range(d):
-            acc += apply_along(op.D, ja_nd[..., n, j], n + 1)
+            acc += apply_along(op.D, node_ja(metrics, n)[..., j], n + 1)
         worst = max(worst, float(np.max(np.abs(acc))))
     return worst
 
@@ -125,9 +124,10 @@ def gauss_volume_dense(u, faces, setup, n, vol_flux):
     face_ja = setup.metrics.face_ja[n]
     out = np.zeros_like(u)
     for e in range(setup.n_elements):
+        volume_ja = element_metrics(setup.metrics, e).ja
         for m, line in enumerate(node_lines(p1, setup.d)[n]):
             states = list(u[e, line]) + [u0[e, m], u1[e, m]]
-            ja = list(setup.metrics.ja[e, line, n]) + list(face_ja[:, e, m])
+            ja = list(volume_ja[line, n]) + list(face_ja[:, e, m])
             rows = np.zeros((p1 + 2, u.shape[-1]))
             for a in range(p1 + 2):
                 for b in range(p1 + 2):

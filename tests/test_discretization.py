@@ -37,7 +37,7 @@ from fluxdg.discretization import (
 from fluxdg.errors import AdmissibilityError, ConfigurationError
 from fluxdg.euler import cons2prim, directional_flux, entropy_vars
 from fluxdg.fluxes import SURFACE_KINDS
-from fluxdg.geometry import MetricTerms, element_metrics
+from fluxdg.geometry import MetricTerms, element_metrics, node_ja
 from fluxdg.operators import MAX_DEGREE, build_dsplit, node_lines, transfer_matrices
 from fluxdg.verify import random_field, relative_gap
 
@@ -295,9 +295,11 @@ def summed_from_zero(volume, u, q, setup):
         w = setup.op.weights
         mat, sign = (setup.op.D.T * w[None, :]) / w[:, None], -1.0
     acc = np.zeros_like(u)
+    shape = (-1,) + (p1,) * d + (d + 2,)
     for n in range(d):
-        contra = directional_flux(u, q, setup.metrics.ja[..., n, :])
-        term = geometry.apply_along(mat, contra.reshape((-1,) + (p1,) * d + (d + 2,)), n + 1)
+        ja = node_ja(setup.metrics, n)
+        contra = directional_flux(u.reshape(shape), q.reshape(shape), ja)
+        term = geometry.apply_along(mat, contra, n + 1)
         if sign > 0:
             acc += term.reshape(u.shape)
         else:
@@ -309,10 +311,11 @@ def summed_from_zero(volume, u, q, setup):
 @pytest.mark.parametrize("amplitude", [0.0, 0.15])
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
 def test_one_point_volume_whole_mesh_matches_elements(gas, family, amplitude, d):
-    # one call batches every element into each matmul, a per-element call
-    # only that element's lines; the bytes agree with each other and with
-    # the sum started from zeros, signed zeros included (a constant state
-    # cancels to zero at many nodes)
+    # the whole mesh's MetricData takes the line form (every lane of a
+    # direction in one matmul), a per-element call the directional form on
+    # that element's node-layout terms; the bytes agree with each other and
+    # with the sum started from zeros, signed zeros included (a constant
+    # state cancels to zero at many nodes)
     setup = (lgl_setup if family == "lgl" else gauss_setup)(gas, d=d, amplitude=amplitude)
     for u in (random_field(setup, gas, seed=12, amp=0.5), constant_field(setup, gas)):
         q = cons2prim(u, gas)
@@ -335,7 +338,7 @@ def overintegration_per_node(u, op, degree, metrics, gas):
         uq = geometry.apply_along(transfer.interp, uq, n + 1)
     uq = uq.reshape(-1, q1**d, d + 2)
     fine = MetricTerms(
-        np.broadcast_to(metrics.ja[0, 0], uq.shape[:2] + (d, d)),
+        np.broadcast_to(element_metrics(metrics, 0).ja[0], uq.shape[:2] + (d, d)),
         np.broadcast_to(metrics.jac[0, 0], uq.shape[:2]),
     )
     back = volume_weak(uq, cons2prim(uq, gas), make_operator(degree, op.family), fine)
@@ -349,13 +352,15 @@ def overintegration_per_node(u, op, degree, metrics, gas):
 @pytest.mark.parametrize("dims", [(2, 3), (3, 1, 2)])
 def test_constant_terms_view_the_metric_store(gas, dims, family):
     # the constant metric of a Cartesian mesh is read from the stored
-    # terms, not copied: a copying reshape of the component-major store
-    # would add ja.nbytes to every Cartesian rhs
+    # terms, not copied: of a mesh's line store and of an element's
+    # node-layout terms alike
     setup = build_setup(build_mesh(dims), make_operator(3, family), gas)
-    for metrics in (setup.metrics, element_metrics(setup.metrics, 1)):
+    terms = element_metrics(setup.metrics, 1)
+    for metrics, store in ((setup.metrics, setup.metrics.line_ja), (terms, terms.ja)):
         const = _constant_terms(metrics)
-        assert np.shares_memory(const.ja, metrics.ja)
-        assert np.array_equal(const.ja, metrics.ja[(0,) * (metrics.ja.ndim - 2)])
+        assert np.shares_memory(const.ja, store)
+        assert np.array_equal(const.ja, terms.ja[0])
+        assert const.jac == terms.jac[0]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -364,7 +369,7 @@ def test_constant_terms_view_the_metric_store(gas, dims, family):
 def test_axis_one_point_volume_matches_directional(gas, dims, family, p):
     # on an anisotropic Cartesian mesh the constant metric terms take the
     # axis form (each direction its own (Ja)^n_n folded into the matrix);
-    # the per-node metrics take the directional form, the oracle
+    # each element's node-layout terms take the directional form, the oracle
     bounds = [(-5.0, 5.0), (0.0, 3.0), (-1.0, 1.5)][: len(dims)]
     mesh = build_mesh(dims, bounds=bounds)
     setup = build_setup(mesh, make_operator(p, family), gas)
@@ -374,7 +379,10 @@ def test_axis_one_point_volume_matches_directional(gas, dims, family, p):
     assert const.ja.shape == (setup.d, setup.d)
     for volume in (volume_strong, volume_weak):
         got = volume(u, q, setup.op, const)
-        want = volume(u, q, setup.op, setup.metrics)
+        want = np.stack([
+            volume(u[e], q[e], setup.op, element_metrics(setup.metrics, e))
+            for e in range(setup.n_elements)
+        ])
         assert relative_gap(want, got) < 1e-13, volume.__name__
     degree = p + 1
     got = volume_overintegration(u, setup.op, degree, setup.metrics, gas)
@@ -384,10 +392,10 @@ def test_axis_one_point_volume_matches_directional(gas, dims, family, p):
 
 @pytest.mark.parametrize("scheme", ["strong", "weak"])
 def test_batched_one_point_volume_route(gas, monkeypatch, scheme):
-    # with the surface coupling switched off rhs returns -VOL: on Cartesian
-    # meshes the batched kernel reaches the axis form, never the
-    # directional flux that the reference kernel runs; on curved meshes both
-    # kernels run the directional form on the per-node metrics, byte for byte
+    # with the surface coupling switched off rhs returns -VOL: the batched
+    # kernel reaches the axis form on Cartesian meshes and the line form on
+    # curved ones, never the directional flux that the reference kernel
+    # runs; on curved meshes the line form gives the directional bytes
     monkeypatch.setattr(discretization, "surface_terms", lambda *args: args[-1])
     monkeypatch.setattr(discretization._batched, "mesh_surface", lambda *args: args[-1])
     curved = lgl_setup(gas, dims=(2, 3), amplitude=0.1)
@@ -402,8 +410,9 @@ def test_batched_one_point_volume_route(gas, monkeypatch, scheme):
         raise AssertionError("directional_flux called")
 
     monkeypatch.setattr(discretization, "directional_flux", directional)
-    for family in ("lgl", "gauss"):
-        setup = (lgl_setup if family == "lgl" else gauss_setup)(gas, dims=(2, 3))
+    for family, amplitude in product(("lgl", "gauss"), (0.0, 0.1)):
+        make = lgl_setup if family == "lgl" else gauss_setup
+        setup = make(gas, dims=(2, 3), amplitude=amplitude)
         u = random_field(setup, gas, seed=18, amp=0.3)
         config = RhsConfig(volume_scheme=scheme, kernel="batched")
         assert np.isfinite(rhs(u, setup, config)).all()

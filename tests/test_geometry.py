@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -12,8 +13,11 @@ from fluxdg.geometry import (
     compute_metrics,
     element_coords,
     element_metrics,
+    line_major,
     neighbor_table,
+    node_ja,
 )
+from fluxdg.geometry import _extrapolate_face, _node_metrics
 from fluxdg.operators import gauss_operator, lgl_operator, make_operator, transfer_matrices
 
 from .oracles import metric_identity_residual
@@ -112,7 +116,8 @@ def test_cartesian_metrics_exact():
     assert np.all(metrics.jac == 0.5)
     # the constant diagonal metric: the face areas the Cartesian lane
     # kernels scale their axis fluxes by
-    assert np.abs(metrics.ja - np.diag([2.0, 0.25])).max() < 1e-15
+    area = np.diag([2.0, 0.25])[:, None, :, None]
+    assert np.abs(metrics.line_ja - area).max() < 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -137,8 +142,13 @@ def test_per_element_helpers_match_assembled():
     op = lgl_operator(3)
     metrics = compute_metrics(mesh, op)
     for e in (0, 4, 8):
-        view = element_metrics(metrics, e)
-        assert np.array_equal(view.ja, metrics.ja[e])
+        terms = element_metrics(metrics, e)
+        assert terms.ja.shape == (16, 2, 2)
+        for n in range(2):
+            want = node_ja(metrics, n)[e].reshape(16, 2)
+            assert np.array_equal(terms.ja[:, n, :], want)
+        assert np.shares_memory(terms.jac, metrics.jac)
+        assert np.array_equal(terms.jac, metrics.jac[e])
 
 
 def test_lgl_face_metrics_collocated():
@@ -146,32 +156,41 @@ def test_lgl_face_metrics_collocated():
     mesh = build_mesh((3, 3), amplitude=0.2)
     op = lgl_operator(4)
     metrics = compute_metrics(mesh, op)
-    ja_nd = metrics.ja.reshape(9, 5, 5, 2, 2)
+    ja0 = node_ja(metrics, 0)  # (e, i_1, i_2, j)
     own = metrics.face_ja[0]  # (side, e, m, j)
-    assert np.array_equal(own[0], ja_nd[:, 0, :, 0, :])
-    assert np.array_equal(own[1], ja_nd[:, -1, :, 0, :])
+    assert np.array_equal(own[0], ja0[:, 0])
+    assert np.array_equal(own[1], ja0[:, -1])
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 0.1])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
 @pytest.mark.parametrize("d", [2, 3])
-def test_face_metrics_stored_once(family, d):
-    # the geometry is the volume metrics plus one face-trace array per
-    # direction, which keeps its face_ja[n][s, e, m, j] indices but stores
-    # each component of each side as one contiguous (n_elem, face nodes)
-    # block; the interface normal the kernels read is a view of the store,
-    # never a second copy
-    op = make_operator(3, family)
-    mesh = build_mesh((2,) * d, amplitude=0.1)
+def test_face_metrics_stored_once(d, family, p, amplitude):
+    # face_ja[n][s, e, m, j] keeps its indices, with each component of each
+    # side one contiguous (n_elem, face nodes) block. On Lobatto grids the
+    # traces are line positions 0 and p of the volume store, no second
+    # store, and equal the restrictions the extrapolation rows make (as
+    # floats: a one-hot row turns a -0.0 into +0.0); Gauss grids keep the
+    # extrapolated traces in one separate (2, d, n_elem, face nodes) block
+    op = make_operator(p, family)
+    mesh = build_mesh((2, 3, 2)[:d], amplitude=amplitude)
     metrics = compute_metrics(mesh, op)
-    assert [f.name for f in fields(metrics)] == ["ja", "jac", "face_ja"]
+    assert [f.name for f in fields(metrics)] == ["line_ja", "jac", "face_ja"]
     assert len(metrics.face_ja) == d
-    for face_ja in metrics.face_ja:
-        assert face_ja.shape == (2, mesh.n_elements, 4 ** (d - 1), d)
-        store = face_ja.base
-        assert store is not None and store.flags.c_contiguous and store.nbytes == face_ja.nbytes
+    for n, face_ja in enumerate(metrics.face_ja):
+        assert face_ja.shape == (2, mesh.n_elements, (p + 1) ** (d - 1), d)
         for s, j in np.ndindex(2, d):
             assert face_ja[s, :, :, j].flags.c_contiguous, (s, j)
-        assert np.shares_memory(face_ja[1], store)
+        if family == "lgl":
+            assert np.shares_memory(face_ja, metrics.line_ja[n])
+            for s, j in np.ndindex(2, d):
+                trace = _extrapolate_face(node_ja(metrics, n)[..., j], op, n, s)
+                assert np.array_equal(face_ja[s, :, :, j], trace), (n, s, j)
+        else:
+            store = face_ja.base
+            assert store.flags.c_contiguous and store.nbytes == face_ja.nbytes
+            assert not np.shares_memory(store, metrics.line_ja)
 
 
 @pytest.mark.parametrize(
@@ -179,15 +198,62 @@ def test_face_metrics_stored_once(family, d):
     [("lgl", 0.0, None), ("lgl", 0.1, None), ("gauss", 0.1, None), ("gauss", 0.1, 1)],
 )
 @pytest.mark.parametrize("d", [2, 3])
-def test_volume_metrics_stored_component_major(d, family, amplitude, geo):
-    # ja keeps its ja[e, i, n, j] indices, but each component (Ja)^n_j is one
-    # contiguous (n_elem, nodes) block: the lane kernels read pair normals
-    # straight from line-major views of these blocks
+def test_volume_metrics_stored_in_line_order(d, family, amplitude, geo):
+    # line_ja[n, a, j] holds (Ja)^n_j at line position a of every lane of
+    # direction n, lanes in line_major order: one contiguous (d, p+1, d,
+    # lanes) block whose every [n, a, j] row is contiguous and carries the
+    # bytes of the node-layout terms; node_ja reads them back as views
     mesh = build_mesh((2, 3, 2)[:d], amplitude=amplitude, geo_degree=geo)
-    metrics = compute_metrics(mesh, make_operator(3, family))
-    assert metrics.ja.shape == (mesh.n_elements, 4**d, d, d)
-    for n, j in np.ndindex(d, d):
-        assert metrics.ja[:, :, n, j].flags.c_contiguous, (n, j)
+    op = make_operator(3, family)
+    metrics = compute_metrics(mesh, op)
+    lanes = mesh.n_elements * 4 ** (d - 1)
+    assert metrics.line_ja.shape == (d, 4, d, lanes)
+    assert metrics.line_ja.flags.c_contiguous
+    ja, jac = _node_metrics(mesh, op, None)
+    assert jac.tobytes() == metrics.jac.tobytes()
+    for n in range(d):
+        lines = line_major(ja[:, :, n, :], n, 4, d).reshape(d, 4, lanes)
+        for j, a in np.ndindex(d, 4):
+            row = metrics.line_ja[n, a, j]
+            assert row.flags.c_contiguous and row.tobytes() == lines[j, a].tobytes()
+        view = node_ja(metrics, n)
+        assert np.shares_memory(view, metrics.line_ja)
+        want = ja[:, :, n, :].reshape(view.shape)
+        assert view.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", ["lgl", "gauss"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_setup_holds_one_metric_store(gas, d, family):
+    # a curved set-up holds d*d*N + N metric doubles (the line store and the
+    # Jacobian) besides its coordinates, neighbours and weights; Lobatto
+    # grids hold no face-metric store on top, Gauss grids only their
+    # extrapolated face blocks. A Lobatto face store would add
+    # 2*d*d*n_elem*(p+1)^(d-1) doubles: 32 KB on the 2D mesh below, 144 KB
+    # on the 3D one
+    mesh = build_mesh((16,) * d if d == 2 else (4,) * d, amplitude=0.1)
+    op = make_operator(3, family)
+    build_setup(mesh, op, gas)  # warm the operator caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        setup = build_setup(mesh, op, gas)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    metrics = setup.metrics
+    dofs = setup.dofs
+    assert metrics.line_ja.nbytes == 8 * d * d * dofs and metrics.jac.nbytes == 8 * dofs
+    if family == "lgl":
+        assert all(np.shares_memory(f, metrics.line_ja) for f in metrics.face_ja)
+        faces = 0
+    else:
+        faces = sum(f.base.nbytes for f in metrics.face_ja)
+        assert faces == 8 * 2 * d * d * mesh.n_elements * 4 ** (d - 1)
+    arrays = [setup.coords, setup.wbar, *setup.plus_neighbor, *setup.minus_neighbor]
+    known = sum(a.nbytes for a in [metrics.line_ja, metrics.jac] + arrays) + faces
+    # array headers and the set-up's Python objects: 3.5-7.6 KB
+    assert 0 <= held - known < 16 * 1024, held - known
 
 
 @pytest.mark.parametrize("d", [2, 3])

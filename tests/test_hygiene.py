@@ -159,18 +159,19 @@ def test_batched_has_one_cartesian_dispatch_rule():
 
 
 def test_batched_reads_metric_terms_only_in_geometry_helpers():
-    """fluxdg.batched reads the volume metric terms (.ja) only in
-    _line_geometry, which hands the pair loops a line-major view of the
-    stored terms, and in _face_geometry, which reads the Cartesian face
-    area; it reads the face metric terms (.face_ja) only in
-    _face_geometry, which hands the interface fluxes and the Gauss
-    coupling their rows as views of the store. Every pair normal is formed
-    from those views in the scratch block, so no second, re-laid-out copy
-    of the metric terms comes back."""
+    """fluxdg.batched reads the line-ordered volume metric store (.line_ja)
+    only in _line_geometry, which hands the pair loops a direction's block
+    of it, and in _face_geometry, which reads the Cartesian face area; it
+    reads the face metric terms (.face_ja) only in _face_geometry, which
+    hands the interface fluxes and the Gauss coupling their rows as views
+    of the store, and no node-layout .ja at all. Every pair normal is
+    formed from those views in the scratch block, so no second,
+    re-laid-out copy of the metric terms comes back."""
     path = ROOT / "src/fluxdg/batched.py"
     for attr, want in (
-        ("ja", {"_line_geometry", "_face_geometry"}),
+        ("line_ja", {"_line_geometry", "_face_geometry"}),
         ("face_ja", {"_face_geometry"}),
+        ("ja", set()),
     ):
         found = attribute_owners(path, attr)
         assert {name for name, _ in found} == want, (attr, found)
