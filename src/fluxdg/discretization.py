@@ -22,18 +22,17 @@ its axis scaled by the face area), fixed accumulation order, bitwise
 reproducible. The one-point volume functions (volume_strong, volume_weak,
 volume_overintegration) are numpy expressions that take one element or the
 whole mesh at once; the first two read primitives that the caller has
-already converted. They run the directional form on node-layout metric
-terms (the oracle), the line form on a mesh's line-ordered metric store
-and the axis form on one constant axis-aligned metric matrix (see
-_one_point_volume): with kernel="batched" `rhs` passes the constant terms
-on Cartesian meshes and the store elsewhere, and overintegration always
-reads the constant terms of its fine grid. face_states builds every
-interface state once per RHS, one direction at a time, for both kernels:
-Lobatto boundary nodes, Gauss traces, or entropy-projected states. `rhs`
-assembles them over the mesh; with kernel="batched" every scheme's
-two-point work (volume pairs and interface fluxes) runs in the mesh-level
-lane kernels in `batched`, which are equivalence-tested against the
-reference path.
+already converted. They run the directional form on per-node metric
+terms (the oracle; a mesh's line-ordered store is read through node-layout
+views) and the axis form on one constant axis-aligned metric matrix (see
+_one_point_volume): `rhs` passes the constant terms on Cartesian meshes
+with kernel="batched", and overintegration always reads the constant
+terms of its fine grid. face_states builds every interface state once per
+RHS, one direction at a time, for both kernels: Lobatto boundary nodes,
+Gauss traces, or entropy-projected states. `rhs` assembles them over the
+mesh; with kernel="batched" every scheme's two-point work (volume pairs
+and interface fluxes) runs in the mesh-level lane kernels in `batched`,
+which are equivalence-tested against the reference path.
 
 A SpatialSetup holds only what depends on the mesh: coordinates, metric
 terms, neighbours and the nodal weights. Tables that depend on the
@@ -77,7 +76,6 @@ from .geometry import (
     compute_metrics,
     element_coords,
     element_metrics,
-    line_major,
     neighbor_table,
     node_ja,
 )
@@ -159,11 +157,12 @@ def volume_strong(u_elem, q_elem, op, metrics):
     """Strong-form volume term: (1/J) sum_n D_n (sum_j (Ja)^n_j f^j(u)).
 
     u_elem is one element (nodes, d+2) or a stack of them with leading
-    element axes, q_elem = cons2prim(u_elem); metrics.ja/jac carry the same
+    element axes, q_elem = cons2prim(u_elem). metrics is the mesh's
+    MetricData (with the whole mesh) or MetricTerms: ja/jac carry the same
     leading axes (or none, for metrics shared by every element) and the
-    node axis, or are one constant (d, d) matrix and one scalar shared by
-    every node (_constant_terms), which on an axis-aligned matrix selects
-    the axis form of _one_point_volume."""
+    node axis, or are one constant axis-aligned (d, d) matrix and one
+    scalar shared by every node (_constant_terms of a Cartesian mesh),
+    which select the axis form of _one_point_volume."""
     return _one_point_volume(op.D, 1.0, u_elem, q_elem, metrics)
 
 
@@ -210,30 +209,30 @@ def _one_point_volume(mat, sign, u_elem, q_elem, metrics):
     goes onto momentum row n only), and the constant sign (Ja)^n_n / J is
     folded into the (p+1, p+1) matrix, so no pass divides by J.
 
-    Line form, when metrics is a mesh's MetricData (the batched kernel on
-    curved meshes): _line_one_point, which reads the line-ordered metric
-    store as it is and gives the directional form's bytes.
-
-    Directional form otherwise (MetricTerms in node layout, the oracle): F^n
-    from euler.directional_flux, the sum ((0 o T_1) o T_2) ... o T_d with
-    o = np.add for sign 1.0 and np.subtract for -1.0. Each T_n is a fresh
-    array from apply_along, so the first one holds the accumulator (0.0 o T_1
-    in place, which keeps the signed zeros of a sum started from zero) and J
-    divides it in place."""
+    Directional form otherwise (the oracle): F^n from
+    euler.directional_flux on u, q and direction n's metric vectors in
+    tensor node layout (_direction_terms: views of a mesh's line store, or
+    of the node-layout MetricTerms of an element or a stack of them), the
+    sum ((0 o T_1) o T_2) ... o T_d with o = np.add for sign 1.0 and
+    np.subtract for -1.0. Each T_n is a fresh array from apply_along, so
+    the first one holds the accumulator (0.0 o T_1 in place, which keeps
+    the signed zeros of a sum started from zero) and J divides it in
+    place."""
     d = u_elem.shape[-1] - 2
     lead = u_elem.ndim - 2
     add_one_point(d * (u_elem.size // (d + 2)))
-    if isinstance(metrics, MetricData):
-        return _line_one_point(mat, sign, u_elem, q_elem, metrics)
-    shape = u_elem.shape[:lead] + (mat.shape[1],) * d + (-1,)
-    ja = metrics.ja
-    if ja.ndim == 2 and np.count_nonzero(ja) == np.count_nonzero(ja.diagonal()):
-        scales = sign * ja.diagonal() / metrics.jac
-        return _axis_one_point(mat, scales, u_elem, q_elem, shape)
+    nodes = (mat.shape[1],) * d
+    shape = u_elem.shape[:lead] + nodes + (-1,)
+    if isinstance(metrics, MetricTerms) and metrics.ja.ndim == 2:
+        ja = metrics.ja
+        if np.count_nonzero(ja) == np.count_nonzero(ja.diagonal()):
+            scales = sign * ja.diagonal() / metrics.jac
+            return _axis_one_point(mat, scales, u_elem, q_elem, shape)
+    u_tensor, q_tensor = u_elem.reshape(shape), q_elem.reshape(shape)
     combine = np.add if sign > 0.0 else np.subtract
     for n in range(d):
-        contra = directional_flux(u_elem, q_elem, ja[..., n, :])
-        term = apply_along(mat, contra.reshape(shape), n + lead).reshape(u_elem.shape)
+        contra = directional_flux(u_tensor, q_tensor, _direction_terms(metrics, n, nodes))
+        term = apply_along(mat, contra, n + lead).reshape(u_elem.shape)
         if n == 0:
             acc = combine(0.0, term, out=term)
         else:
@@ -242,55 +241,14 @@ def _one_point_volume(mat, sign, u_elem, q_elem, metrics):
     return acc
 
 
-def _line_one_point(mat, sign, u, q, metrics):
-    """The line form of _one_point_volume on the whole mesh. Per direction
-    n, F^n is written into one contiguous (d+2, p+1, lanes) block from the
-    line-major views of u and q and the direction's metric rows
-    metrics.line_ja[n], one matmul applies mat along the line axis, and
-    the result is combined into a component-major (d+2, n_elem, nodes)
-    accumulator through its line-major view; one pass divides the sum by J
-    into out, an (n_elem, nodes, d+2) array over the flux block's memory,
-    which is free once the last matmul is done.
-
-    The fill reads each strided row of u and q once, except the pressure,
-    which it reads d+1 times and so copies into a contiguous row first;
-    the terms v_j (Ja)^n_j of v.n, the momentum rows and the pressure
-    terms p (Ja)^n_j are one block product each, and the work rows live in
-    the matmul's output block, which is free until the matmul. Each entry
-    of F^n is formed by the expressions of euler.directional_flux in their
-    order, mat meets every line as in apply_along, and the sum over
-    directions starts from 0.0 and ends with the division by J as in the
-    directional form, so the bytes are the directional form's."""
-    d = u.shape[-1] - 2
-    line_ja = metrics.line_ja
-    p1, lanes = line_ja.shape[1], line_ja.shape[-1]
-    lane_shape = (p1, u.shape[0]) + (p1,) * (d - 1)
-    flux, term = (np.empty((d + 2, p1, lanes)) for _ in range(2))
-    fill = flux.reshape((d + 2,) + lane_shape)
-    work = term.reshape(fill.shape)
-    # rows 0 to d-1 hold the terms of v.n, then the pressure terms
-    products, p, vn = work[:d], work[d], work[d + 1]
-    acc = np.empty((d + 2,) + u.shape[:2])
-    combine = np.add if sign > 0.0 else np.subtract
-    for n in range(d):
-        ul, ql = (line_major(arr, n, p1, d) for arr in (u, q))
-        ja = line_ja[n].swapaxes(0, 1).reshape((d,) + lane_shape)
-        np.copyto(p, ql[d + 1])
-        np.multiply(ql[1 : d + 1], ja, out=products)
-        np.add(products[0], products[1], out=vn)
-        for i in range(2, d):
-            vn += products[i]
-        np.multiply(ql[0], vn, out=fill[0])
-        np.multiply(ul[1 : d + 1], vn, out=fill[1 : d + 1])
-        fill[1 : d + 1] += np.multiply(p, ja, out=products)
-        np.add(ul[d + 1], p, out=fill[d + 1])
-        fill[d + 1] *= vn
-        np.matmul(mat, flux, out=term)
-        view = line_major(acc.transpose(1, 2, 0), n, p1, d)
-        combine(0.0 if n == 0 else view, work, out=view)
-    out = flux.reshape(u.shape)
-    np.divide(acc, metrics.jac, out=out.transpose(2, 0, 1))
-    return out
+def _direction_terms(metrics, n, nodes):
+    """Direction n's metric vectors (Ja)^n_j in tensor node layout, nodes =
+    (p+1,) * d: node_ja's view of a mesh's line store (MetricData), or a
+    view of the per-node MetricTerms.ja."""
+    if isinstance(metrics, MetricData):
+        return node_ja(metrics, n)
+    ja = metrics.ja[..., n, :]
+    return ja.reshape(ja.shape[:-2] + nodes + ja.shape[-1:])
 
 
 def _axis_one_point(mat, scales, u, q, shape):
@@ -590,13 +548,12 @@ def rhs(u, setup, config):
     Deterministic for fixed inputs: element loops and pair loops run in a
     fixed order. config.kernel == "batched" runs every scheme's two-point
     work (volume pairs and interface fluxes) in the lane-parallel kernels;
-    "reference" runs it through the scalar oracle. "batched" runs strong
-    and weak as one numpy pass over the whole mesh: on Cartesian meshes it
-    passes the constant metric terms, which select the axis form, and
-    elsewhere the line-ordered metric store, which selects the line form.
-    "reference" runs them element by element on node-layout metric terms
-    (element_metrics), in the directional form, the oracle, as it runs
-    fluxdiff; overintegration takes the axis form with both.
+    "reference" runs it through the scalar oracle. The one-point volume
+    terms are one numpy pass over the whole mesh with either kernel: on
+    Cartesian meshes "batched" passes strong and weak the constant metric
+    terms, which select the axis form, and "reference" the mesh's
+    MetricData, which keeps the directional form on node-layout views of
+    the metric store; overintegration takes the axis form with both.
 
     u is converted to primitives once; that pass is the admissibility check
     (AdmissibilityError names the first bad element and node), and every
@@ -615,30 +572,26 @@ def rhs(u, setup, config):
     # flux of the full hybridized operator cancels against the strong-form
     # surface subtraction, so neither is computed
     projected = scheme == "gauss_fluxdiff"
-    if projected:
-        out = np.zeros_like(u)
+    one_point = setup.metrics
+    if batched and setup.mesh.is_cartesian:
+        one_point = _constant_terms(one_point)
+    if scheme == "strong":
+        out = volume_strong(u, prim, setup.op, one_point)
+    elif scheme == "weak":
+        out = volume_weak(u, prim, setup.op, one_point)
     elif scheme == "overintegration":
         out = volume_overintegration(
             u, setup.op, config.overint_degree, setup.metrics, gas
         )
     elif scheme == "fluxdiff" and batched:
         out = _batched.mesh_fluxdiff_volume(u, prim, setup, config)
-    elif batched:
-        terms = setup.metrics
-        if setup.mesh.is_cartesian:
-            terms = _constant_terms(terms)
-        volume = volume_strong if scheme == "strong" else volume_weak
-        out = volume(u, prim, setup.op, terms)
-    else:
+    elif scheme == "fluxdiff":
         out = np.empty_like(u)
         for e in range(setup.n_elements):
             terms = element_metrics(setup.metrics, e)
-            if scheme == "fluxdiff":
-                out[e] = volume_fluxdiff(u[e], setup.op, terms, config.volume_flux, gas)
-            elif scheme == "strong":
-                out[e] = volume_strong(u[e], prim[e], setup.op, terms)
-            else:
-                out[e] = volume_weak(u[e], prim[e], setup.op, terms)
+            out[e] = volume_fluxdiff(u[e], setup.op, terms, config.volume_flux, gas)
+    else:
+        out = np.zeros_like(u)
     # the weak-form volume term (which overintegration projects back from
     # the fine grid) already carries the boundary flux of the element's own
     # state, so only the strong form subtracts it at the interfaces

@@ -194,10 +194,9 @@ class MetricData:
     operators.node_lines order). Each line_ja[n, a] is one contiguous
     (d, lanes) block, so the lane kernels form a pair normal
     0.5 (Ja_a + Ja_b) with one add of two of them, which takes no
-    iterator buffer at any lane count (batched._line_geometry), and the
-    one-point volume term reads the rows line_ja[n, :, j] in the layout of
-    its line-major flux (discretization._line_one_point). Node layout
-    comes from node_ja (per-direction views) and element_metrics
+    iterator buffer at any lane count (batched._line_geometry). Node
+    layout comes from node_ja (per-direction views, which the one-point
+    volume term reads over the whole mesh) and element_metrics
     (per-element copies); no node-layout copy is kept. jac[e, i] is the
     Jacobian at node i of element e.
 

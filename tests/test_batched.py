@@ -458,12 +458,12 @@ def test_batched_counts_match_scalar_counts(gas):
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elements):
-    # strong and weak run on curved meshes, where the batched kernel takes
-    # the line form and the reference kernel the directional form (curved
-    # Gauss both at a low mapping degree and isoparametric, whose
-    # interpolated metrics the line form reads), and on a Cartesian one,
-    # where the batched kernel takes the axis form; overintegration is
-    # Cartesian only and takes the axis form with both kernels
+    # strong and weak run on curved meshes, where both kernels take the
+    # directional form on node-layout views of the metric store (curved
+    # Gauss both at a low mapping degree and isoparametric, whose metrics
+    # are interpolated), and on a Cartesian one, where the batched kernel
+    # takes the axis form; overintegration is Cartesian only and takes the
+    # axis form with both kernels
     overint = p + 1 if scheme == "overintegration" else None
     if scheme == "overintegration":
         meshes = ((0.0, None),)
