@@ -72,19 +72,25 @@ per call, and add each pair into the accumulator with one product into
 the scratch and one contiguous block add per weight, acc[a] += w * f.
 The surface lanes are in minus-element order (face point m of element e
 pairs e with plus_neighbor[n][e]): the plus side's face states are
-gathered with one element-major take per array before they are viewed
-as rows, and the plus-side fluxes go back into element order once
-through minus_neighbor[n], the inverse permutation that build_setup
-stores, so both sides of the lift are basic-slice updates.
+gathered with one take per array along the element axis of whichever
+view of it is C-contiguous (_face_rows), the (n_elem, face nodes, d+2)
+array for Lobatto slices and Gauss traces, its (d+2, n_elem, face nodes)
+rows for the component-major entropy-projected states, so the gathered
+rows keep the layout; and the plus-side fluxes go back into element
+order once through minus_neighbor[n], the inverse permutation that
+build_setup stores, so both sides of the lift are basic-slice updates.
 
 A Lanes holds the primitives as rows and, for the kinds that read them
 (fluxes.OWN_FLUX_KINDS: central, llf and hll) or the strong-form
-subtraction, the conserved states as one (d+2, lanes) block (on the face
-lanes a strided view of the face array). rhs asks face_states for
-conserved face arrays only where such a reader runs, so a shima or ranocha
-interface gets primitives alone. The central, llf and hll kernels run in
-two steps: they form the own-side physical fluxes f(q_l).n and f(q_r).n,
-then combine them. The momentum
+subtraction, the conserved states as one (d+2, lanes) block. On the face
+lanes the rows follow the layout of the face arrays: strided on Lobatto
+slices and Gauss traces, whose variables are innermost, and contiguous
+on the entropy-projected faces, which face_states builds component-major
+in line layout, on both sides of an interface. rhs asks face_states for
+conserved face arrays only where such a reader runs, so a shima or
+ranocha interface gets primitives alone. The central, llf and hll
+kernels run in two steps: they form the own-side physical fluxes
+f(q_l).n and f(q_r).n, then combine them. The momentum
 rows of f(q).n are one block product (rho v) v.n; p n_i is added row by
 row, because a (d, lanes) p n block passes the allocator's mmap threshold
 on the 3D meshes and was slower. llf forms its jump u_r - u_l as one
@@ -532,24 +538,29 @@ def _line_lanes(q, cons):
     ]
 
 
-def _face_rows(arr):
+def _face_rows(arr, order=None):
     """(n_elem, face nodes, m) face arrays as (m, lanes) rows, one lane per
-    face point: strided views (each face lane is read only once or twice,
-    so a contiguous copy costs more than it saves)."""
-    return arr.transpose(2, 0, 1).reshape(arr.shape[-1], -1)
+    face point, elements taken in `order` (default: as stored, a view; each
+    face lane is read only once or twice, so a contiguous copy costs more
+    than it saves). The gather runs along the element axis of whichever
+    view is C-contiguous, the array itself or its rows, so the copy keeps
+    the layout: a component-major face array (the entropy projection's)
+    gives contiguous rows on both sides of an interface."""
+    if order is not None and arr.flags.c_contiguous:
+        arr, order = arr.take(order, axis=0), None
+    rows = arr.transpose(2, 0, 1)
+    if order is not None:
+        rows = rows.take(order, axis=1)
+    return rows.reshape(arr.shape[-1], -1)
 
 
 def _face_lanes(states, q, need_cons, order=None):
     """Lanes over face points from (n_elem, face nodes, d+2) conserved states
-    and their primitives, elements taken in `order` (default: as stored).
-    The gather runs element-major, before the transpose to rows. Without
+    and their primitives, elements taken in `order` (_face_rows). Without
     need_cons the conserved states are neither gathered nor read, and may
     be None (face_states builds none where no reader needs them)."""
-    if order is not None:
-        q = q.take(order, axis=0)
-        if need_cons:
-            states = states.take(order, axis=0)
-    return _row_lanes(_face_rows(q), _face_rows(states) if need_cons else None)
+    rows = _face_rows(q, order)
+    return _row_lanes(rows, _face_rows(states, order) if need_cons else None)
 
 
 def _line_geometry(setup, n):

@@ -76,6 +76,7 @@ from .geometry import (
     compute_metrics,
     element_coords,
     element_metrics,
+    line_major,
     neighbor_table,
     node_ja,
 )
@@ -416,14 +417,16 @@ def face_states(u, prim, setup, projected, conserved=True):
     n = 0 .. d-1, ((u0, q0), (u1, q1)), the conserved states and their
     primitives on the element's reference -1 face (side 0) and +1 face
     (side 1), each (n_elem, face nodes, d+2) with face nodes in line order.
-    prim = cons2prim(u). Every source reads the nodal arrays as
-    (n_elem, p+1, ..., p+1, d+2) tensors, along the tensor axis of
-    direction n, with no node index lists:
+    prim = cons2prim(u). Every source reads the nodal arrays along the
+    tensor axis of direction n, with no node index lists:
 
     * projected (gauss_fluxdiff): the entropy projection, the entropy
       variables of prim interpolated to the face and mapped back, with
       primitives from the inverse entropy map and conserved states from
-      prim2cons;
+      prim2cons. It runs in line layout (_entropy_traces): no entropy
+      variables outlive their direction, and each side is a view of one
+      component-major (d+2, lanes) block, so its (d+2, lanes) face rows
+      are contiguous;
     * otherwise on Lobatto grids the first and last slices of u and prim
       along that axis (the boundary nodes);
     * otherwise on Gauss grids the interpolated traces of u, converted here
@@ -444,9 +447,9 @@ def face_states(u, prim, setup, projected, conserved=True):
     n_elem, _, nvar = u.shape
     shape = (n_elem,) + (op.n_nodes,) * d + (nvar,)
     if projected:
-        source, made_by = prim2entropy(prim, gas), "entropy projection"
+        made_by = "entropy projection"
     elif op.family == "gauss":
-        source, made_by = u, "interpolation"
+        made_by = "interpolation"
     else:
         u_nd = u.reshape(shape) if conserved else None
         q_nd = prim.reshape(shape)
@@ -461,13 +464,17 @@ def face_states(u, prim, setup, projected, conserved=True):
                 for c in (0, -1)
             )
         return
-    nodal = source.reshape(shape)
     for n in range(d):
-        moved = np.moveaxis(nodal, n + 1, -2)
+        if projected:
+            traces = _entropy_traces(prim, setup, n)
+        else:
+            moved = np.moveaxis(u.reshape(shape), n + 1, -2)
+            traces = (
+                np.einsum("...kv,k->...v", moved, row).reshape(n_elem, -1, nvar)
+                for row in op.boundary_interp
+            )
         sides = []
-        for side in (0, 1):
-            trace = np.einsum("...kv,k->...v", moved, op.boundary_interp[side])
-            trace = trace.reshape(n_elem, -1, nvar)
+        for side, trace in enumerate(traces):
             try:
                 if projected:
                     q = entropy2prim(trace, gas)
@@ -480,11 +487,28 @@ def face_states(u, prim, setup, projected, conserved=True):
                     "%s produced an inadmissible face state at element %d, face "
                     "node %d (direction %d, side %d)" % (made_by, e, m, n, side)
                 ) from err
-        # the last trace must not outlive the loop: a projected one is read
-        # by nothing once converted, and the caller holds the states while
-        # it runs this direction's kernels
-        del trace
+        # the traces must not outlive the loop: projected ones are read by
+        # nothing once converted, and the caller holds the states while it
+        # runs this direction's kernels
+        del traces, trace
         yield tuple(sides)
+
+
+def _entropy_traces(prim, setup, n):
+    """The entropy variables of prim interpolated to both faces of
+    direction n, sides 0 and 1 as (n_elem, face nodes, d+2) views of one
+    component-major (2, d+2, lanes) block, lanes in line_major order. The
+    direction's primitive line rows are copied from geometry.line_major,
+    mapped by prim2entropy in that layout and interpolated with one einsum
+    over the line-position axis; the rows and the entropy variables die
+    with this call."""
+    op = setup.op
+    nvar = prim.shape[-1]
+    rows = np.ascontiguousarray(line_major(prim, n, op.n_nodes, setup.d))
+    w = np.moveaxis(prim2entropy(np.moveaxis(rows, 0, -1), setup.gas), -1, 0)
+    del rows
+    traces = np.einsum("vk...,sk->sv...", w, op.boundary_interp)
+    return [t.reshape(nvar, setup.n_elements, -1).transpose(1, 2, 0) for t in traces]
 
 
 def surface_terms(faces, setup, n, surface_flux, subtract_own, out):

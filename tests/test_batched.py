@@ -746,24 +746,26 @@ def test_rhs_reaches_every_lane_function(gas):
     try:
         for d, family, amplitude in product((2, 3), ("lgl", "gauss"), (0.0, 0.1)):
             curved_gauss = family == "gauss" and amplitude > 0.0
-            geo = (2 if d == 2 else 1) if curved_gauss else None
-            mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
-            op = make_operator(p, family)
-            setup = build_setup(mesh, op, gas)
-            u = random_field(setup, gas, seed=12, amp=0.3)
-            for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
-                config = RhsConfig(
-                    volume_scheme=scheme,
-                    surface_flux=kind,
-                    overint_degree=p + 1,
-                    kernel="batched",
-                )
-                try:
-                    config.validate(setup)
-                except ConfigurationError:
-                    continue  # scheme not defined for this family or mesh
-                assert np.isfinite(rhs(u, setup, config)).all()
-                ran.add(scheme)
+            # curved Gauss meshes at the old mapping-degree rule and
+            # isoparametric
+            for geo in (2 if d == 2 else 1, None) if curved_gauss else (None,):
+                mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
+                op = make_operator(p, family)
+                setup = build_setup(mesh, op, gas)
+                u = random_field(setup, gas, seed=12, amp=0.3)
+                for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
+                    config = RhsConfig(
+                        volume_scheme=scheme,
+                        surface_flux=kind,
+                        overint_degree=p + 1,
+                        kernel="batched",
+                    )
+                    try:
+                        config.validate(setup)
+                    except ConfigurationError:
+                        continue  # scheme not defined for this family or mesh
+                    assert np.isfinite(rhs(u, setup, config)).all()
+                    ran.add(scheme)
     finally:
         sys.setprofile(previous)
     assert ran == set(VOLUME_SCHEMES)
@@ -884,17 +886,22 @@ def test_gauss_rhs_peak_memory(gas, geo_degree):
     """The Gauss twin of test_strong_llf_rhs_peak_memory: the tracemalloc
     peak of one warm batched ranocha/ranocha gauss_fluxdiff rhs on the
     gauss3d_curved benchmark mesh (3D p3, 4^3 curved Gauss) stays within
-    7.05 u.nbytes. It reads 6.86 with either mapping, the peak falling in
-    a direction's coupling pass: out, prim, the nodal entropy variables,
-    the primitive line rows and the accumulator (1.0 each); the
-    direction's two primitive face arrays and the two side blocks (0.5
-    each); the split-form scratch (0.45) and the flux block (0.25). No
-    conserved face array is built, since every reader of this pairing
-    takes primitives, face_states holds no dead face trace, and no pair
-    normal takes an iterator buffer; it read 7.30 with the last projected
-    trace held (0.25) and the pair-normal buffers of a node-layout metric
+    6.22 u.nbytes. It reads 6.03 with either mapping, the peak falling in
+    the entropy projection of directions 1 and 2: out and prim (1.0 each);
+    the previous direction's two primitive face arrays and two side blocks,
+    which rhs still holds (0.5 each); the direction's primitive line rows
+    and their entropy variables (1.0 each) and prim2entropy's temporaries
+    (about 1.0). No nodal entropy variables are held through the RHS: each
+    direction's die before face_states yields, and the coupling pass, which
+    reads 5.81, holds out, prim, the primitive line rows and the
+    accumulator (1.0 each), the face arrays and side blocks (0.5 each), the
+    split-form scratch (0.45) and the flux block (0.25). No conserved face
+    array is built, since every reader of this pairing takes primitives,
+    and no pair normal takes an iterator buffer; it read 6.86 with the
+    nodal entropy variables held (1.0), 7.30 with the last projected trace
+    held as well (0.25) and the pair-normal buffers of a node-layout metric
     store (0.3), and 8.01 with the conserved faces and the
-    (d+2, p+1, lanes) accumulator as well."""
+    (d+2, p+1, lanes) accumulator on top."""
     d, p = 3, 3
     mesh = build_mesh(
         (4,) * d, bounds=(-5.0, 5.0), amplitude=0.1, geo_degree=geo_degree
@@ -908,4 +915,4 @@ def test_gauss_rhs_peak_memory(gas, geo_degree):
         kernel="batched",
     )
     peak = _warm_peak(rhs, lambda: (u, setup, config))
-    assert peak <= 7.05 * u.nbytes, peak / u.nbytes
+    assert peak <= 6.22 * u.nbytes, peak / u.nbytes

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fluxdg import discretization, fluxes, geometry
+from fluxdg import batched, discretization, fluxes, geometry
 from fluxdg import (
     FluxCounter,
     RhsConfig,
@@ -35,7 +35,13 @@ from fluxdg.discretization import (
     volume_weak,
 )
 from fluxdg.errors import AdmissibilityError, ConfigurationError
-from fluxdg.euler import cons2prim, directional_flux, entropy_vars
+from fluxdg.euler import (
+    cons2prim,
+    directional_flux,
+    entropy2prim,
+    entropy_vars,
+    prim2entropy,
+)
 from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import MetricTerms, element_metrics, node_ja
 from fluxdg.operators import MAX_DEGREE, build_dsplit, node_lines, transfer_matrices
@@ -229,17 +235,19 @@ def test_gauss_forms_agree(gas, d, amplitude, geo, p):
 @pytest.mark.parametrize("d", [2, 3])
 def test_gauss_volume_forms_agree_per_element(gas, d, vol_flux):
     # the volume term of each direction and element alone, before the
-    # surface term is added
-    setup = gauss_setup(gas, d=d, amplitude=0.15, geo_degree=2 if d == 2 else 1)
-    u = random_field(setup, gas, seed=7, amp=0.3)
-    config = RhsConfig(volume_scheme="gauss_fluxdiff", volume_flux=vol_flux)
-    for n, faces in enumerate(projected_faces(u, setup)):
-        got = np.zeros_like(u)
-        _scalar_gauss_volume(u, faces, setup, n, config, got)
-        want = gauss_volume_dense(u, faces, setup, n, vol_flux)
-        assert np.abs(want).max() > 1e-3
-        for e in range(setup.n_elements):
-            assert relative_gap(want[e], got[e]) < 1e-13, (n, e)
+    # surface term is added, on a curved mesh at the old mapping-degree
+    # rule and isoparametric
+    for geo in (2 if d == 2 else 1, None):
+        setup = gauss_setup(gas, d=d, amplitude=0.15, geo_degree=geo)
+        u = random_field(setup, gas, seed=7, amp=0.3)
+        config = RhsConfig(volume_scheme="gauss_fluxdiff", volume_flux=vol_flux)
+        for n, faces in enumerate(projected_faces(u, setup)):
+            got = np.zeros_like(u)
+            _scalar_gauss_volume(u, faces, setup, n, config, got)
+            want = gauss_volume_dense(u, faces, setup, n, vol_flux)
+            assert np.abs(want).max() > 1e-3
+            for e in range(setup.n_elements):
+                assert relative_gap(want[e], got[e]) < 1e-13, (geo, n, e)
 
 
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
@@ -479,6 +487,49 @@ def test_entropy_projection_preserves_constants(gas):
             assert np.abs(face - u[0, 0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3])
+def test_entropy_projection_matches_node_layout_formula(gas, d, p):
+    """face_states(projected=True) runs one direction at a time in line
+    layout, and its states are byte for byte those of the node-layout
+    formula entropy2prim(einsum(moveaxis(prim2entropy(prim)))), conserved
+    states by prim2cons of them, on flat, curved isoparametric, curved
+    geo 1 and anisotropic meshes, with and without conserved states. Each
+    face array is a view of one component-major block, so the lane rows
+    batched reads from it are C-contiguous, and so are those of the plus
+    side gathered through plus_neighbor."""
+    meshes = (
+        ((2,) * d, 0.0, None),
+        ((2,) * d, 0.1, None),
+        ((2,) * d, 0.1, 1),
+        ((3, 1, 2)[:d], 0.1, None),
+    )
+    for dims, amplitude, geo in meshes:
+        setup = gauss_setup(
+            gas, d=d, dims=dims, amplitude=amplitude, geo_degree=geo, p=p
+        )
+        u = random_field(setup, gas, seed=20 + p, amp=0.3)
+        prim = cons2prim(u, gas)
+        shape = (setup.n_elements,) + (p + 1,) * d + (d + 2,)
+        w = prim2entropy(prim, gas).reshape(shape)
+        for conserved in (True, False):
+            states = face_states(u, prim, setup, True, conserved)
+            for n, sides in enumerate(states):
+                moved = np.moveaxis(w, n + 1, -2)
+                order = setup.plus_neighbor[n]
+                for row, (face, q) in zip(setup.op.boundary_interp, sides):
+                    trace = np.einsum("...kv,k->...v", moved, row)
+                    want = entropy2prim(trace.reshape(q.shape), gas)
+                    assert q.tobytes() == want.tobytes(), (dims, geo, n)
+                    if conserved:
+                        assert face.tobytes() == prim2cons(want, gas).tobytes()
+                    else:
+                        assert face is None
+                    for arr in (q, face) if conserved else (q,):
+                        assert batched._face_rows(arr).flags.c_contiguous
+                        assert batched._face_rows(arr, order).flags.c_contiguous
+
+
 PEP_VELOCITY = (0.3, -0.2, 0.1)
 
 
@@ -518,15 +569,16 @@ def test_lgl_fluxdiff_preserves_pressure_equilibrium(gas, d, curved, vol_flux, s
     assert np.abs(dudt[..., -1:] - 0.5 * (v @ v) * drho).max() < 1e-12 * scale
 
 
-@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("curved", [False, True, "isoparametric"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_entropy_projection_moves_face_pressure(gas, d, curved):
     """gauss_fluxdiff is not pressure-equilibrium preserving, and this is
     where it loses it: on a pressure-equilibrium state the entropy projection
     keeps the face velocity but moves the face pressure by several percent
     (it interpolates the entropy variables, which hold log rho), while the
-    unprojected Gauss traces keep both to rounding."""
-    geo = (2 if d == 2 else 1) if curved else None
+    unprojected Gauss traces keep both to rounding. Curved meshes run at the
+    old mapping-degree rule (True) and isoparametric."""
+    geo = (2 if d == 2 else 1) if curved is True else None
     setup = gauss_setup(
         gas, d=d, dims=(3,) * d, amplitude=0.1 if curved else 0.0, geo_degree=geo
     )
@@ -541,12 +593,16 @@ def test_entropy_projection_moves_face_pressure(gas, d, curved):
         assert least <= moved < most, projected
 
 
-def test_entropy_projection_reports_bad_face_state(gas):
+@pytest.mark.parametrize("d, amplitude, seed", [(2, 0.0, 0), (3, 0.0, 3), (3, 0.1, 1)])
+def test_entropy_projection_reports_bad_face_state(gas, d, amplitude, seed):
     # every node admissible, but the oscillation is wild enough that the
     # interpolated entropy variables leave the admissible set at a face;
-    # the error names element, face node, direction and side
-    setup = gauss_setup(gas)
-    u = random_field(setup, gas, seed=0, amp=1.0)
+    # the error names element, face node, direction and side. In 3D the
+    # face nodes form a 2D grid (the seeds name face nodes 14 and 6, off
+    # its first row), which checks how a bad lane of the line-layout
+    # projection maps back to its element and face node
+    setup = gauss_setup(gas, d=d, amplitude=amplitude)
+    u = random_field(setup, gas, seed=seed, amp=1.0)
     location = r"face state at element \d+, face node \d+ \(direction \d, side \d\)"
     with pytest.raises(AdmissibilityError, match=location) as info:
         projected_faces(u, setup)
@@ -558,8 +614,10 @@ def test_entropy_projection_reports_bad_face_state(gas):
     w_face = np.einsum("...kv,k->...v", np.moveaxis(w, n, -2), row)
     assert not w_face.reshape(-1, setup.d + 2)[m, -1] < 0.0
     for kernel in ("reference", "batched"):
-        with pytest.raises(AdmissibilityError, match=location):
-            rhs(u, setup, RhsConfig(volume_scheme="gauss_fluxdiff", kernel=kernel))
+        config = RhsConfig(volume_scheme="gauss_fluxdiff", kernel=kernel)
+        with pytest.raises(AdmissibilityError) as raised:
+            rhs(u, setup, config)
+        assert str(raised.value) == str(info.value), kernel
 
 
 @pytest.mark.parametrize(
@@ -690,23 +748,25 @@ def test_reference_rhs_reaches_every_flux_and_geometry_function(gas):
     try:
         for d, family, amplitude in product((2, 3), ("lgl", "gauss"), (0.0, 0.1)):
             curved_gauss = family == "gauss" and amplitude > 0.0
-            geo = (2 if d == 2 else 1) if curved_gauss else None
-            mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
-            op = make_operator(p, family)
-            setup = build_setup(mesh, op, gas)
-            u = random_field(setup, gas, seed=12, amp=0.3)
-            for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
-                config = RhsConfig(
-                    volume_scheme=scheme, surface_flux=kind, overint_degree=p + 1
-                )
-                try:
-                    config.validate(setup)
-                except ConfigurationError:
-                    continue  # scheme not defined for this family or mesh
-                with count_guard(FluxCounter()):
-                    dudt = rhs(u, setup, config)
-                assert np.isfinite(dudt).all()
-                ran.add(scheme)
+            # curved Gauss meshes at the old mapping-degree rule and
+            # isoparametric
+            for geo in (2 if d == 2 else 1, None) if curved_gauss else (None,):
+                mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
+                op = make_operator(p, family)
+                setup = build_setup(mesh, op, gas)
+                u = random_field(setup, gas, seed=12, amp=0.3)
+                for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
+                    config = RhsConfig(
+                        volume_scheme=scheme, surface_flux=kind, overint_degree=p + 1
+                    )
+                    try:
+                        config.validate(setup)
+                    except ConfigurationError:
+                        continue  # scheme not defined for this family or mesh
+                    with count_guard(FluxCounter()):
+                        dudt = rhs(u, setup, config)
+                    assert np.isfinite(dudt).all()
+                    ran.add(scheme)
     finally:
         sys.setprofile(previous)
     assert ran == set(VOLUME_SCHEMES)

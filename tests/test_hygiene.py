@@ -38,16 +38,31 @@ def unused_imports(path):
 
 
 def private_sibling_imports(path):
-    """(line, module, name) of every underscore name that `path` imports
-    from another module of its own package (a relative import)."""
+    """(line, module, name) of every underscore name that `path` takes from
+    another module of its own package: imported by a relative import, or
+    read as an attribute of a sibling module that a relative import bound
+    (`from . import batched as _batched`, then `_batched._line_rows`).
+    Dunder names such as `__name__` are not private."""
     tree = ast.parse(path.read_text(), str(path))
-    return [
-        (node.lineno, node.module, alias.name)
+    found = []
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, node.module, alias.name))
+    found += [
+        (node.lineno, modules[node.value.id], node.attr)
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level > 0
-        for alias in node.names
-        if alias.name.startswith("_")
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
     ]
+    return found
 
 
 def test_no_private_names_across_modules():
@@ -58,6 +73,22 @@ def test_no_private_names_across_modules():
         for line, module, name in private_sibling_imports(path)
     ]
     assert not found, found
+
+
+def test_private_name_check_sees_module_attributes(tmp_path):
+    """The check above flags an underscore name read through a sibling
+    module as well as one imported from it, and leaves public and dunder
+    names alone."""
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from . import batched as _batched\n"
+        "from .geometry import _line_axes, line_major\n"
+        "_batched._line_rows(_batched.mesh_surface, _batched.__name__)\n"
+    )
+    assert sorted(private_sibling_imports(path)) == [
+        (2, "geometry", "_line_axes"),
+        (3, "batched", "_line_rows"),
+    ]
 
 
 def test_no_unused_imports():
