@@ -17,7 +17,6 @@ config = make_config(
     None,
     {
         "p": "3",
-        "kernel": "batched",
         # surface dissipation keeps the coarse, underresolved levels alive;
         # the purely conservative pairing can crash there
         "surface_flux": "llf",

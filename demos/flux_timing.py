@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cost of the flux kernels, from two angles.
 
-First the lane kernels that rhs(kernel="batched") runs: nanoseconds per
+First the lane kernels that rhs runs by default: nanoseconds per
 two-point flux evaluation in one call over 20000 lanes, per-axis Cartesian
 against directional (contracted with a per-lane metric vector). Every lane
 is checked against the scalar kernel before it is timed. Then the

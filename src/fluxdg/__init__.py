@@ -2,9 +2,10 @@
 
 The package is a library of solver building blocks: SBP operators on
 Legendre-Gauss-Lobatto and Legendre-Gauss nodes, entropy-conservative and
-entropy-stable two-point fluxes, split-form volume kernels in both a scalar
-reference flavor and a mesh-level lane-batched flavor, and a low-storage
-Runge-Kutta integrator. See the demos directory for narrative entry points.
+entropy-stable two-point fluxes, split-form volume kernels in a mesh-level
+lane-batched flavor (the default) and a scalar reference flavor (the
+oracle, `fluxdg.reference`), and a low-storage Runge-Kutta integrator.
+See the demos directory for narrative entry points.
 """
 
 from .errors import (
@@ -18,10 +19,10 @@ from .errors import (
     UnsupportedOperatorError,
 )
 from .euler import GasParams, cons2prim, entropy_and_potential, prim2cons
-from .means import logmean_optimized, logmean_reference
 from .geometry import StructuredMesh, build_mesh, compute_metrics
 from .operators import gauss_operator, lgl_operator, make_operator
-from .fluxes import FluxCounter, count_guard, flux_function
+from .fluxes import FluxCounter, count_guard
+from .reference import flux_function, logmean_optimized, logmean_reference
 from .discretization import (
     RhsConfig,
     SpatialSetup,

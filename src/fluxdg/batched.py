@@ -1,6 +1,8 @@
-"""Mesh-level lane kernels: the production path of `rhs(kernel="batched")`.
+"""Mesh-level lane kernels: the production path of `rhs`, whose default is
+kernel="batched".
 
-The reference kernels in `fluxes` take one state pair per call. Here the
+The scalar oracle in `fluxdg.reference` (kernel="reference") takes one
+state pair per call. Here the
 same arithmetic runs on numpy arrays whose last axis is a lane: for the
 volume terms, a lane is one 1D node line (all lines of a direction across
 the whole mesh are folded together), for the surface terms one face point.
@@ -45,7 +47,7 @@ swapped view into the line-major view of the output. On
 Lobatto grids the coupling cancels on the boundary nodes and is left out;
 mesh_surface's lift (_lift) writes the face fluxes into the first and last
 line positions. The lane order is the line order
-of `operators.node_lines`, which the scalar path uses.
+of `reference.node_lines`, which the scalar path uses.
 
 One entry, flux_lanes, evaluates every two-point flux; its normal is
 either per-lane rows or an int, the index of a coordinate axis, as in
@@ -74,9 +76,9 @@ The surface lanes are in minus-element order (face point m of element e
 pairs e with plus_neighbor[n][e]): the plus side's face states are
 gathered with one take per array along the element axis of whichever
 view of it is C-contiguous (_face_rows), the (n_elem, face nodes, d+2)
-array for Lobatto slices and Gauss traces, its (d+2, n_elem, face nodes)
-rows for the component-major entropy-projected states, so the gathered
-rows keep the layout; and the plus-side fluxes go back into element
+array for Lobatto slices, its (d+2, n_elem, face nodes) rows for the
+component-major Gauss faces (interpolated or entropy-projected), so the
+gathered rows keep the layout; and the plus-side fluxes go back into element
 order once through minus_neighbor[n], the inverse permutation that
 build_setup stores, so both sides of the lift are basic-slice updates.
 
@@ -84,11 +86,13 @@ A Lanes holds the primitives as rows and, for the kinds that read them
 (fluxes.OWN_FLUX_KINDS: central, llf and hll) or the strong-form
 subtraction, the conserved states as one (d+2, lanes) block. On the face
 lanes the rows follow the layout of the face arrays: strided on Lobatto
-slices and Gauss traces, whose variables are innermost, and contiguous
-on the entropy-projected faces, which face_states builds component-major
-in line layout, on both sides of an interface. rhs asks face_states for
-conserved face arrays only where such a reader runs, so a shima or
-ranocha interface gets primitives alone. The central, llf and hll
+slices, whose variables are innermost, and contiguous on the Gauss faces
+(interpolated or entropy-projected), which face_states builds
+component-major in line layout, on both sides of an interface. rhs asks
+face_states for conserved face arrays only where such a reader runs (its
+`conserved` predicate), and the face lanes carry conserved rows exactly
+when it built them (_face_lanes), so a shima or ranocha interface gets
+primitives alone. The central, llf and hll
 kernels run in two steps: they form the own-side physical fluxes
 f(q_l).n and f(q_r).n, then combine them. The momentum
 rows of f(q).n are one block product (rho v) v.n; p n_i is added row by
@@ -132,13 +136,13 @@ from .errors import ConfigurationError
 from .euler import cons2prim  # noqa: F401
 from .fluxes import (
     OWN_FLUX_KINDS,
+    SERIES_EPSILON,
     add_logmean,
     add_one_point,
     add_two_point,
     require_volume_kind,
 )
 from .geometry import line_major
-from .means import SERIES_EPSILON
 from .operators import hybridized_scatter, split_pairs
 
 
@@ -155,7 +159,7 @@ def _log_mean(a, b, inverse, work):
     log(b/a) / jump, then runs on the lanes with z >= SERIES_EPSILON only:
     gathered into the rows of z and s, which are free by then, and
     scattered over the series. Lane by lane these are the expressions of
-    means.logmean_optimized and inv_logmean_optimized, with the same
+    reference.logmean_optimized and inv_logmean_optimized, with the same
     branch; a and b are only read, and must be positive (rhs passes
     admissibility-checked states), so no branch divides by zero or takes
     the log of a non-positive ratio."""
@@ -193,15 +197,16 @@ def _log_mean(a, b, inverse, work):
 
 
 def logmean_batched(a, b, work=None):
-    """Per-lane logarithmic mean, the lane twin of means.logmean_optimized:
-    the log is taken on the log-branch lanes only (_log_mean, whose four
-    work rows the caller may pass; the mean is the last of them)."""
+    """Per-lane logarithmic mean, the lane twin of
+    reference.logmean_optimized: the log is taken on the log-branch lanes
+    only (_log_mean, whose four work rows the caller may pass; the mean is
+    the last of them)."""
     return _log_mean(a, b, False, work)
 
 
 def inv_logmean_batched(a, b, work=None):
     """Per-lane reciprocal log mean, the lane twin of
-    means.inv_logmean_optimized; work as in logmean_batched."""
+    reference.inv_logmean_optimized; work as in logmean_batched."""
     return _log_mean(a, b, True, work)
 
 
@@ -544,7 +549,7 @@ def _face_rows(arr, order=None):
     face lane is read only once or twice, so a contiguous copy costs more
     than it saves). The gather runs along the element axis of whichever
     view is C-contiguous, the array itself or its rows, so the copy keeps
-    the layout: a component-major face array (the entropy projection's)
+    the layout: a component-major face array (every Gauss face array)
     gives contiguous rows on both sides of an interface."""
     if order is not None and arr.flags.c_contiguous:
         arr, order = arr.take(order, axis=0), None
@@ -554,13 +559,14 @@ def _face_rows(arr, order=None):
     return rows.reshape(arr.shape[-1], -1)
 
 
-def _face_lanes(states, q, need_cons, order=None):
+def _face_lanes(states, q, order=None):
     """Lanes over face points from (n_elem, face nodes, d+2) conserved states
-    and their primitives, elements taken in `order` (_face_rows). Without
-    need_cons the conserved states are neither gathered nor read, and may
-    be None (face_states builds none where no reader needs them)."""
+    and their primitives, elements taken in `order` (_face_rows). states is
+    None where rhs asked face_states for primitives alone (rhs's
+    `conserved`, the one place that decides which face readers take
+    conserved states); then the lanes carry none."""
     rows = _face_rows(q, order)
-    return _row_lanes(rows, _face_rows(states, order) if need_cons else None)
+    return _row_lanes(rows, None if states is None else _face_rows(states, order))
 
 
 def _line_geometry(setup, n):
@@ -682,13 +688,13 @@ def mesh_fluxdiff_volume(u, prim, setup, config):
     return out
 
 
-def _interface_lanes(faces, setup, n, need_cons):
+def _interface_lanes(faces, setup, n):
     """The two sides of every interface in direction n: the minus element's
     side-1 states and its plus neighbour's side-0 states, one lane per face
     point."""
     (u0, q0), (u1, q1) = faces
-    ql = _face_lanes(u1, q1, need_cons)
-    qr = _face_lanes(u0, q0, need_cons, setup.plus_neighbor[n])
+    ql = _face_lanes(u1, q1)
+    qr = _face_lanes(u0, q0, setup.plus_neighbor[n])
     return ql, qr
 
 
@@ -700,8 +706,7 @@ def _interface_fluxes(faces, setup, n, kind, subtract_own, normal):
     written over the own-side flux blocks: those that central, llf and hll
     combine f from, or for shima and ranocha, which form none, a fresh
     pair. The face lanes die with this call, before the lift."""
-    need_cons = subtract_own or kind in OWN_FLUX_KINDS
-    ql, qr = _interface_lanes(faces, setup, n, need_cons)
+    ql, qr = _interface_lanes(faces, setup, n)
     gas = setup.gas
     n_lanes = ql.rho.size
     if not subtract_own:
@@ -781,7 +786,7 @@ def mesh_surface(faces, setup, n, surface_flux, subtract_own, out):
     llf and hll subtract the own-side fluxes their surface kernel formed,
     shima and ranocha recompute them (_interface_fluxes). On Cartesian
     meshes the fluxes are the axis form and the lift multiplies in the face
-    area. Lane counterpart of discretization.surface_terms."""
+    area. Lane counterpart of reference.surface_terms."""
     _, normal = _face_geometry(setup, n)
     fm, fp = _interface_fluxes(faces, setup, n, surface_flux, subtract_own, normal)
     _lift(out, setup, n, fm, fp)
@@ -804,15 +809,16 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     nvar = setup.d + 2
     vol_flux = config.volume_flux
     pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
-    need_cons = vol_flux in OWN_FLUX_KINDS
     q = _line_rows(prim, setup, n, _line_buffer(setup, nvar))
-    cons = _line_rows(u, setup, n, _line_buffer(setup, nvar)) if need_cons else None
+    cons = None
+    if vol_flux in OWN_FLUX_KINDS:
+        cons = _line_rows(u, setup, n, _line_buffer(setup, nvar))
     scale, ja = _line_geometry(setup, n)
     # made one side at a time as the kernel reaches it, so no face lanes are
     # held during the pair loop; the face metric terms are views
     coupling = (
         (
-            _face_lanes(*faces[s], need_cons),
+            _face_lanes(*faces[s]),
             ja if _is_axis(ja) else _face_geometry(setup, n, s)[1],
             sides[s],
             cvol,
@@ -845,11 +851,10 @@ def mesh_gauss_surface(faces, setup, n, surface_flux):
     the fluxes are the axis form times the face area, which both blocks
     carry before the coupling reads them (elsewhere the scale is 1.0).
     Each face flux is evaluated once per adjacent element, twice per face,
-    with identical arguments; the scalar discretization.surface_terms
+    with identical arguments; the scalar reference.surface_terms
     evaluates it once. The benchmark's count test pins the second
     evaluation (batched.mesh_gauss_surface.useful_eval_ratio == 0.5)."""
-    need_cons = surface_flux in OWN_FLUX_KINDS
-    ql, qr = _interface_lanes(faces, setup, n, need_cons)
+    ql, qr = _interface_lanes(faces, setup, n)
     scale, normal = _face_geometry(setup, n)
     vn = _directed(ql, qr, normal)
     n_lanes = ql.rho.size

@@ -13,13 +13,13 @@ Layout conventions used throughout:
   divided by the Jacobian, so a positive VOL approximates the flux
   divergence.
 
-The two-point functions (volume_fluxdiff for one lgl element,
-_scalar_gauss_volume for gauss_fluxdiff, both through the one line kernel
-_line_terms, and surface_terms, the one scalar surface loop of every
-scheme) are the scalar reference implementations: plain float arithmetic
-through the scalar directional flux kernels (a Cartesian element passes
-its axis scaled by the face area), fixed accumulation order, bitwise
-reproducible. The one-point volume functions (volume_strong, volume_weak,
+`rhs` runs the production kernel by default (RhsConfig.kernel ==
+"batched"): every scheme's two-point work (volume pairs and interface
+fluxes) runs in the mesh-level lane kernels of `batched`. The scalar
+oracle that they are equivalence-tested against lives in
+`fluxdg.reference` (volume_fluxdiff, scalar_gauss_volume, surface_terms,
+element_metrics); kernel="reference" runs it, through the names bound
+here. The one-point volume functions (volume_strong, volume_weak,
 volume_overintegration) are numpy expressions that take one element or the
 whole mesh at once; the first two read primitives that the caller has
 already converted. They run the directional form on per-node metric
@@ -29,17 +29,13 @@ _one_point_volume): `rhs` passes the constant terms on Cartesian meshes
 with kernel="batched", and overintegration always reads the constant
 terms of its fine grid. face_states builds every interface state once per
 RHS, one direction at a time, for both kernels: Lobatto boundary nodes,
-Gauss traces, or entropy-projected states. `rhs` assembles them over the
-mesh; with kernel="batched" every scheme's two-point work (volume pairs
-and interface fluxes) runs in the mesh-level lane kernels in `batched`,
-which are equivalence-tested against the reference path.
+Gauss traces, or entropy-projected states.
 
 A SpatialSetup holds only what depends on the mesh: coordinates, metric
-terms, neighbours and the nodal weights. Tables that depend on the
-operator alone (node lines, split-derivative pairs, the hybridized
-scatter, the overintegration transfer matrices) come from the caches in
-`operators`, keyed by degree, and the overintegration degree comes only
-from RhsConfig.
+terms, neighbours and the nodal weights. Tables that depend on the operator
+alone (split-derivative pairs, the hybridized scatter, the overintegration
+transfer matrices) come from the caches in `operators`, keyed by degree,
+and the overintegration degree comes only from RhsConfig.
 """
 
 from dataclasses import dataclass
@@ -61,32 +57,23 @@ from .euler import (
 # not called here: perfbench/tracing.py names it as a span boundary, and its
 # tests require every boundary to exist
 from .euler import entropy2cons  # noqa: F401
-from .fluxes import (
-    OWN_FLUX_KINDS,
-    SURFACE_KINDS,
-    add_one_point,
-    flux_function,
-    phys_flux_n,
-    require_volume_kind,
-)
+from .fluxes import OWN_FLUX_KINDS, SURFACE_KINDS, add_one_point, require_volume_kind
 from .geometry import (
     MetricData,
     MetricTerms,
     apply_along,
     compute_metrics,
     element_coords,
-    element_metrics,
     line_major,
     neighbor_table,
     node_ja,
 )
-from .operators import (
-    MAX_DEGREE,
-    hybridized_scatter,
-    make_operator,
-    node_line_lists,
-    split_pairs,
-    transfer_matrices,
+from .operators import MAX_DEGREE, make_operator, transfer_matrices
+from .reference import (
+    element_metrics,
+    scalar_gauss_volume,
+    surface_terms,
+    volume_fluxdiff,
 )
 
 VOLUME_SCHEMES = (
@@ -107,7 +94,7 @@ class RhsConfig:
     volume_flux: str = "ranocha"
     surface_flux: str = "ranocha"
     overint_degree: int | None = None
-    kernel: str = "reference"
+    kernel: str = "batched"
 
     def validate(self, setup):
         if self.volume_scheme not in VOLUME_SCHEMES:
@@ -152,7 +139,7 @@ class RhsConfig:
 
 
 # ---------------------------------------------------------------------------
-# volume operators (one-point numpy forms; scalar two-point reference path)
+# one-point volume operators (numpy forms, one element or the whole mesh)
 
 def volume_strong(u_elem, q_elem, op, metrics):
     """Strong-form volume term: (1/J) sum_n D_n (sum_j (Ja)^n_j f^j(u)).
@@ -276,30 +263,6 @@ def _axis_one_point(mat, scales, u, q, shape):
     return acc.reshape(u.shape)
 
 
-def volume_fluxdiff(u_elem, op, metrics, vol_flux, gas):
-    """Flux-differencing volume term of one element with the split
-    derivative matrix of the Lobatto operator op (operators.split_pairs).
-
-    Pairs are visited once with i < k per line; the symmetric two-point flux
-    along the arithmetically averaged metric vectors is scattered with the
-    stored (i,k) and (k,i) matrix weights, preserving the operator's
-    M-antisymmetry exactly in floating point.
-    """
-    require_volume_kind(vol_flux)
-    nvar = u_elem.shape[-1]
-    pairs = split_pairs(op.degree)
-    dirn = flux_function(vol_flux)
-    states = u_elem.tolist()
-    acc = [[0.0] * nvar for _ in range(u_elem.shape[0])]
-    for n, lines in enumerate(node_line_lists(op.n_nodes, nvar - 2)):
-        jan = metrics.ja[:, n, :].tolist()
-        for line in lines:
-            _line_terms(states, line, jan, pairs, dirn, gas, nvar, acc)
-    out = np.asarray(acc)
-    out /= metrics.jac[:, None]
-    return out
-
-
 def volume_overintegration(u_elem, op, degree, metrics, gas):
     """Interpolate to the degree-q grid (q = degree), apply the weak-form
     volume term there, L2-project back; u_elem may carry leading element
@@ -323,48 +286,6 @@ def volume_overintegration(u_elem, op, degree, metrics, gas):
     for n in range(d):
         back = apply_along(transfer.project, back, n + lead)
     return back.reshape(u_elem.shape)
-
-
-def _line_terms(states, line, jan, pairs, dirn, gas, nvar, acc, coupling=()):
-    """Accumulate one node line's two-point terms into acc (list rows).
-
-    states/jan are element-wide lists indexed by node id and line the
-    line's node ids. Each pair (a, b, c_ab, c_ba) of the table adds
-    c_ab F(a, b) into node line[a] and c_ba F(a, b) into line[b], the flux
-    taken along the mean metric vector. coupling, on Gauss grids, holds per
-    side (face state, face metric, c_vol, c_face, lift row) of
-    operators.hybridized_scatter: each node line[a] adds c_vol[a] F(a, face)
-    and c_face[a] F(a, face) goes into the side's face-row sum, which the
-    lift row carries back onto the line. The face-face (corner) term is left
-    out: it cancels against the strong-form surface subtraction (see rhs).
-    """
-    for a, b, cab, cba in pairs:
-        i = line[a]
-        k = line[b]
-        alpha = tuple(0.5 * (x + y) for x, y in zip(jan[i], jan[k]))
-        f = dirn(states[i], states[k], alpha, gas)
-        ai = acc[i]
-        ak = acc[k]
-        for v in range(nvar):
-            fv = f[v]
-            ai[v] += cab * fv
-            ak[v] += cba * fv
-    for fstate, fja, cvol, cface, lrow in coupling:
-        rface = [0.0] * nvar
-        for a, i in enumerate(line):
-            alpha = tuple(0.5 * (x + y) for x, y in zip(jan[i], fja))
-            f = dirn(states[i], fstate, alpha, gas)
-            ai = acc[i]
-            ca = cvol[a]
-            cf = cface[a]
-            for v in range(nvar):
-                fv = f[v]
-                ai[v] += ca * fv
-                rface[v] += cf * fv
-        for i, la in zip(line, lrow):
-            ai = acc[i]
-            for v in range(nvar):
-                ai[v] += la * rface[v]
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +344,16 @@ def face_states(u, prim, setup, projected, conserved=True):
     * projected (gauss_fluxdiff): the entropy projection, the entropy
       variables of prim interpolated to the face and mapped back, with
       primitives from the inverse entropy map and conserved states from
-      prim2cons. It runs in line layout (_entropy_traces): no entropy
-      variables outlive their direction, and each side is a view of one
-      component-major (d+2, lanes) block, so its (d+2, lanes) face rows
-      are contiguous;
+      prim2cons. It runs in line layout (_entropy_traces), so no entropy
+      variables outlive their direction;
     * otherwise on Lobatto grids the first and last slices of u and prim
       along that axis (the boundary nodes);
     * otherwise on Gauss grids the interpolated traces of u, converted here
       because they are not nodal values.
+
+    Both Gauss sources interpolate in line layout through one routine
+    (_face_traces), so their face arrays are component-major: each side's
+    (d+2, lanes) face rows are contiguous.
 
     With conserved=False, u0 and u1 are None: no conserved face array is
     built or kept (no prim2cons, no slices of u), for callers whose every
@@ -444,13 +367,13 @@ def face_states(u, prim, setup, projected, conserved=True):
     op = setup.op
     gas = setup.gas
     d = setup.d
-    n_elem, _, nvar = u.shape
-    shape = (n_elem,) + (op.n_nodes,) * d + (nvar,)
     if projected:
         made_by = "entropy projection"
     elif op.family == "gauss":
         made_by = "interpolation"
     else:
+        n_elem, _, nvar = u.shape
+        shape = (n_elem,) + (op.n_nodes,) * d + (nvar,)
         u_nd = u.reshape(shape) if conserved else None
         q_nd = prim.reshape(shape)
         for n in range(d):
@@ -468,11 +391,8 @@ def face_states(u, prim, setup, projected, conserved=True):
         if projected:
             traces = _entropy_traces(prim, setup, n)
         else:
-            moved = np.moveaxis(u.reshape(shape), n + 1, -2)
-            traces = (
-                np.einsum("...kv,k->...v", moved, row).reshape(n_elem, -1, nvar)
-                for row in op.boundary_interp
-            )
+            rows = line_major(u, n, op.n_nodes, d)
+            traces = _face_traces(np.ascontiguousarray(rows), setup)
         sides = []
         for side, trace in enumerate(traces):
             try:
@@ -496,88 +416,40 @@ def face_states(u, prim, setup, projected, conserved=True):
 
 def _entropy_traces(prim, setup, n):
     """The entropy variables of prim interpolated to both faces of
-    direction n, sides 0 and 1 as (n_elem, face nodes, d+2) views of one
-    component-major (2, d+2, lanes) block, lanes in line_major order. The
-    direction's primitive line rows are copied from geometry.line_major,
-    mapped by prim2entropy in that layout and interpolated with one einsum
-    over the line-position axis; the rows and the entropy variables die
-    with this call."""
-    op = setup.op
-    nvar = prim.shape[-1]
-    rows = np.ascontiguousarray(line_major(prim, n, op.n_nodes, setup.d))
+    direction n (_face_traces). The direction's primitive line rows are
+    copied from geometry.line_major and mapped by prim2entropy in that
+    layout; the rows and the entropy variables die with this call."""
+    rows = np.ascontiguousarray(line_major(prim, n, setup.op.n_nodes, setup.d))
     w = np.moveaxis(prim2entropy(np.moveaxis(rows, 0, -1), setup.gas), -1, 0)
     del rows
-    traces = np.einsum("vk...,sk->sv...", w, op.boundary_interp)
-    return [t.reshape(nvar, setup.n_elements, -1).transpose(1, 2, 0) for t in traces]
+    return _face_traces(w, setup)
 
 
-def surface_terms(faces, setup, n, surface_flux, subtract_own, out):
-    """Interface coupling in direction n for every scheme, the scalar oracle
-    of batched.mesh_surface and batched.mesh_gauss_surface; `rhs` reaches it
-    only with kernel="reference".
-
-    faces are the direction's states from face_states. Each interior face
-    point gets one numerical flux between the minus element's side-1 state
-    and its plus neighbour's side-0 state, lifted into the two elements with
-    opposite signs through the rows boundary_interp / weights, skipping zero
-    entries (on Lobatto grids that leaves the one boundary node), and
-    divided by J. subtract_own switches to the strong-form coupling
-    f_num - f(own face state). Adds the SURF part of du/dt = -(VOL + SURF)
-    into out.
-    """
-    op = setup.op
-    gas = setup.gas
-    nvar = out.shape[-1]
-    kernel = flux_function(surface_flux)
-    (u0, q0), (u1, q1) = faces
-    minus, plus = u1.tolist(), u0.tolist()
-    q_minus, q_plus = q1.tolist(), q0.tolist()
-    # nonzero entries of the lift rows, negated for the plus neighbour
-    lift_p, lift_m = (
-        [(a, sign * la) for a, la in enumerate(row) if la != 0.0]
-        for sign, row in zip((-1.0, 1.0), (op.boundary_interp / op.weights).tolist())
-    )
-    lines = node_line_lists(op.n_nodes, setup.d)[n]
-    jac = setup.metrics.jac.tolist()
-    normals = setup.metrics.face_ja[n][1].tolist()
-    acc = out.tolist()
-    for f, ep in enumerate(setup.plus_neighbor[n].tolist()):
-        for m, nrm in enumerate(normals[f]):
-            ul = minus[f][m]
-            ur = plus[ep][m]
-            fm = fp = kernel(ul, ur, nrm, gas)
-            if subtract_own:
-                add_one_point(2)
-                ql = q_minus[f][m]
-                qr = q_plus[ep][m]
-                own_m = phys_flux_n(ul, ql[0], ql[1:-1], ql[-1], nrm)
-                own_p = phys_flux_n(ur, qr[0], qr[1:-1], qr[-1], nrm)
-                fm = [a - b for a, b in zip(fm, own_m)]
-                fp = [a - b for a, b in zip(fp, own_p)]
-            line = lines[m]
-            for e, lift, flux in ((f, lift_m, fm), (ep, lift_p, fp)):
-                for a, la in lift:
-                    i = line[a]
-                    s = la / jac[e][i]
-                    row = acc[e][i]
-                    for v in range(nvar):
-                        row[v] += s * flux[v]
-    out[...] = acc
-    return out
+def _face_traces(rows, setup):
+    """Both face traces of one direction's line rows (m, p+1, n_elem, ...),
+    a C-contiguous array in the layout of geometry.line_major, interpolated
+    with one einsum over the line-position axis: sides 0 and 1 as
+    (n_elem, face nodes, m) views of one component-major (2, m, lanes)
+    block, lanes in line_major order, so each side's (m, lanes) face rows
+    are contiguous."""
+    m = rows.shape[0]
+    traces = np.einsum("vk...,sk->sv...", rows, setup.op.boundary_interp)
+    return [t.reshape(m, setup.n_elements, -1).transpose(1, 2, 0) for t in traces]
 
 
 def rhs(u, setup, config):
     """Assembled right-hand side du/dt = -(VOL + SURF).
 
     Deterministic for fixed inputs: element loops and pair loops run in a
-    fixed order. config.kernel == "batched" runs every scheme's two-point
-    work (volume pairs and interface fluxes) in the lane-parallel kernels;
-    "reference" runs it through the scalar oracle. The one-point volume
-    terms are one numpy pass over the whole mesh with either kernel: on
-    Cartesian meshes "batched" passes strong and weak the constant metric
-    terms, which select the axis form, and "reference" the mesh's
-    MetricData, which keeps the directional form on node-layout views of
-    the metric store; overintegration takes the axis form with both.
+    fixed order. config.kernel == "batched" (the default) runs every
+    scheme's two-point work (volume pairs and interface fluxes) in the
+    lane-parallel kernels; "reference" runs it through the scalar oracle of
+    `fluxdg.reference`. The one-point volume terms are one numpy pass over
+    the whole mesh with either kernel: on Cartesian meshes "batched" passes
+    strong and weak the constant metric terms, which select the axis form,
+    and "reference" the mesh's MetricData, which keeps the directional form
+    on node-layout views of the metric store; overintegration takes the
+    axis form with both.
 
     u is converted to primitives once; that pass is the admissibility check
     (AdmissibilityError names the first bad element and node), and every
@@ -623,7 +495,9 @@ def rhs(u, setup, config):
     kind = config.surface_flux
     # the face readers that take conserved states: the scalar oracle, the
     # strong-form subtraction and the kinds that combine own-side physical
-    # fluxes, at the interfaces or, on gauss_fluxdiff, in the volume pairs
+    # fluxes, at the interfaces or, on gauss_fluxdiff, in the volume pairs.
+    # The rule lives here only: the lane kernels read conserved face states
+    # exactly when face_states built them
     conserved = (
         not batched
         or subtract
@@ -635,7 +509,7 @@ def rhs(u, setup, config):
             sides = _batched.mesh_gauss_surface(faces, setup, n, kind)
             _batched.mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out)
         elif projected:
-            _scalar_gauss_volume(u, faces, setup, n, config, out)
+            scalar_gauss_volume(u, faces, setup, n, config, out)
             surface_terms(faces, setup, n, kind, False, out)
         elif batched:
             _batched.mesh_surface(faces, setup, n, kind, subtract, out)
@@ -643,36 +517,6 @@ def rhs(u, setup, config):
             surface_terms(faces, setup, n, kind, subtract, out)
     # every branch above made `out` afresh, so it can be negated in place
     return np.negative(out, out=out)
-
-
-def _scalar_gauss_volume(u, faces, setup, n, config, out):
-    """Zero-corner hybridized volume term of gauss_fluxdiff in direction n,
-    divided by J and added into out; faces are the direction's projected
-    states. The pair weights come from operators.hybridized_scatter, the
-    entries of build_hybridized(op); the tests check the result
-    against the dense hybridized operator applied to every ordered pair.
-    """
-    require_volume_kind(config.volume_flux)
-    op = setup.op
-    nvar = u.shape[-1]
-    lines = node_line_lists(op.n_nodes, setup.d)[n]
-    pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
-    dirn = flux_function(config.volume_flux)
-    metrics = setup.metrics
-    face_ja = metrics.face_ja[n]
-    volume_ja = node_ja(metrics, n)
-    sides = [(uf.tolist(), face_ja[s].tolist()) for s, (uf, _qf) in enumerate(faces)]
-    acc = np.zeros_like(u).tolist()
-    for e in range(setup.n_elements):
-        states = u[e].tolist()
-        jan = volume_ja[e].reshape(-1, setup.d).tolist()
-        for m, line in enumerate(lines):
-            coupling = [
-                (fs[e][m], fja[e][m], cvol, cface, lrow)
-                for (fs, fja), (cvol, cface), lrow in zip(sides, vol_face, lift)
-            ]
-            _line_terms(states, line, jan, pairs, dirn, setup.gas, nvar, acc[e], coupling)
-    out += np.asarray(acc) / metrics.jac[:, :, None]
 
 
 def entropy_rate(u, dudt, setup):

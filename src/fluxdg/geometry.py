@@ -175,8 +175,8 @@ def element_coords(mesh, op):
 @dataclass(frozen=True)
 class MetricTerms:
     """Metric terms in node layout: ja[i, n, j] = (Ja)^n_j at node i,
-    jac[i] = J, for one element (element_metrics) or with leading element
-    axes."""
+    jac[i] = J, for one element (reference.element_metrics) or with
+    leading element axes."""
 
     ja: np.ndarray
     jac: np.ndarray
@@ -191,12 +191,12 @@ class MetricData:
     contravariant component (Ja)^n_j at line position a of lane `lane` of
     direction n, a lane being one node line of direction n, lanes in
     line_major order (element-major, each element's lines in
-    operators.node_lines order). Each line_ja[n, a] is one contiguous
+    reference.node_lines order). Each line_ja[n, a] is one contiguous
     (d, lanes) block, so the lane kernels form a pair normal
     0.5 (Ja_a + Ja_b) with one add of two of them, which takes no
     iterator buffer at any lane count (batched._line_geometry). Node
     layout comes from node_ja (per-direction views, which the one-point
-    volume term reads over the whole mesh) and element_metrics
+    volume term reads over the whole mesh) and reference.element_metrics
     (per-element copies); no node-layout copy is kept. jac[e, i] is the
     Jacobian at node i of element e.
 
@@ -231,7 +231,7 @@ def _line_axes(d, n):
 def line_major(arr, n, p1, d):
     """View of a nodal array (n_elem, p1^d, m) as (m, p1, n_elem, ...):
     entry [k, a] is component k at position a of every node line in
-    direction n, the lines of each element in operators.node_lines order."""
+    direction n, the lines of each element in reference.node_lines order."""
     tensor = arr.reshape(arr.shape[:1] + (p1,) * d + arr.shape[-1:])
     return tensor.transpose(_line_axes(d, n))
 
@@ -386,11 +386,3 @@ def compute_metrics(mesh, op, coords=None):
             block[side, j] = _extrapolate_face(ja_nd[..., n, j], op, n, side)
         face_ja.append(block.transpose(0, 2, 3, 1))
     return MetricData(line_ja, jac, tuple(face_ja))
-
-
-def element_metrics(metrics, element):
-    """One element's metric terms in node layout: a (nodes, d, d) copy
-    gathered from the line store (node_ja) and a view of its Jacobian."""
-    d = metrics.line_ja.shape[0]
-    rows = [node_ja(metrics, n)[element].reshape(-1, d) for n in range(d)]
-    return MetricTerms(np.stack(rows, axis=1), metrics.jac[element])

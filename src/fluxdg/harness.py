@@ -25,9 +25,10 @@ from .discretization import (
 )
 from .errors import BenchmarkError, ConfigurationError
 from .euler import GasParams, cons2prim, prim2cons
-from .fluxes import flux_function
+from .fluxes import SURFACE_KINDS
 from .geometry import build_mesh
 from .operators import FAMILIES, MAX_DEGREE, make_operator
+from .reference import flux_function
 from .timeint import RK54, StepController, integrate, stable_dt
 
 DOMAIN_LO = -5.0
@@ -60,7 +61,7 @@ class RunConfig:
     volume_scheme: str = "fluxdiff"
     volume_flux: str = "ranocha"
     surface_flux: str = "ranocha"
-    kernel: str = "reference"
+    kernel: str = "batched"
     overint_degree: int | None = None
     ic: str = "isentropic_vortex"
     epsilon: float = 20.0
@@ -503,6 +504,10 @@ def microbench_flux(kind, form, d, n_samples=20000, repeats=5):
     scalar directional kernel (with the axis as the normal for the
     cartesian form) to 1e-13 relative. Returns (ns_mean, ns_std, n_samples).
     """
+    if kind not in SURFACE_KINDS:
+        raise ConfigurationError(
+            "kind: expected one of %s, got %r" % (", ".join(SURFACE_KINDS), kind)
+        )
     if form not in MICROBENCH_FORMS:
         raise ConfigurationError(
             "form: expected one of %s, got %r" % (", ".join(MICROBENCH_FORMS), form)
@@ -592,8 +597,8 @@ def write_csv(path, header, rows):
 def pid_row(config, result):
     mesh = "%s:%d" % (config.mesh, config.elements)
     scheme = config.volume_scheme
-    if config.kernel != "reference":
-        scheme = "%s:%s" % (scheme, config.kernel)
+    if config.kernel == "reference":
+        scheme += ":reference"
     return (
         config.d,
         config.p,

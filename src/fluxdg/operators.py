@@ -229,25 +229,6 @@ def build_hybridized(op):
 # ---------------------------------------------------------------------------
 # scatter tables consumed by the volume kernels (scalar and batched)
 
-@lru_cache(maxsize=None)
-def node_lines(p1, d):
-    """Node indices of a (p1)^d tensor-product element grouped into 1D lines,
-    one (n_lines, p1) integer array per direction. Every node sits in exactly
-    one line per direction, so scattering per line covers the element."""
-    idx = np.arange(p1**d).reshape((p1,) * d)
-    out = []
-    for n in range(d):
-        lines = np.ascontiguousarray(np.moveaxis(idx, n, -1).reshape(-1, p1))
-        lines.flags.writeable = False
-        out.append(lines)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def node_line_lists(p1, d):
-    return tuple(arr.tolist() for arr in node_lines(p1, d))
-
-
 def _triangle_pairs(mat):
     n = mat.shape[0]
     return tuple(

@@ -19,22 +19,27 @@ from .discretization import (
     conserved_totals,
     entropy_rate,
     rhs,
-    volume_fluxdiff,
     volume_overintegration,
     volume_strong,
     volume_weak,
 )
 from .euler import GasParams, cons2prim, entropy_and_potential, entropy_vars, prim2cons
-from .fluxes import FluxCounter, count_guard, flux_function
-from .geometry import build_mesh, element_metrics
+from .fluxes import FluxCounter, count_guard
+from .geometry import build_mesh
 from .harness import build_run, RunConfig
-from .means import logmean_optimized, logmean_reference
 from .operators import (
     FAMILIES,
     build_dsplit,
     build_hybridized,
     make_operator,
     transfer_matrices,
+)
+from .reference import (
+    element_metrics,
+    flux_function,
+    logmean_optimized,
+    logmean_reference,
+    volume_fluxdiff,
 )
 
 _N_FACE = (-1.0, 1.0)

@@ -12,9 +12,9 @@ import mpmath
 import numpy as np
 
 from fluxdg.euler import cons2prim, directional_flux
-from fluxdg.fluxes import flux_function
-from fluxdg.geometry import apply_along, element_metrics, node_ja
-from fluxdg.operators import build_hybridized, node_lines
+from fluxdg.geometry import apply_along, node_ja
+from fluxdg.operators import build_hybridized
+from fluxdg.reference import element_metrics, flux_function, node_lines
 
 mpmath.mp.dps = 50
 

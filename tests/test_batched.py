@@ -1,6 +1,6 @@
 import inspect
-import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -18,13 +18,18 @@ from fluxdg import (
     rhs,
 )
 from fluxdg.batched import inv_logmean_batched, logmean_batched, mesh_fluxdiff_volume
-from fluxdg.discretization import KERNELS, VOLUME_SCHEMES, volume_fluxdiff
-from fluxdg.errors import ConfigurationError
+from fluxdg.discretization import KERNELS
 from fluxdg.euler import cons2prim
-from fluxdg.fluxes import SURFACE_KINDS, flux_function
-from fluxdg.geometry import element_metrics
-from fluxdg.means import SERIES_EPSILON, logmean_optimized, inv_logmean_optimized
-from fluxdg.operators import hybridized_scatter, node_lines
+from fluxdg.fluxes import SERIES_EPSILON, SURFACE_KINDS
+from fluxdg.operators import hybridized_scatter
+from fluxdg.reference import (
+    element_metrics,
+    flux_function,
+    inv_logmean_optimized,
+    logmean_optimized,
+    node_lines,
+    volume_fluxdiff,
+)
 from fluxdg.verify import random_field, random_primitives, relative_gap
 
 
@@ -164,15 +169,11 @@ def _mesh_rhs_against_reference(gas, family, scheme, d, geo):
         gas, d=d, dims=(3,) * d, amplitude=amplitude, geo_degree=geo, family=family
     )
     u = random_field(setup, gas, seed=8, amp=0.3)
-    base = RhsConfig(volume_scheme=scheme, volume_flux="ranocha", surface_flux="ranocha")
-    u_before = u.copy()
-    want = rhs(u, setup, base)
     batched_config = RhsConfig(
-        volume_scheme=scheme,
-        volume_flux="ranocha",
-        surface_flux="ranocha",
-        kernel="batched",
+        volume_scheme=scheme, volume_flux="ranocha", surface_flux="ranocha"
     )
+    u_before = u.copy()
+    want = rhs(u, setup, replace(batched_config, kernel="reference"))
     got = rhs(u, setup, batched_config)
     assert np.abs(got - want).max() < 1e-13
     # rhs works in buffers of its own: a second call returns a new array
@@ -187,8 +188,8 @@ def test_mesh_rhs_cartesian_matches_reference_kernel(gas):
     setup = make_setup(gas, d=2, dims=(4, 4))
     u = random_field(setup, gas, seed=9, amp=0.5)
     for surface in ("ranocha", "llf", "hll"):
-        want = rhs(u, setup, RhsConfig(surface_flux=surface))
-        got = rhs(u, setup, RhsConfig(surface_flux=surface, kernel="batched"))
+        want = rhs(u, setup, RhsConfig(surface_flux=surface, kernel="reference"))
+        got = rhs(u, setup, RhsConfig(surface_flux=surface))
         assert np.abs(got - want).max() < 1e-13, surface
 
 
@@ -365,7 +366,7 @@ def test_gauss_side_blocks_are_what_lift_lifts(gas, dims, curved):
     faces_by_n = discretization.face_states(u, cons2prim(u, gas), setup, True)
     for n, faces in enumerate(faces_by_n):
         side0, side1 = batched.mesh_gauss_surface(faces, setup, n, "llf")
-        ql, qr = batched._interface_lanes(faces, setup, n, True)
+        ql, qr = batched._interface_lanes(faces, setup, n)
         scale, normal = batched._face_geometry(setup, n)
         assert (normal == n) if not curved else len(normal) == d
         f = batched.flux_lanes("llf", ql, qr, normal, gas, ql.rho.size)
@@ -722,55 +723,6 @@ def test_gauss_entropy_conservative_counts(gas, d, scheme):
         counts[kernel] = c.two_point_evals
     assert counts["reference"] == volume + face_points
     assert counts["batched"] == counts["reference"] + face_points
-
-
-def test_rhs_reaches_every_lane_function(gas):
-    """Sweeping rhs(kernel="batched") over dimension, family, mesh, volume
-    scheme and surface flux calls every function defined in fluxdg.batched:
-    the lane module holds no code that rhs never reaches."""
-    defined = {
-        fn.__code__: name
-        for name, fn in vars(batched).items()
-        if inspect.isfunction(fn) and fn.__module__ == batched.__name__
-    }
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
-
-    ran = set()
-    p = 2
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        for d, family, amplitude in product((2, 3), ("lgl", "gauss"), (0.0, 0.1)):
-            curved_gauss = family == "gauss" and amplitude > 0.0
-            # curved Gauss meshes at the old mapping-degree rule and
-            # isoparametric
-            for geo in (2 if d == 2 else 1, None) if curved_gauss else (None,):
-                mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
-                op = make_operator(p, family)
-                setup = build_setup(mesh, op, gas)
-                u = random_field(setup, gas, seed=12, amp=0.3)
-                for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
-                    config = RhsConfig(
-                        volume_scheme=scheme,
-                        surface_flux=kind,
-                        overint_degree=p + 1,
-                        kernel="batched",
-                    )
-                    try:
-                        config.validate(setup)
-                    except ConfigurationError:
-                        continue  # scheme not defined for this family or mesh
-                    assert np.isfinite(rhs(u, setup, config)).all()
-                    ran.add(scheme)
-    finally:
-        sys.setprofile(previous)
-    assert ran == set(VOLUME_SCHEMES)
-    missing = sorted(name for code, name in defined.items() if code not in called)
-    assert not missing, missing
 
 
 def test_strong_llf_rhs_peak_memory(gas):

@@ -7,10 +7,20 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fluxdg import batched, discretization, fluxes, geometry
+from fluxdg import (
+    batched,
+    discretization,
+    euler,
+    fluxes,
+    geometry,
+    operators,
+    reference,
+    timeint,
+)
 from fluxdg import (
     FluxCounter,
     RhsConfig,
+    StepController,
     build_mesh,
     build_setup,
     conserved_totals,
@@ -18,18 +28,17 @@ from fluxdg import (
     entropy_rate,
     error_norm_l2,
     flux_function,
+    integrate,
     make_operator,
     prim2cons,
     rhs,
+    stable_dt,
 )
 from fluxdg.discretization import (
     KERNELS,
     VOLUME_SCHEMES,
     _constant_terms,
-    _scalar_gauss_volume,
     face_states,
-    surface_terms,
-    volume_fluxdiff,
     volume_overintegration,
     volume_strong,
     volume_weak,
@@ -43,8 +52,15 @@ from fluxdg.euler import (
     prim2entropy,
 )
 from fluxdg.fluxes import SURFACE_KINDS
-from fluxdg.geometry import MetricTerms, element_metrics, node_ja
-from fluxdg.operators import MAX_DEGREE, build_dsplit, node_lines, transfer_matrices
+from fluxdg.geometry import MetricTerms, node_ja
+from fluxdg.operators import MAX_DEGREE, build_dsplit, transfer_matrices
+from fluxdg.reference import (
+    element_metrics,
+    node_lines,
+    scalar_gauss_volume,
+    surface_terms,
+    volume_fluxdiff,
+)
 from fluxdg.verify import random_field, relative_gap
 
 from .oracles import gauss_volume_dense
@@ -226,7 +242,7 @@ def test_gauss_forms_agree(gas, d, amplitude, geo, p):
         got = np.zeros_like(u)
         want = np.zeros_like(u)
         for n, faces in enumerate(projected_faces(u, setup)):
-            _scalar_gauss_volume(u, faces, setup, n, config, got)
+            scalar_gauss_volume(u, faces, setup, n, config, got)
             want += gauss_volume_dense(u, faces, setup, n, vol_flux)
         assert relative_gap(want, got) < 1e-13, vol_flux
 
@@ -243,7 +259,7 @@ def test_gauss_volume_forms_agree_per_element(gas, d, vol_flux):
         config = RhsConfig(volume_scheme="gauss_fluxdiff", volume_flux=vol_flux)
         for n, faces in enumerate(projected_faces(u, setup)):
             got = np.zeros_like(u)
-            _scalar_gauss_volume(u, faces, setup, n, config, got)
+            scalar_gauss_volume(u, faces, setup, n, config, got)
             want = gauss_volume_dense(u, faces, setup, n, vol_flux)
             assert np.abs(want).max() > 1e-3
             for e in range(setup.n_elements):
@@ -724,51 +740,122 @@ def test_entropy_rate_sign_of_dissipative_flux(gas):
     assert total_diss < -1e-10
 
 
-def test_reference_rhs_reaches_every_flux_and_geometry_function(gas):
-    """Building meshes and setups and sweeping rhs(kernel="reference") over
-    dimension, family, mesh, volume scheme and surface flux calls every
-    function defined in fluxdg.fluxes and fluxdg.geometry: the oracle's
-    modules hold no flux form or geometry helper that rhs never reaches."""
-    defined = {
-        fn.__code__: module.__name__ + "." + name
-        for module in (fluxes, geometry)
-        for name, fn in vars(module).items()
-        if inspect.isfunction(fn) and fn.__module__ == module.__name__
-    }
+# --- reachability ------------------------------------------------------------
+
+# production functions that no rhs call reaches, each with its reason; the
+# batched sweep below must reach every other function of PRODUCTION_MODULES
+PRODUCTION_MODULES = (
+    batched, discretization, euler, fluxes, geometry, operators, timeint
+)
+NOT_REACHED_BY_RHS = {
+    "discretization.conserved_totals": "diagnostic of a state (harness, verify)",
+    "discretization.entropy_rate": "diagnostic of a state (harness, verify)",
+    "discretization.error_norm_l2": "diagnostic of a state (harness)",
+    "euler.entropy_vars": "entropy variables of conserved states, for entropy_rate",
+    "euler.entropy_and_potential": "entropy and flux potential, for the entropy checks",
+    "euler.entropy2cons": "inverse entropy map to conserved states (rhs maps back "
+    "through entropy2prim); perfbench traces it as a span boundary",
+    "fluxes.count_guard": "the counter guard, opened by callers that count work",
+    "fluxes._stack": "the counter guard's per-thread stack",
+    "timeint._butcher_rows": "import-time check of the RK54 coefficients",
+    "timeint._check_order_conditions": "import-time check of the RK54 coefficients",
+}
+# the oracle's functions that no rhs call reaches
+NOT_REACHED_BY_REFERENCE_RHS = {
+    "reference.logmean_reference": "the log mean's textbook oracle, for verify "
+    "and the tests; the flux kernels call logmean_optimized",
+}
+
+
+def defined_functions(modules):
+    """"module.name" of every function the modules define, keyed by its code
+    object; lru-cached and context-manager functions count as the function
+    they wrap."""
+    found = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            fn = inspect.unwrap(obj) if callable(obj) else obj
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                found[fn.__code__] = "%s.%s" % (module.__name__.split(".")[-1], name)
+    return found
+
+
+def unreached(modules, sweep):
+    """Names of the modules' functions that sweep() never calls. Every
+    cache of operators, discretization and reference is emptied first, so
+    the cached builders run inside the sweep whatever ran before it."""
+    for module in (operators, discretization, reference):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    defined = defined_functions(modules)
     called = set()
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
-    ran = set()
-    p = 1
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for d, family, amplitude in product((2, 3), ("lgl", "gauss"), (0.0, 0.1)):
-            curved_gauss = family == "gauss" and amplitude > 0.0
-            # curved Gauss meshes at the old mapping-degree rule and
-            # isoparametric
-            for geo in (2 if d == 2 else 1, None) if curved_gauss else (None,):
-                mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
-                op = make_operator(p, family)
-                setup = build_setup(mesh, op, gas)
-                u = random_field(setup, gas, seed=12, amp=0.3)
-                for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
-                    config = RhsConfig(
-                        volume_scheme=scheme, surface_flux=kind, overint_degree=p + 1
-                    )
-                    try:
-                        config.validate(setup)
-                    except ConfigurationError:
-                        continue  # scheme not defined for this family or mesh
-                    with count_guard(FluxCounter()):
-                        dudt = rhs(u, setup, config)
-                    assert np.isfinite(dudt).all()
-                    ran.add(scheme)
+        sweep()
     finally:
         sys.setprofile(previous)
+    return {name for code, name in defined.items() if code not in called}
+
+
+def rhs_sweep(gas, kernel):
+    """rhs with `kernel` over dimension, family, flat and curved meshes
+    (curved Gauss at the old mapping-degree rule and isoparametric), every
+    volume scheme and every surface flux, at p = 2."""
+    ran = set()
+    p = 2
+    for d, family, amplitude in product((2, 3), ("lgl", "gauss"), (0.0, 0.1)):
+        curved_gauss = family == "gauss" and amplitude > 0.0
+        for geo in (2 if d == 2 else 1, None) if curved_gauss else (None,):
+            mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
+            setup = build_setup(mesh, make_operator(p, family), gas)
+            u = random_field(setup, gas, seed=12, amp=0.3)
+            for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
+                config = RhsConfig(
+                    volume_scheme=scheme,
+                    surface_flux=kind,
+                    overint_degree=p + 1,
+                    kernel=kernel,
+                )
+                try:
+                    config.validate(setup)
+                except ConfigurationError:
+                    continue  # scheme not defined for this family or mesh
+                assert np.isfinite(rhs(u, setup, config)).all()
+                ran.add(scheme)
     assert ran == set(VOLUME_SCHEMES)
-    missing = sorted(name for code, name in defined.items() if code not in called)
-    assert not missing, missing
+
+
+def test_batched_rhs_reaches_every_production_function(gas):
+    """Sweeping the default rhs (kernel="batched") and one integrate step
+    calls every function of the production modules apart from the named
+    diagnostics, the counter guard and the import-time RK checks: they hold
+    no code that rhs never reaches, and the allow-list holds no stale
+    entry."""
+
+    def sweep():
+        rhs_sweep(gas, "batched")
+        setup = lgl_setup(gas, dims=(2, 2), p=2)
+
+        def dt_fn(u, t):
+            return stable_dt(u, setup.mesh, setup.metrics, gas, 2, StepController())
+
+        u0 = random_field(setup, gas, seed=12, amp=0.3)
+        integrate(u0, lambda u, t: rhs(u, setup, RhsConfig()), n_steps=1, dt_fn=dt_fn)
+
+    missing = unreached(PRODUCTION_MODULES, sweep)
+    assert missing == set(NOT_REACHED_BY_RHS), sorted(missing ^ set(NOT_REACHED_BY_RHS))
+
+
+def test_reference_rhs_reaches_every_oracle_function(gas):
+    """Sweeping rhs(kernel="reference") calls every function of
+    fluxdg.reference but the log mean's own oracle: the scalar oracle holds
+    no code that its rhs never reaches."""
+    missing = unreached((reference,), lambda: rhs_sweep(gas, "reference"))
+    assert missing == set(NOT_REACHED_BY_REFERENCE_RHS), sorted(missing)

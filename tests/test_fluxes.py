@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 from fluxdg import batched
 from fluxdg.errors import ConfigurationError
 from fluxdg.euler import cons2prim, entropy_vars, prim2cons
-from fluxdg.fluxes import (
-    FluxCounter,
-    count_guard,
+from fluxdg.fluxes import FluxCounter, count_guard, require_volume_kind
+from fluxdg.reference import (
     flux_central_directional,
     flux_function,
     flux_hll_directional,
     flux_ranocha_directional,
     flux_shima_directional,
-    require_volume_kind,
 )
 from fluxdg.verify import random_primitives
 

@@ -12,13 +12,13 @@ from fluxdg.geometry import (
     build_mesh,
     compute_metrics,
     element_coords,
-    element_metrics,
     line_major,
     neighbor_table,
     node_ja,
 )
 from fluxdg.geometry import _extrapolate_face, _node_metrics
 from fluxdg.operators import gauss_operator, lgl_operator, make_operator, transfer_matrices
+from fluxdg.reference import element_metrics
 
 from .oracles import metric_identity_residual
 

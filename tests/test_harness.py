@@ -331,6 +331,11 @@ def test_microbench_forms_and_gate():
     for form in ("vectorized", "rotated_otf", "rotated_pre"):
         with pytest.raises(ConfigurationError, match="form"):
             microbench_flux("central", form, 2)
+    with pytest.raises(ConfigurationError) as info:
+        microbench_flux("bogus", "cartesian", 2)
+    assert str(info.value) == (
+        "kind: expected one of shima, ranocha, central, llf, hll, got 'bogus'"
+    )
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -387,11 +392,16 @@ def test_output_path_env_override(tmp_path, monkeypatch):
 
 
 def test_pid_row_layout():
-    config = make_config(None, {"kernel": "batched", "elements": "4"})
+    # rows of the default (batched) kernel carry the bare scheme; only the
+    # scalar oracle is marked
     from fluxdg.harness import PidResult
 
-    row = pid_row(config, PidResult(1e-6, 1e-8, 500, 256))
-    assert row == (2, 3, "cartesian:4", "fluxdiff:batched", "ranocha", 500, 256, 1e-6, 1e-8)
+    result = PidResult(1e-6, 1e-8, 500, 256)
+    cases = (({}, "fluxdiff"), ({"kernel": "reference"}, "fluxdiff:reference"))
+    for overrides, scheme in cases:
+        config = make_config(None, dict(overrides, elements="4"))
+        row = pid_row(config, result)
+        assert row == (2, 3, "cartesian:4", scheme, "ranocha", 500, 256, 1e-6, 1e-8)
 
 
 # --- command line ------------------------------------------------------------
@@ -432,13 +442,14 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         ("pid --repeats 0", "repeats"),
         ("microbench --n-samples 0", "n_samples"),
         ("microbench --repeats -1", "repeats"),
+        ("microbench --kinds bogus", "kind"),
     ],
 )
 def test_cli_rejects_non_positive_timing_counts(
     tmp_path, monkeypatch, capsys, command, key
 ):
-    # a count below one is a configuration error naming its key, raised
-    # before any timing, so no CSV is written
+    # a count below one or an unknown flux kind is a configuration error
+    # naming its key, raised before any timing, so no CSV is written
     monkeypatch.setenv("FLUXDG_OUTPUT_DIR", str(tmp_path))
     assert main(command.split()) == 2
     assert key + ":" in capsys.readouterr().err

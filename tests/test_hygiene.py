@@ -231,3 +231,36 @@ def test_batched_public_names():
         "mesh_gauss_volume",
         "mesh_gauss_surface",
     }, sorted(public)
+
+
+def sibling_imports(path):
+    """The modules of its own package that `path` imports by relative
+    import: `from .geometry import ...` gives geometry, `from . import
+    batched` gives batched."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_only_named_modules_import_the_oracle():
+    """Within the package, fluxdg.reference (the scalar oracle) is imported
+    only by discretization (its kernel dispatch), verify, harness (the
+    microbench gate) and __init__ (re-exports), and the oracle imports
+    neither batched nor discretization: the production kernel never leans
+    on the oracle, nor the oracle on it."""
+    importers = {
+        path.stem
+        for path in (ROOT / "src/fluxdg").glob("*.py")
+        if "reference" in sibling_imports(path)
+    }
+    assert importers == {"discretization", "verify", "harness", "__init__"}, sorted(
+        importers
+    )
+    oracle = sibling_imports(ROOT / "src/fluxdg/reference.py")
+    assert not oracle & {"batched", "discretization"}, sorted(oracle)

@@ -5,8 +5,8 @@ import pytest
 
 from fluxdg.batched import inv_logmean_batched, logmean_batched
 from fluxdg.errors import DomainError
-from fluxdg.means import (
-    SERIES_EPSILON,
+from fluxdg.fluxes import SERIES_EPSILON
+from fluxdg.reference import (
     inv_logmean_optimized,
     logmean_optimized,
     logmean_reference,

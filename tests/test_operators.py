@@ -13,10 +13,10 @@ from fluxdg.operators import (
     hybridized_scatter,
     lgl_operator,
     make_operator,
-    node_lines,
     split_pairs,
     transfer_matrices,
 )
+from fluxdg.reference import node_lines
 
 
 def test_known_lobatto_values():
