@@ -56,7 +56,6 @@ class RunConfig:
     elements: int = 8
     mesh: str = "cartesian"
     amplitude: float = 0.1
-    geo_degree: int | None = None
     family: str = "lgl"
     volume_scheme: str = "fluxdiff"
     volume_flux: str = "ranocha"
@@ -82,11 +81,6 @@ class RunConfig:
                 "family: expected one of %s, got %r"
                 % (", ".join(FAMILIES), self.family)
             )
-        if self.geo_degree is not None and not 1 <= self.geo_degree <= MAX_DEGREE:
-            raise ConfigurationError(
-                "geo_degree: expected 1..%d or none, got %r"
-                % (MAX_DEGREE, self.geo_degree)
-            )
         if self.elements < 1:
             raise ConfigurationError(
                 "elements: expected a positive count, got %r" % (self.elements,)
@@ -106,11 +100,26 @@ class RunConfig:
             )
         if not self.gamma > 1.0:
             raise ConfigurationError("gamma: expected > 1, got %r" % (self.gamma,))
-        if not self.cfl > 0.0:
-            raise ConfigurationError("cfl: expected > 0, got %r" % (self.cfl,))
+        if not (self.cfl > 0.0 and math.isfinite(self.cfl)):
+            raise ConfigurationError(
+                "cfl: expected a finite value > 0, got %r" % (self.cfl,)
+            )
+        if self.seed < 0:
+            raise ConfigurationError(
+                "seed: expected an integer >= 0, got %r" % (self.seed,)
+            )
         if (self.n_steps is None) == (self.t_end is None):
             raise ConfigurationError(
                 "n_steps/t_end: exactly one of the two must be set"
+            )
+        if self.n_steps is not None and self.n_steps < 1:
+            raise ConfigurationError(
+                "n_steps: expected a positive count, got %r" % (self.n_steps,)
+            )
+        t_end = self.t_end
+        if t_end is not None and not (t_end > 0.0 and math.isfinite(t_end)):
+            raise ConfigurationError(
+                "t_end: expected a finite positive time, got %r" % (t_end,)
             )
         return self
 
@@ -286,7 +295,6 @@ def build_run(config):
         (config.elements,) * config.d,
         bounds=(DOMAIN_LO, DOMAIN_HI),
         amplitude=amplitude,
-        geo_degree=config.geo_degree,
     )
     op = make_operator(config.p, config.family)
     setup = build_setup(mesh, op, gas)

@@ -12,6 +12,7 @@ order condition through order four, so a typo in a 13-digit numerator fails
 loudly at import time rather than as a mysterious convergence-rate drop.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,14 @@ def integrate(
         )
     if (dt is None) == (dt_fn is None):
         raise ConfigurationError("exactly one of dt and dt_fn must be given")
+    if n_steps is not None and not (n_steps >= 1 and math.isfinite(n_steps)):
+        raise ConfigurationError(
+            "n_steps: expected a positive count, got %r" % (n_steps,)
+        )
+    if t_end is not None and not (t_end > 0.0 and math.isfinite(t_end)):
+        raise ConfigurationError(
+            "t_end: expected a finite positive time, got %r" % (t_end,)
+        )
     u = np.array(u0, dtype=float, copy=True)
     t = 0.0
     step = 0

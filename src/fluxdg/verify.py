@@ -1,19 +1,31 @@
-"""Fast self-check of the algebraic properties the solver relies on.
+"""Fast self-check of the algebraic properties the solver relies on, and
+the one place that decides which RHS configurations the kernels are
+compared on and how.
 
 Each check is a deterministic pass over one contract (operator algebra,
 flux symmetries, assembled invariants). It takes its range (degrees,
 families, dimensions, flux kinds, cases or seeds) as arguments and returns
 its worst residual, or its count mismatch. `verify_all` runs each check
-over a range small enough that the whole list takes about a second; the
+over a range small enough that the whole list takes about two seconds; the
 tests call these functions over wider ranges and pin their own bounds.
+
+RHS configurations come from one generator, `rhs_cases`, as `RhsCase`s
+with stable ids. `compare_kernels` runs one state through both kernels,
+`check_batched_kernel` holds cases to the 1e-13 relative contract and to
+equal flux counts, and `fingerprints` hashes each kernel's output, so that
+two trees can be shown byte-identical case by case.
 """
 
+import hashlib
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from .discretization import (
+    KERNELS,
+    VOLUME_SCHEMES,
     RhsConfig,
     build_setup,
     conserved_totals,
@@ -23,10 +35,11 @@ from .discretization import (
     volume_strong,
     volume_weak,
 )
+from .errors import ConfigurationError
 from .euler import GasParams, cons2prim, entropy_and_potential, entropy_vars, prim2cons
-from .fluxes import FluxCounter, count_guard
+from .fluxes import SURFACE_KINDS, VOLUME_KINDS, FluxCounter, count_guard
 from .geometry import build_mesh
-from .harness import build_run, RunConfig
+from .harness import build_run, free_stream_primitives, RunConfig
 from .operators import (
     FAMILIES,
     build_dsplit,
@@ -78,6 +91,139 @@ def random_field(setup, gas, seed=0, amp=1.0):
     rng = np.random.default_rng(seed)
     q = random_primitives(rng, setup.d, setup.n_elements * setup.n_nodes, amp)
     return prim2cons(q, gas).reshape(setup.n_elements, setup.n_nodes, setup.d + 2)
+
+
+# the mapping degree of sub-parametric curved meshes: 1, the degree of the
+# gauss3d_curved benchmark mesh
+SUB_PARAMETRIC_DEGREE = 1
+# the meshes of rhs_cases: flat, curved at the solution degree, curved at
+# SUB_PARAMETRIC_DEGREE
+MESHES = ("cartesian", "isoparametric", "subparametric")
+TWO_POINT_SCHEMES = ("fluxdiff", "gauss_fluxdiff")
+_GAS = GasParams(1.4)
+
+
+@dataclass(frozen=True)
+class RhsCase:
+    """One right-hand-side configuration and the seed of its random field:
+    the mesh (elements per direction, curve amplitude, 0.0 for Cartesian,
+    and mapping degree, None for isoparametric), the node family and
+    degree, and the scheme."""
+
+    dims: tuple
+    amplitude: float
+    geo_degree: int | None
+    family: str
+    p: int
+    config: RhsConfig
+    seed: int
+
+    @property
+    def id(self):
+        """A stable name, such as 2x3-curved0.1-geo1-gauss-p3-weak-ranocha-llf-s0."""
+        mesh = "curved%g" % self.amplitude if self.amplitude else "cartesian"
+        if self.geo_degree is not None:
+            mesh += "-geo%d" % self.geo_degree
+        c = self.config
+        scheme = c.volume_scheme
+        if c.overint_degree is not None:
+            scheme += "-q%d" % c.overint_degree
+        return "%s-%s-%s-p%d-%s-%s-%s-s%d" % (
+            "x".join(map(str, self.dims)), mesh, self.family, self.p, scheme,
+            c.volume_flux, c.surface_flux, self.seed,
+        )
+
+    def setup(self):
+        mesh = build_mesh(self.dims, amplitude=self.amplitude, geo_degree=self.geo_degree)
+        return build_setup(mesh, make_operator(self.p, self.family), _GAS)
+
+    def field(self, setup, amp):
+        """The case's admissible random field of amplitude amp on setup."""
+        return random_field(setup, setup.gas, self.seed, amp)
+
+
+def rhs_cases(
+    dims,
+    degrees,
+    families=FAMILIES,
+    meshes=MESHES,
+    schemes=VOLUME_SCHEMES,
+    volume_fluxes=VOLUME_KINDS,
+    surface_fluxes=SURFACE_KINDS,
+    seeds=(0,),
+    amplitude=0.1,
+):
+    """The RhsCases of the product of the ranges, nested in argument order
+    (dims outermost), without the configurations RhsConfig.validate
+    rejects. dims holds elements-per-direction tuples, meshes names from
+    MESHES; curved meshes take the given amplitude. One rule each decides
+    the rest: overintegration runs at degree p + 1, a sub-parametric mesh
+    maps at SUB_PARAMETRIC_DEGREE, and the one-point schemes, which read no
+    volume flux, run once with the first of volume_fluxes."""
+    cases = []
+    for dim, mesh, family, p in product(dims, meshes, families, degrees):
+        curve = 0.0 if mesh == "cartesian" else amplitude
+        geo = SUB_PARAMETRIC_DEGREE if mesh == "subparametric" else None
+        setup = RhsCase(dim, curve, geo, family, p, RhsConfig(), 0).setup()
+        for scheme in schemes:
+            kinds = volume_fluxes if scheme in TWO_POINT_SCHEMES else volume_fluxes[:1]
+            for vol, surface, seed in product(kinds, surface_fluxes, seeds):
+                overint = p + 1 if scheme == "overintegration" else None
+                config = RhsConfig(scheme, vol, surface, overint_degree=overint)
+                try:
+                    config.validate(setup)
+                except ConfigurationError:
+                    continue
+                cases.append(RhsCase(dim, curve, geo, family, p, config, seed))
+    return cases
+
+
+def _counted_rhs(u, setup, config, kernel):
+    """(rhs with kernel, its (two-point, one-point, log-mean) counts)."""
+    c = FluxCounter()
+    with count_guard(c):
+        dudt = rhs(u, setup, replace(config, kernel=kernel))
+    return dudt, (c.two_point_evals, c.one_point_evals, c.logmean_evals)
+
+
+def compare_kernels(u, setup, config):
+    """(relative_gap of the batched from the reference rhs of u, {kernel:
+    (two-point, one-point, log-mean) counts})."""
+    runs = {kernel: _counted_rhs(u, setup, config, kernel) for kernel in KERNELS}
+    gap = relative_gap(runs["reference"][0], runs["batched"][0])
+    return gap, {kernel: counts for kernel, (_, counts) in runs.items()}
+
+
+def _batched_counts(counts, setup, config):
+    """The counts the batched kernel must report where the reference kernel
+    reports counts: the same, but that the batched gauss_fluxdiff surface
+    (mesh_gauss_surface) evaluates each face flux once per adjacent element,
+    one more two-point evaluation per face point, with the two log means of
+    a ranocha flux. perfbench pins that second evaluation as
+    batched.mesh_gauss_surface.useful_eval_ratio == 0.5."""
+    if config.volume_scheme != "gauss_fluxdiff":
+        return counts
+    points = setup.d * setup.n_elements * setup.op.n_nodes ** (setup.d - 1)
+    logs = 2 if config.surface_flux == "ranocha" else 0
+    return (counts[0] + points, counts[1], counts[2] + logs * points)
+
+
+def fingerprints(cases, amp):
+    """{case id: {kernel: (sha256 of the C-order rhs bytes, (two-point,
+    one-point, log-mean) counts)}} over cases (RhsCases), each on its
+    random field of amplitude amp. Two trees are byte-identical on the
+    cases where their fingerprints are equal. The bytes depend on numpy and
+    BLAS, so fingerprints are compared within one environment only."""
+    found = {}
+    for case in cases:
+        setup = case.setup()
+        u = case.field(setup, amp)
+        found[case.id] = {}
+        for kernel in KERNELS:
+            dudt, counts = _counted_rhs(u, setup, case.config, kernel)
+            digest = hashlib.sha256(np.ascontiguousarray(dudt).tobytes()).hexdigest()
+            found[case.id][kernel] = (digest, counts)
+    return found
 
 
 def check_sbp_identity(degrees, families):
@@ -166,41 +312,35 @@ def check_entropy_conservative_flux(dims, n_pairs, n_close=0):
     return worst
 
 
-def check_free_stream(dims, degrees, families, kinds, meshes):
-    """Largest |du/dt| of a constant state under each family's two-point
-    scheme, with one flux kind as both volume and surface flux, on
-    sine-curved meshes given as (elements per direction, amplitude) or
-    (elements per direction, amplitude, geo degree)."""
+def check_free_stream(cases):
+    """Largest |du/dt| of a constant state under each case's rhs (RhsCases;
+    their random fields are not drawn)."""
     worst = 0.0
-    grid = product(dims, degrees, families, kinds, meshes)
-    for d, p, family, kind, (elements, amplitude, *geo) in grid:
-        scheme = "fluxdiff" if family == "lgl" else "gauss_fluxdiff"
-        run = build_run(RunConfig(
-            d=d, p=p, elements=elements, mesh="curved", amplitude=amplitude,
-            geo_degree=geo[0] if geo else None, family=family,
-            volume_scheme=scheme, volume_flux=kind, surface_flux=kind,
-            ic="free_stream",
-        ))
-        worst = max(worst, float(np.abs(rhs(run.u0, run.setup, run.scheme)).max()))
+    for case in cases:
+        setup = case.setup()
+        u = prim2cons(free_stream_primitives(setup.coords), setup.gas)
+        worst = max(worst, float(np.abs(rhs(u, setup, case.config)).max()))
     return worst
 
 
-def check_batched_kernel(cases, seeds, amp):
-    """Worst relative_gap between the reference and batched rhs of degree 3,
-    over random fields of amplitude amp from each seed and over cases
-    (dims, amplitude, family, geo_degree, config), each on a mesh curved
-    with its amplitude (0.0: Cartesian)."""
-    gas = GasParams(1.4)
-    worst = 0.0
-    for dims, amplitude, family, geo_degree, config in cases:
-        mesh = build_mesh(dims, amplitude=amplitude, geo_degree=geo_degree)
-        setup = build_setup(mesh, make_operator(3, family), gas)
-        for seed in seeds:
-            u = random_field(setup, gas, seed, amp)
-            ref = rhs(u, setup, replace(config, kernel="reference"))
-            got = rhs(u, setup, replace(config, kernel="batched"))
-            worst = max(worst, relative_gap(ref, got))
-    return worst
+def check_batched_kernel(cases, amp):
+    """(largest relative gap between the reference and batched rhs, where it
+    occurs) over cases (RhsCases), each on its random field of amplitude
+    amp. The flux counts must be those of _batched_counts: the first case
+    whose counts are not ends the check with an infinite gap, and `where`
+    names that case and both counts."""
+    cases = list(cases)
+    worst, worst_id = 0.0, None
+    for case in cases:
+        setup = case.setup()
+        gap, counts = compare_kernels(case.field(setup, amp), setup, case.config)
+        want = _batched_counts(counts["reference"], setup, case.config)
+        if counts["batched"] != want:
+            return math.inf, "counts differ at %s: reference %s, batched %s, want %s" % (
+                case.id, counts["reference"], counts["batched"], want)
+        if worst_id is None or gap > worst:
+            worst, worst_id = gap, case.id
+    return worst, "worst at %s of %d cases" % (worst_id, len(cases))
 
 
 def check_transfer_round_trip(pairs):
@@ -260,22 +400,16 @@ def check_semidiscrete_invariants(states):
 def verify_all():
     """Run every check over its verify range; returns the list of
     CheckResults. A check that returns several residuals passes when the
-    largest is below the bound."""
-    batched_cases = (
-        ((3, 3), 0.1, "lgl", None, RhsConfig()),
-        ((3, 3), 0.1, "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
-        ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
-        ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
-        ((2, 2, 2), 0.1, "gauss", None, RhsConfig(volume_scheme="gauss_fluxdiff")),
-        ((2, 2, 2), 0.1, "lgl", None, RhsConfig()),
-        # Cartesian and anisotropic, so every direction has its own face
-        # area: each scheme once, each surface kind once
-        ((2, 3), 0.0, "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
-        ((2, 3), 0.0, "gauss", None, RhsConfig(volume_scheme="weak", surface_flux="hll")),
-        ((3, 1, 2), 0.0, "lgl", None, RhsConfig(volume_flux="central", surface_flux="central")),
-        ((2, 3), 0.0, "lgl", None, RhsConfig(
-            volume_scheme="overintegration", overint_degree=4, surface_flux="shima")),
-        ((3, 1, 2), 0.0, "gauss", None, RhsConfig(volume_scheme="gauss_fluxdiff")),
+    largest is below the bound; one that returns (residual, where) names
+    where in its detail."""
+    # every scheme on curved meshes and, with every surface kind, on
+    # anisotropic Cartesian meshes, where each direction has its own area
+    kernel_cases = rhs_cases(
+        ((3, 3), (2, 2, 2)), (3,), meshes=MESHES[1:], volume_fluxes=("ranocha",),
+        surface_fluxes=("ranocha", "llf"), seeds=(6,),
+    ) + rhs_cases(
+        ((2, 3), (3, 1, 2)), (3,), meshes=MESHES[:1],
+        volume_fluxes=("central", "ranocha"), seeds=(6,),
     )
     balance_runs = [
         build_run(RunConfig(d=2, elements=4)),
@@ -295,10 +429,11 @@ def verify_all():
         ("entropy condition of the volume flux", check_entropy_conservative_flux,
          dict(dims=(2, 3), n_pairs=400), 1e-12),
         ("free-stream preservation (curved)", check_free_stream,
-         dict(dims=(2, 3), degrees=(3,), families=FAMILIES, kinds=("ranocha",),
-              meshes=((3, 0.15),)), 1e-12),
+         dict(cases=rhs_cases(((3, 3), (3, 3, 3)), (3,), meshes=("isoparametric",),
+                              schemes=TWO_POINT_SCHEMES, volume_fluxes=("ranocha",),
+                              surface_fluxes=("ranocha",), amplitude=0.15)), 1e-12),
         ("batched kernel agreement", check_batched_kernel,
-         dict(cases=batched_cases, seeds=(6,), amp=0.4), 1e-13),
+         dict(cases=kernel_cases, amp=0.4), 1e-13),
         ("overintegration round trip", check_transfer_round_trip,
          dict(pairs=[(p, q) for p in range(1, 7) for q in (p, 2 * p)]), 1e-13),
         ("flux evaluation counts", check_flux_counts,
@@ -308,7 +443,11 @@ def verify_all():
     )
     results = []
     for name, check, ranges, bound in table:
-        worst = float(np.max(check(**ranges)))
-        detail = "max residual %.3e (bound %.1e)" % (worst, bound)
+        got = check(**ranges)
+        where = ""
+        if isinstance(got, tuple) and isinstance(got[-1], str):
+            got, where = got[0], ", " + got[1]
+        worst = float(np.max(got))
+        detail = "max residual %.3e (bound %.1e)%s" % (worst, bound, where)
         results.append(CheckResult(name, worst < bound, detail))
     return results

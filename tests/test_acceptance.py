@@ -8,8 +8,6 @@ report violations as warnings instead of failures.
 
 import math
 import warnings
-from dataclasses import replace
-from itertools import product
 
 import numpy as np
 import pytest
@@ -30,7 +28,7 @@ from fluxdg import (
     rhs,
 )
 from fluxdg.discretization import face_states
-from fluxdg.fluxes import SERIES_EPSILON, SURFACE_KINDS
+from fluxdg.fluxes import SERIES_EPSILON
 from fluxdg.harness import (
     MICROBENCH_FORMS,
     build_run,
@@ -49,6 +47,7 @@ from fluxdg.reference import (
     volume_fluxdiff,
 )
 from fluxdg.verify import (
+    TWO_POINT_SCHEMES,
     check_batched_kernel,
     check_entropy_conservative_flux,
     check_flux_counts,
@@ -61,6 +60,7 @@ from fluxdg.verify import (
     check_transfer_round_trip,
     random_field,
     relative_gap,
+    rhs_cases,
 )
 
 from .oracles import (
@@ -195,16 +195,16 @@ def test_log_mean_branches():
 @pytest.mark.parametrize("kind", ("shima", "ranocha"))
 def test_free_stream_preservation_on_curved_meshes(kind, d):
     """A constant state stays constant to roundoff on sine-perturbed meshes,
-    under the two-point scheme of both families, isoparametric and at
-    mapping degrees 2 and 3 (in 3D above p/2 at p = 3 and 4)."""
-    worst = check_free_stream(
-        dims=(d,),
-        degrees=(3, 4),
-        families=FAMILIES,
-        kinds=(kind,),
-        meshes=((4, 0.1), (3, 0.12), (3, 0.12, 2), (3, 0.12, 3)),
+    under the two-point scheme of both families, isoparametric and
+    sub-parametric."""
+    fluxes = dict(schemes=TWO_POINT_SCHEMES, volume_fluxes=(kind,), surface_fluxes=(kind,))
+    cases = rhs_cases(
+        ((4,) * d,), (3, 4), meshes=("isoparametric",), amplitude=0.1, **fluxes
+    ) + rhs_cases(
+        ((3,) * d,), (3, 4), meshes=("isoparametric", "subparametric"), amplitude=0.12,
+        **fluxes,
     )
-    assert worst < 1e-12
+    assert check_free_stream(cases) < 1e-12
 
 
 # --- entropy and conservation over full runs ----------------------------------
@@ -350,38 +350,19 @@ def test_central_fluxdiff_matches_strong_form():
 
 
 def test_batched_kernel_matches_reference():
-    """The lane-batched kernels reproduce the scalar kernels. On Cartesian
-    meshes they take the axis fluxes times the face area, and the one-point
-    volume terms the axis form with (Ja)^n_n / J folded into the 1D
-    matrices, so every scheme runs there with every surface kind, on
-    anisotropic meshes whose directions each have their own face area."""
-    schemes = (
-        ("lgl", RhsConfig(volume_scheme="strong")),
-        ("lgl", RhsConfig(volume_scheme="weak")),
-        ("lgl", RhsConfig(volume_scheme="fluxdiff", volume_flux="shima")),
-        ("lgl", RhsConfig(volume_scheme="overintegration", overint_degree=4)),
-        ("gauss", RhsConfig(volume_scheme="strong")),
-        ("gauss", RhsConfig(volume_scheme="weak")),
-        ("gauss", RhsConfig(volume_scheme="gauss_fluxdiff")),
+    """The lane-batched kernels reproduce the scalar kernels with the same
+    flux counts: every scheme on curved meshes, and with every surface kind
+    on Cartesian ones, where they take the axis form (anisotropic meshes
+    give each direction its own face area)."""
+    cases = rhs_cases(
+        ((2, 3), (3, 1, 2), (4, 4)), (3,), meshes=("cartesian",),
+        volume_fluxes=("shima", "ranocha"), seeds=(83, 84),
+    ) + rhs_cases(
+        ((3, 3), (2, 2, 2), (3, 3, 3)), (3,), meshes=("isoparametric", "subparametric"),
+        volume_fluxes=("ranocha",), surface_fluxes=("ranocha", "llf"), seeds=(83, 84),
     )
-    cartesian = [
-        (dims, 0.0, family, None, replace(config, surface_flux=kind))
-        for dims, (family, config), kind in product(
-            ((2, 3), (3, 1, 2)), schemes, SURFACE_KINDS
-        )
-    ]
-    cases = [
-        ((3, 3), 0.1, "lgl", None, RhsConfig()),
-        ((3, 3), 0.1, "lgl", None, RhsConfig(volume_scheme="strong", surface_flux="llf")),
-        ((2, 2, 2), 0.1, "lgl", None, RhsConfig()),
-        ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="weak", surface_flux="llf")),
-        ((3, 3), 0.1, "gauss", 2, RhsConfig(volume_scheme="gauss_fluxdiff")),
-        ((3, 3, 3), 0.1, "gauss", 1, RhsConfig(volume_scheme="gauss_fluxdiff")),
-        # isoparametric curved Gauss meshes, the default of curved runs
-        ((3, 3), 0.1, "gauss", None, RhsConfig(volume_scheme="gauss_fluxdiff")),
-        ((2, 2, 2), 0.1, "gauss", None, RhsConfig(volume_scheme="weak", surface_flux="llf")),
-    ] + cartesian
-    assert check_batched_kernel(cases, seeds=(83, 84), amp=0.3) < 1e-13
+    gap, where = check_batched_kernel(cases, amp=0.3)
+    assert gap < 1e-13, where
 
 
 # --- work counts --------------------------------------------------------------

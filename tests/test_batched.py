@@ -1,7 +1,7 @@
 import inspect
 import tracemalloc
-from dataclasses import replace
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -18,19 +18,26 @@ from fluxdg import (
     rhs,
 )
 from fluxdg.batched import inv_logmean_batched, logmean_batched, mesh_fluxdiff_volume
-from fluxdg.discretization import KERNELS
 from fluxdg.euler import cons2prim
 from fluxdg.fluxes import SERIES_EPSILON, SURFACE_KINDS
 from fluxdg.operators import hybridized_scatter
 from fluxdg.reference import (
-    element_metrics,
     flux_function,
     inv_logmean_optimized,
     logmean_optimized,
     node_lines,
-    volume_fluxdiff,
 )
-from fluxdg.verify import random_field, random_primitives, relative_gap
+from fluxdg.verify import (
+    MESHES,
+    SUB_PARAMETRIC_DEGREE,
+    TWO_POINT_SCHEMES,
+    check_batched_kernel,
+    compare_kernels,
+    random_field,
+    random_primitives,
+    relative_gap,
+    rhs_cases,
+)
 
 
 
@@ -99,98 +106,60 @@ def test_log_means_mix_branches_lane_by_lane(monkeypatch):
             assert abs(got[i] - scalar(x, y)) < bound, i
 
 
-def _volume_against_oracle(setup, u, vol_flux):
-    """mesh_fluxdiff_volume against volume_fluxdiff stacked over the mesh,
-    with the (two-point, log-mean) counts of each."""
-    want_c = FluxCounter()
-    with count_guard(want_c):
-        want = np.stack(
-            [
-                volume_fluxdiff(
-                    u[e], setup.op, element_metrics(setup.metrics, e), vol_flux,
-                    setup.gas,
-                )
-                for e in range(setup.n_elements)
-            ]
-        )
-    got_c = FluxCounter()
-    with count_guard(got_c):
-        got = mesh_fluxdiff_volume(
-            u, cons2prim(u, setup.gas), setup, RhsConfig(volume_flux=vol_flux)
-        )
-    assert np.abs(got - want).max() < 1e-13
-    assert (got_c.two_point_evals, got_c.logmean_evals) == (
-        want_c.two_point_evals,
-        want_c.logmean_evals,
+# reference against batched rhs, one test per case, where the bookkeeping is
+# most fragile: p = 1 and one element along a direction (its own plus
+# neighbour); non-cubic meshes; the central volume flux, whose lanes are
+# conserved; split-form surface fluxes, where the conserved face rule alone
+# decides what the face lanes carry; p = 5 and 7 in the lgl pair loop
+KERNEL_CASES = (
+    rhs_cases(
+        ((1, 1), (1, 3), (1, 1, 1), (3, 1, 2)), (1, 3), schemes=TWO_POINT_SCHEMES,
+        volume_fluxes=("central", "ranocha"), surface_fluxes=("llf",),
     )
+    + rhs_cases(
+        ((1, 1), (3, 3), (1, 1, 1), (3, 3, 3)), (1, 3),
+        schemes=("strong", "weak", "overintegration"),
+    )
+    + rhs_cases(
+        ((2, 2), (3, 2), (2, 2, 2), (3, 2, 2)), (2,), meshes=MESHES[1:],
+        volume_fluxes=("central", "ranocha"), surface_fluxes=("shima", "ranocha"),
+    )
+    + rhs_cases(
+        ((2, 2), (2, 2, 2)), (3,), families=("lgl",), meshes=MESHES[:2],
+        schemes=("fluxdiff",), surface_fluxes=("llf", "ranocha"),
+    )
+    + rhs_cases(
+        ((2, 2),), (5, 7), families=("lgl",), meshes=("isoparametric",),
+        schemes=("fluxdiff",), volume_fluxes=("ranocha",), surface_fluxes=("llf",),
+    )
+)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("vol_flux", ["shima", "ranocha", "central"])
-@pytest.mark.parametrize("amplitude", [0.0, 0.15])
-def test_element_volume_matches_scalar(gas, d, vol_flux, amplitude):
-    setup = make_setup(gas, d=d, amplitude=amplitude)
-    u = random_field(setup, gas, seed=5, amp=0.5)
-    _volume_against_oracle(setup, u, vol_flux)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_element_volume_matches_scalar_across_degrees(gas, p):
-    setup = make_setup(gas, d=2, p=p, amplitude=0.12)
-    u = random_field(setup, gas, seed=7, amp=0.4)
-    _volume_against_oracle(setup, u, "ranocha")
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=attrgetter("id"))
+def test_rhs_case_matches_reference(case):
+    gap, where = check_batched_kernel([case], amp=0.3)
+    assert gap < 1e-13, where
 
 
 @pytest.mark.parametrize(
-    "family,scheme",
-    [
-        ("lgl", "fluxdiff"),
-        ("gauss", "gauss_fluxdiff"),
-    ],
+    "case",
+    rhs_cases(
+        ((3, 3), (3, 3, 3)), (3,), meshes=MESHES[1:], schemes=TWO_POINT_SCHEMES,
+        volume_fluxes=("ranocha",), surface_fluxes=("ranocha",),
+    ),
+    ids=attrgetter("id"),
 )
-@pytest.mark.parametrize("d", [2, 3])
-def test_mesh_rhs_matches_reference_kernel(gas, family, scheme, d):
-    geo = None
-    if family == "gauss":
-        geo = 2 if d == 2 else 1
-    _mesh_rhs_against_reference(gas, family, scheme, d, geo)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_mesh_rhs_matches_reference_kernel_isoparametric_gauss(gas, d):
-    """The cases above on the default curved Gauss mesh, whose mapping
-    degree is the solution degree (geo_degree=None)."""
-    _mesh_rhs_against_reference(gas, "gauss", "gauss_fluxdiff", d, None)
-
-
-def _mesh_rhs_against_reference(gas, family, scheme, d, geo):
-    amplitude = 0.12 if d == 2 else 0.08
-    setup = make_setup(
-        gas, d=d, dims=(3,) * d, amplitude=amplitude, geo_degree=geo, family=family
-    )
-    u = random_field(setup, gas, seed=8, amp=0.3)
-    batched_config = RhsConfig(
-        volume_scheme=scheme, volume_flux="ranocha", surface_flux="ranocha"
-    )
-    u_before = u.copy()
-    want = rhs(u, setup, replace(batched_config, kernel="reference"))
-    got = rhs(u, setup, batched_config)
-    assert np.abs(got - want).max() < 1e-13
+def test_rhs_returns_a_fresh_array_and_leaves_u_alone(case):
     # rhs works in buffers of its own: a second call returns a new array
     # with the same values and leaves u alone
-    again = rhs(u, setup, batched_config)
+    setup = case.setup()
+    u = case.field(setup, 0.3)
+    u_before = u.copy()
+    got = rhs(u, setup, case.config)
+    again = rhs(u, setup, case.config)
     assert not np.shares_memory(again, got)
     assert np.array_equal(again, got)
     assert np.array_equal(u, u_before)
-
-
-def test_mesh_rhs_cartesian_matches_reference_kernel(gas):
-    setup = make_setup(gas, d=2, dims=(4, 4))
-    u = random_field(setup, gas, seed=9, amp=0.5)
-    for surface in ("ranocha", "llf", "hll"):
-        want = rhs(u, setup, RhsConfig(surface_flux=surface, kernel="reference"))
-        got = rhs(u, setup, RhsConfig(surface_flux=surface))
-        assert np.abs(got - want).max() < 1e-13, surface
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -278,10 +247,12 @@ def test_lane_kernels_fill_the_given_block(gas, kind, d, form):
             assert gap <= 1e-13 * max(np.abs(want).max(), 1.0), (normals[i], i)
 
 
-@pytest.mark.parametrize("curved", [False, True])
-@pytest.mark.parametrize("dims", [(1, 3), (3, 1, 2)])
-@pytest.mark.parametrize("family", ["lgl", "gauss"])
-def test_lift_matches_face_point_loop(gas, family, dims, curved):
+@pytest.mark.parametrize(
+    "case",
+    rhs_cases(((1, 3), (3, 1, 2)), (2,), schemes=("weak",), surface_fluxes=("llf",)),
+    ids=attrgetter("id"),
+)
+def test_lift_matches_face_point_loop(case):
     """_lift against a loop over face points: face point m of element e
     (line m of direction n, lanes in minus-element order) adds its minus
     flux into e and subtracts its plus flux from plus_neighbor[n][e], on
@@ -290,22 +261,10 @@ def test_lift_matches_face_point_loop(gas, family, dims, curved):
     updates come first, as in _lift. On Cartesian meshes the fluxes are
     the unscaled axis form and the lift multiplies in the face area of
     _face_geometry, with the constant Jacobian, as area / (w J)."""
-    geo = (2 if len(dims) == 2 else 1) if family == "gauss" and curved else None
-    _lift_against_face_point_loop(gas, family, dims, curved, geo)
-
-
-@pytest.mark.parametrize("dims", [(1, 3), (3, 1, 2)])
-def test_lift_matches_face_point_loop_isoparametric_gauss(gas, dims):
-    """The curved Gauss cases above on the default curved Gauss mesh, whose
-    mapping degree is the solution degree (geo_degree=None)."""
-    _lift_against_face_point_loop(gas, "gauss", dims, True, None)
-
-
-def _lift_against_face_point_loop(gas, family, dims, curved, geo):
+    family, dims, curved = case.family, case.dims, bool(case.amplitude)
     d = len(dims)
-    mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
-    op = make_operator(2, family)
-    setup = build_setup(mesh, op, gas)
+    setup = case.setup()
+    op = setup.op
     jac = setup.metrics.jac
     w1d = op.weights
     rng = np.random.default_rng(23)
@@ -345,23 +304,25 @@ def _lift_against_face_point_loop(gas, family, dims, curved, geo):
         assert np.array_equal(got, want), n
 
 
-@pytest.mark.parametrize("curved", [False, True, "isoparametric"])
-@pytest.mark.parametrize("dims", [(1, 3), (3, 1, 2)])
-def test_gauss_side_blocks_are_what_lift_lifts(gas, dims, curved):
+@pytest.mark.parametrize(
+    "case",
+    rhs_cases(
+        ((1, 3), (3, 1, 2)), (2,), families=("gauss",), schemes=("weak",),
+        surface_fluxes=("llf",), seeds=(24,),
+    ),
+    ids=attrgetter("id"),
+)
+def test_gauss_side_blocks_are_what_lift_lifts(gas, case):
     """mesh_gauss_surface hands mesh_gauss_volume the interface fluxes in
     element order: side 1 the flux of each element's +1 face (the minus
     side), side 0 the negated flux of its -1 face, gathered from the
     neighbour whose plus side it is. On Cartesian meshes both blocks carry
     the face area times the axis flux. Lifted through the rows
-    boundary_interp / weights and divided by J, they reproduce _lift.
-    Curved meshes map with degree 2 (2D) or 1 (3D), or isoparametrically
-    (geo_degree=None)."""
-    d = len(dims)
-    geo = (2 if d == 2 else 1) if curved is True else None
-    mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
-    setup = build_setup(mesh, make_operator(2, "gauss"), gas)
+    boundary_interp / weights and divided by J, they reproduce _lift."""
+    d, curved = len(case.dims), bool(case.amplitude)
+    setup = case.setup()
     op = setup.op
-    u = random_field(setup, gas, seed=24, amp=0.3)
+    u = case.field(setup, 0.3)
     lift = op.boundary_interp / op.weights
     faces_by_n = discretization.face_states(u, cons2prim(u, gas), setup, True)
     for n, faces in enumerate(faces_by_n):
@@ -383,119 +344,30 @@ def test_gauss_side_blocks_are_what_lift_lifts(gas, dims, curved):
         assert relative_gap(want, got) < 1e-13, n
 
 
-@pytest.mark.parametrize("vol_flux", ["central", "ranocha"])
-@pytest.mark.parametrize("curved", [False, True])
-@pytest.mark.parametrize("dims", [(1, 1), (1, 3), (1, 1, 1), (3, 1, 2)])
-@pytest.mark.parametrize("p", [1, 3])
-@pytest.mark.parametrize("family,scheme", [("lgl", "fluxdiff"), ("gauss", "gauss_fluxdiff")])
-def test_two_point_schemes_match_reference_on_edge_meshes(
-    gas, family, scheme, p, dims, curved, vol_flux
-):
-    """Batched against reference rhs for the two-point schemes where the
-    node and face bookkeeping is most fragile: p = 1, one element along a
-    direction (the element is its own plus neighbour, so the minus and plus
-    lifts land in the same element), non-cubic meshes, flat and curved
-    metrics, and the conserved-lane path of the central volume flux."""
-    geo = (2 if len(dims) == 2 else 1) if family == "gauss" and curved else None
-    _two_point_against_reference(gas, family, scheme, p, dims, curved, geo, vol_flux)
-
-
-@pytest.mark.parametrize("vol_flux", ["central", "ranocha"])
-@pytest.mark.parametrize("dims", [(1, 1), (1, 3), (1, 1, 1), (3, 1, 2)])
-@pytest.mark.parametrize("p", [1, 3])
-def test_two_point_schemes_match_reference_on_edge_meshes_isoparametric_gauss(
-    gas, p, dims, vol_flux
-):
-    """The curved Gauss cases above on the default curved Gauss mesh
-    (geo_degree=None), whose volume-face coupling reads the face metric
-    terms of the isoparametric mapping."""
-    _two_point_against_reference(
-        gas, "gauss", "gauss_fluxdiff", p, dims, True, None, vol_flux
-    )
-
-
-def _two_point_against_reference(gas, family, scheme, p, dims, curved, geo, vol_flux):
-    d = len(dims)
-    mesh = build_mesh(dims, amplitude=0.1 if curved else 0.0, geo_degree=geo)
-    setup = build_setup(mesh, make_operator(p, family), gas)
-    for n in range(d):
-        if dims[n] == 1:
-            assert np.array_equal(setup.plus_neighbor[n], np.arange(setup.n_elements))
-    u = random_field(setup, gas, seed=15, amp=0.3)
-    results = {}
-    for kernel in KERNELS:
-        config = RhsConfig(
-            volume_scheme=scheme, volume_flux=vol_flux, surface_flux="llf", kernel=kernel
-        )
+def test_two_point_counts_have_closed_forms():
+    """The two-point evaluations of a batched rhs: one per face point for
+    the interface flux, plus the d p (p+1)^d / 2 split pairs of each
+    Lobatto element under fluxdiff and, under gauss_fluxdiff, the
+    hybridized pairs and volume-face couplings of every node line and a
+    second evaluation per face point, since mesh_gauss_surface evaluates
+    each face flux once per adjacent element (the reference kernel's
+    counts follow through check_batched_kernel)."""
+    for case in KERNEL_CASES:
+        setup = case.setup()
         c = FluxCounter()
         with count_guard(c):
-            dudt = rhs(u, setup, config)
-        results[kernel] = dudt, (c.two_point_evals, c.logmean_evals)
-    (ref, ref_counts), (bat, bat_counts) = results["reference"], results["batched"]
-    assert relative_gap(ref, bat) < 1e-13
-    # mesh_gauss_surface evaluates each face flux twice (see
-    # test_gauss_entropy_conservative_counts)
-    face_points = d * setup.n_elements * (p + 1) ** (d - 1)
-    extra = face_points if family == "gauss" else 0
-    assert bat_counts == (ref_counts[0] + extra, ref_counts[1])
-
-
-def test_batched_counts_match_scalar_counts(gas):
-    setup = make_setup(gas, d=3, amplitude=0.1)
-    u = random_field(setup, gas, seed=10, amp=0.3)
-    counts = {}
-    for kernel in ("reference", "batched"):
-        c = FluxCounter()
-        with count_guard(c):
-            rhs(u, setup, RhsConfig(kernel=kernel))
-        counts[kernel] = (c.two_point_evals, c.one_point_evals, c.logmean_evals)
-    assert counts["reference"] == counts["batched"]
-
-
-@pytest.mark.parametrize("elements", [1, 3])
-@pytest.mark.parametrize("p", [1, 3])
-@pytest.mark.parametrize("kind", SURFACE_KINDS)
-@pytest.mark.parametrize("scheme", ["strong", "weak", "overintegration"])
-@pytest.mark.parametrize("family", ["lgl", "gauss"])
-@pytest.mark.parametrize("d", [2, 3])
-def test_one_point_schemes_match_reference(gas, d, family, scheme, kind, p, elements):
-    # strong and weak run on curved meshes, where both kernels take the
-    # directional form on node-layout views of the metric store (curved
-    # Gauss both at a low mapping degree and isoparametric, whose metrics
-    # are interpolated), and on a Cartesian one, where the batched kernel
-    # takes the axis form; overintegration is Cartesian only and takes the
-    # axis form with both kernels
-    overint = p + 1 if scheme == "overintegration" else None
-    if scheme == "overintegration":
-        meshes = ((0.0, None),)
-    elif family == "gauss":
-        meshes = ((0.1, 2 if d == 2 else 1), (0.1, None), (0.0, None))
-    else:
-        meshes = ((0.1, None), (0.0, None))
-    for amplitude, geo in meshes:
-        mesh = build_mesh((elements,) * d, amplitude=amplitude, geo_degree=geo)
-        setup = build_setup(mesh, make_operator(p, family), gas)
-        u = random_field(setup, gas, seed=11, amp=0.3)
-        results = {}
-        for kernel in KERNELS:
-            config = RhsConfig(
-                volume_scheme=scheme,
-                surface_flux=kind,
-                overint_degree=overint,
-                kernel=kernel,
-            )
-            c = FluxCounter()
-            with count_guard(c):
-                dudt = rhs(u, setup, config)
-            counts = (c.two_point_evals, c.one_point_evals, c.logmean_evals)
-            results[kernel] = dudt, counts
-        (ref, ref_counts), (bat, bat_counts) = results["reference"], results["batched"]
-        assert relative_gap(ref, bat) < 1e-13, (amplitude, geo)
-        assert ref_counts == bat_counts, (amplitude, geo)
-        # the interface flux is these schemes' only two-point work, one
-        # evaluation per face point on both families
+            rhs(case.field(setup, 0.3), setup, case.config)
+        d, p = setup.d, case.p
+        # every node line ends in one face point per side, so the mesh has
+        # as many lines as interface points (it is periodic)
         face_points = d * setup.n_elements * (p + 1) ** (d - 1)
-        assert bat_counts[0] == face_points, (amplitude, geo)
+        volume = 0
+        if case.config.volume_scheme == "fluxdiff":
+            volume = setup.n_elements * d * p * (p + 1) ** d // 2
+        elif case.config.volume_scheme == "gauss_fluxdiff":
+            pairs = len(hybridized_scatter(p, "gauss")[0])
+            volume = face_points * (pairs + 2 * (p + 1) + 1)
+        assert c.two_point_evals == face_points + volume, case.id
 
 
 def _supersonic_field(setup, dims, gas, seed):
@@ -547,7 +419,7 @@ def test_strong_form_matches_reference_across_supersonic_jumps(gas, d, family, k
     oracle with equal counts, and the strong form counts two one-point
     evaluations per face point on top of the volume's d per node. Curved
     Gauss runs at a low mapping degree and isoparametric."""
-    geos = (None,) if family == "lgl" else (2 if d == 2 else 1, None)
+    geos = (None,) if family == "lgl" else (SUB_PARAMETRIC_DEGREE, None)
     dims, p = ((4, 4), 3) if d == 2 else ((2, 2, 2), 2)
     for geo in geos:
         setup = make_setup(
@@ -557,22 +429,11 @@ def test_strong_form_matches_reference_across_supersonic_jumps(gas, d, family, k
         n_face, left, right = _upwind_face_points(u, setup, gas)
         assert min(left, right) >= n_face / 3, geo
         for scheme, surface_one_point in (("strong", 2 * n_face), ("weak", 0)):
-            results = {}
-            for kernel in KERNELS:
-                config = RhsConfig(
-                    volume_scheme=scheme, surface_flux=kind, kernel=kernel
-                )
-                c = FluxCounter()
-                with count_guard(c):
-                    dudt = rhs(u, setup, config)
-                counts = (c.two_point_evals, c.one_point_evals, c.logmean_evals)
-                results[kernel] = dudt, counts
-            (ref, ref_counts), (bat, bat_counts) = (
-                results["reference"], results["batched"]
-            )
-            assert relative_gap(ref, bat) < 1e-13, (geo, scheme)
-            assert ref_counts == bat_counts, (geo, scheme)
-            assert bat_counts[1] == d * setup.dofs + surface_one_point, (geo, scheme)
+            config = RhsConfig(volume_scheme=scheme, surface_flux=kind)
+            gap, counts = compare_kernels(u, setup, config)
+            assert gap < 1e-13, (geo, scheme)
+            assert counts["reference"] == counts["batched"], (geo, scheme)
+            assert counts["batched"][1] == d * setup.dofs + surface_one_point, (geo, scheme)
 
 
 @pytest.mark.parametrize(
@@ -593,7 +454,7 @@ def test_rhs_converts_nodal_states_once(gas, monkeypatch, d, family, scheme):
     primitives of their own: the Gauss traces, once per direction and side.
     Lobatto face states are gathered from the nodal primitives and the
     projected ones come out of the inverse entropy map."""
-    geo = (2 if d == 2 else 1) if family == "gauss" else None
+    geo = SUB_PARAMETRIC_DEGREE if family == "gauss" else None
     setup = make_setup(gas, d=d, p=2, amplitude=0.1, geo_degree=geo, family=family)
     u = random_field(setup, gas, seed=13, amp=0.3)
     face_shape = (setup.n_elements, 3 ** (d - 1), d + 2)
@@ -614,48 +475,6 @@ def test_rhs_converts_nodal_states_once(gas, monkeypatch, d, family, scheme):
     assert calls.count(u.shape) == 1
     assert calls.count(face_shape) == (2 * d if traces else 0)
     assert len(calls) == calls.count(u.shape) + calls.count(face_shape)
-
-
-@pytest.mark.parametrize(
-    "family, scheme, vol_flux, surface",
-    [
-        # only the central volume flux reads conserved face lanes
-        ("gauss", "gauss_fluxdiff", "central", "shima"),
-        ("gauss", "gauss_fluxdiff", "central", "ranocha"),
-        # only the strong-form subtraction reads them
-        ("lgl", "strong", "ranocha", "shima"),
-        ("lgl", "strong", "ranocha", "ranocha"),
-        # no face reader does
-        ("lgl", "fluxdiff", "central", "shima"),
-        ("lgl", "fluxdiff", "ranocha", "ranocha"),
-    ],
-)
-@pytest.mark.parametrize("d", [2, 3])
-def test_conserved_face_rule_matches_reference(gas, d, family, scheme, vol_flux, surface):
-    """rhs builds conserved face states only where a reader takes them
-    (fluxes.OWN_FLUX_KINDS, the strong-form subtraction, the scalar
-    oracle). Batched against reference on the pairings with a split-form
-    surface flux, where that rule alone decides whether the face lanes
-    carry conserved states."""
-    geo = (2 if d == 2 else 1) if family == "gauss" else None
-    setup = make_setup(
-        gas, d=d, p=2, dims=(3, 2, 2)[:d], amplitude=0.08, geo_degree=geo, family=family
-    )
-    u = random_field(setup, gas, seed=16, amp=0.3)
-    ref, bat = (
-        rhs(
-            u,
-            setup,
-            RhsConfig(
-                volume_scheme=scheme,
-                volume_flux=vol_flux,
-                surface_flux=surface,
-                kernel=kernel,
-            ),
-        )
-        for kernel in ("reference", "batched")
-    )
-    assert relative_gap(ref, bat) < 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -695,34 +514,6 @@ def test_face_states_without_conserved(gas, family, projected):
         for (_, q), (u_side, q_side) in zip(sides, bare_sides):
             assert u_side is None
             assert np.array_equal(q, q_side)
-
-
-@pytest.mark.parametrize("scheme", ["gauss_fluxdiff"])
-@pytest.mark.parametrize("d", [2, 3])
-def test_gauss_entropy_conservative_counts(gas, d, scheme):
-    """Two-point counts of gauss_fluxdiff: the volume pairs
-    plus one surface evaluation per face point on the reference kernel; the
-    batched kernel adds one more per face point, because
-    mesh_gauss_surface evaluates each face flux once per adjacent element.
-    That second evaluation is the one the benchmark pins through
-    batched.mesh_gauss_surface.useful_eval_ratio == 0.5."""
-    p = 2
-    geo = 2 if d == 2 else 1
-    setup = make_setup(gas, d=d, p=p, amplitude=0.1, geo_degree=geo, family="gauss")
-    u = random_field(setup, gas, seed=14, amp=0.3)
-    pairs, _vol_face, _lift = hybridized_scatter(p, "gauss")
-    # every node line ends in one face point per side, so the mesh has as
-    # many lines as interface points (it is periodic)
-    face_points = d * setup.n_elements * (p + 1) ** (d - 1)
-    volume = face_points * (len(pairs) + 2 * (p + 1))
-    counts = {}
-    for kernel in KERNELS:
-        c = FluxCounter()
-        with count_guard(c):
-            rhs(u, setup, RhsConfig(volume_scheme=scheme, kernel=kernel))
-        counts[kernel] = c.two_point_evals
-    assert counts["reference"] == volume + face_points
-    assert counts["batched"] == counts["reference"] + face_points
 
 
 def test_strong_llf_rhs_peak_memory(gas):

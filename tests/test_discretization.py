@@ -2,7 +2,6 @@ import inspect
 import re
 import sys
 from dataclasses import fields, is_dataclass, replace
-from itertools import product
 
 import numpy as np
 import pytest
@@ -18,13 +17,11 @@ from fluxdg import (
     timeint,
 )
 from fluxdg import (
-    FluxCounter,
     RhsConfig,
     StepController,
     build_mesh,
     build_setup,
     conserved_totals,
-    count_guard,
     entropy_rate,
     error_norm_l2,
     flux_function,
@@ -35,7 +32,6 @@ from fluxdg import (
     stable_dt,
 )
 from fluxdg.discretization import (
-    KERNELS,
     VOLUME_SCHEMES,
     _constant_terms,
     face_states,
@@ -51,7 +47,6 @@ from fluxdg.euler import (
     entropy_vars,
     prim2entropy,
 )
-from fluxdg.fluxes import SURFACE_KINDS
 from fluxdg.geometry import MetricTerms, node_ja
 from fluxdg.operators import MAX_DEGREE, build_dsplit, transfer_matrices
 from fluxdg.reference import (
@@ -61,7 +56,13 @@ from fluxdg.reference import (
     surface_terms,
     volume_fluxdiff,
 )
-from fluxdg.verify import random_field, relative_gap
+from fluxdg.verify import (
+    SUB_PARAMETRIC_DEGREE,
+    compare_kernels,
+    random_field,
+    relative_gap,
+    rhs_cases,
+)
 
 from .oracles import gauss_volume_dense
 
@@ -251,9 +252,9 @@ def test_gauss_forms_agree(gas, d, amplitude, geo, p):
 @pytest.mark.parametrize("d", [2, 3])
 def test_gauss_volume_forms_agree_per_element(gas, d, vol_flux):
     # the volume term of each direction and element alone, before the
-    # surface term is added, on a curved mesh at the old mapping-degree
-    # rule and isoparametric
-    for geo in (2 if d == 2 else 1, None):
+    # surface term is added, on a curved mesh, sub-parametric and
+    # isoparametric
+    for geo in (SUB_PARAMETRIC_DEGREE, None):
         setup = gauss_setup(gas, d=d, amplitude=0.15, geo_degree=geo)
         u = random_field(setup, gas, seed=7, amp=0.3)
         config = RhsConfig(volume_scheme="gauss_fluxdiff", volume_flux=vol_flux)
@@ -417,16 +418,13 @@ def test_batched_one_point_volume_route(gas, monkeypatch, scheme):
     # meshes the batched kernel reaches the axis form, never the
     # directional flux that the reference kernel runs; on curved meshes both
     # kernels run the directional form on node-layout views of the metric
-    # store, byte for byte
+    # store, to the last bit (a zero gap)
     monkeypatch.setattr(discretization, "surface_terms", lambda *args: args[-1])
     monkeypatch.setattr(discretization._batched, "mesh_surface", lambda *args: args[-1])
     curved = lgl_setup(gas, dims=(2, 3), amplitude=0.1)
     u = random_field(curved, gas, seed=17, amp=0.3)
-    ref, bat = (
-        rhs(u, curved, RhsConfig(volume_scheme=scheme, kernel=kernel))
-        for kernel in KERNELS
-    )
-    assert ref.tobytes() == bat.tobytes()
+    gap, _ = compare_kernels(u, curved, RhsConfig(volume_scheme=scheme))
+    assert gap == 0.0
 
     def directional(*args):
         raise AssertionError("directional_flux called")
@@ -435,10 +433,10 @@ def test_batched_one_point_volume_route(gas, monkeypatch, scheme):
     for family in ("lgl", "gauss"):
         setup = (lgl_setup if family == "lgl" else gauss_setup)(gas, dims=(2, 3))
         u = random_field(setup, gas, seed=18, amp=0.3)
-        config = RhsConfig(volume_scheme=scheme, kernel="batched")
+        config = RhsConfig(volume_scheme=scheme)
         assert np.isfinite(rhs(u, setup, config)).all()
         with pytest.raises(AssertionError, match="directional_flux"):
-            rhs(u, setup, replace(config, kernel="reference"))
+            compare_kernels(u, setup, config)
 
 
 def test_weak_volume_constant_state_lives_on_boundary(gas):
@@ -592,9 +590,9 @@ def test_entropy_projection_moves_face_pressure(gas, d, curved):
     where it loses it: on a pressure-equilibrium state the entropy projection
     keeps the face velocity but moves the face pressure by several percent
     (it interpolates the entropy variables, which hold log rho), while the
-    unprojected Gauss traces keep both to rounding. Curved meshes run at the
-    old mapping-degree rule (True) and isoparametric."""
-    geo = (2 if d == 2 else 1) if curved is True else None
+    unprojected Gauss traces keep both to rounding. Curved meshes run
+    sub-parametric (True) and isoparametric."""
+    geo = SUB_PARAMETRIC_DEGREE if curved is True else None
     setup = gauss_setup(
         gas, d=d, dims=(3,) * d, amplitude=0.1 if curved else 0.0, geo_degree=geo
     )
@@ -681,23 +679,6 @@ def test_rhs_admissibility_gate_names_location(gas, kernel, family, scheme):
     config = RhsConfig(volume_scheme=scheme, surface_flux="llf", kernel=kernel)
     with pytest.raises(AdmissibilityError, match="element 1, node 2"):
         rhs(u, setup, config)
-
-
-# --- evaluation counting -----------------------------------------------------
-
-
-def test_rhs_two_point_count(gas):
-    # the per-element volume counts are verify.check_flux_counts, run by
-    # test_acceptance::test_exact_flux_evaluation_counts
-    setup = lgl_setup(gas)
-    u = random_field(setup, gas, seed=14, amp=0.4)
-    c = FluxCounter()
-    with count_guard(c):
-        rhs(u, setup, RhsConfig())
-    p, d = 3, 2
-    per_elem = d * p * (p + 1) ** d // 2
-    n_faces = setup.n_elements * d * (p + 1) ** (d - 1)
-    assert c.two_point_evals == setup.n_elements * per_elem + n_faces
 
 
 # --- functionals -------------------------------------------------------------
@@ -804,32 +785,16 @@ def unreached(modules, sweep):
     return {name for code, name in defined.items() if code not in called}
 
 
-def rhs_sweep(gas, kernel):
+def rhs_sweep(kernel):
     """rhs with `kernel` over dimension, family, flat and curved meshes
-    (curved Gauss at the old mapping-degree rule and isoparametric), every
-    volume scheme and every surface flux, at p = 2."""
-    ran = set()
-    p = 2
-    for d, family, amplitude in product((2, 3), ("lgl", "gauss"), (0.0, 0.1)):
-        curved_gauss = family == "gauss" and amplitude > 0.0
-        for geo in (2 if d == 2 else 1, None) if curved_gauss else (None,):
-            mesh = build_mesh((2,) * d, amplitude=amplitude, geo_degree=geo)
-            setup = build_setup(mesh, make_operator(p, family), gas)
-            u = random_field(setup, gas, seed=12, amp=0.3)
-            for scheme, kind in product(VOLUME_SCHEMES, SURFACE_KINDS):
-                config = RhsConfig(
-                    volume_scheme=scheme,
-                    surface_flux=kind,
-                    overint_degree=p + 1,
-                    kernel=kernel,
-                )
-                try:
-                    config.validate(setup)
-                except ConfigurationError:
-                    continue  # scheme not defined for this family or mesh
-                assert np.isfinite(rhs(u, setup, config)).all()
-                ran.add(scheme)
-    assert ran == set(VOLUME_SCHEMES)
+    (sub-parametric and isoparametric), every volume scheme and every
+    surface flux, at p = 2."""
+    cases = rhs_cases(((2, 2), (2, 2, 2)), (2,), volume_fluxes=("ranocha",), seeds=(12,))
+    for case in cases:
+        setup = case.setup()
+        u = case.field(setup, 0.3)
+        assert np.isfinite(rhs(u, setup, replace(case.config, kernel=kernel))).all()
+    assert {case.config.volume_scheme for case in cases} == set(VOLUME_SCHEMES)
 
 
 def test_batched_rhs_reaches_every_production_function(gas):
@@ -840,7 +805,7 @@ def test_batched_rhs_reaches_every_production_function(gas):
     entry."""
 
     def sweep():
-        rhs_sweep(gas, "batched")
+        rhs_sweep(kernel="batched")
         setup = lgl_setup(gas, dims=(2, 2), p=2)
 
         def dt_fn(u, t):
@@ -857,5 +822,5 @@ def test_reference_rhs_reaches_every_oracle_function(gas):
     """Sweeping rhs(kernel="reference") calls every function of
     fluxdg.reference but the log mean's own oracle: the scalar oracle holds
     no code that its rhs never reaches."""
-    missing = unreached((reference,), lambda: rhs_sweep(gas, "reference"))
+    missing = unreached((reference,), lambda: rhs_sweep(kernel="reference"))
     assert missing == set(NOT_REACHED_BY_REFERENCE_RHS), sorted(missing)

@@ -125,11 +125,19 @@ def test_config_validation_messages():
         ({"ic": "blast_wave"}, "ic"),
         ({"gamma": "1.0"}, "gamma"),
         ({"cfl": "0"}, "cfl"),
+        ({"cfl": "inf"}, "cfl:"),
+        ({"cfl": "nan"}, "cfl:"),
+        ({"ic": "random", "seed": "-1"}, "seed:"),
         ({"t_end": "1.0"}, "n_steps/t_end"),
         ({"n_steps": "none"}, "n_steps/t_end"),
+        ({"n_steps": "0"}, "n_steps:"),
+        ({"n_steps": "-3"}, "n_steps:"),
+        ({"n_steps": "none", "t_end": "-1"}, "t_end:"),
+        ({"n_steps": "none", "t_end": "nan"}, "t_end:"),
+        ({"n_steps": "none", "t_end": "inf"}, "t_end:"),
         ({"family": "lobatto"}, "family:"),
-        ({"mesh": "curved", "geo_degree": "0"}, "geo_degree:"),
-        ({"mesh": "curved", "geo_degree": "99"}, "geo_degree:"),
+        # the mapping degree is no run setting: curved runs are isoparametric
+        ({"mesh": "curved", "geo_degree": "2"}, "unknown config key 'geo_degree'"),
         ({"volume_scheme": "overintegration", "overint_degree": "40"}, "overint_degree:"),
         ({"volume_flux": "llf"}, "volume_flux:"),
     ]
@@ -214,21 +222,15 @@ def test_free_stream_is_constant():
 # --- resolved runs -----------------------------------------------------------
 
 
-def test_build_run_passes_geometry_degree_through():
-    # curved runs are isoparametric unless geo_degree asks for a
-    # sub-parametric mapping; the harness picks no degree of its own
+def test_build_run_maps_curved_meshes_isoparametrically():
+    # the harness picks no mapping degree of its own: curved runs of both
+    # families map at the solution degree
     for d in ("2", "3"):
         curved_gauss = build_run(
             make_config(None, {"mesh": "curved", "family": "gauss", "d": d,
                                "volume_scheme": "gauss_fluxdiff", "elements": "2"})
         )
         assert curved_gauss.setup.mesh.geo_degree is None
-        explicit = build_run(
-            make_config(None, {"mesh": "curved", "family": "gauss", "d": d,
-                               "volume_scheme": "gauss_fluxdiff", "elements": "2",
-                               "geo_degree": "2"})
-        )
-        assert explicit.setup.mesh.geo_degree == 2
     curved_lgl = build_run(
         make_config(None, {"mesh": "curved", "elements": "2"})
     )
@@ -423,8 +425,14 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "volume_scheme" in capsys.readouterr().err
     for overrides, key in (
         (["family=lobatto"], "family:"),
-        (["mesh=curved", "geo_degree=0"], "geo_degree:"),
-        (["mesh=curved", "geo_degree=99"], "geo_degree:"),
+        (["mesh=curved", "geo_degree=2"], "geo_degree"),
+        (["n_steps=-3"], "n_steps:"),
+        (["n_steps=0"], "n_steps:"),
+        (["n_steps=none", "t_end=-1"], "t_end:"),
+        (["n_steps=none", "t_end=nan"], "t_end:"),
+        (["n_steps=none", "t_end=inf"], "t_end:"),
+        (["ic=random", "seed=-1"], "seed:"),
+        (["cfl=inf"], "cfl:"),
         (["volume_scheme=overintegration", "overint_degree=40"], "overint_degree:"),
         (["volume_flux=llf"], "volume_flux:"),
     ):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -264,3 +265,52 @@ def test_only_named_modules_import_the_oracle():
     )
     oracle = sibling_imports(ROOT / "src/fluxdg/reference.py")
     assert not oracle & {"batched", "discretization"}, sorted(oracle)
+
+
+# the functions of tests/ that name the scalar oracle's kernel for something
+# other than comparing its rhs with the batched one, which goes through
+# verify.compare_kernels or verify.check_batched_kernel
+ORACLE_USERS = {
+    "test_acceptance.py::vortex_samples": "an anchor run on the oracle",
+    "test_acceptance.py::test_timing_trends_soft": "times the oracle",
+    "test_batched.py::test_split_gauss_rhs_builds_no_conserved_faces": "counts "
+    "each kernel's conversions",
+    "test_discretization.py::test_lgl_fluxdiff_preserves_pressure_equilibrium":
+    "each kernel's pressure equilibrium",
+    "test_discretization.py::test_entropy_projection_reports_bad_face_state":
+    "admissibility gate",
+    "test_discretization.py::test_gauss_trace_admissibility_names_owner":
+    "admissibility gate",
+    "test_discretization.py::test_rhs_admissibility_gate_names_location":
+    "admissibility gate",
+    "test_discretization.py::test_reference_rhs_reaches_every_oracle_function":
+    "the oracle reachability sweep",
+    "test_harness.py::test_pid_row_layout": "the label of an oracle row",
+    "test_hygiene.py::test_only_named_modules_import_the_oracle": "the module",
+    "test_hygiene.py::test_tests_compare_kernels_through_verify": "this check",
+}
+
+
+def test_tests_compare_kernels_through_verify():
+    """A test function selects the oracle's kernel, the string "reference"
+    or KERNELS, in a keyword, a parametrization or anywhere else in its body
+    but as the key that reads a compare_kernels count, only for one of the
+    reasons above; and no test picks a curved mapping degree by dimension,
+    the rule the library dropped (curved meshes are isoparametric or map at
+    verify.SUB_PARAMETRIC_DEGREE)."""
+    found = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        source = path.read_text()
+        if re.search(r"2 if [\w()]+ == 2 else 1", source):
+            found.add(path.name)
+        for fn in ast.parse(source, str(path)).body:
+            nodes = list(ast.walk(fn)) if isinstance(fn, ast.FunctionDef) else []
+            keys = {id(n.slice) for n in nodes if isinstance(n, ast.Subscript)}
+            if any(
+                (isinstance(n, ast.Constant) and n.value == "reference")
+                or (isinstance(n, ast.Name) and n.id == "KERNELS")
+                for n in nodes
+                if id(n) not in keys
+            ):
+                found.add("%s::%s" % (path.name, fn.name))
+    assert found == set(ORACLE_USERS), sorted(found ^ set(ORACLE_USERS))

@@ -1,3 +1,6 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,10 @@ def test_integrate_argument_validation():
         integrate(u0, f, n_steps=2)
     with pytest.raises(ConfigurationError, match="dt and dt_fn"):
         integrate(u0, f, n_steps=2, dt=0.1, dt_fn=lambda v, t: 0.1)
+    # a run that would take no step, or never end, names its bound
+    for key, value in product(("n_steps", "t_end"), (0, -3, math.nan, math.inf)):
+        with pytest.raises(ConfigurationError, match=key + ":"):
+            integrate(u0, f, dt=0.1, **{key: value})
 
 
 def test_callbacks_and_dt_fn():
