@@ -17,19 +17,19 @@ Layout conventions used throughout:
 "batched"): every scheme's two-point work (volume pairs and interface
 fluxes) runs in the mesh-level lane kernels of `batched`. The scalar
 oracle that they are equivalence-tested against lives in
-`fluxdg.reference` (volume_fluxdiff, scalar_gauss_volume, surface_terms,
-element_metrics); kernel="reference" runs it, through the names bound
-here. The one-point volume functions (volume_strong, volume_weak,
-volume_overintegration) are numpy expressions that take one element or the
-whole mesh at once; the first two read primitives that the caller has
-already converted. They run the directional form on per-node metric
-terms (the oracle; a mesh's line-ordered store is read through node-layout
-views) and the axis form on one constant axis-aligned metric matrix (see
-_one_point_volume): `rhs` passes the constant terms on Cartesian meshes
-with kernel="batched", and overintegration always reads the constant
-terms of its fine grid. face_states builds every interface state once per
-RHS, one direction at a time, for both kernels: Lobatto boundary nodes,
-Gauss traces, or entropy-projected states.
+`fluxdg.reference` (volume_fluxdiff, scalar_gauss_volume, surface_terms);
+kernel="reference" runs it, through the names bound here. Every volume
+function takes the whole mesh. The one-point ones (volume_strong,
+volume_weak, volume_overintegration) are numpy expressions; the first two
+read primitives that the caller has already converted. One fill,
+euler.physical_fluxes, forms their contravariant fluxes in both forms of
+_one_point_volume: the directional form along the node-layout views of
+the mesh's metric store (the oracle), and the axis form on the constant
+metric terms of a Cartesian mesh (_constant_terms), which `rhs` passes
+with kernel="batched" and overintegration reads on its fine grid with
+either kernel. face_states builds every interface state once per RHS, one
+direction at a time, for both kernels: Lobatto boundary nodes, Gauss
+traces, or entropy-projected states.
 
 A SpatialSetup holds only what depends on the mesh: coordinates, metric
 terms, neighbours and the nodal weights. Tables that depend on the operator
@@ -47,9 +47,9 @@ from . import batched as _batched
 from .errors import AdmissibilityError, ConfigurationError
 from .euler import (
     cons2prim,
-    directional_flux,
     entropy2prim,
     entropy_vars,
+    physical_fluxes,
     prim2cons,
     prim2entropy,
 )
@@ -59,7 +59,6 @@ from .euler import (
 from .euler import entropy2cons  # noqa: F401
 from .fluxes import OWN_FLUX_KINDS, SURFACE_KINDS, add_one_point, require_volume_kind
 from .geometry import (
-    MetricData,
     MetricTerms,
     apply_along,
     compute_metrics,
@@ -69,12 +68,7 @@ from .geometry import (
     node_ja,
 )
 from .operators import MAX_DEGREE, make_operator, transfer_matrices
-from .reference import (
-    element_metrics,
-    scalar_gauss_volume,
-    surface_terms,
-    volume_fluxdiff,
-)
+from .reference import scalar_gauss_volume, surface_terms, volume_fluxdiff
 
 VOLUME_SCHEMES = (
     "strong",
@@ -139,19 +133,15 @@ class RhsConfig:
 
 
 # ---------------------------------------------------------------------------
-# one-point volume operators (numpy forms, one element or the whole mesh)
+# one-point volume operators (numpy forms over the whole mesh)
 
-def volume_strong(u_elem, q_elem, op, metrics):
-    """Strong-form volume term: (1/J) sum_n D_n (sum_j (Ja)^n_j f^j(u)).
-
-    u_elem is one element (nodes, d+2) or a stack of them with leading
-    element axes, q_elem = cons2prim(u_elem). metrics is the mesh's
-    MetricData (with the whole mesh) or MetricTerms: ja/jac carry the same
-    leading axes (or none, for metrics shared by every element) and the
-    node axis, or are one constant axis-aligned (d, d) matrix and one
-    scalar shared by every node (_constant_terms of a Cartesian mesh),
-    which select the axis form of _one_point_volume."""
-    return _one_point_volume(op.D, 1.0, u_elem, q_elem, metrics)
+def volume_strong(u, q, op, metrics):
+    """Strong-form volume term (1/J) sum_n D_n (sum_j (Ja)^n_j f^j(u)) of
+    every element: u (n_elem, nodes, d+2), q = cons2prim(u). metrics is the
+    mesh's MetricData, which selects the directional form of
+    _one_point_volume, or its constant MetricTerms (_constant_terms of a
+    Cartesian mesh), which select the axis form."""
+    return _one_point_volume(op.D, 1.0, u, q, metrics)
 
 
 @lru_cache(maxsize=None)
@@ -162,130 +152,87 @@ def _weak_matrix(degree, family):
     return mat
 
 
-def volume_weak(u_elem, q_elem, op, metrics):
-    """Weak-form volume term -(1/J) sum_n M^{-1} D_n^T M F^n, on one element
-    or a stack of them (arguments as in volume_strong).
+def volume_weak(u, q, op, metrics):
+    """Weak-form volume term -(1/J) sum_n M^{-1} D_n^T M F^n of every
+    element (arguments as in volume_strong).
 
     For a constant state this is nonzero at boundary nodes (it carries the
     boundary part of the SBP identity); the assembled RHS cancels it against
     the surface flux.
     """
     wmat = _weak_matrix(op.degree, op.family)
-    return _one_point_volume(wmat, -1.0, u_elem, q_elem, metrics)
+    return _one_point_volume(wmat, -1.0, u, q, metrics)
 
 
 def _constant_terms(metrics):
     """The MetricTerms of a mesh whose metric terms are one constant, as on
-    Cartesian meshes: ja (d, d) and the scalar jac of the first node of
-    metrics (MetricData or MetricTerms), views of the stored terms."""
-    if isinstance(metrics, MetricData):
-        ja = metrics.line_ja[:, 0, :, 0]
-    else:
-        d = metrics.ja.shape[-1]
-        ja = metrics.ja.reshape(-1, d, d)[0]
-    return MetricTerms(ja, metrics.jac.reshape(-1)[0])
+    Cartesian meshes: ja (d, d), a view of the line store of metrics
+    (MetricData), and the Jacobian at its first node."""
+    return MetricTerms(metrics.line_ja[:, 0, :, 0], metrics.jac[0, 0])
 
 
-def _one_point_volume(mat, sign, u_elem, q_elem, metrics):
+def _one_point_volume(mat, sign, u, q, metrics):
     """(1/J) sum_n sign T_n, T_n the 1D operator mat applied along reference
-    direction n to the contravariant flux F^n = sum_j (Ja)^n_j f^j(u).
+    direction n (of the buffer viewed in tensor node layout) to the
+    contravariant flux F^n = sum_j (Ja)^n_j f^j(u), which
+    euler.physical_fluxes fills for every direction into one buffer. The
+    two forms differ only in where the metric terms enter:
 
-    Axis form, when metrics is one constant diagonal (d, d) matrix and a
-    scalar J (_constant_terms of a Cartesian mesh): F^n is (Ja)^n_n times
-    the axis-n flux, written one component at a time into one buffer that
-    every direction reuses (v.n is the velocity column v_n, the pressure
-    goes onto momentum row n only), and the constant sign (Ja)^n_n / J is
-    folded into the (p+1, p+1) matrix, so no pass divides by J.
-
-    Directional form otherwise (the oracle): F^n from
-    euler.directional_flux on u, q and direction n's metric vectors in
-    tensor node layout (_direction_terms: views of a mesh's line store, or
-    of the node-layout MetricTerms of an element or a stack of them), the
-    sum ((0 o T_1) o T_2) ... o T_d with o = np.add for sign 1.0 and
-    np.subtract for -1.0. Each T_n is a fresh array from apply_along, so
-    the first one holds the accumulator (0.0 o T_1 in place, which keeps
-    the signed zeros of a sum started from zero) and J divides it in
-    place."""
-    d = u_elem.shape[-1] - 2
-    lead = u_elem.ndim - 2
-    add_one_point(d * (u_elem.size // (d + 2)))
-    nodes = (mat.shape[1],) * d
-    shape = u_elem.shape[:lead] + nodes + (-1,)
-    if isinstance(metrics, MetricTerms) and metrics.ja.ndim == 2:
-        ja = metrics.ja
-        if np.count_nonzero(ja) == np.count_nonzero(ja.diagonal()):
-            scales = sign * ja.diagonal() / metrics.jac
-            return _axis_one_point(mat, scales, u_elem, q_elem, shape)
-    u_tensor, q_tensor = u_elem.reshape(shape), q_elem.reshape(shape)
-    combine = np.add if sign > 0.0 else np.subtract
-    for n in range(d):
-        contra = directional_flux(u_tensor, q_tensor, _direction_terms(metrics, n, nodes))
-        term = apply_along(mat, contra, n + lead).reshape(u_elem.shape)
+    * axis form, when metrics is the constant MetricTerms of a Cartesian
+      mesh: F^n is (Ja)^n_n times the axis-n flux of u and q as they come,
+      and the constant sign (Ja)^n_n / J is folded into the (p+1, p+1)
+      matrix, so no pass divides by J;
+    * directional form on the mesh's MetricData (the oracle): F^n of u and
+      q viewed in tensor node layout, along the node-layout views
+      geometry.node_ja of the metric store, summed as
+      ((0 o T_1) o T_2) ... o T_d with o = np.add for sign 1.0 and
+      np.subtract for -1.0, then divided by J. Each T_n is a fresh array
+      from apply_along, so the first one holds the accumulator (0.0 o T_1
+      in place keeps the signed zeros of a sum started from zero)."""
+    d = u.shape[-1] - 2
+    add_one_point(d * (u.size // (d + 2)))
+    shape = u.shape[:1] + (mat.shape[1],) * d + (d + 2,)
+    axis = isinstance(metrics, MetricTerms)
+    if axis:
+        scales = sign * metrics.ja.diagonal() / metrics.jac
+        fluxes = physical_fluxes(u, q, range(d))
+        combine = np.add
+    else:
+        normals = (node_ja(metrics, n) for n in range(d))
+        fluxes = physical_fluxes(u.reshape(shape), q.reshape(shape), normals)
+        combine = np.add if sign > 0.0 else np.subtract
+    for n, flux in enumerate(fluxes):
+        term = apply_along(scales[n] * mat if axis else mat, flux.reshape(shape), n + 1)
         if n == 0:
-            acc = combine(0.0, term, out=term)
+            acc = term if axis else combine(0.0, term, out=term)
         else:
             combine(acc, term, out=acc)
-    acc /= metrics.jac[..., None]
+    acc = acc.reshape(u.shape)
+    if not axis:
+        acc /= metrics.jac[..., None]
     return acc
 
 
-def _direction_terms(metrics, n, nodes):
-    """Direction n's metric vectors (Ja)^n_j in tensor node layout, nodes =
-    (p+1,) * d: node_ja's view of a mesh's line store (MetricData), or a
-    view of the per-node MetricTerms.ja."""
-    if isinstance(metrics, MetricData):
-        return node_ja(metrics, n)
-    ja = metrics.ja[..., n, :]
-    return ja.reshape(ja.shape[:-2] + nodes + ja.shape[-1:])
-
-
-def _axis_one_point(mat, scales, u, q, shape):
-    """The axis form of _one_point_volume: sum_n (scales[n] mat) applied
-    along direction n to the axis-n flux, scales[n] = sign (Ja)^n_n / J."""
+def volume_overintegration(u, op, degree, metrics, gas):
+    """Interpolate every element to the degree-q grid (q = degree), apply
+    the weak-form volume term there, L2-project back. Cartesian meshes
+    only: their metric terms are one constant, so the fine grid reads the
+    constant terms of the mesh's MetricData, and volume_weak takes the axis
+    form there with either kernel."""
     d = u.shape[-1] - 2
-    lead = u.ndim - 2
-    rho, p = q[..., 0], q[..., d + 1]
-    e_plus_p = u[..., d + 1] + p
-    f = np.empty(u.shape)
-    flux = f.reshape(shape)
-    for n in range(d):
-        vn = q[..., 1 + n]
-        np.multiply(rho, vn, out=f[..., 0])
-        for i in range(1, d + 1):
-            np.multiply(u[..., i], vn, out=f[..., i])
-        f[..., 1 + n] += p
-        np.multiply(e_plus_p, vn, out=f[..., d + 1])
-        term = apply_along(scales[n] * mat, flux, n + lead)
-        if n == 0:
-            acc = term
-        else:
-            acc += term
-    return acc.reshape(u.shape)
-
-
-def volume_overintegration(u_elem, op, degree, metrics, gas):
-    """Interpolate to the degree-q grid (q = degree), apply the weak-form
-    volume term there, L2-project back; u_elem may carry leading element
-    axes. Cartesian meshes only: their metric terms are one constant, so
-    the fine grid reads those of metrics (MetricData or MetricTerms) at
-    its first node, and volume_weak takes the axis form there with either
-    kernel."""
-    d = u_elem.shape[-1] - 2
-    lead = u_elem.ndim - 2
-    p1 = op.n_nodes
+    n_elem = u.shape[0]
     q1 = degree + 1
     transfer = transfer_matrices(op.degree, degree, op.family)
     op_q = make_operator(degree, op.family)
-    metrics_q = _constant_terms(metrics)
-    uq = u_elem.reshape(u_elem.shape[:lead] + (p1,) * d + (-1,))
+    uq = u.reshape((n_elem,) + (op.n_nodes,) * d + (-1,))
     for n in range(d):
-        uq = apply_along(transfer.interp, uq, n + lead)
-    uq = uq.reshape(u_elem.shape[:lead] + (q1**d, -1))
-    vol_q = volume_weak(uq, cons2prim(uq, gas), op_q, metrics_q)
-    back = vol_q.reshape(u_elem.shape[:lead] + (q1,) * d + (-1,))
+        uq = apply_along(transfer.interp, uq, n + 1)
+    uq = uq.reshape(n_elem, q1**d, -1)
+    vol_q = volume_weak(uq, cons2prim(uq, gas), op_q, _constant_terms(metrics))
+    back = vol_q.reshape((n_elem,) + (q1,) * d + (-1,))
     for n in range(d):
-        back = apply_along(transfer.project, back, n + lead)
-    return back.reshape(u_elem.shape)
+        back = apply_along(transfer.project, back, n + 1)
+    return back.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +429,7 @@ def rhs(u, setup, config):
     elif scheme == "fluxdiff" and batched:
         out = _batched.mesh_fluxdiff_volume(u, prim, setup, config)
     elif scheme == "fluxdiff":
-        out = np.empty_like(u)
-        for e in range(setup.n_elements):
-            terms = element_metrics(setup.metrics, e)
-            out[e] = volume_fluxdiff(u[e], setup.op, terms, config.volume_flux, gas)
+        out = volume_fluxdiff(u, setup.op, setup.metrics, config.volume_flux, gas)
     else:
         out = np.zeros_like(u)
     # the weak-form volume term (which overintegration projects back from

@@ -111,21 +111,40 @@ def prim2cons(q, gas):
     return u
 
 
-def directional_flux(u, q, normal):
-    """Euler flux contracted with a (scaled) direction, sum_j normal_j f^j(u),
-    from the conserved state u and its primitives q = cons2prim(u). normal
-    has a trailing axis of length d and broadcasts against u's leading axes."""
+def physical_fluxes(u, q, directions):
+    """Yield the Euler flux along each direction of `directions`, from the
+    conserved states u and their primitives q = cons2prim(u). Every flux is
+    written component by component into one buffer shaped like u, which
+    each direction reuses, so a caller reads a flux before it asks for the
+    next; E + p is formed once per call.
+
+    A direction is a Python int axis index n, which gives f^n(u): v.n is
+    the velocity column v_n, and the pressure goes onto momentum row n
+    only. Otherwise it is an array of (scaled) normals with a trailing axis
+    of length d that broadcasts against u's leading axes, which gives
+    sum_j normal_j f^j(u)."""
     d = u.shape[-1] - 2
-    vn = q[..., 1] * normal[..., 0]
-    for i in range(1, d):
-        vn = vn + q[..., 1 + i] * normal[..., i]
-    p = q[..., d + 1]
-    f = np.empty_like(u)
-    f[..., 0] = q[..., 0] * vn
-    for i in range(d):
-        f[..., 1 + i] = u[..., 1 + i] * vn + p * normal[..., i]
-    f[..., d + 1] = (u[..., d + 1] + p) * vn
-    return f
+    rho, p = q[..., 0], q[..., d + 1]
+    e_plus_p = u[..., d + 1] + p
+    f = np.empty(u.shape)
+    for normal in directions:
+        axis = isinstance(normal, int)
+        if axis:
+            vn = q[..., 1 + normal]
+        else:
+            vn = q[..., 1] * normal[..., 0]
+            for i in range(1, d):
+                vn += q[..., 1 + i] * normal[..., i]
+        np.multiply(rho, vn, out=f[..., 0])
+        for i in range(1, d + 1):
+            np.multiply(u[..., i], vn, out=f[..., i])
+        if axis:
+            f[..., 1 + normal] += p
+        else:
+            for i in range(d):
+                f[..., 1 + i] += p * normal[..., i]
+        np.multiply(e_plus_p, vn, out=f[..., d + 1])
+        yield f
 
 
 def max_signal_speed(u, gas):

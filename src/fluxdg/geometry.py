@@ -174,9 +174,11 @@ def element_coords(mesh, op):
 
 @dataclass(frozen=True)
 class MetricTerms:
-    """Metric terms in node layout: ja[i, n, j] = (Ja)^n_j at node i,
-    jac[i] = J, for one element (reference.element_metrics) or with
-    leading element axes."""
+    """The constant metric terms of a Cartesian mesh, shared by every node:
+    the diagonal (d, d) matrix ja[n, j] = (Ja)^n_j and the scalar Jacobian
+    jac. Handed to the one-point volume term in place of the mesh's
+    MetricData, they select its axis form (discretization._constant_terms
+    reads them from the store)."""
 
     ja: np.ndarray
     jac: np.ndarray
@@ -195,10 +197,10 @@ class MetricData:
     (d, lanes) block, so the lane kernels form a pair normal
     0.5 (Ja_a + Ja_b) with one add of two of them, which takes no
     iterator buffer at any lane count (batched._line_geometry). Node
-    layout comes from node_ja (per-direction views, which the one-point
-    volume term reads over the whole mesh) and reference.element_metrics
-    (per-element copies); no node-layout copy is kept. jac[e, i] is the
-    Jacobian at node i of element e.
+    layout comes only from node_ja, per-direction views over the whole
+    mesh, which the one-point volume term and the scalar oracle read; no
+    node-layout copy is kept. jac[e, i] is the Jacobian at node i of
+    element e.
 
     face_ja[n][s, e, m, :] is element e's own boundary trace of its
     direction-n metric vector at face node m of side s (0: reference -1

@@ -29,7 +29,7 @@ from .fluxes import SURFACE_KINDS
 from .geometry import build_mesh
 from .operators import FAMILIES, MAX_DEGREE, make_operator
 from .reference import flux_function
-from .timeint import RK54, StepController, integrate, stable_dt
+from .timeint import RK54, StepController, check_schedule, integrate, stable_dt
 
 DOMAIN_LO = -5.0
 DOMAIN_HI = 5.0
@@ -100,27 +100,12 @@ class RunConfig:
             )
         if not self.gamma > 1.0:
             raise ConfigurationError("gamma: expected > 1, got %r" % (self.gamma,))
-        if not (self.cfl > 0.0 and math.isfinite(self.cfl)):
-            raise ConfigurationError(
-                "cfl: expected a finite value > 0, got %r" % (self.cfl,)
-            )
+        StepController(cfl=self.cfl)
         if self.seed < 0:
             raise ConfigurationError(
                 "seed: expected an integer >= 0, got %r" % (self.seed,)
             )
-        if (self.n_steps is None) == (self.t_end is None):
-            raise ConfigurationError(
-                "n_steps/t_end: exactly one of the two must be set"
-            )
-        if self.n_steps is not None and self.n_steps < 1:
-            raise ConfigurationError(
-                "n_steps: expected a positive count, got %r" % (self.n_steps,)
-            )
-        t_end = self.t_end
-        if t_end is not None and not (t_end > 0.0 and math.isfinite(t_end)):
-            raise ConfigurationError(
-                "t_end: expected a finite positive time, got %r" % (t_end,)
-            )
+        check_schedule(self.n_steps, self.t_end)
         return self
 
     def rhs_config(self):

@@ -14,10 +14,12 @@ sum and the jump once; the lane means (batched.logmean_batched,
 inv_logmean_batched) evaluate the same expressions lane by lane.
 logmean_reference, the textbook quotient, is the log mean's own oracle.
 
-volume_fluxdiff (one Lobatto element) and scalar_gauss_volume
-(gauss_fluxdiff, one direction) share the line kernel _line_terms;
-surface_terms is the one scalar surface loop of every scheme. `rhs`
-calls them through the names bound in `fluxdg.discretization`.
+Every loop takes the whole mesh and reads the metric terms in node layout
+through geometry.node_ja: volume_fluxdiff (Lobatto flux differencing) and
+scalar_gauss_volume (gauss_fluxdiff, one direction) share the line kernel
+_line_terms, and surface_terms is the one scalar surface loop of every
+scheme. `rhs` calls them through the names bound in
+`fluxdg.discretization`.
 """
 
 import math
@@ -33,7 +35,7 @@ from .fluxes import (
     add_two_point,
     require_volume_kind,
 )
-from .geometry import MetricTerms, node_ja
+from .geometry import node_ja
 from .operators import hybridized_scatter, split_pairs
 
 
@@ -285,17 +287,6 @@ def flux_function(kind):
 
 
 # ---------------------------------------------------------------------------
-# metric terms of one element
-
-def element_metrics(metrics, element):
-    """One element's metric terms in node layout: a (nodes, d, d) copy
-    gathered from the line store (node_ja) and a view of its Jacobian."""
-    d = metrics.line_ja.shape[0]
-    rows = [node_ja(metrics, n)[element].reshape(-1, d) for n in range(d)]
-    return MetricTerms(np.stack(rows, axis=1), metrics.jac[element])
-
-
-# ---------------------------------------------------------------------------
 # node index lines of the scalar loops
 
 @lru_cache(maxsize=None)
@@ -320,9 +311,10 @@ def node_line_lists(p1, d):
 # ---------------------------------------------------------------------------
 # scalar assembly: two-point volume terms and the interface coupling
 
-def volume_fluxdiff(u_elem, op, metrics, vol_flux, gas):
-    """Flux-differencing volume term of one element with the split
-    derivative matrix of the Lobatto operator op (operators.split_pairs).
+def volume_fluxdiff(u, op, metrics, vol_flux, gas):
+    """Flux-differencing volume term of every element with the split
+    derivative matrix of the Lobatto operator op (operators.split_pairs),
+    reading the metric terms of metrics (MetricData) through node_ja.
 
     Pairs are visited once with i < k per line; the symmetric two-point flux
     along the arithmetically averaged metric vectors is scattered with the
@@ -330,17 +322,19 @@ def volume_fluxdiff(u_elem, op, metrics, vol_flux, gas):
     M-antisymmetry exactly in floating point.
     """
     require_volume_kind(vol_flux)
-    nvar = u_elem.shape[-1]
+    n_elem, _, nvar = u.shape
+    d = nvar - 2
     pairs = split_pairs(op.degree)
     dirn = flux_function(vol_flux)
-    states = u_elem.tolist()
-    acc = [[0.0] * nvar for _ in range(u_elem.shape[0])]
-    for n, lines in enumerate(node_line_lists(op.n_nodes, nvar - 2)):
-        jan = metrics.ja[:, n, :].tolist()
-        for line in lines:
-            _line_terms(states, line, jan, pairs, dirn, gas, nvar, acc)
+    volume_ja = [node_ja(metrics, n).reshape(n_elem, -1, d).tolist() for n in range(d)]
+    acc = np.zeros_like(u).tolist()
+    for e in range(n_elem):
+        states = u[e].tolist()
+        for n, lines in enumerate(node_line_lists(op.n_nodes, d)):
+            for line in lines:
+                _line_terms(states, line, volume_ja[n][e], pairs, dirn, gas, nvar, acc[e])
     out = np.asarray(acc)
-    out /= metrics.jac[:, None]
+    out /= metrics.jac[:, :, None]
     return out
 
 

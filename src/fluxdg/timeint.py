@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import AdmissibilityError, ConfigurationError, DivergenceError
 from .euler import max_signal_speed
 
 
@@ -127,13 +127,15 @@ RK54 = RKMethod(
 
 @dataclass(frozen=True)
 class StepController:
-    """CFL-based step size selection."""
+    """CFL-based step size selection; cfl must be finite and positive."""
 
     cfl: float = 0.5
 
     def __post_init__(self):
-        if not self.cfl > 0.0:
-            raise ConfigurationError("cfl: must be positive, got %r" % (self.cfl,))
+        if not (self.cfl > 0.0 and math.isfinite(self.cfl)):
+            raise ConfigurationError(
+                "cfl: expected a finite value > 0, got %r" % (self.cfl,)
+            )
 
 
 def stable_dt(u, mesh, metrics, gas, p, controller):
@@ -171,6 +173,24 @@ def rk_step(u, t, dt, rhs_fn):
     return v
 
 
+def check_schedule(n_steps, t_end):
+    """Raise ConfigurationError, naming the key, unless exactly one of
+    n_steps, a positive integral count, and t_end, a finite positive time,
+    is given."""
+    if (n_steps is None) == (t_end is None):
+        raise ConfigurationError(
+            "n_steps/t_end: exactly one of n_steps and t_end must be given"
+        )
+    if n_steps is not None and not (n_steps >= 1 and float(n_steps).is_integer()):
+        raise ConfigurationError(
+            "n_steps: expected a positive integral count, got %r" % (n_steps,)
+        )
+    if t_end is not None and not (t_end > 0.0 and math.isfinite(t_end)):
+        raise ConfigurationError(
+            "t_end: expected a finite positive time, got %r" % (t_end,)
+        )
+
+
 def integrate(
     u0, rhs_fn, *, n_steps=None, t_end=None, dt=None, dt_fn=None, callbacks=()
 ):
@@ -183,24 +203,16 @@ def integrate(
     step, each callback is called as cb(step, t, h, u): u is the state after
     `step` accepted steps, at time t, and h the step size about to be taken
     from it. Callbacks must not write to u; the final state, which no
-    callback sees, is the return value. A DivergenceError from a stage is
-    re-raised with the last valid state attached as .last_fields.
+    callback sees, is the return value. n_steps and t_end pass
+    check_schedule. A DivergenceError or AdmissibilityError from a stage
+    is re-raised as its own class with the step and t in the message and
+    attached as .step and .t, the last valid state as .last_fields, and
+    the stage error's own attributes (such as .index) kept.
     Returns (fields, info) with the step and RHS-evaluation counts.
     """
-    if (n_steps is None) == (t_end is None):
-        raise ConfigurationError(
-            "exactly one of n_steps and t_end must be given"
-        )
+    check_schedule(n_steps, t_end)
     if (dt is None) == (dt_fn is None):
         raise ConfigurationError("exactly one of dt and dt_fn must be given")
-    if n_steps is not None and not (n_steps >= 1 and math.isfinite(n_steps)):
-        raise ConfigurationError(
-            "n_steps: expected a positive count, got %r" % (n_steps,)
-        )
-    if t_end is not None and not (t_end > 0.0 and math.isfinite(t_end)):
-        raise ConfigurationError(
-            "t_end: expected a finite positive time, got %r" % (t_end,)
-        )
     u = np.array(u0, dtype=float, copy=True)
     t = 0.0
     step = 0
@@ -213,13 +225,10 @@ def integrate(
             cb(step, t, h, u)
         try:
             u_next = rk_step(u, t, h, rhs_fn)
-        except DivergenceError as err:
-            wrapped = DivergenceError(
-                "diverged in step %d at t=%.6g: %s" % (step, t, err)
-            )
-            wrapped.last_fields = u
-            wrapped.step = step
-            wrapped.t = t
+        except (DivergenceError, AdmissibilityError) as err:
+            what = "diverged" if isinstance(err, DivergenceError) else "inadmissible"
+            wrapped = type(err)("%s in step %d at t=%.6g: %s" % (what, step, t, err))
+            vars(wrapped).update(vars(err), last_fields=u, step=step, t=t)
             raise wrapped from err
         u = u_next
         t += h

@@ -48,7 +48,6 @@ from .operators import (
     transfer_matrices,
 )
 from .reference import (
-    element_metrics,
     flux_function,
     logmean_optimized,
     logmean_reference,
@@ -354,25 +353,27 @@ def check_transfer_round_trip(pairs):
 
 def check_flux_counts(dims, degrees):
     """Largest gap between the (one-point, two-point, log-mean) evaluations
-    of one Lobatto element's volume term and their closed forms: d (p+1)^d
-    one-point for strong and weak, d p (p+1)^d / 2 two-point with two log
-    means each for ranocha flux differencing, and d (q+1)^d one-point for
-    overintegration at every fine degree q in p+1..2p."""
+    of the volume terms of a mesh of 2^d Lobatto elements and their closed
+    forms per element times the element count: d (p+1)^d one-point for
+    strong and weak, d p (p+1)^d / 2 two-point with two log means each for
+    ranocha flux differencing, and d (q+1)^d one-point for overintegration
+    at every fine degree q in p+1..2p."""
     gas = GasParams(1.4)
     worst = 0
     for d, p in product(dims, degrees):
         setup = build_setup(build_mesh((2,) * d), make_operator(p, "lgl"), gas)
-        u = random_field(setup, gas, seed=p, amp=0.3)[0]
+        u = random_field(setup, gas, seed=p, amp=0.3)
         prim = cons2prim(u, gas)
-        terms = element_metrics(setup.metrics, 0)
+        op, metrics, n_elem = setup.op, setup.metrics, setup.n_elements
         nn = (p + 1) ** d
-        pairs = d * p * nn // 2
+        pairs = n_elem * d * p * nn // 2
         calls = [
-            (volume_strong, (u, prim, setup.op, terms), (d * nn, 0, 0)),
-            (volume_weak, (u, prim, setup.op, terms), (d * nn, 0, 0)),
-            (volume_fluxdiff, (u, setup.op, terms, "ranocha", gas), (0, pairs, 2 * pairs)),
+            (volume_strong, (u, prim, op, metrics), (n_elem * d * nn, 0, 0)),
+            (volume_weak, (u, prim, op, metrics), (n_elem * d * nn, 0, 0)),
+            (volume_fluxdiff, (u, op, metrics, "ranocha", gas), (0, pairs, 2 * pairs)),
         ] + [
-            (volume_overintegration, (u, setup.op, q, terms, gas), (d * (q + 1) ** d, 0, 0))
+            (volume_overintegration, (u, op, q, metrics, gas),
+             (n_elem * d * (q + 1) ** d, 0, 0))
             for q in range(p + 1, 2 * p + 1)
         ]
         for fn, args, want in calls:

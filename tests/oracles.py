@@ -3,18 +3,17 @@
 The extended-precision routes go through mpmath at 50 significant digits,
 far past anything double arithmetic can reach, so the production code is
 compared against an independent route rather than against itself. The
-plain helpers at the end (the axis flux, the algebraic means, the metric
-identity residual, the dense Gauss volume term) have no caller in the
-library.
+plain helpers at the end (the textbook axis flux, the algebraic means, the
+metric identity residual, the dense Gauss volume term) have no caller in
+the library.
 """
 
 import mpmath
 import numpy as np
 
-from fluxdg.euler import cons2prim, directional_flux
 from fluxdg.geometry import apply_along, node_ja
 from fluxdg.operators import build_hybridized
-from fluxdg.reference import element_metrics, flux_function, node_lines
+from fluxdg.reference import flux_function, node_lines
 
 mpmath.mp.dps = 50
 
@@ -73,9 +72,19 @@ def entropy_vars_mp(u, gamma):
 
 
 def physical_flux(u, direction, gas):
-    """Euler flux f^j(u) along coordinate axis `direction` (0-based)."""
+    """Euler flux f^j(u) along coordinate axis j = `direction` (0-based),
+    from the textbook formula: (rho v_j, rho v_j v + p e_j, (E + p) v_j)."""
     u = np.asarray(u, dtype=float)
-    return directional_flux(u, cons2prim(u, gas), np.eye(u.shape[-1] - 2)[direction])
+    d = u.shape[-1] - 2
+    rho = u[..., 0]
+    v = u[..., 1 : d + 1] / rho[..., None]
+    p = (gas.gamma - 1.0) * (u[..., d + 1] - 0.5 * rho * np.sum(v * v, axis=-1))
+    f = np.empty_like(u)
+    f[..., 0] = rho * v[..., direction]
+    f[..., 1 : d + 1] = rho[..., None] * v[..., direction, None] * v
+    f[..., 1 + direction] += p
+    f[..., d + 1] = (u[..., d + 1] + p) * v[..., direction]
+    return f
 
 
 def arithmetic_mean(a_minus, a_plus):
@@ -123,11 +132,11 @@ def gauss_volume_dense(u, faces, setup, n, vol_flux):
     (u0, _q0), (u1, _q1) = faces
     face_ja = setup.metrics.face_ja[n]
     out = np.zeros_like(u)
+    volume_ja = node_ja(setup.metrics, n).reshape(setup.n_elements, -1, setup.d)
     for e in range(setup.n_elements):
-        volume_ja = element_metrics(setup.metrics, e).ja
         for m, line in enumerate(node_lines(p1, setup.d)[n]):
             states = list(u[e, line]) + [u0[e, m], u1[e, m]]
-            ja = list(volume_ja[line, n]) + list(face_ja[:, e, m])
+            ja = list(volume_ja[e, line]) + list(face_ja[:, e, m])
             rows = np.zeros((p1 + 2, u.shape[-1]))
             for a in range(p1 + 2):
                 for b in range(p1 + 2):

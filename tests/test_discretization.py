@@ -42,15 +42,14 @@ from fluxdg.discretization import (
 from fluxdg.errors import AdmissibilityError, ConfigurationError
 from fluxdg.euler import (
     cons2prim,
-    directional_flux,
     entropy2prim,
     entropy_vars,
+    physical_fluxes,
     prim2entropy,
 )
-from fluxdg.geometry import MetricTerms, node_ja
+from fluxdg.geometry import node_ja
 from fluxdg.operators import MAX_DEGREE, build_dsplit, transfer_matrices
 from fluxdg.reference import (
-    element_metrics,
     node_lines,
     scalar_gauss_volume,
     surface_terms,
@@ -88,18 +87,19 @@ def constant_field(setup, gas, prim=(1.0, 0.1, -0.2, 0.3, 1.0)):
     return prim2cons(q, gas)
 
 
-def matrix_route_fluxdiff(u_elem, op, mat, metrics, vol_flux, gas):
-    """Volume term assembled directly from mat, the split matrix
-    build_dsplit(op): every ordered node pair (i, k) contributes
+def matrix_route_fluxdiff(u, op, mat, metrics, e, vol_flux, gas):
+    """Element e's volume term assembled directly from mat, the split
+    matrix build_dsplit(op): every ordered node pair (i, k) contributes
     D_split[i,k] F(u_i, u_k, mean metric). The production kernel visits
     unordered pairs once and scatters both weights; the two readings must
     agree up to summation order."""
     p1 = op.n_nodes
-    d = u_elem.shape[-1] - 2
+    d = u.shape[-1] - 2
     dirn = flux_function(vol_flux)
-    states = u_elem.tolist()
-    acc = np.zeros_like(u_elem)
+    states = u[e].tolist()
+    acc = np.zeros_like(u[e])
     for n in range(d):
+        ja = node_ja(metrics, n)[e].reshape(-1, d)
         for line in node_lines(p1, d)[n]:
             for a in range(p1):
                 i = int(line[a])
@@ -107,10 +107,10 @@ def matrix_route_fluxdiff(u_elem, op, mat, metrics, vol_flux, gas):
                     if a == b or mat[a, b] == 0.0:
                         continue
                     k = int(line[b])
-                    alpha = tuple(0.5 * (metrics.ja[i, n] + metrics.ja[k, n]))
+                    alpha = tuple(0.5 * (ja[i] + ja[k]))
                     f = dirn(states[i], states[k], alpha, gas)
                     acc[i] += mat[a, b] * np.asarray(f)
-    return acc / metrics.jac[:, None]
+    return acc / metrics.jac[e][:, None]
 
 
 # --- configuration validation ------------------------------------------------
@@ -224,11 +224,10 @@ def test_fluxdiff_matches_matrix_route(gas, d, vol_flux):
     setup = lgl_setup(gas, d=d, amplitude=0.15)
     u = random_field(setup, gas, seed=5, amp=0.4)
     mat = build_dsplit(setup.op)
+    got = volume_fluxdiff(u, setup.op, setup.metrics, vol_flux, gas)
     for e in range(min(2, setup.n_elements)):
-        terms = element_metrics(setup.metrics, e)
-        got = volume_fluxdiff(u[e], setup.op, terms, vol_flux, gas)
-        want = matrix_route_fluxdiff(u[e], setup.op, mat, terms, vol_flux, gas)
-        assert np.abs(got - want).max() < 1e-13
+        want = matrix_route_fluxdiff(u, setup.op, mat, setup.metrics, e, vol_flux, gas)
+        assert np.abs(got[e] - want).max() < 1e-13
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -285,14 +284,6 @@ def test_one_setup_serves_every_overint_degree(gas, family):
             assert gap < 1e-14
         else:
             assert gap > 1e-10, q
-        # the whole-mesh pass reads the mesh's metrics exactly as a
-        # single-element call reads that element's
-        vol = volume_overintegration(u, setup.op, q, setup.metrics, gas)
-        for e in range(setup.n_elements):
-            one = volume_overintegration(
-                u[e], setup.op, q, element_metrics(setup.metrics, e), gas
-            )
-            assert np.array_equal(vol[e], one), (q, e)
 
 
 def test_overintegration_dealiases_exactly(gas):
@@ -300,8 +291,8 @@ def test_overintegration_dealiases_exactly(gas):
     # round trip back to the p grid must not disturb a degree-p field
     setup = lgl_setup(gas)
     u = random_field(setup, gas, seed=11, amp=0.3)
-    got = volume_overintegration(u[0], setup.op, 6, element_metrics(setup.metrics, 0), gas)
-    assert got.shape == u[0].shape
+    got = volume_overintegration(u, setup.op, 6, setup.metrics, gas)
+    assert got.shape == u.shape
     assert np.isfinite(got).all()
 
 
@@ -321,9 +312,8 @@ def summed_from_zero(volume, u, q, setup):
         mat, sign = (setup.op.D.T * w[None, :]) / w[:, None], -1.0
     acc = np.zeros_like(u)
     shape = (-1,) + (p1,) * d + (d + 2,)
-    for n in range(d):
-        ja = node_ja(setup.metrics, n)
-        contra = directional_flux(u.reshape(shape), q.reshape(shape), ja)
+    normals = [node_ja(setup.metrics, n) for n in range(d)]
+    for n, contra in enumerate(physical_fluxes(u.reshape(shape), q.reshape(shape), normals)):
         term = geometry.apply_along(mat, contra, n + 1)
         if sign > 0:
             acc += term.reshape(u.shape)
@@ -335,38 +325,33 @@ def summed_from_zero(volume, u, q, setup):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("amplitude", [0.0, 0.15])
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
-def test_one_point_volume_whole_mesh_matches_elements(gas, family, amplitude, d):
+def test_one_point_volume_matches_sum_from_zero(gas, family, amplitude, d):
     # one call batches every element into each matmul, reading the metric
-    # store through node-layout views, a per-element call only that
-    # element's lines and node-layout terms; the bytes agree with each other
-    # and with the sum started from zeros, signed zeros included (a constant
-    # state cancels to zero at many nodes)
+    # store through node-layout views; the bytes agree with the sum started
+    # from zeros, signed zeros included (a constant state cancels to zero at
+    # many nodes)
     setup = (lgl_setup if family == "lgl" else gauss_setup)(gas, d=d, amplitude=amplitude)
     for u in (random_field(setup, gas, seed=12, amp=0.5), constant_field(setup, gas)):
         q = cons2prim(u, gas)
         for volume in (volume_strong, volume_weak):
             whole = volume(u, q, setup.op, setup.metrics)
             assert whole.tobytes() == summed_from_zero(volume, u, q, setup).tobytes()
-            for e in range(setup.n_elements):
-                one = volume(u[e], q[e], setup.op, element_metrics(setup.metrics, e))
-                assert whole[e].tobytes() == one.tobytes(), (volume.__name__, e)
 
 
-def overintegration_per_node(u, op, degree, metrics, gas):
-    """volume_overintegration with the fine grid's metric terms repeated at
-    every fine node, which keeps volume_weak in the directional form."""
-    d = u.shape[-1] - 2
+def overintegration_directional(u, setup, degree, gas):
+    """volume_overintegration with the weak form on the fine grid in the
+    directional form: it reads the MetricData of a degree-q setup of the
+    same Cartesian mesh instead of the constant terms."""
+    op = setup.op
+    d = setup.d
     q1 = degree + 1
     transfer = transfer_matrices(op.degree, degree, op.family)
     uq = u.reshape((-1,) + (op.n_nodes,) * d + (d + 2,))
     for n in range(d):
         uq = geometry.apply_along(transfer.interp, uq, n + 1)
     uq = uq.reshape(-1, q1**d, d + 2)
-    fine = MetricTerms(
-        np.broadcast_to(element_metrics(metrics, 0).ja[0], uq.shape[:2] + (d, d)),
-        np.broadcast_to(metrics.jac[0, 0], uq.shape[:2]),
-    )
-    back = volume_weak(uq, cons2prim(uq, gas), make_operator(degree, op.family), fine)
+    fine = build_setup(setup.mesh, make_operator(degree, op.family), gas)
+    back = volume_weak(uq, cons2prim(uq, gas), fine.op, fine.metrics)
     back = back.reshape((-1,) + (q1,) * d + (d + 2,))
     for n in range(d):
         back = geometry.apply_along(transfer.project, back, n + 1)
@@ -376,16 +361,16 @@ def overintegration_per_node(u, op, degree, metrics, gas):
 @pytest.mark.parametrize("family", ["lgl", "gauss"])
 @pytest.mark.parametrize("dims", [(2, 3), (3, 1, 2)])
 def test_constant_terms_view_the_metric_store(gas, dims, family):
-    # the constant metric of a Cartesian mesh is read from the stored
-    # terms, not copied: of a mesh's line store and of an element's
-    # node-layout terms alike
+    # the constant metric of a Cartesian mesh is read from the line store,
+    # not copied: a diagonal (d, d) view equal to every node's terms
     setup = build_setup(build_mesh(dims), make_operator(3, family), gas)
-    terms = element_metrics(setup.metrics, 1)
-    for metrics, store in ((setup.metrics, setup.metrics.line_ja), (terms, terms.ja)):
-        const = _constant_terms(metrics)
-        assert np.shares_memory(const.ja, store)
-        assert np.array_equal(const.ja, terms.ja[0])
-        assert const.jac == terms.jac[0]
+    metrics = setup.metrics
+    const = _constant_terms(metrics)
+    assert np.shares_memory(const.ja, metrics.line_ja)
+    for n in range(setup.d):
+        assert (node_ja(metrics, n) == const.ja[n]).all()
+    assert np.array_equal(np.diag(const.ja.diagonal()), const.ja)
+    assert (metrics.jac == const.jac).all()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -408,17 +393,17 @@ def test_axis_one_point_volume_matches_directional(gas, dims, family, p):
         assert relative_gap(want, got) < 1e-13, volume.__name__
     degree = p + 1
     got = volume_overintegration(u, setup.op, degree, setup.metrics, gas)
-    want = overintegration_per_node(u, setup.op, degree, setup.metrics, gas)
+    want = overintegration_directional(u, setup, degree, gas)
     assert relative_gap(want, got) < 1e-13
 
 
 @pytest.mark.parametrize("scheme", ["strong", "weak"])
 def test_batched_one_point_volume_route(gas, monkeypatch, scheme):
     # with the surface coupling switched off rhs returns -VOL: on Cartesian
-    # meshes the batched kernel reaches the axis form, never the
-    # directional flux that the reference kernel runs; on curved meshes both
-    # kernels run the directional form on node-layout views of the metric
-    # store, to the last bit (a zero gap)
+    # meshes the batched kernel takes the axis form, which never reads the
+    # node-layout metric views (node_ja) that the reference kernel's
+    # directional form reads; on curved meshes both kernels run the
+    # directional form on those views, to the last bit (a zero gap)
     monkeypatch.setattr(discretization, "surface_terms", lambda *args: args[-1])
     monkeypatch.setattr(discretization._batched, "mesh_surface", lambda *args: args[-1])
     curved = lgl_setup(gas, dims=(2, 3), amplitude=0.1)
@@ -426,26 +411,25 @@ def test_batched_one_point_volume_route(gas, monkeypatch, scheme):
     gap, _ = compare_kernels(u, curved, RhsConfig(volume_scheme=scheme))
     assert gap == 0.0
 
-    def directional(*args):
-        raise AssertionError("directional_flux called")
+    def views(*args):
+        raise AssertionError("node_ja called")
 
-    monkeypatch.setattr(discretization, "directional_flux", directional)
+    monkeypatch.setattr(discretization, "node_ja", views)
     for family in ("lgl", "gauss"):
         setup = (lgl_setup if family == "lgl" else gauss_setup)(gas, dims=(2, 3))
         u = random_field(setup, gas, seed=18, amp=0.3)
         config = RhsConfig(volume_scheme=scheme)
         assert np.isfinite(rhs(u, setup, config)).all()
-        with pytest.raises(AssertionError, match="directional_flux"):
+        with pytest.raises(AssertionError, match="node_ja"):
             compare_kernels(u, setup, config)
 
 
 def test_weak_volume_constant_state_lives_on_boundary(gas):
     setup = lgl_setup(gas)
     u = constant_field(setup, gas)
-    terms = element_metrics(setup.metrics, 0)
-    q = cons2prim(u[0], gas)
-    vol = volume_weak(u[0], q, setup.op, terms)
-    strong = volume_strong(u[0], q, setup.op, terms)
+    q = cons2prim(u, gas)
+    vol = volume_weak(u, q, setup.op, setup.metrics)
+    strong = volume_strong(u, q, setup.op, setup.metrics)
     # strong derivative of a constant flux is zero; the weak form keeps the
     # boundary part of the summation-by-parts identity
     assert np.abs(strong).max() < 1e-13
@@ -455,7 +439,7 @@ def test_weak_volume_constant_state_lives_on_boundary(gas):
         for i in range(setup.n_nodes)
         if 0 < i % p1 < p1 - 1 and 0 < i // p1 < p1 - 1
     ]
-    assert np.abs(vol[interior]).max() < 1e-13
+    assert np.abs(vol[:, interior]).max() < 1e-13
     assert np.abs(vol).max() > 1e-3
     # assembled against the surface term it cancels
     r = rhs(u, setup, RhsConfig(volume_scheme="weak", surface_flux="llf"))
@@ -824,3 +808,69 @@ def test_reference_rhs_reaches_every_oracle_function(gas):
     no code that its rhs never reaches."""
     missing = unreached((reference,), lambda: rhs_sweep(kernel="reference"))
     assert missing == set(NOT_REACHED_BY_REFERENCE_RHS), sorted(missing)
+
+
+# the one-point volume functions, with the fill of their fluxes, and the
+# oracle's flux-differencing loop: every statement of them runs in some rhs
+ONE_POINT_VOLUME_FUNCTIONS = (
+    discretization.volume_strong,
+    discretization._weak_matrix,
+    discretization.volume_weak,
+    discretization._constant_terms,
+    discretization._one_point_volume,
+    discretization.volume_overintegration,
+    euler.physical_fluxes,
+    reference.volume_fluxdiff,
+)
+
+
+def unrun_statements(functions, sweep):
+    """{"module.name": the line numbers of the function's statements that
+    sweep() never runs}, from the line events of sys.settrace; the code of
+    a generator expression counts with the function that holds it. Every
+    cache of operators, discretization and reference is emptied first."""
+    for module in (operators, discretization, reference):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    owner = {}
+    for fn in functions:
+        fn = inspect.unwrap(fn)
+        todo = [fn.__code__]
+        while todo:
+            code = todo.pop()
+            owner[code] = "%s.%s" % (fn.__module__.split(".")[-1], fn.__name__)
+            todo.extend(c for c in code.co_consts if inspect.iscode(c))
+    ran = {code: set() for code in owner}
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran[frame.f_code].add(frame.f_lineno)
+        return trace_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code in owner else None)
+    try:
+        sweep()
+    finally:
+        sys.settrace(previous)
+    missing = {}
+    for code, name in owner.items():
+        lines = {line for _, _, line in code.co_lines() if line is not None}
+        unrun = lines - ran[code] - {code.co_firstlineno}
+        if unrun:
+            missing.setdefault(name, set()).update(unrun)
+    return {name: sorted(lines) for name, lines in missing.items()}
+
+
+def test_rhs_runs_every_one_point_volume_statement():
+    """Sweeping rhs with both kernels runs every statement of the one-point
+    volume functions and of the oracle's volume_fluxdiff: both forms of
+    the one-point term, both kinds of direction in its flux fill, and no
+    branch that no rhs takes."""
+
+    def sweep():
+        for kernel in ("batched", "reference"):
+            rhs_sweep(kernel)
+
+    assert unrun_statements(ONE_POINT_VOLUME_FUNCTIONS, sweep) == {}

@@ -5,12 +5,12 @@ from fluxdg.errors import AdmissibilityError
 from fluxdg.euler import (
     GasParams,
     cons2prim,
-    directional_flux,
     entropy2cons,
     entropy2prim,
     entropy_and_potential,
     entropy_vars,
     max_signal_speed,
+    physical_fluxes,
     prim2cons,
     prim2entropy,
 )
@@ -78,31 +78,36 @@ def test_field_admissibility_names_element_and_node(gas, d, var, value):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_physical_flux_values(d, gas):
-    # against the componentwise textbook formulas
+    # the one numpy fill, along every axis index against the componentwise
+    # textbook formulas, and along per-state normals (the contracted form
+    # the curved volume terms use) against the textbook oracle; two
+    # directions of each kind share its buffer
     rng = np.random.default_rng(3 + d)
     q = random_primitives(rng, d, 50)
     u = prim2cons(q, gas)
-    for j in range(d):
-        f = physical_flux(u, j, gas)
-        rho, v, p = q[:, 0], q[:, 1 : d + 1], q[:, d + 1]
+    rho, v, p = q[:, 0], q[:, 1 : d + 1], q[:, d + 1]
+    for j, f in enumerate(physical_fluxes(u, q, range(d))):
         assert np.abs(f[:, 0] - rho * v[:, j]).max() < 1e-13
         for k in range(d):
             ref = rho * v[:, j] * v[:, k] + (p if j == k else 0.0)
             assert np.abs(f[:, 1 + k] - ref).max() < 1e-12
         ref_e = (u[:, d + 1] + p) * v[:, j]
         assert np.abs(f[:, d + 1] - ref_e).max() < 1e-12
-    # the contracted form the volume terms use, one direction per state
-    normal = rng.standard_normal((50, d))
-    want = sum(normal[:, j, None] * physical_flux(u, j, gas) for j in range(d))
-    got = directional_flux(u, cons2prim(u, gas), normal)
-    assert np.abs(got - want).max() < 1e-12
+    normals = rng.standard_normal((2, 50, d))
+    want = [sum(n[:, j, None] * physical_flux(u, j, gas) for j in range(d)) for n in normals]
+    fills = physical_fluxes(u, q, list(normals))
+    for n, (w, got) in enumerate(zip(want, fills)):
+        assert np.abs(got - w).max() < 1e-12, n
+    assert n == 1
 
 
 def test_flux_of_constant_is_constant(gas):
     u = prim2cons(np.array([1.2, 0.3, -0.1, 2.0]), gas)
     field = np.broadcast_to(u, (7, 4))
-    f = physical_flux(field, 0, gas)
-    assert np.ptp(f, axis=0).max() == 0.0
+    normal = np.array([0.6, -0.8])
+    for f in physical_fluxes(field, cons2prim(field, gas), (0, normal)):
+        assert np.ptp(f, axis=0).max() == 0.0
+    assert np.ptp(physical_flux(field, 0, gas), axis=0).max() == 0.0
 
 
 def test_sound_and_signal_speed(gas):

@@ -18,7 +18,6 @@ from fluxdg.geometry import (
 )
 from fluxdg.geometry import _extrapolate_face, _node_metrics
 from fluxdg.operators import gauss_operator, lgl_operator, make_operator, transfer_matrices
-from fluxdg.reference import element_metrics
 
 from .oracles import metric_identity_residual
 
@@ -135,20 +134,6 @@ def test_amplitude_too_large_rejected():
     mesh = build_mesh((2, 2), amplitude=3.0)
     with pytest.raises(MeshError):
         compute_metrics(mesh, lgl_operator(3))
-
-
-def test_per_element_helpers_match_assembled():
-    mesh = build_mesh((3, 3), amplitude=0.2)
-    op = lgl_operator(3)
-    metrics = compute_metrics(mesh, op)
-    for e in (0, 4, 8):
-        terms = element_metrics(metrics, e)
-        assert terms.ja.shape == (16, 2, 2)
-        for n in range(2):
-            want = node_ja(metrics, n)[e].reshape(16, 2)
-            assert np.array_equal(terms.ja[:, n, :], want)
-        assert np.shares_memory(terms.jac, metrics.jac)
-        assert np.array_equal(terms.jac, metrics.jac[e])
 
 
 def test_lgl_face_metrics_collocated():

@@ -285,6 +285,8 @@ ORACLE_USERS = {
     "admissibility gate",
     "test_discretization.py::test_reference_rhs_reaches_every_oracle_function":
     "the oracle reachability sweep",
+    "test_discretization.py::test_rhs_runs_every_one_point_volume_statement":
+    "the statement sweep of both kernels",
     "test_harness.py::test_pid_row_layout": "the label of an oracle row",
     "test_hygiene.py::test_only_named_modules_import_the_oracle": "the module",
     "test_hygiene.py::test_tests_compare_kernels_through_verify": "this check",

@@ -16,8 +16,8 @@ from fluxdg import (
     rk_step,
     stable_dt,
 )
-from fluxdg.errors import ConfigurationError, DivergenceError
-from fluxdg.euler import max_signal_speed
+from fluxdg.errors import AdmissibilityError, ConfigurationError, DivergenceError
+from fluxdg.euler import cons2prim, max_signal_speed
 
 
 def test_tableau_shape():
@@ -140,6 +140,11 @@ def test_integrate_argument_validation():
     for key, value in product(("n_steps", "t_end"), (0, -3, math.nan, math.inf)):
         with pytest.raises(ConfigurationError, match=key + ":"):
             integrate(u0, f, dt=0.1, **{key: value})
+    # a count is integral: 2.5 steps is no schedule, a numpy integer is one
+    with pytest.raises(ConfigurationError, match="n_steps:"):
+        integrate(u0, f, n_steps=2.5, dt=0.1)
+    _, info = integrate(u0, f, n_steps=np.int64(3), dt=0.1)
+    assert info["steps"] == 3
 
 
 def test_callbacks_and_dt_fn():
@@ -177,6 +182,28 @@ def test_divergence_carries_context():
     assert np.all(np.isfinite(err.last_fields))
 
 
+def test_inadmissible_stage_is_located_in_the_run(gas):
+    # a stage whose states leave the admissible set: the error keeps its
+    # class, its element and node (.index) and its message, and gains the
+    # step, t and the last valid state
+    def f(v, t):
+        if t >= 0.2:
+            v = v.copy()
+            v[1, 2, -1] = 0.0  # zero energy: negative pressure
+        cons2prim(v, gas)
+        return np.zeros_like(v)
+
+    u0 = prim2cons(np.tile([1.0, 0.1, 0.2, 1.0], (3, 4, 1)), gas)
+    with pytest.raises(AdmissibilityError, match="in step 2 at t=0.2: cons2prim") as info:
+        integrate(u0, f, n_steps=4, dt=0.1)
+    err = info.value
+    assert type(err) is AdmissibilityError
+    assert "at element 1, node 2" in str(err)
+    assert err.index == (1, 2)
+    assert (err.step, err.t) == (2, pytest.approx(0.2))
+    assert np.array_equal(err.last_fields, u0)
+
+
 def test_stable_dt_formula(gas):
     mesh = build_mesh((2, 2), bounds=(0.0, 4.0))
     op = make_operator(3, "lgl")
@@ -207,3 +234,6 @@ def test_step_controller_validation():
         StepController(cfl=0.0)
     with pytest.raises(ConfigurationError, match="cfl"):
         StepController(cfl=-1.0)
+    for cfl in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="cfl:"):
+            StepController(cfl=cfl)
