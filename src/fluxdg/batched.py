@@ -20,34 +20,37 @@ direction each kernel copies it, transposed, into a contiguous line buffer
 every lane. The accumulator is position-major instead, (p+1, d+2, lanes)
 (_line_accumulator): the d+2 rows of one line position are one contiguous
 block, so every term the pair loop adds at a position is one block add,
-and the kernels read it back into out through its swapped view. Every
-direction has the same number of lanes, so mesh_fluxdiff_volume allocates
-its line buffers (primitive rows, conserved rows for the central flux, and
-the accumulator) once per call and refills them in every direction;
-mesh_gauss_volume runs one direction per call and fills its own. The
-metric terms get no line buffer: geometry stores them in line order, one
-position-major (p+1, d, lanes) block per direction in the lane order used
-here, so a pair reads its two line positions as two contiguous (d, lanes)
-blocks of the store and forms its normal with one add that takes no
-iterator buffer (_line_geometry). The face metric terms are contiguous
+and it goes back into a node-layout array through its swapped view. One
+helper, _line_pass_buffers, makes the line buffers (primitive rows,
+conserved rows for the central flux, the accumulator, the flux and
+scratch blocks); every direction has the same number of lanes, so
+mesh_fluxdiff_volume makes them once per call and refills them in every
+direction, and mesh_gauss_volume, which runs one direction per call,
+makes its own. The metric terms get no line buffer: geometry stores them
+in line order, one position-major (p+1, d, lanes) block per direction in
+the lane order used here, so a pair reads its two line positions as two
+contiguous (d, lanes) blocks of the store and forms its normal with one
+add that takes no iterator buffer (_line_geometry). The face metric terms are contiguous
 (d, lanes) rows of a store too (_face_geometry): on Lobatto grids line
 positions 0 and p of the volume block, on Gauss grids each
 face_ja[n][s, :, :, j] one contiguous (n_elem, face nodes) block of the
 extrapolated traces. They serve the interface normals and the Gauss
 coupling normals.
 
-One line kernel, _line_terms, does the two-point volume work of both node
-families: it walks a pair table into the accumulator (the split-derivative
-pairs on Lobatto grids, the hybridized ones on Gauss grids) and, on Gauss
-grids only, the hybridized volume-face coupling. The coupling's face-row
-sums start from the interface fluxes that mesh_gauss_surface returns, so
-the Gauss faces are lifted inside the accumulator, which is divided by J
-through a view of the Jacobian and goes back with one add through the
-swapped view into the line-major view of the output. On
-Lobatto grids the coupling cancels on the boundary nodes and is left out;
-mesh_surface's lift (_lift) writes the face fluxes into the first and last
-line positions. The lane order is the line order
-of `reference.node_lines`, which the scalar path uses.
+One per-direction pass, _line_pass, does the two-point volume work of
+both node families and both flux-differencing kernels: it fills the line
+rows, zeros the accumulator, runs the line kernel _line_terms and copies
+the accumulator into a node-layout array. The line kernel walks the one
+pair table, operators.hybridized_scatter (on Lobatto nodes its volume
+pairs are the split derivative), and on Gauss grids only the hybridized
+volume-face coupling. The coupling's face-row sums start from the
+interface fluxes that mesh_gauss_surface returns, so the Gauss faces are
+lifted inside the accumulator. mesh_fluxdiff_volume sums its directions
+and divides by J once; mesh_gauss_volume divides its one direction by J
+and adds it into the output. On Lobatto grids the coupling cancels on
+the boundary nodes and is left out; mesh_surface's lift (_lift) writes
+the face fluxes into the first and last line positions. The lane order
+is the line order of `reference.node_lines`, which the scalar path uses.
 
 One entry, flux_lanes, evaluates every two-point flux; its normal is
 either per-lane rows or an int, the index of a coordinate axis, as in
@@ -143,7 +146,7 @@ from .fluxes import (
     require_volume_kind,
 )
 from .geometry import line_major
-from .operators import hybridized_scatter, split_pairs
+from .operators import hybridized_scatter
 
 
 # ---------------------------------------------------------------------------
@@ -438,33 +441,16 @@ def _own_flux_lanes(
     return _hll_lanes(ql, qr, vn_l, vn_r, normal, gas, f_l, f_r, out)
 
 
-def _flux_lanes(kind, ql, qr, normal, gas, n_real, out, vn=None, scratch=None):
-    """flux_lanes, given vn = (v_l.n, v_r.n) when the caller has them
-    (_directed); None: formed here. No kernel writes into vn, which along
-    an axis are rows of the states."""
-    if out is None:
-        out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
-    if kind in OWN_FLUX_KINDS:
-        vn_l, vn_r = _directed(ql, qr, normal) if vn is None else vn
-        f_r = np.empty_like(out)
-        return _own_flux_lanes(
-            kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out, f_r, out, f_r
-        )
-    if kind in ("shima", "ranocha"):
-        if scratch is None:
-            scratch = _split_scratch(len(ql.v), out.shape[-1])
-        return _split_lanes(kind, ql, qr, normal, vn, gas, n_real, out, scratch)
-    raise ConfigurationError("unknown flux kind %r" % (kind,))
-
-
-def flux_lanes(kind, ql, qr, normal, gas, n_real, out=None, scratch=None):
+def flux_lanes(kind, ql, qr, normal, gas, n_real, out=None, scratch=None, vn=None):
     """Two-point flux of `kind` over lanes along `normal`: either a tuple
     of d per-lane component rows (the scaled normal) or an int, the index
     j of a coordinate axis (unscaled). Along an axis every kind runs in
     axis form: v.n is the velocity row v_j itself, the pressure goes onto
     momentum row j only, and the llf and hll wave speeds carry no |n|;
     the Cartesian volume pairs and interface points take this flux and
-    multiply in the constant face area once.
+    multiply in the constant face area once. vn = (v_l.n, v_r.n) when the
+    caller has them (_directed); None: formed here. No kernel writes into
+    vn, which along an axis are rows of the states.
 
     The flux goes into `out`, a (d+2, lanes) block of any strides that the
     caller owns, allocated here when omitted, and the block is returned:
@@ -480,7 +466,19 @@ def flux_lanes(kind, ql, qr, normal, gas, n_real, out=None, scratch=None):
     log-branch lanes of the log means. scratch must not share memory with
     out or the states; of the normal it may hold only its last d rows,
     which the pair loops fill with the pair normal (_pair_flux)."""
-    return _flux_lanes(kind, ql, qr, normal, gas, n_real, out, scratch=scratch)
+    if out is None:
+        out = np.empty((len(ql.v) + 2,) + ql.rho.shape)
+    if kind in OWN_FLUX_KINDS:
+        vn_l, vn_r = _directed(ql, qr, normal) if vn is None else vn
+        f_r = np.empty_like(out)
+        return _own_flux_lanes(
+            kind, ql, qr, vn_l, vn_r, normal, gas, n_real, out, f_r, out, f_r
+        )
+    if kind in ("shima", "ranocha"):
+        if scratch is None:
+            scratch = _split_scratch(len(ql.v), out.shape[-1])
+        return _split_lanes(kind, ql, qr, normal, vn, gas, n_real, out, scratch)
+    raise ConfigurationError("unknown flux kind %r" % (kind,))
 
 
 # ---------------------------------------------------------------------------
@@ -644,47 +642,85 @@ def _line_terms(kind, lanes, ja, pairs, scale, gas, acc, f, scratch, coupling=()
             acc[a] += np.multiply(rface, la, out=weighted)
 
 
+def _line_pass_buffers(setup, kind):
+    """Uninitialized buffers of _line_pass for the volume flux `kind`:
+    primitive line rows, conserved line rows for the kinds that read them
+    (fluxes.OWN_FLUX_KINDS) or None, the position-major accumulator, one
+    Lanes per line position over the rows, a (d+2, lanes) flux block and a
+    _split_scratch. Every direction has the same lanes, so one set serves
+    each in turn."""
+    nvar = setup.d + 2
+    q = _line_buffer(setup, nvar)
+    cons = _line_buffer(setup, nvar) if kind in OWN_FLUX_KINDS else None
+    acc = _line_accumulator(setup, nvar)
+    n_lanes = acc.shape[-1]
+    f = np.empty((nvar, n_lanes))
+    return q, cons, acc, _line_lanes(q, cons), f, _split_scratch(setup.d, n_lanes)
+
+
+def _line_pass(u, prim, setup, n, kind, buffers, out=None, faces=None, sides=None):
+    """One direction's two-point volume term, not yet divided by J: fills
+    the line rows of `buffers` (_line_pass_buffers) from prim and u, zeros
+    the accumulator, runs _line_terms with the pairs of
+    operators.hybridized_scatter and copies the accumulator, through its
+    swapped view, into the line-major view of the node-layout array `out`
+    (default: the primitive line rows, free once the pairs are done, viewed
+    as u), which it returns.
+
+    On Gauss grids faces are the direction's entropy-projected states and
+    sides the face-row sums (the interface-flux blocks of
+    mesh_gauss_surface, overwritten); then the line kernel also runs the
+    hybridized volume-face coupling, along the face normals of
+    _face_geometry. Its face lanes are made one side at a time as the
+    kernel reaches them, so none are held during the pair loop."""
+    q, cons, acc, lanes, f, scratch = buffers
+    pairs, vol_face, lift = hybridized_scatter(setup.op.degree, setup.op.family)
+    _line_rows(prim, setup, n, q)
+    if cons is not None:
+        _line_rows(u, setup, n, cons)
+    scale, ja = _line_geometry(setup, n)
+    coupling = ()
+    if faces is not None:
+        coupling = (
+            (_face_lanes(*faces[s]), _face_geometry(setup, n, s)[1], sides[s],
+             cvol, cface, lift[s])
+            for s, (cvol, cface) in enumerate(vol_face)
+        )
+    acc.fill(0.0)
+    _line_terms(kind, lanes, ja, pairs, scale, setup.gas, acc, f, scratch, coupling)
+    if out is None:
+        out = q.reshape(u.shape)
+    np.copyto(_line_major(out, setup, n), _as_line_major(acc.swapaxes(0, 1), setup))
+    return out
+
+
+def _divide_by_jacobian(out, setup):
+    """out /= J, one evenly strided pass per component: dividing by the
+    broadcast (n_elem, nodes, 1) Jacobian made numpy buffer
+    np.getbufsize() doubles."""
+    for k in range(out.shape[-1]):
+        out[..., k] /= setup.metrics.jac
+
+
 def mesh_fluxdiff_volume(u, prim, setup, config):
     """Flux-differencing volume term for the whole mesh, elements folded
     into the lane axis; prim = cons2prim(u). Returns the Jacobian-scaled VOL
     array.
 
-    The line buffers are made once per call and refilled per direction:
-    primitive rows, conserved rows for the central flux (the one volume
-    kind that reads them) and the position-major accumulator
-    (_line_accumulator). out starts uninitialized: direction 0 copies its
-    accumulator, through the swapped view, into the line-major view of
-    out; every later direction, once its pairs are done, copies its
-    accumulator into the primitive line buffer, which is free until the
-    next refill, viewed in node layout, and adds that into out with one
-    contiguous add."""
-    d = setup.d
-    nvar = d + 2
-    vol_flux = config.volume_flux
-    pairs = split_pairs(setup.op.degree)
-    q = _line_buffer(setup, nvar)
-    cons = _line_buffer(setup, nvar) if vol_flux in OWN_FLUX_KINDS else None
-    acc = _line_accumulator(setup, nvar)
-    lanes = _line_lanes(q, cons)
-    f = np.empty((nvar, q.shape[-1]))
-    scratch = _split_scratch(d, q.shape[-1])
+    One set of line buffers serves every direction's _line_pass. out
+    starts uninitialized: direction 0 writes into it; every later
+    direction writes into the free primitive line rows, viewed in node
+    layout, which are added into out with one contiguous add. J divides
+    the sum once."""
+    kind = config.volume_flux
+    buffers = _line_pass_buffers(setup, kind)
     out = np.empty_like(u)
-    for n in range(d):
-        _line_rows(prim, setup, n, q)
-        if cons is not None:
-            _line_rows(u, setup, n, cons)
-        scale, ja = _line_geometry(setup, n)
-        acc.fill(0.0)
-        _line_terms(vol_flux, lanes, ja, pairs, scale, setup.gas, acc, f, scratch)
-        nodal = out if n == 0 else q.reshape(u.shape)
-        lines = _as_line_major(acc.swapaxes(0, 1), setup)
-        np.copyto(_line_major(nodal, setup, n), lines)
-        if n > 0:
-            out += nodal
-    # one evenly strided pass per component: dividing by the broadcast
-    # (n_elem, nodes, 1) Jacobian made numpy buffer np.getbufsize() doubles
-    for k in range(nvar):
-        out[..., k] /= setup.metrics.jac
+    for n in range(setup.d):
+        if n == 0:
+            _line_pass(u, prim, setup, n, kind, buffers, out)
+        else:
+            out += _line_pass(u, prim, setup, n, kind, buffers)
+    _divide_by_jacobian(out, setup)
     return out
 
 
@@ -710,7 +746,7 @@ def _interface_fluxes(faces, setup, n, kind, subtract_own, normal):
     gas = setup.gas
     n_lanes = ql.rho.size
     if not subtract_own:
-        f = _flux_lanes(kind, ql, qr, normal, gas, n_lanes, None)
+        f = flux_lanes(kind, ql, qr, normal, gas, n_lanes)
         return f, f
     add_one_point(2 * n_lanes)
     vn_l, vn_r = _directed(ql, qr, normal)
@@ -720,7 +756,7 @@ def _interface_fluxes(faces, setup, n, kind, subtract_own, normal):
         f = np.empty_like(f_l)
         _own_flux_lanes(kind, ql, qr, vn_l, vn_r, normal, gas, n_lanes, f_l, f_r, f)
     else:
-        f = _flux_lanes(kind, ql, qr, normal, gas, n_lanes, None, (vn_l, vn_r))
+        f = flux_lanes(kind, ql, qr, normal, gas, n_lanes, vn=(vn_l, vn_r))
         _phys_lanes(ql, vn_l, normal, f_l)
         _phys_lanes(qr, vn_r, normal, f_r)
     np.subtract(f, f_l, out=f_l)
@@ -800,45 +836,13 @@ def mesh_gauss_volume(u, prim, faces, sides, setup, n, config, out):
     from discretization.face_states (conserved ones are read only for the
     central volume flux) and sides the two interface-flux blocks from
     mesh_gauss_surface, which become the face-row sums of the line kernel
-    (and are overwritten by them). The coupling normals are the face
-    metric rows of _face_geometry. The position-major accumulator
-    (_line_accumulator) is divided by J in place and added into the
-    line-major view of out through its swapped view."""
+    (and are overwritten by them). One _line_pass with the coupling, on
+    buffers of its own, which die with the call."""
     require_volume_kind(config.volume_flux)
-    op = setup.op
-    nvar = setup.d + 2
-    vol_flux = config.volume_flux
-    pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
-    q = _line_rows(prim, setup, n, _line_buffer(setup, nvar))
-    cons = None
-    if vol_flux in OWN_FLUX_KINDS:
-        cons = _line_rows(u, setup, n, _line_buffer(setup, nvar))
-    scale, ja = _line_geometry(setup, n)
-    # made one side at a time as the kernel reaches it, so no face lanes are
-    # held during the pair loop; the face metric terms are views
-    coupling = (
-        (
-            _face_lanes(*faces[s]),
-            ja if _is_axis(ja) else _face_geometry(setup, n, s)[1],
-            sides[s],
-            cvol,
-            cface,
-            lift[s],
-        )
-        for s, (cvol, cface) in enumerate(vol_face)
-    )
-    acc = _line_accumulator(setup, nvar)
-    acc.fill(0.0)
-    lanes = acc.shape[-1]
-    # the flux block and the scratch die with the line kernel's call
-    _line_terms(
-        vol_flux, _line_lanes(q, cons), ja, pairs, scale, setup.gas, acc,
-        np.empty((nvar, lanes)), _split_scratch(setup.d, lanes), coupling,
-    )
-    acc = _as_line_major(acc, setup)
-    acc /= _line_major(setup.metrics.jac[..., None], setup, n)[0][:, None]
-    view = _line_major(out, setup, n)
-    view += acc.swapaxes(0, 1)
+    buffers = _line_pass_buffers(setup, config.volume_flux)
+    vol = _line_pass(u, prim, setup, n, config.volume_flux, buffers, None, faces, sides)
+    _divide_by_jacobian(vol, setup)
+    out += vol
     return out
 
 
@@ -859,7 +863,7 @@ def mesh_gauss_surface(faces, setup, n, surface_flux):
     vn = _directed(ql, qr, normal)
     n_lanes = ql.rho.size
     f_m, f_p = (
-        _flux_lanes(surface_flux, ql, qr, normal, setup.gas, n_lanes, None, vn)
+        flux_lanes(surface_flux, ql, qr, normal, setup.gas, n_lanes, vn=vn)
         for _ in range(2)
     )
     f_m *= scale

@@ -33,8 +33,8 @@ traces, or entropy-projected states.
 
 A SpatialSetup holds only what depends on the mesh: coordinates, metric
 terms, neighbours and the nodal weights. Tables that depend on the operator
-alone (split-derivative pairs, the hybridized scatter, the overintegration
-transfer matrices) come from the caches in `operators`, keyed by degree,
+alone (the hybridized pair table, the overintegration transfer matrices)
+come from the caches in `operators`, keyed by degree,
 and the overintegration degree comes only from RhsConfig.
 """
 

@@ -8,6 +8,7 @@ spatial dimension is inferred from the trailing axis length.
 Direction arguments are 0-based axis indices, matching numpy.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,10 @@ class GasParams:
     inv_gamma_minus_one: float = field(init=False)
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise AdmissibilityError("gamma must exceed 1, got %r" % (self.gamma,))
+        if not 1.0 < self.gamma < math.inf:
+            raise AdmissibilityError(
+                "gamma must be finite and exceed 1, got %r" % (self.gamma,)
+            )
         object.__setattr__(self, "inv_gamma_minus_one", 1.0 / (self.gamma - 1.0))
 
 

@@ -89,17 +89,23 @@ class RunConfig:
             raise ConfigurationError(
                 "mesh: expected one of %s, got %r" % (", ".join(MESH_KINDS), self.mesh)
             )
-        if self.mesh == "curved" and not self.amplitude > 0.0:
+        if self.mesh == "curved" and not 0.0 < self.amplitude < math.inf:
             raise ConfigurationError(
-                "amplitude: curved mesh needs a positive amplitude, got %r"
+                "amplitude: curved mesh needs a finite positive amplitude, got %r"
                 % (self.amplitude,)
             )
         if self.ic not in IC_NAMES:
             raise ConfigurationError(
                 "ic: expected one of %s, got %r" % (", ".join(IC_NAMES), self.ic)
             )
-        if not self.gamma > 1.0:
-            raise ConfigurationError("gamma: expected > 1, got %r" % (self.gamma,))
+        if not 1.0 < self.gamma < math.inf:
+            raise ConfigurationError(
+                "gamma: expected a finite value > 1, got %r" % (self.gamma,)
+            )
+        if not math.isfinite(self.epsilon):
+            raise ConfigurationError(
+                "epsilon: expected a finite vortex strength, got %r" % (self.epsilon,)
+            )
         StepController(cfl=self.cfl)
         if self.seed < 0:
             raise ConfigurationError(

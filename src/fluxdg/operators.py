@@ -8,6 +8,14 @@ Two node families are supported on the reference interval [-1, 1]:
 Every operator satisfies M D + D^T M = R^T B N R with M = diag(weights),
 B = I and N = diag(-1, +1); that identity is what all volume/surface
 splittings in the discretization lean on.
+
+The two-point volume terms of both node families and both kernels read
+one pair table, hybridized_scatter, the line coefficients of the
+hybridized operator (build_hybridized; Chan, Del Rey Fernandez and
+Carpenter 2019). On Lobatto nodes its volume pairs are the split
+derivative 2 D - M^{-1} R^T B N R up to 2 ulps, and its volume-face
+coupling cancels on the boundary nodes, so Lobatto flux differencing
+takes the pairs alone.
 """
 
 from dataclasses import dataclass
@@ -172,37 +180,6 @@ def make_operator(p, family):
     raise UnsupportedOperatorError("unknown node family %r" % (family,))
 
 
-def _boundary_correction(op):
-    """M^{-1} R^T B N R, the boundary part of the split derivative."""
-    r = op.boundary_interp
-    rtbnr = r.T @ (_N_FACE[:, None] * r)
-    return rtbnr / op.weights[:, None]
-
-
-def _skew_diff_matrix(op):
-    """2 D - M^{-1} R^T B N R for any family; M-antisymmetric with zero
-    diagonal by the SBP identity."""
-    return 2.0 * op.D - _boundary_correction(op)
-
-
-def build_dsplit(op):
-    """Split-derivative matrix 2 D - M^{-1} R^T B N R for two-point volume
-    fluxes, frozen. M times it is antisymmetric and its diagonal vanishes,
-    so the pair loops only visit i < k.
-
-    Restricted to the Lobatto family, whose boundary operator is diagonal;
-    the matrix then differs from 2D only in the corner entries.
-    """
-    if op.family != "lgl":
-        raise UnsupportedOperatorError(
-            "split derivative requires a diagonal boundary operator (lgl), got %r"
-            % (op.family,)
-        )
-    mat = _skew_diff_matrix(op)
-    _freeze(mat)
-    return mat
-
-
 def build_hybridized(op):
     """Hybridized skew operator Q_h on [volume nodes; left face; right face],
     a frozen (p+3, p+3) matrix.
@@ -227,26 +204,7 @@ def build_hybridized(op):
 
 
 # ---------------------------------------------------------------------------
-# scatter tables consumed by the volume kernels (scalar and batched)
-
-def _triangle_pairs(mat):
-    n = mat.shape[0]
-    return tuple(
-        (a, b, float(mat[a, b]), float(mat[b, a]))
-        for a in range(n)
-        for b in range(a + 1, n)
-        if mat[a, b] != 0.0 or mat[b, a] != 0.0
-    )
-
-
-@lru_cache(maxsize=None)
-def split_pairs(degree):
-    """Upper-triangle scatter list [(a, b, D[a,b], D[b,a]), ...] of the
-    Lobatto split derivative D = build_dsplit(lgl_operator(degree)),
-    all-zero pairs dropped. Both weights are stored so the antisymmetric
-    scatter in the pair loops never recomputes them."""
-    return _triangle_pairs(build_dsplit(lgl_operator(degree)))
-
+# the scatter table of the volume kernels (scalar and batched)
 
 @lru_cache(maxsize=None)
 def hybridized_scatter(degree, family):
@@ -254,8 +212,10 @@ def hybridized_scatter(degree, family):
 
     Returns (vv_pairs, vol_face, lift):
 
-    * vv_pairs: (a, b, c_ab, c_ba) over volume node pairs, the M^{-1} factor
-      folded into the weights;
+    * vv_pairs: (a, b, c_ab, c_ba) over the volume node pairs a < b, the
+      M^{-1} factor folded into the weights, all-zero pairs dropped; both
+      weights are stored so the antisymmetric scatter of the pair loops
+      never recomputes them;
     * vol_face: per side, (volume-row weights with M^{-1}, raw face-row
       weights) for the volume/face-node crossings;
     * lift: per side, the M^{-1} R^T row that carries a face-row sum back to
@@ -265,7 +225,13 @@ def hybridized_scatter(degree, family):
     q = build_hybridized(op)
     w = op.weights
     n = op.n_nodes
-    vv = _triangle_pairs(2.0 * q[:n, :n] / w[:, None])
+    mat = 2.0 * q[:n, :n] / w[:, None]
+    vv = tuple(
+        (a, b, float(mat[a, b]), float(mat[b, a]))
+        for a in range(n)
+        for b in range(a + 1, n)
+        if mat[a, b] != 0.0 or mat[b, a] != 0.0
+    )
     vol_face = []
     lift = []
     for s in (0, 1):

@@ -16,10 +16,12 @@ logmean_reference, the textbook quotient, is the log mean's own oracle.
 
 Every loop takes the whole mesh and reads the metric terms in node layout
 through geometry.node_ja: volume_fluxdiff (Lobatto flux differencing) and
-scalar_gauss_volume (gauss_fluxdiff, one direction) share the line kernel
-_line_terms, and surface_terms is the one scalar surface loop of every
-scheme. `rhs` calls them through the names bound in
-`fluxdg.discretization`.
+scalar_gauss_volume (gauss_fluxdiff, one direction) share one
+per-direction loop, _direction_terms, which walks the pair table of
+operators.hybridized_scatter line by line (_line_terms) and adds the
+volume-face coupling on Gauss grids only, and surface_terms is the one
+scalar surface loop of every scheme. `rhs` calls them through the names
+bound in `fluxdg.discretization`.
 """
 
 import math
@@ -36,7 +38,7 @@ from .fluxes import (
     require_volume_kind,
 )
 from .geometry import node_ja
-from .operators import hybridized_scatter, split_pairs
+from .operators import hybridized_scatter
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +314,50 @@ def node_line_lists(p1, d):
 # scalar assembly: two-point volume terms and the interface coupling
 
 def volume_fluxdiff(u, op, metrics, vol_flux, gas):
-    """Flux-differencing volume term of every element with the split
-    derivative matrix of the Lobatto operator op (operators.split_pairs),
-    reading the metric terms of metrics (MetricData) through node_ja.
+    """Flux-differencing volume term of every element on the Lobatto
+    operator op, reading the metric terms of metrics (MetricData) through
+    node_ja: the directions of _direction_terms, summed node by node in
+    direction order, divided by J.
 
     Pairs are visited once with i < k per line; the symmetric two-point flux
     along the arithmetically averaged metric vectors is scattered with the
-    stored (i,k) and (k,i) matrix weights, preserving the operator's
+    stored (i,k) and (k,i) weights, preserving the operator's
     M-antisymmetry exactly in floating point.
     """
     require_volume_kind(vol_flux)
-    n_elem, _, nvar = u.shape
-    d = nvar - 2
-    pairs = split_pairs(op.degree)
-    dirn = flux_function(vol_flux)
-    volume_ja = [node_ja(metrics, n).reshape(n_elem, -1, d).tolist() for n in range(d)]
     acc = np.zeros_like(u).tolist()
-    for e in range(n_elem):
-        states = u[e].tolist()
-        for n, lines in enumerate(node_line_lists(op.n_nodes, d)):
-            for line in lines:
-                _line_terms(states, line, volume_ja[n][e], pairs, dirn, gas, nvar, acc[e])
+    states = u.tolist()
+    for n in range(u.shape[-1] - 2):
+        _direction_terms(states, op, metrics, n, vol_flux, gas, acc)
     out = np.asarray(acc)
     out /= metrics.jac[:, :, None]
     return out
+
+
+def _direction_terms(states, op, metrics, n, vol_flux, gas, acc, faces=None):
+    """Add direction n's two-point volume terms of every element into acc
+    (nested lists like states, the conserved field as lists), line by line
+    (_line_terms), with the pair table of operators.hybridized_scatter.
+    faces, on Gauss grids, are the direction's projected states; then each
+    line also takes the hybridized volume-face coupling of its two face
+    points, along the face metric terms metrics.face_ja[n]."""
+    d = len(states[0][0]) - 2
+    pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
+    dirn = flux_function(vol_flux)
+    volume_ja = node_ja(metrics, n).reshape(len(states), -1, d).tolist()
+    sides = []
+    if faces is not None:
+        sides = [
+            (uf.tolist(), fja.tolist()) for (uf, _), fja in zip(faces, metrics.face_ja[n])
+        ]
+    lines = node_line_lists(op.n_nodes, d)[n]
+    for e, (ue, jan, acc_e) in enumerate(zip(states, volume_ja, acc)):
+        for m, line in enumerate(lines):
+            coupling = [
+                (fs[e][m], fja[e][m], cvol, cface, lrow)
+                for (fs, fja), (cvol, cface), lrow in zip(sides, vol_face, lift)
+            ]
+            _line_terms(ue, line, jan, pairs, dirn, gas, d + 2, acc_e, coupling)
 
 
 def _line_terms(states, line, jan, pairs, dirn, gas, nvar, acc, coupling=()):
@@ -381,33 +403,18 @@ def _line_terms(states, line, jan, pairs, dirn, gas, nvar, acc, coupling=()):
 
 
 def scalar_gauss_volume(u, faces, setup, n, config, out):
-    """Zero-corner hybridized volume term of gauss_fluxdiff in direction n,
-    divided by J and added into out; faces are the direction's projected
-    states. The pair weights come from operators.hybridized_scatter, the
-    entries of build_hybridized(op); the tests check the result
-    against the dense hybridized operator applied to every ordered pair.
+    """Zero-corner hybridized volume term of gauss_fluxdiff in direction n
+    (_direction_terms with the face coupling), divided by J and added into
+    out; faces are the direction's projected states. The tests check the
+    result against the dense hybridized operator applied to every ordered
+    pair.
     """
     require_volume_kind(config.volume_flux)
-    op = setup.op
-    nvar = u.shape[-1]
-    lines = node_line_lists(op.n_nodes, setup.d)[n]
-    pairs, vol_face, lift = hybridized_scatter(op.degree, op.family)
-    dirn = flux_function(config.volume_flux)
-    metrics = setup.metrics
-    face_ja = metrics.face_ja[n]
-    volume_ja = node_ja(metrics, n)
-    sides = [(uf.tolist(), face_ja[s].tolist()) for s, (uf, _qf) in enumerate(faces)]
     acc = np.zeros_like(u).tolist()
-    for e in range(setup.n_elements):
-        states = u[e].tolist()
-        jan = volume_ja[e].reshape(-1, setup.d).tolist()
-        for m, line in enumerate(lines):
-            coupling = [
-                (fs[e][m], fja[e][m], cvol, cface, lrow)
-                for (fs, fja), (cvol, cface), lrow in zip(sides, vol_face, lift)
-            ]
-            _line_terms(states, line, jan, pairs, dirn, setup.gas, nvar, acc[e], coupling)
-    out += np.asarray(acc) / metrics.jac[:, :, None]
+    _direction_terms(
+        u.tolist(), setup.op, setup.metrics, n, config.volume_flux, setup.gas, acc, faces
+    )
+    out += np.asarray(acc) / setup.metrics.jac[:, :, None]
 
 
 def surface_terms(faces, setup, n, surface_flux, subtract_own, out):

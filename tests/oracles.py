@@ -4,8 +4,8 @@ The extended-precision routes go through mpmath at 50 significant digits,
 far past anything double arithmetic can reach, so the production code is
 compared against an independent route rather than against itself. The
 plain helpers at the end (the textbook axis flux, the algebraic means, the
-metric identity residual, the dense Gauss volume term) have no caller in
-the library.
+metric identity residual, the split-derivative matrix, the dense Gauss
+volume term) have no caller in the library.
 """
 
 import mpmath
@@ -112,6 +112,17 @@ def metric_identity_residual(metrics, op, d):
             acc += apply_along(op.D, node_ja(metrics, n)[..., j], n + 1)
         worst = max(worst, float(np.max(np.abs(acc))))
     return worst
+
+
+def split_derivative(op):
+    """The textbook split-derivative matrix 2 D - M^{-1} R^T B N R of op,
+    B = I and N = diag(-1, +1): M times it is antisymmetric and its
+    diagonal vanishes by the SBP identity. On Lobatto nodes it differs from
+    2 D only in the two corner entries, and its off-diagonal entries are the
+    volume pair weights of operators.hybridized_scatter up to rounding."""
+    r = op.boundary_interp
+    n_face = np.array([-1.0, 1.0])
+    return 2.0 * op.D - (r.T @ (n_face[:, None] * r)) / op.weights[:, None]
 
 
 def gauss_volume_dense(u, faces, setup, n, vol_flux):

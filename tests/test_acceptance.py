@@ -8,6 +8,8 @@ report violations as warnings instead of failures.
 
 import math
 import warnings
+from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from fluxdg import (
     prim2cons,
     rhs,
 )
-from fluxdg.discretization import face_states
+from fluxdg.discretization import KERNELS, face_states
 from fluxdg.fluxes import SERIES_EPSILON
 from fluxdg.harness import (
     MICROBENCH_FORMS,
@@ -38,7 +40,7 @@ from fluxdg.harness import (
     microbench_flux,
     run_simulation,
 )
-from fluxdg.operators import FAMILIES, build_dsplit
+from fluxdg.operators import FAMILIES
 from fluxdg.reference import (
     inv_logmean_optimized,
     logmean_optimized,
@@ -68,6 +70,7 @@ from .oracles import (
     inv_logmean_mp,
     jump_grid,
     logmean_mp,
+    split_derivative,
 )
 from .test_discretization import matrix_route_fluxdiff
 
@@ -275,6 +278,62 @@ def test_semidiscrete_conservation(vortex_samples):
         assert worst_totals < 1e-12, (key, worst_totals)
 
 
+# --- kinetic energy preservation ----------------------------------------------
+
+# Lobatto flux differencing with a kinetic-energy-preserving volume flux and
+# a central, shima or ranocha surface flux, flat and curved
+KEP_CASES = rhs_cases(
+    ((3, 3), (3, 3, 3)), (3,), families=("lgl",), meshes=("cartesian", "isoparametric"),
+    schemes=("fluxdiff",), volume_fluxes=("shima", "ranocha"),
+    surface_fluxes=("central", "shima", "ranocha"),
+)
+
+
+def kep_field(setup):
+    """Pressure 1 with smooth density and velocity waves that are periodic
+    on the (-5, 5)^d mesh, so the states are continuous across every face,
+    the periodic ones included."""
+    d = setup.d
+    x = 0.2 * math.pi * setup.coords
+    q = np.empty((setup.n_elements, setup.n_nodes, d + 2))
+    q[..., 0] = 1.0 + 0.3 * np.sin(np.sum(x, axis=-1))
+    for i in range(d):
+        q[..., 1 + i] = 0.2 * np.sin(x[..., (i + 1) % d] + 0.5 * i)
+    q[..., -1] = 1.0
+    return prim2cons(q, setup.gas)
+
+
+def kinetic_energy_terms(u, dudt, setup):
+    """The nodal terms of the kinetic energy rate
+    sum M J (v . d(rho v)/dt - |v|^2/2 drho/dt), shape (n_elem, nodes,
+    d + 1): the d momentum terms, then the density term."""
+    d = setup.d
+    v = u[..., 1 : d + 1] / u[..., :1]
+    weights = (setup.wbar[None, :] * setup.metrics.jac)[..., None]
+    half_vv = 0.5 * np.sum(v * v, axis=-1, keepdims=True)
+    return weights * np.concatenate(
+        (v * dudt[..., 1 : d + 1], -half_vv * dudt[..., :1]), axis=-1
+    )
+
+
+@pytest.mark.parametrize("case", KEP_CASES, ids=attrgetter("id"))
+def test_kinetic_energy_preservation(case):
+    """At constant pressure with continuous states, a kinetic-energy-
+    preserving volume and surface flux keep the total kinetic energy:
+    sum M J (v . d(rho v)/dt - |v|^2/2 drho/dt) = 0, with both kernels.
+    The sum is normalized by the sum of the absolute terms; each term
+    carries the rounding of the pair sums behind its rhs entry, so the
+    bound is 64 ulps of that scale (the worst case read 9.4)."""
+    setup = case.setup()
+    u = kep_field(setup)
+    for kernel in KERNELS:
+        dudt = rhs(u, setup, replace(case.config, kernel=kernel))
+        terms = kinetic_energy_terms(u, dudt, setup)
+        scale = float(np.abs(terms).sum())
+        assert scale > 0.1
+        assert abs(float(terms.sum())) < 64 * np.finfo(float).eps * scale, kernel
+
+
 # --- form equivalences --------------------------------------------------------
 
 
@@ -284,7 +343,7 @@ def test_volume_term_matches_split_matrix_assembly():
         mesh = build_mesh((2,) * d, amplitude=0.1)
         setup = build_setup(mesh, make_operator(3, "lgl"), GAS)
         u = random_field(setup, GAS, seed=21 + d, amp=0.4)
-        mat = build_dsplit(setup.op)
+        mat = split_derivative(setup.op)
         for kind in ("shima", "ranocha", "central"):
             fast = volume_fluxdiff(u, setup.op, setup.metrics, kind, GAS)
             slow = matrix_route_fluxdiff(u, setup.op, mat, setup.metrics, 0, kind, GAS)

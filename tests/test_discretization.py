@@ -48,7 +48,7 @@ from fluxdg.euler import (
     prim2entropy,
 )
 from fluxdg.geometry import node_ja
-from fluxdg.operators import MAX_DEGREE, build_dsplit, transfer_matrices
+from fluxdg.operators import MAX_DEGREE, transfer_matrices
 from fluxdg.reference import (
     node_lines,
     scalar_gauss_volume,
@@ -57,13 +57,14 @@ from fluxdg.reference import (
 )
 from fluxdg.verify import (
     SUB_PARAMETRIC_DEGREE,
+    TWO_POINT_SCHEMES,
     compare_kernels,
     random_field,
     relative_gap,
     rhs_cases,
 )
 
-from .oracles import gauss_volume_dense
+from .oracles import gauss_volume_dense, split_derivative
 
 
 def lgl_setup(gas, d=2, dims=None, amplitude=0.0, p=3):
@@ -88,11 +89,12 @@ def constant_field(setup, gas, prim=(1.0, 0.1, -0.2, 0.3, 1.0)):
 
 
 def matrix_route_fluxdiff(u, op, mat, metrics, e, vol_flux, gas):
-    """Element e's volume term assembled directly from mat, the split
-    matrix build_dsplit(op): every ordered node pair (i, k) contributes
-    D_split[i,k] F(u_i, u_k, mean metric). The production kernel visits
-    unordered pairs once and scatters both weights; the two readings must
-    agree up to summation order."""
+    """Element e's volume term assembled directly from mat, the textbook
+    split matrix oracles.split_derivative(op): every ordered node pair
+    (i, k) contributes D_split[i,k] F(u_i, u_k, mean metric). The
+    production kernel visits unordered pairs once and scatters both
+    weights of the hybridized table; the two readings must agree up to
+    summation order and the ulps of the weights."""
     p1 = op.n_nodes
     d = u.shape[-1] - 2
     dirn = flux_function(vol_flux)
@@ -223,7 +225,7 @@ def test_central_fluxdiff_equals_strong_on_cartesian(gas):
 def test_fluxdiff_matches_matrix_route(gas, d, vol_flux):
     setup = lgl_setup(gas, d=d, amplitude=0.15)
     u = random_field(setup, gas, seed=5, amp=0.4)
-    mat = build_dsplit(setup.op)
+    mat = split_derivative(setup.op)
     got = volume_fluxdiff(u, setup.op, setup.metrics, vol_flux, gas)
     for e in range(min(2, setup.n_elements)):
         want = matrix_route_fluxdiff(u, setup.op, mat, setup.metrics, e, vol_flux, gas)
@@ -772,8 +774,14 @@ def unreached(modules, sweep):
 def rhs_sweep(kernel):
     """rhs with `kernel` over dimension, family, flat and curved meshes
     (sub-parametric and isoparametric), every volume scheme and every
-    surface flux, at p = 2."""
-    cases = rhs_cases(((2, 2), (2, 2, 2)), (2,), volume_fluxes=("ranocha",), seeds=(12,))
+    surface flux, at p = 2; and the two-point schemes once more with the
+    central volume flux, the one volume kind that reads conserved states."""
+    cases = rhs_cases(
+        ((2, 2), (2, 2, 2)), (2,), volume_fluxes=("ranocha",), seeds=(12,)
+    ) + rhs_cases(
+        ((2, 2), (2, 2, 2)), (2,), schemes=TWO_POINT_SCHEMES, volume_fluxes=("central",),
+        surface_fluxes=("llf",), seeds=(12,),
+    )
     for case in cases:
         setup = case.setup()
         u = case.field(setup, 0.3)
@@ -874,3 +882,32 @@ def test_rhs_runs_every_one_point_volume_statement():
             rhs_sweep(kernel)
 
     assert unrun_statements(ONE_POINT_VOLUME_FUNCTIONS, sweep) == {}
+
+
+# the two-point volume term of both kernels: the lane pass that Lobatto and
+# Gauss flux differencing share, and the oracle's one per-direction loop
+TWO_POINT_VOLUME_FUNCTIONS = (
+    batched._line_pass_buffers,
+    batched._line_pass,
+    batched._line_terms,
+    batched._divide_by_jacobian,
+    batched.mesh_fluxdiff_volume,
+    batched.mesh_gauss_volume,
+    reference._direction_terms,
+    reference._line_terms,
+    reference.volume_fluxdiff,
+    reference.scalar_gauss_volume,
+)
+
+
+def test_rhs_runs_every_two_point_volume_statement():
+    """Sweeping rhs with both kernels runs every statement of the two-point
+    volume functions: the shared line pass and loop with and without the
+    Gauss coupling, on flat and curved meshes, and no branch that no rhs
+    takes."""
+
+    def sweep():
+        for kernel in ("batched", "reference"):
+            rhs_sweep(kernel)
+
+    assert unrun_statements(TWO_POINT_VOLUME_FUNCTIONS, sweep) == {}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,10 @@ from .oracles import physical_flux
 def test_gas_params():
     gas = GasParams(1.4)
     assert abs(gas.inv_gamma_minus_one - 2.5) < 1e-15
-    with pytest.raises(AdmissibilityError):
-        GasParams(1.0)
+    # a non-finite gamma would make inv_gamma_minus_one 0.0 or nan
+    for bad in (1.0, math.inf, math.nan):
+        with pytest.raises(AdmissibilityError):
+            GasParams(bad)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -124,6 +124,13 @@ def test_config_validation_messages():
         ({"mesh": "curved", "amplitude": "0"}, "amplitude"),
         ({"ic": "blast_wave"}, "ic"),
         ({"gamma": "1.0"}, "gamma"),
+        # non-finite values are named here, not by a later admissibility or
+        # Jacobian failure
+        ({"gamma": "inf"}, "gamma:"),
+        ({"gamma": "nan"}, "gamma:"),
+        ({"epsilon": "nan"}, "epsilon:"),
+        ({"epsilon": "inf"}, "epsilon:"),
+        ({"mesh": "curved", "amplitude": "inf"}, "amplitude:"),
         ({"cfl": "0"}, "cfl"),
         ({"cfl": "inf"}, "cfl:"),
         ({"cfl": "nan"}, "cfl:"),
@@ -433,6 +440,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         (["n_steps=none", "t_end=inf"], "t_end:"),
         (["ic=random", "seed=-1"], "seed:"),
         (["cfl=inf"], "cfl:"),
+        (["gamma=inf"], "gamma:"),
+        (["epsilon=nan"], "epsilon:"),
+        (["epsilon=inf"], "epsilon:"),
+        (["mesh=curved", "amplitude=inf"], "amplitude:"),
         (["volume_scheme=overintegration", "overint_degree=40"], "overint_degree:"),
         (["volume_flux=llf"], "volume_flux:"),
     ):

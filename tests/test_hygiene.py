@@ -273,6 +273,8 @@ def test_only_named_modules_import_the_oracle():
 ORACLE_USERS = {
     "test_acceptance.py::vortex_samples": "an anchor run on the oracle",
     "test_acceptance.py::test_timing_trends_soft": "times the oracle",
+    "test_acceptance.py::test_kinetic_energy_preservation": "each kernel's "
+    "kinetic energy identity",
     "test_batched.py::test_split_gauss_rhs_builds_no_conserved_faces": "counts "
     "each kernel's conversions",
     "test_discretization.py::test_lgl_fluxdiff_preserves_pressure_equilibrium":
@@ -286,6 +288,8 @@ ORACLE_USERS = {
     "test_discretization.py::test_reference_rhs_reaches_every_oracle_function":
     "the oracle reachability sweep",
     "test_discretization.py::test_rhs_runs_every_one_point_volume_statement":
+    "the statement sweep of both kernels",
+    "test_discretization.py::test_rhs_runs_every_two_point_volume_statement":
     "the statement sweep of both kernels",
     "test_harness.py::test_pid_row_layout": "the label of an oracle row",
     "test_hygiene.py::test_only_named_modules_import_the_oracle": "the module",

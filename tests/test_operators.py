@@ -7,16 +7,16 @@ from fluxdg.errors import UnsupportedOperatorError
 from fluxdg.operators import (
     FAMILIES,
     MAX_DEGREE,
-    build_dsplit,
     build_hybridized,
     gauss_operator,
     hybridized_scatter,
     lgl_operator,
     make_operator,
-    split_pairs,
     transfer_matrices,
 )
 from fluxdg.reference import node_lines
+
+from .oracles import split_derivative
 
 
 def test_known_lobatto_values():
@@ -81,14 +81,21 @@ def test_boundary_interp_evaluates_endpoints(family):
 
 
 def test_dsplit_rejects_gauss():
-    with pytest.raises(UnsupportedOperatorError):
-        build_dsplit(gauss_operator(3))
+    # the pair-only line pass of fluxdiff is Lobatto's: on Gauss nodes the
+    # boundary operator is dense, so every line position couples to both
+    # faces and the coupling cannot be left out (compare
+    # test_lobatto_hybridized_is_dsplit_plus_cancelling_coupling), and
+    # fluxdiff refuses the family (test_config_family_constraints)
+    _vv, vol_face, lift = hybridized_scatter(3, "gauss")
+    for side in (0, 1):
+        cvol, cface = vol_face[side]
+        assert all(c != 0.0 for c in cvol + cface + lift[side]), side
 
 
 def test_dsplit_interior_rows_equal_2d():
-    # the boundary correction only touches the four corner entries on LGL
+    # the boundary correction only touches the two corner entries on LGL
     op = lgl_operator(5)
-    diff = build_dsplit(op) - 2.0 * op.D
+    diff = split_derivative(op) - 2.0 * op.D
     mask = np.zeros_like(diff, dtype=bool)
     mask[0, 0] = mask[-1, -1] = True
     assert np.abs(diff[~mask]).max() == 0.0
@@ -146,14 +153,17 @@ def test_node_lines_are_permutations():
 
 @pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))
 def test_split_pairs_match_matrix(p):
-    mat = build_dsplit(lgl_operator(p))
+    # the Lobatto volume pairs of the hybridized table, which both kernels'
+    # flux differencing reads, are the split-derivative matrix: its entries
+    # to 2 ulps (bitwise at some degrees), every nonzero upper-triangle
+    # entry exactly once
+    mat = split_derivative(lgl_operator(p))
     seen = set()
-    for a, b, wab, wba in split_pairs(p):
+    for a, b, wab, wba in hybridized_scatter(p, "lgl")[0]:
         assert a < b
-        assert wab == mat[a, b]
-        assert wba == mat[b, a]
+        assert abs(wab - mat[a, b]) <= 2.0 * np.spacing(abs(mat[a, b])), (a, b)
+        assert abs(wba - mat[b, a]) <= 2.0 * np.spacing(abs(mat[b, a])), (b, a)
         seen.add((a, b))
-    # every nonzero upper-triangle entry is present exactly once
     nz = {
         (a, b)
         for a in range(p + 1)
@@ -170,9 +180,7 @@ def test_hybridized_pairs_are_gauss_dsplit(p):
     # operator: the surface-correction form of gauss flux differencing is
     # the same operator
     op = gauss_operator(p)
-    n_face = np.array([-1.0, 1.0])
-    r = op.boundary_interp
-    mat = 2.0 * op.D - (r.T @ (n_face[:, None] * r)) / op.weights[:, None]
+    mat = split_derivative(op)
     vv, _vol_face, _lift = hybridized_scatter(p, "gauss")
     weights = {(a, b): (wab, wba) for a, b, wab, wba in vv}
     bound = 1e-15 * np.abs(mat).max()
@@ -189,17 +197,12 @@ def test_hybridized_pairs_are_gauss_dsplit(p):
 @pytest.mark.parametrize("p", range(1, 9))
 def test_lobatto_hybridized_is_dsplit_plus_cancelling_coupling(p):
     # on Lobatto nodes the hybridized scheme is flux differencing with the
-    # split derivative: its volume pairs are the dsplit pairs (equal to
-    # rounding, not bitwise: 2 ulps of the weight at p = 3, one at p = 7, 8),
-    # and each side couples only its boundary node, where the volume-row
-    # weight and the lifted face-row weight cancel exactly; that is why the
-    # Lobatto line kernel takes the dsplit table and no coupling
-    vv, vol_face, lift = hybridized_scatter(p, "lgl")
-    dsplit = split_pairs(p)
-    assert [(a, b) for a, b, _, _ in vv] == [(a, b) for a, b, _, _ in dsplit]
-    for (_, _, wab, wba), (_, _, dab, dba) in zip(vv, dsplit):
-        assert abs(wab - dab) <= 2.0 * np.spacing(abs(dab))
-        assert abs(wba - dba) <= 2.0 * np.spacing(abs(dba))
+    # split derivative: its volume pairs are the dsplit entries (equal to
+    # rounding, not bitwise: test_split_pairs_match_matrix), and each side
+    # couples only its boundary node, where the volume-row weight and the
+    # lifted face-row weight cancel exactly; that is why the Lobatto line
+    # pass takes the table's pairs and no coupling
+    _vv, vol_face, lift = hybridized_scatter(p, "lgl")
     for side, boundary in ((0, 0), (1, p)):
         cvol, cface = vol_face[side]
         for a in range(p + 1):
